@@ -80,6 +80,8 @@ else
     cargo test --release -q --test sharding
     echo "== shard fault-tolerance suite (health machine, breaker, journal rebuild, degraded reads) =="
     cargo test --release -q --test fault_tolerance
+    echo "== end-to-end benchmark self-tests (own workspace; tiny runs of every workload) =="
+    cargo test --release --offline --manifest-path dgbench/Cargo.toml
 fi
 
 # Best-effort native ThreadSanitizer pass over the simulator's own

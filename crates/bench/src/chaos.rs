@@ -32,25 +32,15 @@ fn mix(h: u64, x: u64) -> u64 {
     s
 }
 
-/// Order-insensitive-across-vertices, order-exact-within-adjacency digest
-/// of a graph's full state: every `(u, v, weight)` triple, neighbors
-/// sorted. Two graphs digest equal iff their edge sets and weights are
-/// byte-identical.
-fn state_digest(
-    n_vertices: u32,
-    neighbors: impl Fn(u32) -> Vec<u32>,
-    weight: impl Fn(u32, u32) -> u32,
-) -> u64 {
-    let mut h = 0xd6e8_feb8_6659_fd93u64;
-    for u in 0..n_vertices {
-        let mut ns = neighbors(u);
-        ns.sort_unstable();
-        for v in ns {
-            h = mix(h, ((u as u64) << 32) | v as u64);
-            h = mix(h, weight(u, v) as u64);
-        }
-    }
-    h
+/// Digest of a graph's full state from an edge export: every
+/// `(u, v, weight)` triple in `(u, v)` order. Two graphs digest equal iff
+/// their edge sets and weights are byte-identical.
+fn state_digest(mut edges: Vec<Edge>) -> u64 {
+    edges.sort_unstable_by_key(|e| (e.src, e.dst));
+    edges.iter().fold(0xd6e8_feb8_6659_fd93u64, |h, e| {
+        let h = mix(h, ((e.src as u64) << 32) | e.dst as u64);
+        mix(h, e.weight as u64)
+    })
 }
 
 /// What the chaos schedule did before one round's flush.
@@ -201,23 +191,8 @@ pub fn chaos_churn(cfg: &ChurnConfig) -> Table {
         "all shards re-admitted at end of chaos run"
     );
     g.validate().expect("post-rebuild cross-shard audit");
-    let sharded_digest = state_digest(
-        ds.n_vertices,
-        |u| g.neighbor_ids(u),
-        |u, v| {
-            let shard = g.shard(g.owner_of(u));
-            shard.edge_weight(&shard.pin_read(), u, v).unwrap_or(0)
-        },
-    );
-    let reference_digest = state_digest(
-        ds.n_vertices,
-        |u| reference.neighbor_ids(&reference.pin_read(), u),
-        |u, v| {
-            reference
-                .edge_weight(&reference.pin_read(), u, v)
-                .unwrap_or(0)
-        },
-    );
+    let sharded_digest = state_digest(g.export_edges());
+    let reference_digest = state_digest(reference.export_edges(&reference.pin_read()));
     assert_eq!(
         g.num_edges(),
         reference.num_edges(),

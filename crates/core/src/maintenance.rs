@@ -94,7 +94,11 @@ impl DynGraph {
         rehashed.into_inner()
     }
 
-    fn collect_entries(&self, warp: &gpu_sim::Warp, desc: &TableDesc) -> Vec<(u32, u32)> {
+    pub(crate) fn collect_entries(
+        &self,
+        warp: &gpu_sim::Warp,
+        desc: &TableDesc,
+    ) -> Vec<(u32, u32)> {
         let mut entries = Vec::new();
         match desc.kind {
             TableKind::Map => desc.for_each_pair(warp, |k, v| entries.push((k, v))),

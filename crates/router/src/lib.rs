@@ -45,7 +45,7 @@ use parking_lot::{Mutex, RwLock};
 use slabgraph::{
     BatchOutcome, Direction, DynGraph, Edge, GraphConfig, GraphError, ReadGuard, ValidationError,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// The owner shard of vertex `v` among `n_shards`: a splitmix64 finalizer
@@ -392,10 +392,36 @@ impl ShardedGraph {
             .sum()
     }
 
+    /// Every shard's full contents — primaries and replicas — in shard
+    /// order: one `edge_export` launch per non-empty shard, the shards
+    /// running concurrently.
+    fn shard_exports(&self) -> Vec<Vec<Edge>> {
+        let ctx = self.dispatch_ctx();
+        self.group.dispatch(|s, dev| {
+            let _trace = dev.trace_scope(ctx);
+            let g = self.shards[s].read();
+            g.export_edges(&g.pin_read())
+        })
+    }
+
+    /// Every live edge once, as its primary copy ⟨src, dst, weight⟩:
+    /// shard by shard, each shard's part vertex-ascending (see
+    /// `DynGraph::export_edges`). Costs one launch per non-empty shard.
+    pub fn export_edges(&self) -> Vec<Edge> {
+        let n = self.shards.len();
+        self.shard_exports()
+            .into_iter()
+            .enumerate()
+            .flat_map(|(s, edges)| edges.into_iter().filter(move |e| shard_of(e.src, n) == s))
+            .collect()
+    }
+
     /// Full validation: every shard's structural invariants
     /// (`DynGraph::validate`), then the cross-shard audit — every cut edge
     /// present on both owners, no orphan or misrouted replicas, and the
-    /// global counts reconcile (`Σ per-shard edges = owned + cut`).
+    /// global counts reconcile (`Σ per-shard edges = owned + cut`). The
+    /// audit reads one export per shard, so the whole check charges
+    /// O(shards) launches.
     pub fn validate(&self) -> Result<(), ShardedValidationError> {
         let n = self.shards.len();
         let ctx = self.dispatch_ctx();
@@ -410,51 +436,54 @@ impl ShardedGraph {
         {
             r.map_err(|source| ShardedValidationError::Shard { shard: s, source })?;
         }
-        // One read guard per shard for the whole audit (read-read never
-        // blocks; only a concurrent reset would, and the audit must not
-        // race one anyway).
-        let guards: Vec<_> = self.shards.iter().map(RwLock::read).collect();
-        // One era pin per shard for the whole audit walk.
-        let pins: Vec<ReadGuard> = guards.iter().map(|g| g.pin_read()).collect();
+        // The cross-shard audit runs on the host over one export per
+        // shard, with membership answered by per-shard set lookups.
+        let exports = self.shard_exports();
+        let present: Vec<HashSet<(u32, u32)>> = exports
+            .iter()
+            .map(|edges| edges.iter().map(|e| (e.src, e.dst)).collect())
+            .collect();
+        // Each export is vertex-ascending, so a stable sort by source over
+        // the shard-major concatenation visits edges by vertex, then shard,
+        // then table order: the first violation reported is the lowest
+        // vertex's.
+        let mut all: Vec<(usize, u32, u32)> = exports
+            .iter()
+            .enumerate()
+            .flat_map(|(s, edges)| edges.iter().map(move |e| (s, e.src, e.dst)))
+            .collect();
+        all.sort_by_key(|&(_, u, _)| u);
         let mut cut = 0u64;
         let mut replicas = 0u64;
         let mut owned = 0u64;
-        let mut stored = 0u64;
-        for u in 0..self.n_vertices {
+        let stored = all.len() as u64;
+        for (s, u, v) in all {
             let su = shard_of(u, n);
-            for (s, shard) in guards.iter().enumerate() {
-                let neighbors = shard.neighbor_ids(&pins[s], u);
-                stored += neighbors.len() as u64;
-                if s == su {
-                    owned += neighbors.len() as u64;
-                    // Primary side: every cut edge must have its replica.
-                    for v in neighbors {
-                        let sv = shard_of(v, n);
-                        if sv != su {
-                            cut += 1;
-                            if !guards[sv].edge_exists(&pins[sv], u, v) {
-                                return Err(ShardedValidationError::MissingReplica {
-                                    src: u,
-                                    dst: v,
-                                    src_shard: su,
-                                    dst_shard: sv,
-                                });
-                            }
-                        }
+            let sv = shard_of(v, n);
+            if s == su {
+                owned += 1;
+                // Primary side: every cut edge must have its replica.
+                if sv != su {
+                    cut += 1;
+                    if !present[sv].contains(&(u, v)) {
+                        return Err(ShardedValidationError::MissingReplica {
+                            src: u,
+                            dst: v,
+                            src_shard: su,
+                            dst_shard: sv,
+                        });
                     }
-                } else {
-                    // Replica side: must be dst-owned here and backed by a
-                    // live primary on the src's owner.
-                    for v in neighbors {
-                        replicas += 1;
-                        if shard_of(v, n) != s || !guards[su].edge_exists(&pins[su], u, v) {
-                            return Err(ShardedValidationError::OrphanReplica {
-                                src: u,
-                                dst: v,
-                                shard: s,
-                            });
-                        }
-                    }
+                }
+            } else {
+                // Replica side: must be dst-owned here and backed by a
+                // live primary on the src's owner.
+                replicas += 1;
+                if sv != s || !present[su].contains(&(u, v)) {
+                    return Err(ShardedValidationError::OrphanReplica {
+                        src: u,
+                        dst: v,
+                        shard: s,
+                    });
                 }
             }
         }
@@ -1107,22 +1136,18 @@ impl<'g> BatchRouter<'g> {
 
     /// Build a router with an explicit [`RetryPolicy`]. Seeds each
     /// shard's journal checkpoint from the shard's *current* contents
-    /// (primaries and replicas alike), so graphs assembled via
+    /// (primaries and replicas alike, one `edge_export` launch per
+    /// non-empty shard), so graphs assembled via
     /// [`ShardedGraph::bulk_build`] — which bypasses the router — are
     /// still rebuildable.
     pub fn with_policy(graph: &'g ShardedGraph, policy: RetryPolicy) -> Self {
         let n = graph.num_shards();
-        let states = (0..n)
-            .map(|s| {
+        let states = graph
+            .shard_exports()
+            .into_iter()
+            .map(|edges| {
                 let mut st = ShardState::default();
-                let g = graph.shard(s);
-                let pin = g.pin_read();
-                for u in 0..graph.vertex_capacity() {
-                    for v in g.neighbor_ids(&pin, u) {
-                        let w = g.edge_weight(&pin, u, v).unwrap_or(1);
-                        st.journal.checkpoint.insert((u, v), w);
-                    }
-                }
+                st.journal.checkpoint = edges.iter().map(|e| ((e.src, e.dst), e.weight)).collect();
                 Mutex::new(st)
             })
             .collect();

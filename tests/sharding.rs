@@ -191,6 +191,147 @@ fn single_shard_oom_recovers_while_others_proceed() {
     g.validate().expect("audit after recovery");
 }
 
+/// Seeded distinct weighted edges, no self-loops.
+fn weighted_edges(seed: u64, n: usize) -> Vec<Edge> {
+    let mut rng = seed;
+    let mut seen = std::collections::HashSet::new();
+    let mut out = Vec::new();
+    while out.len() < n {
+        let (u, v) = random_pair(&mut rng);
+        if seen.insert((u, v)) {
+            out.push(Edge::weighted(
+                u,
+                v,
+                (splitmix64(&mut rng) % 1000) as u32 + 1,
+            ));
+        }
+    }
+    out
+}
+
+/// Shard `s`'s full contents (primaries and replicas), sorted.
+fn sorted_export(g: &ShardedGraph, s: usize) -> Vec<Edge> {
+    let shard = g.shard(s);
+    let mut edges = shard.export_edges(&shard.pin_read());
+    edges.sort_unstable_by_key(|e| (e.src, e.dst));
+    edges
+}
+
+/// Lose `victim`'s device and drive the router's health machine to Down
+/// with a flush that re-inserts `same` (an edge the victim already
+/// holds, same weight), so the graph's contents do not change.
+fn kill(g: &ShardedGraph, router: &BatchRouter<'_>, victim: usize, same: Edge) {
+    assert_eq!(shard_of(same.src, g.num_shards()), victim);
+    g.group()
+        .device(victim)
+        .set_fault_plan(FaultPlan::device_lost_at(1));
+    router.submit(0, Update::Insert(same));
+    assert!(!router.flush().is_complete());
+    assert!(!router.unhealthy_shards().is_empty());
+}
+
+#[test]
+fn router_over_set_graph_rebuilds_a_killed_shard() {
+    // Set-kind shards store no weights; seeding the router's checkpoint
+    // must not ask for them.
+    for config in [
+        GraphConfig::directed_set(N_VERTICES),
+        GraphConfig::undirected_set(N_VERTICES),
+    ] {
+        let config = config.with_device_words(1 << 20).with_pool_slabs(1 << 10);
+        let g = ShardedGraph::bulk_build(3, config, &weighted_edges(0x5E7, 400));
+        let router = BatchRouter::new(&g);
+        let mut before = g.export_edges();
+        before.sort_unstable_by_key(|e| (e.src, e.dst));
+        assert!(before.iter().all(|e| e.weight == 0));
+
+        let victim = 1usize;
+        let same = *before
+            .iter()
+            .find(|e| shard_of(e.src, 3) == victim)
+            .expect("victim owns an edge");
+        kill(&g, &router, victim, same);
+        assert_eq!(router.rebuild_downed().expect("audit passes"), vec![victim]);
+
+        let mut after = g.export_edges();
+        after.sort_unstable_by_key(|e| (e.src, e.dst));
+        assert_eq!(after, before, "{:?}: edge set changed", config.direction);
+    }
+}
+
+#[test]
+fn checkpoint_costs_one_launch_per_shard_and_rebuild_keeps_weights() {
+    let shards = 4;
+    let g = ShardedGraph::bulk_build(shards, config(), &weighted_edges(0xC4EC, 600));
+    let launches = |s: usize| -> u64 { g.group().device(s).counters().snapshot().launches };
+
+    // Launch budget: seeding every journal checkpoint is one launch per
+    // non-empty shard, however many vertices and edges it holds.
+    let before: Vec<u64> = (0..shards).map(launches).collect();
+    let router = BatchRouter::new(&g);
+    for (s, &b) in before.iter().enumerate() {
+        assert!(g.shard(s).num_edges() > 0, "shard {s} holds edges");
+        assert_eq!(launches(s), b + 1, "shard {s}: checkpoint launches");
+    }
+    // The cross-shard audit is O(shards) launches too: per shard, one
+    // structural walk plus one export.
+    let before: Vec<u64> = (0..shards).map(launches).collect();
+    g.validate().expect("clean audit");
+    for (s, &b) in before.iter().enumerate() {
+        assert_eq!(launches(s), b + 2, "shard {s}: audit launches");
+    }
+
+    // Weight fidelity: a killed shard rebuilt from the checkpoint comes
+    // back with every edge and weight it held.
+    let exports: Vec<Vec<Edge>> = (0..shards).map(|s| sorted_export(&g, s)).collect();
+    let victim = 2usize;
+    let same = *exports[victim]
+        .iter()
+        .find(|e| shard_of(e.src, shards) == victim)
+        .expect("victim owns an edge");
+    kill(&g, &router, victim, same);
+    assert_eq!(router.rebuild_downed().expect("audit passes"), vec![victim]);
+    for (s, want) in exports.iter().enumerate() {
+        assert_eq!(&sorted_export(&g, s), want, "shard {s} after rebuild");
+    }
+}
+
+#[test]
+fn audit_reports_the_lowest_vertex_missing_replica_first() {
+    let g = ShardedGraph::bulk_build(4, config(), &weighted_edges(0xA0D1, 300));
+    g.validate().expect("clean after normal inserts");
+    let mut cut: Vec<Edge> = g
+        .export_edges()
+        .into_iter()
+        .filter(|e| shard_of(e.src, 4) != shard_of(e.dst, 4))
+        .collect();
+    cut.sort_unstable_by_key(|e| (e.src, e.dst));
+    // Two broken cut edges whose shard order disagrees with their vertex
+    // order: the lower source's primary lives on the last shard, the
+    // higher source's on an earlier one. The audit must name the lower.
+    let lowest = *cut
+        .iter()
+        .find(|e| shard_of(e.src, 4) == 3)
+        .expect("a cut edge out of shard 3");
+    let higher = *cut
+        .iter()
+        .rev()
+        .find(|e| e.src > lowest.src && shard_of(e.src, 4) < 3)
+        .expect("a later cut edge out of an earlier shard");
+    for e in [higher, lowest] {
+        g.shard(shard_of(e.dst, 4)).delete_edges(&[e]);
+    }
+    assert_eq!(
+        g.validate(),
+        Err(ShardedValidationError::MissingReplica {
+            src: lowest.src,
+            dst: lowest.dst,
+            src_shard: shard_of(lowest.src, 4),
+            dst_shard: shard_of(lowest.dst, 4),
+        })
+    );
+}
+
 #[test]
 fn audit_detects_orphan_replicas() {
     let g = ShardedGraph::new(4, config());

@@ -12,11 +12,13 @@
 //!
 //! Every numeric cell of every table becomes a metric keyed
 //! `table-id/row-key/column-header` (the row key is the row's first
-//! cell, suffixed `#n` on repeats). Column headers classify the cell:
+//! cell, suffixed `#n` on repeats). Whole words of the column header
+//! (split on whitespace and brackets, case-insensitive) classify the cell:
 //!
-//! - **throughput** (higher is better): header contains `/s`, `MUps`, or
-//!   `speedup` — a drop below `baseline * (1 - tolerance)` fails.
-//! - **latency** (lower is better): header contains `ms`, `us`, `ns`, or
+//! - **throughput** (higher is better): a word ending in `/s`, or the
+//!   word `MUps` or `speedup` — a drop below `baseline * (1 - tolerance)`
+//!   fails.
+//! - **latency** (lower is better): the word `ms`, `us`, `ns`, or
 //!   `latency` — a rise above `baseline * (1 + tolerance)` fails.
 //! - anything else (row counts, hit counts, journal depths) is recorded
 //!   for context but never gated.
@@ -41,9 +43,11 @@
 //! (same ratchet discipline as `lint-allow.txt`), unless
 //! `--allow-regression` records the regression deliberately.
 //!
-//! `--selftest` proves the gate has teeth: it first gates the artifacts
-//! normally (must pass), then perturbs the first gated throughput
-//! baseline beyond tolerance in memory and asserts the gate now fails.
+//! `--selftest` proves the gate has teeth: it checks that headers such as
+//! `sessions` and `flush ms` class as info and latency, gates the
+//! artifacts normally (must pass), then perturbs the first gated
+//! throughput baseline beyond tolerance in memory and asserts the gate
+//! now fails.
 
 use gpu_sim::Json;
 use std::path::{Path, PathBuf};
@@ -64,12 +68,18 @@ enum Class {
 }
 
 impl Class {
+    /// Classify a column by the whole unit tokens of its header, never by
+    /// substrings: `sessions` ends in `ns` but is a count.
     fn of(header: &str) -> Class {
         let h = header.to_ascii_lowercase();
-        if h.contains("/s") || h.contains("mups") || h.contains("speedup") {
+        let tokens: Vec<&str> = h
+            .split(|c: char| c.is_whitespace() || "()[],".contains(c))
+            .filter(|t| !t.is_empty())
+            .collect();
+        let any = |pred: fn(&str) -> bool| tokens.iter().any(|t| pred(t));
+        if any(|t| t.ends_with("/s") || t == "mups" || t == "speedup") {
             Class::Throughput
-        } else if h.contains("ms") || h.contains("us") || h.contains("ns") || h.contains("latency")
-        {
+        } else if any(|t| matches!(t, "ms" | "us" | "ns" | "latency")) {
             Class::Latency
         } else {
             Class::Info
@@ -329,6 +339,25 @@ fn main() -> ExitCode {
     }
 
     let mut failed = false;
+    if selftest {
+        // Header classification must go by whole unit tokens.
+        for (header, want) in [
+            ("sessions", Class::Info),
+            ("flush ms", Class::Latency),
+            ("inserts MEdge/s", Class::Throughput),
+            ("speedup vs 1 shard", Class::Throughput),
+        ] {
+            let got = Class::of(header);
+            if got != want {
+                eprintln!(
+                    "bench-gate: selftest FAILED: {header:?} classed {}, want {}",
+                    got.as_str(),
+                    want.as_str()
+                );
+                failed = true;
+            }
+        }
+    }
     for file in &files {
         let text = match std::fs::read_to_string(file) {
             Ok(t) => t,
