@@ -30,6 +30,8 @@ if git cat-file -e HEAD:lint-allow.txt 2>/dev/null; then
 fi
 
 if [ "$mode" = "quick" ]; then
+    echo "== end-to-end benchmark build (own workspace; consumes the public read API) =="
+    cargo build --offline --manifest-path dgbench/Cargo.toml
     echo "== cargo test (debug) =="
     cargo test --workspace -q
     echo "== fault-injection suite (debug) =="

@@ -15,13 +15,14 @@ pub fn bfs_levels<B: GraphBackend + ?Sized>(g: &B, src: u32) -> Vec<u32> {
         return levels;
     }
     levels[src as usize] = 0;
+    let pin = g.pin_read();
     let mut frontier = vec![src];
     let mut depth = 0u32;
     while !frontier.is_empty() {
         depth += 1;
         let mut next = Vec::new();
         for &u in &frontier {
-            g.for_each_neighbor(u, &mut |v| {
+            g.for_each_neighbor(&pin, u, &mut |v| {
                 let slot = &mut levels[v as usize];
                 if *slot == u32::MAX {
                     *slot = depth;

@@ -19,7 +19,7 @@
 //!   The required sorting is charged separately (Table VIII): call
 //!   [`GraphBackend::ensure_sorted`] before counting.
 
-use backend::{GraphBackend, IntersectionKind};
+use backend::{GraphBackend, IntersectionKind, ReadPin};
 
 /// Host-side reference triangle count from a raw undirected edge list
 /// (used by tests to validate every implementation).
@@ -55,15 +55,17 @@ pub fn tc_reference(n_vertices: u32, edges: &[(u32, u32)]) -> u64 {
 /// [`GraphBackend::ensure_sorted`] first (its cost is Table VIII's
 /// subject).
 pub fn tc<B: GraphBackend + ?Sized>(g: &B) -> u64 {
+    // The whole count is one read phase under one pin.
+    let pin = g.pin_read();
     match g.caps().intersection {
-        IntersectionKind::HashProbe => tc_hash_probe(g),
-        IntersectionKind::SortedMerge => tc_sorted_merge(g),
+        IntersectionKind::HashProbe => tc_hash_probe(g, &pin),
+        IntersectionKind::SortedMerge => tc_sorted_merge(g, &pin),
     }
 }
 
 /// The hash approach: batched `edgeExist` probes for every candidate
 /// closing edge, flushed through the backend's batched query kernel.
-fn tc_hash_probe<B: GraphBackend + ?Sized>(g: &B) -> u64 {
+fn tc_hash_probe<B: GraphBackend + ?Sized>(g: &B, pin: &ReadPin) -> u64 {
     // One logical TC kernel: helper launches fuse under one named scope.
     g.device().fused_scope("triangle_count", || {
         let mut count = 0u64;
@@ -73,12 +75,16 @@ fn tc_hash_probe<B: GraphBackend + ?Sized>(g: &B) -> u64 {
             if pairs.is_empty() {
                 return 0;
             }
-            let hits = g.edges_exist(pairs).into_iter().filter(|&b| b).count() as u64;
+            let hits = g.edges_exist(pin, pairs).into_iter().filter(|&b| b).count() as u64;
             pairs.clear();
             hits
         };
         for u in 0..g.num_vertices() {
-            let mut nu: Vec<u32> = g.read_neighbors(u).into_iter().filter(|&v| v > u).collect();
+            let mut nu: Vec<u32> = g
+                .read_neighbors(pin, u)
+                .into_iter()
+                .filter(|&v| v > u)
+                .collect();
             nu.sort_unstable();
             for (i, &v) in nu.iter().enumerate() {
                 for &w in &nu[i + 1..] {
@@ -96,7 +102,7 @@ fn tc_hash_probe<B: GraphBackend + ?Sized>(g: &B) -> u64 {
 
 /// The list approach: serial sorted-merge intersection of adjacency
 /// lists.
-fn tc_sorted_merge<B: GraphBackend + ?Sized>(g: &B) -> u64 {
+fn tc_sorted_merge<B: GraphBackend + ?Sized>(g: &B, pin: &ReadPin) -> u64 {
     assert!(
         g.is_sorted(),
         "{} TC requires sorted adjacency lists",
@@ -105,10 +111,10 @@ fn tc_sorted_merge<B: GraphBackend + ?Sized>(g: &B) -> u64 {
     g.device().fused_scope("triangle_count", || {
         let mut count = 0u64;
         for u in 0..g.num_vertices() {
-            let adj_u = g.read_neighbors(u);
+            let adj_u = g.read_neighbors(pin, u);
             debug_assert!(adj_u.windows(2).all(|w| w[0] <= w[1]), "unsorted list");
             for &v in adj_u.iter().filter(|&&v| v > u) {
-                let adj_v = g.read_neighbors(v);
+                let adj_v = g.read_neighbors(pin, v);
                 count += intersect_above(&adj_u, &adj_v, v);
             }
         }

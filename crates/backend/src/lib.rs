@@ -60,8 +60,16 @@ impl ReadPin {
         !self.guards.is_empty()
     }
 
-    /// The per-shard guards, in shard order (empty for phase fallback).
+    /// The per-shard guards, in shard order.
+    ///
+    /// # Panics
+    /// On the empty phase-fallback pin: an epoch-pinned backend handed
+    /// another backend's pin must not read unprotected.
     pub fn guards(&self) -> &[ReadGuard] {
+        assert!(
+            self.is_pinned(),
+            "empty ReadPin handed to an epoch-pinned backend; take the pin from its own pin_read()"
+        );
         &self.guards
     }
 }
@@ -137,59 +145,38 @@ pub trait GraphBackend {
     /// Out-degree of `u`.
     fn degree(&self, u: u32) -> u32;
 
-    /// Pin the current era for snapshot reads. Backends with
-    /// [`Capabilities::concurrent_reads`] return a live pin (one guard per
-    /// shard) under which the `*_pinned` queries tolerate concurrent
-    /// mutation; the default returns the empty phase-fallback pin, keeping
-    /// phase-separated backends conformant with zero changes.
+    /// Pin the current era for snapshot reads; every query below takes
+    /// the pin. Backends with [`Capabilities::concurrent_reads`] return a
+    /// live pin (one guard per shard) under which queries tolerate
+    /// concurrent mutation; the default returns the empty phase-fallback
+    /// pin, which phase-separated backends accept and ignore. Scope the
+    /// pin to one read phase and drop it before the next mutation.
     fn pin_read(&self) -> ReadPin {
         ReadPin::phase_fallback()
     }
 
     /// Single `edgeExist` membership query.
-    fn contains_edge(&self, u: u32, v: u32) -> bool;
+    fn contains_edge(&self, pin: &ReadPin, u: u32, v: u32) -> bool;
 
     /// Batched membership queries. Backends with a batched query kernel
     /// (SlabGraph's WCWS `edge_exist`) override this; the default loops
     /// [`Self::contains_edge`].
-    fn edges_exist(&self, pairs: &[(u32, u32)]) -> Vec<bool> {
+    fn edges_exist(&self, pin: &ReadPin, pairs: &[(u32, u32)]) -> Vec<bool> {
         pairs
             .iter()
-            .map(|&(u, v)| self.contains_edge(u, v))
+            .map(|&(u, v)| self.contains_edge(pin, u, v))
             .collect()
-    }
-
-    /// [`Self::contains_edge`] under an explicit [`ReadPin`]. The default
-    /// ignores the pin (phase fallback); epoch-aware backends route the
-    /// guard into their pinned query kernels.
-    fn contains_edge_pinned(&self, _pin: &ReadPin, u: u32, v: u32) -> bool {
-        self.contains_edge(u, v)
-    }
-
-    /// [`Self::edges_exist`] under an explicit [`ReadPin`].
-    fn edges_exist_pinned(&self, _pin: &ReadPin, pairs: &[(u32, u32)]) -> Vec<bool> {
-        self.edges_exist(pairs)
-    }
-
-    /// [`Self::read_neighbors`] under an explicit [`ReadPin`].
-    fn read_neighbors_pinned(&self, _pin: &ReadPin, u: u32) -> Vec<u32> {
-        self.read_neighbors(u)
-    }
-
-    /// [`Self::for_each_neighbor`] under an explicit [`ReadPin`].
-    fn for_each_neighbor_pinned(&self, _pin: &ReadPin, u: u32, f: &mut (dyn FnMut(u32) + Send)) {
-        self.for_each_neighbor(u, f)
     }
 
     /// Read `u`'s adjacency list into a fresh `Vec` (order is the
     /// structure's internal order; sorted only if [`Self::is_sorted`]).
-    fn read_neighbors(&self, u: u32) -> Vec<u32>;
+    fn read_neighbors(&self, pin: &ReadPin, u: u32) -> Vec<u32>;
 
     /// Hot-path adjacency iteration: call `f` with every neighbour of
     /// `u`. SlabGraph walks its slab lists without allocating; the
     /// default falls back to [`Self::read_neighbors`].
-    fn for_each_neighbor(&self, u: u32, f: &mut (dyn FnMut(u32) + Send)) {
-        for v in self.read_neighbors(u) {
+    fn for_each_neighbor(&self, pin: &ReadPin, u: u32, f: &mut (dyn FnMut(u32) + Send)) {
+        for v in self.read_neighbors(pin, u) {
             f(v);
         }
     }
@@ -264,38 +251,19 @@ impl GraphBackend for DynGraph {
         DynGraph::degree(self, u)
     }
 
-    // The unpinned entry points pin internally per call: each query is
-    // snapshot-consistent on its own, matching the old phase-separated
-    // contract for drivers that never hold a pin across calls.
-    fn contains_edge(&self, u: u32, v: u32) -> bool {
-        self.edge_exists(&DynGraph::pin_read(self), u, v)
-    }
-
-    fn edges_exist(&self, pairs: &[(u32, u32)]) -> Vec<bool> {
-        DynGraph::edges_exist(self, &DynGraph::pin_read(self), pairs)
-    }
-
-    fn read_neighbors(&self, u: u32) -> Vec<u32> {
-        self.neighbor_ids(&DynGraph::pin_read(self), u)
-    }
-
-    fn for_each_neighbor(&self, u: u32, f: &mut (dyn FnMut(u32) + Send)) {
-        DynGraph::for_each_neighbor(self, &DynGraph::pin_read(self), u, f)
-    }
-
-    fn contains_edge_pinned(&self, pin: &ReadPin, u: u32, v: u32) -> bool {
+    fn contains_edge(&self, pin: &ReadPin, u: u32, v: u32) -> bool {
         self.edge_exists(&pin.guards()[0], u, v)
     }
 
-    fn edges_exist_pinned(&self, pin: &ReadPin, pairs: &[(u32, u32)]) -> Vec<bool> {
+    fn edges_exist(&self, pin: &ReadPin, pairs: &[(u32, u32)]) -> Vec<bool> {
         DynGraph::edges_exist(self, &pin.guards()[0], pairs)
     }
 
-    fn read_neighbors_pinned(&self, pin: &ReadPin, u: u32) -> Vec<u32> {
+    fn read_neighbors(&self, pin: &ReadPin, u: u32) -> Vec<u32> {
         self.neighbor_ids(&pin.guards()[0], u)
     }
 
-    fn for_each_neighbor_pinned(&self, pin: &ReadPin, u: u32, f: &mut (dyn FnMut(u32) + Send)) {
+    fn for_each_neighbor(&self, pin: &ReadPin, u: u32, f: &mut (dyn FnMut(u32) + Send)) {
         DynGraph::for_each_neighbor(self, &pin.guards()[0], u, f)
     }
 
@@ -351,11 +319,11 @@ impl GraphBackend for Hornet {
         Hornet::degree(self, u)
     }
 
-    fn contains_edge(&self, u: u32, v: u32) -> bool {
+    fn contains_edge(&self, _pin: &ReadPin, u: u32, v: u32) -> bool {
         self.edge_exists(u, v)
     }
 
-    fn read_neighbors(&self, u: u32) -> Vec<u32> {
+    fn read_neighbors(&self, _pin: &ReadPin, u: u32) -> Vec<u32> {
         self.read_adjacency(u)
     }
 
@@ -419,13 +387,13 @@ impl GraphBackend for FaimGraph {
         FaimGraph::degree(self, u)
     }
 
-    fn contains_edge(&self, u: u32, v: u32) -> bool {
+    fn contains_edge(&self, _pin: &ReadPin, u: u32, v: u32) -> bool {
         // faimGraph has no dedicated membership kernel; a query is a
         // charged adjacency read plus a host-side scan.
         self.read_adjacency(u).contains(&v)
     }
 
-    fn read_neighbors(&self, u: u32) -> Vec<u32> {
+    fn read_neighbors(&self, _pin: &ReadPin, u: u32) -> Vec<u32> {
         self.read_adjacency(u)
     }
 
@@ -481,11 +449,11 @@ impl GraphBackend for Csr {
         Csr::degree(self, u)
     }
 
-    fn contains_edge(&self, u: u32, v: u32) -> bool {
+    fn contains_edge(&self, _pin: &ReadPin, u: u32, v: u32) -> bool {
         self.edge_exists(u, v)
     }
 
-    fn read_neighbors(&self, u: u32) -> Vec<u32> {
+    fn read_neighbors(&self, _pin: &ReadPin, u: u32) -> Vec<u32> {
         self.read_adjacency(u)
     }
 
@@ -531,15 +499,16 @@ mod tests {
     fn all_backends_agree_on_membership_and_degree() {
         for b in all_backends() {
             let name = b.name();
+            let pin = b.pin_read();
             assert_eq!(b.num_vertices(), 8, "{name}");
             assert_eq!(b.num_edges(), 8, "{name}: 4 undirected = 8 directed");
             assert_eq!(b.degree(0), 2, "{name}");
             assert_eq!(b.degree(2), 3, "{name}");
-            assert!(b.contains_edge(0, 1), "{name}");
-            assert!(b.contains_edge(1, 0), "{name}: mirrored");
-            assert!(!b.contains_edge(0, 3), "{name}");
+            assert!(b.contains_edge(&pin, 0, 1), "{name}");
+            assert!(b.contains_edge(&pin, 1, 0), "{name}: mirrored");
+            assert!(!b.contains_edge(&pin, 0, 3), "{name}");
             assert_eq!(
-                b.edges_exist(&[(0, 1), (0, 3), (2, 3)]),
+                b.edges_exist(&pin, &[(0, 1), (0, 3), (2, 3)]),
                 vec![true, false, true],
                 "{name}"
             );
@@ -549,9 +518,10 @@ mod tests {
     #[test]
     fn neighbor_iteration_matches_read_neighbors() {
         for b in all_backends() {
+            let pin = b.pin_read();
             let mut seen = Vec::new();
-            b.for_each_neighbor(2, &mut |v| seen.push(v));
-            let mut read = b.read_neighbors(2);
+            b.for_each_neighbor(&pin, 2, &mut |v| seen.push(v));
+            let mut read = b.read_neighbors(&pin, 2);
             seen.sort_unstable();
             read.sort_unstable();
             assert_eq!(seen, vec![0, 1, 3], "{}", b.name());
@@ -592,38 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_queries_agree_with_unpinned_on_every_backend() {
-        for b in all_backends() {
-            let name = b.name();
-            let pin = b.pin_read();
-            assert_eq!(
-                pin.is_pinned(),
-                b.caps().concurrent_reads,
-                "{name}: pin liveness must track the capability flag"
-            );
-            assert_eq!(
-                b.contains_edge_pinned(&pin, 0, 1),
-                b.contains_edge(0, 1),
-                "{name}"
-            );
-            assert_eq!(
-                b.edges_exist_pinned(&pin, &[(0, 1), (0, 3), (2, 3)]),
-                b.edges_exist(&[(0, 1), (0, 3), (2, 3)]),
-                "{name}"
-            );
-            let mut via_pin = b.read_neighbors_pinned(&pin, 2);
-            let mut direct = b.read_neighbors(2);
-            via_pin.sort_unstable();
-            direct.sort_unstable();
-            assert_eq!(via_pin, direct, "{name}");
-            let mut seen = Vec::new();
-            b.for_each_neighbor_pinned(&pin, 2, &mut |v| seen.push(v));
-            seen.sort_unstable();
-            assert_eq!(seen, direct, "{name}");
-        }
-    }
-
-    #[test]
     fn updates_through_the_trait() {
         let mut g: Box<dyn GraphBackend> = Box::new(DynGraph::with_uniform_buckets(
             GraphConfig::undirected_set(8),
@@ -632,10 +570,10 @@ mod tests {
         ));
         assert_eq!(g.insert_edges(&edges()), 8, "4 undirected = 8 directed");
         assert_eq!(g.delete_edges(&[(0, 1)]), 2);
-        assert!(!g.contains_edge(0, 1));
+        assert!(!g.contains_edge(&g.pin_read(), 0, 1));
         g.delete_vertices(&[2]);
         assert_eq!(g.degree(2), 0);
-        assert!(!g.contains_edge(1, 2));
+        assert!(!g.contains_edge(&g.pin_read(), 1, 2));
     }
 
     #[test]

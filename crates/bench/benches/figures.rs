@@ -3,28 +3,11 @@
 //!
 //! Run with `cargo bench --bench figures`.
 
+use bench::harness::bench_case;
 use graph_gen::{rmat_edges, RmatParams};
 use slabgraph::{DynGraph, Edge, GraphConfig};
-use std::time::Instant;
 
 const ITERS: usize = 10;
-
-fn bench(group: &str, name: &str, mut f: impl FnMut()) {
-    f(); // warmup
-    let mut times = Vec::with_capacity(ITERS);
-    for _ in 0..ITERS {
-        let t0 = Instant::now();
-        f();
-        times.push(t0.elapsed().as_secs_f64());
-    }
-    let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
-    let mean = times.iter().sum::<f64>() / times.len() as f64;
-    println!(
-        "{group}/{name}: min {:.3} ms  mean {:.3} ms",
-        min * 1e3,
-        mean * 1e3
-    );
-}
 
 /// Fig. 2a: insertion throughput as the load factor (≈ chain length) grows.
 fn bench_fig2_insertion_vs_load_factor() {
@@ -39,7 +22,7 @@ fn bench_fig2_insertion_vs_load_factor() {
         }
     }
     for lf in [0.35, 0.7, 1.5, 3.0] {
-        bench("fig2_insert_rate", &format!("lf={lf}"), || {
+        bench_case(&format!("fig2_insert_rate/lf={lf}"), ITERS, || {
             let cfg = GraphConfig::directed_map(n)
                 .with_load_factor(lf)
                 .with_device_words(edges.len() * 12);
@@ -69,7 +52,7 @@ fn bench_fig3_tc_vs_load_factor() {
             .with_device_words(edges.len() * 16);
         let gr = DynGraph::with_degree_hints(cfg, &degrees);
         gr.insert_edges(&edges);
-        bench("fig3_tc_time", &format!("lf={lf}"), || {
+        bench_case(&format!("fig3_tc_time/lf={lf}"), ITERS, || {
             algos::tc(&gr);
         });
     }

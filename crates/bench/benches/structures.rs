@@ -3,25 +3,12 @@
 //!
 //! Run with `cargo bench --bench structures`.
 
+use bench::harness::bench_case;
 use gpu_sim::{Device, Lanes};
 use slab_alloc::SlabAllocator;
 use slab_hash::{buckets_for, TableDesc, TableKind};
-use std::time::Instant;
 
 const ITERS: usize = 1000;
-
-fn bench(name: &str, mut f: impl FnMut()) {
-    f(); // warmup
-    let mut times = Vec::with_capacity(ITERS);
-    for _ in 0..ITERS {
-        let t0 = Instant::now();
-        f();
-        times.push(t0.elapsed().as_secs_f64());
-    }
-    let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
-    let mean = times.iter().sum::<f64>() / times.len() as f64;
-    println!("{name}: min {:.3} µs  mean {:.3} µs", min * 1e6, mean * 1e6);
-}
 
 fn bench_slab_hash_ops() {
     let dev = Device::new(1 << 20);
@@ -39,7 +26,7 @@ fn bench_slab_hash_ops() {
     });
 
     let mut k = 0u32;
-    bench("slab_hash/search_hit", || {
+    bench_case("slab_hash/search_hit", ITERS, || {
         let out = std::sync::atomic::AtomicU32::new(0);
         dev.launch_warps("bench_search", 1, |warp| {
             out.store(
@@ -49,7 +36,7 @@ fn bench_slab_hash_ops() {
         });
         k = k.wrapping_add(1);
     });
-    bench("slab_hash/search_miss", || {
+    bench_case("slab_hash/search_miss", ITERS, || {
         let out = std::sync::atomic::AtomicU32::new(0);
         dev.launch_warps("bench_search", 1, |warp| {
             out.store(
@@ -59,7 +46,7 @@ fn bench_slab_hash_ops() {
         });
     });
     let mut k2 = 0u32;
-    bench("slab_hash/replace_existing", || {
+    bench_case("slab_hash/replace_existing", ITERS, || {
         dev.launch_warps("bench_replace", 1, |warp| {
             table.replace(warp, &alloc, k2 % n, 9).unwrap();
         });
@@ -70,7 +57,7 @@ fn bench_slab_hash_ops() {
 fn bench_allocator() {
     let dev = Device::new(1 << 22);
     let alloc = SlabAllocator::new(&dev, 1 << 14);
-    bench("slab_alloc/allocate_free", || {
+    bench_case("slab_alloc/allocate_free", ITERS, || {
         dev.launch_warps("bench_alloc", 1, |warp| {
             let a = alloc.allocate(warp);
             alloc.free(warp, a).unwrap();
@@ -81,7 +68,7 @@ fn bench_allocator() {
 fn bench_warp_primitives() {
     let dev = Device::new(1 << 12);
     let slab = dev.alloc_words(32, 32);
-    bench("warp/read_slab_ballot", || {
+    bench_case("warp/read_slab_ballot", ITERS, || {
         let out = std::sync::atomic::AtomicU32::new(0);
         dev.launch_warps("bench_ballot", 1, |warp| {
             let words = warp.read_slab(slab);

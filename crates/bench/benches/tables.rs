@@ -7,29 +7,11 @@
 //! a fixed number of iterations; no external bench framework is used.
 
 use baselines::{FaimGraph, Hornet};
+use bench::harness::bench_case;
 use graph_gen::{catalog, insert_batch, vertex_batch};
 use slabgraph::{Direction, DynGraph, Edge, GraphConfig, TableKind};
-use std::time::Instant;
 
 const ITERS: usize = 10;
-
-/// Time `f` over [`ITERS`] iterations (plus one warmup) and print a line.
-fn bench(group: &str, name: &str, mut f: impl FnMut()) {
-    f(); // warmup
-    let mut times = Vec::with_capacity(ITERS);
-    for _ in 0..ITERS {
-        let t0 = Instant::now();
-        f();
-        times.push(t0.elapsed().as_secs_f64());
-    }
-    let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
-    let mean = times.iter().sum::<f64>() / times.len() as f64;
-    println!(
-        "{group}/{name}: min {:.3} ms  mean {:.3} ms",
-        min * 1e3,
-        mean * 1e3
-    );
-}
 
 fn ds() -> graph_gen::Dataset {
     catalog::dataset("coAuthorsDBLP").unwrap().generate(4096, 7)
@@ -52,25 +34,25 @@ fn bench_edge_updates() {
     let batch = insert_batch(d.n_vertices, 1 << 12, 5);
     let edges: Vec<Edge> = batch.iter().map(|&p| Edge::from(p)).collect();
 
-    bench("table2_insert", "ours", || {
+    bench_case("table2_insert/ours", ITERS, || {
         let gr = build_ours(&d, TableKind::Map, Direction::Directed);
         gr.insert_edges(&edges);
     });
-    bench("table2_insert", "hornet", || {
+    bench_case("table2_insert/hornet", ITERS, || {
         let mut h = Hornet::bulk_build(d.n_vertices, &d.edges, 1 << 22);
         h.insert_batch(&batch);
     });
-    bench("table2_insert", "faimgraph", || {
+    bench_case("table2_insert/faimgraph", ITERS, || {
         let f = FaimGraph::build(d.n_vertices, &d.edges, 1 << 22);
         f.insert_batch(&batch);
     });
 
-    bench("table3_delete", "ours", || {
+    bench_case("table3_delete/ours", ITERS, || {
         let gr = build_ours(&d, TableKind::Map, Direction::Directed);
         gr.insert_edges(&edges);
         gr.delete_edges(&edges);
     });
-    bench("table3_delete", "hornet", || {
+    bench_case("table3_delete/hornet", ITERS, || {
         let mut h = Hornet::bulk_build(d.n_vertices, &d.edges, 1 << 22);
         h.insert_batch(&batch);
         h.delete_batch(&batch);
@@ -81,7 +63,7 @@ fn bench_edge_updates() {
 fn bench_vertex_deletion() {
     let d = catalog::dataset("delaunay_n20").unwrap().generate(2048, 7);
     let victims = vertex_batch(d.n_vertices, 128, 3);
-    bench("table4_vertex_delete", "ours", || {
+    bench_case("table4_vertex_delete/ours", ITERS, || {
         let gr = build_ours(&d, TableKind::Map, Direction::Undirected);
         gr.delete_vertices(&victims);
     });
@@ -91,14 +73,14 @@ fn bench_vertex_deletion() {
 fn bench_builds() {
     let d = ds();
     let edges: Vec<Edge> = d.edges.iter().map(|&p| Edge::from(p)).collect();
-    bench("table5_bulk_build", "ours", || {
+    bench_case("table5_bulk_build/ours", ITERS, || {
         build_ours(&d, TableKind::Map, Direction::Directed);
     });
-    bench("table5_bulk_build", "hornet", || {
+    bench_case("table5_bulk_build/hornet", ITERS, || {
         Hornet::bulk_build(d.n_vertices, &d.edges, 1 << 22);
     });
 
-    bench("table6_incremental", "ours_1bucket", || {
+    bench_case("table6_incremental/ours_1bucket", ITERS, || {
         let mut cfg = GraphConfig::directed_map(d.n_vertices);
         cfg.device_words = (d.edges.len() * 12).max(1 << 20);
         let gr = DynGraph::with_uniform_buckets(cfg, d.n_vertices, 1);
@@ -122,10 +104,10 @@ fn bench_triangle_counting() {
     let mut h = Hornet::bulk_build(d.n_vertices, &sym, 1 << 22);
     h.sort_adjacencies();
 
-    bench("table7_static_tc", "ours_hash_probes", || {
+    bench_case("table7_static_tc/ours_hash_probes", ITERS, || {
         algos::tc(&gr);
     });
-    bench("table7_static_tc", "hornet_sorted_intersect", || {
+    bench_case("table7_static_tc/hornet_sorted_intersect", ITERS, || {
         algos::tc(&h);
     });
 }

@@ -75,7 +75,7 @@ fn main() {
                 }
                 {
                     let _p = g.device().phase("churn.query");
-                    let _ = g.edges_exist(&round.qry);
+                    let _ = g.edges_exist(&g.pin_read(), &round.qry);
                 }
             }
         } else {
@@ -145,7 +145,7 @@ fn main() {
             report.is_complete(),
             "profiled flush hit the memory ceiling"
         );
-        let _ = g.edges_exist(&round.qry);
+        let _ = g.edges_exist(&g.pin_read(), &round.qry);
     }
     g.validate()
         .expect("cross-shard audit after profiled replay");

@@ -3,7 +3,7 @@
 //!
 //! Every client update and traced query carries a `TraceCtx`; the router
 //! folds each one into a lifecycle record with a per-component latency
-//! breakdown `{queue, coalesce, backoff, kernel, degraded}` on the
+//! breakdown `{queue, backoff, kernel, degraded}` on the
 //! modeled clock. This bin is the CLI over that op log: reconstruct one
 //! op (`--op`), one tenant's traffic (`--session`), or the tail
 //! (`--slowest N`).
@@ -21,13 +21,12 @@ use router::{BatchRouter, OpTraceRecord, ShardedGraph};
 
 fn print_record(r: &OpTraceRecord) {
     println!(
-        "op {} ({}, session {}): {} ns = queue {} + coalesce {} + backoff {} + kernel {} + degraded {}",
+        "op {} ({}, session {}): {} ns = queue {} + backoff {} + kernel {} + degraded {}",
         r.op,
         r.kind,
         r.session,
         r.total_ns(),
         r.queue_ns,
-        r.coalesce_ns,
         r.backoff_ns,
         r.kernel_ns,
         r.degraded_ns
@@ -111,8 +110,11 @@ fn main() {
         }
         let report = router.flush();
         assert!(report.is_complete(), "trace-query replay hit a fault");
+        let pins: Vec<_> = (0..readers)
+            .map(|r| router.pin_traced(cfg.sessions + r))
+            .collect();
         for (i, &(u, v)) in round.qry.iter().enumerate() {
-            router.edge_exists_traced(cfg.sessions + (i % readers), u, v);
+            router.edge_exists_live(&pins[i % readers], u, v);
         }
     }
 

@@ -140,11 +140,13 @@ pub fn chaos_churn(cfg: &ChurnConfig) -> Table {
         // Degraded-read sampling: the round's query batch through the
         // fault-aware read path.
         let mut degraded = 0u64;
+        let pin = router.pin_read();
         for &(u, v) in &round.qry {
-            if router.edge_exists_degraded(u, v).1 == ReadQuality::Degraded {
+            if router.edge_exists_live(&pin, u, v).1 == ReadQuality::Degraded {
                 degraded += 1;
             }
         }
+        drop(pin);
 
         // Reference replay (inserts before deletes, session-major — the
         // router's own drain order).

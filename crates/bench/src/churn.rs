@@ -232,7 +232,7 @@ pub fn churn(cfg: &ChurnConfig) -> Table {
             n_del += round.del.len() as u64;
 
             let before = trace_all(&*g);
-            let found = g.edges_exist(&round.qry);
+            let found = g.edges_exist(&g.pin_read(), &round.qry);
             qry_s += makespan_since(&*g, &before);
             n_qry += round.qry.len() as u64;
             hits += found.iter().filter(|&&b| b).count() as u64;

@@ -56,6 +56,32 @@ impl Measurement {
 
 /// Run `f` against `dev`, returning wall + modeled time for exactly the
 /// counters `f` charged.
+/// Wall-clock bench case for the `cargo bench` mains: one warm-up call of
+/// `f`, then `iters` timed calls; prints `label: min … mean …` in ms, or in
+/// µs when the mean is under a millisecond.
+pub fn bench_case(label: &str, iters: usize, mut f: impl FnMut()) {
+    f();
+    let times: Vec<f64> = (0..iters)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
+    let mean = times.iter().sum::<f64>() / times.len() as f64;
+    let (scale, unit) = if mean < 1e-3 {
+        (1e6, "µs")
+    } else {
+        (1e3, "ms")
+    };
+    println!(
+        "{label}: min {:.3} {unit}  mean {:.3} {unit}",
+        min * scale,
+        mean * scale
+    );
+}
+
 pub fn measure(dev: &Device, f: impl FnOnce()) -> Measurement {
     let model = CostModel::titan_v();
     let before = dev.counters().snapshot();

@@ -163,7 +163,7 @@ fn replay_at(cfg: &ChurnConfig, ds: &graph_gen::Dataset, shards: usize) -> Scale
             .iter()
             .map(|d| d.counters().snapshot())
             .collect();
-        let found = g.edges_exist(&round.qry);
+        let found = g.edges_exist(&g.pin_read(), &round.qry);
         point.query_s += g
             .group()
             .devices()

@@ -252,14 +252,14 @@ pub struct ShardHealthRow {
 }
 
 /// One latency-attribution component summarized across every completed
-/// client op: where end-to-end modeled time went (`queue`, `coalesce`,
-/// `backoff`, `kernel`, `degraded`) plus the `total` row. All figures are
+/// client op: where end-to-end modeled time went (`queue`, `backoff`,
+/// `kernel`, `degraded`) plus the `total` row. All figures are
 /// modeled nanoseconds. Lives here (like [`ShardHealthRow`]) so
 /// [`TraceReport`] can carry it without depending on the router crate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpAttributionRow {
-    /// Component name: `queue`, `coalesce`, `backoff`, `kernel`,
-    /// `degraded`, or `total`.
+    /// Component name: `queue`, `backoff`, `kernel`, `degraded`, or
+    /// `total`.
     pub component: String,
     /// Ops that spent any time in this component.
     pub count: u64,
@@ -287,7 +287,6 @@ pub struct TailExemplarRow {
     pub total_ns: u64,
     /// Per-component breakdown, modeled ns. Components sum to `total_ns`.
     pub queue_ns: u64,
-    pub coalesce_ns: u64,
     pub backoff_ns: u64,
     pub kernel_ns: u64,
     pub degraded_ns: u64,
@@ -560,13 +559,12 @@ impl TraceReport {
             ));
             for e in &self.tail_exemplars {
                 out.push_str(&format!(
-                    "  op {} ({}, session {}): {} ns = queue {} + coalesce {} + backoff {} + kernel {} + degraded {}\n",
+                    "  op {} ({}, session {}): {} ns = queue {} + backoff {} + kernel {} + degraded {}\n",
                     e.op,
                     e.kind,
                     e.session,
                     e.total_ns,
                     e.queue_ns,
-                    e.coalesce_ns,
                     e.backoff_ns,
                     e.kernel_ns,
                     e.degraded_ns,
@@ -707,7 +705,6 @@ impl TraceReport {
                                 ("kind".into(), Json::str(&e.kind)),
                                 ("total_ns".into(), Json::u64(e.total_ns)),
                                 ("queue_ns".into(), Json::u64(e.queue_ns)),
-                                ("coalesce_ns".into(), Json::u64(e.coalesce_ns)),
                                 ("backoff_ns".into(), Json::u64(e.backoff_ns)),
                                 ("kernel_ns".into(), Json::u64(e.kernel_ns)),
                                 ("degraded_ns".into(), Json::u64(e.degraded_ns)),
@@ -888,7 +885,6 @@ impl TraceReport {
                     .to_string(),
                 total_ns: n("total_ns")?,
                 queue_ns: n("queue_ns")?,
-                coalesce_ns: n("coalesce_ns")?,
                 backoff_ns: n("backoff_ns")?,
                 kernel_ns: n("kernel_ns")?,
                 degraded_ns: n("degraded_ns")?,
@@ -1216,8 +1212,7 @@ mod tests {
             session: 3,
             kind: "insert".into(),
             total_ns: 612,
-            queue_ns: 100,
-            coalesce_ns: 12,
+            queue_ns: 112,
             backoff_ns: 100,
             kernel_ns: 400,
             degraded_ns: 0,

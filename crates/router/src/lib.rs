@@ -267,38 +267,30 @@ impl ShardedGraph {
     }
 
     /// Pin every shard's current era for a snapshot read session: one
-    /// [`ReadGuard`] per shard, in shard order. While the guards live, no
-    /// shard recycles a slab freed at or after its pinned era, so the
-    /// `*_pinned` queries run safely concurrent with in-flight update
-    /// batches on other threads. Guards pin *reclamation*, not data:
-    /// reads under them observe the newest published state.
+    /// [`ReadGuard`] per shard, in shard order. Every query below takes
+    /// these guards; while they live, no shard recycles a slab freed at or
+    /// after its pinned era, so the queries run safely concurrent with
+    /// in-flight update batches on other threads. Guards pin
+    /// *reclamation*, not data: reads under them observe the newest
+    /// published state.
     pub fn pin_read(&self) -> Vec<ReadGuard> {
         self.shards.iter().map(|s| s.read().pin_read()).collect()
     }
 
-    /// Membership query for one edge, answered by `src`'s owner under a
-    /// per-call era pin.
-    pub fn edge_exists(&self, src: u32, dst: u32) -> bool {
-        let g = self.shards[self.owner_of(src)].read();
-        g.edge_exists(&g.pin_read(), src, dst)
-    }
-
-    /// [`Self::edge_exists`] under an explicit per-shard pin from
-    /// [`Self::pin_read`] (one guard per shard, shard order).
-    pub fn edge_exists_pinned(&self, pins: &[ReadGuard], src: u32, dst: u32) -> bool {
+    /// Membership query for one edge, answered by `src`'s owner under its
+    /// guard from [`Self::pin_read`].
+    pub fn edge_exists(&self, pins: &[ReadGuard], src: u32, dst: u32) -> bool {
         let owner = self.owner_of(src);
         self.shards[owner]
             .read()
             .edge_exists(&pins[owner], src, dst)
     }
 
-    /// Route `pairs` to their src's owner, run `query` per shard
-    /// concurrently, and return results in the caller's order.
-    fn edges_exist_routed(
-        &self,
-        pairs: &[(u32, u32)],
-        query: impl Fn(usize, &DynGraph, &[(u32, u32)]) -> Vec<bool> + Sync,
-    ) -> Vec<bool> {
+    /// Batched membership queries: pairs route to their src's owner, the
+    /// per-shard query kernels run concurrently (each under its shard's
+    /// guard), and results return in the caller's order — bit-identical
+    /// to an unsharded replay.
+    pub fn edges_exist(&self, pins: &[ReadGuard], pairs: &[(u32, u32)]) -> Vec<bool> {
         let n = self.shards.len();
         let mut index: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut per: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
@@ -310,7 +302,7 @@ impl ShardedGraph {
         let ctx = self.dispatch_ctx();
         let results = self.group.dispatch(|s, dev| {
             let _trace = dev.trace_scope(ctx);
-            query(s, &self.shards[s].read(), &per[s])
+            self.shards[s].read().edges_exist(&pins[s], &per[s])
         });
         let mut out = vec![false; pairs.len()];
         for (s, found) in results.into_iter().enumerate() {
@@ -321,54 +313,21 @@ impl ShardedGraph {
         out
     }
 
-    /// Batched membership queries: pairs route to their src's owner, the
-    /// per-shard query kernels run concurrently (each under its own era
-    /// pin), and results return in the caller's order — bit-identical to
-    /// an unsharded replay.
-    pub fn edges_exist(&self, pairs: &[(u32, u32)]) -> Vec<bool> {
-        self.edges_exist_routed(pairs, |_, g, per| g.edges_exist(&g.pin_read(), per))
-    }
-
-    /// [`Self::edges_exist`] under an explicit per-shard pin from
-    /// [`Self::pin_read`].
-    pub fn edges_exist_pinned(&self, pins: &[ReadGuard], pairs: &[(u32, u32)]) -> Vec<bool> {
-        self.edges_exist_routed(pairs, |s, g, per| g.edges_exist(&pins[s], per))
-    }
-
-    /// Out-degree of `u`, from its owner shard.
+    /// Out-degree of `u`, from its owner shard (a dictionary counter, so
+    /// no pin).
     pub fn degree(&self, u: u32) -> u32 {
         self.shards[self.owner_of(u)].read().degree(u)
     }
 
     /// `u`'s neighbours, from its owner shard (the primary copy holds the
-    /// complete adjacency), under a per-call era pin.
-    pub fn neighbor_ids(&self, u: u32) -> Vec<u32> {
-        let g = self.shards[self.owner_of(u)].read();
-        g.neighbor_ids(&g.pin_read(), u)
-    }
-
-    /// [`Self::neighbor_ids`] under an explicit per-shard pin from
-    /// [`Self::pin_read`].
-    pub fn neighbor_ids_pinned(&self, pins: &[ReadGuard], u: u32) -> Vec<u32> {
+    /// complete adjacency).
+    pub fn neighbor_ids(&self, pins: &[ReadGuard], u: u32) -> Vec<u32> {
         let owner = self.owner_of(u);
         self.shards[owner].read().neighbor_ids(&pins[owner], u)
     }
 
-    /// Allocation-free adjacency iteration on the owner shard, under a
-    /// per-call era pin.
-    pub fn for_each_neighbor(&self, u: u32, f: &mut (dyn FnMut(u32) + Send)) {
-        let g = self.shards[self.owner_of(u)].read();
-        g.for_each_neighbor(&g.pin_read(), u, f)
-    }
-
-    /// [`Self::for_each_neighbor`] under an explicit per-shard pin from
-    /// [`Self::pin_read`].
-    pub fn for_each_neighbor_pinned(
-        &self,
-        pins: &[ReadGuard],
-        u: u32,
-        f: &mut (dyn FnMut(u32) + Send),
-    ) {
+    /// Allocation-free adjacency iteration on the owner shard.
+    pub fn for_each_neighbor(&self, pins: &[ReadGuard], u: u32, f: &mut (dyn FnMut(u32) + Send)) {
         let owner = self.owner_of(u);
         self.shards[owner]
             .read()
@@ -606,57 +565,20 @@ impl backend::GraphBackend for ShardedGraph {
         backend::ReadPin::from_guards(ShardedGraph::pin_read(self))
     }
 
-    fn contains_edge(&self, u: u32, v: u32) -> bool {
-        self.edge_exists(u, v)
+    fn contains_edge(&self, pin: &backend::ReadPin, u: u32, v: u32) -> bool {
+        self.edge_exists(pin.guards(), u, v)
     }
 
-    fn edges_exist(&self, pairs: &[(u32, u32)]) -> Vec<bool> {
-        ShardedGraph::edges_exist(self, pairs)
+    fn edges_exist(&self, pin: &backend::ReadPin, pairs: &[(u32, u32)]) -> Vec<bool> {
+        ShardedGraph::edges_exist(self, pin.guards(), pairs)
     }
 
-    fn contains_edge_pinned(&self, pin: &backend::ReadPin, u: u32, v: u32) -> bool {
-        if pin.is_pinned() {
-            self.edge_exists_pinned(pin.guards(), u, v)
-        } else {
-            self.edge_exists(u, v)
-        }
+    fn read_neighbors(&self, pin: &backend::ReadPin, u: u32) -> Vec<u32> {
+        self.neighbor_ids(pin.guards(), u)
     }
 
-    fn edges_exist_pinned(&self, pin: &backend::ReadPin, pairs: &[(u32, u32)]) -> Vec<bool> {
-        if pin.is_pinned() {
-            ShardedGraph::edges_exist_pinned(self, pin.guards(), pairs)
-        } else {
-            ShardedGraph::edges_exist(self, pairs)
-        }
-    }
-
-    fn read_neighbors_pinned(&self, pin: &backend::ReadPin, u: u32) -> Vec<u32> {
-        if pin.is_pinned() {
-            self.neighbor_ids_pinned(pin.guards(), u)
-        } else {
-            self.neighbor_ids(u)
-        }
-    }
-
-    fn for_each_neighbor_pinned(
-        &self,
-        pin: &backend::ReadPin,
-        u: u32,
-        f: &mut (dyn FnMut(u32) + Send),
-    ) {
-        if pin.is_pinned() {
-            ShardedGraph::for_each_neighbor_pinned(self, pin.guards(), u, f)
-        } else {
-            ShardedGraph::for_each_neighbor(self, u, f)
-        }
-    }
-
-    fn read_neighbors(&self, u: u32) -> Vec<u32> {
-        self.neighbor_ids(u)
-    }
-
-    fn for_each_neighbor(&self, u: u32, f: &mut (dyn FnMut(u32) + Send)) {
-        ShardedGraph::for_each_neighbor(self, u, f)
+    fn for_each_neighbor(&self, pin: &backend::ReadPin, u: u32, f: &mut (dyn FnMut(u32) + Send)) {
+        ShardedGraph::for_each_neighbor(self, pin.guards(), u, f)
     }
 
     fn insert_edges(&mut self, edges: &[(u32, u32)]) -> u64 {
@@ -927,7 +849,7 @@ struct PendingOp {
 /// The reconstructed lifecycle of one client operation: its identity,
 /// the flush that carried it, a latency breakdown on the modeled clock,
 /// and the span chain (human-readable, in causal order). `total_ns` is
-/// *defined* as the sum of the five components, and `tests/tracing.rs`
+/// *defined* as the sum of the four components, and `tests/tracing.rs`
 /// asserts the kernel component is conserved against the flush's actual
 /// kernel time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -942,10 +864,6 @@ pub struct OpTraceRecord {
     pub flush: u64,
     /// Modeled ns spent queued between submit and flush drain.
     pub queue_ns: u64,
-    /// Modeled ns spent in host-side coalescing. Always 0 today: the
-    /// cost model charges device work only, and coalescing is host work.
-    /// Kept in the schema so the breakdown is stable if that changes.
-    pub coalesce_ns: u64,
     /// This op's share of retry backoff charged on its shards.
     pub backoff_ns: u64,
     /// This op's share of kernel time on its shards (rebuild replay
@@ -962,9 +880,9 @@ pub struct OpTraceRecord {
 }
 
 impl OpTraceRecord {
-    /// End-to-end modeled latency: the sum of the five components.
+    /// End-to-end modeled latency: the sum of the four components.
     pub fn total_ns(&self) -> u64 {
-        self.queue_ns + self.coalesce_ns + self.backoff_ns + self.kernel_ns + self.degraded_ns
+        self.queue_ns + self.backoff_ns + self.kernel_ns + self.degraded_ns
     }
 }
 
@@ -1001,7 +919,6 @@ impl OpTracker {
         rec.done = true;
         metrics.record("op.total_ns", rec.total_ns());
         metrics.record("op.queue_ns", rec.queue_ns);
-        metrics.record("op.coalesce_ns", rec.coalesce_ns);
         metrics.record("op.backoff_ns", rec.backoff_ns);
         metrics.record("op.kernel_ns", rec.kernel_ns);
         metrics.record("op.degraded_ns", rec.degraded_ns);
@@ -1353,7 +1270,6 @@ impl<'g> BatchRouter<'g> {
                                 kind: kind.to_string(),
                                 flush: flush_id,
                                 queue_ns,
-                                coalesce_ns: 0,
                                 backoff_ns: 0,
                                 kernel_ns: 0,
                                 degraded_ns: 0,
@@ -1862,47 +1778,6 @@ impl<'g> BatchRouter<'g> {
         Ok(rebuilt)
     }
 
-    /// Point membership lookup that stays available while shards are
-    /// Down. The owner answers exactly; with the owner Down, a cut
-    /// edge's replica on the destination's owner answers (the replica is
-    /// kept under the same `u→v` key, so it is authoritative for that
-    /// edge), tagged [`ReadQuality::Degraded`]. A shard-internal edge of
-    /// a Down owner is unanswerable and reports best-effort absence.
-    pub fn edge_exists_degraded(&self, src: u32, dst: u32) -> (bool, ReadQuality) {
-        let owner = self.graph.owner_of(src);
-        if self.is_serving(owner) {
-            let g = self.graph.shard(owner);
-            return (g.edge_exists(&g.pin_read(), src, dst), ReadQuality::Exact);
-        }
-        let replica = self.graph.owner_of(dst);
-        if replica != owner && self.is_serving(replica) {
-            let g = self.graph.shard(replica);
-            return (
-                g.edge_exists(&g.pin_read(), src, dst),
-                ReadQuality::Degraded,
-            );
-        }
-        (false, ReadQuality::Degraded)
-    }
-
-    /// Out-degree that stays available while shards are Down. With the
-    /// owner Down, surviving shards hold exactly `u`'s cut out-edges as
-    /// replicas; their sum undercounts by `u`'s shard-internal edges and
-    /// is tagged [`ReadQuality::Degraded`].
-    pub fn degree_degraded(&self, u: u32) -> (u32, ReadQuality) {
-        let owner = self.graph.owner_of(u);
-        if self.is_serving(owner) {
-            return (self.graph.degree(u), ReadQuality::Exact);
-        }
-        let mut d = 0;
-        for t in 0..self.graph.num_shards() {
-            if t != owner && self.is_serving(t) {
-                d += self.graph.shard(t).degree(u);
-            }
-        }
-        (d, ReadQuality::Degraded)
-    }
-
     /// Whether shard `s` currently serves dispatches and exact reads.
     /// Reads the lock-free health mirror, never the state mutex: a flush
     /// dispatch holds the mutex for its whole batch, and reads must not
@@ -1913,15 +1788,30 @@ impl<'g> BatchRouter<'g> {
 
     /// Pin every serving shard for a read session that runs concurrently
     /// with in-flight [`Self::flush`]es. Shards that are Down or
-    /// Rebuilding at pin time get no guard; reads routed to them degrade
-    /// exactly like [`Self::edge_exists_degraded`]. Nothing on this path
-    /// touches the per-shard state mutex, so a flush mid-dispatch never
-    /// blocks a pinned read (and vice versa).
+    /// Rebuilding at pin time get no guard; reads routed to them degrade.
+    /// Nothing on this path touches the per-shard state mutex, so a flush
+    /// mid-dispatch never blocks a pinned read (and vice versa). Reads
+    /// under this pin are untraced: they mint no op, snapshot no
+    /// counters, and never lock the op tracker.
     pub fn pin_read(&self) -> LiveReadPin {
+        self.pin(None)
+    }
+
+    /// [`Self::pin_read`] for a traced session: every read under the
+    /// returned pin mints a client op for `session`, stamps the answering
+    /// shards' spans with its [`TraceCtx`], and folds a completed
+    /// `"query"` lifecycle into the op log, its modeled cost charged to
+    /// the `kernel` component when the read is exact and to `degraded`
+    /// otherwise.
+    pub fn pin_traced(&self, session: usize) -> LiveReadPin {
+        self.pin(Some(session as u64))
+    }
+
+    fn pin(&self, session: Option<u64>) -> LiveReadPin {
         let guards = (0..self.graph.num_shards())
             .map(|s| self.is_serving(s).then(|| self.graph.shard(s).pin_read()))
             .collect();
-        LiveReadPin { guards }
+        LiveReadPin { guards, session }
     }
 
     /// Run `query` on shard `s` under its pinned guard. `None` when the
@@ -1946,131 +1836,116 @@ impl<'g> BatchRouter<'g> {
         Some(query(&g, guard))
     }
 
-    /// Point membership that runs concurrently with in-flight flushes
-    /// *and* stays available while shards are Down: the owner answers
-    /// exactly under its pinned era; with the owner unavailable (or its
-    /// pin staled by a rebuild) a cut edge's replica answers, tagged
-    /// [`ReadQuality::Degraded`] — the epoch pins compose with the
-    /// degraded-read protocol rather than replacing it.
-    pub fn edge_exists_live(&self, pin: &LiveReadPin, src: u32, dst: u32) -> (bool, ReadQuality) {
-        let owner = self.graph.owner_of(src);
-        if let Some(hit) = self.pinned_query(pin, owner, |g, p| g.edge_exists(p, src, dst)) {
-            return (hit, ReadQuality::Exact);
-        }
-        let replica = self.graph.owner_of(dst);
-        if replica != owner {
-            if let Some(hit) = self.pinned_query(pin, replica, |g, p| g.edge_exists(p, src, dst)) {
-                return (hit, ReadQuality::Degraded);
-            }
-        }
-        (false, ReadQuality::Degraded)
-    }
-
-    /// `u`'s neighbours under the pinned session. Owner serving → exact;
-    /// otherwise the union of surviving cut-edge replicas, degraded
-    /// (undercounts by `u`'s shard-internal edges, like
-    /// [`Self::degree_degraded`]).
-    pub fn neighbor_ids_live(&self, pin: &LiveReadPin, u: u32) -> (Vec<u32>, ReadQuality) {
-        let owner = self.graph.owner_of(u);
-        if let Some(n) = self.pinned_query(pin, owner, |g, p| g.neighbor_ids(p, u)) {
-            return (n, ReadQuality::Exact);
-        }
-        let mut out = Vec::new();
-        for s in 0..self.graph.num_shards() {
-            if s != owner {
-                if let Some(mut n) = self.pinned_query(pin, s, |g, p| g.neighbor_ids(p, u)) {
-                    out.append(&mut n);
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        (out, ReadQuality::Degraded)
-    }
-
-    /// Out-degree under the pinned session: exact from the owner, else
-    /// the sum of surviving replica degrees, degraded.
-    pub fn degree_live(&self, pin: &LiveReadPin, u: u32) -> (u32, ReadQuality) {
-        let owner = self.graph.owner_of(u);
-        if let Some(d) = self.pinned_query(pin, owner, |g, _| g.degree(u)) {
-            return (d, ReadQuality::Exact);
-        }
-        let mut d = 0;
-        for s in 0..self.graph.num_shards() {
-            if s != owner {
-                if let Some(x) = self.pinned_query(pin, s, |g, _| g.degree(u)) {
-                    d += x;
-                }
-            }
-        }
-        (d, ReadQuality::Degraded)
-    }
-
-    /// Point membership with full lifecycle tracing: mints a client op,
-    /// stamps the answering shard's query spans with its [`TraceCtx`],
-    /// measures the modeled cost of the read, and folds a completed
-    /// `"query"` lifecycle into the op log — charged to the `kernel`
-    /// component when the owner answered exactly, to `degraded` when a
-    /// replica (or nobody) answered while the owner was down.
-    pub fn edge_exists_traced(&self, session: usize, src: u32, dst: u32) -> (bool, ReadQuality) {
-        let op = self.next_op.fetch_add(1, Ordering::AcqRel);
-        let ctx = TraceCtx::root(session as u64, op);
-        let model = CostModel::titan_v();
-        let read_on = |s: usize| -> (bool, f64) {
+    /// The one read path behind every `*_live` query. The owner answers
+    /// under its pinned guard, tagged [`ReadQuality::Exact`]; with the
+    /// owner unavailable (or its pin staled by a rebuild) every serving
+    /// shard in `replicas` answers instead, tagged
+    /// [`ReadQuality::Degraded`], and the caller folds their answers. The
+    /// epoch pins compose with the degraded-read protocol rather than
+    /// replacing it. Under a traced pin the read becomes one `"query"` op
+    /// whose spans are named `shard{s}/{what}`.
+    fn read<T>(
+        &self,
+        pin: &LiveReadPin,
+        what: &str,
+        owner: usize,
+        replicas: impl IntoIterator<Item = usize>,
+        query: impl Fn(&DynGraph, &ReadGuard) -> T,
+    ) -> (Vec<T>, ReadQuality) {
+        let ctx = pin
+            .session
+            .map(|session| TraceCtx::root(session, self.next_op.fetch_add(1, Ordering::AcqRel)));
+        // (shard, modeled ns) for every shard that answered a traced read.
+        let mut answered: Vec<(usize, u64)> = Vec::new();
+        let mut ask = |s: usize| -> Option<T> {
+            let Some(ctx) = ctx else {
+                return self.pinned_query(pin, s, &query);
+            };
             let dev = self.graph.group().device(s);
             let _trace = dev.trace_scope(ctx);
             let before = dev.counters().snapshot();
-            let g = self.graph.shard(s);
-            let hit = g.edge_exists(&g.pin_read(), src, dst);
-            (
-                hit,
-                model.seconds(&dev.counters().snapshot().delta(&before)),
-            )
+            let answer = self.pinned_query(pin, s, &query)?;
+            let cost_s = CostModel::titan_v().seconds(&dev.counters().snapshot().delta(&before));
+            answered.push((s, as_ns(cost_s)));
+            Some(answer)
         };
+        let (answers, quality) = match ask(owner) {
+            Some(a) => (vec![a], ReadQuality::Exact),
+            None => (
+                replicas.into_iter().filter_map(&mut ask).collect(),
+                ReadQuality::Degraded,
+            ),
+        };
+        if let Some(ctx) = ctx {
+            let cost_ns: u64 = answered.iter().map(|&(_, ns)| ns).sum();
+            let (kernel_ns, degraded_ns, q) = match quality {
+                ReadQuality::Exact => (cost_ns, 0, "exact"),
+                ReadQuality::Degraded => (0, cost_ns, "degraded"),
+            };
+            let mut spans: Vec<String> = answered
+                .iter()
+                .map(|&(s, ns)| format!("shard{s}/{what} {ns} ns ({q})"))
+                .collect();
+            if spans.is_empty() {
+                spans.push("unanswerable (owner down, no replica)".to_string());
+            }
+            let rec = OpTraceRecord {
+                op: ctx.op,
+                session: ctx.session,
+                kind: "query".to_string(),
+                flush: 0,
+                queue_ns: 0,
+                backoff_ns: 0,
+                kernel_ns,
+                degraded_ns,
+                spans,
+                done: false,
+            };
+            self.tracker.lock().finalize(rec, &self.op_metrics);
+        }
+        (answers, quality)
+    }
+
+    /// Point membership under a read session: `src`'s owner answers
+    /// exactly; with the owner unavailable, a cut edge's replica on
+    /// `owner(dst)` answers, degraded (the replica is kept under the same
+    /// `u→v` key, so it is authoritative for that edge). A shard-internal
+    /// edge of an unavailable owner is unanswerable and reports
+    /// best-effort absence.
+    pub fn edge_exists_live(&self, pin: &LiveReadPin, src: u32, dst: u32) -> (bool, ReadQuality) {
         let owner = self.graph.owner_of(src);
-        let (hit, quality, cost_s, answered) = if self.is_serving(owner) {
-            let (hit, c) = read_on(owner);
-            (hit, ReadQuality::Exact, c, Some(owner))
-        } else {
-            let replica = self.graph.owner_of(dst);
-            if replica != owner && self.is_serving(replica) {
-                let (hit, c) = read_on(replica);
-                (hit, ReadQuality::Degraded, c, Some(replica))
-            } else {
-                (false, ReadQuality::Degraded, 0.0, None)
-            }
-        };
-        let cost_ns = as_ns(cost_s);
-        let (kernel_ns, degraded_ns) = match quality {
-            ReadQuality::Exact => (cost_ns, 0),
-            ReadQuality::Degraded => (0, cost_ns),
-        };
-        let span = match answered {
-            Some(s) => {
-                let q = if quality == ReadQuality::Exact {
-                    "exact"
-                } else {
-                    "degraded"
-                };
-                format!("shard{s}/edge_exists {cost_ns} ns ({q})")
-            }
-            None => "unanswerable (owner down, no replica)".to_string(),
-        };
-        let rec = OpTraceRecord {
-            op,
-            session: session as u64,
-            kind: "query".to_string(),
-            flush: 0,
-            queue_ns: 0,
-            coalesce_ns: 0,
-            backoff_ns: 0,
-            kernel_ns,
-            degraded_ns,
-            spans: vec![span],
-            done: false,
-        };
-        self.tracker.lock().finalize(rec, &self.op_metrics);
-        (hit, quality)
+        let replica = Some(self.graph.owner_of(dst)).filter(|&r| r != owner);
+        let (hits, quality) = self.read(pin, "edge_exists", owner, replica, |g, p| {
+            g.edge_exists(p, src, dst)
+        });
+        (hits.contains(&true), quality)
+    }
+
+    /// `u`'s neighbours under a read session: exact from the owner; else
+    /// the sorted union of `u`'s cut out-edges replicated on the other
+    /// serving shards, degraded (it misses `u`'s shard-internal edges).
+    pub fn neighbor_ids_live(&self, pin: &LiveReadPin, u: u32) -> (Vec<u32>, ReadQuality) {
+        let owner = self.graph.owner_of(u);
+        let others = (0..self.graph.num_shards()).filter(|&s| s != owner);
+        let (lists, quality) = self.read(pin, "neighbor_ids", owner, others, |g, p| {
+            g.neighbor_ids(p, u)
+        });
+        let mut out = lists.concat();
+        if quality == ReadQuality::Degraded {
+            out.sort_unstable();
+            out.dedup();
+        }
+        (out, quality)
+    }
+
+    /// Out-degree under a read session: exact from the owner; else the
+    /// sum of the replica degrees on the other serving shards, degraded
+    /// (it undercounts by `u`'s shard-internal edges).
+    pub fn degree_live(&self, pin: &LiveReadPin, u: u32) -> (u32, ReadQuality) {
+        let owner = self.graph.owner_of(u);
+        let others = (0..self.graph.num_shards()).filter(|&s| s != owner);
+        let (degrees, quality) = self.read(pin, "degree", owner, others, |g, _| g.degree(u));
+        (degrees.iter().sum(), quality)
     }
 
     /// Completed op lifecycles, oldest first (bounded ring).
@@ -2096,24 +1971,23 @@ impl<'g> BatchRouter<'g> {
     /// op-latency attribution (p50/p95/p99), and the tail-exemplar
     /// ring. Round-trips through JSON exactly like any other report.
     pub fn trace_report(&self, model: &CostModel) -> TraceReport {
-        let attribution: Vec<OpAttributionRow> = [
-            "queue", "coalesce", "backoff", "kernel", "degraded", "total",
-        ]
-        .iter()
-        .map(|c| {
-            let name = format!("op.{c}_ns");
-            let m = self.op_metrics.histogram(&name).snapshot().summary(name);
-            OpAttributionRow {
-                component: (*c).to_string(),
-                count: m.count,
-                sum_ns: m.sum,
-                max_ns: m.max,
-                p50_ns: m.p50,
-                p95_ns: m.p95,
-                p99_ns: m.p99,
-            }
-        })
-        .collect();
+        let attribution: Vec<OpAttributionRow> =
+            ["queue", "backoff", "kernel", "degraded", "total"]
+                .iter()
+                .map(|c| {
+                    let name = format!("op.{c}_ns");
+                    let m = self.op_metrics.histogram(&name).snapshot().summary(name);
+                    OpAttributionRow {
+                        component: (*c).to_string(),
+                        count: m.count,
+                        sum_ns: m.sum,
+                        max_ns: m.max,
+                        p50_ns: m.p50,
+                        p95_ns: m.p95,
+                        p99_ns: m.p99,
+                    }
+                })
+                .collect();
         let exemplars: Vec<TailExemplarRow> = self
             .tracker
             .lock()
@@ -2125,7 +1999,6 @@ impl<'g> BatchRouter<'g> {
                 kind: r.kind.clone(),
                 total_ns: r.total_ns(),
                 queue_ns: r.queue_ns,
-                coalesce_ns: r.coalesce_ns,
                 backoff_ns: r.backoff_ns,
                 kernel_ns: r.kernel_ns,
                 degraded_ns: r.degraded_ns,
@@ -2148,13 +2021,16 @@ impl<'g> BatchRouter<'g> {
 }
 
 /// An era-pinned read session over a [`BatchRouter`]'s serving shards,
-/// from [`BatchRouter::pin_read`]. One guard per shard (`None` for shards
-/// not serving at pin time). A shard rebuilt while the pin is held stales
-/// its guard — subsequent `*_live` reads routed there degrade until a
-/// fresh pin is taken.
+/// from [`BatchRouter::pin_read`] or [`BatchRouter::pin_traced`]. One
+/// guard per shard (`None` for shards not serving at pin time). A shard
+/// rebuilt while the pin is held stales its guard — subsequent `*_live`
+/// reads routed there degrade until a fresh pin is taken.
 #[must_use = "reads are only pinned while the session is held"]
 pub struct LiveReadPin {
     guards: Vec<Option<ReadGuard>>,
+    /// The client session traced reads are attributed to; `None` for an
+    /// untraced session.
+    session: Option<u64>,
 }
 
 impl LiveReadPin {
@@ -2239,24 +2115,19 @@ mod tests {
             assert_eq!(g.num_edges(), reference.num_edges(), "{shards} shards");
             let qry = pairs(300, 99, n_vertices);
             let ref_pin = reference.pin_read();
-            assert_eq!(g.edges_exist(&qry), reference.edges_exist(&ref_pin, &qry));
-            // Explicit per-shard pins answer identically to per-call pins.
             let pins = g.pin_read();
             assert_eq!(pins.len(), shards);
             assert_eq!(
-                g.edges_exist_pinned(&pins, &qry),
+                g.edges_exist(&pins, &qry),
                 reference.edges_exist(&ref_pin, &qry)
             );
             for v in 0..n_vertices {
                 assert_eq!(g.degree(v), reference.degree(v), "degree({v})");
-                let mut a = g.neighbor_ids(v);
+                let mut a = g.neighbor_ids(&pins, v);
                 let mut b = reference.neighbor_ids(&ref_pin, v);
                 a.sort_unstable();
                 b.sort_unstable();
                 assert_eq!(a, b, "neighbors({v})");
-                let mut c = g.neighbor_ids_pinned(&pins, v);
-                c.sort_unstable();
-                assert_eq!(c, b, "pinned neighbors({v})");
             }
             g.validate().expect("cross-shard audit");
         }
@@ -2288,8 +2159,9 @@ mod tests {
         let g = ShardedGraph::new(4, config);
         let changed = g.insert_edges(&[Edge::new(1, 2)]);
         assert_eq!(changed, 2, "both half-edges counted");
-        assert!(g.edge_exists(1, 2));
-        assert!(g.edge_exists(2, 1));
+        let pins = g.pin_read();
+        assert!(g.edge_exists(&pins, 1, 2));
+        assert!(g.edge_exists(&pins, 2, 1));
         g.validate().expect("mirrored cut edges audited");
     }
 
@@ -2319,7 +2191,7 @@ mod tests {
         assert_eq!(g.name(), "ShardedSlabGraph");
         assert_eq!(g.devices().len(), 3);
         assert_eq!(g.insert_edges(&[(1, 2), (2, 3)]), 2);
-        assert!(g.contains_edge(1, 2));
+        assert!(g.contains_edge(&g.pin_read(), 1, 2));
         assert_eq!(g.delete_edges(&[(1, 2)]), 1);
         assert_eq!(g.num_edges(), 1);
     }
@@ -2393,7 +2265,10 @@ mod tests {
         router.submit(0, Update::Delete(Edge::new(1, 2)));
         let report = router.flush();
         assert!(report.is_complete());
-        assert!(!g.edge_exists(1, 2), "insert-then-delete nets to absent");
+        assert!(
+            !g.edge_exists(&g.pin_read(), 1, 2),
+            "insert-then-delete nets to absent"
+        );
     }
 
     #[test]
@@ -2482,62 +2357,34 @@ mod tests {
         g.validate().expect("audit after re-admission");
     }
 
-    #[test]
-    fn degraded_reads_survive_a_down_shard() {
-        let g = ShardedGraph::new(2, cfg(128));
-        let router = BatchRouter::new(&g);
-        // Find a cut edge (owners differ) and an internal edge of the
-        // soon-to-be-down shard.
+    type Pair = (u32, u32);
+
+    /// Fill a two-shard router with seeded edges, then lose shard 0.
+    /// Returns the updates, a cut edge out of shard 0, and one of its
+    /// shard-internal edges.
+    fn lose_shard_zero(g: &ShardedGraph, router: &BatchRouter<'_>) -> (Vec<Pair>, Pair, Pair) {
         let updates = pairs(100, 21, 128);
         for (i, &(u, v)) in updates.iter().enumerate() {
             router.submit(i % 2, Update::Insert(Edge::new(u, v)));
         }
         assert!(router.flush().is_complete());
-        let down = 0usize;
-        let cut = updates
-            .iter()
-            .find(|&&(u, v)| g.owner_of(u) == down && g.owner_of(v) != down)
-            .copied()
-            .expect("some cut edge from the down shard");
-        let internal = updates
-            .iter()
-            .find(|&&(u, v)| g.owner_of(u) == down && g.owner_of(v) == down)
-            .copied()
-            .expect("some internal edge on the down shard");
+        let out_of_zero = |cut: bool| {
+            updates
+                .iter()
+                .find(|&&(u, v)| g.owner_of(u) == 0 && (g.owner_of(v) != 0) == cut)
+                .copied()
+                .expect("the seeded edges hold both kinds")
+        };
+        let (cut, internal) = (out_of_zero(true), out_of_zero(false));
         g.group()
-            .device(down)
+            .device(0)
             .set_fault_plan(FaultPlan::device_lost_at(1));
-        // Re-submit an edge the down shard owns so the flush definitely
+        // Re-submit an edge shard 0 owns so the flush definitely
         // dispatches (and faults) there.
         router.submit(0, Update::Insert(Edge::new(internal.0, internal.1)));
         router.flush();
-        assert_eq!(router.health(down), ShardHealth::Down);
-        // Exact reads on the healthy shard's vertices.
-        let survivor_v = updates
-            .iter()
-            .find(|&&(u, _)| g.owner_of(u) != down)
-            .map(|&(u, _)| u)
-            .unwrap();
-        assert_eq!(router.degree_degraded(survivor_v).1, ReadQuality::Exact);
-        // The cut edge's replica on the survivor answers, degraded.
-        assert_eq!(
-            router.edge_exists_degraded(cut.0, cut.1),
-            (true, ReadQuality::Degraded)
-        );
-        // The internal edge is unanswerable: best-effort absence.
-        assert_eq!(
-            router.edge_exists_degraded(internal.0, internal.1),
-            (false, ReadQuality::Degraded)
-        );
-        // Degraded degree counts exactly the cut out-edges that survive.
-        let u = cut.0;
-        let expected: u32 = updates
-            .iter()
-            .filter(|&&(a, b)| a == u && g.owner_of(b) != down)
-            .map(|&(a, b)| (a, b))
-            .collect::<std::collections::HashSet<_>>()
-            .len() as u32;
-        assert_eq!(router.degree_degraded(u), (expected, ReadQuality::Degraded));
+        assert_eq!(router.health(0), ShardHealth::Down);
+        (updates, cut, internal)
     }
 
     #[test]
@@ -2608,28 +2455,8 @@ mod tests {
     fn live_reads_compose_with_degraded_protocol() {
         let g = ShardedGraph::new(2, cfg(128));
         let router = BatchRouter::new(&g);
-        let updates = pairs(100, 21, 128);
-        for (i, &(u, v)) in updates.iter().enumerate() {
-            router.submit(i % 2, Update::Insert(Edge::new(u, v)));
-        }
-        assert!(router.flush().is_complete());
+        let (updates, cut, internal) = lose_shard_zero(&g, &router);
         let down = 0usize;
-        let cut = updates
-            .iter()
-            .find(|&&(u, v)| g.owner_of(u) == down && g.owner_of(v) != down)
-            .copied()
-            .expect("some cut edge from the down shard");
-        let internal = updates
-            .iter()
-            .find(|&&(u, v)| g.owner_of(u) == down && g.owner_of(v) == down)
-            .copied()
-            .expect("some internal edge on the down shard");
-        g.group()
-            .device(down)
-            .set_fault_plan(FaultPlan::device_lost_at(1));
-        router.submit(0, Update::Insert(Edge::new(internal.0, internal.1)));
-        router.flush();
-        assert_eq!(router.health(down), ShardHealth::Down);
         // A session pinned now only covers the survivor.
         let pin = router.pin_read();
         assert_eq!(pin.pinned_shards(), 1);
@@ -2661,6 +2488,42 @@ mod tests {
         expected.sort_unstable();
         expected.dedup();
         assert_eq!(nbrs, expected);
+        // Degraded degree counts exactly those surviving cut out-edges.
+        assert_eq!(
+            router.degree_live(&pin, cut.0),
+            (expected.len() as u32, ReadQuality::Degraded)
+        );
+        // Untraced reads leave the op log alone.
+        assert!(router.op_records().iter().all(|r| r.kind != "query"));
+    }
+
+    #[test]
+    fn traced_read_of_a_downed_owner_charges_degraded_time() {
+        let g = ShardedGraph::new(2, cfg(128));
+        let router = BatchRouter::new(&g);
+        let (_, cut, _) = lose_shard_zero(&g, &router);
+        let pin = router.pin_traced(5);
+        assert_eq!(
+            router.edge_exists_live(&pin, cut.0, cut.1),
+            (true, ReadQuality::Degraded)
+        );
+        let reads: Vec<OpTraceRecord> = router
+            .op_records()
+            .into_iter()
+            .filter(|r| r.kind == "query")
+            .collect();
+        assert_eq!(reads.len(), 1, "one op per traced read");
+        let r = &reads[0];
+        assert_eq!(r.session, 5);
+        assert!(r.degraded_ns > 0, "{r:?}");
+        assert_eq!(r.kernel_ns, 0, "{r:?}");
+        assert_eq!(r.total_ns(), r.degraded_ns);
+        assert_eq!(r.spans.len(), 1, "{r:?}");
+        assert!(
+            r.spans[0].starts_with("shard1/edge_exists ") && r.spans[0].ends_with(" ns (degraded)"),
+            "{:?}",
+            r.spans
+        );
     }
 
     #[test]

@@ -108,24 +108,81 @@ fn read_surface_agrees_across_backends() {
     let n = 96u32;
     let backends = all_backends(n, &edges);
     let reference = &backends[0];
+    let ref_pin = reference.pin_read();
     let probes: Vec<(u32, u32)> = (0..n).map(|u| (u, (u * 7 + 3) % n)).collect();
-    let expect_exist = reference.edges_exist(&probes);
+    let expect_exist = reference.edges_exist(&ref_pin, &probes);
     for b in &backends[1..] {
         let name = b.name();
+        let pin = b.pin_read();
+        assert_eq!(
+            pin.is_pinned(),
+            b.caps().concurrent_reads,
+            "{name}: pin liveness must track the capability flag"
+        );
         assert_eq!(b.num_vertices(), reference.num_vertices(), "{name}");
         assert_eq!(b.num_edges(), reference.num_edges(), "{name}");
-        assert_eq!(b.edges_exist(&probes), expect_exist, "{name}");
+        assert_eq!(b.edges_exist(&pin, &probes), expect_exist, "{name}");
         for u in (0..n).step_by(7) {
+            let (pu, pv) = probes[u as usize];
+            assert_eq!(
+                b.contains_edge(&pin, pu, pv),
+                expect_exist[u as usize],
+                "{name}: contains_edge({pu}, {pv})"
+            );
             assert_eq!(b.degree(u), reference.degree(u), "{name}: degree({u})");
-            let mut got = b.read_neighbors(u);
-            let mut want = reference.read_neighbors(u);
+            let mut got = b.read_neighbors(&pin, u);
+            let mut want = reference.read_neighbors(&ref_pin, u);
             got.sort_unstable();
             want.sort_unstable();
             assert_eq!(got, want, "{name}: adjacency of {u}");
             let mut iterated = Vec::new();
-            b.for_each_neighbor(u, &mut |v| iterated.push(v));
+            b.for_each_neighbor(&pin, u, &mut |v| iterated.push(v));
             iterated.sort_unstable();
             assert_eq!(iterated, got, "{name}: for_each_neighbor({u})");
+        }
+    }
+}
+
+/// Epoch-pinned backends refuse a phase-separated backend's empty pin on
+/// every query instead of reading unprotected.
+#[test]
+fn pinned_backends_reject_an_empty_pin() {
+    let (n, e) = fixtures::fixture_edges();
+    let backends = all_backends(n, &e);
+    let empty = backends[3].pin_read(); // CSR: phase-separated
+    assert!(!empty.is_pinned());
+    let pinned: Vec<_> = backends
+        .iter()
+        .filter(|b| b.caps().concurrent_reads)
+        .collect();
+    assert_eq!(pinned.len(), 2, "SlabGraph and ShardedSlabGraph");
+    for b in pinned {
+        let queries: [&dyn Fn(); 4] = [
+            &|| {
+                let _ = b.contains_edge(&empty, 0, 1);
+            },
+            &|| {
+                let _ = b.edges_exist(&empty, &[(0, 1)]);
+            },
+            &|| {
+                let _ = b.read_neighbors(&empty, 0);
+            },
+            &|| b.for_each_neighbor(&empty, 0, &mut |_| {}),
+        ];
+        for (i, q) in queries.into_iter().enumerate() {
+            let Err(err) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(q)) else {
+                panic!("{}: query {i} under an empty pin must panic", b.name());
+            };
+            let msg = err
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| err.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(
+                msg.contains("empty ReadPin"),
+                "{}: query {i}: {msg}",
+                b.name()
+            );
         }
     }
 }

@@ -254,7 +254,7 @@ fn sanitized_device(words: usize) -> Device {
 /// Negative fixture: a quarantined slab read with *no* live `ReadGuard`
 /// must be flagged as an unpinned read, with the reader's kernel and the
 /// allocation/free provenance attached. This is the runtime counterpart
-/// of the lint-kernels R7 rule.
+/// of the lint-kernels R8 rule.
 #[test]
 fn unpinned_quarantined_read_is_flagged() {
     let dev = sanitized_device(1 << 16);

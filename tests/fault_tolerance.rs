@@ -81,8 +81,9 @@ fn submit_round(router: &BatchRouter<'_>, round: &[Update], sessions: usize) {
 /// Full-state comparison: every vertex's sorted adjacency and weights.
 fn assert_state_identical(g: &ShardedGraph, reference: &DynGraph) {
     assert_eq!(g.num_edges(), reference.num_edges(), "edge counts diverge");
+    let pins = g.pin_read();
     for u in 0..N {
-        let mut got = g.neighbor_ids(u);
+        let mut got = g.neighbor_ids(&pins, u);
         got.sort_unstable();
         let mut want = reference.neighbor_ids(&reference.pin_read(), u);
         want.sort_unstable();
@@ -199,8 +200,9 @@ fn degraded_reads_correct_for_every_replica_covered_edge() {
     router.flush();
     assert_eq!(router.health(victim), ShardHealth::Down);
 
+    let pin = router.pin_read();
     for (&(u, v), &alive) in &live {
-        let (found, quality) = router.edge_exists_degraded(u, v);
+        let (found, quality) = router.edge_exists_live(&pin, u, v);
         if g.owner_of(u) != victim {
             assert_eq!(quality, ReadQuality::Exact, "{u}->{v}");
             assert_eq!(found, alive, "{u}->{v}: exact read diverged");
@@ -223,7 +225,10 @@ fn degraded_reads_correct_for_every_replica_covered_edge() {
         .iter()
         .filter(|(&(a, b), &alive)| alive && a == u && g.owner_of(b) != victim)
         .count() as u32;
-    assert_eq!(router.degree_degraded(u), (expected, ReadQuality::Degraded));
+    assert_eq!(
+        router.degree_live(&pin, u),
+        (expected, ReadQuality::Degraded)
+    );
 }
 
 /// The circuit breaker provably stops dispatch: once a shard is Down,

@@ -1,6 +1,5 @@
 //@ path: crates/core/src/query.rs
-//@ expect: R7@6
-//@ expect: R8@6
+//@ expect: R8@5
 
 fn degree_scan(dev: &Device) -> u32 {
     dev.launch_warps("degree_scan", 1, |warp| {

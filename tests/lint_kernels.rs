@@ -180,10 +180,7 @@ fn deleting_the_pin_argument_trips_r8() {
     let pristine = ScannedFile::new("crates/core/src/query.rs", &src);
     let report = lint::analyze(&[pristine]);
     assert!(
-        !report
-            .findings
-            .iter()
-            .any(|f| f.rule == "R7" || f.rule == "R8"),
+        !report.findings.iter().any(|f| f.rule == "R8"),
         "pristine query path must be pin-clean"
     );
 

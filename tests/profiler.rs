@@ -113,7 +113,7 @@ fn graph_workload_spans_partition_modeled_time() {
         let name = g.name();
         g.insert_edges(&batch);
         g.delete_edges(&batch[..32]);
-        let _ = g.edges_exist(&batch);
+        let _ = g.edges_exist(&g.pin_read(), &batch);
         let prof = g.device().profiler().expect("global default attached");
         let t = prof.timeline();
         let launches = g.device().counters().snapshot().launches;

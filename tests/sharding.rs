@@ -85,19 +85,20 @@ fn churn_replay_is_byte_identical_across_shard_counts() {
             g.insert_edges(&r.ins);
             g.delete_edges(&r.del);
             assert_eq!(
-                &g.edges_exist(&r.qry),
+                &g.edges_exist(&g.pin_read(), &r.qry),
                 want,
                 "{shards}-shard query results diverged from unsharded replay"
             );
         }
         assert_eq!(g.num_edges(), reference.num_edges(), "{shards} shards");
+        let pins = g.pin_read();
         for v in 0..N_VERTICES {
             assert_eq!(
                 g.degree(v),
                 reference.degree(v),
                 "degree({v}), {shards} shards"
             );
-            let mut a = g.neighbor_ids(v);
+            let mut a = g.neighbor_ids(&pins, v);
             let mut b = reference.neighbor_ids(&reference.pin_read(), v);
             a.sort_unstable();
             b.sort_unstable();
@@ -129,7 +130,7 @@ fn routed_stream_matches_direct_application() {
         assert!(report.is_complete(), "no memory pressure in this test");
         assert_eq!(report.updates, r.ins.len() + r.del.len());
         assert_eq!(
-            g.edges_exist(&r.qry),
+            g.edges_exist(&g.pin_read(), &r.qry),
             reference.edges_exist(&reference.pin_read(), &r.qry)
         );
     }
@@ -185,7 +186,7 @@ fn single_shard_oom_recovers_while_others_proceed() {
     assert_eq!(g.num_edges(), reference.num_edges());
     let qry: Vec<(u32, u32)> = round.ins.iter().map(|e| (e.src, e.dst)).collect();
     assert_eq!(
-        g.edges_exist(&qry),
+        g.edges_exist(&g.pin_read(), &qry),
         reference.edges_exist(&reference.pin_read(), &qry)
     );
     g.validate().expect("audit after recovery");

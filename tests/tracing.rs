@@ -88,7 +88,7 @@ fn rounds(seed: u64, n_rounds: usize, per_round: usize) -> Vec<Vec<Update>> {
 }
 
 fn component_sum(r: &OpTraceRecord) -> u64 {
-    r.queue_ns + r.coalesce_ns + r.backoff_ns + r.kernel_ns + r.degraded_ns
+    r.queue_ns + r.backoff_ns + r.kernel_ns + r.degraded_ns
 }
 
 /// The seeded mixed-churn acceptance scenario (4 shards, 8 writer
@@ -115,13 +115,18 @@ fn churn_spans_resolve_to_client_ops_and_attribution_conserves() {
             submitted.insert(router.submit(i % sessions, u));
         }
         // Traced reads between submit and flush: they advance the modeled
-        // clock, so the flushed updates accrue nonzero queue latency.
+        // clock, so the flushed updates accrue nonzero queue latency. The
+        // read sessions end before the flush.
+        let pins: Vec<_> = (0..readers)
+            .map(|r| router.pin_traced(sessions + r))
+            .collect();
         for i in 0..4usize {
             let u = (splitmix64(&mut rng) % N as u64) as u32;
             let v = (splitmix64(&mut rng) % N as u64) as u32;
-            let (_, q) = router.edge_exists_traced(sessions + (i % readers), u, v);
+            let (_, q) = router.edge_exists_live(&pins[i % readers], u, v);
             assert_eq!(q, ReadQuality::Exact);
         }
+        drop(pins);
         let report = router.flush();
         assert!(report.is_complete(), "healthy replay must fully apply");
         for so in &report.shards {
@@ -142,7 +147,7 @@ fn churn_spans_resolve_to_client_ops_and_attribution_conserves() {
         assert_eq!(
             component_sum(r),
             r.total_ns(),
-            "op {}: {{queue, coalesce, backoff, kernel, degraded}} must sum \
+            "op {}: {{queue, backoff, kernel, degraded}} must sum \
              to the end-to-end total",
             r.op
         );

@@ -1,7 +1,7 @@
-//! The lint rules, R1–R11, evaluated over the parsed file models and
+//! The lint rules, R1–R6 and R8–R11, evaluated over the parsed file models and
 //! effect summaries.
 //!
-//! R1–R7 are the historical rules re-expressed over the token stream
+//! R1–R6 are the historical rules re-expressed over the token stream
 //! (they used to be per-line regexes); R8–R10 are the flow-sensitive
 //! checks that guard the pin/epoch and publication protocols; R11 guards
 //! the causal-tracing contract:
@@ -12,7 +12,7 @@
 //!   guard (a guard parameter or a still-live local), a guard must not be
 //!   discarded at birth (`let _ = g.pin_read()`), must not be live across
 //!   an `advance_era()`, and must not escape a function whose return type
-//!   doesn't carry it. This retires R7's ten-line text window.
+//!   doesn't carry it.
 //! - **R9 `publication-order`** — cross-kernel word classes (keyed by the
 //!   named constants in their address expressions, e.g. `NEXT_LANE`)
 //!   written in one kernel and read in a concurrently-running pinned
@@ -44,7 +44,7 @@ pub struct RuleMeta {
     pub desc: &'static str,
 }
 
-pub const RULES: [RuleMeta; 11] = [
+pub const RULES: [RuleMeta; 10] = [
     RuleMeta {
         id: "R1",
         name: "raw-arena-access",
@@ -74,11 +74,6 @@ pub const RULES: [RuleMeta; 11] = [
         id: "R6",
         name: "unretried-dispatch",
         desc: "dispatch outcome unwrapped or discarded in sharded code; route it through the retry policy or journal",
-    },
-    RuleMeta {
-        id: "R7",
-        name: "unpinned-read",
-        desc: "query-path kernel launched from a function with no pin evidence at all",
     },
     RuleMeta {
         id: "R8",
@@ -166,7 +161,7 @@ fn in_router_scope(path: &str) -> bool {
     path.starts_with("crates/router/")
 }
 
-/// The pinned query path, where R7/R8 guard-domination applies: these
+/// The pinned query path, where R8 guard-domination applies: these
 /// files launch chain-walking read kernels whose slabs only a live
 /// `ReadGuard` holds back from reclamation.
 fn in_query_scope(path: &str) -> bool {
@@ -197,7 +192,7 @@ fn is_mutation_entry(name: &str) -> bool {
         )
 }
 
-/// Guard-carrying types for R7/R8.
+/// Guard-carrying types for R8.
 fn is_guard_type(ty: &str) -> bool {
     ty.contains("ReadGuard") || ty.contains("ReadPin")
 }
@@ -628,7 +623,7 @@ fn phase_call_at_level(trees: &[Tree]) -> Option<u32> {
     None
 }
 
-/// R7 / R8: guard liveness over the pinned query path.
+/// R8: guard liveness over the pinned query path.
 fn guard_rules(file: &ScannedFile, findings: &mut Vec<Finding>) {
     if in_gpu_sim(&file.path) {
         return;
@@ -645,9 +640,6 @@ fn guard_rules(file: &ScannedFile, findings: &mut Vec<Finding>) {
             .filter(|p| is_guard_type(&p.ty))
             .map(|p| p.name.clone())
             .collect();
-        let fx = effects_of(&func.body);
-        let has_pin_evidence = !guard_params.is_empty() || !fx.pin_calls.is_empty();
-
         let mut live: BTreeSet<String> = BTreeSet::new();
         // The trailing expression (a body not ending in `;`) is the return
         // value — a pin call there hands the guard to the caller.
@@ -751,17 +743,6 @@ fn guard_rules(file: &ScannedFile, findings: &mut Vec<Finding>) {
                             "",
                             &func.name,
                             "chain-walking launch not dominated by a live ReadGuard".to_string(),
-                        );
-                    }
-                    if !has_pin_evidence {
-                        push(
-                            findings,
-                            file,
-                            "R7",
-                            line,
-                            "",
-                            &func.name,
-                            "query-path launch in a function with no pin evidence".to_string(),
                         );
                     }
                 }

@@ -4,7 +4,7 @@
 //! external deps — the workspace builds offline) that extracts every
 //! kernel closure passed to `launch_tasks` / `launch_warps` / `memset`,
 //! computes a per-kernel **effect summary** (arena words read/written,
-//! atomic ops, allocator calls, pin/guard uses), and checks eleven rules over
+//! atomic ops, allocator calls, pin/guard uses), and checks ten rules over
 //! the summaries and the enclosing host code:
 //!
 //! - **R1 `raw-arena-access`** — `.arena().store/load/…` outside
@@ -25,15 +25,11 @@
 //! - **R6 `unretried-dispatch`** — a dispatch outcome consumed by
 //!   `.unwrap()` / `.expect(…)` or discarded with `let _ =` in sharded
 //!   code, instead of routing through the retry policy or the journal.
-//! - **R7 `unpinned-read`** — a query-path kernel launch inside a function
-//!   with *no* pin evidence at all (no `ReadGuard` parameter, no
-//!   `pin`/`pin_read`/`check_pin` call). Subsumed by R8's flow analysis
-//!   but kept as the cheap screaming-level rule.
 //! - **R8 `pin-escape`** — flow-sensitive guard liveness: every
 //!   chain-walking launch in the query path must be dominated by a live
 //!   `ReadGuard`; a guard must not be discarded at birth, cross an
 //!   `advance_era()`, or escape a function whose return type doesn't
-//!   carry it. This retires R7's old ten-line text window.
+//!   carry it.
 //! - **R9 `publication-order`** — an arena word class (keyed by the named
 //!   constants in its address expression, e.g. `NEXT_LANE`) written with a
 //!   plain store in one kernel but read by a concurrently-running pinned
