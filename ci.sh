@@ -34,8 +34,6 @@ if [ "$mode" = "quick" ]; then
     cargo build --offline --manifest-path dgbench/Cargo.toml
     echo "== cargo test (debug) =="
     cargo test --workspace -q
-    echo "== fault-injection suite (debug) =="
-    cargo test -q --test fault_injection
     echo "== sanitizer fixture suite (debug, shadow-memory checks on) =="
     cargo test -q --features sanitize --test sanitizer
     echo "== churn workload smoke run (debug, incl. mixed readers-vs-writers) =="
@@ -55,8 +53,6 @@ else
     cargo build --workspace --release
     echo "== cargo test (release) =="
     cargo test --workspace --release -q
-    echo "== fault-injection suite (release) =="
-    cargo test --release -q --test fault_injection
     echo "== bounded-memory quickstart smoke run =="
     cargo run --release -q --example quickstart
     echo "== churn workload smoke run =="
@@ -78,10 +74,6 @@ else
     test -s BENCH_chaos.json
     echo "== bench regression gate (fresh artifacts vs benchmarks/baselines, incl. perturbation self-test) =="
     cargo run --release -q --bin bench-gate -- --selftest BENCH_churn.json BENCH_chaos.json
-    echo "== sharding conformance suite (1/2/4-shard parity + OOM recovery) =="
-    cargo test --release -q --test sharding
-    echo "== shard fault-tolerance suite (health machine, breaker, journal rebuild, degraded reads) =="
-    cargo test --release -q --test fault_tolerance
     echo "== end-to-end benchmark self-tests (own workspace; tiny runs of every workload) =="
     cargo test --release --offline --manifest-path dgbench/Cargo.toml
 fi

@@ -273,7 +273,7 @@ impl DynGraph {
 
     /// Validate both endpoints of an edge, reporting *which* edge
     /// referenced an unstorable vertex id.
-    pub(crate) fn check_edge(&self, e: &Edge) -> Result<(), GraphError> {
+    pub fn check_edge(&self, e: &Edge) -> Result<(), GraphError> {
         for id in [e.src, e.dst] {
             if id > MAX_KEY {
                 return Err(GraphError::InvalidVertexId { id, edge: Some(*e) });

@@ -15,10 +15,13 @@
 //! deterministic across runs). A directed edge ⟨u,v⟩ has its **primary**
 //! copy on `owner(u)` — the shard that answers every query about `u` — and,
 //! when `owner(v) != owner(u)` (a *cut edge*), a **replica** copy on
-//! `owner(v)`, stored under the same ⟨u → v⟩ key. Replicas keep each shard
-//! self-contained for dst-side work: vertex deletion can tombstone incoming
-//! edges without a cross-shard scatter, and [`ShardedGraph::validate`] can
-//! audit consistency pairwise. Because every query routes to the owner and
+//! `owner(v)`, stored under the same ⟨u → v⟩ key; an undirected graph
+//! mirrors each edge first, and both half-edges follow the same rule, for
+//! direct batches and journaled router updates alike. Replicas keep each
+//! shard self-contained for dst-side work: vertex deletion can tombstone
+//! incoming edges without a cross-shard scatter, and
+//! [`ShardedGraph::validate`] can audit consistency pairwise. Because
+//! every query routes to the owner and
 //! `changed` counts come from primary sub-batches only, results are
 //! *identical* to an unsharded `DynGraph` replaying the same stream —
 //! `tests/sharding.rs` asserts this at 1/2/4 shards.
@@ -28,22 +31,24 @@
 //! Client sessions [`BatchRouter::submit`] updates concurrently (each
 //! session's order is preserved; sessions are drained in id order, so a
 //! flush is deterministic regardless of arrival interleaving).
-//! [`BatchRouter::flush`] coalesces the queue into one insert and one
-//! delete batch per shard, dispatches all shards concurrently through the
-//! device group's executor, and returns per-shard [`BatchOutcome`]s plus
-//! per-shard modeled times. A shard that runs out of memory (capacity
-//! budget or injected fault) reports a *partial* outcome with its pending
-//! suffix while the other shards complete unaffected; after the caller
-//! raises the budget (or clears the fault plan), [`BatchRouter::recover`]
-//! resumes exactly the pending suffixes via `retry_suffix`.
+//! [`BatchRouter::flush`] journals the queue into each shard's write-ahead
+//! log (one insert and one delete batch per shard), dispatches every shard
+//! with pending work concurrently through the device group's executor, and
+//! returns per-shard [`BatchOutcome`]s plus per-shard modeled times. The
+//! log is the only record of unapplied work: a shard that runs out of
+//! memory (capacity budget or injected fault) applies a prefix and keeps
+//! the pending suffix logged while the other shards complete unaffected,
+//! and after the caller raises the budget (or clears the fault plan) the
+//! next `flush` — with or without new updates — resumes it.
 
 use gpu_sim::{
-    CostModel, Device, DeviceConfig, DeviceFault, DeviceGroup, ExecPolicy, MetricSummary,
-    MetricsRegistry, OpAttributionRow, ShardHealthRow, TailExemplarRow, TraceCtx, TraceReport,
+    CostModel, Device, DeviceConfig, DeviceFault, DeviceGroup, ExecPolicy, MetricsRegistry,
+    OpAttributionRow, ShardHealthRow, TailExemplarRow, TraceCtx, TraceReport,
 };
 use parking_lot::{Mutex, RwLock};
 use slabgraph::{
-    BatchOutcome, Direction, DynGraph, Edge, GraphConfig, GraphError, ReadGuard, ValidationError,
+    BatchOp, BatchOutcome, Direction, DynGraph, Edge, GraphConfig, GraphError, ReadGuard,
+    ValidationError,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -194,25 +199,40 @@ impl ShardedGraph {
         self.n_vertices
     }
 
-    /// Mirror for undirected semantics, then split into per-shard primary
-    /// and replica batches, preserving batch order within each shard.
+    /// The one routing rule for an update's edge: mirror it for undirected
+    /// semantics, then send each copy to its source's owner as a primary
+    /// and, for a cut edge, to its destination's owner as a replica. Calls
+    /// `f(shard, copy, is_replica)` once per routed copy, in that order.
+    fn route(&self, e: Edge, mut f: impl FnMut(usize, Edge, bool)) {
+        let n = self.shards.len();
+        let mut one = |e: Edge| {
+            let su = shard_of(e.src, n);
+            let sv = shard_of(e.dst, n);
+            f(su, e, false);
+            if sv != su {
+                f(sv, e, true);
+            }
+        };
+        one(e);
+        if self.direction == Direction::Undirected {
+            one(e.reversed());
+        }
+    }
+
+    /// Split a batch into per-shard primary and replica batches via
+    /// [`Self::route`], preserving batch order within each shard.
     fn partition(&self, edges: &[Edge]) -> ShardBatches {
         let n = self.shards.len();
         let mut primary: Vec<Vec<Edge>> = vec![Vec::new(); n];
         let mut replica: Vec<Vec<Edge>> = vec![Vec::new(); n];
-        let mut route = |e: Edge| {
-            let su = shard_of(e.src, n);
-            let sv = shard_of(e.dst, n);
-            primary[su].push(e);
-            if sv != su {
-                replica[sv].push(e);
-            }
-        };
         for &e in edges {
-            route(e);
-            if self.direction == Direction::Undirected {
-                route(e.reversed());
-            }
+            self.route(e, |s, copy, is_replica| {
+                if is_replica {
+                    replica[s].push(copy);
+                } else {
+                    primary[s].push(copy);
+                }
+            });
         }
         ShardBatches { primary, replica }
     }
@@ -609,9 +629,10 @@ impl backend::GraphBackend for ShardedGraph {
 /// router stops dispatching to it (batches are journaled and held, reads
 /// degrade) until [`BatchRouter::rebuild_downed`] moves it through
 /// `Rebuilding` back to `Healthy`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardHealth {
     /// Dispatching normally.
+    #[default]
     Healthy,
     /// At least one launch admission failed recently; still dispatching.
     Suspect,
@@ -677,14 +698,16 @@ impl RetryPolicy {
     }
 }
 
-/// A typed per-shard dispatch failure. Distinct from the recoverable OOM
-/// carried inside a partial [`BatchOutcome`]: a `RouterError` means the
-/// batch (or its suffix) was *not* applied.
+/// A typed per-shard failure. Distinct from the recoverable OOM carried
+/// inside a partial [`BatchOutcome`]: a `RouterError` means work was *not*
+/// applied.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RouterError {
-    /// The batch itself is bad (e.g. an out-of-range vertex id). Not
-    /// retried — retrying a poisoned batch can never succeed — and not a
-    /// health event: the device is fine, the input is not.
+    /// An update is bad (e.g. an out-of-range vertex id), reported on the
+    /// shard that owns its source. It is rejected when the flush drains
+    /// the queues — never journaled, routed, or retried, since retrying it
+    /// could never succeed — while its batch-mates apply. Not a health
+    /// event: the device is fine, the input is not.
     Poisoned { shard: usize, source: GraphError },
     /// The shard's device refused launch admission and the retry policy
     /// was exhausted (or the fault was terminal). The shard is now Down.
@@ -718,73 +741,155 @@ pub enum ReadQuality {
     Degraded,
 }
 
-/// One journaled router operation (per-shard apply order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum JournalOp {
-    Insert(Edge),
-    Delete(Edge),
+/// One journaled update on one shard: the client op it belongs to (its
+/// [`TraceCtx`]) and the edge it inserts or deletes there.
+#[derive(Debug, Clone, Copy)]
+struct JournalEntry {
+    ctx: TraceCtx,
+    update: Update,
 }
 
-/// Per-shard write-ahead journal: the acked prefix folded into a compact
+impl JournalEntry {
+    fn is_insert(&self) -> bool {
+        matches!(self.update, Update::Insert(_))
+    }
+
+    fn edge(&self) -> Edge {
+        match self.update {
+            Update::Insert(e) | Update::Delete(e) => e,
+        }
+    }
+}
+
+/// Per-shard write-ahead journal: the acked entries folded into a compact
 /// checkpoint (edge → weight, primaries and replicas alike) plus the
-/// ordered unacknowledged log. Truncation on acknowledged apply keeps the
-/// journal depth proportional to in-flight work, not history; a rebuild
-/// replays checkpoint-then-log into a fresh shard.
+/// ordered log of every entry not yet applied — the only record of the
+/// shard's pending work. Acking exactly what was applied keeps the depth
+/// proportional to in-flight work, not history; a rebuild replays
+/// checkpoint-then-log into a fresh shard.
 #[derive(Debug, Default)]
 struct ShardJournal {
     checkpoint: HashMap<(u32, u32), u32>,
-    log: Vec<JournalOp>,
-    appended: u64,
-    acked: u64,
+    log: Vec<JournalEntry>,
 }
 
 impl ShardJournal {
-    fn append(&mut self, op: JournalOp) {
-        self.log.push(op);
-        self.appended += 1;
-    }
-
     /// Unacknowledged entries.
     fn depth(&self) -> usize {
         self.log.len()
     }
 
-    /// Truncate: fold every logged op into the checkpoint. Called when
-    /// the shard acknowledges that all outstanding work is applied.
-    fn ack_all(&mut self) {
-        self.acked += self.log.len() as u64;
-        for op in self.log.drain(..) {
-            match op {
-                JournalOp::Insert(e) => {
+    /// The first-submitted op with an entry in the log: the one rule for
+    /// which op a shard's dispatch and rebuild spans are stamped with.
+    fn first_op(&self) -> Option<TraceCtx> {
+        self.log.iter().map(|e| e.ctx).min_by_key(|ctx| ctx.op)
+    }
+
+    /// Fold the entries of the log's first `applied.len()` flagged applied
+    /// into the checkpoint, in log order; every other entry, including any
+    /// appended since the replay snapshot, stays logged in order.
+    fn ack(&mut self, applied: &[bool]) {
+        let mut kept = Vec::new();
+        for (i, entry) in self.log.drain(..).enumerate() {
+            match (applied.get(i), entry.update) {
+                (Some(true), Update::Insert(e)) => {
                     self.checkpoint.insert((e.src, e.dst), e.weight);
                 }
-                JournalOp::Delete(e) => {
+                (Some(true), Update::Delete(e)) => {
                     self.checkpoint.remove(&(e.src, e.dst));
                 }
+                _ => kept.push(entry),
+            }
+        }
+        self.log = kept;
+    }
+}
+
+/// What one replay of journal entries did on one shard: per-kind outcomes
+/// folded over the entries' runs, and which entries were applied.
+struct Replay {
+    insert: Option<BatchOutcome>,
+    delete: Option<BatchOutcome>,
+    applied: Vec<bool>,
+}
+
+impl Replay {
+    fn is_complete(&self) -> bool {
+        self.applied.iter().all(|&a| a)
+    }
+}
+
+/// The one apply step behind flush and rebuild: apply `entries` to `g` in
+/// maximal runs of one kind (`try_insert_edges` / `try_delete_edges`), in
+/// log order, stopping at the first incomplete run — a later run would
+/// break apply order. Runs not attempted, and every run when `g` is `None`
+/// (breaker open, admission refused), are held fully pending. Replay is
+/// idempotent: re-inserting an edge replaces its weight, re-deleting is a
+/// no-op.
+fn replay(g: Option<&DynGraph>, entries: &[JournalEntry]) -> Replay {
+    let mut out = Replay {
+        insert: None,
+        delete: None,
+        applied: Vec::with_capacity(entries.len()),
+    };
+    let mut stopped = g.is_none();
+    for run in entries.chunk_by(|a, b| a.is_insert() == b.is_insert()) {
+        let edges: Vec<Edge> = run.iter().map(JournalEntry::edge).collect();
+        let is_insert = run[0].is_insert();
+        let op = if is_insert {
+            BatchOp::InsertEdges
+        } else {
+            BatchOp::DeleteEdges
+        };
+        let outcome = match g.filter(|_| !stopped) {
+            None => held_outcome(op, &edges),
+            Some(g) => {
+                let applied = if is_insert {
+                    g.try_insert_edges(&edges)
+                } else {
+                    g.try_delete_edges(&edges)
+                };
+                match applied {
+                    Ok(o) => o,
+                    // Flush checks every edge before journaling it.
+                    Err(e) => unreachable!("journaled edge failed validation: {e}"),
+                }
+            }
+        };
+        // `pending` is the run's unapplied entries, in run order.
+        let mut pending = outcome.pending.iter().peekable();
+        for e in &edges {
+            out.applied.push(pending.next_if(|&p| p == e).is_none());
+        }
+        stopped |= !outcome.is_complete();
+        let slot = if is_insert {
+            &mut out.insert
+        } else {
+            &mut out.delete
+        };
+        match slot {
+            None => *slot = Some(outcome),
+            Some(acc) => {
+                acc.attempted += outcome.attempted;
+                acc.completed += outcome.completed;
+                acc.changed += outcome.changed;
+                acc.pending.extend(outcome.pending);
+                acc.error = acc.error.take().or(outcome.error);
             }
         }
     }
+    out
 }
 
 /// Per-shard router state: health machine position, cumulative
 /// fault-tolerance tallies, and the write-ahead journal.
 #[derive(Debug, Default)]
 struct ShardState {
-    health: ShardHealthState,
+    health: ShardHealth,
     retries: u64,
     backoff_s: f64,
     rebuilds: u64,
     journal: ShardJournal,
-}
-
-/// Newtype default so `ShardState::default()` starts Healthy.
-#[derive(Debug)]
-struct ShardHealthState(ShardHealth);
-
-impl Default for ShardHealthState {
-    fn default() -> Self {
-        ShardHealthState(ShardHealth::Healthy)
-    }
 }
 
 /// One-line health summary of a router's shards, renderable and
@@ -796,16 +901,6 @@ pub struct RouterReport {
 }
 
 impl RouterReport {
-    /// Shards not currently Healthy (the health-state analogue of
-    /// [`FlushReport::incomplete_shards`]).
-    pub fn unhealthy_shards(&self) -> Vec<usize> {
-        self.rows
-            .iter()
-            .filter(|r| r.state != "healthy")
-            .map(|r| r.shard as usize)
-            .collect()
-    }
-
     /// One-line summary, e.g.
     /// `router health: 3/4 healthy | shard 2: down (retries 3, backoff 0.350 ms, journal 42, rebuilds 0)`.
     pub fn render(&self) -> String {
@@ -875,8 +970,6 @@ pub struct OpTraceRecord {
     /// Causal span chain, e.g. `flush#3 queue 12 ns` then
     /// `shard1/dispatch kernel 40 ns backoff 0 ns`.
     pub spans: Vec<String>,
-    /// Whether every shard this op routed to has completed it.
-    pub done: bool,
 }
 
 impl OpTraceRecord {
@@ -886,11 +979,11 @@ impl OpTraceRecord {
     }
 }
 
-/// One in-flight op: its record plus how many shard dispatches it still
-/// waits on.
+/// One in-flight op: its record plus how many of its journal entries (one
+/// per routed copy of its edge) are not yet acked.
 struct OpenOp {
     rec: OpTraceRecord,
-    pending_shards: usize,
+    unacked: usize,
 }
 
 /// Completed-op ring capacity (matches the profiler's event rings).
@@ -898,15 +991,11 @@ const OPLOG_CAP: usize = 1 << 16;
 /// Slowest-op exemplars kept with full span chains.
 const TAIL_EXEMPLARS: usize = 8;
 
-/// Router-side op bookkeeping: in-flight ops, which op ids each shard's
-/// next successful dispatch will complete, the bounded completed-op
+/// Router-side op bookkeeping: in-flight ops, the bounded completed-op
 /// ring, and the K-slowest exemplar ring.
 #[derive(Default)]
 struct OpTracker {
     open: HashMap<u64, OpenOp>,
-    /// Per shard: op ids charged by that shard's next completed
-    /// dispatch (cleared on completion, kept across failed attempts).
-    shard_waiting: Vec<Vec<u64>>,
     completed: VecDeque<OpTraceRecord>,
     exemplars: Vec<OpTraceRecord>,
     flushes: u64,
@@ -915,8 +1004,7 @@ struct OpTracker {
 impl OpTracker {
     /// Move a finished record into the completed ring and the exemplar
     /// ring, folding its components into the router metrics.
-    fn finalize(&mut self, mut rec: OpTraceRecord, metrics: &MetricsRegistry) {
-        rec.done = true;
+    fn finalize(&mut self, rec: OpTraceRecord, metrics: &MetricsRegistry) {
         metrics.record("op.total_ns", rec.total_ns());
         metrics.record("op.queue_ns", rec.queue_ns);
         metrics.record("op.backoff_ns", rec.backoff_ns);
@@ -947,11 +1035,14 @@ fn as_ns(s: f64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct ShardOutcome {
     pub shard: usize,
-    /// Outcome of the shard's coalesced insert batch (primaries then
-    /// replicas, session order preserved). `None` when the flush carried
-    /// no inserts for this shard.
+    /// Outcome of the inserts in the shard's journal log: this flush's
+    /// coalesced batch (primaries then replicas, session order preserved)
+    /// after any work still pending from earlier flushes, so `attempted`
+    /// counts carried-over entries too. A shard whose circuit breaker is
+    /// open reports only this flush's entries, all held. `None` when
+    /// there were no inserts to report.
     pub insert: Option<BatchOutcome>,
-    /// Outcome of the shard's coalesced delete batch.
+    /// Outcome of the deletes in the shard's journal log.
     pub delete: Option<BatchOutcome>,
     /// Modeled GPU seconds this shard spent on the flush, *including*
     /// retry backoff charged on the modeled clock.
@@ -962,9 +1053,11 @@ pub struct ShardOutcome {
     pub backoff_s: f64,
     /// The shard's health after this dispatch.
     pub health: ShardHealth,
-    /// Typed dispatch failure, if the batch (suffix) was not applied at
-    /// all. Orthogonal to the recoverable OOM inside a partial
-    /// [`BatchOutcome`].
+    /// Typed failure: the first update rejected for this shard (it owns
+    /// the update's source vertex), or else the device fault that refused
+    /// admission. A refused shard applied nothing and its [`Self::health`]
+    /// is Down, even when a rejection takes this slot. Orthogonal to the
+    /// recoverable OOM inside a partial [`BatchOutcome`].
     pub error: Option<RouterError>,
 }
 
@@ -977,10 +1070,10 @@ impl ShardOutcome {
     }
 }
 
-/// What one [`BatchRouter::flush`] (or [`BatchRouter::recover`]) did.
+/// What one [`BatchRouter::flush`] did.
 #[derive(Debug, Clone)]
 pub struct FlushReport {
-    /// Updates drained from the session queues (0 for a recovery pass).
+    /// Updates drained from the session queues.
     pub updates: usize,
     /// Per-shard outcomes, in shard order.
     pub shards: Vec<ShardOutcome>,
@@ -992,7 +1085,7 @@ impl FlushReport {
         self.shards.iter().all(ShardOutcome::is_complete)
     }
 
-    /// Shards with unapplied work (candidates for [`BatchRouter::recover`]).
+    /// Shards with unapplied or rejected work.
     pub fn incomplete_shards(&self) -> Vec<usize> {
         self.shards
             .iter()
@@ -1058,7 +1151,6 @@ impl<'g> BatchRouter<'g> {
     /// [`ShardedGraph::bulk_build`] — which bypasses the router — are
     /// still rebuildable.
     pub fn with_policy(graph: &'g ShardedGraph, policy: RetryPolicy) -> Self {
-        let n = graph.num_shards();
         let states = graph
             .shard_exports()
             .into_iter()
@@ -1073,13 +1165,12 @@ impl<'g> BatchRouter<'g> {
             sessions: Mutex::new(Vec::new()),
             policy,
             next_op: AtomicU64::new(1),
-            tracker: Mutex::new(OpTracker {
-                shard_waiting: (0..n).map(|_| Vec::new()).collect(),
-                ..OpTracker::default()
-            }),
+            tracker: Mutex::new(OpTracker::default()),
             op_metrics: MetricsRegistry::new(),
             states,
-            serving: (0..n).map(|_| AtomicBool::new(true)).collect(),
+            serving: (0..graph.num_shards())
+                .map(|_| AtomicBool::new(true))
+                .collect(),
         }
     }
 
@@ -1114,7 +1205,7 @@ impl<'g> BatchRouter<'g> {
 
     /// Current health of shard `s`.
     pub fn health(&self, s: usize) -> ShardHealth {
-        self.states[s].lock().health.0
+        self.states[s].lock().health
     }
 
     /// Shards whose health is anything other than Healthy (the
@@ -1133,7 +1224,7 @@ impl<'g> BatchRouter<'g> {
                 let st = self.states[s].lock();
                 ShardHealthRow {
                     shard: s as u64,
-                    state: st.health.0.as_str().to_string(),
+                    state: st.health.as_str().to_string(),
                     retries: st.retries,
                     backoff_s: st.backoff_s,
                     journal_depth: st.journal.depth() as u64,
@@ -1153,11 +1244,11 @@ impl<'g> BatchRouter<'g> {
     /// Transition a shard's health, emitting a trace instant and a
     /// transition count so the path is visible in the profiler timeline.
     fn set_health(&self, st: &mut ShardState, s: usize, to: ShardHealth) {
-        let from = st.health.0;
+        let from = st.health;
         if from == to {
             return;
         }
-        st.health.0 = to;
+        st.health = to;
         self.serving[s].store(to.is_dispatchable(), Ordering::Release);
         if let Some(p) = self.graph.group().device(s).profiler() {
             p.instant("shard_health", format!("shard {s}: {from} -> {to}"));
@@ -1209,441 +1300,216 @@ impl<'g> BatchRouter<'g> {
     }
 
     /// Drain every session queue (session-major, submission order within a
-    /// session), coalesce into one insert batch and one delete batch per
-    /// shard — primaries and cut-edge replicas included — journal every
-    /// routed op, and dispatch all shards concurrently. Within a flush,
-    /// inserts apply before deletes.
+    /// session), journal every update on each shard it routes to —
+    /// primaries and cut-edge replicas, of both half-edges when the graph
+    /// is undirected, inserts before deletes — and run
+    /// one dispatch round. An update whose edge fails
+    /// [`DynGraph::check_edge`] is rejected on its own: it is never
+    /// journaled, and the shard owning its source reports it as
+    /// [`RouterError::Poisoned`] while its batch-mates apply.
     ///
-    /// Each shard uses the fallible batch path: a shard that exhausts its
-    /// device budget reports a partial [`BatchOutcome`] carrying the
-    /// unapplied suffix, while the other shards proceed to completion.
-    /// A shard whose device refuses launch admission is retried per the
-    /// [`RetryPolicy`] (backoff charged on the modeled clock) and, once
-    /// exhausted, marked Down: its batches stay journaled and pending,
-    /// its [`ShardOutcome::error`] carries the fault, and subsequent
-    /// flushes skip it entirely (open circuit breaker — zero device
-    /// access) until [`Self::rebuild_downed`] re-admits it.
+    /// In the round, every dispatchable shard with a non-empty journal log
+    /// applies the log in order (work still pending from earlier flushes
+    /// first) and acks exactly the entries it applied; the shards run
+    /// concurrently. A shard that exhausts its device budget reports a
+    /// partial [`BatchOutcome`] and keeps the unapplied suffix logged, so
+    /// a later flush — with or without new updates — resumes it, while
+    /// the other shards proceed to completion. A shard whose device
+    /// refuses launch admission is retried per the [`RetryPolicy`]
+    /// (backoff charged on the modeled clock) and, once exhausted, marked
+    /// Down: its log is held, its [`ShardOutcome::error`] carries the
+    /// fault, and subsequent flushes skip it entirely (open circuit
+    /// breaker — zero device access) until [`Self::rebuild_downed`]
+    /// re-admits it.
     pub fn flush(&self) -> FlushReport {
         let drained: Vec<Vec<PendingOp>> = std::mem::take(&mut *self.sessions.lock());
         let updates: usize = drained.iter().map(Vec::len).sum();
         let n = self.graph.num_shards();
         let drain_s = self.clock_s();
-        let mut inserts: Vec<Edge> = Vec::new();
-        let mut deletes: Vec<Edge> = Vec::new();
-        // Causal bookkeeping for the drain: open one lifecycle record
-        // per op, register it with every shard its edge routes to, and
-        // remember the first op routed to each shard — that op's ctx
-        // stamps the shard's dispatch spans, so every charged span
-        // chains back to a client op.
-        let mut rep_ctx: Vec<Option<TraceCtx>> = vec![None; n];
+        // Per shard, in journal order: insert primaries, insert replicas,
+        // delete primaries, delete replicas.
+        let mut routed: Vec<[Vec<JournalEntry>; 4]> = vec![Default::default(); n];
+        let mut rejected: Vec<Option<RouterError>> = vec![None; n];
         {
+            // Open one lifecycle record per routed op; it settles when its
+            // last journal entry is acked.
             let mut t = self.tracker.lock();
             t.flushes += 1;
             let flush_id = t.flushes;
-            for session in &drained {
-                for p in session {
-                    let (kind, e) = match p.update {
-                        Update::Insert(e) => ("insert", e),
-                        Update::Delete(e) => ("delete", e),
-                    };
-                    let su = self.graph.owner_of(e.src);
-                    let sv = self.graph.owner_of(e.dst);
-                    let queue_ns = as_ns((drain_s - p.submitted_s).max(0.0));
-                    let mut shards_touched = 1;
-                    t.shard_waiting[su].push(p.ctx.op);
-                    if rep_ctx[su].is_none() {
-                        rep_ctx[su] = Some(p.ctx);
-                    }
-                    if sv != su {
-                        shards_touched = 2;
-                        t.shard_waiting[sv].push(p.ctx.op);
-                        if rep_ctx[sv].is_none() {
-                            rep_ctx[sv] = Some(p.ctx);
-                        }
-                    }
-                    t.open.insert(
-                        p.ctx.op,
-                        OpenOp {
-                            rec: OpTraceRecord {
-                                op: p.ctx.op,
-                                session: p.ctx.session,
-                                kind: kind.to_string(),
-                                flush: flush_id,
-                                queue_ns,
-                                backoff_ns: 0,
-                                kernel_ns: 0,
-                                degraded_ns: 0,
-                                spans: vec![format!("flush#{flush_id} queue {queue_ns} ns")],
-                                done: false,
-                            },
-                            pending_shards: shards_touched,
+            for p in drained.iter().flatten() {
+                let (kind, e, group, wrap): (_, _, _, fn(Edge) -> Update) = match p.update {
+                    Update::Insert(e) => ("insert", e, 0, Update::Insert),
+                    Update::Delete(e) => ("delete", e, 2, Update::Delete),
+                };
+                let su = self.graph.owner_of(e.src);
+                if let Err(source) = self.graph.shard(su).check_edge(&e) {
+                    rejected[su].get_or_insert(RouterError::Poisoned { shard: su, source });
+                    continue;
+                }
+                let mut unacked = 0;
+                self.graph.route(e, |s, copy, is_replica| {
+                    routed[s][group + usize::from(is_replica)].push(JournalEntry {
+                        ctx: p.ctx,
+                        update: wrap(copy),
+                    });
+                    unacked += 1;
+                });
+                let queue_ns = as_ns((drain_s - p.submitted_s).max(0.0));
+                t.open.insert(
+                    p.ctx.op,
+                    OpenOp {
+                        rec: OpTraceRecord {
+                            op: p.ctx.op,
+                            session: p.ctx.session,
+                            kind: kind.to_string(),
+                            flush: flush_id,
+                            queue_ns,
+                            backoff_ns: 0,
+                            kernel_ns: 0,
+                            degraded_ns: 0,
+                            spans: vec![format!("flush#{flush_id} queue {queue_ns} ns")],
                         },
-                    );
-                }
+                        unacked,
+                    },
+                );
             }
         }
-        for session in &drained {
-            for p in session {
-                match p.update {
-                    Update::Insert(e) => inserts.push(e),
-                    Update::Delete(e) => deletes.push(e),
-                }
-            }
-        }
-        let ins_parts = self.graph.partition(&inserts);
-        let del_parts = self.graph.partition(&deletes);
-        // Per shard: one coalesced insert batch (primaries first, then
-        // replicas — retry order must match apply order), one delete batch.
-        let ins_batches: Vec<Vec<Edge>> = (0..n)
-            .map(|s| {
-                let mut b = ins_parts.primary[s].clone();
-                b.extend_from_slice(&ins_parts.replica[s]);
-                b
-            })
-            .collect();
-        let del_batches: Vec<Vec<Edge>> = (0..n)
-            .map(|s| {
-                let mut b = del_parts.primary[s].clone();
-                b.extend_from_slice(&del_parts.replica[s]);
-                b
-            })
-            .collect();
-        // Write-ahead: journal every routed op before any dispatch, so a
-        // shard that dies mid-flush can be rebuilt without losing writes.
-        for s in 0..n {
+        // Write-ahead: journal every routed update before any dispatch, so
+        // a shard that dies mid-flush can be rebuilt without losing writes.
+        let mut appended = vec![0; n];
+        for (s, groups) in routed.into_iter().enumerate() {
             let mut st = self.states[s].lock();
-            for &e in &ins_batches[s] {
-                st.journal.append(JournalOp::Insert(e));
-            }
-            for &e in &del_batches[s] {
-                st.journal.append(JournalOp::Delete(e));
-            }
-            let depth = st.journal.depth() as u64;
+            appended[s] = groups.iter().map(Vec::len).sum();
+            st.journal.log.extend(groups.into_iter().flatten());
             if let Some(p) = self.graph.group().device(s).profiler() {
-                p.metrics().gauge("router.journal_depth").set(depth);
+                p.metrics()
+                    .gauge("router.journal_depth")
+                    .set(st.journal.depth() as u64);
             }
         }
         let model = CostModel::titan_v();
-        let shards = self.graph.group().dispatch(|s, dev| {
-            let ins = &ins_batches[s];
-            let del = &del_batches[s];
-            if ins.is_empty() && del.is_empty() {
+        let dispatched = self.graph.group().dispatch(|s, dev| {
+            let mut st = self.states[s].lock();
+            let mut outcome = ShardOutcome {
+                shard: s,
+                insert: None,
+                delete: None,
+                modeled_s: 0.0,
+                backoff_s: 0.0,
+                health: st.health,
+                error: rejected[s],
+            };
+            if !st.health.is_dispatchable() {
+                // Circuit breaker open: hold the log without touching the
+                // device at all, and report only this flush's entries as
+                // held, so a long outage costs each flush only its own
+                // entries.
+                let log = &st.journal.log;
+                let held = replay(None, &log[log.len() - appended[s]..]);
+                outcome.insert = held.insert;
+                outcome.delete = held.delete;
+                return (outcome, Vec::new(), Vec::new());
+            }
+            let Some(first) = st.journal.first_op() else {
                 // No work: no launch admission consumed, so fault plans
                 // keyed on launch index stay deterministic w.r.t. work.
-                return ShardOutcome {
-                    shard: s,
-                    insert: None,
-                    delete: None,
-                    modeled_s: 0.0,
-                    backoff_s: 0.0,
-                    health: self.health(s),
-                    error: None,
-                };
-            }
+                return (outcome, Vec::new(), Vec::new());
+            };
             // Stamp everything this dispatch records — kernel spans,
-            // backoff waits, health instants — with the first client
-            // op routed here, so the merged trace chains back to
-            // client traffic.
-            let ctx = rep_ctx[s].unwrap_or_else(|| self.graph.dispatch_ctx());
-            let _trace = dev.trace_scope(ctx);
-            let mut st = self.states[s].lock();
-            if !st.health.0.is_dispatchable() {
-                // Circuit breaker open: hold the batches (already
-                // journaled) without touching the device at all.
-                return ShardOutcome {
-                    shard: s,
-                    insert: (!ins.is_empty())
-                        .then(|| held_outcome(slabgraph::BatchOp::InsertEdges, ins)),
-                    delete: (!del.is_empty())
-                        .then(|| held_outcome(slabgraph::BatchOp::DeleteEdges, del)),
-                    modeled_s: 0.0,
-                    backoff_s: 0.0,
-                    health: st.health.0,
-                    error: None,
-                };
-            }
-            let backoff = match self.admit(&mut st, s, dev) {
-                Ok(b) => b,
-                Err((b, fault)) => {
-                    return ShardOutcome {
-                        shard: s,
-                        insert: (!ins.is_empty())
-                            .then(|| held_outcome(slabgraph::BatchOp::InsertEdges, ins)),
-                        delete: (!del.is_empty())
-                            .then(|| held_outcome(slabgraph::BatchOp::DeleteEdges, del)),
-                        modeled_s: b,
-                        backoff_s: b,
-                        health: st.health.0,
-                        error: Some(RouterError::Fault {
-                            shard: s,
-                            source: fault,
-                        }),
-                    };
-                }
-            };
-            let g = self.graph.shard(s);
-            let before = dev.counters().snapshot();
-            let _phase = dev.phase("router.flush");
-            let insert = match (!ins.is_empty())
-                .then(|| g.try_insert_edges(ins))
-                .transpose()
-            {
-                Ok(o) => o,
-                Err(e) => {
-                    drop(_phase);
-                    let delta = dev.counters().snapshot().delta(&before);
-                    return ShardOutcome {
-                        shard: s,
-                        insert: Some(held_outcome(slabgraph::BatchOp::InsertEdges, ins)),
-                        delete: (!del.is_empty())
-                            .then(|| held_outcome(slabgraph::BatchOp::DeleteEdges, del)),
-                        modeled_s: model.seconds(&delta) + backoff,
-                        backoff_s: backoff,
-                        health: st.health.0,
-                        error: Some(RouterError::Poisoned {
-                            shard: s,
-                            source: e,
-                        }),
-                    };
-                }
-            };
-            let delete = if del.is_empty() {
-                None
-            } else if insert.as_ref().is_none_or(|o| o.is_complete()) {
-                match g.try_delete_edges(del) {
-                    Ok(o) => Some(o),
-                    Err(e) => {
-                        drop(_phase);
-                        let delta = dev.counters().snapshot().delta(&before);
-                        return ShardOutcome {
-                            shard: s,
-                            insert,
-                            delete: Some(held_outcome(slabgraph::BatchOp::DeleteEdges, del)),
-                            modeled_s: model.seconds(&delta) + backoff,
-                            backoff_s: backoff,
-                            health: st.health.0,
-                            error: Some(RouterError::Poisoned {
-                                shard: s,
-                                source: e,
-                            }),
-                        };
-                    }
-                }
-            } else {
-                // The shard is out of memory mid-insert: hold the deletes
-                // as fully-pending so recovery preserves apply order.
-                Some(held_outcome(slabgraph::BatchOp::DeleteEdges, del))
-            };
-            drop(_phase);
-            let delta = dev.counters().snapshot().delta(&before);
-            // A clean dispatch heals a Suspect shard.
-            self.set_health(&mut st, s, ShardHealth::Healthy);
-            ShardOutcome {
-                shard: s,
-                insert,
-                delete,
-                modeled_s: model.seconds(&delta) + backoff,
-                backoff_s: backoff,
-                health: st.health.0,
-                error: None,
-            }
-        });
-        self.ack_completed(&shards);
-        self.attribute_outcomes(&shards);
-        FlushReport { updates, shards }
-    }
-
-    /// Fold one dispatch round's per-shard outcomes into the open op
-    /// records: each shard's kernel and backoff time is split evenly
-    /// across the ops waiting on it. A *completed* shard dispatch
-    /// settles its waiters (mirroring [`Self::ack_completed`]'s journal
-    /// truncation); a failed or held attempt charges the backoff it
-    /// actually spent and keeps the ops open for recovery or rebuild.
-    fn attribute_outcomes(&self, shards: &[ShardOutcome]) {
-        let mut t = self.tracker.lock();
-        for o in shards {
-            let waiting = t.shard_waiting[o.shard].len();
-            if waiting == 0 {
-                continue;
-            }
-            let kernel_share = as_ns((o.modeled_s - o.backoff_s).max(0.0) / waiting as f64);
-            let backoff_share = as_ns(o.backoff_s / waiting as f64);
-            let settled = o.is_complete() && (o.insert.is_some() || o.delete.is_some());
-            if !settled && kernel_share == 0 && backoff_share == 0 {
-                continue;
-            }
-            let ids: Vec<u64> = if settled {
-                std::mem::take(&mut t.shard_waiting[o.shard])
-            } else {
-                t.shard_waiting[o.shard].clone()
-            };
-            for id in ids {
-                let Some(open) = t.open.get_mut(&id) else {
-                    continue;
-                };
-                open.rec.kernel_ns += kernel_share;
-                open.rec.backoff_ns += backoff_share;
-                if settled {
-                    open.rec.spans.push(format!(
-                        "shard{}/dispatch kernel {kernel_share} ns backoff {backoff_share} ns",
-                        o.shard
-                    ));
-                    open.pending_shards = open.pending_shards.saturating_sub(1);
-                    if open.pending_shards == 0 {
-                        let open = t.open.remove(&id).expect("open op present");
-                        t.finalize(open.rec, &self.op_metrics);
-                    }
-                } else {
-                    open.rec.spans.push(format!(
-                        "shard{}/retry kernel {kernel_share} ns backoff {backoff_share} ns",
-                        o.shard
-                    ));
-                }
-            }
-        }
-    }
-
-    /// Resume the pending suffixes of an incomplete flush — call after
-    /// raising the failing shard's budget
-    /// ([`gpu_sim::Device::set_capacity_words`]) or clearing its fault
-    /// plan. Only incomplete shards re-run (concurrently); complete shards
-    /// are carried over untouched. The returned report may itself be
-    /// partial, in which case recovery can be repeated.
-    ///
-    /// A Down shard is *not* retried here (its breaker is open); its held
-    /// outcome is carried forward. Use [`Self::rebuild_downed`] instead —
-    /// and note that a rebuild replays the journaled ops itself, which
-    /// makes reports holding that shard's pending work stale.
-    pub fn recover(&self, report: &FlushReport) -> FlushReport {
-        let model = CostModel::titan_v();
-        // Re-dispatched suffixes stay causally attributed to the ops
-        // still waiting on each shard.
-        let rep_ctx: Vec<Option<TraceCtx>> = {
-            let t = self.tracker.lock();
-            (0..self.graph.num_shards())
-                .map(|s| {
-                    t.shard_waiting[s]
-                        .first()
-                        .and_then(|id| t.open.get(id))
-                        .map(|o| TraceCtx::root(o.rec.session, o.rec.op))
-                })
-                .collect()
-        };
-        let shards = self.graph.group().dispatch(|s, dev| {
-            let prior = &report.shards[s];
-            if prior.is_complete() {
-                return prior.clone();
-            }
-            let ctx = rep_ctx[s].unwrap_or_else(|| self.graph.dispatch_ctx());
-            let _trace = dev.trace_scope(ctx);
-            let mut st = self.states[s].lock();
-            if !st.health.0.is_dispatchable() {
-                // Circuit breaker open: carry the held outcome forward
-                // without touching the device.
-                let mut held = prior.clone();
-                held.health = st.health.0;
-                held.modeled_s = 0.0;
-                held.backoff_s = 0.0;
-                return held;
-            }
-            let backoff = match self.admit(&mut st, s, dev) {
-                Ok(b) => b,
-                Err((b, fault)) => {
-                    let mut held = prior.clone();
-                    held.health = st.health.0;
-                    held.modeled_s = b;
-                    held.backoff_s = b;
-                    held.error = Some(RouterError::Fault {
+            // backoff waits, health instants — with the first op in the
+            // shard's journal, so the merged trace chains back to client
+            // traffic.
+            let _trace = dev.trace_scope(first);
+            let log = st.journal.log.clone();
+            let done = match self.admit(&mut st, s, dev) {
+                Err((backoff, fault)) => {
+                    outcome.modeled_s = backoff;
+                    outcome.backoff_s = backoff;
+                    // A rejected update keeps its report; the fault still
+                    // shows as the shard's Down health.
+                    outcome.error.get_or_insert(RouterError::Fault {
                         shard: s,
                         source: fault,
                     });
-                    return held;
+                    replay(None, &log)
                 }
-            };
-            let g = self.graph.shard(s);
-            let before = dev.counters().snapshot();
-            let _phase = dev.phase("router.recover");
-            let retry = |o: &Option<BatchOutcome>| -> Result<Option<BatchOutcome>, GraphError> {
-                o.as_ref()
-                    .map(|o| {
-                        if o.is_complete() {
-                            Ok(o.clone())
-                        } else {
-                            let mut next = g.retry_suffix(o)?;
-                            // Fold the already-applied prefix into the resumed
-                            // outcome so counts stay cumulative for the flush.
-                            next.attempted = o.attempted;
-                            next.completed += o.completed;
-                            next.changed += o.changed;
-                            Ok(next)
-                        }
-                    })
-                    .transpose()
-            };
-            let poisoned = |e: GraphError, dev: &Device, before| {
-                let delta = dev.counters().snapshot().delta(&before);
-                let mut held = prior.clone();
-                held.modeled_s = model.seconds(&delta) + backoff;
-                held.backoff_s = backoff;
-                held.error = Some(RouterError::Poisoned {
-                    shard: s,
-                    source: e,
-                });
-                held
-            };
-            let insert = match retry(&prior.insert) {
-                Ok(o) => o,
-                Err(e) => {
+                Ok(backoff) => {
+                    let g = self.graph.shard(s);
+                    let before = dev.counters().snapshot();
+                    let _phase = dev.phase("router.flush");
+                    let done = replay(Some(&g), &log);
                     drop(_phase);
-                    let mut held = poisoned(e, dev, before);
-                    held.health = st.health.0;
-                    return held;
-                }
-            };
-            let delete = if insert.as_ref().is_none_or(|o| o.is_complete()) {
-                match retry(&prior.delete) {
-                    Ok(o) => o,
-                    Err(e) => {
-                        drop(_phase);
-                        let mut held = poisoned(e, dev, before);
-                        held.insert = insert;
-                        held.health = st.health.0;
-                        return held;
+                    let delta = dev.counters().snapshot().delta(&before);
+                    outcome.modeled_s = model.seconds(&delta) + backoff;
+                    outcome.backoff_s = backoff;
+                    // A clean dispatch heals a Suspect shard.
+                    self.set_health(&mut st, s, ShardHealth::Healthy);
+                    st.journal.ack(&done.applied);
+                    if let Some(p) = dev.profiler() {
+                        p.metrics()
+                            .gauge("router.journal_depth")
+                            .set(st.journal.depth() as u64);
                     }
+                    done
                 }
-            } else {
-                prior.delete.clone()
             };
-            drop(_phase);
-            let delta = dev.counters().snapshot().delta(&before);
-            self.set_health(&mut st, s, ShardHealth::Healthy);
-            ShardOutcome {
-                shard: s,
-                insert,
-                delete,
-                modeled_s: model.seconds(&delta) + backoff,
-                backoff_s: backoff,
-                health: st.health.0,
-                error: None,
-            }
+            outcome.health = st.health;
+            outcome.insert = done.insert;
+            outcome.delete = done.delete;
+            (outcome, log, done.applied)
         });
-        self.ack_completed(&shards);
-        self.attribute_outcomes(&shards);
-        FlushReport { updates: 0, shards }
+        let shards = dispatched
+            .into_iter()
+            .map(|(o, log, applied)| {
+                let kernel_s = (o.modeled_s - o.backoff_s).max(0.0);
+                self.charge(o.shard, &log, &applied, kernel_s, o.backoff_s, false);
+                o
+            })
+            .collect();
+        FlushReport { updates, shards }
     }
 
-    /// Truncate the journal of every shard whose dispatch fully applied:
-    /// the acked log folds into the checkpoint, so journal depth tracks
-    /// in-flight work rather than history.
-    fn ack_completed(&self, shards: &[ShardOutcome]) {
-        for o in shards {
-            if o.is_complete() && (o.insert.is_some() || o.delete.is_some()) {
-                let mut st = self.states[o.shard].lock();
-                st.journal.ack_all();
-                if let Some(p) = self.graph.group().device(o.shard).profiler() {
-                    p.metrics()
-                        .gauge("router.journal_depth")
-                        .set(st.journal.depth() as u64);
+    /// Charge shard `s`'s replay of `entries` to their ops, an even share
+    /// of `kernel_s` and `backoff_s` each. An applied entry is acked: its
+    /// op gains a `dispatch` span (`router.rebuild` for a rebuild) and
+    /// settles once its last entry is acked. An unapplied one stays open
+    /// and gains a `retry` span for whatever it was charged.
+    fn charge(
+        &self,
+        s: usize,
+        entries: &[JournalEntry],
+        applied: &[bool],
+        kernel_s: f64,
+        backoff_s: f64,
+        rebuild: bool,
+    ) {
+        if entries.is_empty() {
+            return;
+        }
+        let kernel = as_ns(kernel_s / entries.len() as f64);
+        let backoff = as_ns(backoff_s / entries.len() as f64);
+        let mut t = self.tracker.lock();
+        for (entry, &acked) in entries.iter().zip(applied) {
+            if !acked && kernel == 0 && backoff == 0 {
+                continue;
+            }
+            let Some(open) = t.open.get_mut(&entry.ctx.op) else {
+                continue;
+            };
+            open.rec.kernel_ns += kernel;
+            open.rec.backoff_ns += backoff;
+            open.rec.spans.push(match (rebuild, acked) {
+                (true, _) => format!("shard{s}/router.rebuild {kernel} ns"),
+                (false, true) => {
+                    format!("shard{s}/dispatch kernel {kernel} ns backoff {backoff} ns")
+                }
+                (false, false) => format!("shard{s}/retry kernel {kernel} ns backoff {backoff} ns"),
+            });
+            if acked {
+                open.unacked -= 1;
+                if open.unacked == 0 {
+                    let open = t.open.remove(&entry.ctx.op).expect("open op present");
+                    t.finalize(open.rec, &self.op_metrics);
                 }
             }
         }
@@ -1651,128 +1517,104 @@ impl<'g> BatchRouter<'g> {
 
     /// Rebuild every Down shard from its journal: reset the device
     /// ([`gpu_sim::Device::reset`] clears the lost latch and fault
-    /// plans), replay the checkpoint plus the unacknowledged log into a
-    /// fresh shard, audit the whole sharded graph with
-    /// [`ShardedGraph::validate`], and only then re-admit the shard as
-    /// Healthy. Returns the rebuilt shard ids.
+    /// plans), replay the checkpoint and then a snapshot of the log into a
+    /// fresh shard through the same apply step a flush uses, audit the
+    /// whole sharded graph with [`ShardedGraph::validate`], and only then
+    /// ack the replayed entries and re-admit the shard as Healthy. Updates
+    /// journaled while the replay runs stay logged for the next flush.
+    /// Returns the rebuilt shard ids.
     ///
-    /// If the audit fails, no rebuilt shard is re-admitted (they stay in
-    /// `Rebuilding`) and the audit error is returned.
-    ///
-    /// After a rebuild, `FlushReport`s holding pending work for that
-    /// shard are stale — the rebuild already replayed those journaled
-    /// ops; do not [`Self::recover`] them.
+    /// If any replay runs out of device memory, every shard of the pass
+    /// goes back to Down with nothing acked, unaudited, and nothing is
+    /// returned; a later call retries them all. If the audit fails, no
+    /// rebuilt shard is re-admitted (they stay in `Rebuilding`) and the
+    /// audit error is returned.
     pub fn rebuild_downed(&self) -> Result<Vec<usize>, ShardedValidationError> {
-        let n = self.graph.num_shards();
-        let mut replayed: Vec<(usize, Option<f64>)> = Vec::new();
-        for s in 0..n {
-            {
+        let mut replayed: Vec<(usize, Vec<JournalEntry>, Option<f64>)> = Vec::new();
+        let mut out_of_memory = false;
+        for s in 0..self.graph.num_shards() {
+            // Snapshot the replay image, then release the state lock for
+            // the device-side replay (degraded reads stay responsive).
+            let (first, mut checkpoint, log) = {
                 let mut st = self.states[s].lock();
-                if st.health.0 != ShardHealth::Down {
+                if st.health != ShardHealth::Down {
                     continue;
                 }
                 self.set_health(&mut st, s, ShardHealth::Rebuilding);
-            }
-            let dev = self.graph.group().device(s).clone();
-            // Replay spans chain to the first op still waiting on this
-            // shard — the op whose write the rebuild is recovering.
-            let ctx = {
-                let t = self.tracker.lock();
-                t.shard_waiting[s]
-                    .first()
-                    .and_then(|id| t.open.get(id))
-                    .map(|o| TraceCtx::root(o.rec.session, o.rec.op))
-                    .unwrap_or_else(|| self.graph.dispatch_ctx())
-            };
-            let _trace = dev.trace_scope(ctx);
-            let t0 = dev.profiler().map(|p| p.now_s());
-            // Snapshot the replay image, then release the state lock for
-            // the device-side replay (degraded reads stay responsive).
-            let (mut base, log) = {
-                let st = self.states[s].lock();
-                let base: Vec<Edge> = st
+                let checkpoint: Vec<Edge> = st
                     .journal
                     .checkpoint
                     .iter()
                     .map(|(&(u, v), &w)| Edge::weighted(u, v, w))
                     .collect();
-                (base, st.journal.log.clone())
+                (st.journal.first_op(), checkpoint, st.journal.log.clone())
             };
+            let dev = self.graph.group().device(s).clone();
+            // Replay spans chain to the first op in the shard's journal —
+            // the oldest write the rebuild is recovering.
+            let ctx = first.unwrap_or_else(|| self.graph.dispatch_ctx());
+            let _trace = dev.trace_scope(ctx);
+            let t0 = dev.profiler().map(|p| p.now_s());
             // The checkpoint is a map; sort for a deterministic replay.
-            base.sort_unstable_by_key(|e| (e.src, e.dst));
+            checkpoint.sort_unstable_by_key(|e| (e.src, e.dst));
+            let base: Vec<JournalEntry> = checkpoint
+                .into_iter()
+                .map(|e| JournalEntry {
+                    ctx,
+                    update: Update::Insert(e),
+                })
+                .collect();
             self.graph.reset_shard(s);
-            {
+            let done = {
                 let g = self.graph.shard(s);
                 let _phase = dev.phase("router.rebuild");
-                if !base.is_empty() {
-                    g.insert_edges(&base);
+                let base = replay(Some(&g), &base);
+                if base.is_complete() {
+                    replay(Some(&g), &log)
+                } else {
+                    base
                 }
-                // Replay the unacked log in order, batching runs of the
-                // same op kind. Replay is idempotent: re-inserting an
-                // edge replaces its weight, re-deleting is a no-op.
-                let mut i = 0;
-                while i < log.len() {
-                    let is_insert = matches!(log[i], JournalOp::Insert(_));
-                    let mut run: Vec<Edge> = Vec::new();
-                    while i < log.len() && matches!(log[i], JournalOp::Insert(_)) == is_insert {
-                        run.push(match log[i] {
-                            JournalOp::Insert(e) | JournalOp::Delete(e) => e,
-                        });
-                        i += 1;
-                    }
-                    if is_insert {
-                        g.insert_edges(&run);
-                    } else {
-                        g.delete_edges(&run);
-                    }
-                }
+            };
+            if !done.is_complete() {
+                out_of_memory = true;
+                self.set_health(&mut self.states[s].lock(), s, ShardHealth::Down);
+                continue;
             }
             let dur = t0.and_then(|t0| dev.profiler().map(|p| p.now_s() - t0));
-            replayed.push((s, dur));
+            replayed.push((s, log, dur));
         }
-        if replayed.is_empty() {
+        if out_of_memory || replayed.is_empty() {
+            // A half-replayed shard would fail the audit: after an OOM the
+            // whole pass goes back to Down, nothing acked, for a later
+            // retry.
+            for &(s, ..) in &replayed {
+                self.set_health(&mut self.states[s].lock(), s, ShardHealth::Down);
+            }
             return Ok(Vec::new());
         }
         // Cross-shard audit before re-admitting anything: a rebuild that
         // fails the audit leaves its shard un-admitted in Rebuilding.
         self.graph.validate()?;
         let mut rebuilt = Vec::new();
-        for (s, dur) in replayed {
+        for (s, log, dur) in replayed {
+            // The replay applied every snapshot entry.
+            let applied = vec![true; log.len()];
             let mut st = self.states[s].lock();
-            st.journal.ack_all();
+            st.journal.ack(&applied);
             st.rebuilds += 1;
             self.set_health(&mut st, s, ShardHealth::Healthy);
             if let Some(p) = self.graph.group().device(s).profiler() {
-                p.metrics().gauge("router.journal_depth").set(0);
+                p.metrics()
+                    .gauge("router.journal_depth")
+                    .set(st.journal.depth() as u64);
                 if let Some(d) = dur {
                     p.metrics().record("router.rebuild_us", (d * 1e6) as u64);
                 }
                 p.instant("shard_rebuilt", format!("shard {s}"));
             }
-            // The replay applied every journaled op this shard was
-            // holding: settle the waiting lifecycles, charging each an
-            // even share of the rebuild as kernel time.
-            {
-                let mut t = self.tracker.lock();
-                let ids = std::mem::take(&mut t.shard_waiting[s]);
-                if !ids.is_empty() {
-                    let share = as_ns(dur.unwrap_or(0.0) / ids.len() as f64);
-                    for id in ids {
-                        let Some(open) = t.open.get_mut(&id) else {
-                            continue;
-                        };
-                        open.rec.kernel_ns += share;
-                        open.rec
-                            .spans
-                            .push(format!("shard{s}/router.rebuild {share} ns"));
-                        open.pending_shards = open.pending_shards.saturating_sub(1);
-                        if open.pending_shards == 0 {
-                            let open = t.open.remove(&id).expect("open op present");
-                            t.finalize(open.rec, &self.op_metrics);
-                        }
-                    }
-                }
-            }
+            // Each replayed op is charged an even share of the rebuild as
+            // kernel time.
+            self.charge(s, &log, &applied, dur.unwrap_or(0.0), 0.0, true);
             rebuilt.push(s);
         }
         Ok(rebuilt)
@@ -1899,7 +1741,6 @@ impl<'g> BatchRouter<'g> {
                 kernel_ns,
                 degraded_ns,
                 spans,
-                done: false,
             };
             self.tracker.lock().finalize(rec, &self.op_metrics);
         }
@@ -1958,12 +1799,6 @@ impl<'g> BatchRouter<'g> {
     /// the "tail exemplars" report section).
     pub fn tail_exemplars(&self) -> Vec<OpTraceRecord> {
         self.tracker.lock().exemplars.clone()
-    }
-
-    /// Router-level metric summaries: the per-component `op.*_ns`
-    /// latency histograms.
-    pub fn op_metric_summaries(&self) -> Vec<MetricSummary> {
-        self.op_metrics.summaries()
     }
 
     /// One merged [`TraceReport`] for the whole router: the group's
@@ -2043,7 +1878,7 @@ impl LiveReadPin {
 /// A fully-pending [`BatchOutcome`] for a batch the router held back
 /// (circuit breaker open or apply-order barrier) without touching the
 /// device.
-fn held_outcome(op: slabgraph::BatchOp, batch: &[Edge]) -> BatchOutcome {
+fn held_outcome(op: BatchOp, batch: &[Edge]) -> BatchOutcome {
     BatchOutcome {
         op,
         attempted: batch.len(),
@@ -2247,10 +2082,15 @@ mod tests {
         let broken = report.shards[faulty].insert.as_ref().unwrap();
         assert!(broken.error.is_some());
         assert!(!broken.pending.is_empty());
-        // Clear the fault and resume exactly the pending suffix.
+        // Clear the fault: an empty flush resumes exactly the pending suffix.
         g.group().device(faulty).clear_fault_plan();
-        let recovered = router.recover(&report);
+        let recovered = router.flush();
         assert!(recovered.is_complete(), "{recovered:?}");
+        assert_eq!(recovered.updates, 0);
+        let resumed = recovered.shards[faulty].insert.as_ref().unwrap();
+        assert_eq!(resumed.attempted, broken.pending.len());
+        assert!(recovered.shards[1 - faulty].insert.is_none());
+        assert_eq!(router.journal_depth(faulty), 0);
         let reference = DynGraph::new(cfg(256));
         reference.insert_edges(&updates.iter().map(|&p| Edge::from(p)).collect::<Vec<_>>());
         assert_eq!(g.num_edges(), reference.num_edges());
@@ -2339,6 +2179,15 @@ mod tests {
             second.shards[victim].error.is_none(),
             "held, not re-faulted"
         );
+        let routed_here = pairs(40, 12, 256)
+            .iter()
+            .filter(|&&(u, v)| g.owner_of(u) == victim || g.owner_of(v) == victim)
+            .count();
+        assert_eq!(
+            second.shards[victim].insert.as_ref().map(|o| o.attempted),
+            Some(routed_here),
+            "an open breaker reports this flush's entries, not the backlog"
+        );
         assert!(
             router.journal_depth(victim) > held,
             "holds keep accumulating"
@@ -2391,18 +2240,15 @@ mod tests {
     fn router_report_renders_one_line_summary() {
         let g = ShardedGraph::new(3, cfg(64));
         let router = BatchRouter::new(&g);
-        let report = router.report();
-        assert_eq!(report.unhealthy_shards(), Vec::<usize>::new());
-        assert_eq!(report.render(), "router health: 3/3 healthy");
+        assert_eq!(router.report().render(), "router health: 3/3 healthy");
         g.group()
             .device(2)
             .set_fault_plan(FaultPlan::device_lost_at(1));
         router.submit(0, Update::Insert(Edge::new(5, 60)));
         router.submit(0, Update::Insert(Edge::new(60, 5)));
         router.flush();
-        let report = router.report();
-        assert_eq!(report.unhealthy_shards(), vec![2]);
-        let line = report.render();
+        assert_eq!(router.unhealthy_shards(), vec![2]);
+        let line = router.report().render();
         assert!(
             line.starts_with("router health: 2/3 healthy | shard 2: down"),
             "{line}"

@@ -1,10 +1,13 @@
 //! Cross-layer sharding conformance: a seeded churn stream replayed at
 //! 1/2/4 shards must be indistinguishable — byte-identical query results —
 //! from the same stream on an unsharded `DynGraph`, the batch router must
-//! commute with direct application, and a single shard hitting its memory
-//! ceiling must recover via `retry_suffix` while the other shards proceed.
+//! commute with direct application, a single shard hitting its memory
+//! ceiling must resume its journaled suffix on the next flush while the
+//! other shards proceed, and a bad update must be rejected on its own.
 
-use router::{shard_of, BatchRouter, ShardedGraph, ShardedValidationError, Update};
+use router::{
+    shard_of, BatchRouter, RouterError, ShardHealth, ShardedGraph, ShardedValidationError, Update,
+};
 use slabgraph::{DynGraph, Edge, FaultPlan, GraphConfig};
 
 const N_VERTICES: u32 = 512;
@@ -111,31 +114,48 @@ fn churn_replay_is_byte_identical_across_shard_counts() {
 
 #[test]
 fn routed_stream_matches_direct_application() {
-    let rounds = stream(0x5EED, 2, 300);
-    let reference = DynGraph::new(config());
-    let g = ShardedGraph::new(3, config());
-    let router = BatchRouter::new(&g);
-    for r in &rounds {
-        reference.insert_edges(&r.ins);
-        reference.delete_edges(&r.del);
-        // Spread the same updates over 4 sessions; within a flush all
-        // inserts apply before all deletes, matching the direct order.
-        for (i, &e) in r.ins.iter().enumerate() {
-            router.submit(i % 4, Update::Insert(e));
+    let undirected = GraphConfig::undirected_map(N_VERTICES)
+        .with_device_words(1 << 20)
+        .with_pool_slabs(1 << 10);
+    for config in [config(), undirected] {
+        let rounds = stream(0x5EED, 2, 300);
+        let reference = DynGraph::new(config);
+        let g = ShardedGraph::new(3, config);
+        let router = BatchRouter::new(&g);
+        for r in &rounds {
+            reference.insert_edges(&r.ins);
+            reference.delete_edges(&r.del);
+            // Spread the same updates over 4 sessions; within a flush all
+            // inserts apply before all deletes, matching the direct order.
+            for (i, &e) in r.ins.iter().enumerate() {
+                router.submit(i % 4, Update::Insert(e));
+            }
+            for (i, &e) in r.del.iter().enumerate() {
+                router.submit(i % 4, Update::Delete(e));
+            }
+            let report = router.flush();
+            assert!(report.is_complete(), "no memory pressure in this test");
+            assert_eq!(report.updates, r.ins.len() + r.del.len());
+            // Both orientations: an undirected flush mirrors each update.
+            let qry: Vec<(u32, u32)> = r.qry.iter().flat_map(|&(u, v)| [(u, v), (v, u)]).collect();
+            assert_eq!(
+                g.edges_exist(&g.pin_read(), &qry),
+                reference.edges_exist(&reference.pin_read(), &qry),
+                "{:?}",
+                config.direction
+            );
         }
-        for (i, &e) in r.del.iter().enumerate() {
-            router.submit(i % 4, Update::Delete(e));
+        assert_eq!(g.num_edges(), reference.num_edges());
+        let pins = g.pin_read();
+        for v in 0..N_VERTICES {
+            let mut a = g.neighbor_ids(&pins, v);
+            let mut b = reference.neighbor_ids(&reference.pin_read(), v);
+            a.sort_unstable();
+            b.sort_unstable();
+            assert_eq!(a, b, "neighbors({v}), {:?}", config.direction);
         }
-        let report = router.flush();
-        assert!(report.is_complete(), "no memory pressure in this test");
-        assert_eq!(report.updates, r.ins.len() + r.del.len());
-        assert_eq!(
-            g.edges_exist(&g.pin_read(), &r.qry),
-            reference.edges_exist(&reference.pin_read(), &r.qry)
-        );
+        g.validate().expect("audit after routed stream");
     }
-    assert_eq!(g.num_edges(), reference.num_edges());
-    g.validate().expect("audit after routed stream");
 }
 
 #[test]
@@ -178,10 +198,17 @@ fn single_shard_oom_recovers_while_others_proceed() {
         }
     }
 
-    // Clear the fault and resume exactly the pending suffix.
+    // Clear the fault: the next flush, with nothing new queued, resumes
+    // exactly the pending suffix and dispatches no other shard.
+    let pending = report.shards[faulty].insert.as_ref().unwrap().pending.len();
     g.group().device(faulty).clear_fault_plan();
-    let recovered = router.recover(&report);
+    let recovered = router.flush();
     assert!(recovered.is_complete(), "{recovered:?}");
+    for outcome in &recovered.shards {
+        let attempted = outcome.insert.as_ref().map_or(0, |o| o.attempted);
+        let want = if outcome.shard == faulty { pending } else { 0 };
+        assert_eq!(attempted, want, "shard {}", outcome.shard);
+    }
 
     assert_eq!(g.num_edges(), reference.num_edges());
     let qry: Vec<(u32, u32)> = round.ins.iter().map(|e| (e.src, e.dst)).collect();
@@ -295,6 +322,189 @@ fn checkpoint_costs_one_launch_per_shard_and_rebuild_keeps_weights() {
     for (s, want) in exports.iter().enumerate() {
         assert_eq!(&sorted_export(&g, s), want, "shard {s} after rebuild");
     }
+}
+
+#[test]
+fn flush_after_an_unrecovered_partial_oom_applies_the_suffix() {
+    let shards = 4;
+    let faulty = 2usize;
+    let ins = stream(0x5AFF, 1, 600).remove(0).ins;
+    let g = ShardedGraph::new(shards, config());
+    g.group()
+        .device(faulty)
+        .set_fault_plan(FaultPlan::fail_nth(1));
+    let router = BatchRouter::new(&g);
+    for (i, &e) in ins.iter().enumerate() {
+        router.submit(i % 3, Update::Insert(e));
+    }
+    assert_eq!(router.flush().incomplete_shards(), vec![faulty]);
+
+    // Clear the fault but never resume explicitly: the next flush carries
+    // one new update for the faulty shard and must apply the suffix too.
+    g.group().device(faulty).clear_fault_plan();
+    let mut rng = 0xF00Du64;
+    let extra = std::iter::repeat_with(|| Edge::from(random_pair(&mut rng)))
+        .find(|e| shard_of(e.src, shards) == faulty && !ins.contains(e))
+        .unwrap();
+    router.submit(0, Update::Insert(extra));
+    assert!(router.flush().is_complete());
+    assert_eq!(router.journal_depth(faulty), 0);
+    let reference = DynGraph::new(config());
+    reference.insert_edges(&ins);
+    reference.insert_edges(&[extra]);
+    assert_eq!(g.num_edges(), reference.num_edges(), "suffix applied");
+    g.validate().expect("audit after the resumed flush");
+
+    // The journal acked exactly what the shard applied: a rebuild from it
+    // restores the live shard.
+    let live = sorted_export(&g, faulty);
+    kill(&g, &router, faulty, extra);
+    assert_eq!(router.rebuild_downed().expect("audit passes"), vec![faulty]);
+    assert_eq!(sorted_export(&g, faulty), live);
+}
+
+#[test]
+fn rebuild_out_of_device_memory_stays_down_until_the_budget_allows() {
+    let shards = 3;
+    // Two shards go down; only the second is starved on its rebuild, so
+    // the first replays cleanly in the same pass.
+    let (victims, starved) = ([0usize, 1], 1usize);
+    let g = ShardedGraph::new(shards, config());
+    // Words a freshly reset shard needs before it holds any edge.
+    let empty_words = ShardedGraph::new(shards, config())
+        .group()
+        .device(starved)
+        .arena()
+        .allocated_words();
+    let router = BatchRouter::new(&g);
+    for (i, &e) in weighted_edges(0x00D0, 300).iter().enumerate() {
+        router.submit(i % 2, Update::Insert(e));
+    }
+    assert!(router.flush().is_complete());
+    let live: Vec<Vec<Edge>> = victims.iter().map(|&s| sorted_export(&g, s)).collect();
+    for (&victim, edges) in victims.iter().zip(&live) {
+        let same = *edges
+            .iter()
+            .find(|e| shard_of(e.src, shards) == victim)
+            .expect("victim owns an edge");
+        kill(&g, &router, victim, same);
+    }
+    let depths: Vec<usize> = victims.iter().map(|&s| router.journal_depth(s)).collect();
+
+    // A budget too small to stage the checkpoint: that replay stops, and
+    // the whole pass — the cleanly replayed shard too — goes back to Down
+    // unaudited, with nothing acked.
+    let dev = g.group().device(starved);
+    let budget = dev.capacity_words();
+    dev.set_capacity_words(empty_words + 32);
+    assert_eq!(router.rebuild_downed().expect("nothing to audit"), vec![]);
+    for (&victim, &depth) in victims.iter().zip(&depths) {
+        assert_eq!(router.health(victim), ShardHealth::Down, "shard {victim}");
+        assert_eq!(router.journal_depth(victim), depth, "shard {victim}");
+    }
+
+    dev.set_capacity_words(budget);
+    assert_eq!(router.rebuild_downed().expect("audit passes"), victims);
+    for (&victim, edges) in victims.iter().zip(&live) {
+        assert_eq!(&sorted_export(&g, victim), edges, "shard {victim}");
+    }
+}
+
+/// The shard owning `u32::MAX - 1` among `shards`, and a valid vertex on
+/// that shard: an edge between them fails `DynGraph::check_edge` and
+/// routes to that shard alone.
+fn poison_target(shards: usize) -> (usize, u32) {
+    let bad_src = u32::MAX - 1;
+    let owner = shard_of(bad_src, shards);
+    let dst = (0..N_VERTICES)
+        .find(|&v| shard_of(v, shards) == owner)
+        .unwrap();
+    (owner, dst)
+}
+
+fn assert_poisoned(report: &router::FlushReport, shard: usize) {
+    assert!(
+        matches!(
+            report.shards[shard].error,
+            Some(RouterError::Poisoned { shard: s, .. }) if s == shard
+        ),
+        "{:?}",
+        report.shards[shard]
+    );
+}
+
+#[test]
+fn poisoned_update_is_never_journaled_and_rebuild_replays_cleanly() {
+    let shards = 3;
+    let (victim, dst) = poison_target(shards);
+    let g = ShardedGraph::new(shards, config());
+    let router = BatchRouter::new(&g);
+    let valid = weighted_edges(0xBAD, 120);
+    router.submit(0, Update::Insert(Edge::new(u32::MAX - 1, dst)));
+    for (i, &e) in valid[..60].iter().enumerate() {
+        router.submit(i % 2, Update::Insert(e));
+    }
+    let report = router.flush();
+    assert_poisoned(&report, victim);
+    assert_eq!(
+        router.journal_depth(victim),
+        0,
+        "bad update never journaled"
+    );
+
+    // A clean flush, then lose and rebuild the poisoned shard: the replay
+    // never sees the bad edge, and restores the live shard exactly.
+    for (i, &e) in valid[60..].iter().enumerate() {
+        router.submit(i % 2, Update::Insert(e));
+    }
+    assert!(router.flush().is_complete());
+    let live = sorted_export(&g, victim);
+    let same = *live
+        .iter()
+        .find(|e| shard_of(e.src, shards) == victim)
+        .expect("victim owns an edge");
+    kill(&g, &router, victim, same);
+    assert_eq!(router.rebuild_downed().expect("audit passes"), vec![victim]);
+    assert_eq!(sorted_export(&g, victim), live);
+}
+
+#[test]
+fn poisoned_update_leaves_its_batch_mates_consistent() {
+    let shards = 3;
+    let (owner, dst) = poison_target(shards);
+    let (u, c) = (0..N_VERTICES)
+        .flat_map(|u| (0..N_VERTICES).map(move |c| (u, c)))
+        .find(|&(u, c)| shard_of(u, shards) == owner && shard_of(c, shards) != owner)
+        .unwrap();
+    let g = ShardedGraph::new(shards, config());
+    let router = BatchRouter::new(&g);
+    router.submit(0, Update::Insert(Edge::new(u32::MAX - 1, dst)));
+    router.submit(0, Update::Insert(Edge::new(u, c)));
+    let report = router.flush();
+    assert_poisoned(&report, owner);
+    g.validate()
+        .expect("the batch-mate's primary and replica both apply");
+    for s in [owner, shard_of(c, shards)] {
+        let shard = g.shard(s);
+        assert!(shard.edge_exists(&shard.pin_read(), u, c), "shard {s}");
+    }
+}
+
+#[test]
+fn poisoned_update_stays_reported_when_its_shard_faults() {
+    let shards = 3;
+    let (owner, dst) = poison_target(shards);
+    let g = ShardedGraph::new(shards, config());
+    let router = BatchRouter::new(&g);
+    g.group()
+        .device(owner)
+        .set_fault_plan(FaultPlan::device_lost_at(1));
+    router.submit(0, Update::Insert(Edge::new(u32::MAX - 1, dst)));
+    router.submit(0, Update::Insert(Edge::new(dst, (dst + 1) % N_VERTICES)));
+    let report = router.flush();
+    assert_poisoned(&report, owner);
+    assert_eq!(router.health(owner), ShardHealth::Down);
+    assert_eq!(report.shards[owner].health, ShardHealth::Down);
 }
 
 #[test]

@@ -136,7 +136,7 @@ fn churn_spans_resolve_to_client_ops_and_attribution_conserves() {
 
     // Every submitted update completed and landed in the op log.
     let records = router.op_records();
-    let done: BTreeSet<u64> = records.iter().filter(|r| r.done).map(|r| r.op).collect();
+    let done: BTreeSet<u64> = records.iter().map(|r| r.op).collect();
     for op in &submitted {
         assert!(done.contains(op), "op {op} never completed");
     }
@@ -314,12 +314,7 @@ fn rebuild_settles_held_ops_with_a_rebuild_span() {
         }
     }
     let held_before: Vec<u64> = {
-        let done: BTreeSet<u64> = router
-            .op_records()
-            .iter()
-            .filter(|r| r.done)
-            .map(|r| r.op)
-            .collect();
+        let done: BTreeSet<u64> = router.op_records().iter().map(|r| r.op).collect();
         submitted
             .iter()
             .copied()
@@ -332,7 +327,7 @@ fn rebuild_settles_held_ops_with_a_rebuild_span() {
     assert_eq!(rebuilt, vec![victim]);
 
     let records = router.op_records();
-    let done: BTreeSet<u64> = records.iter().filter(|r| r.done).map(|r| r.op).collect();
+    let done: BTreeSet<u64> = records.iter().map(|r| r.op).collect();
     for op in &held_before {
         assert!(done.contains(op), "op {op} still open after rebuild");
     }
