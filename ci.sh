@@ -64,16 +64,18 @@ else
     test -s target/profile/churn.trace.json
     echo "== sanitized test suite (racecheck/memcheck/initcheck on every device) =="
     cargo test --workspace --release -q --features dynamic-graphs-gpu/sanitize
-    echo "== sanitized churn smoke run (small scale: shadow tracking is ~50x; mixed readers-vs-writers with oracle byte-equality asserted in-run) =="
-    cargo run --release -q -p bench --features sanitize --bin churn -- --scale 4096 --rounds 2 --ops 512 --readers 4
-    echo "== sanitized sharded churn smoke runs (1 and 4 shards; cross-backend hit parity asserted in-run) =="
-    cargo run --release -q -p bench --features sanitize --bin churn -- --scale 4096 --rounds 2 --ops 512 --shards 1 --sessions 2
-    cargo run --release -q -p bench --features sanitize --bin churn -- --scale 4096 --rounds 2 --ops 512 --shards 4 --sessions 4
     echo "== sanitized chaos churn smoke run (4 shards, seeded kill/revive; zero findings + clean post-rebuild validate asserted in-run) =="
     cargo run --release -q -p bench --features sanitize --bin churn -- --scale 4096 --rounds 5 --ops 256 --shards 4 --sessions 4 --seed 41 --chaos
     test -s BENCH_chaos.json
     echo "== bench regression gate (fresh artifacts vs benchmarks/baselines, incl. perturbation self-test) =="
     cargo run --release -q --bin bench-gate -- --selftest BENCH_churn.json BENCH_chaos.json
+    # The small-scale smokes below overwrite BENCH_churn.json, so they run
+    # after the gate has compared the default-scale artifact.
+    echo "== sanitized churn smoke run (small scale: shadow tracking is ~50x; mixed readers-vs-writers with oracle byte-equality asserted in-run) =="
+    cargo run --release -q -p bench --features sanitize --bin churn -- --scale 4096 --rounds 2 --ops 512 --readers 4
+    echo "== sanitized sharded churn smoke runs (1 and 4 shards; cross-backend hit parity asserted in-run) =="
+    cargo run --release -q -p bench --features sanitize --bin churn -- --scale 4096 --rounds 2 --ops 512 --shards 1 --sessions 2
+    cargo run --release -q -p bench --features sanitize --bin churn -- --scale 4096 --rounds 2 --ops 512 --shards 4 --sessions 4
     echo "== end-to-end benchmark self-tests (own workspace; tiny runs of every workload) =="
     cargo test --release --offline --manifest-path dgbench/Cargo.toml
 fi

@@ -21,34 +21,34 @@ fn bench_slab_hash_ops() {
     );
     dev.launch_warps("bench_setup", 1, |warp| {
         for k in 0..n {
-            table.replace(warp, &alloc, k, k).unwrap();
+            table.insert(warp, &alloc, k, k).unwrap();
         }
     });
 
     let mut k = 0u32;
-    bench_case("slab_hash/search_hit", ITERS, || {
+    bench_case("slab_hash/find_hit", ITERS, || {
         let out = std::sync::atomic::AtomicU32::new(0);
-        dev.launch_warps("bench_search", 1, |warp| {
+        dev.launch_warps("bench_find", 1, |warp| {
             out.store(
-                table.search(warp, k % n).unwrap_or(0),
+                table.find(warp, k % n).unwrap_or(0),
                 std::sync::atomic::Ordering::Release,
             );
         });
         k = k.wrapping_add(1);
     });
-    bench_case("slab_hash/search_miss", ITERS, || {
+    bench_case("slab_hash/find_miss", ITERS, || {
         let out = std::sync::atomic::AtomicU32::new(0);
-        dev.launch_warps("bench_search", 1, |warp| {
+        dev.launch_warps("bench_find", 1, |warp| {
             out.store(
-                table.search(warp, n + 17).is_some() as u32,
+                table.find(warp, n + 17).is_some() as u32,
                 std::sync::atomic::Ordering::Release,
             );
         });
     });
     let mut k2 = 0u32;
-    bench_case("slab_hash/replace_existing", ITERS, || {
-        dev.launch_warps("bench_replace", 1, |warp| {
-            table.replace(warp, &alloc, k2 % n, 9).unwrap();
+    bench_case("slab_hash/insert_existing", ITERS, || {
+        dev.launch_warps("bench_insert", 1, |warp| {
+            table.insert(warp, &alloc, k2 % n, 9).unwrap();
         });
         k2 = k2.wrapping_add(1);
     });

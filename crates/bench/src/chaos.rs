@@ -15,16 +15,9 @@ use crate::churn::ChurnConfig;
 use crate::harness::{build_sharded, dataset_for, fnum, slab_config, Table};
 use crate::sharded::traffic_for;
 use gpu_sim::FaultPlan;
+use graph_gen::splitmix64;
 use router::{BatchRouter, ReadQuality, Update};
 use slabgraph::{DynGraph, Edge};
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
 
 fn mix(h: u64, x: u64) -> u64 {
     let mut s = h ^ x;

@@ -12,7 +12,7 @@
 use crate::harness::{fnum, scale_shift, Table};
 use backend::GraphBackend;
 use gpu_sim::{CostModel, DeviceGroup, TraceSnapshot};
-use graph_gen::insert_batch;
+use graph_gen::{insert_batch, splitmix64};
 
 // The workload builders moved to [`crate::harness`] (shared with the
 // profile/chaos bins); re-exported here so `bench::churn::*` callers keep
@@ -120,14 +120,6 @@ pub struct Round {
     pub ins: Vec<(u32, u32)>,
     pub del: Vec<(u32, u32)>,
     pub qry: Vec<(u32, u32)>,
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 /// Build the operation stream host-side, independent of any backend:

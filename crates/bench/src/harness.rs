@@ -248,11 +248,7 @@ impl Table {
                         .map(|(label, report)| {
                             Json::Obj(vec![
                                 ("label".into(), Json::str(label)),
-                                (
-                                    "trace".into(),
-                                    Json::parse(&report.to_json())
-                                        .expect("TraceReport::to_json is valid JSON"),
-                                ),
+                                ("trace".into(), report.to_json()),
                             ])
                         })
                         .collect(),
@@ -431,7 +427,7 @@ mod tests {
         assert_eq!(report.kernel_sum(), m.counters);
         assert_eq!(report.total.counters, m.counters);
         assert_eq!(report.rows.len(), 2);
-        let parsed = TraceReport::from_json(&report.to_json()).unwrap();
+        let parsed = TraceReport::from_json(&report.to_json().render_pretty()).unwrap();
         assert_eq!(parsed, report);
     }
 

@@ -13,16 +13,9 @@
 use crate::churn::{ChurnConfig, Skew};
 use crate::harness::{build_sharded, dataset_for, fnum, scale_shift, Table};
 use gpu_sim::{CostModel, CounterSnapshot};
+use graph_gen::splitmix64;
 use router::{shard_of, BatchRouter, Update};
 use slabgraph::Edge;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
 
 /// Draw one vertex id under the configured key distribution.
 fn sample_vertex(rng: &mut u64, n_vertices: u32, skew: Skew, shards: usize) -> u32 {

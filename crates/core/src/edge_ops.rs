@@ -213,12 +213,9 @@ impl DynGraph {
                         EdgeOp::Insert if self.config.recycle_tombstones => {
                             desc.insert_recycling(warp, &self.alloc, dsts.get(li), weights.get(li))
                         }
-                        EdgeOp::Insert => match self.config.kind {
-                            TableKind::Map => {
-                                desc.replace(warp, &self.alloc, dsts.get(li), weights.get(li))
-                            }
-                            TableKind::Set => desc.insert_unique(warp, &self.alloc, dsts.get(li)),
-                        },
+                        EdgeOp::Insert => {
+                            desc.insert(warp, &self.alloc, dsts.get(li), weights.get(li))
+                        }
                         EdgeOp::Delete => Ok(desc.delete(warp, dsts.get(li))),
                     };
                     match applied {

@@ -9,7 +9,7 @@
 
 use crate::graph::DynGraph;
 use gpu_sim::SLAB_WORDS;
-use slab_hash::{buckets_for, TableDesc, TableKind, EMPTY_KEY};
+use slab_hash::{buckets_for, TableDesc, EMPTY_KEY};
 
 impl DynGraph {
     /// Flush tombstones from every vertex's hash table: each table's live
@@ -100,10 +100,7 @@ impl DynGraph {
         desc: &TableDesc,
     ) -> Vec<(u32, u32)> {
         let mut entries = Vec::new();
-        match desc.kind {
-            TableKind::Map => desc.for_each_pair(warp, |k, v| entries.push((k, v))),
-            TableKind::Set => desc.for_each_key(warp, |k| entries.push((k, 0))),
-        }
+        desc.for_each_entry(warp, |k, v| entries.push((k, v)));
         entries
     }
 
@@ -113,16 +110,8 @@ impl DynGraph {
     // than the structure it is compacting — treated as fatal.
     fn reinsert(&self, warp: &gpu_sim::Warp, desc: &TableDesc, entries: &[(u32, u32)]) {
         for &(k, v) in entries {
-            match desc.kind {
-                TableKind::Map => {
-                    desc.replace(warp, &self.alloc, k, v)
-                        .expect("maintenance reinsert must not exhaust the pool");
-                }
-                TableKind::Set => {
-                    desc.insert_unique(warp, &self.alloc, k)
-                        .expect("maintenance reinsert must not exhaust the pool");
-                }
-            }
+            desc.insert(warp, &self.alloc, k, v)
+                .expect("maintenance reinsert must not exhaust the pool");
         }
     }
 }

@@ -48,7 +48,7 @@ impl DynGraph {
         let desc = self.dict.desc_host(&self.dev, src)?;
         let out = parking_lot::Mutex::new(None);
         self.dev.launch_warps("edge_weight", 1, |warp| {
-            *out.lock() = desc.search(warp, dst);
+            *out.lock() = desc.find(warp, dst);
         });
         out.into_inner()
     }
@@ -82,8 +82,8 @@ impl DynGraph {
                 let desc = self.dict.desc(warp, current_src);
                 let mut results = Lanes::splat(false);
                 if let Some(desc) = desc {
-                    for lane in iter_bits(group) {
-                        results.set(lane as usize, desc.contains(warp, dsts.get(lane as usize)));
+                    for lane in iter_bits(group).map(|l| l as usize) {
+                        results.set(lane, desc.find(warp, dsts.get(lane)).is_some());
                     }
                 }
                 let found = warp.ballot(&results);
@@ -165,10 +165,7 @@ impl DynGraph {
         let f = parking_lot::Mutex::new(f);
         self.dev.launch_warps("neighbors", 1, |warp| {
             let mut f = f.lock();
-            match self.config.kind {
-                TableKind::Map => desc.for_each_pair(warp, |k, _| f(k)),
-                TableKind::Set => desc.for_each_key(warp, &mut **f),
-            }
+            desc.for_each_entry(warp, |k, _| f(k));
         });
     }
 }

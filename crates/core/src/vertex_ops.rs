@@ -306,7 +306,7 @@ impl DynGraph {
         let first_err = parking_lot::Mutex::new(None);
         self.dev.launch_warps("purge_deleted", 1, |warp| {
             for &v in deleted {
-                if let Err(e) = dead_set.insert_unique(warp, &self.alloc, v) {
+                if let Err(e) = dead_set.insert(warp, &self.alloc, v, 0) {
                     let mut slot = first_err.lock();
                     if slot.is_none() {
                         *slot = Some(e);
@@ -338,7 +338,7 @@ impl DynGraph {
                 let mut victims = Vec::new();
                 desc.for_each_slab(warp, |view| {
                     for dst in view.keys() {
-                        if dead_set.contains(warp, dst) {
+                        if dead_set.find(warp, dst).is_some() {
                             victims.push(dst);
                         }
                     }

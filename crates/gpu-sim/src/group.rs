@@ -296,7 +296,8 @@ mod tests {
             })
         });
         let report = g.merged_report(&CostModel::titan_v());
-        let parsed = TraceReport::from_json(&report.to_json()).expect("merged report parses");
+        let parsed = TraceReport::from_json(&report.to_json().render_pretty())
+            .expect("merged report parses");
         assert_eq!(parsed, report);
     }
 

@@ -600,8 +600,9 @@ impl TraceReport {
         out
     }
 
-    /// Serialize to JSON. Round-trips exactly through [`Self::from_json`].
-    pub fn to_json(&self) -> String {
+    /// Serialize to a JSON value; its rendering (compact or pretty)
+    /// round-trips exactly through [`Self::from_json`].
+    pub fn to_json(&self) -> Json {
         let row_json = |r: &TraceRow| {
             Json::Obj(vec![
                 ("name".into(), Json::str(&r.name)),
@@ -718,10 +719,9 @@ impl TraceReport {
                 ),
             ),
         ])
-        .render_pretty()
     }
 
-    /// Parse a report serialized by [`Self::to_json`].
+    /// Parse a report rendered from [`Self::to_json`].
     pub fn from_json(text: &str) -> Result<TraceReport, String> {
         let v = Json::parse(text)?;
         let parse_row = |j: &Json| -> Result<TraceRow, String> {
@@ -1023,7 +1023,7 @@ mod tests {
             ],
         };
         let report = TraceReport::new(&trace, &CostModel::titan_v());
-        let parsed = TraceReport::from_json(&report.to_json()).unwrap();
+        let parsed = TraceReport::from_json(&report.to_json().render_pretty()).unwrap();
         assert_eq!(parsed, report);
     }
 
@@ -1059,14 +1059,14 @@ mod tests {
         };
         let report =
             TraceReport::new(&trace, &CostModel::titan_v()).with_findings(vec![finding, clean]);
-        let parsed = TraceReport::from_json(&report.to_json()).unwrap();
+        let parsed = TraceReport::from_json(&report.to_json().render_pretty()).unwrap();
         assert_eq!(parsed, report);
         let rendered = report.render();
         assert!(rendered.contains("sanitizer findings (2):"));
         assert!(rendered.contains("race-write-write"));
         // Reports without the findings key (pre-sanitizer) still parse.
         let bare = TraceReport::new(&trace, &CostModel::titan_v());
-        let parsed = TraceReport::from_json(&bare.to_json()).unwrap();
+        let parsed = TraceReport::from_json(&bare.to_json().render_pretty()).unwrap();
         assert!(parsed.findings.is_empty());
     }
 
@@ -1103,7 +1103,7 @@ mod tests {
             },
         ];
         let report = TraceReport::new(&trace, &CostModel::titan_v()).with_metrics(metrics);
-        let parsed = TraceReport::from_json(&report.to_json()).unwrap();
+        let parsed = TraceReport::from_json(&report.to_json().render_pretty()).unwrap();
         assert_eq!(parsed, report);
         let rendered = report.render();
         assert!(rendered.contains("metrics (2):"));
@@ -1113,7 +1113,7 @@ mod tests {
         assert!(rendered.contains("p95"));
         // Reports without the metrics key (pre-profiler) still parse.
         let bare = TraceReport::new(&trace, &CostModel::titan_v());
-        let parsed = TraceReport::from_json(&bare.to_json()).unwrap();
+        let parsed = TraceReport::from_json(&bare.to_json().render_pretty()).unwrap();
         assert!(parsed.metrics.is_empty());
     }
 
@@ -1145,7 +1145,7 @@ mod tests {
             },
         ];
         let report = TraceReport::new(&trace, &CostModel::titan_v()).with_shard_health(health);
-        let parsed = TraceReport::from_json(&report.to_json()).unwrap();
+        let parsed = TraceReport::from_json(&report.to_json().render_pretty()).unwrap();
         assert_eq!(parsed, report, "shard-health round-trip must be exact");
         let rendered = report.render();
         assert!(rendered.contains("shard health (2):"));
@@ -1153,10 +1153,10 @@ mod tests {
         assert!(rendered.contains("rebuilds 1"));
         // Reports without the key (pre-fault-tolerance) still parse.
         let bare = TraceReport::new(&trace, &CostModel::titan_v());
-        let parsed = TraceReport::from_json(&bare.to_json()).unwrap();
+        let parsed = TraceReport::from_json(&bare.to_json().render_pretty()).unwrap();
         assert!(parsed.shard_health.is_empty());
         // Malformed health entries name the offending field.
-        let good = report.to_json();
+        let good = report.to_json().render_pretty();
         let wrong = good.replacen(r#""journal_depth": 42"#, r#""journal_depth": "deep""#, 1);
         assert_ne!(wrong, good);
         let err = TraceReport::from_json(&wrong).unwrap_err();
@@ -1226,7 +1226,7 @@ mod tests {
         let report = TraceReport::new(&trace, &CostModel::titan_v())
             .with_op_attribution(attribution)
             .with_tail_exemplars(exemplars);
-        let parsed = TraceReport::from_json(&report.to_json()).unwrap();
+        let parsed = TraceReport::from_json(&report.to_json().render_pretty()).unwrap();
         assert_eq!(parsed, report, "attribution round-trip must be exact");
         let rendered = report.render();
         assert!(rendered.contains("op attribution (2):"), "{rendered}");
@@ -1236,11 +1236,11 @@ mod tests {
         assert!(rendered.contains("shard1/edge_insert"));
         // Reports without the keys (pre-tracing) still parse.
         let bare = TraceReport::new(&trace, &CostModel::titan_v());
-        let parsed = TraceReport::from_json(&bare.to_json()).unwrap();
+        let parsed = TraceReport::from_json(&bare.to_json().render_pretty()).unwrap();
         assert!(parsed.op_attribution.is_empty());
         assert!(parsed.tail_exemplars.is_empty());
         // Malformed entries name the offending field.
-        let good = report.to_json();
+        let good = report.to_json().render_pretty();
         let wrong = good.replacen(r#""total_ns": 612"#, r#""total_ns": "slow""#, 1);
         assert_ne!(wrong, good);
         let err = TraceReport::from_json(&wrong).unwrap_err();
@@ -1268,7 +1268,8 @@ mod tests {
             },
             &CostModel::titan_v(),
         )
-        .to_json();
+        .to_json()
+        .render_pretty();
 
         // Truncated document: the JSON parser itself reports it.
         let truncated = &good[..good.len() / 2];

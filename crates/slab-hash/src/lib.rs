@@ -2,8 +2,9 @@
 //!
 //! The paper stores each vertex's adjacency list in a *slab hash* (Ashkiani
 //! et al., "A dynamic hash table for the GPU", IPDPS 2018), extended with
-//! key-uniqueness (`replace`), iterators, and a new **concurrent set**
-//! variant. This crate reproduces those tables over the simulated device.
+//! key-uniqueness (`replace` semantics), iterators, and a new **concurrent
+//! set** variant. This crate reproduces those tables over the simulated
+//! device.
 //!
 //! A table is `num_buckets` bucket chains. Each chain is a singly linked
 //! list of 128-byte slabs (32 `u32` words):
@@ -18,6 +19,12 @@
 //! matching §IV-A2 of the paper. The *base slabs* (one per bucket) are
 //! allocated in bulk, contiguously; collision slabs come from the
 //! [`slab_alloc::SlabAllocator`].
+//!
+//! The two variants differ only in which lanes hold keys and whether a
+//! value word follows each key, so each verb is one operation over both:
+//! [`TableDesc::insert`], [`TableDesc::find`], [`TableDesc::delete`] and
+//! [`TableDesc::for_each_entry`] (a set's value reads as 0 and is ignored
+//! on insert).
 //!
 //! All operations are warp-cooperative: the whole warp reads one slab in a
 //! single coalesced transaction, ballots over its lanes, and elects lanes to
@@ -87,6 +94,16 @@ impl TableKind {
             TableKind::Set => SET_KEY_LANES,
         }
     }
+
+    /// The value stored with the key on `lane` of `words`: the word after
+    /// it for a map, 0 for a set.
+    #[inline]
+    fn value_of(self, words: &Lanes<u32>, lane: usize) -> u32 {
+        match self {
+            TableKind::Map => words.get(lane + 1),
+            TableKind::Set => 0,
+        }
+    }
 }
 
 /// Number of buckets for an expected key count at a given load factor:
@@ -124,26 +141,20 @@ impl SlabView {
         self.words.get(NEXT_LANE)
     }
 
-    /// Live keys stored in this slab (skipping empties and tombstones).
-    pub fn keys(&self) -> impl Iterator<Item = u32> + '_ {
+    /// Live ⟨key, value⟩ entries stored in this slab (skipping empties and
+    /// tombstones); the value is 0 for a set slab.
+    pub fn entries(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         let lanes = self.kind.key_lanes();
         (0..WARP_SIZE).filter_map(move |i| {
-            if lanes & (1 << i) != 0 {
-                let k = self.words.get(i);
-                (k < TOMBSTONE_KEY).then_some(k)
-            } else {
-                None
-            }
+            let k = self.words.get(i);
+            (lanes & (1 << i) != 0 && k < TOMBSTONE_KEY)
+                .then(|| (k, self.kind.value_of(&self.words, i)))
         })
     }
 
-    /// Live ⟨key, value⟩ pairs (map slabs only; values are the odd lanes).
-    pub fn pairs(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        assert_eq!(self.kind, TableKind::Map, "pairs() requires a map slab");
-        (0..MAP_SLAB_KEYS).filter_map(move |p| {
-            let k = self.words.get(2 * p);
-            (k < TOMBSTONE_KEY).then(|| (k, self.words.get(2 * p + 1)))
-        })
+    /// Live keys stored in this slab (skipping empties and tombstones).
+    pub fn keys(&self) -> impl Iterator<Item = u32> + '_ {
+        self.entries().map(|(k, _)| k)
     }
 
     /// Per-lane key validity mask (bit *i* set iff lane *i* holds a live
@@ -207,15 +218,82 @@ fn note_walk_restart(warp: &Warp) {
 /// for a fresher one, so giving up after a few rounds of skew is sound.
 const MAX_WALK_RESTARTS: u32 = 8;
 
+/// Cursor over one bucket chain: the validated-hop walk shared by every
+/// reader and by `delete`. It is *snapshot-consistent* under concurrent
+/// mutation: every hop past the base slab re-reads the parent's next
+/// pointer (one extra word read per hop, none for the single-slab common
+/// case) and rewinds to the bucket on skew — e.g. a concurrent
+/// `free_dynamic_slabs` cutting the chain back to its base slab.
+///
+/// The cursor only charges reads; it never opens or closes a speculative
+/// attempt, so each caller keeps its own charging protocol around it.
+struct ChainWalk<'a, 'd> {
+    warp: &'a Warp<'d>,
+    bucket: Addr,
+    /// The slab the next [`Self::read`] loads.
+    addr: Addr,
+    parent: Option<Addr>,
+    /// Slabs on the chain up to and including `addr`.
+    depth: u64,
+    restarts: u32,
+}
+
+impl<'a, 'd> ChainWalk<'a, 'd> {
+    fn new(warp: &'a Warp<'d>, bucket: Addr) -> Self {
+        ChainWalk {
+            warp,
+            bucket,
+            addr: bucket,
+            parent: None,
+            depth: 1,
+            restarts: 0,
+        }
+    }
+
+    /// Read the current slab and validate the hop that reached it. On
+    /// skew the cursor rewinds to the bucket and returns `None`; the walk
+    /// continues from the base slab.
+    fn read(&mut self) -> Option<Lanes<u32>> {
+        let words = self.warp.read_slab(self.addr);
+        if let Some(p) = self.parent {
+            if self.warp.read_word(p + NEXT_LANE as u32) != self.addr
+                && self.restarts < MAX_WALK_RESTARTS
+            {
+                self.restarts += 1;
+                note_walk_restart(self.warp);
+                self.addr = self.bucket;
+                self.parent = None;
+                self.depth = 1;
+                return None;
+            }
+        }
+        Some(words)
+    }
+
+    /// Step past the current slab, whose contents are `words`; `false` at
+    /// the end of the chain.
+    fn advance(&mut self, words: &Lanes<u32>) -> bool {
+        let next = words.get(NEXT_LANE);
+        if next == NULL_ADDR {
+            return false;
+        }
+        self.parent = Some(self.addr);
+        self.addr = next;
+        self.depth += 1;
+        true
+    }
+}
+
 impl TableDesc {
     /// Device words required for the base slabs of `num_buckets` buckets.
     pub fn base_words(num_buckets: u32) -> usize {
         num_buckets as usize * SLAB_WORDS
     }
 
-    /// Allocate and initialise a standalone table (host-side helper used
-    /// by unit tests and examples; the graph bulk-allocates base slabs for
-    /// all vertices at once instead — see `slabgraph`).
+    /// Allocate and initialise a standalone table with its own base slabs
+    /// (tests, examples, and scratch tables such as `purge_deleted`'s
+    /// dead-vertex set; the graph bulk-allocates base slabs for all
+    /// vertices at once instead — see `slabgraph`).
     pub fn create(dev: &Device, kind: TableKind, num_buckets: u32) -> TableDesc {
         assert!(num_buckets >= 1);
         let base = dev.alloc_words(Self::base_words(num_buckets), SLAB_WORDS);
@@ -234,30 +312,53 @@ impl TableDesc {
         self.base + bucket * SLAB_WORDS as u32
     }
 
-    // ---------------------------------------------------------------
-    // Map operations
-    // ---------------------------------------------------------------
+    /// Base-slab address of the bucket `key` hashes to.
+    #[inline]
+    fn home(&self, key: u32) -> Addr {
+        self.bucket_addr(bucket_of(key, self.num_buckets))
+    }
 
-    /// Insert-or-replace (the paper's new `replace` operation, §IV-C1).
+    /// Ballot over this kind's key lanes: bit *i* set iff lane *i* of
+    /// `words` holds `word` (a key or a sentinel).
+    #[inline]
+    fn match_lanes(&self, warp: &Warp, words: &Lanes<u32>, word: u32) -> u32 {
+        let lanes = self.kind.key_lanes();
+        warp.ballot(&Lanes::from_fn(|i| {
+            lanes & (1 << i) != 0 && words.get(i) == word
+        }))
+    }
+
+    /// Store `value` beside the key at `key_addr` (maps only; a set has
+    /// no value word). The value must be *atomically* published: a reader
+    /// that saw the key in its own slab fetch may load this value word
+    /// concurrently, and the key CAS orders the key word only.
+    #[inline]
+    fn write_value(&self, warp: &Warp, key_addr: Addr, value: u32) {
+        if self.kind == TableKind::Map {
+            warp.atomic_exchange(key_addr + 1, value);
+        }
+    }
+
+    /// Insert `key` with `value`, or replace the value of an existing key
+    /// (the paper's `replace` semantics, §IV-C1). `value` is ignored for
+    /// sets.
     ///
-    /// If `key` exists its value is overwritten and `Ok(false)` is
-    /// returned; otherwise the pair is written into the first empty slot
-    /// (allocating a chained slab if needed) and `Ok(true)` is returned.
-    /// The boolean drives the caller's exact edge counting.
+    /// Returns `Ok(true)` if the key was added into the first empty slot
+    /// (allocating a chained slab if needed), `Ok(false)` if it already
+    /// existed. The boolean drives the caller's exact edge counting.
     ///
     /// Fails only when chain growth cannot acquire a slab. Allocation
     /// happens strictly *before* any table mutation, so on `Err` the table
     /// is untouched: still fully queryable, deletable, and retryable.
-    pub fn replace(
+    pub fn insert(
         &self,
         warp: &Warp,
         alloc: &SlabAllocator,
         key: u32,
         value: u32,
     ) -> Result<bool, AllocError> {
-        assert_eq!(self.kind, TableKind::Map);
         debug_assert!(key <= MAX_KEY, "key {key:#x} collides with sentinels");
-        let mut slab_addr = self.bucket_addr(bucket_of(key, self.num_buckets));
+        let mut slab_addr = self.home(key);
         let mut depth = 1u64;
         // Each probe step is speculative: on a lost claim race the step's
         // charges are discarded and the step re-runs, so the committed
@@ -265,28 +366,16 @@ impl TableDesc {
         loop {
             warp.begin_attempt();
             let words = warp.read_slab(slab_addr);
-            // Lane-parallel key compare + ballot.
-            let found = warp.ballot(&Lanes::from_fn(|i| {
-                MAP_KEY_LANES & (1 << i) != 0 && words.get(i) == key
-            }));
-            if let Some(lane) = gpu_sim::ffs(found) {
-                // Key exists: replace the value (lane+1 is the value word).
-                warp.atomic_exchange(slab_addr + lane + 1, value);
+            if let Some(lane) = gpu_sim::ffs(self.match_lanes(warp, &words, key)) {
+                self.write_value(warp, slab_addr + lane, value);
                 warp.commit_attempt();
                 return Ok(false);
             }
-            let empties = warp.ballot(&Lanes::from_fn(|i| {
-                MAP_KEY_LANES & (1 << i) != 0 && words.get(i) == EMPTY_KEY
-            }));
-            if let Some(lane) = gpu_sim::ffs(empties) {
+            if let Some(lane) = gpu_sim::ffs(self.match_lanes(warp, &words, EMPTY_KEY)) {
                 // Claim the first empty slot; on a lost race re-read the
                 // slab (the winner may have inserted this very key).
                 if warp.atomic_cas(slab_addr + lane, EMPTY_KEY, key).is_ok() {
-                    // The value must be *atomically* published: a reader
-                    // that saw the claimed key in its own slab fetch may
-                    // load this value word concurrently, and the key CAS
-                    // orders the key word only.
-                    warp.atomic_exchange(slab_addr + lane + 1, value);
+                    self.write_value(warp, slab_addr + lane, value);
                     warp.commit_attempt();
                     note_chain_at_insert(warp, depth);
                     return Ok(true);
@@ -301,151 +390,26 @@ impl TableDesc {
         }
     }
 
-    /// Look up `key`, returning its value if present.
+    /// Look up `key`: its value for a map, `Some(0)` for a set, `None` if
+    /// absent. Membership (`edgeExist`'s primitive) is `find(..).is_some()`.
     ///
     /// The chain walk is *snapshot-consistent* under concurrent mutation:
-    /// every hop past a slab re-validates that slab's next pointer (one
-    /// extra word read per hop, none for the single-slab common case) and
-    /// re-probes from the bucket on version skew — e.g. a concurrent
-    /// `free_dynamic_slabs` cutting the chain back to its base slab.
-    pub fn search(&self, warp: &Warp, key: u32) -> Option<u32> {
-        assert_eq!(self.kind, TableKind::Map);
-        let bucket = self.bucket_addr(bucket_of(key, self.num_buckets));
-        let mut restarts = 0u32;
-        'walk: loop {
-            let mut slab_addr = bucket;
-            let mut parent: Option<Addr> = None;
-            let mut depth = 1u64;
-            loop {
-                let words = warp.read_slab(slab_addr);
-                if let Some(p) = parent {
-                    if warp.read_word(p + NEXT_LANE as u32) != slab_addr
-                        && restarts < MAX_WALK_RESTARTS
-                    {
-                        restarts += 1;
-                        note_walk_restart(warp);
-                        continue 'walk;
-                    }
-                }
-                let found = warp.ballot(&Lanes::from_fn(|i| {
-                    MAP_KEY_LANES & (1 << i) != 0 && words.get(i) == key
-                }));
-                if let Some(lane) = gpu_sim::ffs(found) {
-                    note_probe_depth(warp, depth);
-                    return Some(words.get(lane as usize + 1));
-                }
-                let empties = warp.ballot(&Lanes::from_fn(|i| {
-                    MAP_KEY_LANES & (1 << i) != 0 && words.get(i) == EMPTY_KEY
-                }));
-                if empties != 0 {
-                    // Empties only exist at the tail ⇒ key is absent.
-                    note_probe_depth(warp, depth);
-                    return None;
-                }
-                let next = words.get(NEXT_LANE);
-                if next == NULL_ADDR {
-                    note_probe_depth(warp, depth);
-                    return None;
-                }
-                parent = Some(slab_addr);
-                slab_addr = next;
-                depth += 1;
-            }
-        }
-    }
-
-    // ---------------------------------------------------------------
-    // Set operations
-    // ---------------------------------------------------------------
-
-    /// Insert `key` if absent (concurrent-set variant). Returns `Ok(true)`
-    /// if the key was added, `Ok(false)` if it already existed.
-    ///
-    /// Same failure contract as [`Self::replace`]: on `Err` the table is
-    /// untouched.
-    pub fn insert_unique(
-        &self,
-        warp: &Warp,
-        alloc: &SlabAllocator,
-        key: u32,
-    ) -> Result<bool, AllocError> {
-        assert_eq!(self.kind, TableKind::Set);
-        debug_assert!(key <= MAX_KEY, "key {key:#x} collides with sentinels");
-        let mut slab_addr = self.bucket_addr(bucket_of(key, self.num_buckets));
-        let mut depth = 1u64;
+    /// every hop past a slab re-validates that slab's next pointer and
+    /// re-probes from the bucket on skew.
+    pub fn find(&self, warp: &Warp, key: u32) -> Option<u32> {
+        let mut walk = ChainWalk::new(warp, self.home(key));
         loop {
-            warp.begin_attempt();
-            let words = warp.read_slab(slab_addr);
-            let found = warp.ballot(&Lanes::from_fn(|i| {
-                SET_KEY_LANES & (1 << i) != 0 && words.get(i) == key
-            }));
-            if found != 0 {
-                warp.commit_attempt();
-                return Ok(false);
-            }
-            let empties = warp.ballot(&Lanes::from_fn(|i| {
-                SET_KEY_LANES & (1 << i) != 0 && words.get(i) == EMPTY_KEY
-            }));
-            if let Some(lane) = gpu_sim::ffs(empties) {
-                if warp.atomic_cas(slab_addr + lane, EMPTY_KEY, key).is_ok() {
-                    warp.commit_attempt();
-                    note_chain_at_insert(warp, depth);
-                    return Ok(true);
-                }
-                warp.abort_attempt();
+            let Some(words) = walk.read() else {
                 continue;
+            };
+            if let Some(lane) = gpu_sim::ffs(self.match_lanes(warp, &words, key)) {
+                note_probe_depth(warp, walk.depth);
+                return Some(self.kind.value_of(&words, lane as usize));
             }
-            let step = self.advance_or_grow(warp, alloc, slab_addr, &words);
-            warp.commit_attempt();
-            slab_addr = step?;
-            depth += 1;
-        }
-    }
-
-    /// Membership query (`edgeExist`'s primitive). Snapshot-consistent
-    /// under concurrent mutation — same validated-hop protocol as
-    /// [`Self::search`].
-    pub fn contains(&self, warp: &Warp, key: u32) -> bool {
-        let key_lanes = self.kind.key_lanes();
-        let bucket = self.bucket_addr(bucket_of(key, self.num_buckets));
-        let mut restarts = 0u32;
-        'walk: loop {
-            let mut slab_addr = bucket;
-            let mut parent: Option<Addr> = None;
-            let mut depth = 1u64;
-            loop {
-                let words = warp.read_slab(slab_addr);
-                if let Some(p) = parent {
-                    if warp.read_word(p + NEXT_LANE as u32) != slab_addr
-                        && restarts < MAX_WALK_RESTARTS
-                    {
-                        restarts += 1;
-                        note_walk_restart(warp);
-                        continue 'walk;
-                    }
-                }
-                let found = warp.ballot(&Lanes::from_fn(|i| {
-                    key_lanes & (1 << i) != 0 && words.get(i) == key
-                }));
-                if found != 0 {
-                    note_probe_depth(warp, depth);
-                    return true;
-                }
-                let empties = warp.ballot(&Lanes::from_fn(|i| {
-                    key_lanes & (1 << i) != 0 && words.get(i) == EMPTY_KEY
-                }));
-                if empties != 0 {
-                    note_probe_depth(warp, depth);
-                    return false;
-                }
-                let next = words.get(NEXT_LANE);
-                if next == NULL_ADDR {
-                    note_probe_depth(warp, depth);
-                    return false;
-                }
-                parent = Some(slab_addr);
-                slab_addr = next;
-                depth += 1;
+            // Empties only exist at the tail ⇒ key is absent.
+            if self.match_lanes(warp, &words, EMPTY_KEY) != 0 || !walk.advance(&words) {
+                note_probe_depth(warp, walk.depth);
+                return None;
             }
         }
     }
@@ -458,7 +422,7 @@ impl TableDesc {
     /// Works for both variants; `value` is ignored for sets.
     ///
     /// Returns `Ok(true)` iff the key was newly added. Same failure
-    /// contract as [`Self::replace`]: on `Err` the table is untouched.
+    /// contract as [`Self::insert`]: on `Err` the table is untouched.
     pub fn insert_recycling(
         &self,
         warp: &Warp,
@@ -467,41 +431,30 @@ impl TableDesc {
         value: u32,
     ) -> Result<bool, AllocError> {
         debug_assert!(key <= MAX_KEY, "key {key:#x} collides with sentinels");
-        let key_lanes = self.kind.key_lanes();
-        let is_map = self.kind == TableKind::Map;
         'retry: loop {
             // The whole two-stage attempt is speculative: a lost claim race
             // aborts it and the rescan charges what a sequential loser would.
             warp.begin_attempt();
             // Stage 1: full-chain scan for the key, remembering the first
             // tombstone and the first empty slot.
-            let mut slab_addr = self.bucket_addr(bucket_of(key, self.num_buckets));
+            let mut slab_addr = self.home(key);
             let mut first_tombstone: Option<Addr> = None;
             let mut first_empty: Option<Addr> = None;
             let tail_addr;
             loop {
                 let words = warp.read_slab(slab_addr);
-                let found = warp.ballot(&Lanes::from_fn(|i| {
-                    key_lanes & (1 << i) != 0 && words.get(i) == key
-                }));
-                if let Some(lane) = gpu_sim::ffs(found) {
-                    if is_map {
-                        warp.atomic_exchange(slab_addr + lane + 1, value);
-                    }
+                if let Some(lane) = gpu_sim::ffs(self.match_lanes(warp, &words, key)) {
+                    self.write_value(warp, slab_addr + lane, value);
                     warp.commit_attempt();
                     return Ok(false);
                 }
-                let tombs = warp.ballot(&Lanes::from_fn(|i| {
-                    key_lanes & (1 << i) != 0 && words.get(i) == TOMBSTONE_KEY
-                }));
+                let tombs = self.match_lanes(warp, &words, TOMBSTONE_KEY);
                 if first_tombstone.is_none() {
                     if let Some(lane) = gpu_sim::ffs(tombs) {
                         first_tombstone = Some(slab_addr + lane);
                     }
                 }
-                let empties = warp.ballot(&Lanes::from_fn(|i| {
-                    key_lanes & (1 << i) != 0 && words.get(i) == EMPTY_KEY
-                }));
+                let empties = self.match_lanes(warp, &words, EMPTY_KEY);
                 if first_empty.is_none() {
                     if let Some(lane) = gpu_sim::ffs(empties) {
                         first_empty = Some(slab_addr + lane);
@@ -526,11 +479,7 @@ impl TableDesc {
                     EMPTY_KEY
                 };
                 if warp.atomic_cas(addr, expected, key).is_ok() {
-                    if is_map {
-                        // Atomic publication — same reasoning as the
-                        // EMPTY-claim path in `replace`.
-                        warp.atomic_exchange(addr + 1, value);
-                    }
+                    self.write_value(warp, addr, value);
                     warp.commit_attempt();
                     return Ok(true);
                 }
@@ -545,137 +494,80 @@ impl TableDesc {
         }
     }
 
-    // ---------------------------------------------------------------
-    // Shared operations
-    // ---------------------------------------------------------------
-
     /// Delete `key` by tombstoning it (§IV-C2). Returns `true` iff this
     /// call deleted it (drives exact edge-count decrements). Tombstones
     /// are not removed and not overwritten by later insertions.
     pub fn delete(&self, warp: &Warp, key: u32) -> bool {
-        let key_lanes = self.kind.key_lanes();
-        let bucket = self.bucket_addr(bucket_of(key, self.num_buckets));
-        let mut restarts = 0u32;
-        'walk: loop {
-            let mut slab_addr = bucket;
-            let mut parent: Option<Addr> = None;
-            loop {
-                warp.begin_attempt();
-                let words = warp.read_slab(slab_addr);
-                if let Some(p) = parent {
-                    // Validated hop (see `search`): a skewed link means a
-                    // concurrent chain cut; re-probe from the bucket so
-                    // the tombstone lands in the live chain, not a
-                    // detached one. Skew never occurs sequentially, so
-                    // the aborted iteration's charges are discarded.
-                    if warp.read_word(p + NEXT_LANE as u32) != slab_addr
-                        && restarts < MAX_WALK_RESTARTS
-                    {
-                        restarts += 1;
-                        note_walk_restart(warp);
-                        warp.abort_attempt();
-                        continue 'walk;
-                    }
+        let mut walk = ChainWalk::new(warp, self.home(key));
+        loop {
+            warp.begin_attempt();
+            let Some(words) = walk.read() else {
+                // A skewed hop means a concurrent chain cut: re-probe from
+                // the bucket so the tombstone lands in the live chain, not
+                // a detached one. Skew never occurs sequentially, so the
+                // aborted step's charges are discarded.
+                warp.abort_attempt();
+                continue;
+            };
+            if let Some(lane) = gpu_sim::ffs(self.match_lanes(warp, &words, key)) {
+                // CAS so concurrent deletes of the same key count once; on
+                // a lost race re-probe this slab like a sequential loser
+                // (who would find a tombstone and keep scanning).
+                if warp
+                    .atomic_cas(walk.addr + lane, key, TOMBSTONE_KEY)
+                    .is_ok()
+                {
+                    warp.commit_attempt();
+                    return true;
                 }
-                let found = warp.ballot(&Lanes::from_fn(|i| {
-                    key_lanes & (1 << i) != 0 && words.get(i) == key
-                }));
-                if let Some(lane) = gpu_sim::ffs(found) {
-                    // CAS so concurrent deletes of the same key count once; on
-                    // a lost race re-probe this slab like a sequential loser
-                    // (who would find a tombstone and keep scanning).
-                    if warp
-                        .atomic_cas(slab_addr + lane, key, TOMBSTONE_KEY)
-                        .is_ok()
-                    {
-                        warp.commit_attempt();
-                        return true;
-                    }
-                    warp.abort_attempt();
-                    continue;
-                }
-                let empties = warp.ballot(&Lanes::from_fn(|i| {
-                    key_lanes & (1 << i) != 0 && words.get(i) == EMPTY_KEY
-                }));
-                warp.commit_attempt();
-                if empties != 0 {
-                    return false;
-                }
-                let next = words.get(NEXT_LANE);
-                if next == NULL_ADDR {
-                    return false;
-                }
-                parent = Some(slab_addr);
-                slab_addr = next;
+                warp.abort_attempt();
+                continue;
             }
+            let empties = self.match_lanes(warp, &words, EMPTY_KEY);
+            warp.commit_attempt();
+            if empties != 0 || !walk.advance(&words) {
+                return false;
+            }
+        }
+    }
+
+    /// Walk each bucket chain in turn and hand `f` its slab views. A
+    /// chain's views are buffered and only handed over once the whole
+    /// chain walked without next-pointer skew, so `f` never observes a
+    /// half-old half-new chain and never sees a slab twice.
+    fn for_each_chain(&self, warp: &Warp, mut f: impl FnMut(&[SlabView])) {
+        let mut views = Vec::new();
+        for b in 0..self.num_buckets {
+            views.clear();
+            let mut walk = ChainWalk::new(warp, self.bucket_addr(b));
+            loop {
+                let Some(words) = walk.read() else {
+                    views.clear();
+                    continue;
+                };
+                views.push(SlabView {
+                    addr: walk.addr,
+                    words,
+                    kind: self.kind,
+                });
+                if !walk.advance(&words) {
+                    break;
+                }
+            }
+            f(&views);
         }
     }
 
     /// Walk every slab of every bucket chain, calling `f` per slab — the
     /// paper's adjacency-list iterator (§IV-B). Each step is one coalesced
-    /// slab read.
-    ///
-    /// Snapshot-consistent per bucket: a chain's views are buffered and
-    /// only emitted once the whole chain walked without next-pointer skew
-    /// (validated hops, as in [`Self::search`]), so `f` never observes a
-    /// half-old half-new chain and never sees a slab twice.
+    /// slab read; snapshot-consistent per bucket.
     pub fn for_each_slab(&self, warp: &Warp, mut f: impl FnMut(SlabView)) {
-        let mut views: Vec<SlabView> = Vec::new();
-        for b in 0..self.num_buckets {
-            let mut restarts = 0u32;
-            'walk: loop {
-                views.clear();
-                let mut addr = self.bucket_addr(b);
-                let mut parent: Option<Addr> = None;
-                loop {
-                    let words = warp.read_slab(addr);
-                    if let Some(p) = parent {
-                        if warp.read_word(p + NEXT_LANE as u32) != addr
-                            && restarts < MAX_WALK_RESTARTS
-                        {
-                            restarts += 1;
-                            note_walk_restart(warp);
-                            continue 'walk;
-                        }
-                    }
-                    let view = SlabView {
-                        addr,
-                        words,
-                        kind: self.kind,
-                    };
-                    let next = view.next();
-                    views.push(view);
-                    if next == NULL_ADDR {
-                        break;
-                    }
-                    parent = Some(addr);
-                    addr = next;
-                }
-                break;
-            }
-            for view in views.drain(..) {
-                f(view);
-            }
-        }
+        self.for_each_chain(warp, |chain| chain.iter().for_each(|view| f(*view)));
     }
 
-    /// Iterate every live key (both variants).
-    pub fn for_each_key(&self, warp: &Warp, mut f: impl FnMut(u32)) {
-        self.for_each_slab(warp, |view| {
-            for k in view.keys() {
-                f(k);
-            }
-        });
-    }
-
-    /// Iterate every live ⟨key, value⟩ pair (map variant).
-    pub fn for_each_pair(&self, warp: &Warp, mut f: impl FnMut(u32, u32)) {
-        assert_eq!(self.kind, TableKind::Map);
-        self.for_each_slab(warp, |view| {
-            for (k, v) in view.pairs() {
-                f(k, v);
-            }
-        });
+    /// Iterate every live ⟨key, value⟩ entry (value 0 for sets).
+    pub fn for_each_entry(&self, warp: &Warp, mut f: impl FnMut(u32, u32)) {
+        self.for_each_slab(warp, |view| view.entries().for_each(|(k, v)| f(k, v)));
     }
 
     /// Free every dynamically allocated (collision) slab back to `alloc`
@@ -700,66 +592,29 @@ impl TableDesc {
         Ok(())
     }
 
-    /// Statistics over the chains (used by the Fig. 2 experiments).
-    ///
-    /// Per-bucket accumulation is buffered and merged only after the chain
-    /// walked without next-pointer skew (validated hops, as in
-    /// [`Self::search`]), so concurrent chain cuts cannot double-count.
+    /// Statistics over the chains (used by the Fig. 2 experiments). Each
+    /// chain is counted from the same skew-free buffered walk
+    /// [`Self::for_each_slab`] does, so concurrent chain cuts cannot
+    /// double-count.
     pub fn stats(&self, warp: &Warp) -> TableStats {
         let mut s = TableStats {
             buckets: self.num_buckets as u64,
             ..TableStats::default()
         };
-        for b in 0..self.num_buckets {
-            let mut restarts = 0u32;
-            let bucket = 'walk: loop {
-                let mut part = TableStats::default();
-                let mut chain = 0u64;
-                let mut addr = self.bucket_addr(b);
-                let mut parent: Option<Addr> = None;
-                loop {
-                    let words = warp.read_slab(addr);
-                    if let Some(p) = parent {
-                        if warp.read_word(p + NEXT_LANE as u32) != addr
-                            && restarts < MAX_WALK_RESTARTS
-                        {
-                            restarts += 1;
-                            note_walk_restart(warp);
-                            continue 'walk;
-                        }
+        let key_lanes = self.kind.key_lanes();
+        self.for_each_chain(warp, |chain| {
+            s.slabs += chain.len() as u64;
+            s.max_chain = s.max_chain.max(chain.len() as u64);
+            for view in chain {
+                for i in (0..WARP_SIZE).filter(|i| key_lanes & (1 << i) != 0) {
+                    match view.words.get(i) {
+                        EMPTY_KEY => s.empty_slots += 1,
+                        TOMBSTONE_KEY => s.tombstones += 1,
+                        _ => s.live_keys += 1,
                     }
-                    chain += 1;
-                    part.slabs += 1;
-                    let view = SlabView {
-                        addr,
-                        words,
-                        kind: self.kind,
-                    };
-                    part.live_keys += view.keys().count() as u64;
-                    for i in 0..WARP_SIZE {
-                        if self.kind.key_lanes() & (1 << i) != 0 {
-                            match words.get(i) {
-                                EMPTY_KEY => part.empty_slots += 1,
-                                TOMBSTONE_KEY => part.tombstones += 1,
-                                _ => {}
-                            }
-                        }
-                    }
-                    let next = words.get(NEXT_LANE);
-                    if next == NULL_ADDR {
-                        part.max_chain = chain;
-                        break 'walk part;
-                    }
-                    parent = Some(addr);
-                    addr = next;
                 }
-            };
-            s.slabs += bucket.slabs;
-            s.live_keys += bucket.live_keys;
-            s.tombstones += bucket.tombstones;
-            s.empty_slots += bucket.empty_slots;
-            s.max_chain = s.max_chain.max(bucket.max_chain);
-        }
+            }
+        });
         s
     }
 
@@ -880,27 +735,27 @@ mod tests {
     }
 
     #[test]
-    fn map_replace_and_search() {
+    fn map_insert_and_find() {
         let (dev, alloc, t) = setup(TableKind::Map, 2);
         on_warp(&dev, |warp| {
-            assert!(t.replace(warp, &alloc, 7, 70).unwrap());
-            assert!(t.replace(warp, &alloc, 8, 80).unwrap());
-            assert_eq!(t.search(warp, 7), Some(70));
-            assert_eq!(t.search(warp, 8), Some(80));
-            assert_eq!(t.search(warp, 9), None);
+            assert!(t.insert(warp, &alloc, 7, 70).unwrap());
+            assert!(t.insert(warp, &alloc, 8, 80).unwrap());
+            assert_eq!(t.find(warp, 7), Some(70));
+            assert_eq!(t.find(warp, 8), Some(80));
+            assert_eq!(t.find(warp, 9), None);
         });
     }
 
     #[test]
-    fn replace_overwrites_and_reports_existing() {
+    fn insert_overwrites_and_reports_existing() {
         let (dev, alloc, t) = setup(TableKind::Map, 1);
         on_warp(&dev, |warp| {
-            assert!(t.replace(warp, &alloc, 42, 1).unwrap());
+            assert!(t.insert(warp, &alloc, 42, 1).unwrap());
             assert!(
-                !t.replace(warp, &alloc, 42, 2).unwrap(),
+                !t.insert(warp, &alloc, 42, 2).unwrap(),
                 "second insert replaces"
             );
-            assert_eq!(t.search(warp, 42), Some(2));
+            assert_eq!(t.find(warp, 42), Some(2));
             let stats = t.stats(warp);
             assert_eq!(stats.live_keys, 1, "no duplicate keys stored");
         });
@@ -912,10 +767,10 @@ mod tests {
         on_warp(&dev, |warp| {
             // 100 keys in a single bucket => ⌈100/15⌉ = 7 slabs.
             for k in 0..100 {
-                assert!(t.replace(warp, &alloc, k, k * 2).unwrap());
+                assert!(t.insert(warp, &alloc, k, k * 2).unwrap());
             }
             for k in 0..100 {
-                assert_eq!(t.search(warp, k), Some(k * 2), "key {k}");
+                assert_eq!(t.find(warp, k), Some(k * 2), "key {k}");
             }
             let stats = t.stats(warp);
             assert_eq!(stats.live_keys, 100);
@@ -926,13 +781,13 @@ mod tests {
     }
 
     #[test]
-    fn set_insert_unique_and_contains() {
+    fn set_insert_and_find() {
         let (dev, alloc, t) = setup(TableKind::Set, 2);
         on_warp(&dev, |warp| {
-            assert!(t.insert_unique(warp, &alloc, 5).unwrap());
-            assert!(!t.insert_unique(warp, &alloc, 5).unwrap());
-            assert!(t.contains(warp, 5));
-            assert!(!t.contains(warp, 6));
+            assert!(t.insert(warp, &alloc, 5, 0).unwrap());
+            assert!(!t.insert(warp, &alloc, 5, 0).unwrap());
+            assert!(t.find(warp, 5).is_some());
+            assert!(t.find(warp, 6).is_none());
         });
     }
 
@@ -941,10 +796,10 @@ mod tests {
         let (dev, alloc, t) = setup(TableKind::Set, 1);
         on_warp(&dev, |warp| {
             for k in 0..30 {
-                assert!(t.insert_unique(warp, &alloc, k).unwrap());
+                assert!(t.insert(warp, &alloc, k, 0).unwrap());
             }
             assert_eq!(t.stats(warp).slabs, 1, "30 keys fit one set slab");
-            assert!(t.insert_unique(warp, &alloc, 30).unwrap());
+            assert!(t.insert(warp, &alloc, 30, 0).unwrap());
             assert_eq!(t.stats(warp).slabs, 2, "31st key chains a slab");
         });
     }
@@ -953,13 +808,13 @@ mod tests {
     fn delete_tombstones_and_reports() {
         let (dev, alloc, t) = setup(TableKind::Map, 1);
         on_warp(&dev, |warp| {
-            t.replace(warp, &alloc, 1, 10).unwrap();
-            t.replace(warp, &alloc, 2, 20).unwrap();
+            t.insert(warp, &alloc, 1, 10).unwrap();
+            t.insert(warp, &alloc, 2, 20).unwrap();
             assert!(t.delete(warp, 1));
             assert!(!t.delete(warp, 1), "second delete is a no-op");
             assert!(!t.delete(warp, 99), "absent key");
-            assert_eq!(t.search(warp, 1), None);
-            assert_eq!(t.search(warp, 2), Some(20));
+            assert_eq!(t.find(warp, 1), None);
+            assert_eq!(t.find(warp, 2), Some(20));
             let stats = t.stats(warp);
             assert_eq!(stats.tombstones, 1);
             assert_eq!(stats.live_keys, 1);
@@ -973,16 +828,16 @@ mod tests {
         let (dev, alloc, t) = setup(TableKind::Map, 1);
         on_warp(&dev, |warp| {
             for k in 0..10 {
-                t.replace(warp, &alloc, k, k).unwrap();
+                t.insert(warp, &alloc, k, k).unwrap();
             }
             for k in 0..5 {
                 t.delete(warp, k);
             }
-            t.replace(warp, &alloc, 100, 100).unwrap();
+            t.insert(warp, &alloc, 100, 100).unwrap();
             let stats = t.stats(warp);
             assert_eq!(stats.tombstones, 5, "tombstones preserved");
             assert_eq!(stats.live_keys, 6);
-            assert_eq!(t.search(warp, 100), Some(100));
+            assert_eq!(t.find(warp, 100), Some(100));
         });
     }
 
@@ -990,13 +845,13 @@ mod tests {
     fn reinserting_deleted_key_appends_fresh_copy() {
         let (dev, alloc, t) = setup(TableKind::Map, 1);
         on_warp(&dev, |warp| {
-            t.replace(warp, &alloc, 3, 30).unwrap();
+            t.insert(warp, &alloc, 3, 30).unwrap();
             t.delete(warp, 3);
             assert!(
-                t.replace(warp, &alloc, 3, 31).unwrap(),
+                t.insert(warp, &alloc, 3, 31).unwrap(),
                 "reinsert counts as new"
             );
-            assert_eq!(t.search(warp, 3), Some(31));
+            assert_eq!(t.find(warp, 3), Some(31));
             let stats = t.stats(warp);
             assert_eq!(stats.live_keys, 1);
             assert_eq!(stats.tombstones, 1);
@@ -1009,7 +864,7 @@ mod tests {
         on_warp(&dev, |warp| {
             let mut expect = std::collections::BTreeMap::new();
             for k in 0..200 {
-                t.replace(warp, &alloc, k, 1000 + k).unwrap();
+                t.insert(warp, &alloc, k, 1000 + k).unwrap();
                 expect.insert(k, 1000 + k);
             }
             for k in (0..200).step_by(3) {
@@ -1017,7 +872,7 @@ mod tests {
                 expect.remove(&k);
             }
             let mut got = std::collections::BTreeMap::new();
-            t.for_each_pair(warp, |k, v| {
+            t.for_each_entry(warp, |k, v| {
                 assert!(got.insert(k, v).is_none(), "duplicate key {k}");
             });
             assert_eq!(got, expect);
@@ -1029,10 +884,10 @@ mod tests {
         let (dev, alloc, t) = setup(TableKind::Set, 3);
         on_warp(&dev, |warp| {
             for k in (0..500).step_by(2) {
-                t.insert_unique(warp, &alloc, k).unwrap();
+                t.insert(warp, &alloc, k, 0).unwrap();
             }
             let mut got: Vec<u32> = vec![];
-            t.for_each_key(warp, |k| got.push(k));
+            t.for_each_entry(warp, |k, _| got.push(k));
             got.sort_unstable();
             let expect: Vec<u32> = (0..500).step_by(2).collect();
             assert_eq!(got, expect);
@@ -1044,7 +899,7 @@ mod tests {
         let (dev, alloc, t) = setup(TableKind::Map, 2);
         on_warp(&dev, |warp| {
             for k in 0..200 {
-                t.replace(warp, &alloc, k, k).unwrap();
+                t.insert(warp, &alloc, k, k).unwrap();
             }
             assert!(alloc.live_slabs() > 0);
             t.free_dynamic_slabs(warp, &alloc).unwrap();
@@ -1056,7 +911,7 @@ mod tests {
     }
 
     #[test]
-    fn search_cost_is_constant_in_table_size() {
+    fn find_cost_is_constant_in_table_size() {
         // The headline property: queries are O(1) slab reads at a sane
         // load factor, regardless of how many keys the table holds.
         let dev = Device::new(1 << 20);
@@ -1066,19 +921,19 @@ mod tests {
         let t = TableDesc::create(&dev, TableKind::Map, buckets);
         on_warp(&dev, |warp| {
             for k in 0..n {
-                t.replace(warp, &alloc, k, k).unwrap();
+                t.insert(warp, &alloc, k, k).unwrap();
             }
         });
         let before = dev.counters().snapshot();
         on_warp(&dev, |warp| {
             for k in 0..100u32 {
-                t.search(warp, k * 17 % n);
+                t.find(warp, k * 17 % n);
             }
         });
         let d = dev.counters().snapshot().delta(&before);
         assert!(
             d.transactions <= 300,
-            "100 searches should read ≤3 slabs each, got {} transactions",
+            "100 finds should read ≤3 slabs each, got {} transactions",
             d.transactions
         );
     }
@@ -1088,7 +943,7 @@ mod tests {
         let (dev, alloc, t) = setup(TableKind::Set, 1);
         on_warp(&dev, |warp| {
             for k in 0..15 {
-                t.insert_unique(warp, &alloc, k).unwrap();
+                t.insert(warp, &alloc, k, 0).unwrap();
             }
             let s = t.stats(warp);
             assert_eq!(s.live_keys, 15);
@@ -1102,7 +957,7 @@ mod tests {
         let (dev, alloc, t) = setup(TableKind::Map, 1);
         on_warp(&dev, |warp| {
             for k in 0..10 {
-                t.replace(warp, &alloc, k, k).unwrap();
+                t.insert(warp, &alloc, k, k).unwrap();
             }
             for k in 0..5 {
                 t.delete(warp, k);
@@ -1114,8 +969,8 @@ mod tests {
             let s = t.stats(warp);
             assert_eq!(s.slabs, slabs_before, "no new slabs needed");
             assert_eq!(s.tombstones, 3, "two tombstones consumed");
-            assert_eq!(t.search(warp, 100), Some(1));
-            assert_eq!(t.search(warp, 101), Some(2));
+            assert_eq!(t.find(warp, 100), Some(1));
+            assert_eq!(t.find(warp, 101), Some(2));
         });
     }
 
@@ -1125,11 +980,11 @@ mod tests {
         on_warp(&dev, |warp| {
             assert!(t.insert_recycling(warp, &alloc, 7, 1).unwrap());
             assert!(!t.insert_recycling(warp, &alloc, 7, 2).unwrap(), "replaces");
-            assert_eq!(t.search(warp, 7), Some(2));
+            assert_eq!(t.find(warp, 7), Some(2));
             assert_eq!(t.stats(warp).live_keys, 1);
             // Interleaves correctly with the standard path.
             t.delete(warp, 7);
-            assert!(t.replace(warp, &alloc, 7, 3).unwrap());
+            assert!(t.insert(warp, &alloc, 7, 3).unwrap());
             assert_eq!(t.stats(warp).live_keys, 1);
         });
     }
@@ -1139,7 +994,7 @@ mod tests {
         let (dev, alloc, t) = setup(TableKind::Set, 1);
         on_warp(&dev, |warp| {
             for k in 0..40 {
-                t.insert_unique(warp, &alloc, k).unwrap();
+                t.insert(warp, &alloc, k, 0).unwrap();
             }
             for k in 0..20 {
                 t.delete(warp, k);
@@ -1150,7 +1005,7 @@ mod tests {
             }
             assert_eq!(t.stats(warp).slabs, slabs_before);
             for k in 100..115 {
-                assert!(t.contains(warp, k));
+                assert!(t.find(warp, k).is_some());
             }
         });
     }
@@ -1166,7 +1021,7 @@ mod tests {
             assert_eq!(s.live_keys, 40);
             assert_eq!(s.slabs, 3, "⌈40/15⌉ slabs chained");
             for k in 0..40 {
-                assert_eq!(t.search(warp, k), Some(k));
+                assert_eq!(t.find(warp, k), Some(k));
             }
         });
     }
@@ -1179,7 +1034,7 @@ mod tests {
         let t = TableDesc::create(&dev, TableKind::Map, 1);
         dev.launch_warps("hash_test", 1, |warp| {
             for k in 0..12 {
-                t.replace(warp, &alloc, k, 0).unwrap();
+                t.insert(warp, &alloc, k, 0).unwrap();
             }
             for k in 0..12 {
                 t.delete(warp, k);
@@ -1193,7 +1048,7 @@ mod tests {
         let count = std::sync::atomic::AtomicU32::new(0);
         dev.launch_warps("hash_test", 1, |warp| {
             let mut seen = std::collections::HashSet::new();
-            t.for_each_key(warp, |k| {
+            t.for_each_entry(warp, |k, _| {
                 assert!(seen.insert(k), "duplicate {k}");
             });
             count.store(seen.len() as u32, std::sync::atomic::Ordering::Release);
@@ -1211,12 +1066,12 @@ mod tests {
         let t = TableDesc::create(&dev, TableKind::Map, 2);
         dev.launch_warps("hash_test", 32, |warp| {
             for k in 0..20 {
-                t.replace(warp, &alloc, k, warp.warp_id()).unwrap();
+                t.insert(warp, &alloc, k, warp.warp_id()).unwrap();
             }
         });
         let counts = parking_lot::Mutex::new(std::collections::HashMap::new());
         dev.launch_warps("hash_test", 1, |warp| {
-            t.for_each_pair(warp, |k, _| {
+            t.for_each_entry(warp, |k, _| {
                 *counts.lock().entry(k).or_insert(0u32) += 1;
             });
         });
@@ -1238,10 +1093,10 @@ mod tests {
         on_warp(&dev, |warp| {
             // 100 keys in one bucket: chain grows to ⌈100/15⌉ = 7 slabs.
             for k in 0..100 {
-                t.replace(warp, &alloc, k, k).unwrap();
+                t.insert(warp, &alloc, k, k).unwrap();
             }
             for k in 0..100 {
-                t.search(warp, k);
+                t.find(warp, k);
             }
         });
         let sums = dev.profiler().unwrap().metric_summaries();
@@ -1249,7 +1104,7 @@ mod tests {
             .iter()
             .find(|s| s.name == "slab_hash.probe_depth")
             .expect("probe-depth histogram missing");
-        assert_eq!(probe.count, 100, "one sample per search");
+        assert_eq!(probe.count, 100, "one sample per find");
         assert!(
             probe.max >= 4,
             "deep chain walks observed, max {}",
@@ -1271,7 +1126,7 @@ mod tests {
         let t = TableDesc::create(&dev, TableKind::Set, 4);
         dev.launch_warps("hash_test", 1, |warp| {
             for k in 0..64 {
-                t.insert_unique(warp, &alloc, k).unwrap();
+                t.insert(warp, &alloc, k, 0).unwrap();
             }
         });
         let deleted = std::sync::atomic::AtomicU32::new(0);
@@ -1287,5 +1142,135 @@ mod tests {
             64,
             "each key deleted exactly once across 16 racing warps"
         );
+    }
+
+    /// A key no `op_charges` table holds.
+    const NEW_KEY: u32 = 1000;
+
+    /// Charges of `op` alone, in its own one-warp launch, on a fresh
+    /// one-bucket table whose chain is `depth` slabs long. `op` gets the
+    /// last key stored, which sits alone in the tail slab.
+    fn op_charges(
+        kind: TableKind,
+        depth: usize,
+        op: impl Fn(&TableDesc, &Warp, &SlabAllocator, u32) + Sync,
+    ) -> gpu_sim::CounterSnapshot {
+        let (dev, alloc, t) = setup(kind, 1);
+        let n = (kind.slab_capacity() * (depth - 1) + 1) as u32;
+        on_warp(&dev, |warp| {
+            for k in 0..n {
+                t.insert(warp, &alloc, k, k).unwrap();
+            }
+            assert_eq!(t.stats(warp).max_chain, depth as u64);
+        });
+        let before = dev.counters().snapshot();
+        on_warp(&dev, |warp| op(&t, warp, &alloc, n - 1));
+        dev.counters().snapshot().delta(&before)
+    }
+
+    /// Every op's exact modeled charges — transactions, atomics, ballots —
+    /// on a one-bucket table at chain depth 1 and 3. Writers walk without
+    /// validation (one read per slab); readers and `delete` re-read the
+    /// parent's next pointer on every hop past the base slab.
+    #[test]
+    fn op_charges_are_pinned() {
+        type Op = fn(&TableDesc, &Warp, &SlabAllocator, u32);
+        let ops: [(&str, Op); 8] = [
+            ("insert-new", |t, w, a, _| {
+                assert!(t.insert(w, a, NEW_KEY, 7).unwrap())
+            }),
+            ("insert-existing", |t, w, a, last| {
+                assert!(!t.insert(w, a, last, 7).unwrap())
+            }),
+            ("find-hit", |t, w, _, last| {
+                assert!(t.find(w, last).is_some())
+            }),
+            ("find-miss", |t, w, _, _| {
+                assert!(t.find(w, NEW_KEY).is_none())
+            }),
+            ("delete-hit", |t, w, _, last| assert!(t.delete(w, last))),
+            ("delete-miss", |t, w, _, _| assert!(!t.delete(w, NEW_KEY))),
+            ("for_each_entry", |t, w, _, _| {
+                t.for_each_entry(w, |_, _| {})
+            }),
+            ("stats", |t, w, _, _| {
+                t.stats(w);
+            }),
+        ];
+        // [transactions, atomics, ballots] per op, in `ops` order.
+        let expected: [(TableKind, usize, [[u64; 3]; 8]); 4] = [
+            (
+                TableKind::Map,
+                1,
+                [
+                    [1, 2, 2],
+                    [1, 1, 1],
+                    [1, 0, 1],
+                    [1, 0, 2],
+                    [1, 1, 1],
+                    [1, 0, 2],
+                    [1, 0, 0],
+                    [1, 0, 0],
+                ],
+            ),
+            (
+                TableKind::Map,
+                3,
+                [
+                    [3, 2, 6],
+                    [3, 1, 5],
+                    [5, 0, 5],
+                    [5, 0, 6],
+                    [5, 1, 5],
+                    [5, 0, 6],
+                    [5, 0, 0],
+                    [5, 0, 0],
+                ],
+            ),
+            (
+                TableKind::Set,
+                1,
+                [
+                    [1, 1, 2],
+                    [1, 0, 1],
+                    [1, 0, 1],
+                    [1, 0, 2],
+                    [1, 1, 1],
+                    [1, 0, 2],
+                    [1, 0, 0],
+                    [1, 0, 0],
+                ],
+            ),
+            (
+                TableKind::Set,
+                3,
+                [
+                    [3, 1, 6],
+                    [3, 0, 5],
+                    [5, 0, 5],
+                    [5, 0, 6],
+                    [5, 1, 5],
+                    [5, 0, 6],
+                    [5, 0, 0],
+                    [5, 0, 0],
+                ],
+            ),
+        ];
+        for (kind, depth, charges) in expected {
+            for ((name, op), [transactions, atomics, ballots]) in ops.into_iter().zip(charges) {
+                assert_eq!(
+                    op_charges(kind, depth, op),
+                    gpu_sim::CounterSnapshot {
+                        transactions,
+                        atomics,
+                        ballots,
+                        launches: 1,
+                        warps: 1,
+                        ..Default::default()
+                    },
+                    "{kind:?} at depth {depth}: {name}"
+                );
+            }
+        }
     }
 }

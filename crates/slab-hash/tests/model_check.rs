@@ -1,127 +1,94 @@
-//! Randomized model checking of the slab hash against `BTreeMap` /
-//! `BTreeSet` references under arbitrary operation streams. Each test runs
-//! many independently seeded cases; seeds are fixed so failures reproduce.
+//! Randomized model checking of the slab hash against a `BTreeMap`
+//! reference under arbitrary operation streams, for both table kinds.
+//! Each test runs many independently seeded cases; seeds are fixed so
+//! failures reproduce.
 
 use gpu_sim::Device;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use slab_alloc::SlabAllocator;
-use slab_hash::{buckets_for, TableDesc, TableKind};
+use slab_hash::{TableDesc, TableKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 const CASES: u64 = 32;
 
 #[derive(Debug, Clone)]
-enum MapOp {
-    Replace(u32, u32),
+enum Op {
+    Insert(u32, u32),
     Delete(u32),
 }
 
-fn map_ops(rng: &mut StdRng) -> Vec<MapOp> {
+fn ops(rng: &mut StdRng) -> Vec<Op> {
     let n = rng.random_range(1..120usize);
     (0..n)
         .map(|_| {
-            // 3:1 replace:delete, matching the original generator weights.
+            // 3:1 insert:delete, matching the original generator weights.
             if rng.random_range(0..4u32) < 3 {
-                MapOp::Replace(rng.random_range(0..200u32), rng.random_range(0..1000u32))
+                Op::Insert(rng.random_range(0..200u32), rng.random_range(0..1000u32))
             } else {
-                MapOp::Delete(rng.random_range(0..200u32))
+                Op::Delete(rng.random_range(0..200u32))
             }
         })
         .collect()
 }
 
-#[test]
-fn map_matches_btreemap() {
+/// Run each seeded op stream against a table of `kind` and a `BTreeMap`
+/// reference. A set stores no values, so its reference values are 0 —
+/// what `find` and `for_each_entry` report for a set.
+fn check_against_btreemap(kind: TableKind) {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0xA110 + seed);
-        let ops = map_ops(&mut rng);
+        let ops = ops(&mut rng);
         let buckets = rng.random_range(1..6u32);
         let dev = Device::new(1 << 18);
         let alloc = SlabAllocator::new(&dev, 1024);
-        let table = TableDesc::create(&dev, TableKind::Map, buckets);
+        let table = TableDesc::create(&dev, kind, buckets);
         let reference = parking_lot::Mutex::new(BTreeMap::<u32, u32>::new());
 
         dev.launch_warps("model_check", 1, |warp| {
             let mut reference = reference.lock();
             for op in &ops {
                 match *op {
-                    MapOp::Replace(k, v) => {
-                        let added = table.replace(warp, &alloc, k, v).unwrap();
-                        let was_new = reference.insert(k, v).is_none();
-                        assert_eq!(added, was_new, "seed {seed}: replace({k}, {v})");
+                    Op::Insert(k, v) => {
+                        let added = table.insert(warp, &alloc, k, v).unwrap();
+                        let stored = if kind == TableKind::Map { v } else { 0 };
+                        let was_new = reference.insert(k, stored).is_none();
+                        assert_eq!(added, was_new, "{kind:?} seed {seed}: insert({k}, {v})");
                     }
-                    MapOp::Delete(k) => {
+                    Op::Delete(k) => {
                         let removed = table.delete(warp, k);
                         assert_eq!(
                             removed,
                             reference.remove(&k).is_some(),
-                            "seed {seed}: delete({k})"
+                            "{kind:?} seed {seed}: delete({k})"
                         );
                     }
                 }
             }
-            // Final state equality via search and iteration.
+            // Final state equality via lookup and iteration.
             for k in 0..200u32 {
                 assert_eq!(
-                    table.search(warp, k),
+                    table.find(warp, k),
                     reference.get(&k).copied(),
-                    "seed {seed}: search({k})"
+                    "{kind:?} seed {seed}: find({k})"
                 );
             }
             let mut iterated = BTreeMap::new();
-            table.for_each_pair(warp, |k, v| {
-                iterated.insert(k, v);
+            table.for_each_entry(warp, |k, v| {
+                assert!(
+                    iterated.insert(k, v).is_none(),
+                    "{kind:?} seed {seed}: duplicate {k}"
+                );
             });
-            assert_eq!(&iterated, &*reference, "seed {seed}: iteration");
+            assert_eq!(&iterated, &*reference, "{kind:?} seed {seed}: iteration");
         });
     }
 }
 
 #[test]
-fn set_matches_btreeset() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0x5E7 + seed);
-        let n_keys = rng.random_range(1..150usize);
-        let keys: Vec<u32> = (0..n_keys).map(|_| rng.random_range(0..100u32)).collect();
-        let n_del = rng.random_range(0..40usize);
-        let deletions: Vec<u32> = (0..n_del).map(|_| rng.random_range(0..100u32)).collect();
-
-        let dev = Device::new(1 << 18);
-        let alloc = SlabAllocator::new(&dev, 1024);
-        let buckets = buckets_for(keys.len(), 0.7, TableKind::Set);
-        let table = TableDesc::create(&dev, TableKind::Set, buckets);
-        let reference = parking_lot::Mutex::new(BTreeSet::<u32>::new());
-
-        dev.launch_warps("model_check", 1, |warp| {
-            let mut reference = reference.lock();
-            for &k in &keys {
-                assert_eq!(
-                    table.insert_unique(warp, &alloc, k).unwrap(),
-                    reference.insert(k),
-                    "seed {seed}: insert_unique({k})"
-                );
-            }
-            for &k in &deletions {
-                assert_eq!(
-                    table.delete(warp, k),
-                    reference.remove(&k),
-                    "seed {seed}: delete({k})"
-                );
-            }
-            for k in 0..100u32 {
-                assert_eq!(
-                    table.contains(warp, k),
-                    reference.contains(&k),
-                    "seed {seed}: contains({k})"
-                );
-            }
-            let mut iterated = BTreeSet::new();
-            table.for_each_key(warp, |k| {
-                iterated.insert(k);
-            });
-            assert_eq!(&iterated, &*reference, "seed {seed}: iteration");
-        });
+fn table_matches_btreemap() {
+    for kind in [TableKind::Map, TableKind::Set] {
+        check_against_btreemap(kind);
     }
 }
 
@@ -140,7 +107,7 @@ fn stats_live_keys_always_match() {
         let stats = parking_lot::Mutex::new(None);
         dev.launch_warps("model_check", 1, |warp| {
             for &k in &keys {
-                table.replace(warp, &alloc, k, k).unwrap();
+                table.insert(warp, &alloc, k, k).unwrap();
             }
             *stats.lock() = Some(table.stats(warp));
         });

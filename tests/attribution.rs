@@ -57,7 +57,7 @@ fn kernel_counters_partition_the_global_counters() {
     // JSON, and back.
     let report = TraceReport::new(&trace, &CostModel::titan_v());
     assert_eq!(report.kernel_sum(), trace.global);
-    let round = TraceReport::from_json(&report.to_json()).unwrap();
+    let round = TraceReport::from_json(&report.to_json().render_pretty()).unwrap();
     assert_eq!(round, report);
     assert!(report.render().contains("edge_insert"));
 }
@@ -157,7 +157,7 @@ fn report_json_round_trips_sanitizer_findings_exactly() {
 
     let report =
         TraceReport::new(&dev.trace(), &CostModel::titan_v()).with_findings(findings.clone());
-    let json = report.to_json();
+    let json = report.to_json().render_pretty();
     assert!(json.contains("\"sanitizer_findings\""));
     let round = TraceReport::from_json(&json).unwrap();
     assert_eq!(round, report, "exact round-trip including findings");

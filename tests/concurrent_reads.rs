@@ -13,6 +13,7 @@
 //! artifact of non-atomic multi-probe reads.
 
 use dynamic_graphs_gpu::gpu_sim::{Device, DeviceConfig, FindingKind, SanitizerConfig};
+use dynamic_graphs_gpu::graph_gen::splitmix64;
 use dynamic_graphs_gpu::prelude::*;
 use dynamic_graphs_gpu::slab_alloc::SlabAllocator;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -26,14 +27,6 @@ fn graph(n: u32) -> DynGraph {
     c.device_words = 1 << 20;
     c.pool_slabs = 1 << 12;
     DynGraph::new(c)
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 /// A seeded sequence of `EDGES` distinct directed edges.

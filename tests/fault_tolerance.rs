@@ -11,6 +11,7 @@
 //! a final state byte-identical to an unsharded replay.
 
 use dynamic_graphs_gpu::gpu_sim::DeviceFault;
+use dynamic_graphs_gpu::graph_gen::splitmix64;
 use dynamic_graphs_gpu::prelude::*;
 
 const N: u32 = 256;
@@ -19,14 +20,6 @@ fn cfg() -> GraphConfig {
     GraphConfig::directed_map(N)
         .with_device_words(1 << 18)
         .with_pool_slabs(1 << 8)
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 /// Seeded rounds of mixed traffic: inserts are fresh random pairs,

@@ -92,8 +92,8 @@ fn attached_profiler_never_perturbs_counters() {
     }
     let model = CostModel::titan_v();
     assert_eq!(
-        TraceReport::new(&on, &model).to_json(),
-        TraceReport::new(&off, &model).to_json(),
+        TraceReport::new(&on, &model).to_json().render_pretty(),
+        TraceReport::new(&off, &model).to_json().render_pretty(),
         "bench-facing report JSON must be byte-identical"
     );
 }

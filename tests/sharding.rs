@@ -5,6 +5,7 @@
 //! ceiling must resume its journaled suffix on the next flush while the
 //! other shards proceed, and a bad update must be rejected on its own.
 
+use graph_gen::splitmix64;
 use router::{
     shard_of, BatchRouter, RouterError, ShardHealth, ShardedGraph, ShardedValidationError, Update,
 };
@@ -16,14 +17,6 @@ fn config() -> GraphConfig {
     GraphConfig::directed_map(N_VERTICES)
         .with_device_words(1 << 20)
         .with_pool_slabs(1 << 10)
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 fn random_pair(rng: &mut u64) -> (u32, u32) {
