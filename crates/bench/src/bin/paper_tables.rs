@@ -5,46 +5,25 @@
 //!     cargo run -p bench --release --bin paper_tables -- table2 table3
 //!     cargo run -p bench --release --bin paper_tables -- all
 
-use bench::experiments as e;
-
-const IDS: [&str; 11] = [
-    "table1", "table2", "table3", "table4", "table5", "table6", "table7", "table8", "table9",
-    "fig2", "fig3",
-];
-
-fn run(id: &str) -> Option<bench::Table> {
-    Some(match id {
-        "table1" => e::table1(),
-        "table2" => e::table2_edge_insertion(),
-        "table3" => e::table3_edge_deletion(),
-        "table4" => e::table4_vertex_deletion(),
-        "table5" => e::table5_bulk_build(),
-        "table6" => e::table6_incremental_build(),
-        "table7" => e::table7_static_tc(),
-        "table8" => e::table8_sort_cost(),
-        "table9" => e::table9_dynamic_tc(),
-        "fig2" => e::fig2_load_factor(),
-        "fig3" => e::fig3_tc_load_factor(),
-        _ => return None,
-    })
-}
+use bench::experiments::ALL;
 
 fn main() {
+    let ids: Vec<&str> = ALL.iter().map(|(id, _)| *id).collect();
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!("usage: paper_tables <id>... where id is one of {IDS:?} or 'all'");
+        eprintln!("usage: paper_tables <id>... where id is one of {ids:?} or 'all'");
         std::process::exit(2);
     }
-    let ids: Vec<&str> = if args.iter().any(|a| a == "all") {
-        IDS.to_vec()
+    let wanted: Vec<&str> = if args.iter().any(|a| a == "all") {
+        ids.clone()
     } else {
         args.iter().map(String::as_str).collect()
     };
-    for id in ids {
-        match run(id) {
-            Some(t) => t.emit(),
+    for id in wanted {
+        match ALL.iter().find(|(known, _)| *known == id) {
+            Some((_, run)) => run().emit(),
             None => {
-                eprintln!("unknown experiment id {id:?}; known ids: {IDS:?}");
+                eprintln!("unknown experiment id {id:?}; known ids: {ids:?}");
                 std::process::exit(2);
             }
         }

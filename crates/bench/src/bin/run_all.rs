@@ -1,26 +1,14 @@
 //! Runs every table and figure experiment in sequence, printing each and
 //! persisting JSON under target/experiments/. `BENCH_SCALE_SHIFT=n` scales
 //! every workload up by 2^n.
-use bench::experiments as e;
+use bench::experiments;
 use bench::harness::write_bench_artifact;
 
 fn main() {
     let t0 = std::time::Instant::now();
     let mut tables: Vec<bench::Table> = vec![];
-    for (name, f) in [
-        ("table1", e::table1 as fn() -> bench::Table),
-        ("table2", e::table2_edge_insertion),
-        ("table3", e::table3_edge_deletion),
-        ("table4", e::table4_vertex_deletion),
-        ("table5", e::table5_bulk_build),
-        ("table6", e::table6_incremental_build),
-        ("table7", e::table7_static_tc),
-        ("table8", e::table8_sort_cost),
-        ("table9", e::table9_dynamic_tc),
-        ("fig2", e::fig2_load_factor),
-        ("fig3", e::fig3_tc_load_factor),
-        ("churn", bench::churn::churn_default),
-    ] {
+    let churn: experiments::Experiment = ("churn", bench::churn::churn_default);
+    for (name, f) in experiments::ALL.into_iter().chain([churn]) {
         let t = std::time::Instant::now();
         let table = f();
         table.emit();

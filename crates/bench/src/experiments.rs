@@ -17,6 +17,24 @@ use baselines::{sort, Csr, FaimGraph, Hornet};
 use graph_gen::{catalog, insert_batch, mirror, rmat_edges, vertex_batch, weighted, RmatParams};
 use slabgraph::{Direction, DynGraph, Edge, GraphConfig, TableKind};
 
+/// An experiment id (as the bins accept it) and the function that runs it.
+pub type Experiment = (&'static str, fn() -> Table);
+
+/// Every paper experiment, in evaluation order.
+pub const ALL: [Experiment; 11] = [
+    ("table1", table1),
+    ("table2", table2_edge_insertion),
+    ("table3", table3_edge_deletion),
+    ("table4", table4_vertex_deletion),
+    ("table5", table5_bulk_build),
+    ("table6", table6_incremental_build),
+    ("table7", table7_static_tc),
+    ("table8", table8_sort_cost),
+    ("table9", table9_dynamic_tc),
+    ("fig2", fig2_load_factor),
+    ("fig3", fig3_tc_load_factor),
+];
+
 /// Datasets used by the update-rate tables (a representative spread of
 /// Table I's families, kept small enough for the single-core simulator).
 const UPDATE_DATASETS: [&str; 6] = [

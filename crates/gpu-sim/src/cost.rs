@@ -9,7 +9,6 @@
 //! is — see DESIGN.md §2.
 
 use crate::counters::CounterSnapshot;
-use std::time::Duration;
 
 /// Bytes per coalesced global-memory transaction (one 128 B cache line,
 /// equivalently one 32-lane × 4-byte coalesced access).
@@ -56,11 +55,6 @@ impl CostModel {
         let warp_instrs = ((c.ballots + c.shuffles) as f64) / self.warp_instr_throughput;
         let launch = (c.launches as f64) * self.launch_overhead;
         mem + atomics + warp_instrs + launch
-    }
-
-    /// Modeled execution time as a [`Duration`].
-    pub fn duration(&self, c: &CounterSnapshot) -> Duration {
-        Duration::from_secs_f64(self.seconds(c).max(0.0))
     }
 
     /// Throughput in *items per second* when `items` units of work issued
@@ -135,14 +129,5 @@ mod tests {
     fn throughput_of_zero_cost_is_zero() {
         let m = CostModel::titan_v();
         assert_eq!(m.throughput(100, &CounterSnapshot::default()), 0.0);
-    }
-
-    #[test]
-    fn duration_matches_seconds() {
-        let m = CostModel::titan_v();
-        let c = snap(1_000_000, 5_000, 3);
-        let d = m.duration(&c);
-        // Duration has nanosecond resolution.
-        assert!((d.as_secs_f64() - m.seconds(&c)).abs() < 1e-9);
     }
 }

@@ -13,7 +13,7 @@
 //! the named kernel's entry in the device's [`KernelRegistry`]. See
 //! [`crate::trace`] for the attribution model and reporting.
 
-use crate::counters::PerfCounters;
+use crate::counters::{CounterSnapshot, Event, PerfCounters};
 use crate::fault::{FaultInjector, FaultPlan, OomError};
 use crate::lanes::{self, Lanes, FULL_MASK, WARP_SIZE};
 use crate::memory::{Addr, DeviceArena, SLAB_WORDS};
@@ -169,7 +169,7 @@ impl Device {
         }
         Device {
             arena,
-            counters: PerfCounters::new(),
+            counters: PerfCounters::default(),
             policy: config.policy,
             registry: KernelRegistry::new(),
             scope: parking_lot::Mutex::new(Vec::new()),
@@ -209,25 +209,6 @@ impl Device {
     /// uninstalls immediately.
     pub fn trace_scope(&self, ctx: TraceCtx) -> TraceScope {
         TraceScope::new(self.prof.clone(), ctx)
-    }
-
-    /// Snapshot the global counters iff a span must be recorded when the
-    /// unit completes: only top-level units on a profiled device record.
-    #[inline]
-    fn begin_unit(&self, top_level: bool) -> Option<crate::counters::CounterSnapshot> {
-        if top_level && self.prof.is_some() {
-            Some(self.counters.snapshot())
-        } else {
-            None
-        }
-    }
-
-    /// Close a unit opened by [`Self::begin_unit`].
-    #[inline]
-    fn end_unit(&self, name: &'static str, before: Option<crate::counters::CounterSnapshot>) {
-        if let (Some(before), Some(p)) = (before, &self.prof) {
-            p.record_span(name, self.counters.snapshot().delta(&before));
-        }
     }
 
     /// The sanitizer's findings (empty when no sanitizer is attached).
@@ -304,8 +285,44 @@ impl Device {
             } else {
                 None
             },
-            tally: std::cell::Cell::new(crate::counters::CounterSnapshot::default()),
+            tally: std::cell::Cell::new(CounterSnapshot::default()),
         }
+    }
+
+    /// The one attribution unit: every launch, fused or unlaunched scope,
+    /// and memset opens and closes here. The unit charges under the
+    /// outermost active scope's name (`name` itself when top-level), and
+    /// only a top-level unit charges its own launch (when `launches`).
+    /// `body` runs with `name` pushed on the scope stack and receives the
+    /// resolved attribution target. On a profiled device a top-level unit
+    /// records its whole counter delta as one span: a kernel span if it
+    /// charges a launch, else a host span if the delta is non-zero.
+    fn unit<R>(
+        &self,
+        name: &'static str,
+        launches: bool,
+        body: impl FnOnce(&'static str) -> R,
+    ) -> R {
+        let (target, top_level) = self.resolve(name);
+        let before = (top_level && self.prof.is_some()).then(|| self.counters.snapshot());
+        if launches && top_level {
+            self.counters.add_event(Event::Launches, 1);
+            self.registry.counters(target).add_event(Event::Launches, 1);
+        }
+        self.scope.lock().push(name);
+        let r = {
+            let _scope = ScopeGuard { scope: &self.scope };
+            body(target)
+        };
+        if let (Some(before), Some(p)) = (before, &self.prof) {
+            let delta = self.counters.snapshot().delta(&before);
+            if launches {
+                p.record_span(target, delta);
+            } else if delta != CounterSnapshot::default() {
+                p.record_host_span(target, delta);
+            }
+        }
+        r
     }
 
     /// Launch a named kernel.
@@ -325,78 +342,69 @@ impl Device {
             LaunchShape::Tasks(n) => (n.div_ceil(WARP_SIZE), n as u64),
             LaunchShape::Warps(n) => (n, u64::MAX),
         };
-        let (name, top_level) = self.resolve(spec.name);
-        let kcounters = self.registry.counters(name);
-        let unit = self.begin_unit(top_level);
-        if top_level {
-            self.counters.add_launches(1);
-            kcounters.add_launches(1);
-        }
-        self.counters.add_warps(n_warps as u64);
-        kcounters.add_warps(n_warps as u64);
-        let era = self.era.fetch_add(1, Ordering::Relaxed) + 1;
-        if n_warps == 0 {
-            // Still one charged launch — the span must exist for the
-            // span-per-launch accounting to hold.
-            self.end_unit(name, unit);
-            return;
-        }
-        self.scope.lock().push(spec.name);
-        let _scope = ScopeGuard { scope: &self.scope };
-        let run_warp = |warp_id: usize| {
-            let base = (warp_id * WARP_SIZE) as u64;
-            let active_mask = if n_tasks == u64::MAX {
-                FULL_MASK
-            } else {
-                let remaining = n_tasks.saturating_sub(base).min(WARP_SIZE as u64) as u32;
-                if remaining == 0 {
-                    0
-                } else if remaining == 32 {
+        self.unit(spec.name, true, |target| {
+            let kcounters = self.registry.counters(target);
+            self.counters.add_event(Event::Warps, n_warps as u64);
+            kcounters.add_event(Event::Warps, n_warps as u64);
+            let era = self.era.fetch_add(1, Ordering::Relaxed) + 1;
+            if n_warps == 0 {
+                // Still one charged launch, so still one span.
+                return;
+            }
+            let run_warp = |warp_id: usize| {
+                let base = (warp_id * WARP_SIZE) as u64;
+                let active_mask = if n_tasks == u64::MAX {
                     FULL_MASK
                 } else {
-                    (1u32 << remaining) - 1
-                }
-            };
-            let mut warp = Warp {
-                device: self,
-                warp_id: warp_id as u32,
-                active_mask,
-                name: spec.name,
-                kernel: kcounters.clone(),
-                attempts: std::cell::RefCell::new(Vec::new()),
-                race: self
-                    .san
-                    .as_ref()
-                    .map(|_| std::cell::RefCell::new(WarpRace::new(era, warp_id as u32))),
-            };
-            kernel(&mut warp);
-        };
-        match self.policy {
-            ExecPolicy::Sequential => {
-                for w in 0..n_warps {
-                    run_warp(w);
-                }
-            }
-            ExecPolicy::Threaded(threads) => {
-                let threads = threads.max(1);
-                let next = std::sync::atomic::AtomicUsize::new(0);
-                std::thread::scope(|s| {
-                    for _ in 0..threads {
-                        s.spawn(|| loop {
-                            let w = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if w >= n_warps {
-                                break;
-                            }
-                            run_warp(w);
-                        });
+                    let remaining = n_tasks.saturating_sub(base).min(WARP_SIZE as u64) as u32;
+                    if remaining == 0 {
+                        0
+                    } else if remaining == 32 {
+                        FULL_MASK
+                    } else {
+                        (1u32 << remaining) - 1
                     }
-                });
+                };
+                let mut warp = Warp {
+                    device: self,
+                    warp_id: warp_id as u32,
+                    active_mask,
+                    name: spec.name,
+                    kernel: kcounters.clone(),
+                    attempts: std::cell::RefCell::new(Vec::new()),
+                    race: self
+                        .san
+                        .as_ref()
+                        .map(|_| std::cell::RefCell::new(WarpRace::new(era, warp_id as u32))),
+                };
+                kernel(&mut warp);
+            };
+            match self.policy {
+                ExecPolicy::Sequential => {
+                    for w in 0..n_warps {
+                        run_warp(w);
+                    }
+                }
+                ExecPolicy::Threaded(threads) => {
+                    let threads = threads.max(1);
+                    let next = std::sync::atomic::AtomicUsize::new(0);
+                    std::thread::scope(|s| {
+                        for _ in 0..threads {
+                            s.spawn(|| loop {
+                                let w = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                                if w >= n_warps {
+                                    break;
+                                }
+                                run_warp(w);
+                            });
+                        }
+                    });
+                }
             }
-        }
-        if let Some(s) = &self.san {
-            s.escalate_after_launch();
-        }
-        self.end_unit(name, unit);
+            if let Some(s) = &self.san {
+                s.escalate_after_launch();
+            }
+        });
     }
 
     /// Launch a named kernel with one *thread* (lane) per task, grouped
@@ -425,18 +433,7 @@ impl Device {
     /// — to the outermost scope's name. Inner launches charge warps but no
     /// launches of their own.
     pub fn fused_scope<R>(&self, name: &'static str, body: impl FnOnce() -> R) -> R {
-        let (eff, top_level) = self.resolve(name);
-        let unit = self.begin_unit(top_level);
-        if top_level {
-            let kcounters = self.registry.counters(eff);
-            self.counters.add_launches(1);
-            kcounters.add_launches(1);
-        }
-        self.scope.lock().push(name);
-        let _scope = ScopeGuard { scope: &self.scope };
-        let r = body();
-        self.end_unit(eff, unit);
-        r
+        self.unit(name, true, |_| body())
     }
 
     /// Like [`Self::fused_scope`] but charges **no** launch of its own:
@@ -447,24 +444,7 @@ impl Device {
     /// a host span (launch-free cost must still advance the modeled
     /// clock); nested scopes are covered by the enclosing unit's span.
     pub fn unlaunched_scope<R>(&self, name: &'static str, body: impl FnOnce() -> R) -> R {
-        let (eff, top_level) = self.resolve(name);
-        let before = if top_level && self.prof.is_some() {
-            Some(self.counters.snapshot())
-        } else {
-            None
-        };
-        self.scope.lock().push(name);
-        let r = {
-            let _scope = ScopeGuard { scope: &self.scope };
-            body()
-        };
-        if let (Some(before), Some(p)) = (before, &self.prof) {
-            let delta = self.counters.snapshot().delta(&before);
-            if delta != crate::counters::CounterSnapshot::default() {
-                p.record_host_span(eff, delta);
-            }
-        }
-        r
+        self.unit(name, false, |_| body())
     }
 
     /// Device-side memset: fills `n` words with `v`, charged as a
@@ -472,18 +452,14 @@ impl Device {
     /// (or the active scope/launch name, if any). Used to initialise slab
     /// regions to the EMPTY sentinel inside measured build phases.
     pub fn memset(&self, name: &'static str, base: Addr, n: usize, v: u32) {
-        let (name, top_level) = self.resolve(name);
-        let kcounters = self.registry.counters(name);
-        let unit = self.begin_unit(top_level);
-        if top_level {
-            self.counters.add_launches(1);
-            kcounters.add_launches(1);
-        }
-        let tx = (n as u64).div_ceil(SLAB_WORDS as u64);
-        self.counters.add_transactions(tx);
-        kcounters.add_transactions(tx);
-        self.arena.fill(base, n, v);
-        self.end_unit(name, unit);
+        self.unit(name, true, |target| {
+            let tx = (n as u64).div_ceil(SLAB_WORDS as u64);
+            self.counters.add_event(Event::Transactions, tx);
+            self.registry
+                .counters(target)
+                .add_event(Event::Transactions, tx);
+            self.arena.fill(base, n, v);
+        });
     }
 
     /// Allocate `n` words (aligned to `align`) from the arena, charging
@@ -514,8 +490,10 @@ impl Device {
             }
         };
         let (name, _) = self.resolve(HOST_KERNEL);
-        self.counters.add_words_allocated(n as u64);
-        self.registry.counters(name).add_words_allocated(n as u64);
+        self.counters.add_event(Event::WordsAllocated, n as u64);
+        self.registry
+            .counters(name)
+            .add_event(Event::WordsAllocated, n as u64);
         Ok(addr)
     }
 
@@ -641,18 +619,9 @@ pub struct Warp<'d> {
     /// Stack of in-flight speculative attempts (see [`Self::begin_attempt`]).
     /// Charges land in the innermost open attempt instead of the counters;
     /// a `Warp` never crosses threads, so `RefCell` suffices.
-    attempts: std::cell::RefCell<Vec<AttemptTally>>,
+    attempts: std::cell::RefCell<Vec<CounterSnapshot>>,
     /// Racecheck vector-clock state, present iff a sanitizer is attached.
     race: Option<std::cell::RefCell<WarpRace>>,
-}
-
-/// Charges buffered for one speculative attempt.
-#[derive(Default, Clone, Copy)]
-struct AttemptTally {
-    transactions: u64,
-    atomics: u64,
-    ballots: u64,
-    shuffles: u64,
 }
 
 impl<'d> Warp<'d> {
@@ -723,44 +692,16 @@ impl<'d> Warp<'d> {
         }
     }
 
+    /// Charge `n` of one event to the innermost open attempt, or else to
+    /// the device and kernel counters.
     #[inline]
-    fn charge_transactions(&self, n: u64) {
+    fn charge_event(&self, event: Event, n: u64) {
         if let Some(t) = self.attempts.borrow_mut().last_mut() {
-            t.transactions += n;
+            t.add_event(event, n);
             return;
         }
-        self.device.counters.add_transactions(n);
-        self.kernel.add_transactions(n);
-    }
-
-    #[inline]
-    fn charge_atomics(&self, n: u64) {
-        if let Some(t) = self.attempts.borrow_mut().last_mut() {
-            t.atomics += n;
-            return;
-        }
-        self.device.counters.add_atomics(n);
-        self.kernel.add_atomics(n);
-    }
-
-    #[inline]
-    fn charge_ballots(&self, n: u64) {
-        if let Some(t) = self.attempts.borrow_mut().last_mut() {
-            t.ballots += n;
-            return;
-        }
-        self.device.counters.add_ballots(n);
-        self.kernel.add_ballots(n);
-    }
-
-    #[inline]
-    fn charge_shuffles(&self, n: u64) {
-        if let Some(t) = self.attempts.borrow_mut().last_mut() {
-            t.shuffles += n;
-            return;
-        }
-        self.device.counters.add_shuffles(n);
-        self.kernel.add_shuffles(n);
+        self.device.counters.add_event(event, n);
+        self.kernel.add_event(event, n);
     }
 
     // ---- speculative attempt charging ----
@@ -779,7 +720,7 @@ impl<'d> Warp<'d> {
     /// buffered until [`Self::commit_attempt`] or [`Self::abort_attempt`].
     /// Attempts nest; charges commit into the enclosing attempt first.
     pub fn begin_attempt(&self) {
-        self.attempts.borrow_mut().push(AttemptTally::default());
+        self.attempts.borrow_mut().push(CounterSnapshot::default());
     }
 
     /// Commit the innermost attempt: merge its buffered charges into the
@@ -789,30 +730,13 @@ impl<'d> Warp<'d> {
             let mut stack = self.attempts.borrow_mut();
             let t = stack.pop().expect("commit_attempt without begin_attempt");
             if let Some(parent) = stack.last_mut() {
-                parent.transactions += t.transactions;
-                parent.atomics += t.atomics;
-                parent.ballots += t.ballots;
-                parent.shuffles += t.shuffles;
+                *parent += t;
                 return;
             }
             t
         };
-        if t.transactions > 0 {
-            self.device.counters.add_transactions(t.transactions);
-            self.kernel.add_transactions(t.transactions);
-        }
-        if t.atomics > 0 {
-            self.device.counters.add_atomics(t.atomics);
-            self.kernel.add_atomics(t.atomics);
-        }
-        if t.ballots > 0 {
-            self.device.counters.add_ballots(t.ballots);
-            self.kernel.add_ballots(t.ballots);
-        }
-        if t.shuffles > 0 {
-            self.device.counters.add_shuffles(t.shuffles);
-            self.kernel.add_shuffles(t.shuffles);
-        }
+        self.device.counters.add_all(t);
+        self.kernel.add_all(t);
     }
 
     /// Discard the innermost attempt's buffered charges (the attempt was
@@ -845,28 +769,28 @@ impl<'d> Warp<'d> {
     /// itself (e.g. via [`Self::is_active`]), not into the ballot mask.
     #[inline]
     pub fn ballot(&self, preds: &Lanes<bool>) -> u32 {
-        self.charge_ballots(1);
+        self.charge_event(Event::Ballots, 1);
         lanes::ballot(FULL_MASK, preds)
     }
 
     /// `__ballot_sync` with an explicit mask (for sub-warp groups).
     #[inline]
     pub fn ballot_masked(&self, mask: u32, preds: &Lanes<bool>) -> u32 {
-        self.charge_ballots(1);
+        self.charge_event(Event::Ballots, 1);
         lanes::ballot(mask, preds)
     }
 
     /// `__shfl_sync` broadcast: every lane reads `src_lane`'s value.
     #[inline]
     pub fn shuffle<T: Copy>(&self, vals: &Lanes<T>, src_lane: u32) -> T {
-        self.charge_shuffles(1);
+        self.charge_event(Event::Shuffles, 1);
         lanes::shuffle(vals, src_lane)
     }
 
     /// `__shfl_sync` indexed form.
     #[inline]
     pub fn shuffle_idx<T: Copy>(&self, vals: &Lanes<T>, idx: &Lanes<u32>) -> Lanes<T> {
-        self.charge_shuffles(1);
+        self.charge_event(Event::Shuffles, 1);
         lanes::shuffle_idx(vals, idx)
     }
 
@@ -876,7 +800,7 @@ impl<'d> Warp<'d> {
     /// One transaction.
     #[inline]
     pub fn read_slab(&self, base: Addr) -> Lanes<u32> {
-        self.charge_transactions(1);
+        self.charge_event(Event::Transactions, 1);
         self.san_access(base, SLAB_WORDS as u32, AccessKind::PlainRead);
         Lanes(self.device.arena.load_slab(base))
     }
@@ -884,7 +808,7 @@ impl<'d> Warp<'d> {
     /// Coalesced write of one 128 B slab. One transaction.
     #[inline]
     pub fn write_slab(&self, base: Addr, words: &Lanes<u32>) {
-        self.charge_transactions(1);
+        self.charge_event(Event::Transactions, 1);
         self.san_access(base, SLAB_WORDS as u32, AccessKind::PlainWrite);
         self.device.arena.store_slab(base, &words.0);
     }
@@ -927,14 +851,14 @@ impl<'d> Warp<'d> {
                 }
             }
         }
-        self.charge_transactions(n as u64);
+        self.charge_event(Event::Transactions, n as u64);
     }
 
     /// Single-word read issued by one lane (uniform warp read). One
     /// transaction.
     #[inline]
     pub fn read_word(&self, addr: Addr) -> u32 {
-        self.charge_transactions(1);
+        self.charge_event(Event::Transactions, 1);
         self.san_access(addr, 1, AccessKind::PlainRead);
         self.device.arena.load(addr)
     }
@@ -942,7 +866,7 @@ impl<'d> Warp<'d> {
     /// Single-word write issued by one lane. One transaction.
     #[inline]
     pub fn write_word(&self, addr: Addr, v: u32) {
-        self.charge_transactions(1);
+        self.charge_event(Event::Transactions, 1);
         self.san_access(addr, 1, AccessKind::PlainWrite);
         self.device.arena.store(addr, v);
     }
@@ -950,7 +874,7 @@ impl<'d> Warp<'d> {
     /// `atomicCAS` issued by one lane.
     #[inline]
     pub fn atomic_cas(&self, addr: Addr, expected: u32, new: u32) -> Result<u32, u32> {
-        self.charge_atomics(1);
+        self.charge_event(Event::Atomics, 1);
         self.san_access(addr, 1, AccessKind::Atomic);
         self.device.arena.cas(addr, expected, new)
     }
@@ -958,7 +882,7 @@ impl<'d> Warp<'d> {
     /// `atomicExch` issued by one lane.
     #[inline]
     pub fn atomic_exchange(&self, addr: Addr, v: u32) -> u32 {
-        self.charge_atomics(1);
+        self.charge_event(Event::Atomics, 1);
         self.san_access(addr, 1, AccessKind::Atomic);
         self.device.arena.exchange(addr, v)
     }
@@ -966,7 +890,7 @@ impl<'d> Warp<'d> {
     /// `atomicAdd` issued by one lane.
     #[inline]
     pub fn atomic_add(&self, addr: Addr, v: u32) -> u32 {
-        self.charge_atomics(1);
+        self.charge_event(Event::Atomics, 1);
         self.san_access(addr, 1, AccessKind::Atomic);
         self.device.arena.fetch_add(addr, v)
     }
@@ -974,7 +898,7 @@ impl<'d> Warp<'d> {
     /// `atomicSub` issued by one lane.
     #[inline]
     pub fn atomic_sub(&self, addr: Addr, v: u32) -> u32 {
-        self.charge_atomics(1);
+        self.charge_event(Event::Atomics, 1);
         self.san_access(addr, 1, AccessKind::Atomic);
         self.device.arena.fetch_sub(addr, v)
     }
@@ -982,7 +906,7 @@ impl<'d> Warp<'d> {
     /// `atomicOr` issued by one lane.
     #[inline]
     pub fn atomic_or(&self, addr: Addr, v: u32) -> u32 {
-        self.charge_atomics(1);
+        self.charge_event(Event::Atomics, 1);
         self.san_access(addr, 1, AccessKind::Atomic);
         self.device.arena.fetch_or(addr, v)
     }
@@ -990,7 +914,7 @@ impl<'d> Warp<'d> {
     /// `atomicAnd` issued by one lane.
     #[inline]
     pub fn atomic_and(&self, addr: Addr, v: u32) -> u32 {
-        self.charge_atomics(1);
+        self.charge_event(Event::Atomics, 1);
         self.san_access(addr, 1, AccessKind::Atomic);
         self.device.arena.fetch_and(addr, v)
     }
@@ -1315,6 +1239,119 @@ mod tests {
         assert!(dev.fault_check().is_ok());
         assert!(dev.fault_check().is_err());
         assert!(dev.fault_check().is_ok());
+    }
+
+    #[test]
+    fn nested_attempts_fold_into_their_parent_and_only_the_outermost_commit_charges() {
+        let dev = Device::new(1024);
+        let p = dev.alloc_words(SLAB_WORDS, SLAB_WORDS);
+        dev.arena().fill(p, SLAB_WORDS, 0);
+        let zero = crate::counters::CounterSnapshot::default();
+        let committed = crate::counters::CounterSnapshot {
+            transactions: 1,
+            atomics: 1,
+            ballots: 1,
+            ..zero
+        };
+        let before = dev.trace();
+        dev.launch_warps("speculate", 1, |warp| {
+            let d = warp.device();
+            let mid = d.trace();
+            let charged_since_mid = || {
+                let t = d.trace().delta(&mid);
+                let kernel = t.kernels.first().map(|k| k.counters).unwrap_or_default();
+                (t.global, kernel)
+            };
+            warp.begin_attempt();
+            let _ = warp.read_slab(p);
+            warp.begin_attempt();
+            let _ = warp.ballot(&Lanes::splat(true));
+            warp.atomic_add(p, 1);
+            warp.commit_attempt();
+            assert_eq!(
+                charged_since_mid(),
+                (zero, zero),
+                "inner commit folds into the parent"
+            );
+            warp.begin_attempt();
+            let _ = warp.shuffle(&Lanes::splat(1u32), 0);
+            let _ = warp.read_word(p);
+            warp.abort_attempt();
+            warp.uncharged(|w| {
+                w.atomic_add(p, 1);
+                let _ = w.read_slab(p);
+            });
+            assert_eq!(charged_since_mid(), (zero, zero), "aborted and uncharged");
+            warp.commit_attempt();
+            assert_eq!(
+                charged_since_mid(),
+                (committed, committed),
+                "outermost commit"
+            );
+        });
+        let d = dev.trace().delta(&before);
+        let expected = crate::counters::CounterSnapshot {
+            launches: 1,
+            warps: 1,
+            ..committed
+        };
+        assert_eq!(d.global, expected);
+        assert_eq!(d.kernels.len(), 1);
+        assert_eq!(d.kernels[0].name, "speculate");
+        assert_eq!(d.kernels[0].counters, expected);
+    }
+
+    #[test]
+    fn each_unit_kind_records_its_span_rule() {
+        use crate::counters::CounterSnapshot;
+        let dev =
+            Device::with_config(DeviceConfig::new(1024).with_profiler(ProfilerConfig::default()));
+        let p = dev.alloc_words(64, 32);
+        let prof = dev.profiler().unwrap().clone();
+        let spans = || prof.timeline().spans;
+        let host_spans = || prof.timeline().host_spans;
+        // A launch-charging unit records one kernel span of its whole
+        // delta, even when a nested charge adds launches of its own.
+        dev.fused_scope("fused", || {
+            dev.memset("inner", p, 64, 0);
+            dev.charge("inner_charge").add_launches(2);
+        });
+        assert_eq!(spans().len(), 1);
+        assert_eq!(spans()[0].name, "fused");
+        assert_eq!(
+            spans()[0].counters,
+            CounterSnapshot {
+                transactions: 2,
+                launches: 3,
+                ..Default::default()
+            }
+        );
+        // A launch-free unit records a host span only for a non-zero delta.
+        dev.unlaunched_scope("idle", || {});
+        assert!(host_spans().is_empty());
+        dev.unlaunched_scope("walk", || dev.charge("inner").add_transactions(5));
+        assert_eq!(host_spans().len(), 1);
+        assert_eq!(host_spans()[0].name, "walk");
+        assert_eq!(host_spans()[0].counters.transactions, 5);
+        // A top-level charge splits into one kernel span per launch.
+        let c = dev.charge("manual");
+        c.add_launches(3);
+        c.add_transactions(7);
+        drop(c);
+        let manual: Vec<u64> = spans()[1..]
+            .iter()
+            .map(|s| s.counters.transactions)
+            .collect();
+        assert_eq!(manual, [3, 2, 2]);
+        assert!(spans()[1..]
+            .iter()
+            .all(|s| s.name == "manual" && s.counters.launches == 1));
+        // A plain launch and a top-level memset: one span each.
+        dev.launch_warps("plain", 2, |_| {});
+        dev.memset("fill", p, 64, 0);
+        let tail: Vec<&str> = spans()[4..].iter().map(|s| s.name).collect();
+        assert_eq!(tail, ["plain", "fill"]);
+        assert_eq!(prof.timeline().stats.spans_recorded, 6);
     }
 
     #[test]

@@ -40,20 +40,6 @@ use crate::sanitizer::Finding;
 use crate::trace::{KernelStats, TraceReport, TraceSnapshot};
 use std::sync::Arc;
 
-/// Event-wise sum of two counter snapshots (the merge dual of
-/// [`CounterSnapshot::delta`]).
-fn add_counters(a: CounterSnapshot, b: CounterSnapshot) -> CounterSnapshot {
-    CounterSnapshot {
-        transactions: a.transactions + b.transactions,
-        atomics: a.atomics + b.atomics,
-        ballots: a.ballots + b.ballots,
-        shuffles: a.shuffles + b.shuffles,
-        launches: a.launches + b.launches,
-        warps: a.warps + b.warps,
-        words_allocated: a.words_allocated + b.words_allocated,
-    }
-}
-
 /// A fixed set of simulated devices sharing one configuration and driven
 /// concurrently as shards of a larger structure. See the module docs for
 /// the clock and merge semantics.
@@ -140,10 +126,10 @@ impl DeviceGroup {
         let mut global = CounterSnapshot::default();
         let mut kernels: Vec<KernelStats> = Vec::new();
         for t in traces {
-            global = add_counters(global, t.global);
+            global += t.global;
             for k in &t.kernels {
                 match kernels.iter_mut().find(|e| e.name == k.name) {
-                    Some(e) => e.counters = add_counters(e.counters, k.counters),
+                    Some(e) => e.counters += k.counters,
                     None => kernels.push(*k),
                 }
             }

@@ -13,8 +13,11 @@
 //!   words addressed by plain `u32` device pointers.
 //! - [`Device`] / [`Warp`] — kernel launch (sequential deterministic or
 //!   multi-threaded) and the charged warp-level memory/intrinsic API.
-//! - [`PerfCounters`] / [`CostModel`] — transaction-level accounting and a
-//!   TITAN V-like analytic timing model used by the benchmark harness.
+//! - [`PerfCounters`] / [`CounterSnapshot`] / [`CostModel`] — the seven
+//!   hardware events (named once, in [`CounterSnapshot::NAMES`]), charged
+//!   only by the simulator (read-only outside this crate; manual charge
+//!   sites use [`Device::charge`]), and a TITAN V-like analytic timing
+//!   model used by the benchmark harness.
 //! - [`KernelSpec`] / [`TraceReport`] — named kernel launches with
 //!   per-kernel counter attribution and renderable/serializable breakdown
 //!   reports (see [`trace`]).

@@ -299,31 +299,19 @@ impl Profiler {
     /// active trace context, and advance the clock by its modeled
     /// duration. Returns the span's id.
     pub fn record_span(&self, name: &'static str, delta: CounterSnapshot) -> u64 {
-        let dur_s = self.model.seconds(&delta);
-        let mut st = self.state.lock();
-        let start_s = st.now_s;
-        let ctx = st.ctx_stack.last().copied();
-        let id = st.next_span_id;
-        st.next_span_id += 1;
-        st.spans.push(SpanEvent {
-            name,
-            start_s,
-            dur_s,
-            counters: delta,
-            id,
-            parent: ctx.map_or(0, |c| c.parent_span),
-            ctx,
-        });
-        st.now_s += dur_s;
-        id
+        self.push_span(|st| &mut st.spans, name, self.model.seconds(&delta), delta)
     }
 
     /// Append one *host* span — costed work outside any kernel launch
     /// (see [`Timeline::host_spans`]) — and advance the clock by its
     /// modeled duration. Returns the span's id.
     pub fn record_host_span(&self, name: &'static str, delta: CounterSnapshot) -> u64 {
-        let dur_s = self.model.seconds(&delta);
-        self.push_host_span(name, dur_s, delta)
+        self.push_span(
+            |st| &mut st.host_spans,
+            name,
+            self.model.seconds(&delta),
+            delta,
+        )
     }
 
     /// Charge `dur_s` seconds of pure *wait* onto the modeled clock: a
@@ -332,16 +320,29 @@ impl Profiler {
     /// timeline — and as costly to the makespan — as the work itself.
     /// Returns the span's id.
     pub fn charge_wait(&self, name: &'static str, dur_s: f64) -> u64 {
-        self.push_host_span(name, dur_s, CounterSnapshot::default())
+        self.push_span(
+            |st| &mut st.host_spans,
+            name,
+            dur_s,
+            CounterSnapshot::default(),
+        )
     }
 
-    fn push_host_span(&self, name: &'static str, dur_s: f64, counters: CounterSnapshot) -> u64 {
+    /// Append a span to the ring `ring` selects, stamped with the active
+    /// trace context, and advance the clock by `dur_s`.
+    fn push_span(
+        &self,
+        ring: fn(&mut ProfState) -> &mut Ring<SpanEvent>,
+        name: &'static str,
+        dur_s: f64,
+        counters: CounterSnapshot,
+    ) -> u64 {
         let mut st = self.state.lock();
         let start_s = st.now_s;
         let ctx = st.ctx_stack.last().copied();
         let id = st.next_span_id;
         st.next_span_id += 1;
-        st.host_spans.push(SpanEvent {
+        ring(&mut st).push(SpanEvent {
             name,
             start_s,
             dur_s,
@@ -383,25 +384,8 @@ impl Profiler {
             self.record_host_span(name, tally);
             return;
         }
-        let n = tally.launches;
-        if n == 1 {
-            self.record_span(name, tally);
-            return;
-        }
-        let split = |total: u64, i: u64| total / n + u64::from(i < total % n);
-        for i in 0..n {
-            self.record_span(
-                name,
-                CounterSnapshot {
-                    transactions: split(tally.transactions, i),
-                    atomics: split(tally.atomics, i),
-                    ballots: split(tally.ballots, i),
-                    shuffles: split(tally.shuffles, i),
-                    launches: split(tally.launches, i),
-                    warps: split(tally.warps, i),
-                    words_allocated: split(tally.words_allocated, i),
-                },
-            );
+        for part in tally.split(tally.launches) {
+            self.record_span(name, part);
         }
     }
 
@@ -495,16 +479,11 @@ impl Profiler {
             });
         }
         let span_event = |s: &SpanEvent, tid: u64| {
-            let c = &s.counters;
-            let mut args = vec![
-                ("transactions".into(), Json::u64(c.transactions)),
-                ("atomics".into(), Json::u64(c.atomics)),
-                ("ballots".into(), Json::u64(c.ballots)),
-                ("shuffles".into(), Json::u64(c.shuffles)),
-                ("launches".into(), Json::u64(c.launches)),
-                ("warps".into(), Json::u64(c.warps)),
-                ("words_allocated".into(), Json::u64(c.words_allocated)),
-            ];
+            let mut args: Vec<(String, Json)> = s
+                .counters
+                .iter()
+                .map(|(event, n)| (event.into(), Json::u64(n)))
+                .collect();
             if let Some(ctx) = s.ctx {
                 args.push(("trace_span".into(), Json::u64(s.id)));
                 args.push(("trace_parent".into(), Json::u64(s.parent)));

@@ -16,7 +16,7 @@
 //! allocation bookkeeping) fall into the reserved [`HOST_KERNEL`] bucket.
 
 use crate::cost::CostModel;
-use crate::counters::{CounterSnapshot, PerfCounters};
+use crate::counters::{CounterSnapshot, Event, PerfCounters, EVENTS};
 use crate::json::Json;
 use crate::metrics::{MetricKind, MetricSummary};
 use crate::profiler::Profiler;
@@ -83,7 +83,7 @@ impl KernelRegistry {
         if let Some((_, c)) = entries.iter().find(|(n, _)| *n == name) {
             return c.clone();
         }
-        let c = Arc::new(PerfCounters::new());
+        let c = Arc::new(PerfCounters::default());
         entries.push((name, c.clone()));
         c
     }
@@ -120,31 +120,46 @@ pub struct Charge<'d> {
     pub(crate) tally: std::cell::Cell<CounterSnapshot>,
 }
 
-macro_rules! charge_methods {
-    ($($(#[$doc:meta])* $method:ident => $field:ident),* $(,)?) => {$(
-        $(#[$doc])*
-        pub fn $method(&self, n: u64) {
-            self.global.$method(n);
-            self.kernel.$method(n);
-            if self.prof.is_some() {
-                let mut t = self.tally.get();
-                t.$field += n;
-                self.tally.set(t);
-            }
-        }
-    )*};
-}
-
 impl Charge<'_> {
-    charge_methods!(
-        add_transactions => transactions,
-        add_atomics => atomics,
-        add_ballots => ballots,
-        add_shuffles => shuffles,
-        add_launches => launches,
-        add_warps => warps,
-        add_words_allocated => words_allocated,
-    );
+    pub fn add_transactions(&self, n: u64) {
+        self.tally_event(Event::Transactions, n);
+    }
+
+    pub fn add_atomics(&self, n: u64) {
+        self.tally_event(Event::Atomics, n);
+    }
+
+    pub fn add_ballots(&self, n: u64) {
+        self.tally_event(Event::Ballots, n);
+    }
+
+    pub fn add_shuffles(&self, n: u64) {
+        self.tally_event(Event::Shuffles, n);
+    }
+
+    pub fn add_launches(&self, n: u64) {
+        self.tally_event(Event::Launches, n);
+    }
+
+    pub fn add_warps(&self, n: u64) {
+        self.tally_event(Event::Warps, n);
+    }
+
+    pub fn add_words_allocated(&self, n: u64) {
+        self.tally_event(Event::WordsAllocated, n);
+    }
+
+    /// The one tally path: global, kernel, and (top-level on a profiled
+    /// device) the handle's own span tally.
+    fn tally_event(&self, event: Event, n: u64) {
+        self.global.add_event(event, n);
+        self.kernel.add_event(event, n);
+        if self.prof.is_some() {
+            let mut t = self.tally.get();
+            t.add_event(event, n);
+            self.tally.set(t);
+        }
+    }
 }
 
 impl Drop for Charge<'_> {
@@ -207,17 +222,7 @@ impl TraceSnapshot {
     /// Event-wise sum of every kernel's counters. Equals [`Self::global`]
     /// by construction — the attribution invariant tests assert it.
     pub fn kernel_sum(&self) -> CounterSnapshot {
-        let mut sum = CounterSnapshot::default();
-        for k in &self.kernels {
-            sum.transactions += k.counters.transactions;
-            sum.atomics += k.counters.atomics;
-            sum.ballots += k.counters.ballots;
-            sum.shuffles += k.counters.shuffles;
-            sum.launches += k.counters.launches;
-            sum.warps += k.counters.warps;
-            sum.words_allocated += k.counters.words_allocated;
-        }
-        sum
+        self.kernels.iter().map(|k| k.counters).sum()
     }
 }
 
@@ -384,127 +389,72 @@ impl TraceReport {
 
     /// Event-wise sum over the per-kernel rows (excluding the total row).
     pub fn kernel_sum(&self) -> CounterSnapshot {
-        let mut sum = CounterSnapshot::default();
-        for r in &self.rows {
-            sum.transactions += r.counters.transactions;
-            sum.atomics += r.counters.atomics;
-            sum.ballots += r.counters.ballots;
-            sum.shuffles += r.counters.shuffles;
-            sum.launches += r.counters.launches;
-            sum.warps += r.counters.warps;
-            sum.words_allocated += r.counters.words_allocated;
-        }
-        sum
+        self.rows.iter().map(|r| r.counters).sum()
     }
 
     /// Render as an aligned text table.
     pub fn render(&self) -> String {
-        const HEADERS: [&str; 9] = [
-            "kernel",
-            "launches",
-            "warps",
-            "transactions",
-            "atomics",
-            "ballots",
-            "shuffles",
-            "alloc words",
-            "modeled ms",
+        const COLUMNS: [(&str, Event); 7] = [
+            ("launches", Event::Launches),
+            ("warps", Event::Warps),
+            ("transactions", Event::Transactions),
+            ("atomics", Event::Atomics),
+            ("ballots", Event::Ballots),
+            ("shuffles", Event::Shuffles),
+            ("alloc words", Event::WordsAllocated),
         ];
-        let row_cells = |r: &TraceRow| -> [String; 9] {
-            [
-                r.name.clone(),
-                r.counters.launches.to_string(),
-                r.counters.warps.to_string(),
-                r.counters.transactions.to_string(),
-                r.counters.atomics.to_string(),
-                r.counters.ballots.to_string(),
-                r.counters.shuffles.to_string(),
-                r.counters.words_allocated.to_string(),
-                format!("{:.4}", r.modeled_s * 1e3),
-            ]
+        let mut headers = vec!["kernel"];
+        headers.extend(COLUMNS.map(|(header, _)| header));
+        headers.push("modeled ms");
+        let row_cells = |r: &TraceRow| {
+            let mut cells = vec![r.name.clone()];
+            cells.extend(COLUMNS.map(|(_, e)| r.counters.count(e).to_string()));
+            cells.push(format!("{:.4}", r.modeled_s * 1e3));
+            cells
         };
-        let mut body: Vec<[String; 9]> = self.rows.iter().map(row_cells).collect();
+        let mut body: Vec<Vec<String>> = self.rows.iter().map(row_cells).collect();
         body.push(row_cells(&self.total));
-        let mut widths: Vec<usize> = HEADERS.iter().map(|h| h.len()).collect();
-        for row in &body {
-            for (w, cell) in widths.iter_mut().zip(row.iter()) {
-                *w = (*w).max(cell.len());
-            }
-        }
-        let fmt_row = |cells: &[String]| {
-            let mut line = String::new();
-            for (i, (cell, w)) in cells.iter().zip(&widths).enumerate() {
-                if i > 0 {
-                    line.push_str("  ");
-                }
-                if i == 0 {
-                    line.push_str(&format!("{cell:<w$}"));
-                } else {
-                    line.push_str(&format!("{cell:>w$}"));
-                }
-            }
-            line.push('\n');
-            line
-        };
-        let header: Vec<String> = HEADERS.iter().map(|h| h.to_string()).collect();
-        let rule = widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>();
-        let mut out = fmt_row(&header);
-        out.push_str(&fmt_row(&rule));
-        for row in &body[..body.len() - 1] {
-            out.push_str(&fmt_row(row));
-        }
-        out.push_str(&fmt_row(&rule));
-        out.push_str(&fmt_row(&body[body.len() - 1]));
+        let (lines, rule) = aligned_table(&headers, &body, 1, "");
+        let (header, rows) = lines.split_first().expect("a header line");
+        let (total, kernels) = rows.split_last().expect("a total line");
+        let mut out = header.clone() + &rule;
+        out.extend(kernels.iter().map(String::as_str));
+        out.push_str(&rule);
+        out.push_str(total);
         if !self.metrics.is_empty() {
             out.push_str(&format!("\nmetrics ({}):\n", self.metrics.len()));
-            const MHEADERS: [&str; 8] =
-                ["metric", "kind", "count", "sum", "max", "p50", "p95", "p99"];
-            let mrow = |m: &MetricSummary| -> [String; 8] {
-                [
-                    m.name.clone(),
-                    m.kind.as_str().to_string(),
-                    m.count.to_string(),
-                    m.sum.to_string(),
-                    m.max.to_string(),
-                    m.p50.to_string(),
-                    m.p95.to_string(),
-                    m.p99.to_string(),
-                ]
-            };
-            let mbody: Vec<[String; 8]> = self.metrics.iter().map(mrow).collect();
-            let mut mwidths: Vec<usize> = MHEADERS.iter().map(|h| h.len()).collect();
-            for row in &mbody {
-                for (w, cell) in mwidths.iter_mut().zip(row.iter()) {
-                    *w = (*w).max(cell.len());
-                }
-            }
-            let fmt_mrow = |cells: &[String]| {
-                let mut line = String::from("  ");
-                for (i, (cell, w)) in cells.iter().zip(&mwidths).enumerate() {
-                    if i > 0 {
-                        line.push_str("  ");
-                    }
-                    if i < 2 {
-                        line.push_str(&format!("{cell:<w$}"));
-                    } else {
-                        line.push_str(&format!("{cell:>w$}"));
-                    }
-                }
-                line.push('\n');
-                line
-            };
-            let mheader: Vec<String> = MHEADERS.iter().map(|h| h.to_string()).collect();
-            out.push_str(&fmt_mrow(&mheader));
-            for row in &mbody {
-                out.push_str(&fmt_mrow(row));
-            }
+            let rows: Vec<Vec<String>> = self
+                .metrics
+                .iter()
+                .map(|m| {
+                    let mut cells = vec![m.name.clone(), m.kind.as_str().to_string()];
+                    cells.extend(
+                        [m.count, m.sum, m.max, m.p50, m.p95, m.p99].map(|n| n.to_string()),
+                    );
+                    cells
+                })
+                .collect();
+            let headers = ["metric", "kind", "count", "sum", "max", "p50", "p95", "p99"];
+            out.push_str(&aligned_table(&headers, &rows, 2, "  ").0.concat());
         }
         if !self.op_attribution.is_empty() {
             out.push_str(&format!(
                 "\nop attribution ({}):\n",
                 self.op_attribution.len()
             ));
-            const AHEADERS: [&str; 7] = [
+            let rows: Vec<Vec<String>> = self
+                .op_attribution
+                .iter()
+                .map(|a| {
+                    let mut cells = vec![a.component.clone()];
+                    cells.extend(
+                        [a.count, a.sum_ns, a.max_ns, a.p50_ns, a.p95_ns, a.p99_ns]
+                            .map(|n| n.to_string()),
+                    );
+                    cells
+                })
+                .collect();
+            let headers = [
                 "component",
                 "count",
                 "sum ns",
@@ -513,44 +463,7 @@ impl TraceReport {
                 "p95 ns",
                 "p99 ns",
             ];
-            let arow = |a: &OpAttributionRow| -> [String; 7] {
-                [
-                    a.component.clone(),
-                    a.count.to_string(),
-                    a.sum_ns.to_string(),
-                    a.max_ns.to_string(),
-                    a.p50_ns.to_string(),
-                    a.p95_ns.to_string(),
-                    a.p99_ns.to_string(),
-                ]
-            };
-            let abody: Vec<[String; 7]> = self.op_attribution.iter().map(arow).collect();
-            let mut awidths: Vec<usize> = AHEADERS.iter().map(|h| h.len()).collect();
-            for row in &abody {
-                for (w, cell) in awidths.iter_mut().zip(row.iter()) {
-                    *w = (*w).max(cell.len());
-                }
-            }
-            let fmt_arow = |cells: &[String]| {
-                let mut line = String::from("  ");
-                for (i, (cell, w)) in cells.iter().zip(&awidths).enumerate() {
-                    if i > 0 {
-                        line.push_str("  ");
-                    }
-                    if i == 0 {
-                        line.push_str(&format!("{cell:<w$}"));
-                    } else {
-                        line.push_str(&format!("{cell:>w$}"));
-                    }
-                }
-                line.push('\n');
-                line
-            };
-            let aheader: Vec<String> = AHEADERS.iter().map(|h| h.to_string()).collect();
-            out.push_str(&fmt_arow(&aheader));
-            for row in &abody {
-                out.push_str(&fmt_arow(row));
-            }
+            out.push_str(&aligned_table(&headers, &rows, 1, "  ").0.concat());
         }
         if !self.tail_exemplars.is_empty() {
             out.push_str(&format!(
@@ -604,20 +517,10 @@ impl TraceReport {
     /// round-trips exactly through [`Self::from_json`].
     pub fn to_json(&self) -> Json {
         let row_json = |r: &TraceRow| {
-            Json::Obj(vec![
-                ("name".into(), Json::str(&r.name)),
-                ("transactions".into(), Json::u64(r.counters.transactions)),
-                ("atomics".into(), Json::u64(r.counters.atomics)),
-                ("ballots".into(), Json::u64(r.counters.ballots)),
-                ("shuffles".into(), Json::u64(r.counters.shuffles)),
-                ("launches".into(), Json::u64(r.counters.launches)),
-                ("warps".into(), Json::u64(r.counters.warps)),
-                (
-                    "words_allocated".into(),
-                    Json::u64(r.counters.words_allocated),
-                ),
-                ("modeled_s".into(), Json::f64(r.modeled_s)),
-            ])
+            let mut fields = vec![("name".into(), Json::str(&r.name))];
+            fields.extend(r.counters.iter().map(|(k, n)| (k.into(), Json::u64(n))));
+            fields.push(("modeled_s".into(), Json::f64(r.modeled_s)));
+            Json::Obj(fields)
         };
         let finding_json = |f: &Finding| {
             Json::Obj(vec![
@@ -725,26 +628,21 @@ impl TraceReport {
     pub fn from_json(text: &str) -> Result<TraceReport, String> {
         let v = Json::parse(text)?;
         let parse_row = |j: &Json| -> Result<TraceRow, String> {
-            let field = |key: &str| -> Result<u64, String> {
-                j.get(key)
+            let name = j
+                .get("name")
+                .and_then(Json::as_str)
+                .ok_or("missing 'name'")?
+                .to_string();
+            let mut events = [0; EVENTS];
+            for (n, key) in events.iter_mut().zip(CounterSnapshot::NAMES) {
+                *n = j
+                    .get(key)
                     .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("missing counter '{key}'"))
-            };
+                    .ok_or_else(|| format!("missing counter '{key}'"))?;
+            }
             Ok(TraceRow {
-                name: j
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or("missing 'name'")?
-                    .to_string(),
-                counters: CounterSnapshot {
-                    transactions: field("transactions")?,
-                    atomics: field("atomics")?,
-                    ballots: field("ballots")?,
-                    shuffles: field("shuffles")?,
-                    launches: field("launches")?,
-                    warps: field("warps")?,
-                    words_allocated: field("words_allocated")?,
-                },
+                name,
+                counters: CounterSnapshot::from_array(events),
                 modeled_s: j
                     .get("modeled_s")
                     .and_then(Json::as_f64)
@@ -760,17 +658,8 @@ impl TraceReport {
             .collect::<Result<Vec<_>, _>>()?;
         let total = parse_row(v.get("total").ok_or("missing 'total'")?)?;
         let parse_finding = |j: &Json| -> Result<Finding, String> {
-            let s = |key: &str| -> Result<String, String> {
-                j.get(key)
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("missing finding field '{key}'"))
-            };
-            let n = |key: &str| -> Result<u64, String> {
-                j.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("missing finding field '{key}'"))
-            };
+            let s = |key| field(j, "finding", key, Json::as_str).map(str::to_string);
+            let n = |key| field(j, "finding", key, Json::as_u64);
             let kind_str = s("kind")?;
             Ok(Finding {
                 kind: FindingKind::parse(&kind_str)
@@ -790,17 +679,8 @@ impl TraceReport {
             None => Vec::new(),
         };
         let parse_metric = |j: &Json| -> Result<MetricSummary, String> {
-            let s = |key: &str| -> Result<String, String> {
-                j.get(key)
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("missing metric field '{key}'"))
-            };
-            let n = |key: &str| -> Result<u64, String> {
-                j.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("missing metric field '{key}'"))
-            };
+            let s = |key| field(j, "metric", key, Json::as_str).map(str::to_string);
+            let n = |key| field(j, "metric", key, Json::as_u64);
             let kind_str = s("kind")?;
             let p95 = n("p95")?;
             Ok(MetricSummary {
@@ -823,23 +703,12 @@ impl TraceReport {
             None => Vec::new(),
         };
         let parse_health = |j: &Json| -> Result<ShardHealthRow, String> {
-            let n = |key: &str| -> Result<u64, String> {
-                j.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("missing shard-health field '{key}'"))
-            };
+            let n = |key| field(j, "shard-health", key, Json::as_u64);
             Ok(ShardHealthRow {
                 shard: n("shard")?,
-                state: j
-                    .get("state")
-                    .and_then(Json::as_str)
-                    .ok_or("missing shard-health field 'state'")?
-                    .to_string(),
+                state: field(j, "shard-health", "state", Json::as_str)?.to_string(),
                 retries: n("retries")?,
-                backoff_s: j
-                    .get("backoff_s")
-                    .and_then(Json::as_f64)
-                    .ok_or("missing shard-health field 'backoff_s'")?,
+                backoff_s: field(j, "shard-health", "backoff_s", Json::as_f64)?,
                 journal_depth: n("journal_depth")?,
                 rebuilds: n("rebuilds")?,
             })
@@ -850,17 +719,9 @@ impl TraceReport {
             None => Vec::new(),
         };
         let parse_attr = |j: &Json| -> Result<OpAttributionRow, String> {
-            let n = |key: &str| -> Result<u64, String> {
-                j.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("missing attribution field '{key}'"))
-            };
+            let n = |key| field(j, "attribution", key, Json::as_u64);
             Ok(OpAttributionRow {
-                component: j
-                    .get("component")
-                    .and_then(Json::as_str)
-                    .ok_or("missing attribution field 'component'")?
-                    .to_string(),
+                component: field(j, "attribution", "component", Json::as_str)?.to_string(),
                 count: n("count")?,
                 sum_ns: n("sum_ns")?,
                 max_ns: n("max_ns")?,
@@ -870,28 +731,17 @@ impl TraceReport {
             })
         };
         let parse_exemplar = |j: &Json| -> Result<TailExemplarRow, String> {
-            let n = |key: &str| -> Result<u64, String> {
-                j.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("missing exemplar field '{key}'"))
-            };
+            let n = |key| field(j, "exemplar", key, Json::as_u64);
             Ok(TailExemplarRow {
                 op: n("op")?,
                 session: n("session")?,
-                kind: j
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .ok_or("missing exemplar field 'kind'")?
-                    .to_string(),
+                kind: field(j, "exemplar", "kind", Json::as_str)?.to_string(),
                 total_ns: n("total_ns")?,
                 queue_ns: n("queue_ns")?,
                 backoff_ns: n("backoff_ns")?,
                 kernel_ns: n("kernel_ns")?,
                 degraded_ns: n("degraded_ns")?,
-                spans: j
-                    .get("spans")
-                    .and_then(Json::as_arr)
-                    .ok_or("missing exemplar field 'spans'")?
+                spans: field(j, "exemplar", "spans", Json::as_arr)?
                     .iter()
                     .map(|s| {
                         s.as_str()
@@ -922,6 +772,60 @@ impl TraceReport {
     }
 }
 
+/// Field `key` of the report section entry `j`, read by `as_t`; the error
+/// names the section and the field.
+fn field<'j, T>(
+    j: &'j Json,
+    section: &str,
+    key: &str,
+    as_t: fn(&'j Json) -> Option<T>,
+) -> Result<T, String> {
+    j.get(key)
+        .and_then(as_t)
+        .ok_or_else(|| format!("missing {section} field '{key}'"))
+}
+
+/// Lay `rows` out under `headers` in columns two spaces apart, each as
+/// wide as its widest cell: the first `left` columns left-aligned, the
+/// rest right-aligned, every line prefixed by `indent`. Returns the header
+/// line and one line per row, plus a rule line of dashes.
+fn aligned_table(
+    headers: &[&str],
+    rows: &[Vec<String>],
+    left: usize,
+    indent: &str,
+) -> (Vec<String>, String) {
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    for row in rows {
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
+        }
+    }
+    let line = |cells: Vec<&str>| {
+        let mut line = indent.to_string();
+        for (i, (cell, w)) in cells.into_iter().zip(&widths).enumerate() {
+            if i > 0 {
+                line.push_str("  ");
+            }
+            if i < left {
+                line.push_str(&format!("{cell:<w$}"));
+            } else {
+                line.push_str(&format!("{cell:>w$}"));
+            }
+        }
+        line.push('\n');
+        line
+    };
+    let mut lines = vec![line(headers.to_vec())];
+    lines.extend(
+        rows.iter()
+            .map(|r| line(r.iter().map(String::as_str).collect())),
+    );
+    let dashes: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
+    let rule = line(dashes.iter().map(String::as_str).collect());
+    (lines, rule)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -937,9 +841,9 @@ mod tests {
     #[test]
     fn registry_keeps_first_launch_order() {
         let r = KernelRegistry::new();
-        r.counters("b").add_transactions(1);
-        r.counters("a").add_transactions(2);
-        r.counters("b").add_transactions(3);
+        r.counters("b").add_event(Event::Transactions, 1);
+        r.counters("a").add_event(Event::Transactions, 2);
+        r.counters("b").add_event(Event::Transactions, 3);
         let s = r.snapshot();
         assert_eq!(s.len(), 2);
         assert_eq!(s[0].name, "b");

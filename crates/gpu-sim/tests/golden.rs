@@ -1,0 +1,184 @@
+//! Byte-exact goldens for the report and trace renderers.
+//!
+//! `TraceReport::render`, `TraceReport::to_json` and `chrome_trace_json`
+//! feed committed artifacts and downstream parsers, so their output is
+//! pinned byte for byte against files under `testdata/`. A renderer change
+//! that alters any byte fails here; regenerate a golden only for an
+//! intended format change.
+
+use gpu_sim::sanitizer::NO_WARP;
+use gpu_sim::{
+    chrome_trace_json, CostModel, CounterSnapshot, Finding, FindingKind, KernelStats, MetricKind,
+    MetricSummary, OpAttributionRow, Profiler, ProfilerConfig, ShardHealthRow, TailExemplarRow,
+    TraceCtx, TraceReport, TraceSnapshot,
+};
+
+fn counters(seed: u64) -> CounterSnapshot {
+    CounterSnapshot {
+        transactions: 1000 * seed + 7,
+        atomics: 30 * seed + 1,
+        ballots: 200 * seed,
+        shuffles: 5 * seed + 2,
+        launches: seed,
+        warps: 12 * seed + 3,
+        words_allocated: 4096 * seed,
+    }
+}
+
+/// A report with every section non-empty.
+fn full_report() -> TraceReport {
+    let (a, b, host) = (counters(3), counters(1), counters(0));
+    let trace = TraceSnapshot {
+        global: CounterSnapshot {
+            transactions: a.transactions + b.transactions + host.transactions,
+            atomics: a.atomics + b.atomics + host.atomics,
+            ballots: a.ballots + b.ballots + host.ballots,
+            shuffles: a.shuffles + b.shuffles + host.shuffles,
+            launches: a.launches + b.launches + host.launches,
+            warps: a.warps + b.warps + host.warps,
+            words_allocated: a.words_allocated + b.words_allocated + host.words_allocated,
+        },
+        kernels: vec![
+            KernelStats {
+                name: "edge_delete",
+                counters: b,
+            },
+            KernelStats {
+                name: "(host)",
+                counters: host,
+            },
+            KernelStats {
+                name: "edge_insert",
+                counters: a,
+            },
+        ],
+    };
+    TraceReport::new(&trace, &CostModel::titan_v())
+        .with_findings(vec![
+            Finding {
+                kind: FindingKind::RaceWriteWrite,
+                addr: 0x40,
+                kernel: "edge_insert".into(),
+                warp: 3,
+                era: 7,
+                other_kernel: "edge_insert".into(),
+                other_warp: 5,
+                note: "plain write races with plain write by `edge_insert` (warp 5)".into(),
+            },
+            Finding {
+                kind: FindingKind::UseAfterFree,
+                addr: 0x80,
+                kernel: "(host)".into(),
+                warp: NO_WARP,
+                era: 0,
+                other_kernel: String::new(),
+                other_warp: NO_WARP,
+                note: "freed slab".into(),
+            },
+        ])
+        .with_metrics(vec![
+            MetricSummary {
+                name: "slab_hash.probe_depth".into(),
+                kind: MetricKind::Histogram,
+                count: 1000,
+                sum: 1700,
+                max: 9,
+                p50: 1,
+                p95: 4,
+                p99: 8,
+            },
+            MetricSummary {
+                name: "slab_alloc.live_slabs".into(),
+                kind: MetricKind::Gauge,
+                count: 64,
+                sum: 12,
+                max: 48,
+                p50: 12,
+                p95: 12,
+                p99: 12,
+            },
+        ])
+        .with_shard_health(vec![
+            ShardHealthRow {
+                shard: 0,
+                state: "healthy".into(),
+                retries: 0,
+                backoff_s: 0.0,
+                journal_depth: 0,
+                rebuilds: 0,
+            },
+            ShardHealthRow {
+                shard: 2,
+                state: "down".into(),
+                retries: 3,
+                backoff_s: 0.015625,
+                journal_depth: 42,
+                rebuilds: 1,
+            },
+        ])
+        .with_op_attribution(vec![
+            OpAttributionRow {
+                component: "kernel".into(),
+                count: 100,
+                sum_ns: 5000,
+                max_ns: 400,
+                p50_ns: 32,
+                p95_ns: 128,
+                p99_ns: 256,
+            },
+            OpAttributionRow {
+                component: "total".into(),
+                count: 100,
+                sum_ns: 123456,
+                max_ns: 612,
+                p50_ns: 64,
+                p95_ns: 512,
+                p99_ns: 612,
+            },
+        ])
+        .with_tail_exemplars(vec![TailExemplarRow {
+            op: 17,
+            session: 3,
+            kind: "insert".into(),
+            total_ns: 612,
+            queue_ns: 112,
+            backoff_ns: 100,
+            kernel_ns: 400,
+            degraded_ns: 0,
+            spans: vec![
+                "op#17 session 3 insert".into(),
+                "flush#2".into(),
+                "shard1/router.flush".into(),
+                "shard1/edge_insert".into(),
+            ],
+        }])
+}
+
+#[test]
+fn report_render_is_byte_identical_to_golden() {
+    assert_eq!(
+        full_report().render(),
+        include_str!("../testdata/trace_report.txt")
+    );
+}
+
+#[test]
+fn report_json_is_byte_identical_to_golden() {
+    let report = full_report();
+    let json = report.to_json().render_pretty();
+    assert_eq!(json, include_str!("../testdata/trace_report.json"));
+    assert_eq!(TraceReport::from_json(&json).unwrap(), report);
+}
+
+#[test]
+fn chrome_trace_is_byte_identical_to_golden() {
+    let p = Profiler::new(ProfilerConfig::default());
+    p.record_span("edge_insert", counters(2));
+    p.push_ctx(TraceCtx::root(4, 9).under(1));
+    p.record_host_span("(host)", counters(0));
+    p.pop_ctx();
+    assert_eq!(
+        chrome_trace_json(&p.chrome_events(7)),
+        include_str!("../testdata/chrome_trace.json")
+    );
+}

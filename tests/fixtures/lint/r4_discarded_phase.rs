@@ -1,8 +1,6 @@
 //@ path: crates/core/src/fixture_r4.rs
-//@ expect: R4@6
-//@ expect: R4@7
+//@ expect: R4@5
 
 fn run(dev: &Device) {
     dev.phase("bulk_build");
-    dev.counters().add_atomics(3);
 }

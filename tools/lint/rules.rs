@@ -62,8 +62,8 @@ pub const RULES: [RuleMeta; 10] = [
     },
     RuleMeta {
         id: "R4",
-        name: "counter-bypass",
-        desc: "PerfCounters mutated outside Charge, or PhaseGuard discarded at the call site",
+        name: "discarded-phase",
+        desc: "PhaseGuard discarded at the call site closes the phase immediately",
     },
     RuleMeta {
         id: "R5",
@@ -515,20 +515,6 @@ fn statement_rules(file: &ScannedFile, findings: &mut Vec<Finding>) {
             }
         }
         for stmt in statements(&func.body) {
-            // R4a: direct PerfCounters mutation.
-            if !gpu_sim {
-                if let Some(line) = counters_add_call(stmt) {
-                    push(
-                        findings,
-                        file,
-                        "R4",
-                        line,
-                        "",
-                        &func.name,
-                        "PerfCounters mutated directly; go through the Charge API".to_string(),
-                    );
-                }
-            }
             // R6: dispatch outcome unwrapped or discarded in sharded code.
             if sharded && !func.cfg_test {
                 const DISPATCH: [&str; 5] = [
@@ -579,27 +565,6 @@ fn statement_rules(file: &ScannedFile, findings: &mut Vec<Finding>) {
             }
         }
     }
-}
-
-fn counters_add_call(trees: &[Tree]) -> Option<u32> {
-    let mut found = None;
-    token_walk(trees, &mut |ts, i| {
-        if found.is_some() {
-            return;
-        }
-        let Some(tok) = ts[i].as_leaf() else { return };
-        if tok.text.starts_with("add_")
-            && ts.get(i + 1).is_some_and(|a| a.is_group('('))
-            && i >= 4
-            && ts[i - 1].as_leaf().is_some_and(|t| t.is_punct("."))
-            && ts[i - 2].is_group('(')
-            && ts[i - 3].as_leaf().is_some_and(|t| t.is_ident("counters"))
-            && ts[i - 4].as_leaf().is_some_and(|t| t.is_punct("."))
-        {
-            found = Some(tok.line);
-        }
-    });
-    found
 }
 
 /// A `.phase("…")` call at *this* statement level (no descent into nested

@@ -16,9 +16,10 @@
 //! - **R3 `unnamed-launch`** — a launch whose kernel-name argument is not
 //!   a string literal breaks per-kernel attribution and sanitizer
 //!   provenance.
-//! - **R4 `counter-bypass`** — mutating `PerfCounters` directly
-//!   (`.counters().add_*`) instead of going through `Charge`, or
-//!   discarding the `PhaseGuard` returned by `.phase("…")`.
+//! - **R4 `discarded-phase`** — discarding the `PhaseGuard` returned by
+//!   `.phase("…")`, which closes the phase immediately. (Mutating
+//!   `PerfCounters` outside gpu-sim needs no rule: its mutators are
+//!   crate-private, so such code does not compile.)
 //! - **R5 `rogue-device`** — direct `Device` construction in sharded code
 //!   (`crates/router/`, `*/sharded.rs`); shard devices must come from a
 //!   `DeviceGroup` or their work vanishes from merged traces.
