@@ -50,12 +50,9 @@ impl Csr {
         for i in 0..n_vertices as usize {
             offsets[i + 1] += offsets[i];
         }
-        for (i, &off) in offsets.iter().enumerate() {
-            dev.arena().store(row_offsets + i as u32, off);
-        }
-        for (i, &(_, v)) in batch.iter().enumerate() {
-            dev.arena().store(col_indices + i as u32, v);
-        }
+        dev.host_write(row_offsets, &offsets);
+        let cols: Vec<u32> = batch.iter().map(|&(_, v)| v).collect();
+        dev.host_write(col_indices, &cols);
         Csr {
             dev,
             n_vertices,
@@ -80,21 +77,26 @@ impl Csr {
     /// Degree of `u` (two row-pointer reads, charged).
     pub fn degree(&self, u: u32) -> u32 {
         self.dev.charge("csr_read").add_transactions(1);
-        let s = self.dev.arena().load(self.row_offsets + u);
-        let e = self.dev.arena().load(self.row_offsets + u + 1);
+        let [s, e] = self.row(u);
         e - s
+    }
+
+    /// Host read of `u`'s row-pointer pair `[start, end)`.
+    fn row(&self, u: u32) -> [u32; 2] {
+        let mut row = [0; 2];
+        self.dev.host_read(self.row_offsets + u, &mut row);
+        row
     }
 
     /// Read `u`'s (sorted) adjacency list with charged coalesced reads.
     pub fn read_adjacency(&self, u: u32) -> Vec<u32> {
-        let s = self.dev.arena().load(self.row_offsets + u);
-        let e = self.dev.arena().load(self.row_offsets + u + 1);
+        let [s, e] = self.row(u);
         self.dev
             .charge("csr_read")
             .add_transactions(1 + ((e - s) as u64).div_ceil(32));
-        (s..e)
-            .map(|i| self.dev.arena().load(self.col_indices + i))
-            .collect()
+        let mut adj = vec![0; (e - s) as usize];
+        self.dev.host_read(self.col_indices + s, &mut adj);
+        adj
     }
 
     /// Binary-search membership query over the sorted row.
@@ -104,12 +106,11 @@ impl Csr {
 
     /// The segment ranges of every adjacency list (for segmented sorts).
     pub fn segments(&self) -> Vec<(usize, usize)> {
-        (0..self.n_vertices)
-            .map(|u| {
-                let s = self.dev.arena().load(self.row_offsets + u) as usize;
-                let e = self.dev.arena().load(self.row_offsets + u + 1) as usize;
-                (s, e)
-            })
+        let mut offsets = vec![0; self.n_vertices as usize + 1];
+        self.dev.host_read(self.row_offsets, &mut offsets);
+        offsets
+            .windows(2)
+            .map(|w| (w[0] as usize, w[1] as usize))
             .collect()
     }
 }

@@ -17,6 +17,12 @@ use parking_lot::Mutex;
 pub const PAGE_SLOTS: u32 = 31;
 const NEXT_WORD: u32 = 31;
 const EMPTY: u32 = u32::MAX;
+/// A fresh page: every slot empty, no next page.
+const EMPTY_PAGE: [u32; SLAB_WORDS] = {
+    let mut page = [EMPTY; SLAB_WORDS];
+    page[NEXT_WORD as usize] = NULL_ADDR;
+    page
+};
 
 /// Per-vertex metadata layout in device memory: [head_page, degree, lock].
 const META_WORDS: u32 = 3;
@@ -47,7 +53,7 @@ impl FaimGraph {
         let dev = Device::new(device_words);
         let meta = dev.alloc_words((n_vertices * META_WORDS) as usize, SLAB_WORDS);
         let qsync = dev.alloc_words(1, 1);
-        dev.arena().store(qsync, 0);
+        dev.host_write(qsync, &[0]);
         let g = FaimGraph {
             dev,
             n_vertices,
@@ -56,12 +62,10 @@ impl FaimGraph {
             qsync,
             free_ids: Mutex::new(Vec::new()),
         };
-        for v in 0..n_vertices {
-            let page = g.fresh_page_host();
-            g.dev.arena().store(g.meta + v * META_WORDS, page);
-            g.dev.arena().store(g.meta + v * META_WORDS + 1, 0);
-            g.dev.arena().store(g.meta + v * META_WORDS + LOCK_WORD, 0);
-        }
+        let meta: Vec<u32> = (0..n_vertices)
+            .flat_map(|_| [g.fresh_page_host(), 0, 0])
+            .collect();
+        g.dev.host_write(g.meta, &meta);
         g
     }
 
@@ -84,8 +88,7 @@ impl FaimGraph {
 
     fn fresh_page_host(&self) -> Addr {
         let page = self.dev.alloc_words(SLAB_WORDS, SLAB_WORDS);
-        self.dev.arena().fill(page, SLAB_WORDS, EMPTY);
-        self.dev.arena().store(page + NEXT_WORD, NULL_ADDR);
+        self.dev.host_write(page, &EMPTY_PAGE);
         page
     }
 
@@ -121,11 +124,7 @@ impl FaimGraph {
         warp.atomic_add(self.qsync, 1);
         if let Some(p) = self.page_queue.lock().pop() {
             // Re-initialise the recycled page (charged write).
-            warp.write_slab(p, &{
-                let mut init = Lanes::splat(EMPTY);
-                init.set(NEXT_WORD as usize, NULL_ADDR);
-                init
-            });
+            warp.write_slab(p, &Lanes(EMPTY_PAGE));
             return p;
         }
         let p = self.fresh_page_host();
@@ -139,19 +138,17 @@ impl FaimGraph {
     }
 
     fn write_list_host(&self, u: u32, dsts: &[u32]) {
-        let mut page = self.dev.arena().load(self.meta + u * META_WORDS);
-        for (i, &d) in dsts.iter().enumerate() {
-            let slot = (i as u32) % PAGE_SLOTS;
-            if i > 0 && slot == 0 {
+        let mut page = self.meta_host(u, 0);
+        for (i, chunk) in dsts.chunks(PAGE_SLOTS as usize).enumerate() {
+            if i > 0 {
                 let next = self.fresh_page_host();
-                self.dev.arena().store(page + NEXT_WORD, next);
+                self.dev.host_write(page + NEXT_WORD, &[next]);
                 page = next;
             }
-            self.dev.arena().store(page + slot, d);
+            self.dev.host_write(page, chunk);
         }
         self.dev
-            .arena()
-            .store(self.meta + u * META_WORDS + 1, dsts.len() as u32);
+            .host_write(self.meta + u * META_WORDS + 1, &[dsts.len() as u32]);
         self.dev
             .charge("faim_build")
             .add_transactions((dsts.len() as u64).div_ceil(PAGE_SLOTS as u64).max(1));
@@ -167,7 +164,15 @@ impl FaimGraph {
     }
 
     pub fn degree(&self, u: u32) -> u32 {
-        self.dev.arena().load(self.meta + u * META_WORDS + 1)
+        self.meta_host(u, 1)
+    }
+
+    /// Host read of word `word` of `u`'s metadata record.
+    fn meta_host(&self, u: u32, word: u32) -> u32 {
+        let mut w = [0];
+        self.dev
+            .host_read(self.meta + u * META_WORDS + word, &mut w);
+        w[0]
     }
 
     pub fn num_edges(&self) -> u64 {
@@ -211,8 +216,8 @@ impl FaimGraph {
             .collect();
         let srcs: Vec<u32> = work.iter().map(|e| e.0).collect();
         let dsts: Vec<u32> = work.iter().map(|e| e.1).collect();
-        let src_buf = self.upload(&srcs);
-        let dst_buf = self.upload(&dsts);
+        let src_buf = self.dev.upload(&srcs, 0);
+        let dst_buf = self.dev.upload(&dsts, 0);
         self.dev
             .launch_tasks("faim_edge_insert", work.len(), |warp| {
                 let base = warp.warp_id() * 32;
@@ -452,18 +457,6 @@ impl FaimGraph {
                 self.write_list_host(u as u32, list);
             }
         });
-    }
-
-    fn upload(&self, data: &[u32]) -> Addr {
-        let padded = (data.len().div_ceil(SLAB_WORDS) * SLAB_WORDS).max(SLAB_WORDS);
-        let buf = self.dev.alloc_words(padded, SLAB_WORDS);
-        // Write the pad words too: kernels fetch whole slabs, and a
-        // partially-written staging buffer would be an uninitialised read.
-        self.dev.arena().fill(buf, padded, 0);
-        for (i, &w) in data.iter().enumerate() {
-            self.dev.arena().store(buf + i as u32, w);
-        }
-        buf
     }
 }
 

@@ -146,9 +146,7 @@ impl Hornet {
         self.dev
             .charge("hornet_write_list")
             .add_transactions((dsts.len() as u64).div_ceil(32).max(1));
-        for (i, &d) in dsts.iter().enumerate() {
-            self.dev.arena().store(block + i as u32, d);
-        }
+        self.dev.host_write(block, dsts);
         let old = self.vertices[u as usize];
         self.free_block(old.block, old.capacity);
         self.vertices[u as usize] = VInfo {
@@ -164,9 +162,9 @@ impl Hornet {
         self.dev
             .charge("hornet_read")
             .add_transactions((v.used as u64).div_ceil(32).max(1));
-        (0..v.used)
-            .map(|i| self.dev.arena().load(v.block + i))
-            .collect()
+        let mut adj = vec![0; v.used as usize];
+        self.dev.host_read(v.block, &mut adj);
+        adj
     }
 
     /// Batched edge insertion. Hornet semantics: duplicates neither within
@@ -215,9 +213,7 @@ impl Hornet {
                     self.dev.charge("hornet_edge_insert").add_transactions(
                         ((info.used as u64 + fresh.len() as u64).div_ceil(32)).max(1),
                     );
-                    for (k, &d) in fresh.iter().enumerate() {
-                        self.dev.arena().store(info.block + info.used + k as u32, d);
-                    }
+                    self.dev.host_write(info.block + info.used, &fresh);
                     self.vertices[u as usize].used += fresh.len() as u32;
                 } else {
                     // Grow: copy whole list into next power-of-two block
@@ -271,9 +267,7 @@ impl Hornet {
                 self.dev
                     .charge("hornet_edge_delete")
                     .add_transactions((kept.len() as u64).div_ceil(32).max(1));
-                for (k, &d) in kept.iter().enumerate() {
-                    self.dev.arena().store(info.block + k as u32, d);
-                }
+                self.dev.host_write(info.block, &kept);
                 self.vertices[u as usize].used = kept.len() as u32;
             }
             i = j;
@@ -302,9 +296,7 @@ impl Hornet {
             self.dev
                 .charge("hornet_sort")
                 .add_transactions((info.used as u64).div_ceil(32).max(1));
-            for (k, &d) in lists[u].iter().enumerate() {
-                self.dev.arena().store(info.block + k as u32, d);
-            }
+            self.dev.host_write(info.block, &lists[u]);
         }
         self.sorted = true;
     }
@@ -326,9 +318,7 @@ impl Hornet {
                 .add_transactions(2 * (list.len() as u64).div_ceil(32).max(1));
             list.sort_unstable();
             let info = self.vertices[u as usize];
-            for (k, &d) in list.iter().enumerate() {
-                self.dev.arena().store(info.block + k as u32, d);
-            }
+            self.dev.host_write(info.block, &list);
         }
         self.sorted = true;
     }

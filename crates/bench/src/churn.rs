@@ -1,5 +1,6 @@
 //! Churn workload: a seeded, mixed insert/delete/query stream driven
-//! through the [`GraphBackend`] trait against every registered structure.
+//! through the [`GraphBackend`](backend::GraphBackend) trait against
+//! every registered structure.
 //!
 //! The paper's update tables measure inserts and deletes in isolation; a
 //! dynamic-graph deployment interleaves them with queries. This runner
@@ -9,8 +10,7 @@
 //! [`Capabilities`](backend::Capabilities) cannot run the stream (static
 //! CSR) are skipped via their capability flags rather than special-cased.
 
-use crate::harness::{fnum, scale_shift, Table};
-use backend::GraphBackend;
+use crate::harness::{fnum, makespan_since, scale_shift, snapshot_all, Table};
 use gpu_sim::{CostModel, DeviceGroup, TraceSnapshot};
 use graph_gen::{insert_batch, splitmix64};
 
@@ -157,23 +157,6 @@ pub(crate) fn make_stream(ds: &graph_gen::Dataset, cfg: &ChurnConfig) -> Vec<Rou
     rounds
 }
 
-/// Modeled makespan of work done since `before` across all of a backend's
-/// devices: shards execute concurrently, so the modeled cost of a step is
-/// the *maximum* per-device delta, not the sum. For single-device backends
-/// this is exactly the old single-counter measurement.
-fn trace_all(g: &dyn GraphBackend) -> Vec<TraceSnapshot> {
-    g.devices().iter().map(|d| d.trace()).collect()
-}
-
-fn makespan_since(g: &dyn GraphBackend, before: &[TraceSnapshot]) -> f64 {
-    let model = CostModel::titan_v();
-    g.devices()
-        .iter()
-        .zip(before)
-        .map(|(d, b)| model.seconds(&d.trace().delta(b).global))
-        .fold(0.0, f64::max)
-}
-
 /// Run the churn stream over every registered backend and tabulate
 /// per-class throughput with per-kernel breakdowns.
 pub fn churn(cfg: &ChurnConfig) -> Table {
@@ -209,23 +192,23 @@ pub fn churn(cfg: &ChurnConfig) -> Table {
         // Each row carries its own device/shard count: one for the classic
         // single-device structures, N for `ShardedSlabGraph`.
         let n_shards = g.devices().len();
-        let trace0 = trace_all(&*g);
+        let trace0: Vec<TraceSnapshot> = g.devices().iter().map(|d| d.trace()).collect();
         let (mut ins_s, mut del_s, mut qry_s) = (0.0f64, 0.0f64, 0.0f64);
         let (mut n_ins, mut n_del, mut n_qry, mut hits) = (0u64, 0u64, 0u64, 0u64);
         for round in &stream {
-            let before = trace_all(&*g);
+            let before = snapshot_all(&g.devices());
             g.insert_edges(&round.ins);
-            ins_s += makespan_since(&*g, &before);
+            ins_s += makespan_since(&g.devices(), &before);
             n_ins += round.ins.len() as u64;
 
-            let before = trace_all(&*g);
+            let before = snapshot_all(&g.devices());
             g.delete_edges(&round.del);
-            del_s += makespan_since(&*g, &before);
+            del_s += makespan_since(&g.devices(), &before);
             n_del += round.del.len() as u64;
 
-            let before = trace_all(&*g);
+            let before = snapshot_all(&g.devices());
             let found = g.edges_exist(&g.pin_read(), &round.qry);
-            qry_s += makespan_since(&*g, &before);
+            qry_s += makespan_since(&g.devices(), &before);
             n_qry += round.qry.len() as u64;
             hits += found.iter().filter(|&&b| b).count() as u64;
         }

@@ -40,22 +40,6 @@ impl Measurement {
     }
 }
 
-impl Measurement {
-    /// Manual measurement for operations that need `&mut` access to the
-    /// structure owning the device: snapshot counters and clock first,
-    /// run the operation, then call this with the same device.
-    pub fn complete(dev: &Device, before: CounterSnapshot, t0: Instant) -> Measurement {
-        let delta = dev.counters().snapshot().delta(&before);
-        Measurement {
-            wall_s: t0.elapsed().as_secs_f64(),
-            modeled_s: CostModel::titan_v().seconds(&delta),
-            counters: delta,
-        }
-    }
-}
-
-/// Run `f` against `dev`, returning wall + modeled time for exactly the
-/// counters `f` charged.
 /// Wall-clock bench case for the `cargo bench` mains: one warm-up call of
 /// `f`, then `iters` timed calls; prints `label: min … mean …` in ms, or in
 /// µs when the mean is under a millisecond.
@@ -82,6 +66,8 @@ pub fn bench_case(label: &str, iters: usize, mut f: impl FnMut()) {
     );
 }
 
+/// Run `f` against `dev`, returning wall + modeled time for exactly the
+/// counters `f` charged.
 pub fn measure(dev: &Device, f: impl FnOnce()) -> Measurement {
     let model = CostModel::titan_v();
     let before = dev.counters().snapshot();
@@ -99,21 +85,9 @@ pub fn measure(dev: &Device, f: impl FnOnce()) -> Measurement {
 /// Like [`measure`], but also captures a per-kernel [`TraceReport`] for
 /// the phase: which named kernels ran and what each one cost.
 pub fn measure_traced(dev: &Device, f: impl FnOnce()) -> (Measurement, TraceReport) {
-    let model = CostModel::titan_v();
-    let before = dev.trace();
-    let t0 = Instant::now();
+    let (before, t0) = trace_begin(dev);
     f();
-    let wall_s = t0.elapsed().as_secs_f64();
-    let delta = dev.trace().delta(&before);
-    let report = TraceReport::new(&delta, &model);
-    (
-        Measurement {
-            wall_s,
-            modeled_s: model.seconds(&delta.global),
-            counters: delta.global,
-        },
-        report,
-    )
+    trace_complete(dev, before, t0)
 }
 
 /// Begin a traced phase for an operation that needs `&mut` access to the
@@ -142,6 +116,24 @@ pub fn trace_complete(
         },
         report,
     )
+}
+
+/// Every device's counters, in order: the `before` of [`makespan_since`].
+pub fn snapshot_all(devices: &[&Device]) -> Vec<CounterSnapshot> {
+    devices.iter().map(|d| d.counters().snapshot()).collect()
+}
+
+/// Modeled makespan of the work charged on `devices` since `before`:
+/// devices run concurrently, so a step costs the *maximum* per-device
+/// modeled delta, not the sum. For one device this is the modeled time
+/// [`measure`] reports.
+pub fn makespan_since(devices: &[&Device], before: &[CounterSnapshot]) -> f64 {
+    let model = CostModel::titan_v();
+    devices
+        .iter()
+        .zip(before)
+        .map(|(d, b)| model.seconds(&d.counters().snapshot().delta(b)))
+        .fold(0.0, f64::max)
 }
 
 /// Global scale shift from `BENCH_SCALE_SHIFT` (each step doubles sizes).

@@ -11,8 +11,10 @@
 //! primary copy through shard 0 and the makespan degrades accordingly.
 
 use crate::churn::{ChurnConfig, Skew};
-use crate::harness::{build_sharded, dataset_for, fnum, scale_shift, Table};
-use gpu_sim::{CostModel, CounterSnapshot};
+use crate::harness::{
+    build_sharded, dataset_for, fnum, makespan_since, scale_shift, snapshot_all, Table,
+};
+use gpu_sim::Device;
 use graph_gen::splitmix64;
 use router::{shard_of, BatchRouter, Update};
 use slabgraph::Edge;
@@ -114,7 +116,7 @@ fn replay_at(cfg: &ChurnConfig, ds: &graph_gen::Dataset, shards: usize) -> Scale
     let traffic = traffic_for(cfg, ds, shards);
     let g = build_sharded(ds, shards);
     let router = BatchRouter::new(&g);
-    let model = CostModel::titan_v();
+    let devices: Vec<&Device> = g.group().devices().iter().map(|d| &**d).collect();
     let mut point = ScalePoint {
         updates: 0,
         queries: 0,
@@ -150,20 +152,9 @@ fn replay_at(cfg: &ChurnConfig, ds: &graph_gen::Dataset, shards: usize) -> Scale
             point.per_shard[so.shard].1 += so.modeled_s;
         }
 
-        let before: Vec<CounterSnapshot> = g
-            .group()
-            .devices()
-            .iter()
-            .map(|d| d.counters().snapshot())
-            .collect();
+        let before = snapshot_all(&devices);
         let found = g.edges_exist(&g.pin_read(), &round.qry);
-        point.query_s += g
-            .group()
-            .devices()
-            .iter()
-            .zip(&before)
-            .map(|(d, b)| model.seconds(&d.counters().snapshot().delta(b)))
-            .fold(0.0, f64::max);
+        point.query_s += makespan_since(&devices, &before);
         point.queries += round.qry.len() as u64;
         point.hits += found.iter().filter(|&&b| b).count() as u64;
     }

@@ -51,7 +51,7 @@ impl VertexDict {
         // (Charged as a device memset — part of construction cost.)
         dev.memset("dict_init", base, words, 0);
         for v in 0..capacity {
-            dev.arena().store(base + v * ENTRY_WORDS, NULL_ADDR);
+            dev.host_write(base + v * ENTRY_WORDS, &[NULL_ADDR]);
         }
         Ok(base)
     }
@@ -102,10 +102,9 @@ impl VertexDict {
         let charge = dev.charge("dict_grow");
         charge.add_launches(1);
         charge.add_transactions(2 * (words as u64).div_ceil(SLAB_WORDS as u64));
-        for i in 0..words as u32 {
-            let w = dev.arena().load(old_base + i);
-            dev.arena().store(new_base + i, w);
-        }
+        let mut entries = vec![0; words];
+        dev.host_read(old_base, &mut entries);
+        dev.host_write(new_base, &entries);
         self.base.store(new_base, Ordering::Release);
         self.capacity.store(new_cap, Ordering::Release);
         Ok(())
@@ -117,15 +116,16 @@ impl VertexDict {
         if v >= self.capacity() {
             return None;
         }
-        let e = self.entry_addr(v);
-        let base = dev.arena().load(e);
+        let mut entry = [0; 2];
+        dev.host_read(self.entry_addr(v), &mut entry);
+        let [base, num_buckets] = entry;
         if base == NULL_ADDR {
             return None;
         }
         Some(TableDesc {
             kind: self.kind,
             base,
-            num_buckets: dev.arena().load(e + 1),
+            num_buckets,
         })
     }
 
@@ -134,7 +134,9 @@ impl VertexDict {
         if v >= self.capacity() {
             return 0;
         }
-        dev.arena().load(self.count_addr(v))
+        let mut count = [0];
+        dev.host_read(self.count_addr(v), &mut count);
+        count[0]
     }
 
     /// Warp-side (charged) read of vertex `v`'s descriptor. One scattered
@@ -161,10 +163,7 @@ impl VertexDict {
     /// insertion). Host-side store; the allocation itself is charged by
     /// the caller.
     pub fn install_host(&self, dev: &Device, v: u32, base: Addr, num_buckets: u32) {
-        let e = self.entry_addr(v);
-        dev.arena().store(e, base);
-        dev.arena().store(e + 1, num_buckets);
-        dev.arena().store(e + 2, 0);
+        dev.host_write(self.entry_addr(v), &[base, num_buckets, 0]);
     }
 
     /// Warp-side lazy table install: CAS the base pointer from NULL. If the
@@ -240,7 +239,7 @@ mod tests {
         let dict = VertexDict::new(&d, TableKind::Set, 2);
         dict.install_host(&d, 0, 0x40, 3);
         dict.install_host(&d, 1, 0x80, 5);
-        d.arena().store(dict.count_addr(1), 99);
+        d.host_write(dict.count_addr(1), &[99]);
         dict.grow(&d, 100);
         assert!(dict.capacity() >= 100);
         assert_eq!(dict.desc_host(&d, 0).unwrap().base, 0x40);

@@ -99,21 +99,19 @@ impl DynGraph {
         let staged = (|| -> Result<_, OomError> {
             let srcs: Vec<u32> = work.iter().map(|e| e.src).collect();
             let dsts: Vec<u32> = work.iter().map(|e| e.dst).collect();
-            let src_buf = self.try_upload(&srcs, u32::MAX)?;
-            let dst_buf = self.try_upload(&dsts, u32::MAX)?;
+            let src_buf = self.dev.try_upload(&srcs, u32::MAX)?;
+            let dst_buf = self.dev.try_upload(&dsts, u32::MAX)?;
             let weight_buf = if self.config.kind == TableKind::Map {
                 let ws: Vec<u32> = work.iter().map(|e| e.weight).collect();
-                Some(self.try_upload(&ws, 0)?)
+                Some(self.dev.try_upload(&ws, 0)?)
             } else {
                 None
             };
             let changed_total = self.dev.try_alloc_words(1, 1)?;
-            self.dev.arena().store(changed_total, 0);
+            self.dev.host_write(changed_total, &[0]);
             // One status word per work item: 0 = unapplied, 1 = applied.
             let status_buf = self.dev.try_alloc_words(n, 1)?;
-            for i in 0..n as u32 {
-                self.dev.arena().store(status_buf + i, 0);
-            }
+            self.dev.host_write(status_buf, &vec![0; n]);
             Ok((src_buf, dst_buf, weight_buf, changed_total, status_buf))
         })();
         let (src_buf, dst_buf, weight_buf, changed_total, status_buf) = match staged {
@@ -158,7 +156,7 @@ impl DynGraph {
             // Status writes are bookkeeping for the host-side outcome, not
             // part of the modelled kernel: uncharged so per-kernel
             // attribution is unchanged by the recovery machinery.
-            let mark = |i: usize| self.dev.arena().store(status_buf + base + i as u32, 1);
+            let mark = |i: usize| self.dev.host_write(status_buf + base + i as u32, &[1]);
 
             // Line 3: no self-edges (skipping one counts as applying it).
             let mut pending = Lanes::from_fn(|i| warp.is_active(i) && srcs.get(i) != dsts.get(i));
@@ -255,24 +253,21 @@ impl DynGraph {
         // An edge is complete only when every direction-mirrored copy was
         // applied; half-applied undirected edges go back in the suffix
         // (re-inserting the applied half is an uncounted replace/no-op).
-        let changed = self.dev.arena().load(changed_total) as u64;
-        let mut pending_edges = Vec::new();
-        for (j, &e) in original.iter().enumerate() {
-            let applied = (0..per_edge).all(|k| {
-                self.dev
-                    .arena()
-                    .load(status_buf + (j * per_edge + k) as u32)
-                    != 0
-            });
-            if !applied {
-                pending_edges.push(e);
-            }
-        }
+        let mut changed = [0];
+        self.dev.host_read(changed_total, &mut changed);
+        let mut status = vec![0; n];
+        self.dev.host_read(status_buf, &mut status);
+        let pending_edges: Vec<Edge> = original
+            .iter()
+            .zip(status.chunks(per_edge))
+            .filter(|(_, s)| s.contains(&0))
+            .map(|(&e, _)| e)
+            .collect();
         Ok(BatchOutcome {
             op: batch_op,
             attempted: original.len(),
             completed: original.len() - pending_edges.len(),
-            changed,
+            changed: changed[0] as u64,
             pending: pending_edges,
             pending_vertices: Vec::new(),
             error: first_err.into_inner(),

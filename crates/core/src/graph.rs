@@ -3,7 +3,7 @@
 use crate::batch::GraphError;
 use crate::config::{Direction, GraphConfig};
 use crate::dict::VertexDict;
-use gpu_sim::{Addr, Device, DeviceConfig, ExecPolicy, OomError, Warp, SLAB_WORDS};
+use gpu_sim::{Device, DeviceConfig, ExecPolicy, Warp, SLAB_WORDS};
 use slab_alloc::{AllocError, ReadGuard, SlabAllocator};
 use slab_hash::{buckets_for, TableDesc, EMPTY_KEY, MAX_KEY};
 
@@ -280,31 +280,6 @@ impl DynGraph {
             }
         }
         Ok(())
-    }
-
-    /// Upload a `u32` buffer to device memory (slab-aligned, padded with
-    /// `pad` to a multiple of 32). Host→device transfer is *not* charged,
-    /// matching the paper's measurement methodology ("do not include the
-    /// time required to transfer memory between CPU and GPU").
-    pub(crate) fn upload(&self, data: &[u32], pad: u32) -> Addr {
-        self.try_upload(data, pad)
-            .unwrap_or_else(|e| panic!("host upload failed: {e}"))
-    }
-
-    /// Fallible [`Self::upload`]: reports device-budget exhaustion instead
-    /// of panicking so batch staging can fail cleanly before any mutation.
-    pub(crate) fn try_upload(&self, data: &[u32], pad: u32) -> Result<Addr, OomError> {
-        let padded = data.len().div_ceil(SLAB_WORDS) * SLAB_WORDS;
-        let buf = self
-            .dev
-            .try_alloc_words(padded.max(SLAB_WORDS), SLAB_WORDS)?;
-        for (i, &w) in data.iter().enumerate() {
-            self.dev.arena().store(buf + i as u32, w);
-        }
-        for i in data.len()..padded {
-            self.dev.arena().store(buf + i as u32, pad);
-        }
-        Ok(buf)
     }
 
     /// Warp-side descriptor lookup that lazily constructs a single-bucket

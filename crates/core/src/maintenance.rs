@@ -85,8 +85,7 @@ impl DynGraph {
                 self.dict.install_host(&self.dev, v, base, buckets);
                 // install_host zeroes the count; restore the exact value.
                 self.dev
-                    .arena()
-                    .store(self.dict.count_addr(v), entries.len() as u32);
+                    .host_write(self.dict.count_addr(v), &[entries.len() as u32]);
             }
         });
         // Batch boundary (epoch release edge) for the abandoned chains.

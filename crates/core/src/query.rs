@@ -62,9 +62,9 @@ impl DynGraph {
         }
         let srcs: Vec<u32> = pairs.iter().map(|p| p.0).collect();
         let dsts: Vec<u32> = pairs.iter().map(|p| p.1).collect();
-        let src_buf = self.upload(&srcs, u32::MAX);
-        let dst_buf = self.upload(&dsts, u32::MAX);
-        let out_buf = self.upload(&vec![0u32; pairs.len()], 0);
+        let src_buf = self.dev.upload(&srcs, u32::MAX);
+        let dst_buf = self.dev.upload(&dsts, u32::MAX);
+        let out_buf = self.dev.upload(&vec![0u32; pairs.len()], 0);
 
         self.dev.launch_tasks("edge_exist", pairs.len(), |warp| {
             let base = warp.warp_id() * WARP_SIZE as u32;
@@ -95,9 +95,9 @@ impl DynGraph {
             }
         });
 
-        (0..pairs.len())
-            .map(|i| self.dev.arena().load(out_buf + i as u32) != 0)
-            .collect()
+        let mut found = vec![0; pairs.len()];
+        self.dev.host_read(out_buf, &mut found);
+        found.into_iter().map(|w| w != 0).collect()
     }
 
     /// Retrieve vertex `u`'s adjacency list as ⟨dst, weight⟩ pairs (weight

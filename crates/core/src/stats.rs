@@ -330,7 +330,7 @@ mod tests {
     fn invariant_check_detects_corruption() {
         let g = populated();
         // Corrupt an edge count behind the structure's back.
-        g.device().arena().store(g.dict().count_addr(3), 999);
+        g.device().host_write(g.dict().count_addr(3), &[999]);
         g.check_invariants();
     }
 }

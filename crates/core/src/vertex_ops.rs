@@ -169,7 +169,7 @@ impl DynGraph {
         let count = vertices.len() as u32;
         let undirected = self.config.direction == Direction::Undirected;
         let staged = (|| -> Result<_, gpu_sim::OomError> {
-            let verts_buf = self.try_upload(vertices, u32::MAX)?;
+            let verts_buf = self.dev.try_upload(vertices, u32::MAX)?;
             // Line 1: the shared work-queue counter lives in device memory.
             let queue = self.dev.try_alloc_words(1, 1)?;
             // Victim bitmap (undirected only): warps must skip destinations
@@ -180,10 +180,14 @@ impl DynGraph {
             let victim_bits = if undirected {
                 let bm_words = (self.dict.capacity() as usize).div_ceil(32).max(1);
                 let bm = self.dev.try_alloc_words(bm_words, 1)?;
-                self.dev.arena().fill(bm, bm_words, 0);
+                let mut bits = vec![0u32; bm_words];
                 for &v in vertices {
-                    self.dev.arena().fetch_or(bm + v / 32, 1 << (v % 32));
+                    // An id past the dictionary owns no table to tear down.
+                    if let Some(w) = bits.get_mut((v / 32) as usize) {
+                        *w |= 1 << (v % 32);
+                    }
                 }
+                self.dev.host_write(bm, &bits);
                 bm
             } else {
                 gpu_sim::NULL_ADDR
@@ -204,7 +208,7 @@ impl DynGraph {
                 })
             }
         };
-        self.dev.arena().store(queue, 0);
+        self.dev.host_write(queue, &[0]);
 
         let _phase = self.dev.phase("vertex_delete_batch");
         if let Some(p) = self.dev.profiler() {
@@ -323,7 +327,7 @@ impl DynGraph {
         let cap = self.dict.capacity();
         let n_warps = (cap as usize).min(128);
         let queue = self.dev.alloc_words(1, 1);
-        self.dev.arena().store(queue, 0);
+        self.dev.host_write(queue, &[0]);
         self.dev
             .launch_warps("purge_deleted", n_warps, |warp| loop {
                 let u = warp.atomic_add(queue, 1);

@@ -112,6 +112,21 @@ impl DeviceConfig {
 
 /// A simulated GPU: global-memory arena, performance counters (global and
 /// per-kernel), and an execution policy for launched kernels.
+///
+/// The arena is private to this crate. Code outside it reaches device
+/// memory only through the charged [`Warp`] accessors or the uncharged
+/// host transfers ([`Self::upload`], [`Self::host_write`],
+/// [`Self::host_read`]):
+///
+/// ```compile_fail
+/// let dev = gpu_sim::Device::new(64);
+/// let p = dev.alloc_words(1, 1);
+/// dev.arena().store(p, 0);
+/// ```
+///
+/// ```compile_fail
+/// use gpu_sim::memory::DeviceArena;
+/// ```
 pub struct Device {
     arena: DeviceArena,
     counters: PerfCounters,
@@ -234,12 +249,6 @@ impl Device {
     /// Change the execution policy (between phases).
     pub fn set_policy(&mut self, policy: ExecPolicy) {
         self.policy = policy;
-    }
-
-    /// The global-memory arena (host-side, uncharged access — use for
-    /// setup/teardown and verification, not inside measured phases).
-    pub fn arena(&self) -> &DeviceArena {
-        &self.arena
     }
 
     /// The device-wide performance counters.
@@ -495,6 +504,53 @@ impl Device {
             .counters(name)
             .add_event(Event::WordsAllocated, n as u64);
         Ok(addr)
+    }
+
+    // ---- host transfers: uncharged, since the paper does not "include the
+    // time required to transfer memory between CPU and GPU". Written words
+    // are marked initialised; racecheck sees only `Warp` accessors. ----
+
+    /// Stage `data` in a fresh slab-aligned buffer of `max(⌈len/32⌉·32, 32)`
+    /// words (only the allocation is charged), padding the rest with `pad`
+    /// so whole-slab kernel reads stay initialised. Panics on OOM.
+    pub fn upload(&self, data: &[u32], pad: u32) -> Addr {
+        self.try_upload(data, pad)
+            .unwrap_or_else(|e| panic!("host upload failed: {e}"))
+    }
+
+    /// Fallible [`Self::upload`]: fails before writing anything.
+    pub fn try_upload(&self, data: &[u32], pad: u32) -> Result<Addr, OomError> {
+        let words = data.len().div_ceil(SLAB_WORDS).max(1) * SLAB_WORDS;
+        let buf = self.try_alloc_words(words, SLAB_WORDS)?;
+        self.host_write(buf, data);
+        let tail = buf + data.len() as u32;
+        self.arena.fill(tail, words - data.len(), pad);
+        Ok(buf)
+    }
+
+    /// Copy `data` to device memory at `base`.
+    pub fn host_write(&self, base: Addr, data: &[u32]) {
+        for (i, &w) in data.iter().enumerate() {
+            self.arena.store(base + i as u32, w);
+        }
+    }
+
+    /// Copy `out.len()` words starting at `base` back to the host.
+    pub fn host_read(&self, base: Addr, out: &mut [u32]) {
+        for (i, w) in out.iter_mut().enumerate() {
+            *w = self.arena.load(base + i as u32);
+        }
+    }
+
+    /// Atomic AND returning the previous word: for host bookkeeping that
+    /// races with kernels on the same word (the slab allocator's drain).
+    pub fn host_atomic_and(&self, addr: Addr, mask: u32) -> u32 {
+        self.arena.fetch_and(addr, mask)
+    }
+
+    /// Words handed out by the allocator so far (the arena's bump cursor).
+    pub fn allocated_words(&self) -> u64 {
+        self.arena.allocated_words()
     }
 
     /// The allocation budget in words (`u64::MAX` when unbounded).
@@ -924,11 +980,17 @@ impl<'d> Warp<'d> {
 mod tests {
     use super::*;
 
+    fn load(dev: &Device, addr: Addr) -> u32 {
+        let mut w = [0];
+        dev.host_read(addr, &mut w);
+        w[0]
+    }
+
     #[test]
     fn launch_tasks_covers_all_tasks_once() {
         let dev = Device::new(1024);
         let out = dev.alloc_words(100, 1);
-        dev.arena().fill(out, 100, 0);
+        dev.host_write(out, &[0; 100]);
         dev.launch_tasks("count", 100, |warp| {
             let ids = warp.global_ids();
             for (lane, id) in ids.iter() {
@@ -938,8 +1000,73 @@ mod tests {
             }
         });
         for i in 0..100 {
-            assert_eq!(dev.arena().load(out + i), 1, "task {i}");
+            assert_eq!(load(&dev, out + i), 1, "task {i}");
         }
+    }
+
+    #[test]
+    fn try_upload_pads_to_the_slab_boundary_and_charges_only_the_allocation() {
+        let dev = Device::new(1024);
+        let before = dev.counters().snapshot();
+        let data: Vec<u32> = (1..=40).collect();
+        let buf = dev.try_upload(&data, 7).unwrap();
+        assert_eq!(buf as usize % SLAB_WORDS, 0);
+        let mut words = [0; 2 * SLAB_WORDS];
+        dev.host_read(buf, &mut words);
+        assert_eq!(words[..40], data[..]);
+        assert!(words[40..].iter().all(|&w| w == 7), "{words:?}");
+        let d = dev.counters().snapshot().delta(&before);
+        let expected = crate::counters::CounterSnapshot {
+            words_allocated: 2 * SLAB_WORDS as u64,
+            ..Default::default()
+        };
+        assert_eq!(d, expected);
+    }
+
+    #[test]
+    fn empty_upload_allocates_one_padded_slab() {
+        let dev = Device::new(1024);
+        let buf = dev.try_upload(&[], 9).unwrap();
+        let next = dev.alloc_words(1, 1);
+        assert_eq!(next, buf + SLAB_WORDS as u32, "one whole slab allocated");
+        let mut words = [0; SLAB_WORDS];
+        dev.host_read(buf, &mut words);
+        assert_eq!(words, [9; SLAB_WORDS]);
+    }
+
+    #[test]
+    fn host_write_and_read_round_trip_uncharged() {
+        let dev = Device::new(1024);
+        let p = dev.alloc_words(50, 1);
+        let before = dev.trace();
+        let data: Vec<u32> = (0..50).map(|i| i * 3 + 1).collect();
+        dev.host_write(p, &data);
+        let mut back = vec![0; 50];
+        dev.host_read(p, &mut back);
+        assert_eq!(back, data);
+        assert_eq!(dev.host_atomic_and(p, 0b10), 1);
+        assert_eq!(load(&dev, p), 0);
+        let d = dev.trace().delta(&before);
+        assert_eq!(d.global, crate::counters::CounterSnapshot::default());
+        assert!(d.kernels.is_empty(), "{:?}", d.kernels);
+    }
+
+    #[test]
+    fn kernel_reading_upload_pad_words_is_initcheck_clean() {
+        let dev =
+            Device::with_config(DeviceConfig::new(1024).with_sanitizer(SanitizerConfig::default()));
+        let buf = dev.upload(&[1, 2, 3], u32::MAX);
+        dev.launch_warps("read_pad", 1, |warp| {
+            let _ = warp.read_slab(buf);
+        });
+        assert!(dev.sanitizer_findings().is_empty());
+        // The same read of a never-written slab is flagged, so the check
+        // above is not vacuous.
+        let raw = dev.alloc_words(SLAB_WORDS, SLAB_WORDS);
+        dev.launch_warps("read_raw", 1, |warp| {
+            let _ = warp.read_slab(raw);
+        });
+        assert!(!dev.sanitizer_findings().is_empty());
     }
 
     #[test]
@@ -972,7 +1099,7 @@ mod tests {
     fn slab_read_costs_one_transaction() {
         let dev = Device::new(1024);
         let slab = dev.alloc_words(SLAB_WORDS, SLAB_WORDS);
-        dev.arena().fill(slab, SLAB_WORDS, 0);
+        dev.host_write(slab, &[0; SLAB_WORDS]);
         let before = dev.counters().snapshot();
         dev.launch_tasks("slab_read", 32, |warp| {
             let _ = warp.read_slab(slab);
@@ -987,7 +1114,7 @@ mod tests {
     fn scattered_access_charges_by_segment() {
         let dev = Device::new(4096);
         let base = dev.alloc_words(32 * SLAB_WORDS, SLAB_WORDS);
-        dev.arena().fill(base, 32 * SLAB_WORDS, 0);
+        dev.host_write(base, &[0; 32 * SLAB_WORDS]);
         let before = dev.counters().snapshot();
         dev.launch_tasks("scatter", 32, |warp| {
             // All 32 lanes touch 32 different slabs: 32 transactions.
@@ -1023,7 +1150,7 @@ mod tests {
         let run = |policy| {
             let dev = Device::with_policy(4096, policy);
             let out = dev.alloc_words(1, 1);
-            dev.arena().fill(out, 1, 0);
+            dev.host_write(out, &[0]);
             dev.launch_tasks("sum", 10_000, |warp| {
                 let mask = warp.active_mask();
                 for lane in 0..WARP_SIZE {
@@ -1032,7 +1159,7 @@ mod tests {
                     }
                 }
             });
-            dev.arena().load(out)
+            load(&dev, out)
         };
         assert_eq!(run(ExecPolicy::Sequential), 10_000);
         assert_eq!(run(ExecPolicy::Threaded(4)), 10_000);
@@ -1046,7 +1173,7 @@ mod tests {
         dev.memset("fill", p, 320, u32::MAX);
         let d = dev.counters().snapshot().delta(&before);
         assert_eq!(d.transactions, 10);
-        assert_eq!(dev.arena().load(p + 319), u32::MAX);
+        assert_eq!(load(&dev, p + 319), u32::MAX);
     }
 
     #[test]
@@ -1075,7 +1202,7 @@ mod tests {
     fn launches_attribute_to_their_kernel_name() {
         let dev = Device::new(1024);
         let out = dev.alloc_words(1, 1);
-        dev.arena().fill(out, 1, 0);
+        dev.host_write(out, &[0]);
         dev.launch_tasks("alpha", 64, |warp| {
             warp.atomic_add(out, 1);
         });
@@ -1118,7 +1245,7 @@ mod tests {
     fn fused_scope_owns_inner_launches() {
         let dev = Device::new(1024);
         let p = dev.alloc_words(32, 32);
-        dev.arena().fill(p, 32, 0);
+        dev.host_write(p, &[0; 32]);
         let before = dev.trace();
         dev.fused_scope("outer", || {
             dev.launch_warps("inner_a", 1, |warp| {
@@ -1160,7 +1287,7 @@ mod tests {
         let dev =
             Device::with_config(DeviceConfig::new(1024).with_sanitizer(SanitizerConfig::default()));
         let c = dev.alloc_words(1, 1);
-        dev.arena().fill(c, 1, 0);
+        dev.host_write(c, &[0]);
         dev.launch_tasks("torn", 64, |warp| {
             let v = warp.read_word(c);
             warp.write_word(c, v + 1);
@@ -1245,7 +1372,7 @@ mod tests {
     fn nested_attempts_fold_into_their_parent_and_only_the_outermost_commit_charges() {
         let dev = Device::new(1024);
         let p = dev.alloc_words(SLAB_WORDS, SLAB_WORDS);
-        dev.arena().fill(p, SLAB_WORDS, 0);
+        dev.host_write(p, &[0; SLAB_WORDS]);
         let zero = crate::counters::CounterSnapshot::default();
         let committed = crate::counters::CounterSnapshot {
             transactions: 1,

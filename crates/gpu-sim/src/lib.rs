@@ -9,10 +9,14 @@
 //!
 //! - [`Lanes`] / [`lanes`] — 32-wide lane vectors and pure warp intrinsics
 //!   (`ballot`, `shuffle`, `popc`, `ffs`).
-//! - [`DeviceArena`] — global memory as a growable arena of atomic `u32`
-//!   words addressed by plain `u32` device pointers.
+//! - [`memory`] — global memory as a growable arena of atomic `u32` words
+//!   addressed by plain `u32` device pointers ([`Addr`]). The arena is
+//!   private to this crate.
 //! - [`Device`] / [`Warp`] — kernel launch (sequential deterministic or
-//!   multi-threaded) and the charged warp-level memory/intrinsic API.
+//!   multi-threaded) and the charged warp-level memory/intrinsic API, plus
+//!   the uncharged host transfers ([`Device::upload`],
+//!   [`Device::host_write`], [`Device::host_read`]): the paper does not
+//!   time host↔device copies, and this is the one place that policy lives.
 //! - [`PerfCounters`] / [`CounterSnapshot`] / [`CostModel`] — the seven
 //!   hardware events (named once, in [`CounterSnapshot::NAMES`]), charged
 //!   only by the simulator (read-only outside this crate; manual charge
@@ -29,7 +33,7 @@
 //!
 //! let dev = Device::new(1 << 10);
 //! let out = dev.alloc_words(1, 1);
-//! dev.arena().store(out, 0); // device memory is not implicitly initialized
+//! dev.host_write(out, &[0]); // device memory is not implicitly initialized
 //! // 1000 tasks, one per lane, warp-cooperatively summed.
 //! dev.launch_tasks("warp_sum", 1000, |warp| {
 //!     let preds = Lanes::from_fn(|lane| warp.is_active(lane));
@@ -37,7 +41,9 @@
 //!     // Lane 0 adds the warp's active-task count in one atomic.
 //!     warp.atomic_add(out, active.count_ones());
 //! });
-//! assert_eq!(dev.arena().load(out), 1000);
+//! let mut sum = [0];
+//! dev.host_read(out, &mut sum);
+//! assert_eq!(sum, [1000]);
 //! ```
 
 pub mod cost;
@@ -62,7 +68,7 @@ pub use json::Json;
 pub use lanes::{
     ballot, ffs, lanemask_lt, popc, shuffle, shuffle_idx, Lanes, FULL_MASK, WARP_SIZE,
 };
-pub use memory::{Addr, DeviceArena, NULL_ADDR, SLAB_WORDS};
+pub use memory::{Addr, NULL_ADDR, SLAB_WORDS};
 pub use metrics::{
     Gauge, Histogram, HistogramSnapshot, MetricKind, MetricSummary, MetricsRegistry,
 };

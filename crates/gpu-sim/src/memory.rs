@@ -1,9 +1,12 @@
 //! Simulated device global memory.
 //!
-//! A [`DeviceArena`] is a flat, growable address space of `u32` words with
-//! word-level atomics — the model of GPU global memory the slab structures
-//! run on. Addresses are plain `u32` word indices, so a "device pointer"
-//! fits in one lane register exactly as in the paper's CUDA implementation.
+//! The crate-private `DeviceArena` is a flat, growable address space of
+//! `u32` words with word-level atomics — the model of GPU global memory the
+//! slab structures run on. Addresses are plain `u32` word indices, so a
+//! "device pointer" fits in one lane register exactly as in the paper's
+//! CUDA implementation. Outside this crate, memory is reached through the
+//! charged [`crate::Warp`] accessors or the uncharged host transfers on
+//! [`crate::Device`] (`upload`, `host_write`, `host_read`).
 //!
 //! Growth is lock-free for readers: the arena is a table of lazily
 //! allocated fixed-size segments; allocation bumps a cursor and publishes
@@ -31,8 +34,10 @@ pub type Addr = u32;
 /// Sentinel for "null device pointer".
 pub const NULL_ADDR: Addr = u32::MAX;
 
-/// Growable atomic word arena modelling GPU global memory.
-pub struct DeviceArena {
+/// Growable atomic word arena modelling GPU global memory. Private to
+/// this crate: [`crate::Device`] is its only owner and [`crate::Warp`]
+/// its only charged client.
+pub(crate) struct DeviceArena {
     segments: Box<[AtomicPtr<AtomicU32>]>,
     /// Bump cursor: next free word index.
     cursor: AtomicU64,
@@ -53,12 +58,6 @@ pub struct DeviceArena {
 }
 
 impl DeviceArena {
-    /// Create an unbounded arena and pre-commit `initial_words` of backing
-    /// store.
-    pub fn new(initial_words: usize) -> Self {
-        Self::with_capacity(initial_words, u64::MAX)
-    }
-
     /// Create an arena whose allocations may not exceed `capacity_words`
     /// in total (`u64::MAX` for unbounded).
     pub fn with_capacity(initial_words: usize, capacity_words: u64) -> Self {
@@ -83,11 +82,6 @@ impl DeviceArena {
         self.san = Some(san);
     }
 
-    /// The attached sanitizer, if any.
-    pub fn sanitizer(&self) -> Option<&Arc<Sanitizer>> {
-        self.san.as_ref()
-    }
-
     /// The allocation budget in words (`u64::MAX` when unbounded).
     pub fn capacity_words(&self) -> u64 {
         self.capacity_words.load(Ordering::Relaxed)
@@ -100,14 +94,9 @@ impl DeviceArena {
         self.capacity_words.store(capacity_words, Ordering::Relaxed);
     }
 
-    /// Words handed out so far by [`Self::alloc_words`].
+    /// Words handed out so far by [`Self::try_alloc_words`].
     pub fn allocated_words(&self) -> u64 {
         self.cursor.load(Ordering::Relaxed)
-    }
-
-    /// Words of backing store committed (segments published).
-    pub fn committed_words(&self) -> u64 {
-        self.committed_words.load(Ordering::Acquire)
     }
 
     /// Commit segments so that word indices `< words` are addressable.
@@ -135,19 +124,10 @@ impl DeviceArena {
     }
 
     /// Bump-allocate `n` words aligned to `align` words; returns the base
-    /// address. Used for bulk base-slab regions and fixed tables; the slab
-    /// allocator builds its pools on top of this.
-    ///
-    /// Panics if the budget or address space is exhausted; recoverable
-    /// paths use [`Self::try_alloc_words`].
-    pub fn alloc_words(&self, n: usize, align: usize) -> Addr {
-        self.try_alloc_words(n, align)
-            .unwrap_or_else(|e| panic!("DeviceArena allocation failed: {e}"))
-    }
-
-    /// Fallible bump allocation: returns a typed [`OomError`] when the
-    /// request would exceed the capacity budget or the address space,
-    /// leaving the cursor untouched.
+    /// address, or a typed [`OomError`] when the request would exceed the
+    /// capacity budget or the address space, leaving the cursor untouched.
+    /// The slab allocator builds its pools on top of this (via
+    /// [`crate::Device::try_alloc_words`], which charges the allocation).
     pub fn try_alloc_words(&self, n: usize, align: usize) -> Result<Addr, OomError> {
         assert!(align.is_power_of_two(), "alignment must be a power of two");
         let align = align as u64;
@@ -343,11 +323,15 @@ unsafe impl Sync for DeviceArena {}
 mod tests {
     use super::*;
 
+    fn arena(initial_words: usize) -> DeviceArena {
+        DeviceArena::with_capacity(initial_words, u64::MAX)
+    }
+
     #[test]
     fn alloc_is_aligned_and_disjoint() {
-        let a = DeviceArena::new(1024);
-        let p1 = a.alloc_words(100, 32);
-        let p2 = a.alloc_words(100, 32);
+        let a = arena(1024);
+        let p1 = a.try_alloc_words(100, 32).unwrap();
+        let p2 = a.try_alloc_words(100, 32).unwrap();
         assert_eq!(p1 % 32, 0);
         assert_eq!(p2 % 32, 0);
         assert!(p2 >= p1 + 100);
@@ -355,8 +339,8 @@ mod tests {
 
     #[test]
     fn load_store_roundtrip() {
-        let a = DeviceArena::new(1024);
-        let p = a.alloc_words(4, 1);
+        let a = arena(1024);
+        let p = a.try_alloc_words(4, 1).unwrap();
         a.store(p, 0xDEAD_BEEF);
         assert_eq!(a.load(p), 0xDEAD_BEEF);
         assert_eq!(a.load(p + 1), 0);
@@ -364,8 +348,8 @@ mod tests {
 
     #[test]
     fn cas_semantics() {
-        let a = DeviceArena::new(64);
-        let p = a.alloc_words(1, 1);
+        let a = arena(64);
+        let p = a.try_alloc_words(1, 1).unwrap();
         assert_eq!(a.cas(p, 0, 5), Ok(0));
         assert_eq!(a.cas(p, 0, 9), Err(5));
         assert_eq!(a.load(p), 5);
@@ -373,8 +357,8 @@ mod tests {
 
     #[test]
     fn fetch_ops() {
-        let a = DeviceArena::new(64);
-        let p = a.alloc_words(1, 1);
+        let a = arena(64);
+        let p = a.try_alloc_words(1, 1).unwrap();
         assert_eq!(a.fetch_add(p, 3), 0);
         assert_eq!(a.fetch_add(p, 4), 3);
         assert_eq!(a.fetch_sub(p, 2), 7);
@@ -387,8 +371,8 @@ mod tests {
 
     #[test]
     fn slab_roundtrip() {
-        let a = DeviceArena::new(1024);
-        let p = a.alloc_words(SLAB_WORDS, SLAB_WORDS);
+        let a = arena(1024);
+        let p = a.try_alloc_words(SLAB_WORDS, SLAB_WORDS).unwrap();
         let words: [u32; SLAB_WORDS] = std::array::from_fn(|i| i as u32 * 7);
         a.store_slab(p, &words);
         assert_eq!(a.load_slab(p), words);
@@ -396,9 +380,9 @@ mod tests {
 
     #[test]
     fn grows_past_one_segment() {
-        let a = DeviceArena::new(64);
+        let a = arena(64);
         // Allocate more than one 1M-word segment.
-        let p = a.alloc_words(SEGMENT_WORDS + 128, 32);
+        let p = a.try_alloc_words(SEGMENT_WORDS + 128, 32).unwrap();
         let last = p + SEGMENT_WORDS as u32 + 100;
         a.store(last, 42);
         assert_eq!(a.load(last), 42);
@@ -406,8 +390,8 @@ mod tests {
 
     #[test]
     fn fill_sets_range() {
-        let a = DeviceArena::new(256);
-        let p = a.alloc_words(64, 32);
+        let a = arena(256);
+        let p = a.try_alloc_words(64, 32).unwrap();
         a.fill(p, 64, u32::MAX);
         for i in 0..64 {
             assert_eq!(a.load(p + i), u32::MAX);
@@ -416,8 +400,8 @@ mod tests {
 
     #[test]
     fn concurrent_fetch_add_is_atomic() {
-        let a = std::sync::Arc::new(DeviceArena::new(64));
-        let p = a.alloc_words(1, 1);
+        let a = std::sync::Arc::new(arena(64));
+        let p = a.try_alloc_words(1, 1).unwrap();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let a = a.clone();
@@ -462,13 +446,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "device memory budget exhausted")]
-    fn infallible_alloc_panics_on_budget() {
-        let a = DeviceArena::with_capacity(64, 16);
-        a.alloc_words(64, 1);
-    }
-
-    #[test]
     fn reset_rewinds_cursor_and_zeroes_words() {
         let a = DeviceArena::with_capacity(256, 128);
         let p = a.try_alloc_words(100, 1).unwrap();
@@ -483,12 +460,16 @@ mod tests {
 
     #[test]
     fn concurrent_alloc_never_overlaps() {
-        let a = std::sync::Arc::new(DeviceArena::new(64));
+        let a = std::sync::Arc::new(arena(64));
         let mut all: Vec<u32> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
                     let a = a.clone();
-                    s.spawn(move || (0..1000).map(|_| a.alloc_words(32, 32)).collect::<Vec<_>>())
+                    s.spawn(move || {
+                        (0..1000)
+                            .map(|_| a.try_alloc_words(32, 32).unwrap())
+                            .collect::<Vec<_>>()
+                    })
                 })
                 .collect();
             handles

@@ -3,9 +3,10 @@
 //!
 //! The sanitizer is opt-in (see [`crate::DeviceConfig::with_sanitizer`];
 //! the `sanitize` cargo feature turns it on for every default-configured
-//! device) and attaches to the [`crate::DeviceArena`]: every word access
-//! issued through a [`crate::Warp`] accessor is classified, while raw
-//! host-side arena accesses only update the initialization shadow. When
+//! device) and attaches to the device's memory arena: every word access
+//! issued through a [`crate::Warp`] accessor is classified, while host
+//! transfers ([`crate::Device::host_write`] and friends) only update the
+//! initialization shadow. When
 //! disabled it costs one `Option` check per access and **charges nothing**
 //! either way — performance counters are byte-identical with the sanitizer
 //! on or off.

@@ -150,6 +150,17 @@ impl ShardedGraph {
         )
     }
 
+    /// The one shard fan-out: run `f(s, shard)` on every shard
+    /// concurrently under a fresh dispatch [`TraceCtx`] (see
+    /// [`Self::dispatch_ctx`]), returning the results in shard order.
+    fn fan_out<R: Send>(&self, f: impl Fn(usize, &DynGraph) -> R + Sync) -> Vec<R> {
+        let ctx = self.dispatch_ctx();
+        self.group.dispatch(|s, dev| {
+            let _trace = dev.trace_scope(ctx);
+            f(s, &self.shards[s].read())
+        })
+    }
+
     /// Build and populate from an edge list in one step.
     pub fn bulk_build(n_shards: usize, config: GraphConfig, edges: &[Edge]) -> Self {
         let g = Self::new(n_shards, config);
@@ -243,34 +254,26 @@ impl ShardedGraph {
     /// so it matches an unsharded replay.
     pub fn insert_edges(&self, edges: &[Edge]) -> u64 {
         let parts = self.partition(edges);
-        let ctx = self.dispatch_ctx();
-        self.group
-            .dispatch(|s, dev| {
-                let _trace = dev.trace_scope(ctx);
-                let g = self.shards[s].read();
-                let changed = g.insert_edges(&parts.primary[s]);
-                g.insert_edges(&parts.replica[s]);
-                changed
-            })
-            .iter()
-            .sum()
+        self.fan_out(|s, g| {
+            let changed = g.insert_edges(&parts.primary[s]);
+            g.insert_edges(&parts.replica[s]);
+            changed
+        })
+        .iter()
+        .sum()
     }
 
     /// Delete a batch of edges; returns how many were present (primary
     /// copies only — see [`Self::insert_edges`]).
     pub fn delete_edges(&self, edges: &[Edge]) -> u64 {
         let parts = self.partition(edges);
-        let ctx = self.dispatch_ctx();
-        self.group
-            .dispatch(|s, dev| {
-                let _trace = dev.trace_scope(ctx);
-                let g = self.shards[s].read();
-                let changed = g.delete_edges(&parts.primary[s]);
-                g.delete_edges(&parts.replica[s]);
-                changed
-            })
-            .iter()
-            .sum()
+        self.fan_out(|s, g| {
+            let changed = g.delete_edges(&parts.primary[s]);
+            g.delete_edges(&parts.replica[s]);
+            changed
+        })
+        .iter()
+        .sum()
     }
 
     /// Delete vertices and every incident edge. Every shard runs the
@@ -279,11 +282,7 @@ impl ShardedGraph {
     /// dst-side sweep on each shard tombstones incoming copies — so no
     /// cross-shard scatter is needed.
     pub fn delete_vertices(&self, vertices: &[u32]) {
-        let ctx = self.dispatch_ctx();
-        self.group.dispatch(|s, dev| {
-            let _trace = dev.trace_scope(ctx);
-            self.shards[s].read().delete_vertices(vertices);
-        });
+        self.fan_out(|_, g| g.delete_vertices(vertices));
     }
 
     /// Pin every shard's current era for a snapshot read session: one
@@ -319,11 +318,7 @@ impl ShardedGraph {
             index[s].push(i);
             per[s].push(p);
         }
-        let ctx = self.dispatch_ctx();
-        let results = self.group.dispatch(|s, dev| {
-            let _trace = dev.trace_scope(ctx);
-            self.shards[s].read().edges_exist(&pins[s], &per[s])
-        });
+        let results = self.fan_out(|s, g| g.edges_exist(&pins[s], &per[s]));
         let mut out = vec![false; pairs.len()];
         for (s, found) in results.into_iter().enumerate() {
             for (k, b) in found.into_iter().enumerate() {
@@ -357,30 +352,21 @@ impl ShardedGraph {
     /// Exact live-edge count: the sum of owned-vertex degrees across
     /// shards (replicas are bookkeeping, not extra edges).
     pub fn num_edges(&self) -> u64 {
-        let ctx = self.dispatch_ctx();
-        self.group
-            .dispatch(|s, dev| {
-                let _trace = dev.trace_scope(ctx);
-                let g = self.shards[s].read();
-                (0..self.n_vertices)
-                    .filter(|&v| shard_of(v, self.shards.len()) == s)
-                    .map(|v| g.degree(v) as u64)
-                    .sum::<u64>()
-            })
-            .iter()
-            .sum()
+        self.fan_out(|s, g| {
+            (0..self.n_vertices)
+                .filter(|&v| shard_of(v, self.shards.len()) == s)
+                .map(|v| g.degree(v) as u64)
+                .sum::<u64>()
+        })
+        .iter()
+        .sum()
     }
 
     /// Every shard's full contents — primaries and replicas — in shard
     /// order: one `edge_export` launch per non-empty shard, the shards
     /// running concurrently.
     fn shard_exports(&self) -> Vec<Vec<Edge>> {
-        let ctx = self.dispatch_ctx();
-        self.group.dispatch(|s, dev| {
-            let _trace = dev.trace_scope(ctx);
-            let g = self.shards[s].read();
-            g.export_edges(&g.pin_read())
-        })
+        self.fan_out(|_, g| g.export_edges(&g.pin_read()))
     }
 
     /// Every live edge once, as its primary copy ⟨src, dst, weight⟩:
@@ -403,16 +389,7 @@ impl ShardedGraph {
     /// O(shards) launches.
     pub fn validate(&self) -> Result<(), ShardedValidationError> {
         let n = self.shards.len();
-        let ctx = self.dispatch_ctx();
-        for (s, r) in self
-            .group
-            .dispatch(|s, dev| {
-                let _trace = dev.trace_scope(ctx);
-                self.shards[s].read().validate()
-            })
-            .into_iter()
-            .enumerate()
-        {
+        for (s, r) in self.fan_out(|_, g| g.validate()).into_iter().enumerate() {
             r.map_err(|source| ShardedValidationError::Shard { shard: s, source })?;
         }
         // The cross-shard audit runs on the host over one export per

@@ -275,7 +275,7 @@ impl SlabAllocator {
         // the zeros explicitly (the equivalent of the cudaMemset SlabAlloc
         // issues at pool setup) instead of leaning on the arena's Rust-side
         // zero-init — initcheck treats unwritten words as uninitialised.
-        dev.arena().fill(bitmaps, BLOCKS_PER_SUPER, 0);
+        dev.host_write(bitmaps, &[0; BLOCKS_PER_SUPER]);
         supers.push(SuperBlock { bitmaps, slabs });
         if let Some(p) = dev.profiler() {
             let words = (supers.len() * (SLABS_PER_SUPER * SLAB_WORDS + BLOCKS_PER_SUPER)) as u64;
@@ -518,7 +518,9 @@ impl SlabAllocator {
             let Some((bitmap_addr, slot)) = self.locate(addr) else {
                 return Err(format!("quarantined slab {addr:#x} is not a pool address"));
             };
-            if dev.arena().load(bitmap_addr) & (1 << slot) == 0 {
+            let mut bits = [0];
+            dev.host_read(bitmap_addr, &mut bits);
+            if bits[0] & (1 << slot) == 0 {
                 return Err(format!(
                     "quarantined slab {addr:#x} occupancy bit released while still ringed"
                 ));
@@ -568,7 +570,7 @@ impl SlabAllocator {
             }
             q.members.remove(&addr);
             if let Some((bitmap_addr, slot)) = self.locate(addr) {
-                dev.arena().fetch_and(bitmap_addr, !(1 << slot));
+                dev.host_atomic_and(bitmap_addr, !(1 << slot));
             }
             if let Some(san) = dev.sanitizer() {
                 san.on_slab_drain(addr);
@@ -637,9 +639,9 @@ mod tests {
         with_warp(&dev, |warp| {
             let a = alloc.allocate(warp);
             assert_eq!(a as usize % SLAB_WORDS, 0);
-            for i in 0..SLAB_WORDS as u32 {
-                assert_eq!(dev.arena().load(a + i), SLAB_INIT_WORD);
-            }
+            let mut words = [0; SLAB_WORDS];
+            dev.host_read(a, &mut words);
+            assert_eq!(words, [SLAB_INIT_WORD; SLAB_WORDS]);
         });
         assert_eq!(alloc.live_slabs(), 1);
     }
@@ -666,14 +668,16 @@ mod tests {
             let first: Vec<Addr> = (0..100).map(|_| alloc.allocate(warp)).collect();
             for &a in &first {
                 // Dirty the slab, then free it.
-                dev.arena().store(a, 123);
+                dev.host_write(a, &[123]);
                 alloc.free(warp, a).unwrap();
             }
             assert_eq!(alloc.live_slabs(), 0);
             // Reallocated slabs must be re-initialised.
             for _ in 0..100 {
                 let a = alloc.allocate(warp);
-                assert_eq!(dev.arena().load(a), SLAB_INIT_WORD);
+                let mut w = [0];
+                dev.host_read(a, &mut w);
+                assert_eq!(w, [SLAB_INIT_WORD]);
             }
         });
     }

@@ -147,7 +147,7 @@ fn report_json_round_trips_sanitizer_findings_exactly() {
     let dev =
         Device::with_config(DeviceConfig::new(1 << 12).with_sanitizer(SanitizerConfig::default()));
     let c = dev.alloc_words(1, 1);
-    dev.arena().fill(c, 1, 0);
+    dev.host_write(c, &[0]);
     dev.launch_tasks("torn", 64, |warp| {
         let v = warp.read_word(c);
         warp.write_word(c, v + 1);

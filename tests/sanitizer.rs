@@ -27,7 +27,7 @@ fn sanitized_device(words: usize) -> Device {
 fn torn_counter_fixture_is_flagged_with_provenance() {
     let dev = sanitized_device(1 << 12);
     let c = dev.alloc_words(1, 1);
-    dev.arena().fill(c, 1, 0);
+    dev.host_write(c, &[0]);
     dev.launch_tasks("torn_counter", 96, |warp| {
         let v = warp.read_word(c);
         warp.write_word(c, v + 1);

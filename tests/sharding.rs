@@ -367,7 +367,6 @@ fn rebuild_out_of_device_memory_stays_down_until_the_budget_allows() {
     let empty_words = ShardedGraph::new(shards, config())
         .group()
         .device(starved)
-        .arena()
         .allocated_words();
     let router = BatchRouter::new(&g);
     for (i, &e) in weighted_edges(0x00D0, 300).iter().enumerate() {

@@ -3,8 +3,9 @@
 //! For every extracted kernel (and every host function, so effects can be
 //! folded through helper calls) this pass computes what the code *does* to
 //! the device: arena words read and written through the `Warp` accessors,
-//! atomic RMWs, raw `.arena().…` accesses, allocator calls, pin/guard
-//! uses, and `std::sync::atomic` orderings.
+//! atomic RMWs, uncharged host transfers (`Device::upload` / `host_write`
+//! / …), allocator calls, pin/guard uses, and `std::sync::atomic`
+//! orderings.
 //!
 //! ## Address keys
 //!
@@ -86,8 +87,9 @@ pub struct MemAccess {
 #[derive(Debug, Clone, Default)]
 pub struct Effects {
     pub accesses: Vec<MemAccess>,
-    /// Raw `.arena().method(…)` calls (method, line) — R1's domain.
-    pub arena_raw: Vec<(String, u32)>,
+    /// Uncharged host-transfer calls (method, line) — R1's domain when
+    /// they sit in a kernel body.
+    pub host_calls: Vec<(String, u32)>,
     /// Slab-allocator calls (`allocate` / `try_allocate` / `free`), with
     /// lines.
     pub alloc_calls: Vec<(String, u32)>,
@@ -105,18 +107,13 @@ pub struct Effects {
 const READERS: [&str; 3] = ["read_word", "read_slab", "read_lanes"];
 const WRITERS: [&str; 3] = ["write_word", "write_slab", "write_lanes"];
 const RMWS: [&str; 4] = ["atomic_add", "atomic_sub", "atomic_or", "atomic_and"];
-const ARENA_METHODS: [&str; 11] = [
-    "store",
-    "load",
-    "fill",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_or",
-    "fetch_and",
-    "cas",
-    "exchange",
-    "store_slab",
-    "load_slab",
+/// `Device`'s uncharged host-transfer API.
+const HOST_TRANSFERS: [&str; 5] = [
+    "upload",
+    "try_upload",
+    "host_write",
+    "host_read",
+    "host_atomic_and",
 ];
 const ALLOC_CALLS: [&str; 3] = ["allocate", "try_allocate", "free"];
 const PIN_CALLS: [&str; 3] = ["pin", "pin_read", "check_pin"];
@@ -158,9 +155,8 @@ fn collect(trees: &[Tree], fx: &mut Effects) {
         }
         let args = trees[i + 1].group_trees().unwrap_or(&[]);
 
-        // `.arena().method(…)` — look back for `arena ( )` then `.`.
-        if dotted && ARENA_METHODS.contains(&name) && is_arena_chain(trees, i) {
-            fx.arena_raw.push((name.to_string(), tok.line));
+        if dotted && HOST_TRANSFERS.contains(&name) {
+            fx.host_calls.push((name.to_string(), tok.line));
             continue;
         }
 
@@ -189,15 +185,6 @@ fn collect(trees: &[Tree], fx: &mut Effects) {
         // so `vec!(…)` never lands here; `name!(…)` has `!` between).
         fx.calls.insert(name.to_string());
     }
-}
-
-fn is_arena_chain(trees: &[Tree], i: usize) -> bool {
-    // … `.` `arena` `(` `)` `.` method — method is at i, so check i-2/-3/-4.
-    i >= 4
-        && trees[i - 2].is_group('(')
-        && trees[i - 2].group_trees().is_some_and(|g| g.is_empty())
-        && trees[i - 3].as_leaf().is_some_and(|t| t.is_ident("arena"))
-        && trees[i - 4].as_leaf().is_some_and(|t| t.is_punct("."))
 }
 
 fn access(kind: AccessKind, method: &str, tok: &super::lexer::Tok, args: &[Tree]) -> MemAccess {
@@ -258,9 +245,13 @@ pub struct EffectIndex {
 impl EffectIndex {
     pub fn build(models: &[(String, FileModel)]) -> EffectIndex {
         let mut by_func: BTreeMap<String, Effects> = BTreeMap::new();
-        for (_, model) in models {
+        for (path, model) in models {
+            // Test code never runs inside a production kernel, and with
+            // name-keyed edges a test helper (say, one named `snapshot`)
+            // would splice unrelated production functions together.
+            let test_file = path.starts_with("tests/");
             for f in &model.funcs {
-                if f.cfg_test {
+                if f.cfg_test || test_file {
                     continue;
                 }
                 let fx = effects_of(&f.body);
@@ -270,81 +261,55 @@ impl EffectIndex {
         EffectIndex { by_func }
     }
 
-    /// Transitive effects of `direct`, following call edges up to `depth`
-    /// hops (cycle-safe: the visited set is threaded through).
+    /// Transitive effects of `direct`: its own effects plus those of every
+    /// function within `depth` call hops of it.
     pub fn transitive(&self, direct: &Effects, depth: usize) -> Effects {
         let mut out = direct.clone();
-        let mut visited = BTreeSet::new();
-        self.fold(&mut out, &direct.calls.clone(), depth, &mut visited);
+        for fx in self.reachable(&direct.calls, depth) {
+            merge(&mut out, fx);
+        }
         out
     }
 
-    fn fold(
-        &self,
-        out: &mut Effects,
-        calls: &BTreeSet<String>,
-        depth: usize,
-        visited: &mut BTreeSet<String>,
-    ) {
-        if depth == 0 {
-            return;
-        }
-        for callee in calls {
-            if !visited.insert(callee.clone()) {
-                continue;
-            }
-            if let Some(fx) = self.by_func.get(callee) {
-                merge(out, fx);
-                self.fold(out, &fx.calls.clone(), depth - 1, visited);
-            }
-        }
-    }
-
-    /// Does `func` transitively reach a call to `target`?
+    /// Does `func` transitively reach a call to `target` within `depth`
+    /// call hops?
     pub fn reaches(&self, func: &Func, target: &str, depth: usize) -> bool {
         let direct = effects_of(&func.body);
-        if direct.era_advances.is_empty() && target == "advance_era" {
-            // fall through to the call graph
-        } else if target == "advance_era" {
-            return true;
-        }
-        let mut visited = BTreeSet::new();
-        self.reaches_from(&direct.calls, target, depth, &mut visited)
+        direct.calls.contains(target)
+            || self
+                .reachable(&direct.calls, depth)
+                .iter()
+                .any(|fx| fx.calls.contains(target))
     }
 
-    fn reaches_from(
-        &self,
-        calls: &BTreeSet<String>,
-        target: &str,
-        depth: usize,
-        visited: &mut BTreeSet<String>,
-    ) -> bool {
-        if calls.contains(target) {
-            return true;
-        }
-        if depth == 0 {
-            return false;
-        }
-        for callee in calls {
-            if !visited.insert(callee.clone()) {
-                continue;
-            }
-            if let Some(fx) = self.by_func.get(callee) {
-                if !fx.era_advances.is_empty() && target == "advance_era" {
-                    return true;
+    /// The indexed functions within `depth` hops of `calls`, each once.
+    /// Expansion is breadth-first, so every function is expanded at its
+    /// shallowest depth and the result does not depend on the order in
+    /// which callers are visited.
+    fn reachable(&self, calls: &BTreeSet<String>, depth: usize) -> Vec<&Effects> {
+        let mut seen = BTreeSet::new();
+        let mut frontier: Vec<&String> = calls.iter().collect();
+        let mut out = Vec::new();
+        for _ in 0..depth {
+            let mut next = Vec::new();
+            for callee in frontier {
+                if !seen.insert(callee) {
+                    continue;
                 }
-                if self.reaches_from(&fx.calls, target, depth - 1, visited) {
-                    return true;
+                if let Some(fx) = self.by_func.get(callee) {
+                    out.push(fx);
+                    next.extend(&fx.calls);
                 }
             }
+            frontier = next;
         }
-        false
+        out
     }
 }
 
 fn merge(into: &mut Effects, from: &Effects) {
     into.accesses.extend(from.accesses.iter().cloned());
-    into.arena_raw.extend(from.arena_raw.iter().cloned());
+    into.host_calls.extend(from.host_calls.iter().cloned());
     into.alloc_calls.extend(from.alloc_calls.iter().cloned());
     into.pin_calls.extend(from.pin_calls.iter().cloned());
     into.era_advances.extend(from.era_advances.iter().copied());
@@ -377,12 +342,13 @@ mod tests {
     }
 
     #[test]
-    fn arena_raw_and_orderings_and_calls() {
+    fn host_transfers_and_orderings_and_calls() {
         let m = parse_file(
-            "fn stage(&self) {\n  self.dev.arena().store(a, 0);\n  self.allocated.fetch_add(1, Ordering::Relaxed);\n  self.dict.desc(warp, v);\n}\n",
+            "fn stage(&self) {\n  self.dev.host_write(a, &[0]);\n  self.allocated.fetch_add(1, Ordering::Relaxed);\n  self.dict.desc(warp, v);\n}\n",
         );
         let fx = effects_of(&m.funcs[0].body);
-        assert_eq!(fx.arena_raw, vec![("store".to_string(), 2)]);
+        assert_eq!(fx.host_calls, vec![("host_write".to_string(), 2)]);
+        assert!(!fx.calls.contains("host_write"), "not a call-graph edge");
         assert_eq!(fx.orderings, vec![("Relaxed".to_string(), 3)]);
         assert!(fx.calls.contains("desc"));
         // `fetch_add` on a std atomic is NOT an arena access.
@@ -428,5 +394,36 @@ mod tests {
             .unwrap();
         assert!(idx.reaches(entry, "advance_era", 8));
         assert!(!idx.reaches(stray, "advance_era", 8));
+    }
+
+    /// A helper reachable both directly (hop 1) and through `mid` (hop 2,
+    /// the depth limit) folds identically whichever caller sorts first:
+    /// the helper's own callee is one hop past the shallow path, so a fold
+    /// that expands the helper first at the depth limit would miss it.
+    #[test]
+    fn fold_is_independent_of_caller_order() {
+        for mid in ["aa_mid", "zz_mid"] {
+            let src = format!(
+                "fn leaf(warp: &Warp) {{ warp.read_word(p + NEXT_LANE as u32); warp.device().advance_era(); }}\n\
+                 fn helper(warp: &Warp) {{ leaf(warp); }}\n\
+                 fn {mid}(warp: &Warp) {{ helper(warp); }}\n\
+                 fn entry(dev: &Device) {{ dev.launch_warps(\"k\", 1, |warp| {{ {mid}(warp); helper(warp); }}); }}\n"
+            );
+            let models = vec![("f.rs".to_string(), parse_file(&src))];
+            let idx = EffectIndex::build(&models);
+            let kernel = effects_of(&models[0].1.kernels[0].body);
+            let trans = idx.transitive(&kernel, 2);
+            let keys: Vec<&str> = trans.accesses.iter().map(|a| a.key.as_str()).collect();
+            assert_eq!(keys, ["const:NEXT_LANE"], "caller {mid}");
+            assert_eq!(trans.era_advances.len(), 1, "caller {mid}");
+            let entry = models[0]
+                .1
+                .funcs
+                .iter()
+                .find(|f| f.name == "entry")
+                .unwrap();
+            assert!(idx.reaches(entry, "advance_era", 2), "caller {mid}");
+            assert!(!idx.reaches(entry, "advance_era", 1), "caller {mid}");
+        }
     }
 }

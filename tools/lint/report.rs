@@ -8,18 +8,19 @@
 //!
 //! ```text
 //! # ratchet: 42
-//! R1:crates/core/src/csr.rs:118  # staging writes land before first launch
+//! R1:crates/core/src/edge_ops.rs:161  # status marks are host bookkeeping
 //! ```
 //!
 //! The check is three-sided:
 //! - a finding with no matching entry is **new** → fail;
 //! - an entry with no matching finding is **stale** → fail (the debt was
 //!   paid; the entry must be deleted so the budget shrinks);
-//! - more entries than the `# ratchet:` header admits → fail.
+//! - an entry count other than the `# ratchet:` header's → fail. A ratchet
+//!   above the count would be silent headroom for new debt, so paying an
+//!   entry down means lowering the ratchet with it.
 //!
 //! `--write-allow` regenerates the file from the current findings with the
-//! ratchet set to exactly that count, so the budget can only be lowered
-//! deliberately.
+//! ratchet set to exactly that count.
 
 use super::effects::Effects;
 use super::rules::{rule_meta, Finding, RULES};
@@ -159,12 +160,12 @@ impl Allowlist {
             "# Kernel-lint budget: every entry is one known finding, pinned to an exact\n",
         );
         out.push_str(
-            "# `RULE:path:line` span. The ratchet is the budget ceiling — CI fails if the\n",
+            "# `RULE:path:line` span. The ratchet must equal the entry count — CI fails if\n",
         );
         out.push_str(
-            "# entry count grows past it, if a finding has no entry, or if an entry goes\n",
+            "# they differ, if a finding has no entry, or if an entry goes stale (pay down\n",
         );
-        out.push_str("# stale (pay down debt by deleting the entry AND lowering the ratchet).\n");
+        out.push_str("# debt by deleting the entry AND lowering the ratchet).\n");
         out.push_str("# Regenerate with `cargo run --bin lint-kernels -- --write-allow`.\n");
         out.push_str(&format!("# ratchet: {}\n", findings.len()));
         for f in findings {
@@ -222,9 +223,10 @@ impl LintReport {
         self.allowed.iter().filter(|a| !**a).count()
     }
 
-    /// The overall verdict: clean, or within the ratcheted budget.
+    /// The overall verdict: every finding budgeted, no stale entry, and
+    /// the ratchet equal to the entry count.
     pub fn ok(&self) -> bool {
-        self.new_findings() == 0 && self.stale.is_empty() && self.allow_entries <= self.ratchet
+        self.new_findings() == 0 && self.stale.is_empty() && self.allow_entries == self.ratchet
     }
 
     /// Human rendering, `TraceReport`-style: an aligned findings table
@@ -305,9 +307,14 @@ impl LintReport {
             }
         }
         out.push_str(&format!(
-            "budget: {} entries / ratchet {} — {}\n",
+            "budget: {} entries / ratchet {}{} — {}\n",
             self.allow_entries,
             self.ratchet,
+            if self.allow_entries == self.ratchet {
+                ""
+            } else {
+                " (mismatch: set the ratchet to the entry count)"
+            },
             if self.ok() { "OK" } else { "FAIL" }
         ));
         out
@@ -611,5 +618,20 @@ mod tests {
         assert_eq!(parsed.entries.len(), 1);
         assert_eq!(parsed.entries[0].rule, "R2");
         assert_eq!(parsed.entries[0].line, 47);
+    }
+
+    #[test]
+    fn ratchet_must_equal_the_entry_count() {
+        for (ratchet, ok) in [(1, true), (2, false), (0, false)] {
+            let mut report = sample();
+            let text = format!("# ratchet: {ratchet}\nR2:crates/bench/benches/structures.rs:47\n");
+            report.apply_allowlist(&Allowlist::parse(&text).unwrap());
+            assert_eq!(report.ok(), ok, "ratchet {ratchet}");
+            assert_eq!(
+                report.render().contains("mismatch"),
+                !ok,
+                "ratchet {ratchet}"
+            );
+        }
     }
 }

@@ -1,11 +1,10 @@
 //! The lint rules, R1–R6 and R8–R11, evaluated over the parsed file models and
 //! effect summaries.
 //!
-//! R1–R6 are the historical rules re-expressed over the token stream
-//! (they used to be per-line regexes); R8–R10 are the flow-sensitive
-//! checks that guard the pin/epoch and publication protocols; R11 guards
-//! the causal-tracing contract:
-//!
+//! R2–R6 are the historical rules re-expressed over the token stream
+//! (they used to be per-line regexes); R1 reads kernel effect summaries;
+//! R8–R10 are the flow-sensitive checks that guard the pin/epoch and
+//! publication protocols; R11 guards the causal-tracing contract:
 //! - **R8 `pin-escape`** — guard liveness. `ReadGuard`/`ReadPin` values
 //!   are tracked from `pin()`/`pin_read()` through bindings, moves and
 //!   drops; every query-path kernel launch must be dominated by a live
@@ -47,8 +46,8 @@ pub struct RuleMeta {
 pub const RULES: [RuleMeta; 10] = [
     RuleMeta {
         id: "R1",
-        name: "raw-arena-access",
-        desc: "raw arena access bypasses Warp accessors (uncounted, unsanitized)",
+        name: "host-transfer-in-kernel",
+        desc: "host transfer inside a kernel closure is uncharged and invisible to racecheck",
     },
     RuleMeta {
         id: "R2",
@@ -367,7 +366,7 @@ fn push(
     });
 }
 
-/// R1 / R2 / R5: whole-file token-sequence rules.
+/// R2 / R5: whole-file token-sequence rules; R1 / R3: per-kernel rules.
 fn token_rules(file: &ScannedFile, findings: &mut Vec<Finding>) {
     let gpu_sim = in_gpu_sim(&file.path);
     let sharded = in_sharded_scope(&file.path);
@@ -375,41 +374,6 @@ fn token_rules(file: &ScannedFile, findings: &mut Vec<Finding>) {
         let Some(tok) = trees[i].as_leaf() else {
             return;
         };
-        // R1: `.arena().method(…)` outside gpu-sim.
-        if !gpu_sim {
-            const ARENA_METHODS: [&str; 11] = [
-                "store",
-                "load",
-                "fill",
-                "fetch_add",
-                "fetch_sub",
-                "fetch_or",
-                "fetch_and",
-                "cas",
-                "exchange",
-                "store_slab",
-                "load_slab",
-            ];
-            if ARENA_METHODS.contains(&tok.text.as_str())
-                && trees.get(i + 1).is_some_and(|a| a.is_group('('))
-                && i >= 4
-                && trees[i - 1].as_leaf().is_some_and(|t| t.is_punct("."))
-                && trees[i - 2].is_group('(')
-                && trees[i - 2].group_trees().is_some_and(|g| g.is_empty())
-                && trees[i - 3].as_leaf().is_some_and(|t| t.is_ident("arena"))
-                && trees[i - 4].as_leaf().is_some_and(|t| t.is_punct("."))
-            {
-                push(
-                    findings,
-                    file,
-                    "R1",
-                    tok.line,
-                    "",
-                    "",
-                    format!("raw arena access `.arena().{}(…)`", tok.text),
-                );
-            }
-        }
         // R2: `Ordering::Relaxed` outside gpu-sim.
         if !gpu_sim
             && tok.is_ident("Ordering")
@@ -455,8 +419,22 @@ fn token_rules(file: &ScannedFile, findings: &mut Vec<Finding>) {
             }
         }
     });
-    // R3: kernels whose name argument is not a string literal.
     for k in &file.model.kernels {
+        // R1: host transfers lexically inside the launch closure.
+        if !gpu_sim {
+            for (method, line) in effects_of(&k.body).host_calls {
+                push(
+                    findings,
+                    file,
+                    "R1",
+                    line,
+                    k.name.as_deref().unwrap_or("<dynamic>"),
+                    &k.in_func,
+                    format!("host transfer `{method}` inside a kernel closure (uncharged, not racechecked)"),
+                );
+            }
+        }
+        // R3: kernels whose name argument is not a string literal.
         if k.name.is_none() {
             push(
                 findings,

@@ -7,9 +7,12 @@
 //! atomic ops, allocator calls, pin/guard uses), and checks ten rules over
 //! the summaries and the enclosing host code:
 //!
-//! - **R1 `raw-arena-access`** — `.arena().store/load/…` outside
-//!   `crates/gpu-sim` bypasses the `Warp` accessors: no counters, no
-//!   sanitizer shadow. Host-side staging is budgeted in the allowlist.
+//! - **R1 `host-transfer-in-kernel`** — a `Device` host transfer
+//!   (`upload` / `try_upload` / `host_write` / `host_read` /
+//!   `host_atomic_and`) lexically inside a launch closure outside
+//!   `crates/gpu-sim`: uncharged, and invisible to racecheck. Staging and
+//!   read-back between launches needs no rule — the arena is private to
+//!   gpu-sim, so uncharged access can only go through those named calls.
 //! - **R2 `relaxed-ordering`** — `Ordering::Relaxed` outside gpu-sim
 //!   defeats the acquire/release discipline published device pointers rely
 //!   on. Monotonic statistics counters are budgeted.
