@@ -48,6 +48,9 @@ if [ "$mode" = "quick" ]; then
     cargo run -q -p bench --bin profile -- --scale 4096 --rounds 2 --ops 512 | tee /tmp/profile.out
     grep -q "trace OK:" /tmp/profile.out   # span count == launch count, trace parsed back
     test -s target/profile/churn.trace.json
+    echo "== causal op-trace query (debug; slowest ops, merged router report) =="
+    cargo run -q -p bench --bin trace-query -- --scale 4096 --rounds 2 --ops 256 --slowest 3 | tee /tmp/trace-query.out
+    grep -q "trace OK:" /tmp/trace-query.out
 else
     echo "== cargo build --release =="
     cargo build --workspace --release
@@ -62,6 +65,9 @@ else
     cargo run --release -q -p bench --bin profile -- --scale 4096 | tee /tmp/profile.out
     grep -q "trace OK:" /tmp/profile.out   # span count == launch count, trace parsed back
     test -s target/profile/churn.trace.json
+    echo "== causal op-trace query (slowest ops, merged router report) =="
+    cargo run --release -q -p bench --bin trace-query -- --scale 4096 --rounds 2 --ops 256 --slowest 3 | tee /tmp/trace-query.out
+    grep -q "trace OK:" /tmp/trace-query.out
     echo "== sanitized test suite (racecheck/memcheck/initcheck on every device) =="
     cargo test --workspace --release -q --features dynamic-graphs-gpu/sanitize
     echo "== sanitized chaos churn smoke run (4 shards, seeded kill/revive; zero findings + clean post-rebuild validate asserted in-run) =="

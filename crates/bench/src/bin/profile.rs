@@ -15,8 +15,40 @@ use bench::churn::ChurnConfig;
 use bench::harness::{build_backends, build_sharded, stream_for};
 use bench::sharded::traffic_for;
 use gpu_sim::profiler::{chrome_trace_json, parse_chrome_trace, set_default_profiler};
-use gpu_sim::{CostModel, ProfilerConfig, TraceReport};
+use gpu_sim::{CostModel, Device, Profiler, ProfilerConfig, TraceReport};
 use router::BatchRouter;
+
+/// Check `dev`'s span accounting and return its launch count: one
+/// timeline span per kernel launch, no kernel or host span dropped, and
+/// the modeled clock agreeing with the cost model applied to the device's
+/// total counters to within one launch quantum (kernel spans plus host
+/// spans partition all costed work).
+fn check_spans(who: &str, dev: &Device, prof: &Profiler, model: &CostModel) -> u64 {
+    let timeline = prof.timeline();
+    let stats = timeline.stats;
+    let launches = dev.counters().snapshot().launches;
+    assert_eq!(
+        stats.spans_recorded, launches,
+        "{who}: one timeline span per kernel launch"
+    );
+    assert_eq!(
+        stats.spans_dropped + stats.host_spans_dropped,
+        0,
+        "{who}: span rings must not drop at this scale"
+    );
+    let span_total: f64 = timeline
+        .spans
+        .iter()
+        .chain(&timeline.host_spans)
+        .map(|s| s.dur_s)
+        .sum();
+    let modeled = model.seconds(&dev.counters().snapshot());
+    assert!(
+        (span_total - modeled).abs() <= 5e-6,
+        "{who}: span durations sum to {span_total}s but the cost model says {modeled}s"
+    );
+    launches
+}
 
 fn main() {
     let mut cfg = ChurnConfig::default();
@@ -56,7 +88,6 @@ fn main() {
     let (ds, stream) = stream_for(&cfg);
     let model = CostModel::titan_v();
     let mut all_events = Vec::new();
-    let mut total_spans = 0u64;
     let mut total_launches = 0u64;
     let mut next_pid = 0u64;
 
@@ -89,33 +120,7 @@ fn main() {
             .profiler()
             .expect("default profiler attached before backend construction")
             .clone();
-        let timeline = prof.timeline();
-        let stats = timeline.stats;
-        let launches = g.device().counters().snapshot().launches;
-        assert_eq!(
-            stats.spans_recorded, launches,
-            "{name}: one timeline span per kernel launch"
-        );
-        assert_eq!(
-            stats.spans_dropped + stats.host_spans_dropped,
-            0,
-            "{name}: span rings must not drop at this scale"
-        );
-
-        // The modeled clock must agree with the cost model applied to the
-        // device's total counters, to within one launch quantum: kernel
-        // spans plus host spans partition all costed work.
-        let span_total: f64 = timeline
-            .spans
-            .iter()
-            .chain(&timeline.host_spans)
-            .map(|s| s.dur_s)
-            .sum();
-        let modeled = model.seconds(&g.device().counters().snapshot());
-        assert!(
-            (span_total - modeled).abs() <= 5e-6,
-            "{name}: span durations sum to {span_total}s but the cost model says {modeled}s"
-        );
+        total_launches += check_spans(name, g.device(), &prof, &model);
 
         let report =
             TraceReport::new(&g.device().trace(), &model).with_metrics(prof.metric_summaries());
@@ -123,8 +128,6 @@ fn main() {
         println!("{}", report.render());
 
         all_events.extend(prof.chrome_events(pid as u64));
-        total_spans += stats.spans_recorded;
-        total_launches += launches;
         next_pid = next_pid.max(pid as u64 + 1);
     }
 
@@ -154,31 +157,7 @@ fn main() {
         let prof = dev
             .profiler()
             .expect("default profiler attached before shard construction");
-        let timeline = prof.timeline();
-        let stats = timeline.stats;
-        let launches = dev.counters().snapshot().launches;
-        assert_eq!(
-            stats.spans_recorded, launches,
-            "shard {s}: one timeline span per kernel launch"
-        );
-        assert_eq!(
-            stats.spans_dropped + stats.host_spans_dropped,
-            0,
-            "shard {s}: span rings must not drop at this scale"
-        );
-        let span_total: f64 = timeline
-            .spans
-            .iter()
-            .chain(&timeline.host_spans)
-            .map(|sp| sp.dur_s)
-            .sum();
-        let modeled = model.seconds(&dev.counters().snapshot());
-        assert!(
-            (span_total - modeled).abs() <= 5e-6,
-            "shard {s}: span durations sum to {span_total}s but the cost model says {modeled}s"
-        );
-        total_spans += stats.spans_recorded;
-        total_launches += launches;
+        total_launches += check_spans(&format!("shard {s}"), dev, prof, &model);
     }
     // One pid per shard, after the backend pids, so the overlap between
     // shards of one flush is visible side by side.
@@ -188,14 +167,8 @@ fn main() {
         "== ShardedSlabGraph ({shards} shard(s), {} session(s)): routed replay ==",
         cfg.sessions.max(1)
     );
-    // Fold the router's per-shard health rows into the merged report so the
-    // rendered trace (and its JSON round-trip) carries the health machine's
-    // final state alongside the kernel-span accounting.
-    let merged = g
-        .group()
-        .merged_report(&model)
-        .with_shard_health(router.report().rows);
-    println!("{}", merged.render());
+    println!("{}", g.group().merged_report(&model).render());
+    println!("{}", router.report().render());
 
     let json = chrome_trace_json(&all_events);
     let parsed = parse_chrome_trace(&json).expect("emitted trace must parse back");
@@ -206,7 +179,7 @@ fn main() {
     let path = dir.join("churn.trace.json");
     std::fs::write(&path, &json).expect("write trace file");
     println!(
-        "trace OK: {total_spans} spans == {total_launches} launches, {} events -> {}",
+        "trace OK: {total_launches} spans == {total_launches} launches, {} events -> {}",
         all_events.len(),
         path.display()
     );

@@ -19,23 +19,6 @@ use bench::sharded::traffic_for;
 use gpu_sim::CostModel;
 use router::{BatchRouter, OpTraceRecord, ShardedGraph};
 
-fn print_record(r: &OpTraceRecord) {
-    println!(
-        "op {} ({}, session {}): {} ns = queue {} + backoff {} + kernel {} + degraded {}",
-        r.op,
-        r.kind,
-        r.session,
-        r.total_ns(),
-        r.queue_ns,
-        r.backoff_ns,
-        r.kernel_ns,
-        r.degraded_ns
-    );
-    for s in &r.spans {
-        println!("    {s}");
-    }
-}
-
 fn main() {
     let mut cfg = ChurnConfig {
         shards: 4,
@@ -130,7 +113,7 @@ fn main() {
     let mut printed = 0usize;
     if let Some(op) = op_filter {
         for r in records.iter().filter(|r| r.op == op) {
-            print_record(r);
+            println!("{r}");
             printed += 1;
         }
         if printed == 0 {
@@ -139,7 +122,7 @@ fn main() {
         }
     } else if let Some(session) = session_filter {
         for r in records.iter().filter(|r| r.session == session) {
-            print_record(r);
+            println!("{r}");
             printed += 1;
         }
     } else {
@@ -148,16 +131,18 @@ fn main() {
         sorted.sort_by(|a, b| b.total_ns().cmp(&a.total_ns()).then(a.op.cmp(&b.op)));
         println!("-- {} slowest ops --", n.min(sorted.len()));
         for r in sorted.into_iter().take(n) {
-            print_record(r);
+            println!("{r}");
             printed += 1;
         }
     }
 
-    // The merged report (attribution table, tail exemplars, shard
-    // health) closes the run, same renderer the artifacts embed.
+    // The merged report closes the run: kernels, findings and metrics,
+    // whose `op.*_ns` rows are the per-component latency attribution;
+    // then the shard health summary.
     let report = router.trace_report(&CostModel::titan_v());
     println!();
     println!("{}", report.render());
+    println!("{}", router.report().render());
     println!(
         "trace OK: {printed} lifecycle(s) printed, makespan {} ms",
         fnum(g.group().clock_s() * 1e3)

@@ -21,8 +21,8 @@
 //!   names prefixed `shard<i>/` so a finding still names its device) and
 //!   metric summaries (histograms merged bucket-wise — percentiles of the
 //!   *union*, not averages of percentiles). The result is an ordinary
-//!   [`TraceReport`]: it renders, JSON round-trips exactly, and pre-shard
-//!   reports parse unchanged.
+//!   [`TraceReport`] with the single-device schema: it renders and JSON
+//!   round-trips exactly.
 //! - **Per-shard timelines.** [`DeviceGroup::chrome_events`] exports shard
 //!   `i` under `pid = base + i`, so a merged Chrome trace shows the shards
 //!   as parallel process rows and dispatch overlap is visible directly.
@@ -204,8 +204,8 @@ impl DeviceGroup {
     }
 
     /// One [`TraceReport`] for the whole group: merged kernels, merged
-    /// findings, merged metrics. The report uses the ordinary single-device
-    /// schema — it JSON round-trips exactly and old reports still parse.
+    /// findings, merged metrics, in the ordinary single-device schema (it
+    /// JSON round-trips exactly).
     pub fn merged_report(&self, model: &CostModel) -> TraceReport {
         TraceReport::new(&self.merged_trace(), model)
             .with_findings(self.merged_findings())

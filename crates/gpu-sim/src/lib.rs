@@ -23,8 +23,11 @@
 //!   sites use [`Device::charge`]), and a TITAN V-like analytic timing
 //!   model used by the benchmark harness.
 //! - [`KernelSpec`] / [`TraceReport`] — named kernel launches with
-//!   per-kernel counter attribution and renderable/serializable breakdown
-//!   reports (see [`trace`]).
+//!   per-kernel counter attribution, and the renderable/serializable report
+//!   of what a device (or [`DeviceGroup`]) knows about a phase: per-kernel
+//!   rows, their total, sanitizer findings and metric summaries (see
+//!   [`trace`]). Layers above the device report their own records through
+//!   their own types; they reach this report only as metric rows.
 //!
 //! ## Example
 //!
@@ -78,6 +81,5 @@ pub use profiler::{
 };
 pub use sanitizer::{Finding, FindingKind, Sanitizer, SanitizerConfig};
 pub use trace::{
-    Charge, KernelSpec, KernelStats, LaunchShape, OpAttributionRow, ShardHealthRow,
-    TailExemplarRow, TraceReport, TraceRow, TraceSnapshot, HOST_KERNEL,
+    Charge, KernelSpec, KernelStats, LaunchShape, TraceReport, TraceRow, TraceSnapshot, HOST_KERNEL,
 };

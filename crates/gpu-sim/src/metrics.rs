@@ -13,7 +13,9 @@
 //! sum, and max, so summaries report exact means/maxima alongside bucketed
 //! p50/p95/p99. Gauges track a current value, its high-water mark, and an
 //! update count. Summaries ([`MetricSummary`]) are all-`u64` and round-trip
-//! exactly through [`crate::trace::TraceReport`] JSON.
+//! exactly through [`crate::trace::TraceReport`] JSON. A layer above the
+//! device (the sharded router's per-op latency components) keeps its own
+//! registry and merges its summaries into a report's metric rows.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -250,7 +250,8 @@ pub struct Timeline {
 /// all hooks are reached through `device.profiler()`.
 #[derive(Debug)]
 pub struct Profiler {
-    cfg: ProfilerConfig,
+    /// Drives the modeled clock (fixed to [`CostModel::titan_v`], matching
+    /// the bench harness).
     model: CostModel,
     state: Mutex<ProfState>,
     metrics: MetricsRegistry,
@@ -259,7 +260,6 @@ pub struct Profiler {
 impl Profiler {
     pub fn new(cfg: ProfilerConfig) -> Self {
         Profiler {
-            cfg,
             model: CostModel::titan_v(),
             state: Mutex::new(ProfState {
                 now_s: 0.0,
@@ -272,17 +272,6 @@ impl Profiler {
             }),
             metrics: MetricsRegistry::new(),
         }
-    }
-
-    /// This profiler's configuration.
-    pub fn config(&self) -> ProfilerConfig {
-        self.cfg
-    }
-
-    /// The cost model driving the modeled clock (fixed to
-    /// [`CostModel::titan_v`], matching the bench harness).
-    pub fn model(&self) -> &CostModel {
-        &self.model
     }
 
     /// The attached metrics registry.
@@ -355,11 +344,6 @@ impl Profiler {
         id
     }
 
-    /// The trace context that would stamp an event recorded now, if any.
-    pub fn current_ctx(&self) -> Option<TraceCtx> {
-        self.state.lock().ctx_stack.last().copied()
-    }
-
     /// Push `ctx` onto the context stack. Prefer the RAII
     /// [`crate::Device::trace_scope`]; this low-level pair exists for
     /// guards that outlive a borrow.
@@ -427,26 +411,16 @@ impl Profiler {
             host_spans: st.host_spans.to_vec(),
             phases: st.phases.to_vec(),
             instants: st.instants.to_vec(),
-            stats: self.stats_locked(&st),
-        }
-    }
-
-    /// Per-class recorded/dropped counts.
-    pub fn timeline_stats(&self) -> TimelineStats {
-        let st = self.state.lock();
-        self.stats_locked(&st)
-    }
-
-    fn stats_locked(&self, st: &ProfState) -> TimelineStats {
-        TimelineStats {
-            spans_recorded: st.spans.recorded,
-            spans_dropped: st.spans.dropped,
-            host_spans_recorded: st.host_spans.recorded,
-            host_spans_dropped: st.host_spans.dropped,
-            phases_recorded: st.phases.recorded,
-            phases_dropped: st.phases.dropped,
-            instants_recorded: st.instants.recorded,
-            instants_dropped: st.instants.dropped,
+            stats: TimelineStats {
+                spans_recorded: st.spans.recorded,
+                spans_dropped: st.spans.dropped,
+                host_spans_recorded: st.host_spans.recorded,
+                host_spans_dropped: st.host_spans.dropped,
+                phases_recorded: st.phases.recorded,
+                phases_dropped: st.phases.dropped,
+                instants_recorded: st.instants.recorded,
+                instants_dropped: st.instants.dropped,
+            },
         }
     }
 

@@ -235,71 +235,6 @@ pub struct TraceRow {
     pub modeled_s: f64,
 }
 
-/// One shard's health status at report time: the router's state-machine
-/// state plus cumulative fault-tolerance tallies. Lives here (not in the
-/// router crate) so [`TraceReport`] can carry it without a dependency
-/// inversion; the router constructs these from its own health machine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardHealthRow {
-    /// Shard index.
-    pub shard: u64,
-    /// Health-machine state name (`healthy` / `suspect` / `down` /
-    /// `rebuilding`).
-    pub state: String,
-    /// Cumulative dispatch retries against this shard.
-    pub retries: u64,
-    /// Cumulative modeled backoff seconds charged waiting on this shard.
-    pub backoff_s: f64,
-    /// Unacknowledged write-ahead-journal entries for this shard.
-    pub journal_depth: u64,
-    /// Completed rebuild cycles (reset → replay → re-admit).
-    pub rebuilds: u64,
-}
-
-/// One latency-attribution component summarized across every completed
-/// client op: where end-to-end modeled time went (`queue`, `backoff`,
-/// `kernel`, `degraded`) plus the `total` row. All figures are
-/// modeled nanoseconds. Lives here (like [`ShardHealthRow`]) so
-/// [`TraceReport`] can carry it without depending on the router crate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OpAttributionRow {
-    /// Component name: `queue`, `backoff`, `kernel`, `degraded`, or
-    /// `total`.
-    pub component: String,
-    /// Ops that spent any time in this component.
-    pub count: u64,
-    /// Sum of the component across all ops, modeled ns.
-    pub sum_ns: u64,
-    /// Largest single-op share, modeled ns.
-    pub max_ns: u64,
-    /// Bucketed quantiles over per-op shares, modeled ns.
-    pub p50_ns: u64,
-    pub p95_ns: u64,
-    pub p99_ns: u64,
-}
-
-/// One of the K slowest client ops in the report window, with its full
-/// causal span chain — the concrete story behind a tail percentile.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TailExemplarRow {
-    /// Client op id (unique within the router's lifetime).
-    pub op: u64,
-    /// Submitting session.
-    pub session: u64,
-    /// Op kind: `insert`, `delete`, or `query`.
-    pub kind: String,
-    /// End-to-end modeled latency, ns.
-    pub total_ns: u64,
-    /// Per-component breakdown, modeled ns. Components sum to `total_ns`.
-    pub queue_ns: u64,
-    pub backoff_ns: u64,
-    pub kernel_ns: u64,
-    pub degraded_ns: u64,
-    /// The op's causal span chain, root first — e.g.
-    /// `op#17 → flush#2 → shard1/router.flush → shard1/edge_insert`.
-    pub spans: Vec<String>,
-}
-
 /// A renderable, serializable per-kernel breakdown of a measured phase.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceReport {
@@ -314,15 +249,6 @@ pub struct TraceReport {
     /// an attached profiler (empty when no profiler ran). See
     /// [`crate::metrics`].
     pub metrics: Vec<MetricSummary>,
-    /// Per-shard health rows from a sharded router's fault-tolerance
-    /// layer (empty for unsharded runs or pre-robustness reports).
-    pub shard_health: Vec<ShardHealthRow>,
-    /// Per-component latency attribution across completed client ops
-    /// (empty for untraced runs or pre-tracing reports).
-    pub op_attribution: Vec<OpAttributionRow>,
-    /// The K slowest client ops with their causal span chains (empty for
-    /// untraced runs or pre-tracing reports).
-    pub tail_exemplars: Vec<TailExemplarRow>,
 }
 
 impl TraceReport {
@@ -347,9 +273,6 @@ impl TraceReport {
             },
             findings: Vec::new(),
             metrics: Vec::new(),
-            shard_health: Vec::new(),
-            op_attribution: Vec::new(),
-            tail_exemplars: Vec::new(),
         }
     }
 
@@ -364,26 +287,6 @@ impl TraceReport {
     /// [`crate::profiler::Profiler::metric_summaries`]) to the report.
     pub fn with_metrics(mut self, metrics: Vec<MetricSummary>) -> Self {
         self.metrics = metrics;
-        self
-    }
-
-    /// Attach per-shard health rows from a sharded router's
-    /// fault-tolerance layer.
-    pub fn with_shard_health(mut self, shard_health: Vec<ShardHealthRow>) -> Self {
-        self.shard_health = shard_health;
-        self
-    }
-
-    /// Attach per-component latency-attribution rows from a traced
-    /// router's op accounting.
-    pub fn with_op_attribution(mut self, op_attribution: Vec<OpAttributionRow>) -> Self {
-        self.op_attribution = op_attribution;
-        self
-    }
-
-    /// Attach tail exemplars — the K slowest ops with their span chains.
-    pub fn with_tail_exemplars(mut self, tail_exemplars: Vec<TailExemplarRow>) -> Self {
-        self.tail_exemplars = tail_exemplars;
         self
     }
 
@@ -436,70 +339,6 @@ impl TraceReport {
                 .collect();
             let headers = ["metric", "kind", "count", "sum", "max", "p50", "p95", "p99"];
             out.push_str(&aligned_table(&headers, &rows, 2, "  ").0.concat());
-        }
-        if !self.op_attribution.is_empty() {
-            out.push_str(&format!(
-                "\nop attribution ({}):\n",
-                self.op_attribution.len()
-            ));
-            let rows: Vec<Vec<String>> = self
-                .op_attribution
-                .iter()
-                .map(|a| {
-                    let mut cells = vec![a.component.clone()];
-                    cells.extend(
-                        [a.count, a.sum_ns, a.max_ns, a.p50_ns, a.p95_ns, a.p99_ns]
-                            .map(|n| n.to_string()),
-                    );
-                    cells
-                })
-                .collect();
-            let headers = [
-                "component",
-                "count",
-                "sum ns",
-                "max ns",
-                "p50 ns",
-                "p95 ns",
-                "p99 ns",
-            ];
-            out.push_str(&aligned_table(&headers, &rows, 1, "  ").0.concat());
-        }
-        if !self.tail_exemplars.is_empty() {
-            out.push_str(&format!(
-                "\ntail exemplars ({}):\n",
-                self.tail_exemplars.len()
-            ));
-            for e in &self.tail_exemplars {
-                out.push_str(&format!(
-                    "  op {} ({}, session {}): {} ns = queue {} + backoff {} + kernel {} + degraded {}\n",
-                    e.op,
-                    e.kind,
-                    e.session,
-                    e.total_ns,
-                    e.queue_ns,
-                    e.backoff_ns,
-                    e.kernel_ns,
-                    e.degraded_ns,
-                ));
-                for s in &e.spans {
-                    out.push_str(&format!("    {s}\n"));
-                }
-            }
-        }
-        if !self.shard_health.is_empty() {
-            out.push_str(&format!("\nshard health ({}):\n", self.shard_health.len()));
-            for h in &self.shard_health {
-                out.push_str(&format!(
-                    "  shard {}: {} (retries {}, backoff {:.4} ms, journal depth {}, rebuilds {})\n",
-                    h.shard,
-                    h.state,
-                    h.retries,
-                    h.backoff_s * 1e3,
-                    h.journal_depth,
-                    h.rebuilds
-                ));
-            }
         }
         if !self.findings.is_empty() {
             out.push_str(&format!(
@@ -560,67 +399,6 @@ impl TraceReport {
                 "metrics".into(),
                 Json::Arr(self.metrics.iter().map(metric_json).collect()),
             ),
-            (
-                "shard_health".into(),
-                Json::Arr(
-                    self.shard_health
-                        .iter()
-                        .map(|h| {
-                            Json::Obj(vec![
-                                ("shard".into(), Json::u64(h.shard)),
-                                ("state".into(), Json::str(&h.state)),
-                                ("retries".into(), Json::u64(h.retries)),
-                                ("backoff_s".into(), Json::f64(h.backoff_s)),
-                                ("journal_depth".into(), Json::u64(h.journal_depth)),
-                                ("rebuilds".into(), Json::u64(h.rebuilds)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "op_attribution".into(),
-                Json::Arr(
-                    self.op_attribution
-                        .iter()
-                        .map(|a| {
-                            Json::Obj(vec![
-                                ("component".into(), Json::str(&a.component)),
-                                ("count".into(), Json::u64(a.count)),
-                                ("sum_ns".into(), Json::u64(a.sum_ns)),
-                                ("max_ns".into(), Json::u64(a.max_ns)),
-                                ("p50_ns".into(), Json::u64(a.p50_ns)),
-                                ("p95_ns".into(), Json::u64(a.p95_ns)),
-                                ("p99_ns".into(), Json::u64(a.p99_ns)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "tail_exemplars".into(),
-                Json::Arr(
-                    self.tail_exemplars
-                        .iter()
-                        .map(|e| {
-                            Json::Obj(vec![
-                                ("op".into(), Json::u64(e.op)),
-                                ("session".into(), Json::u64(e.session)),
-                                ("kind".into(), Json::str(&e.kind)),
-                                ("total_ns".into(), Json::u64(e.total_ns)),
-                                ("queue_ns".into(), Json::u64(e.queue_ns)),
-                                ("backoff_ns".into(), Json::u64(e.backoff_ns)),
-                                ("kernel_ns".into(), Json::u64(e.kernel_ns)),
-                                ("degraded_ns".into(), Json::u64(e.degraded_ns)),
-                                (
-                                    "spans".into(),
-                                    Json::Arr(e.spans.iter().map(Json::str).collect()),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
         ])
     }
 
@@ -673,16 +451,14 @@ impl TraceReport {
                 note: s("note")?,
             })
         };
-        // Absent in reports written before the sanitizer existed.
-        let findings = match v.get("sanitizer_findings").and_then(Json::as_arr) {
-            Some(arr) => arr.iter().map(parse_finding).collect::<Result<_, _>>()?,
-            None => Vec::new(),
-        };
+        let findings = field(&v, "report", "sanitizer_findings", Json::as_arr)?
+            .iter()
+            .map(parse_finding)
+            .collect::<Result<_, _>>()?;
         let parse_metric = |j: &Json| -> Result<MetricSummary, String> {
             let s = |key| field(j, "metric", key, Json::as_str).map(str::to_string);
             let n = |key| field(j, "metric", key, Json::as_u64);
             let kind_str = s("kind")?;
-            let p95 = n("p95")?;
             Ok(MetricSummary {
                 name: s("name")?,
                 kind: MetricKind::parse(&kind_str)
@@ -691,83 +467,19 @@ impl TraceReport {
                 sum: n("sum")?,
                 max: n("max")?,
                 p50: n("p50")?,
-                p95,
-                // Absent in reports written before p99 existed: fall back
-                // to p95 (the best lower bound the old schema carries).
-                p99: j.get("p99").and_then(Json::as_u64).unwrap_or(p95),
+                p95: n("p95")?,
+                p99: n("p99")?,
             })
         };
-        // Absent in reports written before the profiler existed.
-        let metrics = match v.get("metrics").and_then(Json::as_arr) {
-            Some(arr) => arr.iter().map(parse_metric).collect::<Result<_, _>>()?,
-            None => Vec::new(),
-        };
-        let parse_health = |j: &Json| -> Result<ShardHealthRow, String> {
-            let n = |key| field(j, "shard-health", key, Json::as_u64);
-            Ok(ShardHealthRow {
-                shard: n("shard")?,
-                state: field(j, "shard-health", "state", Json::as_str)?.to_string(),
-                retries: n("retries")?,
-                backoff_s: field(j, "shard-health", "backoff_s", Json::as_f64)?,
-                journal_depth: n("journal_depth")?,
-                rebuilds: n("rebuilds")?,
-            })
-        };
-        // Absent in reports written before the fault-tolerance layer.
-        let shard_health = match v.get("shard_health").and_then(Json::as_arr) {
-            Some(arr) => arr.iter().map(parse_health).collect::<Result<_, _>>()?,
-            None => Vec::new(),
-        };
-        let parse_attr = |j: &Json| -> Result<OpAttributionRow, String> {
-            let n = |key| field(j, "attribution", key, Json::as_u64);
-            Ok(OpAttributionRow {
-                component: field(j, "attribution", "component", Json::as_str)?.to_string(),
-                count: n("count")?,
-                sum_ns: n("sum_ns")?,
-                max_ns: n("max_ns")?,
-                p50_ns: n("p50_ns")?,
-                p95_ns: n("p95_ns")?,
-                p99_ns: n("p99_ns")?,
-            })
-        };
-        let parse_exemplar = |j: &Json| -> Result<TailExemplarRow, String> {
-            let n = |key| field(j, "exemplar", key, Json::as_u64);
-            Ok(TailExemplarRow {
-                op: n("op")?,
-                session: n("session")?,
-                kind: field(j, "exemplar", "kind", Json::as_str)?.to_string(),
-                total_ns: n("total_ns")?,
-                queue_ns: n("queue_ns")?,
-                backoff_ns: n("backoff_ns")?,
-                kernel_ns: n("kernel_ns")?,
-                degraded_ns: n("degraded_ns")?,
-                spans: field(j, "exemplar", "spans", Json::as_arr)?
-                    .iter()
-                    .map(|s| {
-                        s.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| "non-string exemplar span".to_string())
-                    })
-                    .collect::<Result<_, _>>()?,
-            })
-        };
-        // Absent in reports written before the tracing layer.
-        let op_attribution = match v.get("op_attribution").and_then(Json::as_arr) {
-            Some(arr) => arr.iter().map(parse_attr).collect::<Result<_, _>>()?,
-            None => Vec::new(),
-        };
-        let tail_exemplars = match v.get("tail_exemplars").and_then(Json::as_arr) {
-            Some(arr) => arr.iter().map(parse_exemplar).collect::<Result<_, _>>()?,
-            None => Vec::new(),
-        };
+        let metrics = field(&v, "report", "metrics", Json::as_arr)?
+            .iter()
+            .map(parse_metric)
+            .collect::<Result<_, _>>()?;
         Ok(TraceReport {
             rows,
             total,
             findings,
             metrics,
-            shard_health,
-            op_attribution,
-            tail_exemplars,
         })
     }
 }
@@ -968,10 +680,6 @@ mod tests {
         let rendered = report.render();
         assert!(rendered.contains("sanitizer findings (2):"));
         assert!(rendered.contains("race-write-write"));
-        // Reports without the findings key (pre-sanitizer) still parse.
-        let bare = TraceReport::new(&trace, &CostModel::titan_v());
-        let parsed = TraceReport::from_json(&bare.to_json().render_pretty()).unwrap();
-        assert!(parsed.findings.is_empty());
     }
 
     #[test]
@@ -1015,140 +723,6 @@ mod tests {
         assert!(rendered.contains("histogram"));
         assert!(rendered.contains("gauge"));
         assert!(rendered.contains("p95"));
-        // Reports without the metrics key (pre-profiler) still parse.
-        let bare = TraceReport::new(&trace, &CostModel::titan_v());
-        let parsed = TraceReport::from_json(&bare.to_json().render_pretty()).unwrap();
-        assert!(parsed.metrics.is_empty());
-    }
-
-    #[test]
-    fn shard_health_roundtrips_and_renders() {
-        let trace = TraceSnapshot {
-            global: snap(10, 1),
-            kernels: vec![KernelStats {
-                name: "router.flush",
-                counters: snap(10, 1),
-            }],
-        };
-        let health = vec![
-            ShardHealthRow {
-                shard: 0,
-                state: "healthy".into(),
-                retries: 0,
-                backoff_s: 0.0,
-                journal_depth: 0,
-                rebuilds: 0,
-            },
-            ShardHealthRow {
-                shard: 2,
-                state: "down".into(),
-                retries: 3,
-                backoff_s: 0.015625,
-                journal_depth: 42,
-                rebuilds: 1,
-            },
-        ];
-        let report = TraceReport::new(&trace, &CostModel::titan_v()).with_shard_health(health);
-        let parsed = TraceReport::from_json(&report.to_json().render_pretty()).unwrap();
-        assert_eq!(parsed, report, "shard-health round-trip must be exact");
-        let rendered = report.render();
-        assert!(rendered.contains("shard health (2):"));
-        assert!(rendered.contains("shard 2: down"));
-        assert!(rendered.contains("rebuilds 1"));
-        // Reports without the key (pre-fault-tolerance) still parse.
-        let bare = TraceReport::new(&trace, &CostModel::titan_v());
-        let parsed = TraceReport::from_json(&bare.to_json().render_pretty()).unwrap();
-        assert!(parsed.shard_health.is_empty());
-        // Malformed health entries name the offending field.
-        let good = report.to_json().render_pretty();
-        let wrong = good.replacen(r#""journal_depth": 42"#, r#""journal_depth": "deep""#, 1);
-        assert_ne!(wrong, good);
-        let err = TraceReport::from_json(&wrong).unwrap_err();
-        assert!(err.contains("'journal_depth'"), "{err}");
-    }
-
-    #[test]
-    fn pre_p99_metric_json_still_parses() {
-        // A metrics entry serialized before p99 existed: p99 defaults to
-        // p95 instead of failing the parse.
-        let old = r#"{"kernels": [], "total": {"name": "total", "transactions": 0,
-            "atomics": 0, "ballots": 0, "shuffles": 0, "launches": 0, "warps": 0,
-            "words_allocated": 0, "modeled_s": 0.0}, "metrics": [
-            {"name": "m", "kind": "histogram", "count": 10, "sum": 40,
-             "max": 9, "p50": 2, "p95": 8}]}"#;
-        let parsed = TraceReport::from_json(old).expect("pre-p99 report parses");
-        assert_eq!(parsed.metrics.len(), 1);
-        assert_eq!(parsed.metrics[0].p95, 8);
-        assert_eq!(parsed.metrics[0].p99, 8, "p99 defaults to p95");
-    }
-
-    #[test]
-    fn op_attribution_and_exemplars_roundtrip_and_render() {
-        let trace = TraceSnapshot {
-            global: snap(10, 1),
-            kernels: vec![KernelStats {
-                name: "router.flush",
-                counters: snap(10, 1),
-            }],
-        };
-        let attribution = vec![
-            OpAttributionRow {
-                component: "kernel".into(),
-                count: 100,
-                sum_ns: 5000,
-                max_ns: 400,
-                p50_ns: 32,
-                p95_ns: 128,
-                p99_ns: 256,
-            },
-            OpAttributionRow {
-                component: "backoff".into(),
-                count: 3,
-                sum_ns: 150,
-                max_ns: 100,
-                p50_ns: 32,
-                p95_ns: 64,
-                p99_ns: 64,
-            },
-        ];
-        let exemplars = vec![TailExemplarRow {
-            op: 17,
-            session: 3,
-            kind: "insert".into(),
-            total_ns: 612,
-            queue_ns: 112,
-            backoff_ns: 100,
-            kernel_ns: 400,
-            degraded_ns: 0,
-            spans: vec![
-                "op#17 session 3 insert".into(),
-                "flush#2".into(),
-                "shard1/router.flush".into(),
-                "shard1/edge_insert".into(),
-            ],
-        }];
-        let report = TraceReport::new(&trace, &CostModel::titan_v())
-            .with_op_attribution(attribution)
-            .with_tail_exemplars(exemplars);
-        let parsed = TraceReport::from_json(&report.to_json().render_pretty()).unwrap();
-        assert_eq!(parsed, report, "attribution round-trip must be exact");
-        let rendered = report.render();
-        assert!(rendered.contains("op attribution (2):"), "{rendered}");
-        assert!(rendered.contains("p99 ns"));
-        assert!(rendered.contains("tail exemplars (1):"));
-        assert!(rendered.contains("op 17 (insert, session 3): 612 ns"));
-        assert!(rendered.contains("shard1/edge_insert"));
-        // Reports without the keys (pre-tracing) still parse.
-        let bare = TraceReport::new(&trace, &CostModel::titan_v());
-        let parsed = TraceReport::from_json(&bare.to_json().render_pretty()).unwrap();
-        assert!(parsed.op_attribution.is_empty());
-        assert!(parsed.tail_exemplars.is_empty());
-        // Malformed entries name the offending field.
-        let good = report.to_json().render_pretty();
-        let wrong = good.replacen(r#""total_ns": 612"#, r#""total_ns": "slow""#, 1);
-        assert_ne!(wrong, good);
-        let err = TraceReport::from_json(&wrong).unwrap_err();
-        assert!(err.contains("'total_ns'"), "{err}");
     }
 
     #[test]
@@ -1209,7 +783,8 @@ mod tests {
         // Malformed metric entries: wrong-kind string and missing field.
         let base = r#"{"kernels": [], "total": {"name": "total", "transactions": 0,
             "atomics": 0, "ballots": 0, "shuffles": 0, "launches": 0, "warps": 0,
-            "words_allocated": 0, "modeled_s": 0.0}, "metrics": [METRIC]}"#;
+            "words_allocated": 0, "modeled_s": 0.0}, "sanitizer_findings": [],
+            "metrics": [METRIC]}"#;
         let bad_kind = base.replace(
             "METRIC",
             r#"{"name": "m", "kind": "exotic", "count": 0, "sum": 0, "max": 0, "p50": 0, "p95": 0}"#,
@@ -1222,5 +797,13 @@ mod tests {
         );
         let err = TraceReport::from_json(&no_p95).unwrap_err();
         assert!(err.contains("missing metric field 'p95'"), "{err}");
+
+        // Every section `to_json` writes is required, even when empty.
+        for key in ["sanitizer_findings", "metrics"] {
+            let missing = good.replacen(&format!("\"{key}\""), "\"absent\"", 1);
+            assert_ne!(missing, good);
+            let err = TraceReport::from_json(&missing).unwrap_err();
+            assert!(err.contains(&format!("'{key}'")), "{err}");
+        }
     }
 }

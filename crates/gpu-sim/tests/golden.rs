@@ -9,8 +9,7 @@
 use gpu_sim::sanitizer::NO_WARP;
 use gpu_sim::{
     chrome_trace_json, CostModel, CounterSnapshot, Finding, FindingKind, KernelStats, MetricKind,
-    MetricSummary, OpAttributionRow, Profiler, ProfilerConfig, ShardHealthRow, TailExemplarRow,
-    TraceCtx, TraceReport, TraceSnapshot,
+    MetricSummary, Profiler, ProfilerConfig, TraceCtx, TraceReport, TraceSnapshot,
 };
 
 fn counters(seed: u64) -> CounterSnapshot {
@@ -98,60 +97,6 @@ fn full_report() -> TraceReport {
                 p99: 12,
             },
         ])
-        .with_shard_health(vec![
-            ShardHealthRow {
-                shard: 0,
-                state: "healthy".into(),
-                retries: 0,
-                backoff_s: 0.0,
-                journal_depth: 0,
-                rebuilds: 0,
-            },
-            ShardHealthRow {
-                shard: 2,
-                state: "down".into(),
-                retries: 3,
-                backoff_s: 0.015625,
-                journal_depth: 42,
-                rebuilds: 1,
-            },
-        ])
-        .with_op_attribution(vec![
-            OpAttributionRow {
-                component: "kernel".into(),
-                count: 100,
-                sum_ns: 5000,
-                max_ns: 400,
-                p50_ns: 32,
-                p95_ns: 128,
-                p99_ns: 256,
-            },
-            OpAttributionRow {
-                component: "total".into(),
-                count: 100,
-                sum_ns: 123456,
-                max_ns: 612,
-                p50_ns: 64,
-                p95_ns: 512,
-                p99_ns: 612,
-            },
-        ])
-        .with_tail_exemplars(vec![TailExemplarRow {
-            op: 17,
-            session: 3,
-            kind: "insert".into(),
-            total_ns: 612,
-            queue_ns: 112,
-            backoff_ns: 100,
-            kernel_ns: 400,
-            degraded_ns: 0,
-            spans: vec![
-                "op#17 session 3 insert".into(),
-                "flush#2".into(),
-                "shard1/router.flush".into(),
-                "shard1/edge_insert".into(),
-            ],
-        }])
 }
 
 #[test]

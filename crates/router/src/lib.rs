@@ -43,7 +43,7 @@
 
 use gpu_sim::{
     CostModel, Device, DeviceConfig, DeviceFault, DeviceGroup, ExecPolicy, MetricsRegistry,
-    OpAttributionRow, ShardHealthRow, TailExemplarRow, TraceCtx, TraceReport,
+    TraceCtx, TraceReport,
 };
 use parking_lot::{Mutex, RwLock};
 use slabgraph::{
@@ -622,7 +622,7 @@ pub enum ShardHealth {
 }
 
 impl ShardHealth {
-    /// Stable lowercase name (used in traces, JSON, and renders).
+    /// Stable lowercase name (used in traces and renders).
     pub fn as_str(self) -> &'static str {
         match self {
             ShardHealth::Healthy => "healthy",
@@ -869,8 +869,25 @@ struct ShardState {
     journal: ShardJournal,
 }
 
-/// One-line health summary of a router's shards, renderable and
-/// convertible into [`ShardHealthRow`]s for [`gpu_sim::TraceReport`].
+/// One shard's health at report time: its state-machine position plus
+/// cumulative fault-tolerance tallies.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShardHealthRow {
+    /// Shard index.
+    pub shard: u64,
+    /// Health-machine state.
+    pub state: ShardHealth,
+    /// Cumulative dispatch retries against this shard.
+    pub retries: u64,
+    /// Cumulative modeled backoff seconds charged waiting on this shard.
+    pub backoff_s: f64,
+    /// Unacknowledged write-ahead-journal entries for this shard.
+    pub journal_depth: u64,
+    /// Completed rebuild cycles (reset → replay → re-admit).
+    pub rebuilds: u64,
+}
+
+/// One-line health summary of a router's shards.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouterReport {
     /// Per-shard health rows, in shard order.
@@ -881,9 +898,13 @@ impl RouterReport {
     /// One-line summary, e.g.
     /// `router health: 3/4 healthy | shard 2: down (retries 3, backoff 0.350 ms, journal 42, rebuilds 0)`.
     pub fn render(&self) -> String {
-        let healthy = self.rows.iter().filter(|r| r.state == "healthy").count();
+        let healthy = self
+            .rows
+            .iter()
+            .filter(|r| r.state == ShardHealth::Healthy)
+            .count();
         let mut line = format!("router health: {healthy}/{} healthy", self.rows.len());
-        for r in self.rows.iter().filter(|r| r.state != "healthy") {
+        for r in self.rows.iter().filter(|r| r.state != ShardHealth::Healthy) {
             line.push_str(&format!(
                 " | shard {}: {} (retries {}, backoff {:.3} ms, journal {}, rebuilds {})",
                 r.shard,
@@ -953,6 +974,32 @@ impl OpTraceRecord {
     /// End-to-end modeled latency: the sum of the four components.
     pub fn total_ns(&self) -> u64 {
         self.queue_ns + self.backoff_ns + self.kernel_ns + self.degraded_ns
+    }
+}
+
+/// The op's latency breakdown on one line, then one indented line per
+/// span (no trailing newline), e.g.
+///
+/// ```text
+/// op 17 (insert, session 3): 612 ns = queue 112 + backoff 100 + kernel 400 + degraded 0
+///     flush#2 queue 112 ns
+///     shard1/dispatch kernel 400 ns backoff 100 ns
+/// ```
+impl std::fmt::Display for OpTraceRecord {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "op {} ({}, session {}): {} ns = queue {} + backoff {} + kernel {} + degraded {}",
+            self.op,
+            self.kind,
+            self.session,
+            self.total_ns(),
+            self.queue_ns,
+            self.backoff_ns,
+            self.kernel_ns,
+            self.degraded_ns
+        )?;
+        self.spans.iter().try_for_each(|s| write!(f, "\n    {s}"))
     }
 }
 
@@ -1193,15 +1240,14 @@ impl<'g> BatchRouter<'g> {
             .collect()
     }
 
-    /// Snapshot the per-shard health machine into a [`RouterReport`]
-    /// whose rows slot directly into [`gpu_sim::TraceReport`].
+    /// Snapshot the per-shard health machine into a [`RouterReport`].
     pub fn report(&self) -> RouterReport {
         let rows = (0..self.states.len())
             .map(|s| {
                 let st = self.states[s].lock();
                 ShardHealthRow {
                     shard: s as u64,
-                    state: st.health.as_str().to_string(),
+                    state: st.health,
                     retries: st.retries,
                     backoff_s: st.backoff_s,
                     journal_depth: st.journal.depth() as u64,
@@ -1772,63 +1818,21 @@ impl<'g> BatchRouter<'g> {
     }
 
     /// The slowest completed ops by total modeled latency, slowest
-    /// first, full span chains retained (a bounded ring of eight —
-    /// the "tail exemplars" report section).
+    /// first, full span chains retained (a bounded ring of eight).
     pub fn tail_exemplars(&self) -> Vec<OpTraceRecord> {
         self.tracker.lock().exemplars.clone()
     }
 
     /// One merged [`TraceReport`] for the whole router: the group's
-    /// kernels, findings, and metrics, plus shard health, per-component
-    /// op-latency attribution (p50/p95/p99), and the tail-exemplar
-    /// ring. Round-trips through JSON exactly like any other report.
+    /// [`DeviceGroup::merged_report`] with the router's op-latency
+    /// summaries merged into its metric rows, sorted by name. The
+    /// `op.{queue,backoff,kernel,degraded,total}_ns` rows are the
+    /// per-component attribution (p50/p95/p99 over completed ops).
     pub fn trace_report(&self, model: &CostModel) -> TraceReport {
-        let attribution: Vec<OpAttributionRow> =
-            ["queue", "backoff", "kernel", "degraded", "total"]
-                .iter()
-                .map(|c| {
-                    let name = format!("op.{c}_ns");
-                    let m = self.op_metrics.histogram(&name).snapshot().summary(name);
-                    OpAttributionRow {
-                        component: (*c).to_string(),
-                        count: m.count,
-                        sum_ns: m.sum,
-                        max_ns: m.max,
-                        p50_ns: m.p50,
-                        p95_ns: m.p95,
-                        p99_ns: m.p99,
-                    }
-                })
-                .collect();
-        let exemplars: Vec<TailExemplarRow> = self
-            .tracker
-            .lock()
-            .exemplars
-            .iter()
-            .map(|r| TailExemplarRow {
-                op: r.op,
-                session: r.session,
-                kind: r.kind.clone(),
-                total_ns: r.total_ns(),
-                queue_ns: r.queue_ns,
-                backoff_ns: r.backoff_ns,
-                kernel_ns: r.kernel_ns,
-                degraded_ns: r.degraded_ns,
-                spans: r.spans.clone(),
-            })
-            .collect();
-        let mut report = self
-            .graph
-            .group()
-            .merged_report(model)
-            .with_shard_health(self.report().rows);
-        let mut metrics = std::mem::take(&mut report.metrics);
-        metrics.extend(self.op_metrics.summaries());
-        metrics.sort_by(|a, b| a.name.cmp(&b.name));
+        let mut report = self.graph.group().merged_report(model);
+        report.metrics.extend(self.op_metrics.summaries());
+        report.metrics.sort_by(|a, b| a.name.cmp(&b.name));
         report
-            .with_metrics(metrics)
-            .with_op_attribution(attribution)
-            .with_tail_exemplars(exemplars)
     }
 }
 

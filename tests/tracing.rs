@@ -153,6 +153,26 @@ fn churn_spans_resolve_to_client_ops_and_attribution_conserves() {
     );
     assert!(records.iter().any(|r| r.kind == "query"));
 
+    // The per-component attribution is the report's `op.*_ns` metric
+    // rows: with nothing evicted from the op log, each row counts every
+    // logged op and sums that component over them exactly.
+    let metrics = router.trace_report(&CostModel::titan_v()).metrics;
+    let sum = |f: fn(&OpTraceRecord) -> u64| records.iter().map(f).sum::<u64>();
+    for (name, want_sum) in [
+        ("op.queue_ns", sum(|r| r.queue_ns)),
+        ("op.backoff_ns", sum(|r| r.backoff_ns)),
+        ("op.kernel_ns", sum(|r| r.kernel_ns)),
+        ("op.degraded_ns", sum(|r| r.degraded_ns)),
+        ("op.total_ns", sum(OpTraceRecord::total_ns)),
+    ] {
+        let row = metrics
+            .iter()
+            .find(|m| m.name == name)
+            .unwrap_or_else(|| panic!("no {name} row in the router's report"));
+        assert_eq!(row.count, records.len() as u64, "{name} count");
+        assert_eq!(row.sum, want_sum, "{name} sum");
+    }
+
     // Conservation: the kernel+backoff nanoseconds distributed across
     // update ops equal the summed per-flush modeled time, up to 1 ns of
     // rounding per (op, shard) share handed out (an op waits on at most
@@ -274,10 +294,27 @@ fn transient_fault_backoff_lands_in_tail_exemplars() {
         victim.spans
     );
 
-    // The attribution table and exemplars render in the merged report.
-    let rendered = router.trace_report(&CostModel::titan_v()).render();
-    assert!(rendered.contains("op attribution"));
-    assert!(rendered.contains("tail exemplars"));
+    // The backoff reaches the report's attribution rows, and the
+    // exemplar's rendering carries its breakdown and whole span chain.
+    let metrics = router.trace_report(&CostModel::titan_v()).metrics;
+    let backoff = metrics.iter().find(|m| m.name == "op.backoff_ns");
+    assert!(backoff.expect("an op.backoff_ns row").sum > 0);
+    let rendered = victim.to_string();
+    let header = format!(
+        "op {} ({}, session {}): {} ns = queue {} + backoff {} + kernel {} + degraded {}",
+        victim.op,
+        victim.kind,
+        victim.session,
+        victim.total_ns(),
+        victim.queue_ns,
+        victim.backoff_ns,
+        victim.kernel_ns,
+        victim.degraded_ns
+    );
+    assert!(rendered.starts_with(&header), "{rendered}");
+    for span in &victim.spans {
+        assert!(rendered.contains(&format!("\n    {span}")), "{rendered}");
+    }
 }
 
 /// A lost shard's held ops stay open across the outage and settle at
