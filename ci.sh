@@ -51,6 +51,9 @@ if [ "$mode" = "quick" ]; then
     echo "== causal op-trace query (debug; slowest ops, merged router report) =="
     cargo run -q -p bench --bin trace-query -- --scale 4096 --rounds 2 --ops 256 --slowest 3 | tee /tmp/trace-query.out
     grep -q "trace OK:" /tmp/trace-query.out
+    echo "== recovery-overhead and tombstone-ablation harnesses (debug) =="
+    cargo run -q -p bench --bin fault_recovery
+    cargo run -q -p bench --bin ablation_tombstones
 else
     echo "== cargo build --release =="
     cargo build --workspace --release
@@ -68,6 +71,9 @@ else
     echo "== causal op-trace query (slowest ops, merged router report) =="
     cargo run --release -q -p bench --bin trace-query -- --scale 4096 --rounds 2 --ops 256 --slowest 3 | tee /tmp/trace-query.out
     grep -q "trace OK:" /tmp/trace-query.out
+    echo "== recovery-overhead and tombstone-ablation harnesses =="
+    cargo run --release -q -p bench --bin fault_recovery
+    cargo run --release -q -p bench --bin ablation_tombstones
     echo "== sanitized test suite (racecheck/memcheck/initcheck on every device) =="
     cargo test --workspace --release -q --features dynamic-graphs-gpu/sanitize
     echo "== sanitized chaos churn smoke run (4 shards, seeded kill/revive; zero findings + clean post-rebuild validate asserted in-run) =="

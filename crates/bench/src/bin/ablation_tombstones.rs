@@ -5,7 +5,7 @@
 //! "could be used to optimize for memory usage on the expense of decreased
 //! insertion throughput" — this harness quantifies that trade-off.
 
-use bench::harness::{fnum, measure, Table};
+use bench::harness::{fnum, measure, mrate, Table};
 use graph_gen::{insert_batch, weighted};
 use slabgraph::{DynGraph, Edge, GraphConfig};
 
@@ -40,7 +40,7 @@ fn main() {
                 .into_iter()
                 .map(Edge::from)
                 .collect();
-            let m = measure(g.device(), || {
+            let m = measure(&[g.device()], || {
                 g.insert_edges(&ins);
             });
             rate_items += batch as u64;
@@ -54,7 +54,7 @@ fn main() {
         g.check_invariants();
         let stats = g.stats(&g.pin_read());
         (
-            rate_items as f64 / rate_seconds / 1e6,
+            mrate(rate_items, rate_seconds),
             stats.tables.slabs,
             stats.tables.tombstones,
             stats.memory_bytes() as f64 / 1e6,

@@ -6,7 +6,7 @@
 //! the unconstrained one; this harness also quantifies the overhead of
 //! getting there.
 
-use bench::harness::{fnum, measure_traced, Table};
+use bench::harness::{fnum, measure, Table};
 use slabgraph::{DynGraph, Edge, FaultPlan, GraphConfig};
 
 const SOURCES: u32 = 16;
@@ -36,7 +36,7 @@ fn main() {
 
     // Baseline: one unconstrained round.
     let g = DynGraph::new(config());
-    let (base, base_trace) = measure_traced(g.device(), || {
+    let base = measure(&[g.device()], || {
         assert_eq!(g.insert_edges(&edges), edges.len() as u64);
     });
     g.check_invariants();
@@ -48,12 +48,12 @@ fn main() {
         "1.00x".into(),
         base_edges.to_string(),
     ]);
-    t.breakdown("unconstrained insert", base_trace);
+    t.breakdown("unconstrained insert", base.report());
 
     // Bounded budget: the batch exhausts 130k words mid-kernel, the suffix
     // retries after each budget raise until it converges.
     let g = DynGraph::new(config().with_device_capacity(130_000));
-    let (m, trace) = measure_traced(g.device(), || {
+    let m = measure(&[g.device()], || {
         let mut outcome = g.try_insert_edges(&edges).expect("valid batch");
         let mut rounds = 1u32;
         while !outcome.is_complete() {
@@ -74,13 +74,13 @@ fn main() {
         format!("{:.2}x", m.modeled_ms() / base.modeled_ms()),
         g.num_edges().to_string(),
     ]);
-    t.breakdown("bounded-budget recovery (validate each round)", trace);
+    t.breakdown("bounded-budget recovery (validate each round)", m.report());
 
     // Injected faults: every 4th slab acquisition fails; retries converge
     // because the suffix shrinks every round.
     let g = DynGraph::new(config());
     g.device().set_fault_plan(FaultPlan::fail_every_nth(4));
-    let (m, trace) = measure_traced(g.device(), || {
+    let m = measure(&[g.device()], || {
         let mut outcome = g.try_insert_edges(&edges).expect("valid batch");
         let mut rounds = 1u32;
         while !outcome.is_complete() {
@@ -103,7 +103,7 @@ fn main() {
         format!("{:.2}x", m.modeled_ms() / base.modeled_ms()),
         g.num_edges().to_string(),
     ]);
-    t.breakdown("every-4th-alloc fault recovery", trace);
+    t.breakdown("every-4th-alloc fault recovery", m.report());
 
     t.note(format!(
         "one batch of {} edges over {SOURCES} sources; recovered runs must reach the \

@@ -91,7 +91,7 @@ fn main() {
     let mut total_launches = 0u64;
     let mut next_pid = 0u64;
 
-    for (pid, mut g) in build_backends(&ds).into_iter().enumerate() {
+    for (pid, mut g) in build_backends(&ds, 0).into_iter().enumerate() {
         let name = g.name();
         let caps = g.caps();
         if caps.insert_edges && caps.delete_edges {
@@ -138,11 +138,7 @@ fn main() {
     let g = build_sharded(&ds, shards);
     let router = BatchRouter::new(&g);
     for round in &traffic_for(&cfg, &ds, shards) {
-        for (sid, updates) in round.sessions.iter().enumerate() {
-            for &u in updates {
-                router.submit(sid, u);
-            }
-        }
+        round.submit(&router);
         let report = router.flush();
         assert!(
             report.is_complete(),

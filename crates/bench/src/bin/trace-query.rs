@@ -14,10 +14,10 @@
 //! ```
 
 use bench::churn::ChurnConfig;
-use bench::harness::{dataset_for, fnum};
+use bench::harness::{build_sharded, dataset_for, fnum, with_default_profiler};
 use bench::sharded::traffic_for;
-use gpu_sim::CostModel;
-use router::{BatchRouter, OpTraceRecord, ShardedGraph};
+use gpu_sim::{CostModel, ProfilerConfig};
+use router::{BatchRouter, OpTraceRecord};
 
 fn main() {
     let mut cfg = ChurnConfig {
@@ -68,17 +68,9 @@ fn main() {
     let traffic = traffic_for(&cfg, &ds, cfg.shards);
     // Attach profilers so the replay carries ctx-stamped spans and a
     // modeled clock (queue latency is measured on it).
-    let prev = gpu_sim::profiler::default_profiler();
-    gpu_sim::profiler::set_default_profiler(Some(gpu_sim::ProfilerConfig::default()));
-    let g = ShardedGraph::bulk_build(
-        cfg.shards,
-        bench::harness::slab_config(&ds),
-        &graph_gen::weighted(&ds.edges, 99)
-            .into_iter()
-            .map(slabgraph::Edge::from)
-            .collect::<Vec<_>>(),
-    );
-    gpu_sim::profiler::set_default_profiler(prev);
+    let g = with_default_profiler(Some(ProfilerConfig::default()), || {
+        build_sharded(&ds, cfg.shards)
+    });
     let router = BatchRouter::new(&g);
 
     // Replay: each round submits every session's updates, flushes, then
@@ -86,11 +78,7 @@ fn main() {
     // membership queries against the round's query batch.
     let readers = cfg.readers.max(1);
     for round in &traffic {
-        for (sid, updates) in round.sessions.iter().enumerate() {
-            for &u in updates {
-                router.submit(sid, u);
-            }
-        }
+        round.submit(&router);
         let report = router.flush();
         assert!(report.is_complete(), "trace-query replay hit a fault");
         let pins: Vec<_> = (0..readers)

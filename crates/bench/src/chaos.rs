@@ -12,12 +12,12 @@
 //! audit passes, and that every device is sanitizer-clean.
 
 use crate::churn::ChurnConfig;
-use crate::harness::{build_sharded, dataset_for, fnum, slab_config, Table};
+use crate::harness::{build_sharded, build_slab, dataset_for, fnum, Table};
 use crate::sharded::traffic_for;
 use gpu_sim::FaultPlan;
 use graph_gen::splitmix64;
 use router::{BatchRouter, ReadQuality, Update};
-use slabgraph::{DynGraph, Edge};
+use slabgraph::Edge;
 
 fn mix(h: u64, x: u64) -> u64 {
     let mut s = h ^ x;
@@ -57,13 +57,7 @@ pub fn chaos_churn(cfg: &ChurnConfig) -> Table {
 
     // Unsharded reference: same bulk load, same per-round coalesced
     // apply order (inserts before deletes).
-    let reference = DynGraph::bulk_build(
-        slab_config(&ds),
-        &graph_gen::weighted(&ds.edges, 99)
-            .into_iter()
-            .map(Edge::from)
-            .collect::<Vec<_>>(),
-    );
+    let reference = build_slab(&ds);
 
     let mut table = Table::new(
         "churn_chaos",
@@ -107,11 +101,7 @@ pub fn chaos_churn(cfg: &ChurnConfig) -> Table {
             Action::None
         };
 
-        for (sid, updates) in round.sessions.iter().enumerate() {
-            for &u in updates {
-                router.submit(sid, u);
-            }
-        }
+        round.submit(&router);
         // Snapshot Down shards' counters: the open breaker must not
         // charge a single launch to them during the flush. (Suspect
         // shards still dispatch, so only non-dispatchable ones count.)

@@ -10,17 +10,12 @@
 //! [`Capabilities`](backend::Capabilities) cannot run the stream (static
 //! CSR) are skipped via their capability flags rather than special-cased.
 
-use crate::harness::{fnum, makespan_since, scale_shift, snapshot_all, Table};
-use gpu_sim::{CostModel, DeviceGroup, TraceSnapshot};
-use graph_gen::{insert_batch, splitmix64};
-
-// The workload builders moved to [`crate::harness`] (shared with the
-// profile/chaos bins); re-exported here so `bench::churn::*` callers keep
-// one canonical path.
-pub use crate::harness::{
-    build_backends, build_backends_sharded, build_sharded, build_slab, dataset_for, slab_config,
-    stream_for,
+use crate::harness::{
+    build_backends, build_slab, fnum, mrate, scale_shift, stream_for, with_default_profiler, Phase,
+    Table,
 };
+use gpu_sim::ProfilerConfig;
+use graph_gen::{insert_batch, splitmix64};
 
 /// Key distribution of generated traffic — how update endpoints are drawn
 /// from the vertex space.
@@ -176,7 +171,7 @@ pub fn churn(cfg: &ChurnConfig) -> Table {
         ],
     );
 
-    let backends = build_backends_sharded(&ds, cfg.shards.max(1));
+    let backends = build_backends(&ds, cfg.shards.max(1));
 
     let mut hit_counts: Vec<u64> = vec![];
     for mut g in backends {
@@ -192,23 +187,23 @@ pub fn churn(cfg: &ChurnConfig) -> Table {
         // Each row carries its own device/shard count: one for the classic
         // single-device structures, N for `ShardedSlabGraph`.
         let n_shards = g.devices().len();
-        let trace0: Vec<TraceSnapshot> = g.devices().iter().map(|d| d.trace()).collect();
+        let stream_phase = Phase::begin(&g.devices());
         let (mut ins_s, mut del_s, mut qry_s) = (0.0f64, 0.0f64, 0.0f64);
         let (mut n_ins, mut n_del, mut n_qry, mut hits) = (0u64, 0u64, 0u64, 0u64);
         for round in &stream {
-            let before = snapshot_all(&g.devices());
+            let phase = Phase::begin(&g.devices());
             g.insert_edges(&round.ins);
-            ins_s += makespan_since(&g.devices(), &before);
+            ins_s += phase.end(&g.devices()).modeled_s;
             n_ins += round.ins.len() as u64;
 
-            let before = snapshot_all(&g.devices());
+            let phase = Phase::begin(&g.devices());
             g.delete_edges(&round.del);
-            del_s += makespan_since(&g.devices(), &before);
+            del_s += phase.end(&g.devices()).modeled_s;
             n_del += round.del.len() as u64;
 
-            let before = snapshot_all(&g.devices());
+            let phase = Phase::begin(&g.devices());
             let found = g.edges_exist(&g.pin_read(), &round.qry);
-            qry_s += makespan_since(&g.devices(), &before);
+            qry_s += phase.end(&g.devices()).modeled_s;
             n_qry += round.qry.len() as u64;
             hits += found.iter().filter(|&&b| b).count() as u64;
         }
@@ -216,17 +211,11 @@ pub fn churn(cfg: &ChurnConfig) -> Table {
         // every device the backend spans (one for the classic structures,
         // one per shard for `ShardedSlabGraph`). The attribution invariant
         // must survive the merge: named kernels sum to the global delta.
-        let deltas: Vec<TraceSnapshot> = g
-            .devices()
-            .iter()
-            .zip(&trace0)
-            .map(|(d, b)| d.trace().delta(b))
-            .collect();
-        let merged = DeviceGroup::merge_traces(&deltas);
-        let report = gpu_sim::TraceReport::new(&merged, &CostModel::titan_v());
+        let stream_m = stream_phase.end(&g.devices());
+        let report = stream_m.report();
         assert_eq!(
             report.kernel_sum(),
-            merged.global,
+            stream_m.trace.global,
             "{name}: churn per-kernel counters must sum to the stream's delta"
         );
         // Under `--features sanitize` every backend device carries the
@@ -240,19 +229,12 @@ pub fn churn(cfg: &ChurnConfig) -> Table {
             );
         }
         hit_counts.push(hits);
-        let rate = |items: u64, secs: f64| {
-            if secs <= 0.0 {
-                0.0
-            } else {
-                items as f64 / secs / 1e6
-            }
-        };
         t.row(vec![
             name.into(),
             n_shards.to_string(),
-            fnum(rate(n_ins, ins_s)),
-            fnum(rate(n_del, del_s)),
-            fnum(rate(n_qry, qry_s)),
+            fnum(mrate(n_ins, ins_s)),
+            fnum(mrate(n_del, del_s)),
+            fnum(mrate(n_qry, qry_s)),
             fnum((ins_s + del_s + qry_s) * 1e3),
             hits.to_string(),
         ]);
@@ -335,10 +317,7 @@ pub fn readers_vs_writers(cfg: &ChurnConfig) -> Table {
     // The scenario needs the metrics registry, which rides on the device
     // profiler; attach one for the graphs built here without disturbing
     // the process default the other runners see.
-    let prev = gpu_sim::profiler::default_profiler();
-    gpu_sim::profiler::set_default_profiler(Some(gpu_sim::ProfilerConfig::default()));
-    let g = build_slab(&ds);
-    gpu_sim::profiler::set_default_profiler(prev);
+    let g = with_default_profiler(Some(ProfilerConfig::default()), || build_slab(&ds));
     let prof = g
         .device()
         .profiler()
@@ -404,10 +383,7 @@ pub fn readers_vs_writers(cfg: &ChurnConfig) -> Table {
     // Phase-separated oracle: identical build, whole stream landed with no
     // reader in flight, then the identical probe sequences replayed
     // against the quiescent graph.
-    let prev = gpu_sim::profiler::default_profiler();
-    gpu_sim::profiler::set_default_profiler(None);
-    let oracle = build_slab(&ds);
-    gpu_sim::profiler::set_default_profiler(prev);
+    let oracle = with_default_profiler(None, || build_slab(&ds));
     for round in &stream {
         oracle.insert_edges(&to_edges(&round.ins));
         oracle.delete_edges(&to_edges(&round.del));

@@ -7,14 +7,16 @@
 //! over them. Adding a structure to a table means adding one contender
 //! line, not a new measurement arm.
 //!
-//! Throughputs/times are from modeled GPU time (DESIGN.md §2); the raw
-//! wall-clock of the simulation is recorded in the JSON notes where useful.
+//! Throughputs/times are from modeled GPU time (DESIGN.md §2), each phase
+//! priced by one [`Measurement`](crate::Measurement).
 
-use crate::harness::{fnum, measure, scale_shift, trace_begin, trace_complete, Table};
+use crate::harness::{
+    baseline_words, fnum, measure, scale_shift, slab_config, weighted_edges, Phase, Table,
+};
 use algos::tc;
 use backend::GraphBackend;
 use baselines::{sort, Csr, FaimGraph, Hornet};
-use graph_gen::{catalog, insert_batch, mirror, rmat_edges, vertex_batch, weighted, RmatParams};
+use graph_gen::{catalog, insert_batch, mirror, rmat_edges, vertex_batch, RmatParams};
 use slabgraph::{Direction, DynGraph, Edge, GraphConfig, TableKind};
 
 /// An experiment id (as the bins accept it) and the function that runs it.
@@ -54,25 +56,8 @@ const VDEL_DATASETS: [&str; 4] = [
     "germany_osm",
 ];
 
-fn to_edges(raw: &[(u32, u32)]) -> Vec<Edge> {
-    weighted(raw, 99).into_iter().map(Edge::from).collect()
-}
-
-fn graph_config(ds: &graph_gen::Dataset, kind: TableKind, direction: Direction) -> GraphConfig {
-    let mut c = GraphConfig::directed_map(ds.n_vertices);
-    c.kind = kind;
-    c.direction = direction;
-    c.device_words = (ds.edges.len() * 12).max(1 << 20);
-    c.pool_slabs = (ds.edges.len() / 64).max(1 << 10);
-    c
-}
-
 fn build_ours(ds: &graph_gen::Dataset, kind: TableKind, direction: Direction) -> DynGraph {
-    DynGraph::bulk_build(graph_config(ds, kind, direction), &to_edges(&ds.edges))
-}
-
-fn device_words(ds: &graph_gen::Dataset) -> usize {
-    (ds.edges.len() * 8).max(1 << 20)
+    DynGraph::bulk_build(slab_config(ds, kind, direction), &weighted_edges(&ds.edges))
 }
 
 type BuildFn = Box<dyn Fn(&graph_gen::Dataset) -> Box<dyn GraphBackend>>;
@@ -171,11 +156,15 @@ fn update_rate_table(deletion: bool) -> Table {
             Box::new(Hornet::bulk_build(
                 ds.n_vertices,
                 &ds.edges,
-                device_words(ds),
+                baseline_words(ds),
             ))
         }),
         Contender::new("faimGraph", |ds| {
-            Box::new(FaimGraph::build(ds.n_vertices, &ds.edges, device_words(ds)))
+            Box::new(FaimGraph::build(
+                ds.n_vertices,
+                &ds.edges,
+                baseline_words(ds),
+            ))
         }),
         Contender::new("Ours", |ds| {
             Box::new(build_ours(ds, TableKind::Map, Direction::Directed))
@@ -199,16 +188,17 @@ fn update_rate_table(deletion: bool) -> Table {
             let batch = insert_batch(ds.n_vertices, bsz, 1000 + bi as u64);
             for (ci, c) in contenders.iter().enumerate() {
                 let mut g = (c.build)(ds);
-                let (before, t0) = trace_begin(g.device());
+                let phase = Phase::begin(&[g.device()]);
                 if deletion {
                     g.delete_edges(&batch);
                 } else {
                     g.insert_edges(&batch);
                 }
-                let (m, report) = trace_complete(g.device(), before, t0);
+                let m = phase.end(&[g.device()]);
+                let report = m.report();
                 assert_eq!(
                     report.kernel_sum(),
-                    m.counters,
+                    m.trace.global,
                     "per-kernel counters must sum to the phase's global delta"
                 );
                 if c.label == "Ours" && bi == batch_exps.len() - 1 && di == 0 {
@@ -236,7 +226,7 @@ pub fn table4_vertex_deletion() -> Table {
             Box::new(FaimGraph::build(
                 ds.n_vertices,
                 &mirror(&ds.edges),
-                device_words(ds) * 2,
+                baseline_words(ds) * 2,
             ))
         }),
         Contender::new("Ours", |ds| {
@@ -278,9 +268,9 @@ pub fn table4_vertex_deletion() -> Table {
                     "{} cannot delete vertices",
                     g.name()
                 );
-                let (before, t0) = trace_begin(g.device());
+                let phase = Phase::begin(&[g.device()]);
                 g.delete_vertices(&victims);
-                let (m, _) = trace_complete(g.device(), before, t0);
+                let m = phase.end(&[g.device()]);
                 rates[ci].push(m.mrate(victims.len() as u64));
             }
         }
@@ -299,7 +289,7 @@ pub fn table5_bulk_build() -> Table {
             Box::new(Hornet::bulk_build(
                 ds.n_vertices,
                 &ds.edges,
-                device_words(ds),
+                baseline_words(ds),
             ))
         }),
         Contender::new("Ours", |ds| {
@@ -339,12 +329,12 @@ pub fn table5_bulk_build() -> Table {
 pub fn table6_incremental_build() -> Table {
     let contenders = [
         Contender::new("Hornet", |ds| {
-            Box::new(Hornet::new(ds.n_vertices, device_words(ds)))
+            Box::new(Hornet::new(ds.n_vertices, baseline_words(ds)))
         }),
         // Ours: one bucket per vertex (§V-B2's worst case for us).
         Contender::new("Ours", |ds| {
             Box::new(DynGraph::with_uniform_buckets(
-                graph_config(ds, TableKind::Map, Direction::Directed),
+                slab_config(ds, TableKind::Map, Direction::Directed),
                 ds.n_vertices,
                 1,
             ))
@@ -369,11 +359,11 @@ pub fn table6_incremental_build() -> Table {
         for ds in &datasets {
             for (ci, c) in contenders.iter().enumerate() {
                 let mut g = (c.build)(ds);
-                let (before, t0) = trace_begin(g.device());
+                let phase = Phase::begin(&[g.device()]);
                 for chunk in ds.edges.chunks(bsz) {
                     g.insert_edges(chunk);
                 }
-                let (m, _) = trace_complete(g.device(), before, t0);
+                let m = phase.end(&[g.device()]);
                 rates[ci].push(m.mrate(ds.edges.len() as u64));
             }
         }
@@ -407,14 +397,14 @@ pub fn table7_static_tc() -> Table {
             Box::new(Hornet::bulk_build(
                 ds.n_vertices,
                 &mirror(&ds.edges),
-                device_words(ds) * 2,
+                baseline_words(ds) * 2,
             ))
         }),
         Contender::new("faimGraph", |ds| {
             Box::new(FaimGraph::build(
                 ds.n_vertices,
                 &mirror(&ds.edges),
-                device_words(ds) * 2,
+                baseline_words(ds) * 2,
             ))
         }),
         Contender::new("Ours", |ds| {
@@ -437,7 +427,7 @@ pub fn table7_static_tc() -> Table {
             let mut g = (c.build)(&ds);
             g.ensure_sorted(); // sort cost reported in Table VIII
             let mut count = 0;
-            let m = measure(g.device(), || {
+            let m = measure(&[g.device()], || {
                 count = tc(g.as_ref());
             });
             counts.push(count);
@@ -469,15 +459,15 @@ pub fn table8_sort_cost() -> Table {
         let ds = spec.generate_default(41);
         let sym = mirror(&ds.edges);
 
-        let csr = Csr::build(ds.n_vertices, &sym, device_words(&ds) * 2);
+        let csr = Csr::build(ds.n_vertices, &sym, baseline_words(&ds) * 2);
         let segs = csr.segments();
         let mut vals: Vec<u32> = (0..csr.num_edges() as u32).collect();
-        let m_c = measure(csr.device(), || {
+        let m_c = measure(&[csr.device()], || {
             sort::segmented_sort(csr.device(), &segs, &mut vals);
         });
 
-        let f = FaimGraph::build(ds.n_vertices, &sym, device_words(&ds) * 2);
-        let m_f = measure(f.device(), || {
+        let f = FaimGraph::build(ds.n_vertices, &sym, baseline_words(&ds) * 2);
+        let m_f = measure(&[f.device()], || {
             f.sort_adjacencies();
         });
 
@@ -528,7 +518,7 @@ pub fn table9_dynamic_tc() -> Table {
         let mut contenders = [
             Dynamic {
                 g: Box::new(DynGraph::with_uniform_buckets(
-                    graph_config(&ds, TableKind::Set, Direction::Undirected),
+                    slab_config(&ds, TableKind::Set, Direction::Undirected),
                     ds.n_vertices,
                     1,
                 )),
@@ -537,7 +527,7 @@ pub fn table9_dynamic_tc() -> Table {
                 tc_ms: 0.0,
             },
             Dynamic {
-                g: Box::new(Hornet::new(ds.n_vertices, device_words(&ds) * 2)),
+                g: Box::new(Hornet::new(ds.n_vertices, baseline_words(&ds) * 2)),
                 mirror_batches: true,
                 ins_ms: 0.0,
                 tc_ms: 0.0,
@@ -556,18 +546,16 @@ pub fn table9_dynamic_tc() -> Table {
                     (batch.clone(), vec![])
                 };
 
-                let (before, t0) = trace_begin(c.g.device());
+                let phase = Phase::begin(&[c.g.device()]);
                 c.g.insert_edges(&edges);
-                let (m, _) = trace_complete(c.g.device(), before, t0);
-                c.ins_ms += m.modeled_ms();
+                c.ins_ms += phase.end(&[c.g.device()]).modeled_ms();
 
-                let (before, t0) = trace_begin(c.g.device());
+                let phase = Phase::begin(&[c.g.device()]);
                 // Incremental sort maintenance: only batch-touched lists
                 // (a no-op for the hash-based structure).
                 c.g.ensure_sorted_touched(&touched);
                 let tri = tc(c.g.as_ref());
-                let (m, _) = trace_complete(c.g.device(), before, t0);
-                c.tc_ms += m.modeled_ms();
+                c.tc_ms += phase.end(&[c.g.device()]).modeled_ms();
                 tris.push(tri);
             }
             assert!(
@@ -612,7 +600,7 @@ pub fn fig2_load_factor() -> Table {
     let n_vertices = 1u32 << v_exp;
     for avg_deg in [15usize, 45, 90, 135] {
         let raw = rmat_edges(v_exp, n_vertices as usize * avg_deg, RmatParams::flat(), 53);
-        let edges = to_edges(&raw);
+        let edges = weighted_edges(&raw);
         let mut degrees = vec![0u32; n_vertices as usize];
         for e in &edges {
             if e.src != e.dst {
@@ -625,7 +613,7 @@ pub fn fig2_load_factor() -> Table {
                 .with_device_words(edges.len() * 12)
                 .with_pool_slabs((edges.len() / 64).max(1 << 10));
             let g = DynGraph::with_degree_hints(cfg, &degrees);
-            let m = measure(g.device(), || {
+            let m = measure(&[g.device()], || {
                 g.insert_edges(&edges);
             });
             let stats = g.stats(&g.pin_read());
@@ -685,7 +673,7 @@ pub fn fig3_tc_load_factor() -> Table {
             g.insert_edges(&edges);
             let stats = g.stats(&g.pin_read());
             let mut tri = 0;
-            let m = measure(g.device(), || {
+            let m = measure(&[g.device()], || {
                 tri = tc(&g);
             });
             t.row(vec![

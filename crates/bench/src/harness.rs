@@ -1,43 +1,99 @@
 //! Shared measurement, reporting, and workload-construction utilities.
 //!
-//! The workload builders ([`dataset_for`], [`stream_for`], [`slab_config`],
-//! [`build_sharded`], [`build_backends_sharded`]) live here — one
-//! definition shared by the churn runner and the `profile`, `chaos`, and
-//! scaling harnesses, so every replay of a stream builds byte-identical
+//! Every bench phase is priced the same way: [`Phase::begin`] over the
+//! devices it runs on, the operation, then [`Phase::end`] for the
+//! [`Measurement`]. The workload builders ([`dataset_for`],
+//! [`stream_for`], [`slab_config`], [`build_slab`], [`build_sharded`],
+//! [`build_backends`]) live here too — one definition shared by the paper
+//! tables, the churn runner and the `profile`, `chaos`, and scaling
+//! harnesses, so every replay of a stream builds byte-identical
 //! structures.
 
 use crate::churn::{ChurnConfig, Round};
 use backend::GraphBackend;
 use baselines::{Csr, FaimGraph, Hornet};
-use gpu_sim::{CostModel, CounterSnapshot, Device, Json, TraceReport, TraceSnapshot};
+use gpu_sim::profiler::{default_profiler, set_default_profiler};
+use gpu_sim::{CostModel, Device, DeviceGroup, Json, ProfilerConfig, TraceReport, TraceSnapshot};
 use graph_gen::catalog;
 use router::ShardedGraph;
-use slabgraph::{Direction, DynGraph, TableKind};
+use slabgraph::{Direction, DynGraph, Edge, GraphConfig, TableKind};
 use std::time::Instant;
 
-/// One measured phase: host wall-clock plus modeled GPU time derived from
-/// the counter delta.
-#[derive(Debug, Clone, Copy)]
+/// One priced phase over a device set: the per-kernel counter delta
+/// merged over the devices, and the modeled GPU time.
+#[derive(Debug, Clone, Default)]
 pub struct Measurement {
-    pub wall_s: f64,
+    /// Per-kernel delta merged over the phase's devices; its `global` is
+    /// the phase's counter total.
+    pub trace: TraceSnapshot,
+    /// Modeled makespan: devices run concurrently, so a phase costs the
+    /// *maximum* per-device modeled delta, not the sum. For one device
+    /// this is that device's modeled time.
     pub modeled_s: f64,
-    pub counters: CounterSnapshot,
 }
 
 impl Measurement {
     /// Throughput in millions of items per *modeled* second — the unit of
     /// the paper's rate tables (MEdges/s, MVertex/s).
     pub fn mrate(&self, items: u64) -> f64 {
-        if self.modeled_s <= 0.0 {
-            return 0.0;
-        }
-        items as f64 / self.modeled_s / 1e6
+        mrate(items, self.modeled_s)
     }
 
     /// Modeled milliseconds (the unit of the paper's time tables).
     pub fn modeled_ms(&self) -> f64 {
         self.modeled_s * 1e3
     }
+
+    /// The phase's per-kernel [`TraceReport`]: which named kernels ran and
+    /// what each one cost.
+    pub fn report(&self) -> TraceReport {
+        TraceReport::new(&self.trace, &CostModel::titan_v())
+    }
+}
+
+/// Millions of items per modeled second; 0 for a phase that cost nothing.
+pub fn mrate(items: u64, modeled_s: f64) -> f64 {
+    if modeled_s <= 0.0 {
+        return 0.0;
+    }
+    items as f64 / modeled_s / 1e6
+}
+
+/// A phase in progress: each device's trace when it began. It borrows
+/// nothing, so the measured operation may take `&mut` access to the
+/// structure that owns the devices.
+pub struct Phase(Vec<TraceSnapshot>);
+
+impl Phase {
+    pub fn begin(devices: &[&Device]) -> Phase {
+        Phase(devices.iter().map(|d| d.trace()).collect())
+    }
+
+    /// Close the phase over the same devices, in the same order, that
+    /// began it.
+    pub fn end(self, devices: &[&Device]) -> Measurement {
+        assert_eq!(devices.len(), self.0.len(), "phase must end on its devices");
+        let model = CostModel::titan_v();
+        let deltas: Vec<TraceSnapshot> = devices
+            .iter()
+            .zip(&self.0)
+            .map(|(d, before)| d.trace().delta(before))
+            .collect();
+        Measurement {
+            modeled_s: deltas
+                .iter()
+                .map(|d| model.seconds(&d.global))
+                .fold(0.0, f64::max),
+            trace: DeviceGroup::merge_traces(&deltas),
+        }
+    }
+}
+
+/// Measure `f` as one phase over `devices`.
+pub fn measure(devices: &[&Device], f: impl FnOnce()) -> Measurement {
+    let phase = Phase::begin(devices);
+    f();
+    phase.end(devices)
 }
 
 /// Wall-clock bench case for the `cargo bench` mains: one warm-up call of
@@ -64,76 +120,6 @@ pub fn bench_case(label: &str, iters: usize, mut f: impl FnMut()) {
         min * scale,
         mean * scale
     );
-}
-
-/// Run `f` against `dev`, returning wall + modeled time for exactly the
-/// counters `f` charged.
-pub fn measure(dev: &Device, f: impl FnOnce()) -> Measurement {
-    let model = CostModel::titan_v();
-    let before = dev.counters().snapshot();
-    let t0 = Instant::now();
-    f();
-    let wall_s = t0.elapsed().as_secs_f64();
-    let delta = dev.counters().snapshot().delta(&before);
-    Measurement {
-        wall_s,
-        modeled_s: model.seconds(&delta),
-        counters: delta,
-    }
-}
-
-/// Like [`measure`], but also captures a per-kernel [`TraceReport`] for
-/// the phase: which named kernels ran and what each one cost.
-pub fn measure_traced(dev: &Device, f: impl FnOnce()) -> (Measurement, TraceReport) {
-    let (before, t0) = trace_begin(dev);
-    f();
-    trace_complete(dev, before, t0)
-}
-
-/// Begin a traced phase for an operation that needs `&mut` access to the
-/// structure owning the device: snapshot the trace and the clock, run the
-/// operation, then finish with [`trace_complete`] on the same device.
-pub fn trace_begin(dev: &Device) -> (TraceSnapshot, Instant) {
-    (dev.trace(), Instant::now())
-}
-
-/// Finish a phase begun with [`trace_begin`]: the counterpart of
-/// [`measure_traced`] for `&mut` operations.
-pub fn trace_complete(
-    dev: &Device,
-    before: TraceSnapshot,
-    t0: Instant,
-) -> (Measurement, TraceReport) {
-    let model = CostModel::titan_v();
-    let wall_s = t0.elapsed().as_secs_f64();
-    let delta = dev.trace().delta(&before);
-    let report = TraceReport::new(&delta, &model);
-    (
-        Measurement {
-            wall_s,
-            modeled_s: model.seconds(&delta.global),
-            counters: delta.global,
-        },
-        report,
-    )
-}
-
-/// Every device's counters, in order: the `before` of [`makespan_since`].
-pub fn snapshot_all(devices: &[&Device]) -> Vec<CounterSnapshot> {
-    devices.iter().map(|d| d.counters().snapshot()).collect()
-}
-
-/// Modeled makespan of the work charged on `devices` since `before`:
-/// devices run concurrently, so a step costs the *maximum* per-device
-/// modeled delta, not the sum. For one device this is the modeled time
-/// [`measure`] reports.
-pub fn makespan_since(devices: &[&Device], before: &[CounterSnapshot]) -> f64 {
-    let model = CostModel::titan_v();
-    devices
-        .iter()
-        .zip(before)
-        .map(|(d, b)| model.seconds(&d.counters().snapshot().delta(b)))
-        .fold(0.0, f64::max)
 }
 
 /// Global scale shift from `BENCH_SCALE_SHIFT` (each step doubles sizes).
@@ -286,9 +272,9 @@ pub fn write_bench_artifact(path: &str, workload: &str, tables: &[&Table]) {
 }
 
 // ---------------------------------------------------------------------------
-// Workload builders: one definition for every harness that replays a
-// churn-family stream (the churn runner, the profile/chaos bins, the
-// sharded scaling study).
+// Workload builders: one definition for the paper tables and every
+// harness that replays a churn-family stream (the churn runner, the
+// profile/chaos/trace-query bins, the sharded scaling study).
 // ---------------------------------------------------------------------------
 
 /// Generate the dataset a churn-family config names, honouring the
@@ -311,28 +297,40 @@ pub fn stream_for(cfg: &ChurnConfig) -> (graph_gen::Dataset, Vec<Round>) {
     (ds, stream)
 }
 
-/// The `GraphConfig` the slab-graph contender (sharded or not) uses for a
-/// dataset, so every replay of the stream sizes the structure identically.
-pub fn slab_config(ds: &graph_gen::Dataset) -> slabgraph::GraphConfig {
-    let mut c = slabgraph::GraphConfig::directed_map(ds.n_vertices);
-    c.kind = TableKind::Map;
-    c.direction = Direction::Directed;
+/// The slab-graph edges for raw pairs: every structure that stores
+/// weights loads the same seed-99 weights.
+pub fn weighted_edges(raw: &[(u32, u32)]) -> Vec<Edge> {
+    graph_gen::weighted(raw, 99)
+        .into_iter()
+        .map(Edge::from)
+        .collect()
+}
+
+/// Device words for a baseline holding `ds` (doubled by callers that
+/// store the mirrored graph).
+pub fn baseline_words(ds: &graph_gen::Dataset) -> usize {
+    (ds.edges.len() * 8).max(1 << 20)
+}
+
+/// The `GraphConfig` a slab graph (sharded or not) uses for a dataset, so
+/// every build of it sizes the structure identically.
+pub fn slab_config(ds: &graph_gen::Dataset, kind: TableKind, direction: Direction) -> GraphConfig {
+    let mut c = GraphConfig::directed_map(ds.n_vertices);
+    c.kind = kind;
+    c.direction = direction;
     c.device_words = (ds.edges.len() * 12).max(1 << 20);
     c.pool_slabs = (ds.edges.len() / 64).max(1 << 10);
     c
 }
 
-/// Build the single-device slab-graph contender, bulk-loaded identically
-/// to how [`build_backends_sharded`] registers it. The readers-vs-writers
-/// scenario builds its graph (and its phase-separated oracle) through this
-/// so both see byte-identical initial state.
+/// Build the single-device slab-graph contender (directed map),
+/// bulk-loaded identically to how [`build_backends`] registers it. The
+/// readers-vs-writers scenario and the chaos reference build through this
+/// so they see byte-identical initial state.
 pub fn build_slab(ds: &graph_gen::Dataset) -> DynGraph {
     DynGraph::bulk_build(
-        slab_config(ds),
-        &graph_gen::weighted(&ds.edges, 99)
-            .into_iter()
-            .map(slabgraph::Edge::from)
-            .collect::<Vec<_>>(),
+        slab_config(ds, TableKind::Map, Direction::Directed),
+        &weighted_edges(&ds.edges),
     )
 }
 
@@ -341,24 +339,29 @@ pub fn build_slab(ds: &graph_gen::Dataset) -> DynGraph {
 pub fn build_sharded(ds: &graph_gen::Dataset, n_shards: usize) -> ShardedGraph {
     ShardedGraph::bulk_build(
         n_shards,
-        slab_config(ds),
-        &graph_gen::weighted(&ds.edges, 99)
-            .into_iter()
-            .map(slabgraph::Edge::from)
-            .collect::<Vec<_>>(),
+        slab_config(ds, TableKind::Map, Direction::Directed),
+        &weighted_edges(&ds.edges),
     )
+}
+
+/// Run `build` with `profiler` as the process default profiler, then
+/// restore the previous default: devices created inside get `profiler`,
+/// devices created elsewhere are untouched.
+pub fn with_default_profiler<T>(profiler: Option<ProfilerConfig>, build: impl FnOnce() -> T) -> T {
+    let prev = default_profiler();
+    set_default_profiler(profiler);
+    let built = build();
+    set_default_profiler(prev);
+    built
 }
 
 /// Construct the registered backend set for a dataset, identically to
 /// [`crate::churn::churn`] — one instance per structure, sized for the
 /// dataset. The `profile` bin uses this so its timelines cover the same
 /// builds. `shards >= 1` appends the `ShardedSlabGraph` contender at that
-/// shard count (0 omits it, preserving the pre-sharding set).
-pub fn build_backends_sharded(
-    ds: &graph_gen::Dataset,
-    shards: usize,
-) -> Vec<Box<dyn GraphBackend>> {
-    let dw = (ds.edges.len() * 8).max(1 << 20);
+/// shard count; 0 omits it, leaving exactly one device per backend.
+pub fn build_backends(ds: &graph_gen::Dataset, shards: usize) -> Vec<Box<dyn GraphBackend>> {
+    let dw = baseline_words(ds);
     let mut backends: Vec<Box<dyn GraphBackend>> = vec![
         Box::new(Hornet::bulk_build(ds.n_vertices, &ds.edges, dw)),
         Box::new(FaimGraph::build(ds.n_vertices, &ds.edges, dw)),
@@ -369,12 +372,6 @@ pub fn build_backends_sharded(
         backends.push(Box::new(build_sharded(ds, shards)));
     }
     backends
-}
-
-/// The pre-sharding backend set (no `ShardedSlabGraph`), kept for callers
-/// that want exactly one device per backend.
-pub fn build_backends(ds: &graph_gen::Dataset) -> Vec<Box<dyn GraphBackend>> {
-    build_backends_sharded(ds, 0)
 }
 
 /// Format a float with sensible precision for table cells.
@@ -398,37 +395,62 @@ mod tests {
     fn measure_captures_counters() {
         let dev = Device::new(1 << 12);
         let p = dev.alloc_words(32, 32);
-        let m = measure(&dev, || {
+        let m = measure(&[&dev], || {
             dev.memset("bench_fill", p, 32, 1);
         });
-        assert_eq!(m.counters.transactions, 1);
+        assert_eq!(m.trace.global.transactions, 1);
         assert!(m.modeled_s > 0.0);
-        assert!(m.wall_s >= 0.0);
     }
 
     #[test]
-    fn measure_traced_breakdown_sums_to_global() {
+    fn phase_breakdown_sums_to_global() {
         let dev = Device::new(1 << 12);
         let p = dev.alloc_words(64, 32);
-        let (m, report) = measure_traced(&dev, || {
+        let m = measure(&[&dev], || {
             dev.memset("phase_a", p, 64, 1);
             dev.launch_tasks("phase_b", 64, |warp| {
                 let _ = warp.read_word(p);
             });
         });
-        assert_eq!(report.kernel_sum(), m.counters);
-        assert_eq!(report.total.counters, m.counters);
+        let report = m.report();
+        assert_eq!(report.kernel_sum(), m.trace.global);
+        assert_eq!(report.total.counters, m.trace.global);
         assert_eq!(report.rows.len(), 2);
         let parsed = TraceReport::from_json(&report.to_json().render_pretty()).unwrap();
         assert_eq!(parsed, report);
     }
 
     #[test]
+    fn phase_over_devices_costs_the_makespan() {
+        // Two devices doing unequal work: the phase costs the busier one,
+        // while its counters are the sum over both.
+        let (a, b) = (Device::new(1 << 12), Device::new(1 << 12));
+        let (pa, pb) = (a.alloc_words(64, 32), b.alloc_words(512, 32));
+        let (a0, b0) = (a.counters().snapshot(), b.counters().snapshot());
+        let m = measure(&[&a, &b], || {
+            a.memset("fill", pa, 64, 1);
+            b.memset("fill", pb, 512, 1);
+            b.launch_tasks("scan", 512, |warp| {
+                let _ = warp.read_word(pb);
+            });
+        });
+        let (da, db) = (
+            a.counters().snapshot().delta(&a0),
+            b.counters().snapshot().delta(&b0),
+        );
+        let model = CostModel::titan_v();
+        assert!(model.seconds(&db) > model.seconds(&da));
+        assert_eq!(m.modeled_s, model.seconds(&db));
+        assert_eq!(m.trace.global, da + db);
+        assert_eq!(m.report().kernel_sum(), m.trace.global);
+        assert_eq!(m.trace.kernels.len(), 2, "`fill` merges across devices");
+    }
+
+    #[test]
     fn mrate_inverts_modeled_time() {
         let m = Measurement {
-            wall_s: 0.0,
             modeled_s: 0.5,
-            counters: CounterSnapshot::default(),
+            ..Measurement::default()
         };
         assert_eq!(m.mrate(1_000_000), 2.0);
         assert_eq!(m.modeled_ms(), 500.0);

@@ -11,9 +11,7 @@
 //! primary copy through shard 0 and the makespan degrades accordingly.
 
 use crate::churn::{ChurnConfig, Skew};
-use crate::harness::{
-    build_sharded, dataset_for, fnum, makespan_since, scale_shift, snapshot_all, Table,
-};
+use crate::harness::{build_sharded, dataset_for, fnum, mrate, scale_shift, Phase, Table};
 use gpu_sim::Device;
 use graph_gen::splitmix64;
 use router::{shard_of, BatchRouter, Update};
@@ -47,6 +45,19 @@ fn sample_vertex(rng: &mut u64, n_vertices: u32, skew: Skew, shards: usize) -> u
 pub struct TrafficRound {
     pub sessions: Vec<Vec<Update>>,
     pub qry: Vec<(u32, u32)>,
+}
+
+impl TrafficRound {
+    /// Submit every session's updates to `router` from this thread,
+    /// session-major in submission order, so op ids are minted
+    /// deterministically (they appear in op traces and trace exports).
+    pub fn submit(&self, router: &BatchRouter) {
+        for (sid, updates) in self.sessions.iter().enumerate() {
+            for &u in updates {
+                router.submit(sid, u);
+            }
+        }
+    }
 }
 
 /// Generate the seeded multi-tenant stream for `shards` shards: `rounds`
@@ -152,9 +163,9 @@ fn replay_at(cfg: &ChurnConfig, ds: &graph_gen::Dataset, shards: usize) -> Scale
             point.per_shard[so.shard].1 += so.modeled_s;
         }
 
-        let before = snapshot_all(&devices);
+        let phase = Phase::begin(&devices);
         let found = g.edges_exist(&g.pin_read(), &round.qry);
-        point.query_s += makespan_since(&devices, &before);
+        point.query_s += phase.end(&devices).modeled_s;
         point.queries += round.qry.len() as u64;
         point.hits += found.iter().filter(|&&b| b).count() as u64;
     }
@@ -189,18 +200,11 @@ pub fn sharded_scaling(cfg: &ChurnConfig, shard_counts: &[usize]) -> (Table, Tab
         &["shards", "shard", "ops routed", "modeled ms", "MUps"],
     );
 
-    let rate = |items: u64, secs: f64| {
-        if secs <= 0.0 {
-            0.0
-        } else {
-            items as f64 / secs / 1e6
-        }
-    };
     let mut base_rate: Option<f64> = None;
     let mut hit_counts: Vec<u64> = Vec::new();
     for &n in shard_counts {
         let p = replay_at(cfg, &ds, n);
-        let ups = rate(p.updates, p.update_s);
+        let ups = mrate(p.updates, p.update_s);
         let speedup = match base_rate {
             None => {
                 base_rate = Some(ups);
@@ -220,7 +224,7 @@ pub fn sharded_scaling(cfg: &ChurnConfig, shard_counts: &[usize]) -> (Table, Tab
             cfg.sessions.max(1).to_string(),
             cfg.skew.to_string(),
             fnum(ups),
-            fnum(rate(p.queries, p.query_s)),
+            fnum(mrate(p.queries, p.query_s)),
             fnum(p.update_s * 1e3),
             p.hits.to_string(),
             fnum(speedup),
@@ -231,7 +235,7 @@ pub fn sharded_scaling(cfg: &ChurnConfig, shard_counts: &[usize]) -> (Table, Tab
                 s.to_string(),
                 ops.to_string(),
                 fnum(secs * 1e3),
-                fnum(rate(ops, secs)),
+                fnum(mrate(ops, secs)),
             ]);
         }
     }

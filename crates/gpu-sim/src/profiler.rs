@@ -515,7 +515,7 @@ pub const TID_HOST: u64 = 3;
 /// Closes a phase range on drop. Returned by [`crate::Device::phase`];
 /// inert (and free) when the device has no profiler. Bind it —
 /// `let _phase = dev.phase("bulk_build");` — a discarded guard closes the
-/// phase immediately (lint-kernels rule R4 flags that).
+/// phase immediately (`#[must_use]`; clippy's `-D warnings` rejects it).
 #[must_use = "binding the guard keeps the phase open; a discarded guard closes it immediately"]
 pub struct PhaseGuard {
     pub(crate) inner: Option<(std::sync::Arc<Profiler>, &'static str, f64)>,

@@ -62,38 +62,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// slab access stays within a single shard.
 const N_SHARDS: usize = 64;
 
-/// Configuration of the shadow-memory sanitizer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Retain at most this many detailed findings (the total count keeps
+/// incrementing past the cap).
+const MAX_FINDINGS: usize = 64;
+
+/// Configuration of the shadow-memory sanitizer. Racecheck, memcheck and
+/// initcheck always run; only escalation is configurable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SanitizerConfig {
-    /// Detect unsynchronized same-word conflicts between warps.
-    pub racecheck: bool,
-    /// Track slab lifetimes (use-after-free, double-free, out-of-bounds).
-    pub memcheck: bool,
-    /// Flag reads of never-written words.
-    pub initcheck: bool,
     /// Panic at the end of the first launch that produced findings
     /// (regression-test mode; negative-test fixtures keep this off and
     /// inspect [`Sanitizer::findings`] instead).
     pub escalate: bool,
-    /// Retain at most this many detailed findings (the total count keeps
-    /// incrementing past the cap).
-    pub max_findings: usize,
-}
-
-impl Default for SanitizerConfig {
-    fn default() -> Self {
-        SanitizerConfig {
-            racecheck: true,
-            memcheck: true,
-            initcheck: true,
-            escalate: false,
-            max_findings: 64,
-        }
-    }
 }
 
 impl SanitizerConfig {
-    /// All checkers on, escalation configurable.
     pub fn with_escalation(mut self, escalate: bool) -> Self {
         self.escalate = escalate;
         self
@@ -348,18 +331,13 @@ impl Sanitizer {
         }
     }
 
-    /// This sanitizer's configuration.
-    pub fn config(&self) -> SanitizerConfig {
-        self.cfg
-    }
-
     /// Total number of violations detected (keeps counting past the
     /// retained-findings cap).
     pub fn finding_count(&self) -> u64 {
         self.total.load(Ordering::Relaxed)
     }
 
-    /// The retained findings (at most `max_findings`).
+    /// The retained findings (at most 64).
     pub fn findings(&self) -> Vec<Finding> {
         self.findings.lock().clone()
     }
@@ -388,7 +366,7 @@ impl Sanitizer {
     fn report(&self, finding: Finding) {
         self.total.fetch_add(1, Ordering::Relaxed);
         let mut f = self.findings.lock();
-        if f.len() < self.cfg.max_findings {
+        if f.len() < MAX_FINDINGS {
             f.push(finding);
         }
     }
@@ -567,71 +545,69 @@ impl Sanitizer {
         cursor: u64,
     ) {
         let era = st.era;
-        if self.cfg.memcheck {
-            if base as u64 + len as u64 > cursor {
-                self.report(Finding {
-                    kind: FindingKind::OutOfBounds,
-                    addr: base,
-                    kernel: kernel.to_string(),
-                    warp,
-                    era,
-                    other_kernel: String::new(),
-                    other_warp: NO_WARP,
-                    note: format!(
-                        "{} of {} word(s) reaches past the allocation cursor ({})",
-                        kind.as_str(),
-                        len,
-                        cursor
-                    ),
-                });
-                return;
-            }
-            // Use-after-free: check each distinct slab the range touches.
-            let first_slab = base & !(SLAB_WORDS as u32 - 1);
-            let last_slab = (base + len - 1) & !(SLAB_WORDS as u32 - 1);
-            let slabs = self.slabs.lock();
-            let mut s = first_slab;
-            while s <= last_slab {
-                if let Some(sh) = slabs.get(&s) {
-                    // Quarantined slabs are readable under epoch-based
-                    // reclamation iff some live pin **on the owning
-                    // allocator** predates the free (min pinned era ≤
-                    // free era): only that allocator's pins block the
-                    // slab's reclamation, so a guard on another graph
-                    // certifies nothing. Sampled per slab — one range can
-                    // span slabs with different owners. Drained (`Free`)
-                    // slabs are past every pin and always flag.
-                    let covered = sh.status == SlabStatus::Quarantined
-                        && self.min_pinned(sh.owner).is_some_and(|p| p <= sh.free_era);
-                    if sh.status != SlabStatus::Allocated && !covered {
-                        let why = if sh.status == SlabStatus::Quarantined {
-                            "quarantined, read outside a live ReadGuard (unpinned read)"
-                        } else {
-                            "recycled"
-                        };
-                        self.report(Finding {
-                            kind: FindingKind::UseAfterFree,
-                            addr: base.max(s),
-                            kernel: kernel.to_string(),
-                            warp,
-                            era,
-                            other_kernel: sh.alloc_kernel.to_string(),
-                            other_warp: NO_WARP,
-                            note: format!(
-                                "{} of slab {:#x} after free (allocated by `{}`, freed by `{}`; {})",
-                                kind.as_str(),
-                                s,
-                                sh.alloc_kernel,
-                                sh.free_kernel,
-                                why
-                            ),
-                        });
-                    }
-                }
-                s += SLAB_WORDS as u32;
-            }
+        if base as u64 + len as u64 > cursor {
+            self.report(Finding {
+                kind: FindingKind::OutOfBounds,
+                addr: base,
+                kernel: kernel.to_string(),
+                warp,
+                era,
+                other_kernel: String::new(),
+                other_warp: NO_WARP,
+                note: format!(
+                    "{} of {} word(s) reaches past the allocation cursor ({})",
+                    kind.as_str(),
+                    len,
+                    cursor
+                ),
+            });
+            return;
         }
-        if self.cfg.initcheck && kind != AccessKind::PlainWrite {
+        // Use-after-free: check each distinct slab the range touches.
+        let first_slab = base & !(SLAB_WORDS as u32 - 1);
+        let last_slab = (base + len - 1) & !(SLAB_WORDS as u32 - 1);
+        let slabs = self.slabs.lock();
+        let mut s = first_slab;
+        while s <= last_slab {
+            if let Some(sh) = slabs.get(&s) {
+                // Quarantined slabs are readable under epoch-based
+                // reclamation iff some live pin **on the owning
+                // allocator** predates the free (min pinned era ≤
+                // free era): only that allocator's pins block the
+                // slab's reclamation, so a guard on another graph
+                // certifies nothing. Sampled per slab — one range can
+                // span slabs with different owners. Drained (`Free`)
+                // slabs are past every pin and always flag.
+                let covered = sh.status == SlabStatus::Quarantined
+                    && self.min_pinned(sh.owner).is_some_and(|p| p <= sh.free_era);
+                if sh.status != SlabStatus::Allocated && !covered {
+                    let why = if sh.status == SlabStatus::Quarantined {
+                        "quarantined, read outside a live ReadGuard (unpinned read)"
+                    } else {
+                        "recycled"
+                    };
+                    self.report(Finding {
+                        kind: FindingKind::UseAfterFree,
+                        addr: base.max(s),
+                        kernel: kernel.to_string(),
+                        warp,
+                        era,
+                        other_kernel: sh.alloc_kernel.to_string(),
+                        other_warp: NO_WARP,
+                        note: format!(
+                            "{} of slab {:#x} after free (allocated by `{}`, freed by `{}`; {})",
+                            kind.as_str(),
+                            s,
+                            sh.alloc_kernel,
+                            sh.free_kernel,
+                            why
+                        ),
+                    });
+                }
+            }
+            s += SLAB_WORDS as u32;
+        }
+        if kind != AccessKind::PlainWrite {
             // One bitmap-lock acquisition for the whole range, not per word.
             let (mut first, mut n) = (None, 0usize);
             {
@@ -664,9 +640,7 @@ impl Sanitizer {
                 });
             }
         }
-        if self.cfg.racecheck {
-            self.racecheck(st, warp, kernel, base, len, kind);
-        }
+        self.racecheck(st, warp, kernel, base, len, kind);
     }
 
     fn racecheck(

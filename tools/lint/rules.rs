@@ -1,7 +1,7 @@
-//! The lint rules, R1–R6 and R8–R11, evaluated over the parsed file models and
-//! effect summaries.
+//! The lint rules, R1–R3, R5, R6 and R8–R11, evaluated over the parsed file
+//! models and effect summaries.
 //!
-//! R2–R6 are the historical rules re-expressed over the token stream
+//! R2, R3, R5 and R6 are the historical rules re-expressed over the token stream
 //! (they used to be per-line regexes); R1 reads kernel effect summaries;
 //! R8–R10 are the flow-sensitive checks that guard the pin/epoch and
 //! publication protocols; R11 guards the causal-tracing contract:
@@ -43,7 +43,7 @@ pub struct RuleMeta {
     pub desc: &'static str,
 }
 
-pub const RULES: [RuleMeta; 10] = [
+pub const RULES: [RuleMeta; 9] = [
     RuleMeta {
         id: "R1",
         name: "host-transfer-in-kernel",
@@ -58,11 +58,6 @@ pub const RULES: [RuleMeta; 10] = [
         id: "R3",
         name: "unnamed-launch",
         desc: "kernel launch without a literal name breaks attribution/provenance",
-    },
-    RuleMeta {
-        id: "R4",
-        name: "discarded-phase",
-        desc: "PhaseGuard discarded at the call site closes the phase immediately",
     },
     RuleMeta {
         id: "R5",
@@ -278,29 +273,6 @@ fn statements(body: &[Tree]) -> Vec<&[Tree]> {
     parts.into_iter().filter(|s| !s.is_empty()).collect()
 }
 
-/// Every block level in `trees`: the slice itself plus the contents of
-/// every `{}` group at any depth (closure bodies inside call arguments
-/// included).
-fn blocks_of<'t>(trees: &'t [Tree], out: &mut Vec<&'t [Tree]>) {
-    out.push(trees);
-    fn descend<'t>(trees: &'t [Tree], out: &mut Vec<&'t [Tree]>) {
-        for t in trees {
-            if let Tree::Group {
-                delim,
-                trees: inner,
-                ..
-            } = t
-            {
-                if *delim == '{' {
-                    out.push(inner);
-                }
-                descend(inner, out);
-            }
-        }
-    }
-    descend(trees, out);
-}
-
 /// A pin-producing call (`pin_read()` / `.pin(…)`) whose argument group is
 /// the *last* tree of this slice — i.e. the guard value is the expression's
 /// own result, not a temporary nested inside some other call's arguments.
@@ -459,39 +431,11 @@ fn token_walk(trees: &[Tree], f: &mut impl FnMut(&[Tree], usize)) {
     }
 }
 
-/// R4 / R6 / R11: statement-level rules over function bodies.
+/// R6 / R11: statement-level rules over function bodies.
 fn statement_rules(file: &ScannedFile, findings: &mut Vec<Finding>) {
-    let gpu_sim = in_gpu_sim(&file.path);
     let sharded = in_sharded_scope(&file.path);
     let router = in_router_scope(&file.path);
     for func in &file.model.funcs {
-        // R4: evaluated per *block level* — a `.phase("…")` call is fine
-        // when its own statement binds the guard, wherever the block sits.
-        if !gpu_sim {
-            let mut blocks = Vec::new();
-            blocks_of(&func.body, &mut blocks);
-            for block in blocks {
-                for stmt in statements(block) {
-                    let has_let = stmt
-                        .first()
-                        .is_some_and(|t| t.as_leaf().is_some_and(|l| l.is_ident("let")));
-                    if !has_let {
-                        if let Some(line) = phase_call_at_level(stmt) {
-                            push(
-                                findings,
-                                file,
-                                "R4",
-                                line,
-                                "",
-                                &func.name,
-                                "PhaseGuard discarded at the call site; bind it (`let _phase = …`)"
-                                    .to_string(),
-                            );
-                        }
-                    }
-                }
-            }
-        }
         for stmt in statements(&func.body) {
             // R6: dispatch outcome unwrapped or discarded in sharded code.
             if sharded && !func.cfg_test {
@@ -543,27 +487,6 @@ fn statement_rules(file: &ScannedFile, findings: &mut Vec<Finding>) {
             }
         }
     }
-}
-
-/// A `.phase("…")` call at *this* statement level (no descent into nested
-/// groups — those are other blocks' statements or call arguments).
-fn phase_call_at_level(trees: &[Tree]) -> Option<u32> {
-    for (i, t) in trees.iter().enumerate() {
-        let Some(tok) = t.as_leaf() else { continue };
-        if tok.is_ident("phase") && i > 0 && trees[i - 1].as_leaf().is_some_and(|p| p.is_punct("."))
-        {
-            if let Some(args) = trees.get(i + 1).and_then(|a| a.group_trees()) {
-                let literal_name = args
-                    .first()
-                    .and_then(|a| a.as_leaf())
-                    .is_some_and(|a| a.kind == super::lexer::TokKind::Str);
-                if literal_name {
-                    return Some(tok.line);
-                }
-            }
-        }
-    }
-    None
 }
 
 /// R8: guard liveness over the pinned query path.

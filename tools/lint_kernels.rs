@@ -4,7 +4,7 @@
 //! external deps — the workspace builds offline) that extracts every
 //! kernel closure passed to `launch_tasks` / `launch_warps` / `memset`,
 //! computes a per-kernel **effect summary** (arena words read/written,
-//! atomic ops, allocator calls, pin/guard uses), and checks ten rules over
+//! atomic ops, allocator calls, pin/guard uses), and checks nine rules over
 //! the summaries and the enclosing host code:
 //!
 //! - **R1 `host-transfer-in-kernel`** — a `Device` host transfer
@@ -19,10 +19,9 @@
 //! - **R3 `unnamed-launch`** — a launch whose kernel-name argument is not
 //!   a string literal breaks per-kernel attribution and sanitizer
 //!   provenance.
-//! - **R4 `discarded-phase`** — discarding the `PhaseGuard` returned by
-//!   `.phase("…")`, which closes the phase immediately. (Mutating
-//!   `PerfCounters` outside gpu-sim needs no rule: its mutators are
-//!   crate-private, so such code does not compile.)
+//!   (A discarded `PhaseGuard` or a `PerfCounters` mutation outside
+//!   gpu-sim needs no rule: the guard is `#[must_use]` and clippy runs
+//!   with `-D warnings`; the mutators are crate-private.)
 //! - **R5 `rogue-device`** — direct `Device` construction in sharded code
 //!   (`crates/router/`, `*/sharded.rs`); shard devices must come from a
 //!   `DeviceGroup` or their work vanishes from merged traces.
