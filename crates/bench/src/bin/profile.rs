@@ -1,7 +1,9 @@
 //! Profiled churn replay: run the churn operation stream against every
-//! backend with the device timeline profiler attached, then export one
-//! merged Chrome Trace Event Format file (one pid per backend) plus a
-//! rendered per-phase / per-metric summary.
+//! backend and through the batch router over a sharded graph (two shards
+//! unless `--shards` says otherwise) with the device timeline profiler
+//! attached, then export one merged Chrome Trace Event Format file (one
+//! pid per backend and per shard) plus a rendered per-phase / per-metric
+//! summary.
 //!
 //! ```text
 //! cargo run -p bench --release --bin profile -- --scale 4096
@@ -9,21 +11,26 @@
 //!
 //! The trace lands in `target/profile/churn.trace.json`; load it at
 //! <https://ui.perfetto.dev> (or chrome://tracing) to inspect per-kernel
-//! spans, host phases, and allocator instants on the modeled clock.
+//! spans, host phases, and allocator instants on the modeled clock, with
+//! flow arrows linking each client op's spans across shard pids.
 
 use bench::churn::ChurnConfig;
 use bench::harness::{build_backends, build_sharded, stream_for};
 use bench::sharded::traffic_for;
-use gpu_sim::profiler::{chrome_trace_json, parse_chrome_trace, set_default_profiler};
-use gpu_sim::{CostModel, Device, Profiler, ProfilerConfig, TraceReport};
+use gpu_sim::profiler::{
+    chrome_trace_json, op_flow_events, parse_chrome_trace, set_default_profiler,
+};
+use gpu_sim::{CostModel, Device, Profiler, ProfilerConfig, TraceCtx, TraceReport};
 use router::BatchRouter;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Check `dev`'s span accounting and return its launch count: one
 /// timeline span per kernel launch, no kernel or host span dropped, and
-/// the modeled clock agreeing with the cost model applied to the device's
-/// total counters to within one launch quantum (kernel spans plus host
-/// spans partition all costed work).
-fn check_spans(who: &str, dev: &Device, prof: &Profiler, model: &CostModel) -> u64 {
+/// both the span durations and the device's modeled clock agreeing with
+/// the cost model applied to the device's total counters to within one
+/// launch quantum (kernel spans plus host spans partition all costed
+/// work, and this replay has no waits).
+fn check_spans(who: &str, dev: &Device, prof: &Profiler) -> u64 {
     let timeline = prof.timeline();
     let stats = timeline.stats;
     let launches = dev.counters().snapshot().launches;
@@ -42,7 +49,12 @@ fn check_spans(who: &str, dev: &Device, prof: &Profiler, model: &CostModel) -> u
         .chain(&timeline.host_spans)
         .map(|s| s.dur_s)
         .sum();
-    let modeled = model.seconds(&dev.counters().snapshot());
+    let clock = dev.clock_s();
+    assert!(
+        (span_total - clock).abs() <= 5e-6,
+        "{who}: span durations sum to {span_total}s but the device clock reads {clock}s"
+    );
+    let modeled = CostModel::titan_v().seconds(&dev.counters().snapshot());
     assert!(
         (span_total - modeled).abs() <= 5e-6,
         "{who}: span durations sum to {span_total}s but the cost model says {modeled}s"
@@ -51,7 +63,12 @@ fn check_spans(who: &str, dev: &Device, prof: &Profiler, model: &CostModel) -> u
 }
 
 fn main() {
-    let mut cfg = ChurnConfig::default();
+    // Two shards by default, so the routed replay has flows to draw
+    // between shard pids.
+    let mut cfg = ChurnConfig {
+        shards: 2,
+        ..ChurnConfig::default()
+    };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -86,7 +103,6 @@ fn main() {
     set_default_profiler(Some(ProfilerConfig::default().with_ring_capacity(1 << 20)));
 
     let (ds, stream) = stream_for(&cfg);
-    let model = CostModel::titan_v();
     let mut all_events = Vec::new();
     let mut total_launches = 0u64;
     let mut next_pid = 0u64;
@@ -120,10 +136,9 @@ fn main() {
             .profiler()
             .expect("default profiler attached before backend construction")
             .clone();
-        total_launches += check_spans(name, g.device(), &prof, &model);
+        total_launches += check_spans(name, g.device(), &prof);
 
-        let report =
-            TraceReport::new(&g.device().trace(), &model).with_metrics(prof.metric_summaries());
+        let report = TraceReport::new(&g.device().trace()).with_metrics(prof.metric_summaries());
         println!("== {name}: profiled churn (build + stream) ==");
         println!("{}", report.render());
 
@@ -153,7 +168,7 @@ fn main() {
         let prof = dev
             .profiler()
             .expect("default profiler attached before shard construction");
-        total_launches += check_spans(&format!("shard {s}"), dev, prof, &model);
+        total_launches += check_spans(&format!("shard {s}"), dev, prof);
     }
     // One pid per shard, after the backend pids, so the overlap between
     // shards of one flush is visible side by side.
@@ -163,8 +178,39 @@ fn main() {
         "== ShardedSlabGraph ({shards} shard(s), {} session(s)): routed replay ==",
         cfg.sessions.max(1)
     );
-    println!("{}", g.group().merged_report(&model).render());
+    println!("{}", g.group().merged_report().render());
     println!("{}", router.report().render());
+
+    // Flow arrows chain the spans of each (session, op) across pids. The
+    // graph's session-less fan-outs (build, batched reads) run on every
+    // shard, so with two or more shards some flow must span two shard
+    // pids. Client ops stay on one shard here (each shard's flush carries
+    // its own journal's first op), but they must still get flows, or the
+    // routed replay lost its trace contexts.
+    let mut op_span_pids: BTreeMap<(u64, u64), Vec<u64>> = BTreeMap::new();
+    for e in all_events.iter().filter(|e| e.ph == "X") {
+        if let (Some(session), Some(op)) = (e.trace_arg("trace_session"), e.trace_arg("trace_op")) {
+            op_span_pids.entry((session, op)).or_default().push(e.pid);
+        }
+    }
+    let cross_shard = op_span_pids
+        .values()
+        .filter(|pids| pids.iter().collect::<BTreeSet<_>>().len() >= 2)
+        .count();
+    assert!(
+        shards < 2 || cross_shard > 0,
+        "no op's spans span two shard pids"
+    );
+    let client_flows = op_span_pids
+        .iter()
+        .filter(|((session, _), pids)| *session != TraceCtx::NO_SESSION && pids.len() >= 2)
+        .count();
+    assert!(
+        client_flows > 0,
+        "no client op has a flow: the routed replay lost its trace contexts"
+    );
+    let flows = op_flow_events(&all_events);
+    all_events.extend(flows);
 
     let json = chrome_trace_json(&all_events);
     let parsed = parse_chrome_trace(&json).expect("emitted trace must parse back");
@@ -175,7 +221,8 @@ fn main() {
     let path = dir.join("churn.trace.json");
     std::fs::write(&path, &json).expect("write trace file");
     println!(
-        "trace OK: {total_launches} spans == {total_launches} launches, {} events -> {}",
+        "trace OK: {total_launches} spans == {total_launches} launches, \
+         {cross_shard} cross-shard flow(s), {client_flows} client-op flow(s), {} events -> {}",
         all_events.len(),
         path.display()
     );

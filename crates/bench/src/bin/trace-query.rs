@@ -16,7 +16,7 @@
 use bench::churn::ChurnConfig;
 use bench::harness::{build_sharded, dataset_for, fnum, with_default_profiler};
 use bench::sharded::traffic_for;
-use gpu_sim::{CostModel, ProfilerConfig};
+use gpu_sim::ProfilerConfig;
 use router::{BatchRouter, OpTraceRecord};
 
 fn main() {
@@ -66,8 +66,8 @@ fn main() {
 
     let ds = dataset_for(&cfg);
     let traffic = traffic_for(&cfg, &ds, cfg.shards);
-    // Attach profilers so the replay carries ctx-stamped spans and a
-    // modeled clock (queue latency is measured on it).
+    // Attach profilers so the merged report carries the shards' metric
+    // rows next to the router's op attribution.
     let g = with_default_profiler(Some(ProfilerConfig::default()), || {
         build_sharded(&ds, cfg.shards)
     });
@@ -127,7 +127,7 @@ fn main() {
     // The merged report closes the run: kernels, findings and metrics,
     // whose `op.*_ns` rows are the per-component latency attribution;
     // then the shard health summary.
-    let report = router.trace_report(&CostModel::titan_v());
+    let report = router.trace_report();
     println!();
     println!("{}", report.render());
     println!("{}", router.report().render());

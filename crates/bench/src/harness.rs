@@ -47,7 +47,7 @@ impl Measurement {
     /// The phase's per-kernel [`TraceReport`]: which named kernels ran and
     /// what each one cost.
     pub fn report(&self) -> TraceReport {
-        TraceReport::new(&self.trace, &CostModel::titan_v())
+        TraceReport::new(&self.trace)
     }
 }
 

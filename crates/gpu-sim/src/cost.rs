@@ -3,8 +3,9 @@
 //! The paper's kernels are bandwidth-bound: performance is governed by how
 //! many 128-byte global-memory transactions each operation issues. The cost
 //! model turns a [`crate::CounterSnapshot`] into *modeled
-//! time* on a TITAN V-like device, which is what the benchmark harness
-//! reports alongside host wall-clock. Absolute numbers are not expected to
+//! time* on a TITAN V-like device: the device's modeled clock
+//! ([`crate::Device::clock_s`]) and the benchmark harness both price counter
+//! deltas with [`CostModel::titan_v`]. Absolute numbers are not expected to
 //! match the paper's testbed; relative ordering (who wins, by what factor)
 //! is — see DESIGN.md §2.
 
@@ -56,23 +57,6 @@ impl CostModel {
         let launch = (c.launches as f64) * self.launch_overhead;
         mem + atomics + warp_instrs + launch
     }
-
-    /// Throughput in *items per second* when `items` units of work issued
-    /// the counter delta `c` (e.g. edges inserted → MEdges/s).
-    pub fn throughput(&self, items: u64, c: &CounterSnapshot) -> f64 {
-        let t = self.seconds(c);
-        if t <= 0.0 {
-            0.0
-        } else {
-            items as f64 / t
-        }
-    }
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel::titan_v()
-    }
 }
 
 #[cfg(test)]
@@ -113,21 +97,5 @@ mod tests {
     fn cost_is_monotone_in_transactions() {
         let m = CostModel::titan_v();
         assert!(m.seconds(&snap(1000, 0, 0)) < m.seconds(&snap(2000, 0, 0)));
-    }
-
-    #[test]
-    fn throughput_inverts_time() {
-        let m = CostModel::titan_v();
-        let c = snap(1_000_000, 0, 1);
-        let thr = m.throughput(1_000_000, &c);
-        assert!(thr > 0.0);
-        let t = m.seconds(&c);
-        assert!((thr * t - 1.0e6).abs() < 1.0);
-    }
-
-    #[test]
-    fn throughput_of_zero_cost_is_zero() {
-        let m = CostModel::titan_v();
-        assert_eq!(m.throughput(100, &CounterSnapshot::default()), 0.0);
     }
 }

@@ -341,14 +341,10 @@ mod tests {
         ] {
             assert_eq!(CounterSnapshot::NAMES[event as usize], name);
         }
-        let model = crate::CostModel::titan_v();
-        let report = crate::TraceReport::new(
-            &crate::TraceSnapshot {
-                global: s,
-                kernels: Vec::new(),
-            },
-            &model,
-        );
+        let report = crate::TraceReport::new(&crate::TraceSnapshot {
+            global: s,
+            kernels: Vec::new(),
+        });
         let json = report.to_json();
         let crate::Json::Obj(row) = json.get("total").unwrap() else {
             panic!("total row is not an object");

@@ -13,6 +13,7 @@
 //! the named kernel's entry in the device's [`KernelRegistry`]. See
 //! [`crate::trace`] for the attribution model and reporting.
 
+use crate::cost::CostModel;
 use crate::counters::{CounterSnapshot, Event, PerfCounters};
 use crate::fault::{FaultInjector, FaultPlan, OomError};
 use crate::lanes::{self, Lanes, FULL_MASK, WARP_SIZE};
@@ -22,6 +23,9 @@ use crate::sanitizer::{AccessKind, Finding, Sanitizer, SanitizerConfig, WarpRace
 use crate::trace::{Charge, KernelRegistry, KernelSpec, LaunchShape, TraceSnapshot, HOST_KERNEL};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// A device's modeled clock in seconds, shared with its open phase guards.
+pub(crate) type Clock = Arc<parking_lot::Mutex<f64>>;
 
 /// How kernels are executed on the host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,12 +150,16 @@ pub struct Device {
     /// Optional shadow-memory sanitizer (also attached to the arena for
     /// initialization tracking).
     san: Option<Arc<Sanitizer>>,
-    /// Optional timeline profiler + metrics registry. Every *top-level*
-    /// attribution unit (launch / fused scope / memset / manual charge)
-    /// deltas the global counters around itself and records one span; the
-    /// scope stack guarantees units never overlap, so span durations
-    /// partition the run's modeled time.
+    /// Optional timeline profiler + metrics registry: records one span per
+    /// advance of the modeled clock.
     prof: Option<Arc<Profiler>>,
+    /// The modeled clock, in seconds since the device was created. Every
+    /// *top-level* attribution unit (launch / fused scope / memset / manual
+    /// charge) deltas the global counters around itself and advances the
+    /// clock by the delta's modeled time; the scope stack guarantees units
+    /// never overlap, so the clock is the run's modeled time. Shared with
+    /// open [`PhaseGuard`]s, which read it on drop.
+    clock: Clock,
     /// Global launch counter. Every launch fully joins its warps before
     /// returning, so each launch is a barrier and opens a new *era*: the
     /// sanitizer's racecheck only considers same-era accesses, and the
@@ -191,6 +199,7 @@ impl Device {
             faults: FaultInjector::default(),
             san,
             prof: config.profile.map(|cfg| Arc::new(Profiler::new(cfg))),
+            clock: Arc::new(parking_lot::Mutex::new(0.0)),
             era: AtomicU64::new(0),
         }
     }
@@ -206,13 +215,72 @@ impl Device {
         self.prof.as_ref()
     }
 
-    /// Open a named host-phase range on the profiler's modeled clock;
-    /// the returned guard closes it on drop. Inert (one `Option` check)
-    /// when no profiler is attached. Bind the guard — a discarded guard
-    /// closes the phase immediately.
+    /// The modeled clock: modeled GPU seconds since the device was
+    /// created. Always running, profiler or not; see [`crate::profiler`]
+    /// for how it advances.
+    pub fn clock_s(&self) -> f64 {
+        *self.clock.lock()
+    }
+
+    /// Charge `dur_s` seconds of pure waiting onto the modeled clock.
+    /// Retry backoff uses this, so waiting on a flaky device costs makespan
+    /// exactly like work does. A profiled device records the wait as a host
+    /// span with zero counters.
+    pub fn wait(&self, name: &'static str, dur_s: f64) {
+        self.advance(true, name, dur_s, CounterSnapshot::default());
+    }
+
+    /// Record a point event at the current modeled time on a profiled
+    /// device (a no-op without a profiler), stamped with the active trace
+    /// context. Inside a launch the clock has not yet advanced, so the
+    /// instant carries the enclosing span's start time.
+    pub fn instant(&self, name: &'static str, detail: impl Into<String>) {
+        if let Some(p) = &self.prof {
+            p.instant(self.clock_s(), name, detail);
+        }
+    }
+
+    /// Advance the modeled clock by `dur_s`; a profiled device records the
+    /// interval as a kernel span, or as a host span when `host`.
+    fn advance(&self, host: bool, name: &'static str, dur_s: f64, counters: CounterSnapshot) {
+        let mut clock = self.clock.lock();
+        if let Some(p) = &self.prof {
+            p.record_span(host, name, *clock, dur_s, counters);
+        }
+        *clock += dur_s;
+    }
+
+    /// [`Self::advance`] by the modeled time of a counter delta.
+    fn advance_by(&self, host: bool, name: &'static str, delta: CounterSnapshot) {
+        self.advance(host, name, CostModel::titan_v().seconds(&delta), delta);
+    }
+
+    /// Advance the clock for a dropped top-level [`Charge`]'s tally. A
+    /// tally carrying `n > 1` launches models `n` physical launches and
+    /// advances in `n` near-equal steps (remainders fold into the earliest
+    /// ones) so kernel spans stay 1:1 with launches; the split is exact
+    /// event-wise, so total modeled time is preserved. A tally carrying
+    /// *no* launch is host-side traffic and lands in the host-span ring.
+    pub(crate) fn end_charge(&self, name: &'static str, tally: CounterSnapshot) {
+        if tally.launches == 0 {
+            self.advance_by(true, name, tally);
+            return;
+        }
+        for part in tally.split(tally.launches) {
+            self.advance_by(false, name, part);
+        }
+    }
+
+    /// Open a named host-phase range on the modeled clock; the returned
+    /// guard closes it on drop. Inert (one `Option` check) when no
+    /// profiler is attached. Bind the guard — a discarded guard closes the
+    /// phase immediately.
     pub fn phase(&self, name: &'static str) -> PhaseGuard {
         PhaseGuard {
-            inner: self.prof.as_ref().map(|p| (p.clone(), name, p.now_s())),
+            inner: self
+                .prof
+                .as_ref()
+                .map(|p| (p.clone(), self.clock.clone(), name, self.clock_s())),
         }
     }
 
@@ -280,20 +348,16 @@ impl Device {
     /// A dual-charging handle for manual charge sites (baseline cost
     /// models, resize bookkeeping): every `add_*` call lands in both the
     /// global tally and the named kernel's tally. If a fused scope is
-    /// active its name wins over `name`. A *top-level* handle on a
-    /// profiled device additionally tallies its own charges and records
-    /// them as timeline spans on drop (charges issued inside a scope are
-    /// already covered by the enclosing unit's span).
+    /// active its name wins over `name`. A *top-level* handle additionally
+    /// tallies its own charges and advances the modeled clock by them on
+    /// drop (charges issued inside a scope are already covered by the
+    /// enclosing unit).
     pub fn charge(&self, name: &'static str) -> Charge<'_> {
         let (name, top_level) = self.resolve(name);
         Charge {
             global: &self.counters,
             kernel: self.registry.counters(name),
-            prof: if top_level {
-                self.prof.clone().map(|p| (p, name))
-            } else {
-                None
-            },
+            unit: top_level.then_some((self, name)),
             tally: std::cell::Cell::new(CounterSnapshot::default()),
         }
     }
@@ -303,9 +367,10 @@ impl Device {
     /// outermost active scope's name (`name` itself when top-level), and
     /// only a top-level unit charges its own launch (when `launches`).
     /// `body` runs with `name` pushed on the scope stack and receives the
-    /// resolved attribution target. On a profiled device a top-level unit
-    /// records its whole counter delta as one span: a kernel span if it
-    /// charges a launch, else a host span if the delta is non-zero.
+    /// resolved attribution target. A top-level unit advances the modeled
+    /// clock by its whole counter delta in one step, recorded on a
+    /// profiled device as one span: a kernel span if it charges a launch,
+    /// else a host span if the delta is non-zero.
     fn unit<R>(
         &self,
         name: &'static str,
@@ -313,7 +378,7 @@ impl Device {
         body: impl FnOnce(&'static str) -> R,
     ) -> R {
         let (target, top_level) = self.resolve(name);
-        let before = (top_level && self.prof.is_some()).then(|| self.counters.snapshot());
+        let before = top_level.then(|| self.counters.snapshot());
         if launches && top_level {
             self.counters.add_event(Event::Launches, 1);
             self.registry.counters(target).add_event(Event::Launches, 1);
@@ -323,12 +388,10 @@ impl Device {
             let _scope = ScopeGuard { scope: &self.scope };
             body(target)
         };
-        if let (Some(before), Some(p)) = (before, &self.prof) {
+        if let Some(before) = before {
             let delta = self.counters.snapshot().delta(&before);
-            if launches {
-                p.record_span(target, delta);
-            } else if delta != CounterSnapshot::default() {
-                p.record_host_span(target, delta);
+            if launches || delta != CounterSnapshot::default() {
+                self.advance_by(!launches, target, delta);
             }
         }
         r
@@ -448,10 +511,10 @@ impl Device {
     /// Like [`Self::fused_scope`] but charges **no** launch of its own:
     /// for charged helper walks that are logically part of whatever kernel
     /// or measurement the caller is running. Attribution still goes to
-    /// `name` (or the enclosing scope's name, if any). On a profiled
-    /// device a *top-level* unlaunched scope records its counter delta as
-    /// a host span (launch-free cost must still advance the modeled
-    /// clock); nested scopes are covered by the enclosing unit's span.
+    /// `name` (or the enclosing scope's name, if any). A *top-level*
+    /// unlaunched scope advances the modeled clock by its counter delta,
+    /// a host span on a profiled device (launch-free cost still takes
+    /// time); nested scopes are covered by the enclosing unit.
     pub fn unlaunched_scope<R>(&self, name: &'static str, body: impl FnOnce() -> R) -> R {
         self.unit(name, false, |_| body())
     }
@@ -492,9 +555,7 @@ impl Device {
         let addr = match self.arena.try_alloc_words(n, align) {
             Ok(addr) => addr,
             Err(e) => {
-                if let Some(p) = &self.prof {
-                    p.instant("oom", format!("arena alloc of {n} words failed: {e}"));
-                }
+                self.instant("oom", format!("arena alloc of {n} words failed: {e}"));
                 return Err(e);
             }
         };
@@ -595,8 +656,8 @@ impl Device {
         }
         let kernel = self.scope.lock().first().copied();
         let r = self.faults.check(kernel);
-        if let (Err(e), Some(p)) = (&r, &self.prof) {
-            p.instant("fault_injected", e.to_string());
+        if let Err(e) = &r {
+            self.instant("fault_injected", e.to_string());
         }
         r
     }
@@ -608,8 +669,8 @@ impl Device {
     /// [`Self::fault_check`] — admission is bookkeeping, not device work.
     pub fn launch_check(&self) -> Result<(), crate::fault::DeviceFault> {
         let r = self.faults.check_launch();
-        if let (Err(e), Some(p)) = (&r, &self.prof) {
-            p.instant("device_fault", e.to_string());
+        if let Err(e) = &r {
+            self.instant("device_fault", e.to_string());
         }
         r
     }
@@ -639,9 +700,7 @@ impl Device {
             s.reset_shadow();
         }
         self.faults.reset_device();
-        if let Some(p) = &self.prof {
-            p.instant("device_reset", String::new());
-        }
+        self.instant("device_reset", String::new());
     }
 }
 
@@ -1479,6 +1538,76 @@ mod tests {
         let tail: Vec<&str> = spans()[4..].iter().map(|s| s.name).collect();
         assert_eq!(tail, ["plain", "fill"]);
         assert_eq!(prof.timeline().stats.spans_recorded, 6);
+    }
+
+    #[test]
+    fn clock_runs_without_a_profiler_and_the_spans_partition_it() {
+        let run = |profile: bool| {
+            let mut cfg = DeviceConfig::new(1024);
+            if profile {
+                cfg = cfg.with_profiler(ProfilerConfig::default());
+            }
+            let dev = Device::with_config(cfg);
+            let p = dev.alloc_words(64, 32);
+            {
+                let _phase = dev.phase("work");
+                dev.launch_warps("k", 2, |_| {});
+                dev.memset("fill", p, 64, 0);
+                let c = dev.charge("sort");
+                c.add_launches(3);
+                c.add_transactions(7);
+            }
+            dev.wait("backoff", 1e-4);
+            dev
+        };
+        let (on, off) = (run(true), run(false));
+        assert_eq!(on.clock_s(), off.clock_s(), "a profiler never moves it");
+        let modeled = CostModel::titan_v().seconds(&off.counters().snapshot());
+        assert!((off.clock_s() - (modeled + 1e-4)).abs() < 1e-15);
+        let t = on.profiler().unwrap().timeline();
+        assert_eq!(t.spans.len(), 5, "one kernel span per launch");
+        let span_total: f64 = t.spans.iter().chain(&t.host_spans).map(|s| s.dur_s).sum();
+        assert!((span_total - on.clock_s()).abs() < 1e-15);
+        let wait = t.host_spans.last().unwrap();
+        assert_eq!((wait.name, wait.dur_s), ("backoff", 1e-4));
+        assert_eq!(wait.counters, crate::counters::CounterSnapshot::default());
+        assert_eq!(wait.start_s, on.clock_s() - 1e-4);
+        // The phase spans the work, stamped from the same clock.
+        assert_eq!(t.phases[0].start_s, 0.0);
+        assert_eq!(t.phases[0].dur_s, wait.start_s);
+    }
+
+    #[test]
+    fn instants_stamp_current_time() {
+        let dev =
+            Device::with_config(DeviceConfig::new(1024).with_profiler(ProfilerConfig::default()));
+        dev.launch_warps("k", 1, |_| {});
+        let after_k = dev.clock_s();
+        assert!(after_k > 0.0);
+        dev.instant("oom", "slab pool exhausted");
+        // Inside a launch the clock has not advanced yet: the instant
+        // carries the enclosing span's start time.
+        dev.launch_warps("inner", 1, |w| w.device().instant("in_launch", "x"));
+        dev.reset();
+        let t = dev.profiler().unwrap().timeline();
+        let stamps: Vec<(&str, f64, &str)> = t
+            .instants
+            .iter()
+            .map(|i| (i.name, i.at_s, i.detail.as_str()))
+            .collect();
+        assert_eq!(
+            stamps,
+            [
+                ("oom", after_k, "slab pool exhausted"),
+                ("in_launch", after_k, "x"),
+                ("device_reset", dev.clock_s(), ""),
+            ]
+        );
+        assert!(dev.clock_s() > after_k);
+        // Without a profiler an instant records nothing and costs nothing.
+        let off = Device::new(64);
+        off.instant("oom", "ignored");
+        assert_eq!(off.clock_s(), 0.0);
     }
 
     #[test]

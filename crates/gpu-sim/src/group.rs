@@ -8,7 +8,7 @@
 //! real driver would give you — and merges per-shard observability into one
 //! view:
 //!
-//! - **One modeled clock.** Each shard's profiler advances its own modeled
+//! - **One modeled clock.** Each shard's device advances its own modeled
 //!   clock; the group's clock ([`DeviceGroup::clock_s`]) is the *maximum*
 //!   across shards, i.e. the makespan under perfect overlap. This is the
 //!   multi-device analogue of the single-device span invariant: per-shard
@@ -31,7 +31,6 @@
 //! `lint-kernels` rule R5 enforces this — so capacity budgets, fault plans,
 //! and profiler attachment stay uniform across shards.
 
-use crate::cost::CostModel;
 use crate::counters::CounterSnapshot;
 use crate::device::{Device, DeviceConfig};
 use crate::metrics::{HistogramSnapshot, MetricKind, MetricSummary};
@@ -108,14 +107,10 @@ impl DeviceGroup {
         })
     }
 
-    /// The group's modeled clock: the maximum of the per-shard profiler
-    /// clocks (makespan under perfect overlap). Zero when no shard carries
-    /// a profiler.
+    /// The group's modeled clock: the maximum of the per-shard device
+    /// clocks (makespan under perfect overlap).
     pub fn clock_s(&self) -> f64 {
-        self.devices
-            .iter()
-            .filter_map(|d| d.profiler().map(|p| p.now_s()))
-            .fold(0.0, f64::max)
+        self.devices.iter().map(|d| d.clock_s()).fold(0.0, f64::max)
     }
 
     /// Merge per-shard trace snapshots: globals are summed event-wise and
@@ -206,8 +201,8 @@ impl DeviceGroup {
     /// One [`TraceReport`] for the whole group: merged kernels, merged
     /// findings, merged metrics, in the ordinary single-device schema (it
     /// JSON round-trips exactly).
-    pub fn merged_report(&self, model: &CostModel) -> TraceReport {
-        TraceReport::new(&self.merged_trace(), model)
+    pub fn merged_report(&self) -> TraceReport {
+        TraceReport::new(&self.merged_trace())
             .with_findings(self.merged_findings())
             .with_metrics(self.merged_metric_summaries())
     }
@@ -281,7 +276,7 @@ mod tests {
                 warp.atomic_add(out, 1);
             })
         });
-        let report = g.merged_report(&CostModel::titan_v());
+        let report = g.merged_report();
         let parsed = TraceReport::from_json(&report.to_json().render_pretty())
             .expect("merged report parses");
         assert_eq!(parsed, report);
@@ -333,7 +328,7 @@ mod tests {
 
     #[test]
     fn clock_is_makespan_across_shards() {
-        let g = group_with_profilers(2);
+        let g = DeviceGroup::new(2, DeviceConfig::new(1 << 12));
         g.dispatch(|i, dev| {
             // Shard 1 does 4x the work of shard 0.
             let buf = dev.alloc_words(32, 32);
@@ -342,11 +337,7 @@ mod tests {
                 let _ = warp.read_word(buf);
             });
         });
-        let clocks: Vec<f64> = g
-            .devices()
-            .iter()
-            .map(|d| d.profiler().unwrap().now_s())
-            .collect();
+        let clocks: Vec<f64> = g.devices().iter().map(|d| d.clock_s()).collect();
         assert!(clocks[1] > clocks[0]);
         assert_eq!(g.clock_s(), clocks[1], "group clock is the slowest shard");
     }

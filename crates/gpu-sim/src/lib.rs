@@ -21,7 +21,8 @@
 //!   hardware events (named once, in [`CounterSnapshot::NAMES`]), charged
 //!   only by the simulator (read-only outside this crate; manual charge
 //!   sites use [`Device::charge`]), and a TITAN V-like analytic timing
-//!   model used by the benchmark harness.
+//!   model that drives each device's modeled clock ([`Device::clock_s`])
+//!   and prices the benchmark harness's counter deltas.
 //! - [`KernelSpec`] / [`TraceReport`] — named kernel launches with
 //!   per-kernel counter attribution, and the renderable/serializable report
 //!   of what a device (or [`DeviceGroup`]) knows about a phase: per-kernel
@@ -76,8 +77,8 @@ pub use metrics::{
     Gauge, Histogram, HistogramSnapshot, MetricKind, MetricSummary, MetricsRegistry,
 };
 pub use profiler::{
-    assemble_lifecycles, chrome_trace_json, op_flow_events, parse_chrome_trace, ChromeEvent,
-    OpLifecycle, PhaseGuard, Profiler, ProfilerConfig, Timeline, TraceCtx, TraceScope,
+    chrome_trace_json, op_flow_events, parse_chrome_trace, ChromeEvent, PhaseGuard, Profiler,
+    ProfilerConfig, Timeline, TraceCtx, TraceScope,
 };
 pub use sanitizer::{Finding, FindingKind, Sanitizer, SanitizerConfig};
 pub use trace::{

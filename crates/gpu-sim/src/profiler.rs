@@ -9,21 +9,26 @@
 //!
 //! ## The modeled clock
 //!
-//! The profiler keeps a clock in *modeled seconds* (see
-//! [`crate::CostModel`]), not wall time. Every **top-level attribution
-//! unit** — a named launch, a [`crate::Device::fused_scope`], a top-level
-//! `memset`, or a dropped top-level [`crate::trace::Charge`] — deltas the
-//! global counters around itself and appends one span whose duration is
-//! `CostModel::seconds(delta)`; the clock advances by exactly that span.
-//! Launch scopes are host-serial (the scope stack guarantees units never
-//! overlap), and every cost-bearing charge lands inside some unit, so the
-//! sum of span durations equals the modeled time of the whole run up to
-//! float rounding — far below one 5 µs launch-overhead quantum. A `Charge`
-//! carrying `n > 1` launches (e.g. a multi-pass sort charged manually) is
-//! split into `n` equal spans so spans and kernel launches stay 1:1.
+//! The profiler keeps no clock of its own: it stamps events from the
+//! device's modeled clock ([`crate::Device::clock_s`]), which runs whether
+//! or not a profiler is attached. Every **top-level attribution unit** — a
+//! named launch, a [`crate::Device::fused_scope`], a top-level `memset`, or
+//! a dropped top-level [`crate::trace::Charge`] — deltas the global
+//! counters around itself and advances the clock by
+//! `CostModel::titan_v().seconds(delta)`; on a profiled device the same
+//! interval is appended as one span. Launch scopes are host-serial (the
+//! scope stack guarantees units never overlap), and every cost-bearing
+//! charge lands inside some unit, so the sum of span durations equals the
+//! clock up to float rounding — far below one 5 µs launch-overhead
+//! quantum. A `Charge` carrying `n > 1` launches (e.g. a multi-pass sort
+//! charged manually) advances the clock in `n` equal steps, one span each,
+//! so spans and kernel launches stay 1:1. [`crate::Device::wait`] advances
+//! it by an explicit duration (retry backoff), recorded as a host span with
+//! zero counters.
 //!
 //! Host [`PhaseEvent`] ranges (`device.phase("bulk_build")` guards) and
-//! allocator [`InstantEvent`]s are stamped from the same clock: an instant
+//! [`InstantEvent`]s ([`crate::Device::instant`]: allocator, fault and
+//! shard-health events) are stamped from the same clock: an instant
 //! recorded *inside* a launch carries the enclosing span's start time,
 //! because the modeled clock only advances between units.
 //!
@@ -41,8 +46,8 @@
 //! [`MetricsRegistry`] (see [`crate::metrics`]); phase durations are also
 //! folded into it as `phase.<name>` histograms in microseconds.
 
-use crate::cost::CostModel;
 use crate::counters::CounterSnapshot;
+use crate::device::Clock;
 use crate::json::Json;
 use crate::metrics::{MetricSummary, MetricsRegistry};
 use parking_lot::Mutex;
@@ -94,11 +99,11 @@ pub fn default_profiler() -> Option<ProfilerConfig> {
     *DEFAULT_PROFILER.lock().unwrap()
 }
 
-/// Causal trace context: identifies the client operation (and its parent
-/// span, if any) on whose behalf subsequently recorded spans and instants
-/// run. Minted per client op by the batch router and installed around each
-/// per-shard dispatch via [`crate::Device::trace_scope`], so every span a
-/// coalesced batch charges can be walked back to client traffic.
+/// Causal trace context: identifies the client operation on whose behalf
+/// subsequently recorded spans and instants run. Minted per client op by
+/// the batch router and installed around each per-shard dispatch via
+/// [`crate::Device::trace_scope`], so every span a coalesced batch charges
+/// can be walked back to client traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceCtx {
     /// Submitting session (client identity). [`TraceCtx::NO_SESSION`] for
@@ -107,29 +112,15 @@ pub struct TraceCtx {
     /// Client op id (or batch node id for coalesced dispatch), unique for
     /// the minting router's lifetime.
     pub op: u64,
-    /// Span id of the causal parent span (0 = the virtual client-op root).
-    pub parent_span: u64,
 }
 
 impl TraceCtx {
     /// Session id used for traffic that no client session submitted.
     pub const NO_SESSION: u64 = u64::MAX;
 
-    /// A root context for `op` submitted by `session`.
+    /// The context for `op` submitted by `session`.
     pub fn root(session: u64, op: u64) -> Self {
-        TraceCtx {
-            session,
-            op,
-            parent_span: 0,
-        }
-    }
-
-    /// The same context reparented under span `parent_span`.
-    pub fn under(self, parent_span: u64) -> Self {
-        TraceCtx {
-            parent_span,
-            ..self
-        }
+        TraceCtx { session, op }
     }
 }
 
@@ -137,16 +128,13 @@ impl TraceCtx {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanEvent {
     pub name: &'static str,
-    /// Modeled seconds since profiler attach.
+    /// The device clock when the unit started.
     pub start_s: f64,
-    /// `CostModel::seconds` of this unit's counter delta.
+    /// `CostModel::seconds` of this unit's counter delta (or the explicit
+    /// duration of a [`crate::Device::wait`]).
     pub dur_s: f64,
     /// The unit's counter delta (carried into Chrome trace `args`).
     pub counters: CounterSnapshot,
-    /// Monotonic span id, unique within this profiler (first span = 1).
-    pub id: u64,
-    /// Causal parent span id (`ctx.parent_span` at record time; 0 = root).
-    pub parent: u64,
     /// The trace context active when the span was recorded, if any.
     pub ctx: Option<TraceCtx>,
 }
@@ -205,14 +193,10 @@ impl<T: Clone> Ring<T> {
 
 #[derive(Debug)]
 struct ProfState {
-    /// The modeled clock, in seconds since attach.
-    now_s: f64,
     spans: Ring<SpanEvent>,
     host_spans: Ring<SpanEvent>,
     phases: Ring<PhaseEvent>,
     instants: Ring<InstantEvent>,
-    /// Next span id (kernel and host spans share the namespace).
-    next_span_id: u64,
     /// Active trace-context stack; the top stamps recorded events.
     ctx_stack: Vec<TraceCtx>,
 }
@@ -237,9 +221,10 @@ pub struct Timeline {
     pub spans: Vec<SpanEvent>,
     /// Host-side costed work that is not a kernel launch: top-level
     /// charges carrying no launch (baseline per-element traffic models)
-    /// and top-level [`crate::Device::unlaunched_scope`] sections. These
-    /// advance the modeled clock like kernel spans, so kernel spans plus
-    /// host spans together account for all modeled time.
+    /// top-level [`crate::Device::unlaunched_scope`] sections, and
+    /// [`crate::Device::wait`]s. Each records one advance of the modeled
+    /// clock, as a kernel span does, so kernel spans plus host spans
+    /// together account for all modeled time.
     pub host_spans: Vec<SpanEvent>,
     pub phases: Vec<PhaseEvent>,
     pub instants: Vec<InstantEvent>,
@@ -250,9 +235,6 @@ pub struct Timeline {
 /// all hooks are reached through `device.profiler()`.
 #[derive(Debug)]
 pub struct Profiler {
-    /// Drives the modeled clock (fixed to [`CostModel::titan_v`], matching
-    /// the bench harness).
-    model: CostModel,
     state: Mutex<ProfState>,
     metrics: MetricsRegistry,
 }
@@ -260,14 +242,11 @@ pub struct Profiler {
 impl Profiler {
     pub fn new(cfg: ProfilerConfig) -> Self {
         Profiler {
-            model: CostModel::titan_v(),
             state: Mutex::new(ProfState {
-                now_s: 0.0,
                 spans: Ring::new(cfg.ring_capacity),
                 host_spans: Ring::new(cfg.ring_capacity),
                 phases: Ring::new(cfg.ring_capacity),
                 instants: Ring::new(cfg.ring_capacity),
-                next_span_id: 1,
                 ctx_stack: Vec::new(),
             }),
             metrics: MetricsRegistry::new(),
@@ -279,69 +258,32 @@ impl Profiler {
         &self.metrics
     }
 
-    /// The modeled clock, in seconds since attach.
-    pub fn now_s(&self) -> f64 {
-        self.state.lock().now_s
-    }
-
-    /// Append one span for a completed top-level unit, stamped with the
-    /// active trace context, and advance the clock by its modeled
-    /// duration. Returns the span's id.
-    pub fn record_span(&self, name: &'static str, delta: CounterSnapshot) -> u64 {
-        self.push_span(|st| &mut st.spans, name, self.model.seconds(&delta), delta)
-    }
-
-    /// Append one *host* span — costed work outside any kernel launch
-    /// (see [`Timeline::host_spans`]) — and advance the clock by its
-    /// modeled duration. Returns the span's id.
-    pub fn record_host_span(&self, name: &'static str, delta: CounterSnapshot) -> u64 {
-        self.push_span(
-            |st| &mut st.host_spans,
-            name,
-            self.model.seconds(&delta),
-            delta,
-        )
-    }
-
-    /// Charge `dur_s` seconds of pure *wait* onto the modeled clock: a
-    /// host span with zero counters and an explicit duration. Retry
-    /// backoff uses this so waiting for a flaky shard is as visible in the
-    /// timeline — and as costly to the makespan — as the work itself.
-    /// Returns the span's id.
-    pub fn charge_wait(&self, name: &'static str, dur_s: f64) -> u64 {
-        self.push_span(
-            |st| &mut st.host_spans,
-            name,
-            dur_s,
-            CounterSnapshot::default(),
-        )
-    }
-
-    /// Append a span to the ring `ring` selects, stamped with the active
-    /// trace context, and advance the clock by `dur_s`.
-    fn push_span(
+    /// Append one span covering `[start_s, start_s + dur_s)` on the device
+    /// clock, stamped with the active trace context: a kernel span, or a
+    /// host span (see [`Timeline::host_spans`]) when `host`. Called by the
+    /// device as it advances its clock.
+    pub(crate) fn record_span(
         &self,
-        ring: fn(&mut ProfState) -> &mut Ring<SpanEvent>,
+        host: bool,
         name: &'static str,
+        start_s: f64,
         dur_s: f64,
         counters: CounterSnapshot,
-    ) -> u64 {
+    ) {
         let mut st = self.state.lock();
-        let start_s = st.now_s;
         let ctx = st.ctx_stack.last().copied();
-        let id = st.next_span_id;
-        st.next_span_id += 1;
-        ring(&mut st).push(SpanEvent {
+        let ring = if host {
+            &mut st.host_spans
+        } else {
+            &mut st.spans
+        };
+        ring.push(SpanEvent {
             name,
             start_s,
             dur_s,
             counters,
-            id,
-            parent: ctx.map_or(0, |c| c.parent_span),
             ctx,
         });
-        st.now_s += dur_s;
-        id
     }
 
     /// Push `ctx` onto the context stack. Prefer the RAII
@@ -356,44 +298,25 @@ impl Profiler {
         self.state.lock().ctx_stack.pop();
     }
 
-    /// Record a dropped top-level [`crate::trace::Charge`]'s tally as
-    /// spans. A tally carrying `n > 1` launches models `n` physical
-    /// launches and is split into `n` near-equal spans (remainders fold
-    /// into the earliest spans) so spans stay 1:1 with kernel launches;
-    /// the split is exact event-wise, so total modeled time is preserved.
-    /// A tally carrying *no* launch is host-side traffic and lands in the
-    /// host-span ring instead, keeping the kernel rows 1:1 with launches.
-    pub fn record_charge(&self, name: &'static str, tally: CounterSnapshot) {
-        if tally.launches == 0 {
-            self.record_host_span(name, tally);
-            return;
-        }
-        for part in tally.split(tally.launches) {
-            self.record_span(name, part);
-        }
-    }
-
-    /// Close a phase opened at modeled time `start_s`: appends the range
-    /// and folds its duration into the `phase.<name>` histogram (µs).
-    /// Called by [`PhaseGuard::drop`].
-    pub fn end_phase(&self, name: &'static str, start_s: f64) {
-        let mut st = self.state.lock();
-        let dur_s = (st.now_s - start_s).max(0.0);
-        st.phases.push(PhaseEvent {
+    /// Close a phase opened at device time `start_s` and ending at
+    /// `end_s`: appends the range and folds its duration into the
+    /// `phase.<name>` histogram (µs). Called by [`PhaseGuard::drop`].
+    pub(crate) fn end_phase(&self, name: &'static str, start_s: f64, end_s: f64) {
+        let dur_s = (end_s - start_s).max(0.0);
+        self.state.lock().phases.push(PhaseEvent {
             name,
             start_s,
             dur_s,
         });
-        drop(st);
         self.metrics
             .record(&format!("phase.{name}"), (dur_s * 1e6).round() as u64);
     }
 
-    /// Record a point event at the current modeled time, stamped with the
-    /// active trace context (fault instants inherit the dispatching op).
-    pub fn instant(&self, name: &'static str, detail: impl Into<String>) {
+    /// Record a point event at device time `at_s`, stamped with the active
+    /// trace context (fault instants inherit the dispatching op). Called by
+    /// [`crate::Device::instant`], which supplies the device clock.
+    pub(crate) fn instant(&self, at_s: f64, name: &'static str, detail: impl Into<String>) {
         let mut st = self.state.lock();
-        let at_s = st.now_s;
         let ctx = st.ctx_stack.last().copied();
         st.instants.push(InstantEvent {
             name,
@@ -459,8 +382,6 @@ impl Profiler {
                 .map(|(event, n)| (event.into(), Json::u64(n)))
                 .collect();
             if let Some(ctx) = s.ctx {
-                args.push(("trace_span".into(), Json::u64(s.id)));
-                args.push(("trace_parent".into(), Json::u64(s.parent)));
                 args.push(("trace_session".into(), Json::u64(ctx.session)));
                 args.push(("trace_op".into(), Json::u64(ctx.op)));
             }
@@ -486,7 +407,6 @@ impl Profiler {
             if let Some(ctx) = i.ctx {
                 args.push(("trace_session".into(), Json::u64(ctx.session)));
                 args.push(("trace_op".into(), Json::u64(ctx.op)));
-                args.push(("trace_parent".into(), Json::u64(ctx.parent_span)));
             }
             out.push(ChromeEvent {
                 name: i.name.to_string(),
@@ -518,13 +438,15 @@ pub const TID_HOST: u64 = 3;
 /// phase immediately (`#[must_use]`; clippy's `-D warnings` rejects it).
 #[must_use = "binding the guard keeps the phase open; a discarded guard closes it immediately"]
 pub struct PhaseGuard {
-    pub(crate) inner: Option<(std::sync::Arc<Profiler>, &'static str, f64)>,
+    /// The profiler, the device clock, the phase name and its start time.
+    pub(crate) inner: Option<(std::sync::Arc<Profiler>, Clock, &'static str, f64)>,
 }
 
 impl Drop for PhaseGuard {
     fn drop(&mut self) {
-        if let Some((prof, name, start_s)) = self.inner.take() {
-            prof.end_phase(name, start_s);
+        if let Some((prof, clock, name, start_s)) = self.inner.take() {
+            let end_s = *clock.lock();
+            prof.end_phase(name, start_s, end_s);
         }
     }
 }
@@ -691,23 +613,27 @@ pub fn parse_chrome_trace(text: &str) -> Result<Vec<ChromeEvent>, String> {
         .collect()
 }
 
-/// Synthesize Chrome flow events (`ph` `"s"`/`"t"`/`"f"`, flow id = op id)
-/// from ctx-stamped spans, so Perfetto draws an arrow chain across every
+/// Synthesize Chrome flow events (`ph` `"s"`/`"t"`/`"f"`, named `op#<op>`,
+/// one flow id per `(session, op)`) from ctx-stamped spans, so Perfetto draws an arrow chain across every
 /// span — on any shard pid — that ran on a given client op's behalf. Ops
 /// that touched fewer than two spans get no flow (nothing to connect).
 /// Append the result to the span events before [`chrome_trace_json`].
 pub fn op_flow_events(events: &[ChromeEvent]) -> Vec<ChromeEvent> {
     use std::collections::BTreeMap;
-    let mut by_op: BTreeMap<u64, Vec<&ChromeEvent>> = BTreeMap::new();
+    // Keyed by (session, op): a router's client ops and its graph's
+    // session-less direct dispatches draw op ids from separate counters.
+    let mut by_op: BTreeMap<(u64, u64), Vec<&ChromeEvent>> = BTreeMap::new();
     for e in events {
         if e.ph == "X" {
-            if let Some(op) = e.trace_arg("trace_op") {
-                by_op.entry(op).or_default().push(e);
+            if let (Some(session), Some(op)) =
+                (e.trace_arg("trace_session"), e.trace_arg("trace_op"))
+            {
+                by_op.entry((session, op)).or_default().push(e);
             }
         }
     }
     let mut out = Vec::new();
-    for (op, mut spans) in by_op {
+    for (flow_id, ((_, op), mut spans)) in (1..).zip(by_op) {
         if spans.len() < 2 {
             continue;
         }
@@ -729,89 +655,11 @@ pub fn op_flow_events(events: &[ChromeEvent]) -> Vec<ChromeEvent> {
                 pid: s.pid,
                 tid: s.tid,
                 args: Vec::new(),
-                flow_id: Some(op),
+                flow_id: Some(flow_id),
             });
         }
     }
     out
-}
-
-/// One client op's reconstructed lifecycle: every ctx-stamped span and
-/// instant that ran on its behalf, time-ordered across shard pids.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OpLifecycle {
-    pub op: u64,
-    pub session: u64,
-    /// The op's spans (`ph == "X"`), sorted by `(ts, pid)`.
-    pub spans: Vec<ChromeEvent>,
-    /// Instants (faults, health transitions) stamped with the op's ctx.
-    pub instants: Vec<ChromeEvent>,
-}
-
-impl OpLifecycle {
-    /// Total modeled microseconds across the op's spans.
-    pub fn span_total_us(&self) -> f64 {
-        self.spans.iter().map(|s| s.dur_us).sum()
-    }
-}
-
-/// Reconstruct per-op lifecycles from a (possibly multi-shard, merged)
-/// Chrome event stream, validating span parenting as it ingests: within
-/// each pid, every span's `trace_parent` chain must terminate at the
-/// virtual root (0) without revisiting a span. A cycle — which would make
-/// "walk to the causal root" diverge — is rejected with an error naming
-/// the offending span. Events without trace args are skipped (untraced
-/// setup work).
-pub fn assemble_lifecycles(events: &[ChromeEvent]) -> Result<Vec<OpLifecycle>, String> {
-    use std::collections::BTreeMap;
-    // (pid, span id) → parent span id, for cycle checking.
-    let mut parents: BTreeMap<(u64, u64), u64> = BTreeMap::new();
-    for e in events {
-        if e.ph != "X" {
-            continue;
-        }
-        if let (Some(id), Some(parent)) = (e.trace_arg("trace_span"), e.trace_arg("trace_parent")) {
-            parents.insert((e.pid, id), parent);
-        }
-    }
-    for &(pid, id) in parents.keys() {
-        let mut seen = std::collections::BTreeSet::new();
-        let mut cur = id;
-        while cur != 0 {
-            if !seen.insert(cur) {
-                return Err(format!(
-                    "span parent cycle at pid {pid} span {cur}: the causal chain never reaches a client op"
-                ));
-            }
-            cur = parents.get(&(pid, cur)).copied().unwrap_or(0);
-        }
-    }
-    let mut by_op: BTreeMap<u64, OpLifecycle> = BTreeMap::new();
-    for e in events {
-        let Some(op) = e.trace_arg("trace_op") else {
-            continue;
-        };
-        let session = e.trace_arg("trace_session").unwrap_or(TraceCtx::NO_SESSION);
-        let life = by_op.entry(op).or_insert_with(|| OpLifecycle {
-            op,
-            session,
-            spans: Vec::new(),
-            instants: Vec::new(),
-        });
-        match e.ph.as_str() {
-            "X" => life.spans.push(e.clone()),
-            "i" => life.instants.push(e.clone()),
-            _ => {}
-        }
-    }
-    let mut out: Vec<OpLifecycle> = by_op.into_values().collect();
-    for life in &mut out {
-        life.spans
-            .sort_by(|a, b| a.ts_us.total_cmp(&b.ts_us).then(a.pid.cmp(&b.pid)));
-        life.instants
-            .sort_by(|a, b| a.ts_us.total_cmp(&b.ts_us).then(a.pid.cmp(&b.pid)));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -827,54 +675,11 @@ mod tests {
     }
 
     #[test]
-    fn spans_advance_the_modeled_clock() {
-        let p = Profiler::new(ProfilerConfig::default());
-        p.record_span("a", snap(0, 1));
-        p.record_span("b", snap(0, 2));
-        let t = p.timeline();
-        assert_eq!(t.spans.len(), 2);
-        assert!((t.spans[0].dur_s - 5e-6).abs() < 1e-12);
-        assert!((t.spans[1].start_s - 5e-6).abs() < 1e-12);
-        assert!((p.now_s() - 15e-6).abs() < 1e-12);
-        assert_eq!(t.stats.spans_recorded, 2);
-        assert_eq!(t.stats.spans_dropped, 0);
-    }
-
-    #[test]
-    fn charge_with_many_launches_splits_into_equal_spans() {
-        let p = Profiler::new(ProfilerConfig::default());
-        let tally = CounterSnapshot {
-            transactions: 10,
-            launches: 3,
-            atomics: 2,
-            ..Default::default()
-        };
-        p.record_charge("radix", tally);
-        let t = p.timeline();
-        assert_eq!(t.spans.len(), 3);
-        let mut sum = CounterSnapshot::default();
-        let mut dur = 0.0;
-        for s in &t.spans {
-            assert_eq!(s.name, "radix");
-            assert_eq!(s.counters.launches, 1);
-            sum.transactions += s.counters.transactions;
-            sum.atomics += s.counters.atomics;
-            sum.launches += s.counters.launches;
-            dur += s.dur_s;
-        }
-        assert_eq!(sum.transactions, 10);
-        assert_eq!(sum.atomics, 2);
-        assert_eq!(sum.launches, 3);
-        let total = CostModel::titan_v().seconds(&tally);
-        assert!((dur - total).abs() < 1e-15, "split preserves modeled time");
-    }
-
-    #[test]
     fn ring_overwrites_oldest_and_counts_drops() {
         let p = Profiler::new(ProfilerConfig::default().with_ring_capacity(2));
-        p.record_span("a", snap(1, 1));
-        p.record_span("b", snap(1, 1));
-        p.record_span("c", snap(1, 1));
+        p.record_span(false, "a", 0.0, 1e-6, snap(1, 1));
+        p.record_span(false, "b", 1e-6, 1e-6, snap(1, 1));
+        p.record_span(false, "c", 2e-6, 1e-6, snap(1, 1));
         let t = p.timeline();
         assert_eq!(t.spans.len(), 2);
         assert_eq!(t.spans[0].name, "b");
@@ -885,11 +690,10 @@ mod tests {
     #[test]
     fn phases_record_ranges_and_feed_metrics() {
         let p = Profiler::new(ProfilerConfig::default());
-        let start = p.now_s();
-        p.record_span("k", snap(0, 2));
-        p.end_phase("bulk_build", start);
+        p.end_phase("bulk_build", 5e-6, 15e-6);
         let t = p.timeline();
         assert_eq!(t.phases.len(), 1);
+        assert!((t.phases[0].start_s - 5e-6).abs() < 1e-12);
         assert!((t.phases[0].dur_s - 10e-6).abs() < 1e-12);
         let s = p.metric_summaries();
         let ph = s.iter().find(|m| m.name == "phase.bulk_build").unwrap();
@@ -898,24 +702,12 @@ mod tests {
     }
 
     #[test]
-    fn instants_stamp_current_time() {
-        let p = Profiler::new(ProfilerConfig::default());
-        p.record_span("k", snap(0, 1));
-        p.instant("oom", "slab pool exhausted");
-        let t = p.timeline();
-        assert_eq!(t.instants.len(), 1);
-        assert!((t.instants[0].at_s - 5e-6).abs() < 1e-12);
-        assert_eq!(t.instants[0].detail, "slab pool exhausted");
-    }
-
-    #[test]
     fn chrome_trace_roundtrips_exactly() {
         let p = Profiler::new(ProfilerConfig::default());
-        let start = p.now_s();
-        p.record_span("edge_insert", snap(1000, 1));
-        p.instant("slab_alloc", "slab 0x40");
-        p.record_span("edge_delete", snap(10, 1));
-        p.end_phase("churn_round", start);
+        p.record_span(false, "edge_insert", 0.0, 5.2e-6, snap(1000, 1));
+        p.instant(5.2e-6, "slab_alloc", "slab 0x40");
+        p.record_span(false, "edge_delete", 5.2e-6, 5e-6, snap(10, 1));
+        p.end_phase("churn_round", 0.0, 10.2e-6);
         let events = p.chrome_events(7);
         assert_eq!(events.len(), 4);
         let text = chrome_trace_json(&events);
@@ -938,46 +730,26 @@ mod tests {
     #[test]
     fn ctx_scopes_stamp_spans_and_instants() {
         let p = Profiler::new(ProfilerConfig::default());
-        p.record_span("untraced", snap(1, 1));
+        p.record_span(false, "untraced", 0.0, 1e-6, snap(1, 1));
         let ctx = TraceCtx::root(3, 42);
         p.push_ctx(ctx);
-        let id = p.record_span("traced", snap(1, 1));
-        p.instant("fault_injected", "kernel fault");
+        p.record_span(true, "traced", 1e-6, 1e-6, snap(1, 0));
+        p.instant(2e-6, "fault_injected", "kernel fault");
         p.pop_ctx();
-        p.record_span("after", snap(1, 1));
+        p.record_span(false, "after", 2e-6, 1e-6, snap(1, 1));
         let t = p.timeline();
         assert_eq!(t.spans[0].ctx, None);
-        assert_eq!(t.spans[1].ctx, Some(ctx));
-        assert_eq!(t.spans[1].id, id);
-        assert_eq!(t.spans[1].parent, 0);
-        assert_eq!(t.spans[2].ctx, None, "scope popped");
+        assert_eq!(t.host_spans[0].ctx, Some(ctx));
+        assert_eq!(t.spans[1].ctx, None, "scope popped");
         assert_eq!(t.instants[0].ctx, Some(ctx), "instants inherit the op");
-        // Ids are monotonic and unique across kernel and host spans.
-        assert_eq!(t.spans.iter().map(|s| s.id).collect::<Vec<_>>(), [1, 2, 3]);
         // Chrome export carries the trace args only for stamped spans.
         let events = p.chrome_events(0);
         let traced = events.iter().find(|e| e.name == "traced").unwrap();
+        assert_eq!(traced.tid, TID_HOST);
         assert_eq!(traced.trace_arg("trace_op"), Some(42));
         assert_eq!(traced.trace_arg("trace_session"), Some(3));
-        assert_eq!(traced.trace_arg("trace_span"), Some(id));
         let untraced = events.iter().find(|e| e.name == "untraced").unwrap();
         assert_eq!(untraced.trace_arg("trace_op"), None);
-    }
-
-    #[test]
-    fn nested_ctx_reparenting_builds_chains() {
-        let p = Profiler::new(ProfilerConfig::default());
-        let root = TraceCtx::root(0, 7);
-        p.push_ctx(root);
-        let dispatch = p.record_span("router.dispatch", snap(0, 1));
-        p.push_ctx(root.under(dispatch));
-        p.record_span("edge_insert", snap(10, 1));
-        p.pop_ctx();
-        p.pop_ctx();
-        let t = p.timeline();
-        assert_eq!(t.spans[0].parent, 0);
-        assert_eq!(t.spans[1].parent, dispatch, "child chains to the dispatch");
-        assert_eq!(t.spans[1].ctx.unwrap().op, 7, "op identity propagates");
     }
 
     #[test]
@@ -988,7 +760,13 @@ mod tests {
         for pid in [10u64, 11] {
             let p = Profiler::new(ProfilerConfig::default());
             p.push_ctx(ctx);
-            p.record_span("edge_insert", snap(100 * (pid - 9), 1));
+            p.record_span(
+                false,
+                "edge_insert",
+                (pid - 10) as f64 * 1e-6,
+                5e-6,
+                snap(1, 1),
+            );
             p.pop_ctx();
             events.extend(p.chrome_events(pid));
         }
@@ -996,7 +774,8 @@ mod tests {
         assert_eq!(flows.len(), 2, "start + finish for a two-span op");
         assert_eq!(flows[0].ph, "s");
         assert_eq!(flows[1].ph, "f");
-        assert_eq!(flows[0].flow_id, Some(99));
+        assert_eq!(flows[0].flow_id, Some(1));
+        assert_eq!(flows[0].name, "op#99");
         assert_eq!(flows[0].pid, 10);
         assert_eq!(flows[1].pid, 11, "flow crosses shard pids");
         // The merged document (spans + flows) round-trips exactly.
@@ -1007,55 +786,22 @@ mod tests {
         let pids: std::collections::BTreeSet<u64> = parsed.iter().map(|e| e.pid).collect();
         assert_eq!(pids.into_iter().collect::<Vec<_>>(), vec![10, 11]);
         // A flow event serialized without its id is rejected.
-        let no_id = text.replacen(r#""id": 99"#, r#""note": 99"#, 1);
+        let no_id = text.replacen(r#""id": 1"#, r#""note": 1"#, 1);
         assert_ne!(no_id, text);
         assert!(parse_chrome_trace(&no_id).unwrap_err().contains("'id'"));
     }
 
     #[test]
     fn single_span_ops_get_no_flow() {
+        // Op 5 of session 0 and op 5 of a session-less dispatch are two
+        // ops of one span each.
         let p = Profiler::new(ProfilerConfig::default());
-        p.push_ctx(TraceCtx::root(0, 5));
-        p.record_span("edge_insert", snap(1, 1));
-        p.pop_ctx();
-        assert!(op_flow_events(&p.chrome_events(0)).is_empty());
-    }
-
-    #[test]
-    fn lifecycles_assemble_per_op_and_reject_parent_cycles() {
-        let p = Profiler::new(ProfilerConfig::default());
-        let a = TraceCtx::root(0, 1);
-        let b = TraceCtx::root(1, 2);
-        p.push_ctx(a);
-        let root_span = p.record_span("router.dispatch", snap(0, 1));
-        p.push_ctx(a.under(root_span));
-        p.record_span("edge_insert", snap(5, 1));
-        p.instant("fault_injected", "boom");
-        p.pop_ctx();
-        p.pop_ctx();
-        p.push_ctx(b);
-        p.record_span("edge_delete", snap(5, 1));
-        p.pop_ctx();
-        let events = p.chrome_events(0);
-        let lives = assemble_lifecycles(&events).unwrap();
-        assert_eq!(lives.len(), 2);
-        assert_eq!(lives[0].op, 1);
-        assert_eq!(lives[0].session, 0);
-        assert_eq!(lives[0].spans.len(), 2);
-        assert_eq!(lives[0].instants.len(), 1);
-        assert_eq!(lives[1].op, 2);
-        assert!(lives[0].span_total_us() > 0.0);
-        // A forged parent cycle (span 1 → span 2 → span 1) is rejected.
-        let mut forged = events.clone();
-        for e in &mut forged {
-            for (k, v) in &mut e.args {
-                if k == "trace_parent" {
-                    *v = Json::u64(if matches!(v.as_u64(), Some(0)) { 2 } else { 1 });
-                }
-            }
+        for session in [0, TraceCtx::NO_SESSION] {
+            p.push_ctx(TraceCtx::root(session, 5));
+            p.record_span(false, "edge_insert", 0.0, 5e-6, snap(1, 1));
+            p.pop_ctx();
         }
-        let err = assemble_lifecycles(&forged).unwrap_err();
-        assert!(err.contains("cycle"), "{err}");
+        assert!(op_flow_events(&p.chrome_events(0)).is_empty());
     }
 
     #[test]

@@ -19,7 +19,6 @@ use crate::cost::CostModel;
 use crate::counters::{CounterSnapshot, Event, PerfCounters, EVENTS};
 use crate::json::Json;
 use crate::metrics::{MetricKind, MetricSummary};
-use crate::profiler::Profiler;
 use crate::sanitizer::{Finding, FindingKind};
 use std::sync::Arc;
 
@@ -105,18 +104,19 @@ impl KernelRegistry {
 /// `add_*` call lands in both the device-wide tally and the named kernel's
 /// tally, preserving the attribution invariant at manual charge sites.
 ///
-/// On a profiled device a *top-level* handle (no enclosing launch or
-/// scope) is itself an attribution unit: it tallies its own charges and
-/// records them as timeline spans when dropped (see
-/// [`crate::profiler::Profiler::record_charge`]). Charges issued under an
-/// active scope are covered by the enclosing unit's span instead.
+/// A *top-level* handle (no enclosing launch or scope) is itself an
+/// attribution unit: it tallies its own charges and advances the device's
+/// modeled clock by them when dropped (one timeline span per launch on a
+/// profiled device). Charges issued under an active scope are covered by
+/// the enclosing unit instead.
 pub struct Charge<'d> {
     pub(crate) global: &'d PerfCounters,
     pub(crate) kernel: Arc<PerfCounters>,
-    /// Present iff this handle is top-level on a profiled device.
-    pub(crate) prof: Option<(Arc<Profiler>, &'static str)>,
-    /// Self-tally for the drop-time span; only maintained when `prof` is
-    /// set, so an unprofiled handle's cost is unchanged.
+    /// The device and attribution name, present iff this handle is
+    /// top-level.
+    pub(crate) unit: Option<(&'d crate::Device, &'static str)>,
+    /// Self-tally for the drop-time clock advance; only maintained when
+    /// `unit` is set.
     pub(crate) tally: std::cell::Cell<CounterSnapshot>,
 }
 
@@ -149,12 +149,12 @@ impl Charge<'_> {
         self.tally_event(Event::WordsAllocated, n);
     }
 
-    /// The one tally path: global, kernel, and (top-level on a profiled
-    /// device) the handle's own span tally.
+    /// The one tally path: global, kernel, and (top-level) the handle's
+    /// own tally.
     fn tally_event(&self, event: Event, n: u64) {
         self.global.add_event(event, n);
         self.kernel.add_event(event, n);
-        if self.prof.is_some() {
+        if self.unit.is_some() {
             let mut t = self.tally.get();
             t.add_event(event, n);
             self.tally.set(t);
@@ -164,10 +164,10 @@ impl Charge<'_> {
 
 impl Drop for Charge<'_> {
     fn drop(&mut self) {
-        if let Some((prof, name)) = &self.prof {
+        if let Some((dev, name)) = self.unit {
             let tally = self.tally.get();
             if tally != CounterSnapshot::default() {
-                prof.record_charge(name, tally);
+                dev.end_charge(name, tally);
             }
         }
     }
@@ -252,8 +252,10 @@ pub struct TraceReport {
 }
 
 impl TraceReport {
-    /// Build a report from a (usually delta'd) snapshot under `model`.
-    pub fn new(trace: &TraceSnapshot, model: &CostModel) -> Self {
+    /// Build a report from a (usually delta'd) snapshot, priced by
+    /// [`CostModel::titan_v`] like the device clock.
+    pub fn new(trace: &TraceSnapshot) -> Self {
+        let model = CostModel::titan_v();
         let mut rows: Vec<TraceRow> = trace
             .kernels
             .iter()
@@ -607,7 +609,7 @@ mod tests {
                 },
             ],
         };
-        let report = TraceReport::new(&trace, &CostModel::titan_v());
+        let report = TraceReport::new(&trace);
         assert_eq!(report.rows[0].name, "hot");
         assert_eq!(report.kernel_sum(), trace.global);
         let rendered = report.render();
@@ -638,7 +640,7 @@ mod tests {
                 },
             ],
         };
-        let report = TraceReport::new(&trace, &CostModel::titan_v());
+        let report = TraceReport::new(&trace);
         let parsed = TraceReport::from_json(&report.to_json().render_pretty()).unwrap();
         assert_eq!(parsed, report);
     }
@@ -673,8 +675,7 @@ mod tests {
             other_warp: NO_WARP,
             note: "freed slab".into(),
         };
-        let report =
-            TraceReport::new(&trace, &CostModel::titan_v()).with_findings(vec![finding, clean]);
+        let report = TraceReport::new(&trace).with_findings(vec![finding, clean]);
         let parsed = TraceReport::from_json(&report.to_json().render_pretty()).unwrap();
         assert_eq!(parsed, report);
         let rendered = report.render();
@@ -714,7 +715,7 @@ mod tests {
                 p99: 12,
             },
         ];
-        let report = TraceReport::new(&trace, &CostModel::titan_v()).with_metrics(metrics);
+        let report = TraceReport::new(&trace).with_metrics(metrics);
         let parsed = TraceReport::from_json(&report.to_json().render_pretty()).unwrap();
         assert_eq!(parsed, report);
         let rendered = report.render();
@@ -736,16 +737,13 @@ mod tests {
     /// field — never panics, never silently defaults.
     #[test]
     fn from_json_errors_name_the_offending_field() {
-        let good = TraceReport::new(
-            &TraceSnapshot {
-                global: snap(10, 1),
-                kernels: vec![KernelStats {
-                    name: "edge_insert",
-                    counters: snap(10, 1),
-                }],
-            },
-            &CostModel::titan_v(),
-        )
+        let good = TraceReport::new(&TraceSnapshot {
+            global: snap(10, 1),
+            kernels: vec![KernelStats {
+                name: "edge_insert",
+                counters: snap(10, 1),
+            }],
+        })
         .to_json()
         .render_pretty();
 

@@ -8,8 +8,8 @@
 
 use gpu_sim::sanitizer::NO_WARP;
 use gpu_sim::{
-    chrome_trace_json, CostModel, CounterSnapshot, Finding, FindingKind, KernelStats, MetricKind,
-    MetricSummary, Profiler, ProfilerConfig, TraceCtx, TraceReport, TraceSnapshot,
+    chrome_trace_json, CounterSnapshot, Device, DeviceConfig, Finding, FindingKind, KernelStats,
+    MetricKind, MetricSummary, ProfilerConfig, TraceCtx, TraceReport, TraceSnapshot,
 };
 
 fn counters(seed: u64) -> CounterSnapshot {
@@ -52,7 +52,7 @@ fn full_report() -> TraceReport {
             },
         ],
     };
-    TraceReport::new(&trace, &CostModel::titan_v())
+    TraceReport::new(&trace)
         .with_findings(vec![
             Finding {
                 kind: FindingKind::RaceWriteWrite,
@@ -115,15 +115,42 @@ fn report_json_is_byte_identical_to_golden() {
     assert_eq!(TraceReport::from_json(&json).unwrap(), report);
 }
 
+/// Charge every event of `c` through one handle.
+fn charge_all(dev: &Device, name: &'static str, c: CounterSnapshot) {
+    let h = dev.charge(name);
+    h.add_transactions(c.transactions);
+    h.add_atomics(c.atomics);
+    h.add_ballots(c.ballots);
+    h.add_shuffles(c.shuffles);
+    h.add_launches(c.launches);
+    h.add_warps(c.warps);
+    h.add_words_allocated(c.words_allocated);
+}
+
 #[test]
 fn chrome_trace_is_byte_identical_to_golden() {
-    let p = Profiler::new(ProfilerConfig::default());
-    p.record_span("edge_insert", counters(2));
-    p.push_ctx(TraceCtx::root(4, 9).under(1));
-    p.record_host_span("(host)", counters(0));
-    p.pop_ctx();
+    let dev = Device::with_config(DeviceConfig::new(64).with_profiler(ProfilerConfig::default()));
+    // One kernel span of `counters(2)`: the fused scope charges one of its
+    // two launches, the nested charge the rest.
+    let kernel = counters(2);
+    dev.fused_scope("edge_insert", || {
+        charge_all(
+            &dev,
+            "edge_insert",
+            CounterSnapshot {
+                launches: kernel.launches - 1,
+                ..kernel
+            },
+        )
+    });
+    // Then one traced host span: a top-level charge carrying no launch.
+    {
+        let _trace = dev.trace_scope(TraceCtx::root(4, 9));
+        charge_all(&dev, "(host)", counters(0));
+    }
+    let prof = dev.profiler().unwrap();
     assert_eq!(
-        chrome_trace_json(&p.chrome_events(7)),
+        chrome_trace_json(&prof.chrome_events(7)),
         include_str!("../testdata/chrome_trace.json")
     );
 }

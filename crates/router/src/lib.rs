@@ -42,8 +42,8 @@
 //! next `flush` — with or without new updates — resumes it.
 
 use gpu_sim::{
-    CostModel, Device, DeviceConfig, DeviceFault, DeviceGroup, ExecPolicy, MetricsRegistry,
-    TraceCtx, TraceReport,
+    Device, DeviceConfig, DeviceFault, DeviceGroup, ExecPolicy, MetricsRegistry, TraceCtx,
+    TraceReport,
 };
 use parking_lot::{Mutex, RwLock};
 use slabgraph::{
@@ -645,9 +645,9 @@ impl std::fmt::Display for ShardHealth {
 }
 
 /// Bounded-retry policy for failed launch admissions. Backoff is charged
-/// on the *modeled* clock ([`gpu_sim::Profiler::charge_wait`]) and added
-/// to the shard's [`ShardOutcome::modeled_s`], so waiting on a flaky
-/// shard costs makespan exactly like work does.
+/// on the shard device's *modeled* clock ([`gpu_sim::Device::wait`]), so
+/// it lands in the shard's [`ShardOutcome::modeled_s`] and waiting on a
+/// flaky shard costs makespan exactly like work does.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Admission retries per dispatch before the shard is marked Down.
@@ -1068,8 +1068,9 @@ pub struct ShardOutcome {
     pub insert: Option<BatchOutcome>,
     /// Outcome of the deletes in the shard's journal log.
     pub delete: Option<BatchOutcome>,
-    /// Modeled GPU seconds this shard spent on the flush, *including*
-    /// retry backoff charged on the modeled clock.
+    /// Modeled GPU seconds this shard spent on the flush: its device
+    /// clock's advance across admission and replay, so retry backoff is
+    /// included.
     pub modeled_s: f64,
     /// The retry-backoff portion of [`Self::modeled_s`] — kernel time is
     /// `modeled_s - backoff_s`. Latency attribution splits per-op shares
@@ -1199,7 +1200,7 @@ impl<'g> BatchRouter<'g> {
     }
 
     /// The router's modeled clock: the group makespan (max of the
-    /// per-shard profiler clocks). Queue latency is measured on it.
+    /// per-shard device clocks). Queue latency is measured on it.
     fn clock_s(&self) -> f64 {
         self.graph.group().clock_s()
     }
@@ -1273,8 +1274,9 @@ impl<'g> BatchRouter<'g> {
         }
         st.health = to;
         self.serving[s].store(to.is_dispatchable(), Ordering::Release);
-        if let Some(p) = self.graph.group().device(s).profiler() {
-            p.instant("shard_health", format!("shard {s}: {from} -> {to}"));
+        let dev = self.graph.group().device(s);
+        if let Some(p) = dev.profiler() {
+            dev.instant("shard_health", format!("shard {s}: {from} -> {to}"));
             p.metrics().record("router.health_transitions", 1);
         }
     }
@@ -1311,8 +1313,8 @@ impl<'g> BatchRouter<'g> {
                     st.retries += 1;
                     st.backoff_s += wait;
                     backoff += wait;
+                    dev.wait("router.backoff", wait);
                     if let Some(p) = dev.profiler() {
-                        p.charge_wait("router.backoff", wait);
                         p.metrics()
                             .record("router.retry_backoff_us", (wait * 1e6) as u64);
                     }
@@ -1410,7 +1412,6 @@ impl<'g> BatchRouter<'g> {
                     .set(st.journal.depth() as u64);
             }
         }
-        let model = CostModel::titan_v();
         let dispatched = self.graph.group().dispatch(|s, dev| {
             let mut st = self.states[s].lock();
             let mut outcome = ShardOutcome {
@@ -1444,9 +1445,9 @@ impl<'g> BatchRouter<'g> {
             // traffic.
             let _trace = dev.trace_scope(first);
             let log = st.journal.log.clone();
+            let t0 = dev.clock_s();
             let done = match self.admit(&mut st, s, dev) {
                 Err((backoff, fault)) => {
-                    outcome.modeled_s = backoff;
                     outcome.backoff_s = backoff;
                     // A rejected update keeps its report; the fault still
                     // shows as the shard's Down health.
@@ -1458,12 +1459,9 @@ impl<'g> BatchRouter<'g> {
                 }
                 Ok(backoff) => {
                     let g = self.graph.shard(s);
-                    let before = dev.counters().snapshot();
                     let _phase = dev.phase("router.flush");
                     let done = replay(Some(&g), &log);
                     drop(_phase);
-                    let delta = dev.counters().snapshot().delta(&before);
-                    outcome.modeled_s = model.seconds(&delta) + backoff;
                     outcome.backoff_s = backoff;
                     // A clean dispatch heals a Suspect shard.
                     self.set_health(&mut st, s, ShardHealth::Healthy);
@@ -1476,6 +1474,7 @@ impl<'g> BatchRouter<'g> {
                     done
                 }
             };
+            outcome.modeled_s = dev.clock_s() - t0;
             outcome.health = st.health;
             outcome.insert = done.insert;
             outcome.delete = done.delete;
@@ -1553,7 +1552,7 @@ impl<'g> BatchRouter<'g> {
     /// rebuilt shard is re-admitted (they stay in `Rebuilding`) and the
     /// audit error is returned.
     pub fn rebuild_downed(&self) -> Result<Vec<usize>, ShardedValidationError> {
-        let mut replayed: Vec<(usize, Vec<JournalEntry>, Option<f64>)> = Vec::new();
+        let mut replayed: Vec<(usize, Vec<JournalEntry>, f64)> = Vec::new();
         let mut out_of_memory = false;
         for s in 0..self.graph.num_shards() {
             // Snapshot the replay image, then release the state lock for
@@ -1577,7 +1576,7 @@ impl<'g> BatchRouter<'g> {
             // the oldest write the rebuild is recovering.
             let ctx = first.unwrap_or_else(|| self.graph.dispatch_ctx());
             let _trace = dev.trace_scope(ctx);
-            let t0 = dev.profiler().map(|p| p.now_s());
+            let t0 = dev.clock_s();
             // The checkpoint is a map; sort for a deterministic replay.
             checkpoint.sort_unstable_by_key(|e| (e.src, e.dst));
             let base: Vec<JournalEntry> = checkpoint
@@ -1603,8 +1602,7 @@ impl<'g> BatchRouter<'g> {
                 self.set_health(&mut self.states[s].lock(), s, ShardHealth::Down);
                 continue;
             }
-            let dur = t0.and_then(|t0| dev.profiler().map(|p| p.now_s() - t0));
-            replayed.push((s, log, dur));
+            replayed.push((s, log, dev.clock_s() - t0));
         }
         if out_of_memory || replayed.is_empty() {
             // A half-replayed shard would fail the audit: after an OOM the
@@ -1626,18 +1624,17 @@ impl<'g> BatchRouter<'g> {
             st.journal.ack(&applied);
             st.rebuilds += 1;
             self.set_health(&mut st, s, ShardHealth::Healthy);
-            if let Some(p) = self.graph.group().device(s).profiler() {
+            let dev = self.graph.group().device(s);
+            if let Some(p) = dev.profiler() {
                 p.metrics()
                     .gauge("router.journal_depth")
                     .set(st.journal.depth() as u64);
-                if let Some(d) = dur {
-                    p.metrics().record("router.rebuild_us", (d * 1e6) as u64);
-                }
-                p.instant("shard_rebuilt", format!("shard {s}"));
+                p.metrics().record("router.rebuild_us", (dur * 1e6) as u64);
+                dev.instant("shard_rebuilt", format!("shard {s}"));
             }
             // Each replayed op is charged an even share of the rebuild as
             // kernel time.
-            self.charge(s, &log, &applied, dur.unwrap_or(0.0), 0.0, true);
+            self.charge(s, &log, &applied, dur, 0.0, true);
             rebuilt.push(s);
         }
         Ok(rebuilt)
@@ -1656,8 +1653,8 @@ impl<'g> BatchRouter<'g> {
     /// Rebuilding at pin time get no guard; reads routed to them degrade.
     /// Nothing on this path touches the per-shard state mutex, so a flush
     /// mid-dispatch never blocks a pinned read (and vice versa). Reads
-    /// under this pin are untraced: they mint no op, snapshot no
-    /// counters, and never lock the op tracker.
+    /// under this pin are untraced: they mint no op, read no clock, and
+    /// never lock the op tracker.
     pub fn pin_read(&self) -> LiveReadPin {
         self.pin(None)
     }
@@ -1728,10 +1725,9 @@ impl<'g> BatchRouter<'g> {
             };
             let dev = self.graph.group().device(s);
             let _trace = dev.trace_scope(ctx);
-            let before = dev.counters().snapshot();
+            let t0 = dev.clock_s();
             let answer = self.pinned_query(pin, s, &query)?;
-            let cost_s = CostModel::titan_v().seconds(&dev.counters().snapshot().delta(&before));
-            answered.push((s, as_ns(cost_s)));
+            answered.push((s, as_ns(dev.clock_s() - t0)));
             Some(answer)
         };
         let (answers, quality) = match ask(owner) {
@@ -1828,8 +1824,8 @@ impl<'g> BatchRouter<'g> {
     /// summaries merged into its metric rows, sorted by name. The
     /// `op.{queue,backoff,kernel,degraded,total}_ns` rows are the
     /// per-component attribution (p50/p95/p99 over completed ops).
-    pub fn trace_report(&self, model: &CostModel) -> TraceReport {
-        let mut report = self.graph.group().merged_report(model);
+    pub fn trace_report(&self) -> TraceReport {
+        let mut report = self.graph.group().merged_report();
         report.metrics.extend(self.op_metrics.summaries());
         report.metrics.sort_by(|a, b| a.name.cmp(&b.name));
         report

@@ -280,7 +280,7 @@ impl SlabAllocator {
         if let Some(p) = dev.profiler() {
             let words = (supers.len() * (SLABS_PER_SUPER * SLAB_WORDS + BLOCKS_PER_SUPER)) as u64;
             p.metrics().gauge("slab_alloc.pool_words").set(words);
-            p.instant(
+            dev.instant(
                 "slab_pool_grow",
                 format!("super-blocks: {}, pool words: {words}", supers.len()),
             );
@@ -367,7 +367,7 @@ impl SlabAllocator {
                         }
                         if let Some(p) = warp.device().profiler() {
                             p.metrics().gauge("slab_alloc.live_slabs").add(1);
-                            p.instant(
+                            warp.device().instant(
                                 "slab_alloc",
                                 format!("slab {addr:#x} by {}", warp.kernel_name()),
                             );
@@ -425,7 +425,7 @@ impl SlabAllocator {
         }
         if let Some(p) = dev.profiler() {
             p.metrics().gauge("slab_alloc.live_slabs").sub(1);
-            p.instant(
+            dev.instant(
                 "slab_free",
                 format!("slab {addr:#x} quarantined by {}", warp.kernel_name()),
             );
@@ -577,13 +577,11 @@ impl SlabAllocator {
             }
             drained += 1;
         }
-        if drained > 0 {
-            if let Some(p) = dev.profiler() {
-                p.instant(
-                    "slab_quarantine_drain",
-                    format!("{drained} slabs released, {} still held", q.ring.len()),
-                );
-            }
+        if drained > 0 && dev.profiler().is_some() {
+            dev.instant(
+                "slab_quarantine_drain",
+                format!("{drained} slabs released, {} still held", q.ring.len()),
+            );
         }
     }
 

@@ -3,7 +3,7 @@
 //! per-kernel profile of a batched workload must not depend on the
 //! executor (sequential vs. racing host threads).
 
-use dynamic_graphs_gpu::gpu_sim::{CostModel, ExecPolicy, KernelStats, TraceReport};
+use dynamic_graphs_gpu::gpu_sim::{ExecPolicy, KernelStats, TraceReport};
 use dynamic_graphs_gpu::prelude::*;
 
 fn workload(policy: ExecPolicy) -> Vec<KernelStats> {
@@ -55,7 +55,7 @@ fn kernel_counters_partition_the_global_counters() {
 
     // And the derived report preserves the partition through rendering,
     // JSON, and back.
-    let report = TraceReport::new(&trace, &CostModel::titan_v());
+    let report = TraceReport::new(&trace);
     assert_eq!(report.kernel_sum(), trace.global);
     let round = TraceReport::from_json(&report.to_json().render_pretty()).unwrap();
     assert_eq!(round, report);
@@ -155,8 +155,7 @@ fn report_json_round_trips_sanitizer_findings_exactly() {
     let findings = dev.sanitizer_findings();
     assert!(!findings.is_empty());
 
-    let report =
-        TraceReport::new(&dev.trace(), &CostModel::titan_v()).with_findings(findings.clone());
+    let report = TraceReport::new(&dev.trace()).with_findings(findings.clone());
     let json = report.to_json().render_pretty();
     assert!(json.contains("\"sanitizer_findings\""));
     let round = TraceReport::from_json(&json).unwrap();

@@ -67,8 +67,8 @@ fn mixed_workload(dev: &Device) {
 }
 
 /// The profiler obeys the same discipline as the sanitizer: attaching it
-/// must leave the global counters, every kernel's counters, and the
-/// rendered trace-report JSON byte-identical.
+/// must leave the global counters, every kernel's counters, the rendered
+/// trace-report JSON, and the device's modeled clock identical.
 #[test]
 fn attached_profiler_never_perturbs_counters() {
     let _lock = GLOBAL_PROFILER_LOCK
@@ -81,19 +81,19 @@ fn attached_profiler_never_perturbs_counters() {
         }
         let dev = Device::with_config(cfg);
         mixed_workload(&dev);
-        dev.trace()
+        (dev.trace(), dev.clock_s())
     };
-    let (on, off) = (run(true), run(false));
+    let ((on, on_clock), (off, off_clock)) = (run(true), run(false));
+    assert_eq!(on_clock, off_clock, "the clock runs without a profiler");
     assert_eq!(on.global, off.global);
     assert_eq!(on.kernels.len(), off.kernels.len());
     for (a, b) in on.kernels.iter().zip(off.kernels.iter()) {
         assert_eq!(a.name, b.name);
         assert_eq!(a.counters, b.counters);
     }
-    let model = CostModel::titan_v();
     assert_eq!(
-        TraceReport::new(&on, &model).to_json().render_pretty(),
-        TraceReport::new(&off, &model).to_json().render_pretty(),
+        TraceReport::new(&on).to_json().render_pretty(),
+        TraceReport::new(&off).to_json().render_pretty(),
         "bench-facing report JSON must be byte-identical"
     );
 }
@@ -133,7 +133,7 @@ fn graph_workload_spans_partition_modeled_time() {
             "{name}: spans sum to {span_total}s, model says {modeled}s"
         );
         assert!(
-            (prof.now_s() - span_total).abs() <= 1e-12,
+            (g.device().clock_s() - span_total).abs() <= 1e-12,
             "{name}: the modeled clock is exactly the span total"
         );
     };
@@ -241,7 +241,7 @@ fn phase_guards_record_ranges_and_histograms() {
     assert!(hist.max >= hist.p50);
 
     // The report renders the phase statistics for the summary table.
-    let report = TraceReport::new(&dev.trace(), &CostModel::titan_v()).with_metrics(summaries);
+    let report = TraceReport::new(&dev.trace()).with_metrics(summaries);
     let rendered = report.render();
     assert!(rendered.contains("phase.inner"), "{rendered}");
     assert!(rendered.contains("p95"), "{rendered}");

@@ -29,8 +29,8 @@
 //! - **R11 `untraced-dispatch`** — every `.dispatch(…)` fan-out in the
 //!   router crate must stamp its device work with a `TraceCtx` (a
 //!   `trace_scope` inside the dispatch closure): an untraced dispatch
-//!   produces charged kernel spans with no causal parent, so the op
-//!   lifecycles `trace-query` reconstructs silently lose that work.
+//!   produces charged kernel spans that name no op, so the op's flow in
+//!   the merged trace silently loses that work.
 
 use super::effects::{effects_of, AccessKind, EffectIndex, Effects};
 use super::parser::{Func, Kernel, Tree, LAUNCHERS};
@@ -87,7 +87,7 @@ pub const RULES: [RuleMeta; 9] = [
     RuleMeta {
         id: "R11",
         name: "untraced-dispatch",
-        desc: "router dispatch without a TraceCtx; wrap the closure's device work in trace_scope so spans carry a causal parent",
+        desc: "router dispatch without a TraceCtx; wrap the closure's device work in trace_scope so spans name the op's TraceCtx",
     },
 ];
 
@@ -480,7 +480,7 @@ fn statement_rules(file: &ScannedFile, findings: &mut Vec<Finding>) {
                             line,
                             "",
                             &func.name,
-                            "dispatch without a TraceCtx: wrap the closure's device work in `dev.trace_scope(ctx)` so its spans carry a causal parent".to_string(),
+                            "dispatch without a TraceCtx: wrap the closure's device work in `dev.trace_scope(ctx)` so its spans name the op's `TraceCtx`".to_string(),
                         );
                     }
                 }

@@ -46,8 +46,8 @@
 //!   advance.
 //! - **R11 `untraced-dispatch`** — every `.dispatch(…)` fan-out in
 //!   `crates/router` must stamp its device work with a `TraceCtx` via
-//!   `trace_scope`; untraced dispatches produce charged spans with no
-//!   causal parent, invisible to `trace-query` lifecycles.
+//!   `trace_scope`; untraced dispatches produce charged spans that name
+//!   no op, invisible to the op's flow in the merged trace.
 //!
 //! ## Usage
 //!
