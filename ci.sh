@@ -54,6 +54,10 @@ if [ "$mode" = "quick" ]; then
     echo "== recovery-overhead and tombstone-ablation harnesses (debug) =="
     cargo run -q -p bench --bin fault_recovery
     cargo run -q -p bench --bin ablation_tombstones
+    echo "== example smoke runs (debug; BFS and TC through the backend trait, structure shootout) =="
+    cargo run -q --example contact_network
+    cargo run -q --example streaming_triangles
+    cargo run -q --example structure_shootout
 else
     echo "== cargo build --release =="
     cargo build --workspace --release
@@ -61,6 +65,10 @@ else
     cargo test --workspace --release -q
     echo "== bounded-memory quickstart smoke run =="
     cargo run --release -q --example quickstart
+    echo "== example smoke runs (BFS and TC through the backend trait, structure shootout) =="
+    cargo run --release -q --example contact_network
+    cargo run --release -q --example streaming_triangles
+    cargo run --release -q --example structure_shootout
     echo "== churn workload smoke run =="
     cargo run --release -q -p bench --bin churn -- --rounds 2 --ops 512
     test -s BENCH_churn.json

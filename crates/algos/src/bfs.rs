@@ -6,8 +6,7 @@ use backend::GraphBackend;
 
 /// Level (hop distance) of every vertex from `src`; `u32::MAX` for
 /// unreachable vertices. Frontier-at-a-time traversal, one adjacency
-/// iteration per frontier vertex per level, via the backend's
-/// allocation-free [`GraphBackend::for_each_neighbor`] hot path.
+/// read ([`GraphBackend::read_neighbors`]) per frontier vertex per level.
 pub fn bfs_levels<B: GraphBackend + ?Sized>(g: &B, src: u32) -> Vec<u32> {
     let n = g.num_vertices();
     let mut levels = vec![u32::MAX; n as usize];
@@ -22,13 +21,13 @@ pub fn bfs_levels<B: GraphBackend + ?Sized>(g: &B, src: u32) -> Vec<u32> {
         depth += 1;
         let mut next = Vec::new();
         for &u in &frontier {
-            g.for_each_neighbor(&pin, u, &mut |v| {
+            for v in g.read_neighbors(&pin, u) {
                 let slot = &mut levels[v as usize];
                 if *slot == u32::MAX {
                     *slot = depth;
                     next.push(v);
                 }
-            });
+            }
         }
         frontier = next;
     }

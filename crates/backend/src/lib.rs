@@ -10,11 +10,11 @@
 //!
 //! - The trait is object-safe: benchmark drivers hold
 //!   `Box<dyn GraphBackend>` contenders and loop over them.
-//! - [`GraphBackend::for_each_neighbor`] is the hot-path adjacency
-//!   iterator. SlabGraph implements it allocation-free over the slab
-//!   lists; the array-based baselines fall back to their coalesced
-//!   adjacency read (the charged device work is identical either way —
-//!   only host-side allocation differs).
+//! - Each read question has one verb: [`GraphBackend::edges_exist`]
+//!   answers batched membership (the paper's `edgeExist`) and
+//!   [`GraphBackend::read_neighbors`] reads one adjacency list. Every
+//!   backend implements both with its native read, so one read entry
+//!   point per backend carries its charges.
 //! - Not every structure supports every operation (CSR is static; Hornet
 //!   has no vertex deletion). [`Capabilities`] advertises what a backend
 //!   can do so generic drivers can skip unsupported contenders instead of
@@ -33,10 +33,10 @@ use slabgraph::{DynGraph, Edge, ReadGuard};
 /// An epoch pin over every allocator a backend reads from — the trait-level
 /// form of [`slabgraph::ReadGuard`]. Backends with true epoch-based
 /// reclamation (SlabGraph, sharded SlabGraph) return one guard per shard;
-/// phase-separated backends (CSR, Hornet, faimGraph) return an *empty* pin
-/// and rely on the caller keeping reads and writes in separate phases, as
-/// before. Holding a `ReadPin` across a mutation is only snapshot-safe when
-/// [`Capabilities::concurrent_reads`] is set.
+/// phase-separated backends (CSR, Hornet, faimGraph) return the empty
+/// `ReadPin::default()` and rely on the caller keeping reads and writes in
+/// separate phases. Holding a `ReadPin` across a mutation is only
+/// snapshot-safe when [`Self::is_pinned`] is true.
 #[must_use = "queries are only snapshot-safe while the pin is held"]
 #[derive(Default)]
 pub struct ReadPin {
@@ -44,18 +44,15 @@ pub struct ReadPin {
 }
 
 impl ReadPin {
-    /// The empty pin of a phase-separated backend: reads are only safe
-    /// between mutation batches, exactly as without the epoch protocol.
-    pub fn phase_fallback() -> Self {
-        ReadPin { guards: Vec::new() }
-    }
-
     /// Wrap per-shard guards (shard order) into one trait-level pin.
     pub fn from_guards(guards: Vec<ReadGuard>) -> Self {
         ReadPin { guards }
     }
 
-    /// Whether any era is actually pinned (false for phase fallback).
+    /// Whether any era is actually pinned: true exactly for the backends
+    /// whose queries may run concurrently with mutation batches (epoch
+    /// reclamation plus validated chain walks); false for the empty pin
+    /// of a phase-separated backend.
     pub fn is_pinned(&self) -> bool {
         !self.guards.is_empty()
     }
@@ -63,8 +60,8 @@ impl ReadPin {
     /// The per-shard guards, in shard order.
     ///
     /// # Panics
-    /// On the empty phase-fallback pin: an epoch-pinned backend handed
-    /// another backend's pin must not read unprotected.
+    /// On the empty pin: an epoch-pinned backend handed another backend's
+    /// pin must not read unprotected.
     pub fn guards(&self) -> &[ReadGuard] {
         assert!(
             self.is_pinned(),
@@ -95,11 +92,6 @@ pub struct Capabilities {
     pub delete_edges: bool,
     /// Batched vertex deletion (with incident edges).
     pub delete_vertices: bool,
-    /// Queries may run concurrently with mutation batches when issued
-    /// under a live [`ReadPin`] (epoch-based reclamation + validated chain
-    /// walks). When `false`, [`GraphBackend::pin_read`] returns the empty
-    /// phase-fallback pin and reads must stay phase-separated.
-    pub concurrent_reads: bool,
     /// Preferred triangle-counting intersection strategy.
     pub intersection: IntersectionKind,
 }
@@ -145,41 +137,23 @@ pub trait GraphBackend {
     /// Out-degree of `u`.
     fn degree(&self, u: u32) -> u32;
 
-    /// Pin the current era for snapshot reads; every query below takes
-    /// the pin. Backends with [`Capabilities::concurrent_reads`] return a
-    /// live pin (one guard per shard) under which queries tolerate
-    /// concurrent mutation; the default returns the empty phase-fallback
-    /// pin, which phase-separated backends accept and ignore. Scope the
-    /// pin to one read phase and drop it before the next mutation.
+    /// Pin the current era for snapshot reads; both queries below take
+    /// the pin. Epoch-pinned backends return a live pin (one guard per
+    /// shard) under which queries tolerate concurrent mutation; the
+    /// default returns the empty pin, which phase-separated backends
+    /// accept and ignore. Scope the pin to one read phase and drop it
+    /// before the next mutation.
     fn pin_read(&self) -> ReadPin {
-        ReadPin::phase_fallback()
+        ReadPin::default()
     }
 
-    /// Single `edgeExist` membership query.
-    fn contains_edge(&self, pin: &ReadPin, u: u32, v: u32) -> bool;
-
-    /// Batched membership queries. Backends with a batched query kernel
-    /// (SlabGraph's WCWS `edge_exist`) override this; the default loops
-    /// [`Self::contains_edge`].
-    fn edges_exist(&self, pin: &ReadPin, pairs: &[(u32, u32)]) -> Vec<bool> {
-        pairs
-            .iter()
-            .map(|&(u, v)| self.contains_edge(pin, u, v))
-            .collect()
-    }
+    /// Batched `edgeExist` membership queries, one answer per pair in the
+    /// caller's order.
+    fn edges_exist(&self, pin: &ReadPin, pairs: &[(u32, u32)]) -> Vec<bool>;
 
     /// Read `u`'s adjacency list into a fresh `Vec` (order is the
     /// structure's internal order; sorted only if [`Self::is_sorted`]).
     fn read_neighbors(&self, pin: &ReadPin, u: u32) -> Vec<u32>;
-
-    /// Hot-path adjacency iteration: call `f` with every neighbour of
-    /// `u`. SlabGraph walks its slab lists without allocating; the
-    /// default falls back to [`Self::read_neighbors`].
-    fn for_each_neighbor(&self, pin: &ReadPin, u: u32, f: &mut (dyn FnMut(u32) + Send)) {
-        for v in self.read_neighbors(pin, u) {
-            f(v);
-        }
-    }
 
     /// Insert a batch of directed edges; returns how many were new.
     fn insert_edges(&mut self, edges: &[(u32, u32)]) -> u64;
@@ -226,7 +200,6 @@ impl GraphBackend for DynGraph {
             insert_edges: true,
             delete_edges: true,
             delete_vertices: true,
-            concurrent_reads: true,
             intersection: IntersectionKind::HashProbe,
         }
     }
@@ -251,20 +224,12 @@ impl GraphBackend for DynGraph {
         DynGraph::degree(self, u)
     }
 
-    fn contains_edge(&self, pin: &ReadPin, u: u32, v: u32) -> bool {
-        self.edge_exists(&pin.guards()[0], u, v)
-    }
-
     fn edges_exist(&self, pin: &ReadPin, pairs: &[(u32, u32)]) -> Vec<bool> {
         DynGraph::edges_exist(self, &pin.guards()[0], pairs)
     }
 
     fn read_neighbors(&self, pin: &ReadPin, u: u32) -> Vec<u32> {
         self.neighbor_ids(&pin.guards()[0], u)
-    }
-
-    fn for_each_neighbor(&self, pin: &ReadPin, u: u32, f: &mut (dyn FnMut(u32) + Send)) {
-        DynGraph::for_each_neighbor(self, &pin.guards()[0], u, f)
     }
 
     fn insert_edges(&mut self, edges: &[(u32, u32)]) -> u64 {
@@ -298,7 +263,6 @@ impl GraphBackend for Hornet {
             // Hornet's published update API has no vertex deletion; the
             // paper's Table IV omits it for the same reason.
             delete_vertices: false,
-            concurrent_reads: false,
             intersection: IntersectionKind::SortedMerge,
         }
     }
@@ -319,8 +283,8 @@ impl GraphBackend for Hornet {
         Hornet::degree(self, u)
     }
 
-    fn contains_edge(&self, _pin: &ReadPin, u: u32, v: u32) -> bool {
-        self.edge_exists(u, v)
+    fn edges_exist(&self, _pin: &ReadPin, pairs: &[(u32, u32)]) -> Vec<bool> {
+        pairs.iter().map(|&(u, v)| self.edge_exists(u, v)).collect()
     }
 
     fn read_neighbors(&self, _pin: &ReadPin, u: u32) -> Vec<u32> {
@@ -366,7 +330,6 @@ impl GraphBackend for FaimGraph {
             insert_edges: true,
             delete_edges: true,
             delete_vertices: true,
-            concurrent_reads: false,
             intersection: IntersectionKind::SortedMerge,
         }
     }
@@ -387,10 +350,13 @@ impl GraphBackend for FaimGraph {
         FaimGraph::degree(self, u)
     }
 
-    fn contains_edge(&self, _pin: &ReadPin, u: u32, v: u32) -> bool {
-        // faimGraph has no dedicated membership kernel; a query is a
+    fn edges_exist(&self, _pin: &ReadPin, pairs: &[(u32, u32)]) -> Vec<bool> {
+        // faimGraph has no dedicated membership kernel; each query is a
         // charged adjacency read plus a host-side scan.
-        self.read_adjacency(u).contains(&v)
+        pairs
+            .iter()
+            .map(|&(u, v)| self.read_adjacency(u).contains(&v))
+            .collect()
     }
 
     fn read_neighbors(&self, _pin: &ReadPin, u: u32) -> Vec<u32> {
@@ -428,7 +394,6 @@ impl GraphBackend for Csr {
             insert_edges: false,
             delete_edges: false,
             delete_vertices: false,
-            concurrent_reads: false,
             intersection: IntersectionKind::SortedMerge,
         }
     }
@@ -449,8 +414,8 @@ impl GraphBackend for Csr {
         Csr::degree(self, u)
     }
 
-    fn contains_edge(&self, _pin: &ReadPin, u: u32, v: u32) -> bool {
-        self.edge_exists(u, v)
+    fn edges_exist(&self, _pin: &ReadPin, pairs: &[(u32, u32)]) -> Vec<bool> {
+        pairs.iter().map(|&(u, v)| self.edge_exists(u, v)).collect()
     }
 
     fn read_neighbors(&self, _pin: &ReadPin, u: u32) -> Vec<u32> {
@@ -504,39 +469,22 @@ mod tests {
             assert_eq!(b.num_edges(), 8, "{name}: 4 undirected = 8 directed");
             assert_eq!(b.degree(0), 2, "{name}");
             assert_eq!(b.degree(2), 3, "{name}");
-            assert!(b.contains_edge(&pin, 0, 1), "{name}");
-            assert!(b.contains_edge(&pin, 1, 0), "{name}: mirrored");
-            assert!(!b.contains_edge(&pin, 0, 3), "{name}");
             assert_eq!(
-                b.edges_exist(&pin, &[(0, 1), (0, 3), (2, 3)]),
-                vec![true, false, true],
-                "{name}"
+                b.edges_exist(&pin, &[(0, 1), (1, 0), (0, 3), (2, 3)]),
+                vec![true, true, false, true],
+                "{name}: (1, 0) is the mirrored copy"
             );
-        }
-    }
-
-    #[test]
-    fn neighbor_iteration_matches_read_neighbors() {
-        for b in all_backends() {
-            let pin = b.pin_read();
-            let mut seen = Vec::new();
-            b.for_each_neighbor(&pin, 2, &mut |v| seen.push(v));
             let mut read = b.read_neighbors(&pin, 2);
-            seen.sort_unstable();
             read.sort_unstable();
-            assert_eq!(seen, vec![0, 1, 3], "{}", b.name());
-            assert_eq!(seen, read, "{}", b.name());
+            assert_eq!(read, vec![0, 1, 3], "{name}");
         }
     }
 
     #[test]
     fn capability_flags_match_structure_semantics() {
-        let caps: Vec<(&str, Capabilities)> = all_backends()
-            .iter()
-            .map(|b| (b.name(), b.caps()))
-            .collect();
-        for (name, c) in &caps {
-            match *name {
+        for b in all_backends() {
+            let (name, c) = (b.name(), b.caps());
+            match name {
                 "CSR" => {
                     assert!(!c.insert_edges && !c.delete_edges && !c.delete_vertices);
                 }
@@ -547,15 +495,15 @@ mod tests {
                     assert!(c.insert_edges && c.delete_edges && c.delete_vertices);
                 }
             }
-            let expect = if *name == "SlabGraph" {
+            let expect = if name == "SlabGraph" {
                 IntersectionKind::HashProbe
             } else {
                 IntersectionKind::SortedMerge
             };
             assert_eq!(c.intersection, expect, "{name}");
             assert_eq!(
-                c.concurrent_reads,
-                *name == "SlabGraph",
+                b.pin_read().is_pinned(),
+                name == "SlabGraph",
                 "{name}: only the epoch-pinned structure serves concurrent reads"
             );
         }
@@ -570,10 +518,10 @@ mod tests {
         ));
         assert_eq!(g.insert_edges(&edges()), 8, "4 undirected = 8 directed");
         assert_eq!(g.delete_edges(&[(0, 1)]), 2);
-        assert!(!g.contains_edge(&g.pin_read(), 0, 1));
+        assert_eq!(g.edges_exist(&g.pin_read(), &[(0, 1)]), vec![false]);
         g.delete_vertices(&[2]);
         assert_eq!(g.degree(2), 0);
-        assert!(!g.contains_edge(&g.pin_read(), 1, 2));
+        assert_eq!(g.edges_exist(&g.pin_read(), &[(1, 2)]), vec![false]);
     }
 
     #[test]

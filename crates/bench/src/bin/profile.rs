@@ -14,6 +14,7 @@
 //! spans, host phases, and allocator instants on the modeled clock, with
 //! flow arrows linking each client op's spans across shard pids.
 
+use backend::GraphBackend;
 use bench::churn::ChurnConfig;
 use bench::harness::{build_backends, build_sharded, stream_for};
 use bench::sharded::traffic_for;

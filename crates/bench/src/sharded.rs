@@ -12,6 +12,7 @@
 
 use crate::churn::{ChurnConfig, Skew};
 use crate::harness::{build_sharded, dataset_for, fnum, mrate, scale_shift, Phase, Table};
+use backend::GraphBackend;
 use gpu_sim::Device;
 use graph_gen::splitmix64;
 use router::{shard_of, BatchRouter, Update};

@@ -140,8 +140,14 @@ impl VertexDict {
     }
 
     /// Warp-side (charged) read of vertex `v`'s descriptor. One scattered
-    /// read covering the entry's three words.
+    /// read covering the entry's three words; `None` (uncharged) for an id
+    /// past capacity, which has no entry.
     pub fn desc(&self, warp: &Warp, v: u32) -> Option<TableDesc> {
+        // Capacity before base: `try_grow` stores them in the opposite
+        // order, so a capacity admitting `v` comes with a base covering it.
+        if v >= self.capacity() {
+            return None;
+        }
         let e = self.entry_addr(v);
         let addrs = Lanes::from_fn(|i| e + (i as u32).min(ENTRY_WORDS - 1));
         let words = warp.read_lanes(&addrs, 0b11);

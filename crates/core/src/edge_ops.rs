@@ -97,6 +97,12 @@ impl DynGraph {
         // Stage the batch on the device. A failure here applies nothing:
         // the whole batch is the pending suffix.
         let staged = (|| -> Result<_, OomError> {
+            if op == EdgeOp::Insert {
+                // A source past the dictionary needs an entry to install
+                // its table in: grow first (a shallow copy, §IV-A1).
+                let max_src = work.iter().map(|e| e.src).max().unwrap_or(0);
+                self.dict.try_grow(&self.dev, max_src + 1)?;
+            }
             let srcs: Vec<u32> = work.iter().map(|e| e.src).collect();
             let dsts: Vec<u32> = work.iter().map(|e| e.dst).collect();
             let src_buf = self.dev.try_upload(&srcs, u32::MAX)?;
@@ -282,6 +288,30 @@ mod tests {
 
     fn graph(cap: u32) -> DynGraph {
         DynGraph::with_uniform_buckets(GraphConfig::directed_map(cap), cap, 1)
+    }
+
+    #[test]
+    fn sources_past_the_dictionary_read_nothing_until_inserted() {
+        let g = DynGraph::new(GraphConfig::directed_set(64));
+        g.insert_edges(&[Edge::new(0, 1), Edge::new(1, 2)]);
+        let pin = g.pin_read();
+        assert_eq!(g.edges_exist(&pin, &[(64, 1), (70, 1)]), vec![false, false]);
+        assert!(g.neighbor_ids(&pin, 64).is_empty());
+        drop(pin);
+        assert_eq!(g.delete_edges(&[Edge::new(64, 1)]), 0);
+        // Inserting grows the dictionary to cover the new sources.
+        assert_eq!(g.insert_edges(&[Edge::new(64, 1)]), 1);
+        assert_eq!(g.insert_edges(&[Edge::new(70, 1)]), 1);
+        assert!(g.vertex_capacity() > 70);
+        assert_eq!(g.num_edges(), 4);
+        let pin = g.pin_read();
+        assert_eq!(
+            g.edges_exist(&pin, &[(64, 1), (70, 1), (65, 1)]),
+            vec![true, true, false]
+        );
+        assert_eq!(g.neighbor_ids(&pin, 70), vec![1]);
+        g.validate()
+            .expect("every pool slab reachable from a table");
     }
 
     #[test]

@@ -152,22 +152,6 @@ impl DynGraph {
     pub fn neighbor_ids(&self, pin: &ReadGuard, u: u32) -> Vec<u32> {
         self.neighbors(pin, u).into_iter().map(|(d, _)| d).collect()
     }
-
-    /// Allocation-free adjacency iteration: invoke `f` with every neighbour
-    /// id of `u`, walking the slab list in table order. Charges exactly the
-    /// same `neighbors` kernel work as [`Self::neighbors`] without building
-    /// the intermediate `Vec` — the hot path for traversal algorithms.
-    pub fn for_each_neighbor(&self, pin: &ReadGuard, u: u32, f: &mut (dyn FnMut(u32) + Send)) {
-        self.check_pin(pin);
-        let Some(desc) = self.dict.desc_host(&self.dev, u) else {
-            return;
-        };
-        let f = parking_lot::Mutex::new(f);
-        self.dev.launch_warps("neighbors", 1, |warp| {
-            let mut f = f.lock();
-            desc.for_each_entry(warp, |k, _| f(k));
-        });
-    }
 }
 
 #[cfg(test)]

@@ -888,13 +888,6 @@ impl<'d> Warp<'d> {
         lanes::ballot(FULL_MASK, preds)
     }
 
-    /// `__ballot_sync` with an explicit mask (for sub-warp groups).
-    #[inline]
-    pub fn ballot_masked(&self, mask: u32, preds: &Lanes<bool>) -> u32 {
-        self.charge_event(Event::Ballots, 1);
-        lanes::ballot(mask, preds)
-    }
-
     /// `__shfl_sync` broadcast: every lane reads `src_lane`'s value.
     #[inline]
     pub fn shuffle<T: Copy>(&self, vals: &Lanes<T>, src_lane: u32) -> T {

@@ -51,12 +51,6 @@ impl<T: Copy> Lanes<T> {
         Lanes(std::array::from_fn(|i| f(self.0[i])))
     }
 
-    /// Apply `f` lane-wise with the lane index.
-    #[inline]
-    pub fn map_with_lane<U: Copy>(&self, mut f: impl FnMut(usize, T) -> U) -> Lanes<U> {
-        Lanes(std::array::from_fn(|i| f(i, self.0[i])))
-    }
-
     /// Combine two lane vectors lane-wise.
     #[inline]
     pub fn zip_with<U: Copy, V: Copy>(

@@ -285,68 +285,10 @@ impl ShardedGraph {
         self.fan_out(|_, g| g.delete_vertices(vertices));
     }
 
-    /// Pin every shard's current era for a snapshot read session: one
-    /// [`ReadGuard`] per shard, in shard order. Every query below takes
-    /// these guards; while they live, no shard recycles a slab freed at or
-    /// after its pinned era, so the queries run safely concurrent with
-    /// in-flight update batches on other threads. Guards pin
-    /// *reclamation*, not data: reads under them observe the newest
-    /// published state.
-    pub fn pin_read(&self) -> Vec<ReadGuard> {
-        self.shards.iter().map(|s| s.read().pin_read()).collect()
-    }
-
-    /// Membership query for one edge, answered by `src`'s owner under its
-    /// guard from [`Self::pin_read`].
-    pub fn edge_exists(&self, pins: &[ReadGuard], src: u32, dst: u32) -> bool {
-        let owner = self.owner_of(src);
-        self.shards[owner]
-            .read()
-            .edge_exists(&pins[owner], src, dst)
-    }
-
-    /// Batched membership queries: pairs route to their src's owner, the
-    /// per-shard query kernels run concurrently (each under its shard's
-    /// guard), and results return in the caller's order — bit-identical
-    /// to an unsharded replay.
-    pub fn edges_exist(&self, pins: &[ReadGuard], pairs: &[(u32, u32)]) -> Vec<bool> {
-        let n = self.shards.len();
-        let mut index: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut per: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-        for (i, &p) in pairs.iter().enumerate() {
-            let s = shard_of(p.0, n);
-            index[s].push(i);
-            per[s].push(p);
-        }
-        let results = self.fan_out(|s, g| g.edges_exist(&pins[s], &per[s]));
-        let mut out = vec![false; pairs.len()];
-        for (s, found) in results.into_iter().enumerate() {
-            for (k, b) in found.into_iter().enumerate() {
-                out[index[s][k]] = b;
-            }
-        }
-        out
-    }
-
     /// Out-degree of `u`, from its owner shard (a dictionary counter, so
     /// no pin).
     pub fn degree(&self, u: u32) -> u32 {
         self.shards[self.owner_of(u)].read().degree(u)
-    }
-
-    /// `u`'s neighbours, from its owner shard (the primary copy holds the
-    /// complete adjacency).
-    pub fn neighbor_ids(&self, pins: &[ReadGuard], u: u32) -> Vec<u32> {
-        let owner = self.owner_of(u);
-        self.shards[owner].read().neighbor_ids(&pins[owner], u)
-    }
-
-    /// Allocation-free adjacency iteration on the owner shard.
-    pub fn for_each_neighbor(&self, pins: &[ReadGuard], u: u32, f: &mut (dyn FnMut(u32) + Send)) {
-        let owner = self.owner_of(u);
-        self.shards[owner]
-            .read()
-            .for_each_neighbor(&pins[owner], u, f)
     }
 
     /// Exact live-edge count: the sum of owned-vertex degrees across
@@ -533,7 +475,6 @@ impl backend::GraphBackend for ShardedGraph {
             insert_edges: true,
             delete_edges: true,
             delete_vertices: true,
-            concurrent_reads: true,
             intersection: backend::IntersectionKind::HashProbe,
         }
     }
@@ -558,24 +499,44 @@ impl backend::GraphBackend for ShardedGraph {
         ShardedGraph::degree(self, u)
     }
 
+    /// One guard per shard, in shard order. While the pin lives no shard
+    /// recycles a slab freed at or after its pinned era, so queries run
+    /// safely concurrent with in-flight update batches. Guards pin
+    /// *reclamation*, not data: reads observe the newest published state.
     fn pin_read(&self) -> backend::ReadPin {
-        backend::ReadPin::from_guards(ShardedGraph::pin_read(self))
+        backend::ReadPin::from_guards(self.shards.iter().map(|s| s.read().pin_read()).collect())
     }
 
-    fn contains_edge(&self, pin: &backend::ReadPin, u: u32, v: u32) -> bool {
-        self.edge_exists(pin.guards(), u, v)
-    }
-
+    /// Pairs route to their src's owner, the per-shard query kernels run
+    /// concurrently (each under its shard's guard), and results return in
+    /// the caller's order — bit-identical to an unsharded replay.
     fn edges_exist(&self, pin: &backend::ReadPin, pairs: &[(u32, u32)]) -> Vec<bool> {
-        ShardedGraph::edges_exist(self, pin.guards(), pairs)
+        let pins = pin.guards();
+        let n = self.shards.len();
+        let mut index: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut per: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
+        for (i, &p) in pairs.iter().enumerate() {
+            let s = shard_of(p.0, n);
+            index[s].push(i);
+            per[s].push(p);
+        }
+        let results = self.fan_out(|s, g| g.edges_exist(&pins[s], &per[s]));
+        let mut out = vec![false; pairs.len()];
+        for (s, found) in results.into_iter().enumerate() {
+            for (k, b) in found.into_iter().enumerate() {
+                out[index[s][k]] = b;
+            }
+        }
+        out
     }
 
+    /// `u`'s neighbours, from its owner shard (the primary copy holds the
+    /// complete adjacency).
     fn read_neighbors(&self, pin: &backend::ReadPin, u: u32) -> Vec<u32> {
-        self.neighbor_ids(pin.guards(), u)
-    }
-
-    fn for_each_neighbor(&self, pin: &backend::ReadPin, u: u32, f: &mut (dyn FnMut(u32) + Send)) {
-        ShardedGraph::for_each_neighbor(self, pin.guards(), u, f)
+        let owner = self.owner_of(u);
+        self.shards[owner]
+            .read()
+            .neighbor_ids(&pin.guards()[owner], u)
     }
 
     fn insert_edges(&mut self, edges: &[(u32, u32)]) -> u64 {
@@ -1927,15 +1888,15 @@ mod tests {
             assert_eq!(g.num_edges(), reference.num_edges(), "{shards} shards");
             let qry = pairs(300, 99, n_vertices);
             let ref_pin = reference.pin_read();
-            let pins = g.pin_read();
-            assert_eq!(pins.len(), shards);
+            let pin = g.pin_read();
+            assert_eq!(pin.guards().len(), shards);
             assert_eq!(
-                g.edges_exist(&pins, &qry),
+                g.edges_exist(&pin, &qry),
                 reference.edges_exist(&ref_pin, &qry)
             );
             for v in 0..n_vertices {
                 assert_eq!(g.degree(v), reference.degree(v), "degree({v})");
-                let mut a = g.neighbor_ids(&pins, v);
+                let mut a = g.read_neighbors(&pin, v);
                 let mut b = reference.neighbor_ids(&ref_pin, v);
                 a.sort_unstable();
                 b.sort_unstable();
@@ -1971,9 +1932,10 @@ mod tests {
         let g = ShardedGraph::new(4, config);
         let changed = g.insert_edges(&[Edge::new(1, 2)]);
         assert_eq!(changed, 2, "both half-edges counted");
-        let pins = g.pin_read();
-        assert!(g.edge_exists(&pins, 1, 2));
-        assert!(g.edge_exists(&pins, 2, 1));
+        assert_eq!(
+            g.edges_exist(&g.pin_read(), &[(1, 2), (2, 1)]),
+            vec![true, true]
+        );
         g.validate().expect("mirrored cut edges audited");
     }
 
@@ -2003,7 +1965,7 @@ mod tests {
         assert_eq!(g.name(), "ShardedSlabGraph");
         assert_eq!(g.devices().len(), 3);
         assert_eq!(g.insert_edges(&[(1, 2), (2, 3)]), 2);
-        assert!(g.contains_edge(&g.pin_read(), 1, 2));
+        assert_eq!(g.edges_exist(&g.pin_read(), &[(1, 2)]), vec![true]);
         assert_eq!(g.delete_edges(&[(1, 2)]), 1);
         assert_eq!(g.num_edges(), 1);
     }
@@ -2082,8 +2044,9 @@ mod tests {
         router.submit(0, Update::Delete(Edge::new(1, 2)));
         let report = router.flush();
         assert!(report.is_complete());
-        assert!(
-            !g.edge_exists(&g.pin_read(), 1, 2),
+        assert_eq!(
+            g.edges_exist(&g.pin_read(), &[(1, 2)]),
+            vec![false],
             "insert-then-delete nets to absent"
         );
     }

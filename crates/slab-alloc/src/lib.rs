@@ -25,7 +25,7 @@
 //! launch era with [`SlabAllocator::pin`] and holds the returned
 //! [`ReadGuard`] for the duration of its traversal; a quarantined slab is
 //! recycled only once it is older than the current era **and** older than
-//! every pinned era (see [`SlabAllocator::min_pinned_era`]). A reader that
+//! every pinned era. A reader that
 //! pinned era *P* can therefore chase any pointer it observed into a slab
 //! freed at era *F ≥ P* — the slab's bytes are guaranteed intact until the
 //! guard drops.
@@ -143,11 +143,6 @@ impl PinRegistry {
                 pins.remove(&era);
             }
         }
-    }
-
-    /// Smallest pinned era, if any guard is live.
-    pub fn min_pinned(&self) -> Option<u64> {
-        self.pins.lock().keys().next().copied()
     }
 
     /// Number of live guards across all eras.
@@ -485,11 +480,6 @@ impl SlabAllocator {
     /// against a *different* graph (whose reclamation they don't block).
     pub fn owns_guard(&self, guard: &ReadGuard) -> bool {
         Arc::ptr_eq(&self.pins, &guard.reg)
-    }
-
-    /// Smallest era currently pinned by a live [`ReadGuard`], if any.
-    pub fn min_pinned_era(&self) -> Option<u64> {
-        self.pins.min_pinned()
     }
 
     /// Audit the epoch-reclamation invariants; returns a description of

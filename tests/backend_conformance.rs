@@ -6,6 +6,7 @@
 
 use dynamic_graphs_gpu::algos;
 use dynamic_graphs_gpu::baselines::{Csr, FaimGraph, Hornet};
+use dynamic_graphs_gpu::gpu_sim::CounterSnapshot;
 use dynamic_graphs_gpu::graph_gen::{self, fixtures, mirror};
 use dynamic_graphs_gpu::prelude::*;
 
@@ -114,31 +115,16 @@ fn read_surface_agrees_across_backends() {
     for b in &backends[1..] {
         let name = b.name();
         let pin = b.pin_read();
-        assert_eq!(
-            pin.is_pinned(),
-            b.caps().concurrent_reads,
-            "{name}: pin liveness must track the capability flag"
-        );
         assert_eq!(b.num_vertices(), reference.num_vertices(), "{name}");
         assert_eq!(b.num_edges(), reference.num_edges(), "{name}");
         assert_eq!(b.edges_exist(&pin, &probes), expect_exist, "{name}");
         for u in (0..n).step_by(7) {
-            let (pu, pv) = probes[u as usize];
-            assert_eq!(
-                b.contains_edge(&pin, pu, pv),
-                expect_exist[u as usize],
-                "{name}: contains_edge({pu}, {pv})"
-            );
             assert_eq!(b.degree(u), reference.degree(u), "{name}: degree({u})");
             let mut got = b.read_neighbors(&pin, u);
             let mut want = reference.read_neighbors(&ref_pin, u);
             got.sort_unstable();
             want.sort_unstable();
             assert_eq!(got, want, "{name}: adjacency of {u}");
-            let mut iterated = Vec::new();
-            b.for_each_neighbor(&pin, u, &mut |v| iterated.push(v));
-            iterated.sort_unstable();
-            assert_eq!(iterated, got, "{name}: for_each_neighbor({u})");
         }
     }
 }
@@ -153,21 +139,17 @@ fn pinned_backends_reject_an_empty_pin() {
     assert!(!empty.is_pinned());
     let pinned: Vec<_> = backends
         .iter()
-        .filter(|b| b.caps().concurrent_reads)
+        .filter(|b| b.pin_read().is_pinned())
         .collect();
     assert_eq!(pinned.len(), 2, "SlabGraph and ShardedSlabGraph");
     for b in pinned {
-        let queries: [&dyn Fn(); 4] = [
-            &|| {
-                let _ = b.contains_edge(&empty, 0, 1);
-            },
+        let queries: [&dyn Fn(); 2] = [
             &|| {
                 let _ = b.edges_exist(&empty, &[(0, 1)]);
             },
             &|| {
                 let _ = b.read_neighbors(&empty, 0);
             },
-            &|| b.for_each_neighbor(&empty, 0, &mut |_| {}),
         ];
         for (i, q) in queries.into_iter().enumerate() {
             let Err(err) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(q)) else {
@@ -224,5 +206,107 @@ fn mutable_backends_track_updates_identically() {
             counts.windows(2).all(|w| w[0] == w[1]),
             "round {round}: edge counts diverged: {counts:?}"
         );
+    }
+}
+
+/// Every read charges the same modeled work however the backend layer
+/// routes it (DESIGN §12 "charge parity"): the exact counter delta,
+/// summed over every device the backend spans, of a fixed probe batch,
+/// eight adjacency reads, a triangle count and a BFS, per backend.
+#[test]
+fn read_charges_are_pinned() {
+    let n = 64u32;
+    let edges = graph_gen::uniform_random(n, 600, 71);
+    let probes: Vec<(u32, u32)> = (0..n)
+        .flat_map(|u| [(u, (u * 7 + 3) % n), (u, (u + 1) % n)])
+        .collect();
+    type Read = fn(&dyn GraphBackend, &[(u32, u32)]);
+    let reads: [(&str, Read); 4] = [
+        ("edges_exist", |b, probes| {
+            let _ = b.edges_exist(&b.pin_read(), probes);
+        }),
+        ("read_neighbors", |b, _| {
+            let pin = b.pin_read();
+            for u in 0..8 {
+                let _ = b.read_neighbors(&pin, u);
+            }
+        }),
+        ("tc", |b, _| {
+            let _ = algos::tc(b);
+        }),
+        ("bfs_levels", |b, _| {
+            let _ = algos::bfs_levels(b, 0);
+        }),
+    ];
+    // [transactions, atomics, ballots, shuffles, launches, warps,
+    // words_allocated] per read, in `reads` order.
+    let expected: [(&str, [[u64; 7]; 4]); 5] = [
+        (
+            "SlabGraph",
+            [
+                [266, 0, 410, 64, 1, 4, 384],
+                [8, 0, 0, 0, 8, 8, 0],
+                [3862, 0, 6152, 492, 1, 147, 7968],
+                [64, 0, 0, 0, 64, 64, 0],
+            ],
+        ),
+        (
+            "Hornet",
+            [
+                [128, 0, 0, 0, 0, 0, 0],
+                [8, 0, 0, 0, 0, 0, 0],
+                [572, 0, 0, 0, 1, 0, 0],
+                [64, 0, 0, 0, 0, 0, 0],
+            ],
+        ),
+        (
+            "faimGraph",
+            [
+                [384, 0, 0, 0, 0, 128, 0],
+                [24, 0, 0, 0, 0, 8, 0],
+                [1716, 0, 0, 0, 1, 572, 0],
+                [192, 0, 0, 0, 0, 64, 0],
+            ],
+        ),
+        (
+            "CSR",
+            [
+                [256, 0, 0, 0, 0, 0, 0],
+                [16, 0, 0, 0, 0, 0, 0],
+                [1144, 0, 0, 0, 1, 0, 0],
+                [128, 0, 0, 0, 0, 0, 0],
+            ],
+        ),
+        (
+            "ShardedSlabGraph",
+            [
+                [270, 0, 412, 64, 3, 6, 576],
+                [8, 0, 0, 0, 8, 8, 0],
+                [3737, 0, 5973, 432, 43, 148, 8064],
+                [64, 0, 0, 0, 64, 64, 0],
+            ],
+        ),
+    ];
+    let backends = all_backends(n, &edges);
+    assert_eq!(backends.len(), expected.len());
+    for (mut b, (name, want)) in backends.into_iter().zip(expected) {
+        assert_eq!(b.name(), name);
+        b.ensure_sorted();
+        for ((read_name, read), want) in reads.iter().zip(want) {
+            let before: Vec<_> = b
+                .devices()
+                .iter()
+                .map(|d| d.counters().snapshot())
+                .collect();
+            read(b.as_ref(), &probes);
+            let delta: CounterSnapshot = b
+                .devices()
+                .iter()
+                .zip(&before)
+                .map(|(d, s)| d.counters().snapshot().delta(s))
+                .sum();
+            let got: Vec<u64> = delta.iter().map(|(_, c)| c).collect();
+            assert_eq!(got, want, "{name}: {read_name}");
+        }
     }
 }

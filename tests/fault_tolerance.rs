@@ -74,9 +74,9 @@ fn submit_round(router: &BatchRouter<'_>, round: &[Update], sessions: usize) {
 /// Full-state comparison: every vertex's sorted adjacency and weights.
 fn assert_state_identical(g: &ShardedGraph, reference: &DynGraph) {
     assert_eq!(g.num_edges(), reference.num_edges(), "edge counts diverge");
-    let pins = g.pin_read();
+    let pin = g.pin_read();
     for u in 0..N {
-        let mut got = g.neighbor_ids(&pins, u);
+        let mut got = g.read_neighbors(&pin, u);
         got.sort_unstable();
         let mut want = reference.neighbor_ids(&reference.pin_read(), u);
         want.sort_unstable();

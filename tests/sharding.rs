@@ -5,6 +5,7 @@
 //! ceiling must resume its journaled suffix on the next flush while the
 //! other shards proceed, and a bad update must be rejected on its own.
 
+use backend::GraphBackend;
 use graph_gen::splitmix64;
 use router::{
     shard_of, BatchRouter, RouterError, ShardHealth, ShardedGraph, ShardedValidationError, Update,
@@ -87,14 +88,14 @@ fn churn_replay_is_byte_identical_across_shard_counts() {
             );
         }
         assert_eq!(g.num_edges(), reference.num_edges(), "{shards} shards");
-        let pins = g.pin_read();
+        let pin = g.pin_read();
         for v in 0..N_VERTICES {
             assert_eq!(
                 g.degree(v),
                 reference.degree(v),
                 "degree({v}), {shards} shards"
             );
-            let mut a = g.neighbor_ids(&pins, v);
+            let mut a = g.read_neighbors(&pin, v);
             let mut b = reference.neighbor_ids(&reference.pin_read(), v);
             a.sort_unstable();
             b.sort_unstable();
@@ -139,9 +140,9 @@ fn routed_stream_matches_direct_application() {
             );
         }
         assert_eq!(g.num_edges(), reference.num_edges());
-        let pins = g.pin_read();
+        let pin = g.pin_read();
         for v in 0..N_VERTICES {
-            let mut a = g.neighbor_ids(&pins, v);
+            let mut a = g.read_neighbors(&pin, v);
             let mut b = reference.neighbor_ids(&reference.pin_read(), v);
             a.sort_unstable();
             b.sort_unstable();

@@ -53,23 +53,6 @@ impl AccessKind {
             AccessKind::Exchange => "exchange",
         }
     }
-
-    pub fn from_str(s: &str) -> Option<AccessKind> {
-        Some(match s {
-            "read" => AccessKind::Read,
-            "write" => AccessKind::Write,
-            "rmw" => AccessKind::AtomicRmw,
-            "cas" => AccessKind::Cas,
-            "exchange" => AccessKind::Exchange,
-            _ => return None,
-        })
-    }
-
-    /// Atomic accesses synchronize (the simulator models them as
-    /// release+acquire); plain reads/writes do not.
-    pub fn is_atomic(self) -> bool {
-        !matches!(self, AccessKind::Read | AccessKind::Write)
-    }
 }
 
 /// One memory access in a kernel body.

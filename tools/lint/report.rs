@@ -1,5 +1,4 @@
-//! Lint report: rendering, JSON export (exact round-trip, matching the
-//! `TraceReport` discipline), and the allowlist ratchet.
+//! Lint report: rendering, JSON export, and the allowlist ratchet.
 //!
 //! ## Allowlist format
 //!
@@ -320,8 +319,7 @@ impl LintReport {
         out
     }
 
-    /// Export as a JSON value. `from_json(to_json(r)) == r` field-for-field
-    /// and renders byte-identically.
+    /// Export as a JSON value (written to `target/lint/report.json`).
     pub fn to_json(&self) -> Json {
         let findings = self
             .findings
@@ -408,90 +406,6 @@ impl LintReport {
             ),
         ])
     }
-
-    /// Rebuild a report from its JSON export (the round-trip proof).
-    pub fn from_json(v: &Json) -> Result<LintReport, String> {
-        let need = |o: &Json, k: &str| -> Result<Json, String> {
-            o.get(k).cloned().ok_or_else(|| format!("missing `{k}`"))
-        };
-        let as_str = |v: &Json, k: &str| -> Result<String, String> {
-            v.as_str()
-                .map(|s| s.to_string())
-                .ok_or_else(|| format!("`{k}` not a string"))
-        };
-        let as_u32 = |v: &Json, k: &str| -> Result<u32, String> {
-            v.as_u64()
-                .map(|n| n as u32)
-                .ok_or_else(|| format!("`{k}` not a number"))
-        };
-        if need(v, "tool")?.as_str() != Some("lint-kernels") {
-            return Err("not a lint-kernels report".into());
-        }
-        let mut report = LintReport {
-            files_scanned: as_u32(&need(v, "files_scanned")?, "files_scanned")?,
-            ..Default::default()
-        };
-        for f in need(v, "findings")?
-            .as_arr()
-            .ok_or("findings not an array")?
-        {
-            report.findings.push(Finding {
-                rule: as_str(&need(f, "rule")?, "rule")?,
-                path: as_str(&need(f, "path")?, "path")?,
-                line: as_u32(&need(f, "line")?, "line")?,
-                kernel: as_str(&need(f, "kernel")?, "kernel")?,
-                func: as_str(&need(f, "func")?, "func")?,
-                message: as_str(&need(f, "message")?, "message")?,
-                excerpt: as_str(&need(f, "excerpt")?, "excerpt")?,
-            });
-            report
-                .allowed
-                .push(matches!(need(f, "allowed")?, Json::Bool(true)));
-        }
-        for k in need(v, "kernels")?.as_arr().ok_or("kernels not an array")? {
-            let mut summary = KernelSummary {
-                name: as_str(&need(k, "name")?, "name")?,
-                path: as_str(&need(k, "path")?, "path")?,
-                line: as_u32(&need(k, "line")?, "line")?,
-                func: as_str(&need(k, "func")?, "func")?,
-                launcher: as_str(&need(k, "launcher")?, "launcher")?,
-                accesses: Vec::new(),
-                allocs: Vec::new(),
-                pins: Vec::new(),
-                era_advances: Vec::new(),
-            };
-            for a in need(k, "accesses")?
-                .as_arr()
-                .ok_or("accesses not an array")?
-            {
-                summary.accesses.push((
-                    as_str(&need(a, "kind")?, "kind")?,
-                    as_str(&need(a, "key")?, "key")?,
-                    as_str(&need(a, "method")?, "method")?,
-                    as_u32(&need(a, "line")?, "line")?,
-                ));
-            }
-            summary.allocs = parse_named_lines(&need(k, "allocs")?)?;
-            summary.pins = parse_named_lines(&need(k, "pins")?)?;
-            for l in need(k, "era_advances")?
-                .as_arr()
-                .ok_or("era_advances not an array")?
-            {
-                summary.era_advances.push(as_u32(l, "era_advances")?);
-            }
-            report.kernels.push(summary);
-        }
-        let allow = need(v, "allow")?;
-        report.ratchet = as_u32(&need(&allow, "ratchet")?, "ratchet")?;
-        report.allow_entries = as_u32(&need(&allow, "entries")?, "entries")?;
-        for s in need(&allow, "stale")?
-            .as_arr()
-            .ok_or("stale not an array")?
-        {
-            report.stale.push(as_str(s, "stale")?);
-        }
-        Ok(report)
-    }
 }
 
 fn named_lines(pairs: &[(String, u32)]) -> Json {
@@ -506,22 +420,6 @@ fn named_lines(pairs: &[(String, u32)]) -> Json {
             })
             .collect(),
     )
-}
-
-fn parse_named_lines(v: &Json) -> Result<Vec<(String, u32)>, String> {
-    let mut out = Vec::new();
-    for p in v.as_arr().ok_or("not an array")? {
-        out.push((
-            p.get("call")
-                .and_then(|c| c.as_str())
-                .ok_or("missing `call`")?
-                .to_string(),
-            p.get("line")
-                .and_then(|l| l.as_u64())
-                .ok_or("missing `line`")? as u32,
-        ));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -562,17 +460,6 @@ mod tests {
             &Allowlist::parse("# ratchet: 1\nR2:crates/bench/benches/structures.rs:47\n").unwrap(),
         );
         r
-    }
-
-    #[test]
-    fn json_round_trips_byte_identically() {
-        let report = sample();
-        let text = report.to_json().render_pretty();
-        let parsed = Json::parse(&text).unwrap();
-        let rebuilt = LintReport::from_json(&parsed).unwrap();
-        assert_eq!(rebuilt.to_json().render_pretty(), text);
-        assert_eq!(rebuilt.findings, report.findings);
-        assert!(report.ok());
     }
 
     #[test]

@@ -57,8 +57,8 @@
 //! cargo run --bin lint-kernels -- --write-allow   # regenerate lint-allow.txt
 //! ```
 //!
-//! Every run also writes `target/lint/report.json` (pretty-printed,
-//! exact-round-trip JSON — the same discipline as `TraceReport`). Exit
+//! Every run also writes `target/lint/report.json` (pretty-printed
+//! JSON). Exit
 //! status: 0 clean/budgeted, 1 findings outside the budget (new findings,
 //! stale allowlist entries, or a budget above the ratchet), 2 usage/IO
 //! error.
@@ -149,18 +149,9 @@ fn main() -> ExitCode {
     }
 }
 
-/// Write `target/lint/report.json` and prove the export round-trips
-/// exactly (parse → rebuild → re-render must be byte-identical).
+/// Write `target/lint/report.json`.
 fn export_json(report: &LintReport, root: &Path) -> Result<(), String> {
     let rendered = report.to_json().render_pretty();
-    let parsed = gpu_sim::Json::parse(&rendered)
-        .map_err(|e| format!("report JSON does not parse back: {e}"))?;
-    let rebuilt =
-        LintReport::from_json(&parsed).map_err(|e| format!("report JSON does not rebuild: {e}"))?;
-    let re_rendered = rebuilt.to_json().render_pretty();
-    if re_rendered != rendered {
-        return Err("report JSON round-trip is not byte-identical".to_string());
-    }
     let dir = root.join("target/lint");
     std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let path = dir.join("report.json");
