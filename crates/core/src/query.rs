@@ -10,7 +10,7 @@
 //! grouping as Algorithm 1 so lookups hitting the same source vertex are
 //! coalesced.
 
-use crate::graph::{iter_bits, DynGraph, Edge};
+use crate::graph::{DynGraph, Edge};
 use gpu_sim::{Lanes, WARP_SIZE};
 use slab_alloc::ReadGuard;
 use slab_hash::TableKind;
@@ -54,7 +54,12 @@ impl DynGraph {
     }
 
     /// Batched edge-existence queries: one lane per ⟨src,dst⟩ pair, grouped
-    /// by source exactly like Algorithm 1's insertion work queue.
+    /// by source exactly like Algorithm 1's insertion work queue. Each
+    /// same-source group is answered by one
+    /// [`TableDesc::find_lanes`](slab_hash::TableDesc::find_lanes) call,
+    /// which walks every home bucket's chain once for all the group's
+    /// probes that hash there; a one-pair batch charges exactly one
+    /// `find`. The group's hits are written back in one coalesced store.
     pub fn edges_exist(&self, pin: &ReadGuard, pairs: &[(u32, u32)]) -> Vec<bool> {
         self.check_pin(pin);
         if pairs.is_empty() {
@@ -79,14 +84,11 @@ impl DynGraph {
                 let current_src = warp.shuffle(&srcs, current_lane);
                 let same_src = pending.zip_with(&srcs, |p, s| p && s == current_src);
                 let group = warp.ballot(&same_src);
-                let desc = self.dict.desc(warp, current_src);
-                let mut results = Lanes::splat(false);
-                if let Some(desc) = desc {
-                    for lane in iter_bits(group).map(|l| l as usize) {
-                        results.set(lane, desc.find(warp, dsts.get(lane)).is_some());
-                    }
-                }
-                let found = warp.ballot(&results);
+                let hits = match self.dict.desc(warp, current_src) {
+                    Some(desc) => desc.find_lanes(warp, &dsts, group).0,
+                    None => 0,
+                };
+                let found = warp.ballot(&Lanes::from_fn(|i| hits & (1 << i) != 0));
                 // Coalesced result write-back for the group.
                 let addrs = Lanes::from_fn(|i| out_buf + base + i as u32);
                 let vals = Lanes::from_fn(|i| (found >> i) & 1);
@@ -158,6 +160,7 @@ impl DynGraph {
 mod tests {
     use crate::config::GraphConfig;
     use crate::graph::{DynGraph, Edge};
+    use slab_alloc::ReadGuard;
 
     fn graph_with_star() -> DynGraph {
         let g = DynGraph::with_uniform_buckets(GraphConfig::directed_map(64), 64, 1);
@@ -305,5 +308,63 @@ mod tests {
             after > before,
             "mutation batches must advance the era ({before} → {after})"
         );
+    }
+
+    #[test]
+    fn single_probe_charges_are_pinned() {
+        // One-probe reads (the router's live reads, `serve_road`,
+        // `mixed_rw`) must charge exactly one key's walk: the grouped
+        // membership walk saves only on groups of two or more probes.
+        // Vertex 0's 39 edges fill a three-slab chain in one bucket.
+        let g = graph_with_star();
+        g.insert_edges(&[Edge::weighted(5, 6, 7)]);
+        let pin = g.pin_read();
+        type Read = fn(&DynGraph, &ReadGuard);
+        // [transactions, atomics, ballots, shuffles, launches, warps,
+        // words_allocated] per read.
+        let reads: [(&str, Read, [u64; 7]); 7] = [
+            (
+                "exist base hit",
+                |g, p| assert!(g.edge_exists(p, 0, 1)),
+                [5, 0, 5, 1, 1, 1, 96],
+            ),
+            (
+                "exist deep hit",
+                |g, p| assert!(g.edge_exists(p, 0, 39)),
+                [9, 0, 9, 1, 1, 1, 96],
+            ),
+            (
+                "exist miss",
+                |g, p| assert!(!g.edge_exists(p, 0, 40)),
+                [9, 0, 10, 1, 1, 1, 96],
+            ),
+            (
+                "exist short chain",
+                |g, p| assert!(g.edge_exists(p, 5, 6)),
+                [5, 0, 5, 1, 1, 1, 96],
+            ),
+            (
+                "exist no table",
+                |g, p| assert!(!g.edge_exists(p, 63, 0)),
+                [5, 0, 6, 1, 1, 1, 96],
+            ),
+            (
+                "weight deep hit",
+                |g, p| assert_eq!(g.edge_weight(p, 0, 39), Some(139)),
+                [5, 0, 5, 0, 1, 1, 0],
+            ),
+            (
+                "weight miss",
+                |g, p| assert_eq!(g.edge_weight(p, 0, 40), None),
+                [5, 0, 6, 0, 1, 1, 0],
+            ),
+        ];
+        for (name, read, want) in reads {
+            let before = g.device().counters().snapshot();
+            read(&g, &pin);
+            let delta = g.device().counters().snapshot().delta(&before);
+            let got: Vec<u64> = delta.iter().map(|(_, c)| c).collect();
+            assert_eq!(got, want, "{name}");
+        }
     }
 }

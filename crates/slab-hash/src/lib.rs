@@ -24,7 +24,8 @@
 //! value word follows each key, so each verb is one operation over both:
 //! [`TableDesc::insert`], [`TableDesc::find`], [`TableDesc::delete`] and
 //! [`TableDesc::for_each_entry`] (a set's value reads as 0 and is ignored
-//! on insert).
+//! on insert). [`TableDesc::find_lanes`] is `find` for a warp's group of
+//! keys, with one chain walk per home bucket.
 //!
 //! All operations are warp-cooperative: the whole warp reads one slab in a
 //! single coalesced transaction, ballots over its lanes, and elects lanes to
@@ -391,27 +392,72 @@ impl TableDesc {
     }
 
     /// Look up `key`: its value for a map, `Some(0)` for a set, `None` if
-    /// absent. Membership (`edgeExist`'s primitive) is `find(..).is_some()`.
-    ///
-    /// The chain walk is *snapshot-consistent* under concurrent mutation:
-    /// every hop past a slab re-validates that slab's next pointer and
-    /// re-probes from the bucket on skew.
+    /// absent. The one-lane call of [`Self::find_lanes`], charging exactly
+    /// one key's walk.
     pub fn find(&self, warp: &Warp, key: u32) -> Option<u32> {
-        let mut walk = ChainWalk::new(warp, self.home(key));
-        loop {
-            let Some(words) = walk.read() else {
-                continue;
+        let (found, values) = self.find_lanes(warp, &Lanes::splat(key), 1);
+        (found != 0).then(|| values.get(0))
+    }
+
+    /// Look up the key on every lane of `group` (a lane mask over `keys`)
+    /// with one walk per home bucket: bit *i* of the returned mask is set
+    /// iff lane *i*'s key is present, and lane *i* of the returned values
+    /// holds its value (a map's stored value, 0 for a set or a miss).
+    /// Membership, `edgeExist`'s primitive, is the mask.
+    ///
+    /// The group splits by home bucket (one ballot per bucket, charged
+    /// only when the table has more than one bucket and the group more
+    /// than one lane). Each bucket's chain is then walked once: at every
+    /// slab, one match ballot per still-open key and, while keys remain
+    /// open, one EMPTY ballot. The walk stops when every key is resolved
+    /// or the chain ends, so a group costs the transactions of its
+    /// deepest single probe, not their sum.
+    ///
+    /// The walk is *snapshot-consistent* under concurrent mutation: every
+    /// hop past a slab re-validates that slab's next pointer and re-probes
+    /// the still-open keys from the bucket on skew; keys resolved before
+    /// the restart stay resolved.
+    pub fn find_lanes(&self, warp: &Warp, keys: &Lanes<u32>, group: u32) -> (u32, Lanes<u32>) {
+        let homes = keys.map(|k| bucket_of(k, self.num_buckets));
+        let split_charged = self.num_buckets > 1 && group.count_ones() > 1;
+        let mut found = 0u32;
+        let mut values = Lanes::splat(0);
+        let mut pending = group;
+        while let Some(lead) = gpu_sim::ffs(pending) {
+            let bucket = homes.get(lead as usize);
+            let same_home = Lanes::from_fn(|i| pending & (1 << i) != 0 && homes.get(i) == bucket);
+            let mut open = if split_charged {
+                warp.ballot(&same_home)
+            } else {
+                gpu_sim::ballot(pending, &same_home)
             };
-            if let Some(lane) = gpu_sim::ffs(self.match_lanes(warp, &words, key)) {
-                note_probe_depth(warp, walk.depth);
-                return Some(self.kind.value_of(&words, lane as usize));
-            }
-            // Empties only exist at the tail ⇒ key is absent.
-            if self.match_lanes(warp, &words, EMPTY_KEY) != 0 || !walk.advance(&words) {
-                note_probe_depth(warp, walk.depth);
-                return None;
+            pending &= !open;
+            let mut walk = ChainWalk::new(warp, self.bucket_addr(bucket));
+            while open != 0 {
+                let Some(words) = walk.read() else {
+                    continue;
+                };
+                for lane in (0..WARP_SIZE).filter(move |i| open & (1 << i) != 0) {
+                    if let Some(slot) = gpu_sim::ffs(self.match_lanes(warp, &words, keys.get(lane)))
+                    {
+                        note_probe_depth(warp, walk.depth);
+                        found |= 1 << lane;
+                        open &= !(1 << lane);
+                        values.set(lane, self.kind.value_of(&words, slot as usize));
+                    }
+                }
+                // Empties only exist at the tail ⇒ the open keys are absent.
+                if open != 0
+                    && (self.match_lanes(warp, &words, EMPTY_KEY) != 0 || !walk.advance(&words))
+                {
+                    for _ in 0..open.count_ones() {
+                        note_probe_depth(warp, walk.depth);
+                    }
+                    open = 0;
+                }
             }
         }
+        (found, values)
     }
 
     /// The paper's *alternative* insertion strategy (§IV-C2): a two-stage
@@ -1116,6 +1162,123 @@ mod tests {
             .expect("chain-at-insert histogram missing");
         assert_eq!(chain.count, 100, "one sample per new key");
         assert_eq!(chain.max, 7, "last keys land on the 7th slab");
+    }
+
+    /// Probe groups over a table of several buckets with multi-slab
+    /// chains and tombstones: present, deleted and absent keys, one key
+    /// repeated within the warp, under full, sparse and one-lane masks.
+    fn probe_groups() -> Vec<(Lanes<u32>, u32)> {
+        let masks = [
+            gpu_sim::FULL_MASK,
+            0x5555_5555,
+            1,
+            1 << 31,
+            0x8000_0001,
+            0xF0F0_00FF,
+        ];
+        (0..8u32)
+            .flat_map(|seed| {
+                let mut keys = Lanes::from_fn(|i| (seed * 37 + i as u32 * 13) % 800);
+                keys.set(31, keys.get(0));
+                masks.map(|m| (keys, m))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn find_lanes_answers_like_per_key_find() {
+        for kind in [TableKind::Map, TableKind::Set] {
+            let (dev, alloc, t) = setup(kind, 4);
+            on_warp(&dev, |warp| {
+                // Keys ≡ 1 (mod 3) below 720; every fifth one deleted.
+                for k in 0..240u32 {
+                    t.insert(warp, &alloc, k * 3 + 1, k * 10 + 7).unwrap();
+                }
+                for k in (0..240u32).step_by(5) {
+                    assert!(t.delete(warp, k * 3 + 1));
+                }
+                let stats = t.stats(warp);
+                assert!(stats.max_chain >= 2 && stats.tombstones > 0, "{stats:?}");
+                for (keys, group) in probe_groups() {
+                    let (found, values) = t.find_lanes(warp, &keys, group);
+                    for lane in 0..WARP_SIZE {
+                        let want = if group & (1 << lane) != 0 {
+                            t.find(warp, keys.get(lane))
+                        } else {
+                            None
+                        };
+                        let ctx = format!("{kind:?} group {group:#x} lane {lane}");
+                        assert_eq!(found & (1 << lane) != 0, want.is_some(), "{ctx}");
+                        assert_eq!(values.get(lane), want.unwrap_or(0), "{ctx}");
+                    }
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn find_lanes_costs_the_deepest_probe() {
+        for kind in [TableKind::Map, TableKind::Set] {
+            let (dev, alloc, t) = setup(kind, 1);
+            let n = 100u32;
+            on_warp(&dev, |warp| {
+                for k in 0..n {
+                    t.insert(warp, &alloc, k, k).unwrap();
+                }
+            });
+            let charge = |f: &(dyn Fn(&Warp) + Sync)| {
+                let before = dev.counters().snapshot();
+                on_warp(&dev, f);
+                dev.counters().snapshot().delta(&before)
+            };
+            for k in 1..=32u32 {
+                // Keys at every depth of the chain, some of them absent.
+                let keys = Lanes::from_fn(|i| (i as u32 * 37 + k * 11) % (n + 20));
+                let group = gpu_sim::FULL_MASK >> (32 - k);
+                let singles: Vec<_> = (0..k as usize)
+                    .map(|i| {
+                        charge(&|w| {
+                            t.find(w, keys.get(i));
+                        })
+                    })
+                    .collect();
+                let grouped = charge(&|w| {
+                    t.find_lanes(w, &keys, group);
+                });
+                let deepest = singles.iter().map(|c| c.transactions).max().unwrap();
+                assert_eq!(grouped.transactions, deepest, "{kind:?}, k = {k}");
+                let ballots: u64 = singles.iter().map(|c| c.ballots).sum();
+                assert!(grouped.ballots <= ballots, "{kind:?}, k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn find_lanes_records_one_probe_depth_per_probe() {
+        use gpu_sim::{DeviceConfig, ProfilerConfig};
+        let dev = Device::with_config(
+            DeviceConfig::new(1 << 18).with_profiler(ProfilerConfig::default()),
+        );
+        let alloc = SlabAllocator::new(&dev, 1024);
+        let t = TableDesc::create(&dev, TableKind::Map, 1);
+        // Keys 0..100 in one bucket: key k sits on slab k/15 + 1 of 7.
+        let probes = [0, 14, 15, 99, 1000, 14];
+        let keys = Lanes::from_fn(|i| probes[i % probes.len()]);
+        on_warp(&dev, |warp| {
+            for k in 0..100 {
+                t.insert(warp, &alloc, k, k).unwrap();
+            }
+            t.find_lanes(warp, &keys, (1 << probes.len()) - 1);
+        });
+        let probe = dev
+            .profiler()
+            .unwrap()
+            .metric_summaries()
+            .into_iter()
+            .find(|s| s.name == "slab_hash.probe_depth")
+            .expect("probe-depth histogram missing");
+        // Depths 1, 1, 2, 7, 7 (the miss resolves at the tail), 1.
+        assert_eq!((probe.count, probe.sum, probe.max), (6, 19, 7));
     }
 
     #[test]

@@ -244,9 +244,9 @@ fn read_charges_are_pinned() {
         (
             "SlabGraph",
             [
-                [266, 0, 410, 64, 1, 4, 384],
+                [202, 0, 379, 64, 1, 4, 384],
                 [8, 0, 0, 0, 8, 8, 0],
-                [3862, 0, 6152, 492, 1, 147, 7968],
+                [1723, 0, 4647, 492, 1, 147, 7968],
                 [64, 0, 0, 0, 64, 64, 0],
             ],
         ),
@@ -280,9 +280,9 @@ fn read_charges_are_pinned() {
         (
             "ShardedSlabGraph",
             [
-                [270, 0, 412, 64, 3, 6, 576],
+                [206, 0, 381, 64, 3, 6, 576],
                 [8, 0, 0, 0, 8, 8, 0],
-                [3737, 0, 5973, 432, 43, 148, 8064],
+                [1538, 0, 4425, 432, 43, 148, 8064],
                 [64, 0, 0, 0, 64, 64, 0],
             ],
         ),
