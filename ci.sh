@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Local CI: the exact checks the GitHub workflow runs.
-#   ./ci.sh          # fmt + clippy + build + test
+# The one CI definition: the GitHub workflow runs `./ci.sh` (full mode)
+# and uploads the artifacts it leaves.
+#   ./ci.sh          # every check: fmt, clippy, lint ratchet, release build
+#                    # and tests, sanitized suite, smoke runs, bench gate
 #   ./ci.sh quick    # skip the release build, test in debug only
 set -euo pipefail
 cd "$(dirname "$0")"

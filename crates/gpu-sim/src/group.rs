@@ -28,13 +28,14 @@
 //!   as parallel process rows and dispatch overlap is visible directly.
 //!
 //! Sharded code paths construct devices *only* through a group — the
-//! `lint-kernels` rule R5 enforces this — so capacity budgets, fault plans,
-//! and profiler attachment stay uniform across shards.
+//! router crate's `clippy.toml` disallows the `Device` constructors — so
+//! capacity budgets, fault plans, and profiler attachment stay uniform
+//! across shards.
 
 use crate::counters::CounterSnapshot;
 use crate::device::{Device, DeviceConfig};
 use crate::metrics::{HistogramSnapshot, MetricKind, MetricSummary};
-use crate::profiler::ChromeEvent;
+use crate::profiler::{ChromeEvent, TraceCtx};
 use crate::sanitizer::Finding;
 use crate::trace::{KernelStats, TraceReport, TraceSnapshot};
 use std::sync::Arc;
@@ -87,18 +88,30 @@ impl DeviceGroup {
     /// concurrent CUDA streams on separate cards would, and because each
     /// closure only touches its own shard's device, the result is
     /// deterministic regardless of thread interleaving.
-    pub fn dispatch<R, F>(&self, f: F) -> Vec<R>
+    ///
+    /// `ctxs[shard]` is the [`TraceCtx`] installed on the shard's device
+    /// for the whole call ([`Device::trace_scope`]), so every span and
+    /// instant `f` records there names the op it runs for; `None` means
+    /// `f` does no device work on that shard. One slot per device.
+    pub fn dispatch<R, F>(&self, ctxs: &[Option<TraceCtx>], f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize, &Device) -> R + Sync,
     {
+        assert_eq!(ctxs.len(), self.len(), "one trace context slot per shard");
         let f = &f;
         std::thread::scope(|s| {
             let handles: Vec<_> = self
                 .devices
                 .iter()
+                .zip(ctxs)
                 .enumerate()
-                .map(|(i, d)| s.spawn(move || f(i, d.as_ref())))
+                .map(|(i, (d, ctx))| {
+                    s.spawn(move || {
+                        let _trace = ctx.map(|ctx| d.trace_scope(ctx));
+                        f(i, d.as_ref())
+                    })
+                })
                 .collect();
             handles
                 .into_iter()
@@ -236,7 +249,7 @@ mod tests {
     #[test]
     fn dispatch_returns_results_in_shard_order() {
         let g = DeviceGroup::new(4, DeviceConfig::new(1 << 10));
-        let out = g.dispatch(|i, dev| {
+        let out = g.dispatch(&[None; 4], |i, dev| {
             dev.launch_tasks("shard_touch", 32 * (i + 1), |_warp| {});
             i * 10
         });
@@ -247,9 +260,42 @@ mod tests {
     }
 
     #[test]
+    fn dispatch_installs_each_shards_trace_ctx() {
+        let g = group_with_profilers(2);
+        let ctxs = [TraceCtx::root(1, 10), TraceCtx::root(2, 20)];
+        g.dispatch(&ctxs.map(Some), |_, dev| {
+            dev.launch_tasks("traced", 32, |_| {});
+            dev.wait("traced_wait", 1e-6);
+            dev.launch_tasks("traced", 64, |_| {});
+        });
+        // Shard 1 gets no context: its work stays unstamped.
+        let ctx = TraceCtx::root(3, 30);
+        g.dispatch(&[Some(ctx), None], |_, dev| {
+            dev.launch_tasks("second", 32, |_| {});
+        });
+        for (s, d) in g.devices().iter().enumerate() {
+            d.launch_tasks("after", 32, |_| {});
+            let t = d.profiler().unwrap().timeline();
+            let stamps = |name: &str| -> Vec<Option<TraceCtx>> {
+                t.spans
+                    .iter()
+                    .chain(&t.host_spans)
+                    .filter(|e| e.name == name)
+                    .map(|e| e.ctx)
+                    .collect()
+            };
+            assert_eq!(stamps("traced"), vec![Some(ctxs[s]); 2], "shard {s}");
+            assert_eq!(stamps("traced_wait"), vec![Some(ctxs[s])], "shard {s}");
+            let second = if s == 0 { Some(ctx) } else { None };
+            assert_eq!(stamps("second"), vec![second], "shard {s}");
+            assert_eq!(stamps("after"), vec![None], "scope ends with dispatch");
+        }
+    }
+
+    #[test]
     fn merged_trace_sums_kernels_by_name_and_keeps_invariant() {
         let g = DeviceGroup::new(3, DeviceConfig::new(1 << 10));
-        g.dispatch(|i, dev| {
+        g.dispatch(&[None; 3], |i, dev| {
             dev.launch_tasks("common", 32, |_| {});
             if i == 1 {
                 dev.launch_tasks("only_one", 64, |_| {});
@@ -269,7 +315,7 @@ mod tests {
     #[test]
     fn merged_report_roundtrips_json_exactly() {
         let g = group_with_profilers(2);
-        g.dispatch(|_, dev| {
+        g.dispatch(&[None; 2], |_, dev| {
             let out = dev.alloc_words(32, 32);
             dev.memset("init", out, 32, 0);
             dev.launch_tasks("edge_insert", 128, move |warp| {
@@ -329,7 +375,7 @@ mod tests {
     #[test]
     fn clock_is_makespan_across_shards() {
         let g = DeviceGroup::new(2, DeviceConfig::new(1 << 12));
-        g.dispatch(|i, dev| {
+        g.dispatch(&[None; 2], |i, dev| {
             // Shard 1 does 4x the work of shard 0.
             let buf = dev.alloc_words(32, 32);
             dev.memset("init", buf, 32, 0);
@@ -345,7 +391,7 @@ mod tests {
     #[test]
     fn chrome_events_use_one_pid_per_shard() {
         let g = group_with_profilers(2);
-        g.dispatch(|_, dev| dev.launch_tasks("k", 32, |_| {}));
+        g.dispatch(&[None; 2], |_, dev| dev.launch_tasks("k", 32, |_| {}));
         let events = g.chrome_events(10);
         assert!(!events.is_empty());
         let pids: std::collections::BTreeSet<u64> = events.iter().map(|e| e.pid).collect();

@@ -101,9 +101,10 @@ pub fn default_profiler() -> Option<ProfilerConfig> {
 
 /// Causal trace context: identifies the client operation on whose behalf
 /// subsequently recorded spans and instants run. Minted per client op by
-/// the batch router and installed around each per-shard dispatch via
-/// [`crate::Device::trace_scope`], so every span a coalesced batch charges
-/// can be walked back to client traffic.
+/// the batch router; [`crate::DeviceGroup::dispatch`] takes one per shard
+/// and installs it for the dispatch ([`crate::Device::trace_scope`]), so
+/// every span a coalesced batch charges can be walked back to client
+/// traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceCtx {
     /// Submitting session (client identity). [`TraceCtx::NO_SESSION`] for

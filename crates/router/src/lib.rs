@@ -34,24 +34,40 @@
 //! [`BatchRouter::flush`] journals the queue into each shard's write-ahead
 //! log (one insert and one delete batch per shard), dispatches every shard
 //! with pending work concurrently through the device group's executor, and
-//! returns per-shard [`BatchOutcome`]s plus per-shard modeled times. The
+//! returns per-shard [`BatchOutcome`](slabgraph::BatchOutcome)s plus per-shard modeled times. The
 //! log is the only record of unapplied work: a shard that runs out of
 //! memory (capacity budget or injected fault) applies a prefix and keeps
 //! the pending suffix logged while the other shards complete unaffected,
 //! and after the caller raises the budget (or clears the fault plan) the
 //! next `flush` — with or without new updates — resumes it.
+//!
+//! ## Checked by the compiler
+//!
+//! A dispatch outcome is never unwrapped or discarded: outside tests the
+//! crate denies clippy's `unwrap_used`, `expect_used` and
+//! `let_underscore_must_use`. Shard devices come only from the
+//! [`gpu_sim::DeviceGroup`]: `clippy.toml` disallows the `Device`
+//! constructors. Every dispatch names each shard's [`gpu_sim::TraceCtx`],
+//! because [`gpu_sim::DeviceGroup::dispatch`] takes them.
 
-use gpu_sim::{
-    Device, DeviceConfig, DeviceFault, DeviceGroup, ExecPolicy, MetricsRegistry, TraceCtx,
-    TraceReport,
-};
-use parking_lot::{Mutex, RwLock};
-use slabgraph::{
-    BatchOp, BatchOutcome, Direction, DynGraph, Edge, GraphConfig, GraphError, ReadGuard,
-    ValidationError,
-};
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::let_underscore_must_use
+    )
+)]
+
+mod batch;
+mod health;
+mod partition;
+mod tracing;
+
+pub use batch::{BatchRouter, FlushReport, LiveReadPin, ReadQuality, ShardOutcome};
+pub use health::{RetryPolicy, RouterError, RouterReport, ShardHealth, ShardHealthRow, Update};
+pub use partition::{ShardedGraph, ShardedValidationError};
+pub use tracing::OpTraceRecord;
 
 /// The owner shard of vertex `v` among `n_shards`: a splitmix64 finalizer
 /// over the id, reduced mod `n_shards`. Deterministic, balanced, and
@@ -66,1781 +82,18 @@ pub fn shard_of(v: u32, n_shards: usize) -> usize {
     ((z ^ (z >> 31)) % n_shards as u64) as usize
 }
 
-/// Per-shard edge batches produced by partitioning one logical batch:
-/// `primary[s]` holds edges whose src shard `s` owns, `replica[s]` the cut
-/// edges mirrored to `s` because it owns the dst.
-struct ShardBatches {
-    primary: Vec<Vec<Edge>>,
-    replica: Vec<Vec<Edge>>,
-}
-
-/// A dynamic graph hash-partitioned across N [`DynGraph`] shards, one per
-/// device of a [`DeviceGroup`]. See the crate docs for the cut-edge
-/// protocol and determinism guarantees.
-pub struct ShardedGraph {
-    group: DeviceGroup,
-    /// Per-shard graphs behind rwlocks: ordinary operation takes read
-    /// guards (all `DynGraph` methods are `&self`), a rebuild takes the
-    /// write guard to swap in a fresh graph after a device reset.
-    shards: Vec<RwLock<DynGraph>>,
-    /// The per-shard config, kept so [`Self::reset_shard`] can rebuild a
-    /// structurally identical graph on the reset device.
-    shard_cfg: GraphConfig,
-    direction: Direction,
-    n_vertices: u32,
-    /// Op-id source for direct (router-less) dispatches, so every shard
-    /// dispatch carries a [`TraceCtx`] even outside a [`BatchRouter`].
-    ops: AtomicU64,
-}
-
-// The shard dispatch path shares `&DynGraph` across scoped threads.
-const _: () = {
-    const fn assert_sync<T: Sync>() {}
-    assert_sync::<DynGraph>();
-    assert_sync::<Device>();
-};
-
-impl ShardedGraph {
-    /// Build an empty sharded graph. `config` describes the *aggregate*
-    /// structure: the device budget and slab pool are split evenly across
-    /// shards (so scaling the shard count compares like-for-like), every
-    /// shard keeps the full vertex-id range (any id can own primaries or
-    /// host replicas), and undirected semantics are applied here — shards
-    /// are always directed, because the two half-edges of an undirected
-    /// pair can have different owners.
-    pub fn new(n_shards: usize, config: GraphConfig) -> Self {
-        assert!(n_shards >= 1, "need at least one shard");
-        let per_shard_words = (config.device_words / n_shards).max(1 << 14);
-        let group = DeviceGroup::new(
-            n_shards,
-            DeviceConfig {
-                initial_words: per_shard_words,
-                capacity_words: config.device_capacity_words,
-                policy: ExecPolicy::Sequential,
-                ..DeviceConfig::default()
-            },
-        );
-        let shard_cfg = GraphConfig {
-            direction: Direction::Directed,
-            device_words: per_shard_words,
-            pool_slabs: (config.pool_slabs / n_shards).max(1 << 6),
-            ..config
-        };
-        let shards = (0..n_shards)
-            .map(|s| RwLock::new(DynGraph::on_device(group.device(s).clone(), shard_cfg)))
-            .collect();
-        ShardedGraph {
-            group,
-            shards,
-            shard_cfg,
-            direction: config.direction,
-            n_vertices: config.vertex_capacity,
-            ops: AtomicU64::new(0),
-        }
-    }
-
-    /// Mint a root [`TraceCtx`] for one direct dispatch: no client
-    /// session, op ids from the graph's own counter. Sharing one ctx
-    /// across every shard of a dispatch ties the per-shard spans into a
-    /// single op in the merged trace (Perfetto draws the flow arrows).
-    fn dispatch_ctx(&self) -> TraceCtx {
-        TraceCtx::root(
-            TraceCtx::NO_SESSION,
-            self.ops.fetch_add(1, Ordering::AcqRel),
-        )
-    }
-
-    /// The one shard fan-out: run `f(s, shard)` on every shard
-    /// concurrently under a fresh dispatch [`TraceCtx`] (see
-    /// [`Self::dispatch_ctx`]), returning the results in shard order.
-    fn fan_out<R: Send>(&self, f: impl Fn(usize, &DynGraph) -> R + Sync) -> Vec<R> {
-        let ctx = self.dispatch_ctx();
-        self.group.dispatch(|s, dev| {
-            let _trace = dev.trace_scope(ctx);
-            f(s, &self.shards[s].read())
-        })
-    }
-
-    /// Build and populate from an edge list in one step.
-    pub fn bulk_build(n_shards: usize, config: GraphConfig, edges: &[Edge]) -> Self {
-        let g = Self::new(n_shards, config);
-        g.insert_edges(edges);
-        g
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The device group the shards run on (per-shard devices, merged
-    /// traces, Chrome export).
-    pub fn group(&self) -> &DeviceGroup {
-        &self.group
-    }
-
-    /// Shard `s`'s graph (owner-side tables plus replicas it hosts). The
-    /// returned read guard derefs to [`DynGraph`]; it blocks only against
-    /// an in-flight [`Self::reset_shard`] on the same shard.
-    pub fn shard(&self, s: usize) -> impl std::ops::Deref<Target = DynGraph> + '_ {
-        self.shards[s].read()
-    }
-
-    /// Tear shard `s` down to an empty graph on a freshly reset device:
-    /// the device arena is wiped (freeing its whole budget), the
-    /// sanitizer's shadow state is discarded (findings survive), and a
-    /// structurally identical empty [`DynGraph`] replaces the old one.
-    /// Blocks until every outstanding [`Self::shard`] guard is released.
-    /// The caller owns repopulation — see `BatchRouter::rebuild_downed`
-    /// for the journal-replay path.
-    pub fn reset_shard(&self, s: usize) {
-        let mut guard = self.shards[s].write();
-        let dev = self.group.device(s).clone();
-        dev.reset();
-        *guard = DynGraph::on_device(dev, self.shard_cfg);
-    }
-
-    /// The owner shard of vertex `v`.
-    pub fn owner_of(&self, v: u32) -> usize {
-        shard_of(v, self.shards.len())
-    }
-
-    /// Vertex capacity (ids are `0..vertex_capacity`).
-    pub fn vertex_capacity(&self) -> u32 {
-        self.n_vertices
-    }
-
-    /// The one routing rule for an update's edge: mirror it for undirected
-    /// semantics, then send each copy to its source's owner as a primary
-    /// and, for a cut edge, to its destination's owner as a replica. Calls
-    /// `f(shard, copy, is_replica)` once per routed copy, in that order.
-    fn route(&self, e: Edge, mut f: impl FnMut(usize, Edge, bool)) {
-        let n = self.shards.len();
-        let mut one = |e: Edge| {
-            let su = shard_of(e.src, n);
-            let sv = shard_of(e.dst, n);
-            f(su, e, false);
-            if sv != su {
-                f(sv, e, true);
-            }
-        };
-        one(e);
-        if self.direction == Direction::Undirected {
-            one(e.reversed());
-        }
-    }
-
-    /// Split a batch into per-shard primary and replica batches via
-    /// [`Self::route`], preserving batch order within each shard.
-    fn partition(&self, edges: &[Edge]) -> ShardBatches {
-        let n = self.shards.len();
-        let mut primary: Vec<Vec<Edge>> = vec![Vec::new(); n];
-        let mut replica: Vec<Vec<Edge>> = vec![Vec::new(); n];
-        for &e in edges {
-            self.route(e, |s, copy, is_replica| {
-                if is_replica {
-                    replica[s].push(copy);
-                } else {
-                    primary[s].push(copy);
-                }
-            });
-        }
-        ShardBatches { primary, replica }
-    }
-
-    /// Insert a batch of edges; returns how many were new (summed over
-    /// undirected mirror copies, exactly like `DynGraph::insert_edges`).
-    /// Shards run concurrently; the count comes from primary copies only,
-    /// so it matches an unsharded replay.
-    pub fn insert_edges(&self, edges: &[Edge]) -> u64 {
-        let parts = self.partition(edges);
-        self.fan_out(|s, g| {
-            let changed = g.insert_edges(&parts.primary[s]);
-            g.insert_edges(&parts.replica[s]);
-            changed
-        })
-        .iter()
-        .sum()
-    }
-
-    /// Delete a batch of edges; returns how many were present (primary
-    /// copies only — see [`Self::insert_edges`]).
-    pub fn delete_edges(&self, edges: &[Edge]) -> u64 {
-        let parts = self.partition(edges);
-        self.fan_out(|s, g| {
-            let changed = g.delete_edges(&parts.primary[s]);
-            g.delete_edges(&parts.replica[s]);
-            changed
-        })
-        .iter()
-        .sum()
-    }
-
-    /// Delete vertices and every incident edge. Every shard runs the
-    /// deletion: the owner drops the vertex's primary tables, shards
-    /// hosting replicas of its out-edges drop those tables too, and the
-    /// dst-side sweep on each shard tombstones incoming copies — so no
-    /// cross-shard scatter is needed.
-    pub fn delete_vertices(&self, vertices: &[u32]) {
-        self.fan_out(|_, g| g.delete_vertices(vertices));
-    }
-
-    /// Out-degree of `u`, from its owner shard (a dictionary counter, so
-    /// no pin).
-    pub fn degree(&self, u: u32) -> u32 {
-        self.shards[self.owner_of(u)].read().degree(u)
-    }
-
-    /// Exact live-edge count: the sum of owned-vertex degrees across
-    /// shards (replicas are bookkeeping, not extra edges).
-    pub fn num_edges(&self) -> u64 {
-        self.fan_out(|s, g| {
-            (0..self.n_vertices)
-                .filter(|&v| shard_of(v, self.shards.len()) == s)
-                .map(|v| g.degree(v) as u64)
-                .sum::<u64>()
-        })
-        .iter()
-        .sum()
-    }
-
-    /// Every shard's full contents — primaries and replicas — in shard
-    /// order: one `edge_export` launch per non-empty shard, the shards
-    /// running concurrently.
-    fn shard_exports(&self) -> Vec<Vec<Edge>> {
-        self.fan_out(|_, g| g.export_edges(&g.pin_read()))
-    }
-
-    /// Every live edge once, as its primary copy ⟨src, dst, weight⟩:
-    /// shard by shard, each shard's part vertex-ascending (see
-    /// `DynGraph::export_edges`). Costs one launch per non-empty shard.
-    pub fn export_edges(&self) -> Vec<Edge> {
-        let n = self.shards.len();
-        self.shard_exports()
-            .into_iter()
-            .enumerate()
-            .flat_map(|(s, edges)| edges.into_iter().filter(move |e| shard_of(e.src, n) == s))
-            .collect()
-    }
-
-    /// Full validation: every shard's structural invariants
-    /// (`DynGraph::validate`), then the cross-shard audit — every cut edge
-    /// present on both owners, no orphan or misrouted replicas, and the
-    /// global counts reconcile (`Σ per-shard edges = owned + cut`). The
-    /// audit reads one export per shard, so the whole check charges
-    /// O(shards) launches.
-    pub fn validate(&self) -> Result<(), ShardedValidationError> {
-        let n = self.shards.len();
-        for (s, r) in self.fan_out(|_, g| g.validate()).into_iter().enumerate() {
-            r.map_err(|source| ShardedValidationError::Shard { shard: s, source })?;
-        }
-        // The cross-shard audit runs on the host over one export per
-        // shard, with membership answered by per-shard set lookups.
-        let exports = self.shard_exports();
-        let present: Vec<HashSet<(u32, u32)>> = exports
-            .iter()
-            .map(|edges| edges.iter().map(|e| (e.src, e.dst)).collect())
-            .collect();
-        // Each export is vertex-ascending, so a stable sort by source over
-        // the shard-major concatenation visits edges by vertex, then shard,
-        // then table order: the first violation reported is the lowest
-        // vertex's.
-        let mut all: Vec<(usize, u32, u32)> = exports
-            .iter()
-            .enumerate()
-            .flat_map(|(s, edges)| edges.iter().map(move |e| (s, e.src, e.dst)))
-            .collect();
-        all.sort_by_key(|&(_, u, _)| u);
-        let mut cut = 0u64;
-        let mut replicas = 0u64;
-        let mut owned = 0u64;
-        let stored = all.len() as u64;
-        for (s, u, v) in all {
-            let su = shard_of(u, n);
-            let sv = shard_of(v, n);
-            if s == su {
-                owned += 1;
-                // Primary side: every cut edge must have its replica.
-                if sv != su {
-                    cut += 1;
-                    if !present[sv].contains(&(u, v)) {
-                        return Err(ShardedValidationError::MissingReplica {
-                            src: u,
-                            dst: v,
-                            src_shard: su,
-                            dst_shard: sv,
-                        });
-                    }
-                }
-            } else {
-                // Replica side: must be dst-owned here and backed by a
-                // live primary on the src's owner.
-                replicas += 1;
-                if sv != s || !present[su].contains(&(u, v)) {
-                    return Err(ShardedValidationError::OrphanReplica {
-                        src: u,
-                        dst: v,
-                        shard: s,
-                    });
-                }
-            }
-        }
-        if replicas != cut || stored != owned + cut {
-            return Err(ShardedValidationError::CountMismatch {
-                owned,
-                cut,
-                replicas,
-                stored,
-            });
-        }
-        Ok(())
-    }
-}
-
-/// What [`ShardedGraph::validate`] can find beyond a single shard's own
-/// invariants.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShardedValidationError {
-    /// A shard failed its own `DynGraph::validate`.
-    Shard {
-        shard: usize,
-        source: ValidationError,
-    },
-    /// A cut edge's primary exists but its replica is missing on the dst
-    /// owner.
-    MissingReplica {
-        src: u32,
-        dst: u32,
-        src_shard: usize,
-        dst_shard: usize,
-    },
-    /// A replica with no backing primary, or stored on a shard that owns
-    /// neither endpoint.
-    OrphanReplica { src: u32, dst: u32, shard: usize },
-    /// Global reconciliation failed: stored entries must equal owned
-    /// primaries plus cut-edge replicas, and replicas must equal cut edges.
-    CountMismatch {
-        owned: u64,
-        cut: u64,
-        replicas: u64,
-        stored: u64,
-    },
-}
-
-impl std::fmt::Display for ShardedValidationError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardedValidationError::Shard { shard, source } => {
-                write!(f, "shard {shard}: {source}")
-            }
-            ShardedValidationError::MissingReplica {
-                src,
-                dst,
-                src_shard,
-                dst_shard,
-            } => write!(
-                f,
-                "cut edge {src}\u{2192}{dst}: primary on shard {src_shard} but no replica on shard {dst_shard}"
-            ),
-            ShardedValidationError::OrphanReplica { src, dst, shard } => write!(
-                f,
-                "shard {shard}: replica {src}\u{2192}{dst} has no backing primary (or wrong owner)"
-            ),
-            ShardedValidationError::CountMismatch {
-                owned,
-                cut,
-                replicas,
-                stored,
-            } => write!(
-                f,
-                "counts do not reconcile: stored {stored} != owned {owned} + cut {cut} (replicas {replicas})"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ShardedValidationError {}
-
-// ---------------------------------------------------------------------------
-// GraphBackend: the sharded graph drops into every existing driver.
-// ---------------------------------------------------------------------------
-
-impl backend::GraphBackend for ShardedGraph {
-    fn name(&self) -> &'static str {
-        "ShardedSlabGraph"
-    }
-
-    fn caps(&self) -> backend::Capabilities {
-        backend::Capabilities {
-            insert_edges: true,
-            delete_edges: true,
-            delete_vertices: true,
-            intersection: backend::IntersectionKind::HashProbe,
-        }
-    }
-
-    fn device(&self) -> &Device {
-        self.group.device(0).as_ref()
-    }
-
-    fn devices(&self) -> Vec<&Device> {
-        self.group.devices().iter().map(|d| d.as_ref()).collect()
-    }
-
-    fn num_vertices(&self) -> u32 {
-        self.n_vertices
-    }
-
-    fn num_edges(&self) -> u64 {
-        ShardedGraph::num_edges(self)
-    }
-
-    fn degree(&self, u: u32) -> u32 {
-        ShardedGraph::degree(self, u)
-    }
-
-    /// One guard per shard, in shard order. While the pin lives no shard
-    /// recycles a slab freed at or after its pinned era, so queries run
-    /// safely concurrent with in-flight update batches. Guards pin
-    /// *reclamation*, not data: reads observe the newest published state.
-    fn pin_read(&self) -> backend::ReadPin {
-        backend::ReadPin::from_guards(self.shards.iter().map(|s| s.read().pin_read()).collect())
-    }
-
-    /// Pairs route to their src's owner, the per-shard query kernels run
-    /// concurrently (each under its shard's guard), and results return in
-    /// the caller's order — bit-identical to an unsharded replay.
-    fn edges_exist(&self, pin: &backend::ReadPin, pairs: &[(u32, u32)]) -> Vec<bool> {
-        let pins = pin.guards();
-        let n = self.shards.len();
-        let mut index: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut per: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-        for (i, &p) in pairs.iter().enumerate() {
-            let s = shard_of(p.0, n);
-            index[s].push(i);
-            per[s].push(p);
-        }
-        let results = self.fan_out(|s, g| g.edges_exist(&pins[s], &per[s]));
-        let mut out = vec![false; pairs.len()];
-        for (s, found) in results.into_iter().enumerate() {
-            for (k, b) in found.into_iter().enumerate() {
-                out[index[s][k]] = b;
-            }
-        }
-        out
-    }
-
-    /// `u`'s neighbours, from its owner shard (the primary copy holds the
-    /// complete adjacency).
-    fn read_neighbors(&self, pin: &backend::ReadPin, u: u32) -> Vec<u32> {
-        let owner = self.owner_of(u);
-        self.shards[owner]
-            .read()
-            .neighbor_ids(&pin.guards()[owner], u)
-    }
-
-    fn insert_edges(&mut self, edges: &[(u32, u32)]) -> u64 {
-        let edges: Vec<Edge> = edges.iter().map(|&p| Edge::from(p)).collect();
-        ShardedGraph::insert_edges(self, &edges)
-    }
-
-    fn delete_edges(&mut self, edges: &[(u32, u32)]) -> u64 {
-        let edges: Vec<Edge> = edges.iter().map(|&p| Edge::from(p)).collect();
-        ShardedGraph::delete_edges(self, &edges)
-    }
-
-    fn delete_vertices(&mut self, vertices: &[u32]) {
-        ShardedGraph::delete_vertices(self, vertices)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The async batch router.
-// ---------------------------------------------------------------------------
-
-/// One shard's position in the router's health state machine.
-///
-/// `Healthy → Suspect` on the first failed launch admission; `Suspect →
-/// Healthy` on the next successful dispatch; `Suspect → Down` when the
-/// [`RetryPolicy`] is exhausted or the fault is terminal
-/// ([`DeviceFault::Lost`]). A Down shard's circuit breaker is *open*: the
-/// router stops dispatching to it (batches are journaled and held, reads
-/// degrade) until [`BatchRouter::rebuild_downed`] moves it through
-/// `Rebuilding` back to `Healthy`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardHealth {
-    /// Dispatching normally.
-    #[default]
-    Healthy,
-    /// At least one launch admission failed recently; still dispatching.
-    Suspect,
-    /// Circuit breaker open: no dispatch, reads degrade, writes are held
-    /// in the journal.
-    Down,
-    /// Device reset and journal replay in progress; treated like Down for
-    /// dispatch and reads.
-    Rebuilding,
-}
-
-impl ShardHealth {
-    /// Stable lowercase name (used in traces and renders).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ShardHealth::Healthy => "healthy",
-            ShardHealth::Suspect => "suspect",
-            ShardHealth::Down => "down",
-            ShardHealth::Rebuilding => "rebuilding",
-        }
-    }
-
-    /// Whether the router may dispatch batches to this shard.
-    pub fn is_dispatchable(self) -> bool {
-        matches!(self, ShardHealth::Healthy | ShardHealth::Suspect)
-    }
-}
-
-impl std::fmt::Display for ShardHealth {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Bounded-retry policy for failed launch admissions. Backoff is charged
-/// on the shard device's *modeled* clock ([`gpu_sim::Device::wait`]), so
-/// it lands in the shard's [`ShardOutcome::modeled_s`] and waiting on a
-/// flaky shard costs makespan exactly like work does.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Admission retries per dispatch before the shard is marked Down.
-    pub max_retries: u32,
-    /// Backoff before the first retry, in modeled seconds.
-    pub base_backoff_s: f64,
-    /// Multiplier applied to the backoff after each failed retry.
-    pub multiplier: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            base_backoff_s: 50e-6,
-            multiplier: 2.0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The backoff charged before retry number `attempt` (0-based).
-    pub fn backoff_s(&self, attempt: u32) -> f64 {
-        self.base_backoff_s * self.multiplier.powi(attempt as i32)
-    }
-}
-
-/// A typed per-shard failure. Distinct from the recoverable OOM carried
-/// inside a partial [`BatchOutcome`]: a `RouterError` means work was *not*
-/// applied.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RouterError {
-    /// An update is bad (e.g. an out-of-range vertex id), reported on the
-    /// shard that owns its source. It is rejected when the flush drains
-    /// the queues — never journaled, routed, or retried, since retrying it
-    /// could never succeed — while its batch-mates apply. Not a health
-    /// event: the device is fine, the input is not.
-    Poisoned { shard: usize, source: GraphError },
-    /// The shard's device refused launch admission and the retry policy
-    /// was exhausted (or the fault was terminal). The shard is now Down.
-    Fault { shard: usize, source: DeviceFault },
-}
-
-impl std::fmt::Display for RouterError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RouterError::Poisoned { shard, source } => {
-                write!(f, "shard {shard}: poisoned batch: {source}")
-            }
-            RouterError::Fault { shard, source } => {
-                write!(f, "shard {shard}: device fault: {source}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RouterError {}
-
-/// Whether a read was answered by the authoritative owner shard or
-/// best-effort from surviving replicas while the owner is Down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadQuality {
-    /// Answered by the owner shard: identical to an unsharded replay.
-    Exact,
-    /// Owner unavailable; answered from cut-edge replicas on surviving
-    /// shards. Correct for edges whose replica survives, silent about
-    /// shard-internal edges.
-    Degraded,
-}
-
-/// One journaled update on one shard: the client op it belongs to (its
-/// [`TraceCtx`]) and the edge it inserts or deletes there.
-#[derive(Debug, Clone, Copy)]
-struct JournalEntry {
-    ctx: TraceCtx,
-    update: Update,
-}
-
-impl JournalEntry {
-    fn is_insert(&self) -> bool {
-        matches!(self.update, Update::Insert(_))
-    }
-
-    fn edge(&self) -> Edge {
-        match self.update {
-            Update::Insert(e) | Update::Delete(e) => e,
-        }
-    }
-}
-
-/// Per-shard write-ahead journal: the acked entries folded into a compact
-/// checkpoint (edge → weight, primaries and replicas alike) plus the
-/// ordered log of every entry not yet applied — the only record of the
-/// shard's pending work. Acking exactly what was applied keeps the depth
-/// proportional to in-flight work, not history; a rebuild replays
-/// checkpoint-then-log into a fresh shard.
-#[derive(Debug, Default)]
-struct ShardJournal {
-    checkpoint: HashMap<(u32, u32), u32>,
-    log: Vec<JournalEntry>,
-}
-
-impl ShardJournal {
-    /// Unacknowledged entries.
-    fn depth(&self) -> usize {
-        self.log.len()
-    }
-
-    /// The first-submitted op with an entry in the log: the one rule for
-    /// which op a shard's dispatch and rebuild spans are stamped with.
-    fn first_op(&self) -> Option<TraceCtx> {
-        self.log.iter().map(|e| e.ctx).min_by_key(|ctx| ctx.op)
-    }
-
-    /// Fold the entries of the log's first `applied.len()` flagged applied
-    /// into the checkpoint, in log order; every other entry, including any
-    /// appended since the replay snapshot, stays logged in order.
-    fn ack(&mut self, applied: &[bool]) {
-        let mut kept = Vec::new();
-        for (i, entry) in self.log.drain(..).enumerate() {
-            match (applied.get(i), entry.update) {
-                (Some(true), Update::Insert(e)) => {
-                    self.checkpoint.insert((e.src, e.dst), e.weight);
-                }
-                (Some(true), Update::Delete(e)) => {
-                    self.checkpoint.remove(&(e.src, e.dst));
-                }
-                _ => kept.push(entry),
-            }
-        }
-        self.log = kept;
-    }
-}
-
-/// What one replay of journal entries did on one shard: per-kind outcomes
-/// folded over the entries' runs, and which entries were applied.
-struct Replay {
-    insert: Option<BatchOutcome>,
-    delete: Option<BatchOutcome>,
-    applied: Vec<bool>,
-}
-
-impl Replay {
-    fn is_complete(&self) -> bool {
-        self.applied.iter().all(|&a| a)
-    }
-}
-
-/// The one apply step behind flush and rebuild: apply `entries` to `g` in
-/// maximal runs of one kind (`try_insert_edges` / `try_delete_edges`), in
-/// log order, stopping at the first incomplete run — a later run would
-/// break apply order. Runs not attempted, and every run when `g` is `None`
-/// (breaker open, admission refused), are held fully pending. Replay is
-/// idempotent: re-inserting an edge replaces its weight, re-deleting is a
-/// no-op.
-fn replay(g: Option<&DynGraph>, entries: &[JournalEntry]) -> Replay {
-    let mut out = Replay {
-        insert: None,
-        delete: None,
-        applied: Vec::with_capacity(entries.len()),
-    };
-    let mut stopped = g.is_none();
-    for run in entries.chunk_by(|a, b| a.is_insert() == b.is_insert()) {
-        let edges: Vec<Edge> = run.iter().map(JournalEntry::edge).collect();
-        let is_insert = run[0].is_insert();
-        let op = if is_insert {
-            BatchOp::InsertEdges
-        } else {
-            BatchOp::DeleteEdges
-        };
-        let outcome = match g.filter(|_| !stopped) {
-            None => held_outcome(op, &edges),
-            Some(g) => {
-                let applied = if is_insert {
-                    g.try_insert_edges(&edges)
-                } else {
-                    g.try_delete_edges(&edges)
-                };
-                match applied {
-                    Ok(o) => o,
-                    // Flush checks every edge before journaling it.
-                    Err(e) => unreachable!("journaled edge failed validation: {e}"),
-                }
-            }
-        };
-        // `pending` is the run's unapplied entries, in run order.
-        let mut pending = outcome.pending.iter().peekable();
-        for e in &edges {
-            out.applied.push(pending.next_if(|&p| p == e).is_none());
-        }
-        stopped |= !outcome.is_complete();
-        let slot = if is_insert {
-            &mut out.insert
-        } else {
-            &mut out.delete
-        };
-        match slot {
-            None => *slot = Some(outcome),
-            Some(acc) => {
-                acc.attempted += outcome.attempted;
-                acc.completed += outcome.completed;
-                acc.changed += outcome.changed;
-                acc.pending.extend(outcome.pending);
-                acc.error = acc.error.take().or(outcome.error);
-            }
-        }
-    }
-    out
-}
-
-/// Per-shard router state: health machine position, cumulative
-/// fault-tolerance tallies, and the write-ahead journal.
-#[derive(Debug, Default)]
-struct ShardState {
-    health: ShardHealth,
-    retries: u64,
-    backoff_s: f64,
-    rebuilds: u64,
-    journal: ShardJournal,
-}
-
-/// One shard's health at report time: its state-machine position plus
-/// cumulative fault-tolerance tallies.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardHealthRow {
-    /// Shard index.
-    pub shard: u64,
-    /// Health-machine state.
-    pub state: ShardHealth,
-    /// Cumulative dispatch retries against this shard.
-    pub retries: u64,
-    /// Cumulative modeled backoff seconds charged waiting on this shard.
-    pub backoff_s: f64,
-    /// Unacknowledged write-ahead-journal entries for this shard.
-    pub journal_depth: u64,
-    /// Completed rebuild cycles (reset → replay → re-admit).
-    pub rebuilds: u64,
-}
-
-/// One-line health summary of a router's shards.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RouterReport {
-    /// Per-shard health rows, in shard order.
-    pub rows: Vec<ShardHealthRow>,
-}
-
-impl RouterReport {
-    /// One-line summary, e.g.
-    /// `router health: 3/4 healthy | shard 2: down (retries 3, backoff 0.350 ms, journal 42, rebuilds 0)`.
-    pub fn render(&self) -> String {
-        let healthy = self
-            .rows
-            .iter()
-            .filter(|r| r.state == ShardHealth::Healthy)
-            .count();
-        let mut line = format!("router health: {healthy}/{} healthy", self.rows.len());
-        for r in self.rows.iter().filter(|r| r.state != ShardHealth::Healthy) {
-            line.push_str(&format!(
-                " | shard {}: {} (retries {}, backoff {:.3} ms, journal {}, rebuilds {})",
-                r.shard,
-                r.state,
-                r.retries,
-                r.backoff_s * 1e3,
-                r.journal_depth,
-                r.rebuilds
-            ));
-        }
-        line
-    }
-}
-
-/// One client update. Sessions submit these; the router coalesces them
-/// into per-shard batches at flush time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Update {
-    /// Insert one edge (weight carried through on map-kind shards).
-    Insert(Edge),
-    /// Delete one edge.
-    Delete(Edge),
-}
-
-/// One queued client update, carrying the [`TraceCtx`] minted at
-/// [`BatchRouter::submit`] and the modeled clock at submission (queue
-/// latency is measured from here to the flush that drains it).
-#[derive(Debug, Clone, Copy)]
-struct PendingOp {
-    ctx: TraceCtx,
-    update: Update,
-    submitted_s: f64,
-}
-
-/// The reconstructed lifecycle of one client operation: its identity,
-/// the flush that carried it, a latency breakdown on the modeled clock,
-/// and the span chain (human-readable, in causal order). `total_ns` is
-/// *defined* as the sum of the four components, and `tests/tracing.rs`
-/// asserts the kernel component is conserved against the flush's actual
-/// kernel time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OpTraceRecord {
-    /// Router-wide op id (monotonic, minted at submit).
-    pub op: u64,
-    /// Submitting session, or [`TraceCtx::NO_SESSION`] for internal ops.
-    pub session: u64,
-    /// `"insert"`, `"delete"`, or `"query"`.
-    pub kind: String,
-    /// The flush sequence number that drained this op (0 for queries).
-    pub flush: u64,
-    /// Modeled ns spent queued between submit and flush drain.
-    pub queue_ns: u64,
-    /// This op's share of retry backoff charged on its shards.
-    pub backoff_ns: u64,
-    /// This op's share of kernel time on its shards (rebuild replay
-    /// folds in here, flagged by a `router.rebuild` span).
-    pub kernel_ns: u64,
-    /// Modeled ns answering this op from replicas while the owner was
-    /// down (queries only).
-    pub degraded_ns: u64,
-    /// Causal span chain, e.g. `flush#3 queue 12 ns` then
-    /// `shard1/dispatch kernel 40 ns backoff 0 ns`.
-    pub spans: Vec<String>,
-}
-
-impl OpTraceRecord {
-    /// End-to-end modeled latency: the sum of the four components.
-    pub fn total_ns(&self) -> u64 {
-        self.queue_ns + self.backoff_ns + self.kernel_ns + self.degraded_ns
-    }
-}
-
-/// The op's latency breakdown on one line, then one indented line per
-/// span (no trailing newline), e.g.
-///
-/// ```text
-/// op 17 (insert, session 3): 612 ns = queue 112 + backoff 100 + kernel 400 + degraded 0
-///     flush#2 queue 112 ns
-///     shard1/dispatch kernel 400 ns backoff 100 ns
-/// ```
-impl std::fmt::Display for OpTraceRecord {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "op {} ({}, session {}): {} ns = queue {} + backoff {} + kernel {} + degraded {}",
-            self.op,
-            self.kind,
-            self.session,
-            self.total_ns(),
-            self.queue_ns,
-            self.backoff_ns,
-            self.kernel_ns,
-            self.degraded_ns
-        )?;
-        self.spans.iter().try_for_each(|s| write!(f, "\n    {s}"))
-    }
-}
-
-/// One in-flight op: its record plus how many of its journal entries (one
-/// per routed copy of its edge) are not yet acked.
-struct OpenOp {
-    rec: OpTraceRecord,
-    unacked: usize,
-}
-
-/// Completed-op ring capacity (matches the profiler's event rings).
-const OPLOG_CAP: usize = 1 << 16;
-/// Slowest-op exemplars kept with full span chains.
-const TAIL_EXEMPLARS: usize = 8;
-
-/// Router-side op bookkeeping: in-flight ops, the bounded completed-op
-/// ring, and the K-slowest exemplar ring.
-#[derive(Default)]
-struct OpTracker {
-    open: HashMap<u64, OpenOp>,
-    completed: VecDeque<OpTraceRecord>,
-    exemplars: Vec<OpTraceRecord>,
-    flushes: u64,
-}
-
-impl OpTracker {
-    /// Move a finished record into the completed ring and the exemplar
-    /// ring, folding its components into the router metrics.
-    fn finalize(&mut self, rec: OpTraceRecord, metrics: &MetricsRegistry) {
-        metrics.record("op.total_ns", rec.total_ns());
-        metrics.record("op.queue_ns", rec.queue_ns);
-        metrics.record("op.backoff_ns", rec.backoff_ns);
-        metrics.record("op.kernel_ns", rec.kernel_ns);
-        metrics.record("op.degraded_ns", rec.degraded_ns);
-        self.exemplars.push(rec.clone());
-        self.exemplars
-            .sort_by(|a, b| b.total_ns().cmp(&a.total_ns()).then(a.op.cmp(&b.op)));
-        self.exemplars.truncate(TAIL_EXEMPLARS);
-        self.completed.push_back(rec);
-        if self.completed.len() > OPLOG_CAP {
-            self.completed.pop_front();
-        }
-    }
-}
-
-/// Round modeled seconds to whole nanoseconds for attribution. The
-/// modeled clock resolves sub-microsecond shares (one op's slice of a
-/// coalesced dispatch is typically tens to hundreds of ns), so
-/// nanoseconds keep the breakdown informative where whole µs would
-/// round nearly every component to zero.
-fn as_ns(s: f64) -> u64 {
-    (s * 1e9).round() as u64
-}
-
-/// One shard's view of a flush: its batch outcomes, health, and modeled
-/// time.
-#[derive(Debug, Clone)]
-pub struct ShardOutcome {
-    pub shard: usize,
-    /// Outcome of the inserts in the shard's journal log: this flush's
-    /// coalesced batch (primaries then replicas, session order preserved)
-    /// after any work still pending from earlier flushes, so `attempted`
-    /// counts carried-over entries too. A shard whose circuit breaker is
-    /// open reports only this flush's entries, all held. `None` when
-    /// there were no inserts to report.
-    pub insert: Option<BatchOutcome>,
-    /// Outcome of the deletes in the shard's journal log.
-    pub delete: Option<BatchOutcome>,
-    /// Modeled GPU seconds this shard spent on the flush: its device
-    /// clock's advance across admission and replay, so retry backoff is
-    /// included.
-    pub modeled_s: f64,
-    /// The retry-backoff portion of [`Self::modeled_s`] — kernel time is
-    /// `modeled_s - backoff_s`. Latency attribution splits per-op shares
-    /// along exactly this seam.
-    pub backoff_s: f64,
-    /// The shard's health after this dispatch.
-    pub health: ShardHealth,
-    /// Typed failure: the first update rejected for this shard (it owns
-    /// the update's source vertex), or else the device fault that refused
-    /// admission. A refused shard applied nothing and its [`Self::health`]
-    /// is Down, even when a rejection takes this slot. Orthogonal to the
-    /// recoverable OOM inside a partial [`BatchOutcome`].
-    pub error: Option<RouterError>,
-}
-
-impl ShardOutcome {
-    /// Whether every batch routed to this shard was fully applied.
-    pub fn is_complete(&self) -> bool {
-        self.error.is_none()
-            && self.insert.as_ref().is_none_or(BatchOutcome::is_complete)
-            && self.delete.as_ref().is_none_or(BatchOutcome::is_complete)
-    }
-}
-
-/// What one [`BatchRouter::flush`] did.
-#[derive(Debug, Clone)]
-pub struct FlushReport {
-    /// Updates drained from the session queues.
-    pub updates: usize,
-    /// Per-shard outcomes, in shard order.
-    pub shards: Vec<ShardOutcome>,
-}
-
-impl FlushReport {
-    /// Whether every shard applied its batches fully.
-    pub fn is_complete(&self) -> bool {
-        self.shards.iter().all(ShardOutcome::is_complete)
-    }
-
-    /// Shards with unapplied or rejected work.
-    pub fn incomplete_shards(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .filter(|s| !s.is_complete())
-            .map(|s| s.shard)
-            .collect()
-    }
-
-    /// The flush's modeled makespan: shards run concurrently, so this is
-    /// the *maximum* per-shard modeled time, not the sum.
-    pub fn modeled_s(&self) -> f64 {
-        self.shards.iter().map(|s| s.modeled_s).fold(0.0, f64::max)
-    }
-}
-
-/// Host-side async batch router over a [`ShardedGraph`]. Concurrent
-/// sessions [`Self::submit`] updates; [`Self::flush`] coalesces and
-/// dispatches them. See the crate docs for ordering semantics.
-///
-/// The router is also the graph's fault-tolerance layer: it write-ahead
-/// journals every routed op, runs a per-shard health state machine
-/// ([`ShardHealth`]) driven by launch-admission faults and a
-/// [`RetryPolicy`], opens a circuit breaker on Down shards (no device
-/// access at all while open), serves degraded reads from surviving
-/// replicas, and rebuilds a Down shard from its journal
-/// ([`Self::rebuild_downed`]).
-pub struct BatchRouter<'g> {
-    graph: &'g ShardedGraph,
-    /// Per-session FIFO queues, indexed by session id. A `Mutex` (not a
-    /// channel) so that draining is session-major — deterministic no
-    /// matter how submission threads interleaved.
-    sessions: Mutex<Vec<Vec<PendingOp>>>,
-    policy: RetryPolicy,
-    /// Op-id source for [`TraceCtx`] minting (monotonic from 1).
-    next_op: AtomicU64,
-    /// Per-op lifecycle bookkeeping (open ops, completed ring, tail
-    /// exemplars).
-    tracker: Mutex<OpTracker>,
-    /// Router-level metrics (`op.*_ns` component histograms). Kept
-    /// separate from the per-device registries so per-op attribution
-    /// does not perturb the device-side metric sets.
-    op_metrics: MetricsRegistry,
-    /// Per-shard health + journal. Each dispatch closure locks only its
-    /// own shard's state, so the per-shard mutexes never contend across
-    /// shards.
-    states: Vec<Mutex<ShardState>>,
-    /// Lock-free mirror of each shard's dispatchability. A flush dispatch
-    /// holds its shard's state mutex for the whole batch, so the read
-    /// path consults this mirror instead — reads are *served during*
-    /// in-flight flushes rather than fenced behind them.
-    serving: Vec<AtomicBool>,
-}
-
-impl<'g> BatchRouter<'g> {
-    pub fn new(graph: &'g ShardedGraph) -> Self {
-        Self::with_policy(graph, RetryPolicy::default())
-    }
-
-    /// Build a router with an explicit [`RetryPolicy`]. Seeds each
-    /// shard's journal checkpoint from the shard's *current* contents
-    /// (primaries and replicas alike, one `edge_export` launch per
-    /// non-empty shard), so graphs assembled via
-    /// [`ShardedGraph::bulk_build`] — which bypasses the router — are
-    /// still rebuildable.
-    pub fn with_policy(graph: &'g ShardedGraph, policy: RetryPolicy) -> Self {
-        let states = graph
-            .shard_exports()
-            .into_iter()
-            .map(|edges| {
-                let mut st = ShardState::default();
-                st.journal.checkpoint = edges.iter().map(|e| ((e.src, e.dst), e.weight)).collect();
-                Mutex::new(st)
-            })
-            .collect();
-        BatchRouter {
-            graph,
-            sessions: Mutex::new(Vec::new()),
-            policy,
-            next_op: AtomicU64::new(1),
-            tracker: Mutex::new(OpTracker::default()),
-            op_metrics: MetricsRegistry::new(),
-            states,
-            serving: (0..graph.num_shards())
-                .map(|_| AtomicBool::new(true))
-                .collect(),
-        }
-    }
-
-    /// The router's modeled clock: the group makespan (max of the
-    /// per-shard device clocks). Queue latency is measured on it.
-    fn clock_s(&self) -> f64 {
-        self.graph.group().clock_s()
-    }
-
-    /// Enqueue one update for `session` and return the op id of the
-    /// [`TraceCtx`] minted for it. Safe to call from any thread; order
-    /// *within* a session is the caller's submission order.
-    pub fn submit(&self, session: usize, update: Update) -> u64 {
-        let op = self.next_op.fetch_add(1, Ordering::AcqRel);
-        let pending = PendingOp {
-            ctx: TraceCtx::root(session as u64, op),
-            update,
-            submitted_s: self.clock_s(),
-        };
-        let mut q = self.sessions.lock();
-        if q.len() <= session {
-            q.resize_with(session + 1, Vec::new);
-        }
-        q[session].push(pending);
-        op
-    }
-
-    /// Updates currently queued across all sessions.
-    pub fn queued(&self) -> usize {
-        self.sessions.lock().iter().map(Vec::len).sum()
-    }
-
-    /// Current health of shard `s`.
-    pub fn health(&self, s: usize) -> ShardHealth {
-        self.states[s].lock().health
-    }
-
-    /// Shards whose health is anything other than Healthy (the
-    /// health-state analogue of [`FlushReport::incomplete_shards`]).
-    pub fn unhealthy_shards(&self) -> Vec<usize> {
-        (0..self.states.len())
-            .filter(|&s| self.health(s) != ShardHealth::Healthy)
-            .collect()
-    }
-
-    /// Snapshot the per-shard health machine into a [`RouterReport`].
-    pub fn report(&self) -> RouterReport {
-        let rows = (0..self.states.len())
-            .map(|s| {
-                let st = self.states[s].lock();
-                ShardHealthRow {
-                    shard: s as u64,
-                    state: st.health,
-                    retries: st.retries,
-                    backoff_s: st.backoff_s,
-                    journal_depth: st.journal.depth() as u64,
-                    rebuilds: st.rebuilds,
-                }
-            })
-            .collect();
-        RouterReport { rows }
-    }
-
-    /// Unacknowledged journal entries for shard `s` (held writes that a
-    /// rebuild would replay).
-    pub fn journal_depth(&self, s: usize) -> usize {
-        self.states[s].lock().journal.depth()
-    }
-
-    /// Transition a shard's health, emitting a trace instant and a
-    /// transition count so the path is visible in the profiler timeline.
-    fn set_health(&self, st: &mut ShardState, s: usize, to: ShardHealth) {
-        let from = st.health;
-        if from == to {
-            return;
-        }
-        st.health = to;
-        self.serving[s].store(to.is_dispatchable(), Ordering::Release);
-        let dev = self.graph.group().device(s);
-        if let Some(p) = dev.profiler() {
-            dev.instant("shard_health", format!("shard {s}: {from} -> {to}"));
-            p.metrics().record("router.health_transitions", 1);
-        }
-    }
-
-    /// Launch-admission gate with bounded retry. Charges exponential
-    /// backoff on the modeled clock between attempts and drives the
-    /// health machine; returns the accumulated backoff seconds, or the
-    /// final fault (with the backoff spent getting there) after marking
-    /// the shard Down.
-    fn admit(
-        &self,
-        st: &mut ShardState,
-        s: usize,
-        dev: &Device,
-    ) -> Result<f64, (f64, DeviceFault)> {
-        let mut backoff = 0.0;
-        let mut attempt = 0u32;
-        loop {
-            match dev.launch_check() {
-                Ok(()) => {
-                    if attempt > 0 {
-                        // Recovered within the retry budget.
-                        self.set_health(st, s, ShardHealth::Healthy);
-                    }
-                    return Ok(backoff);
-                }
-                Err(fault) => {
-                    self.set_health(st, s, ShardHealth::Suspect);
-                    if fault.is_terminal() || attempt >= self.policy.max_retries {
-                        self.set_health(st, s, ShardHealth::Down);
-                        return Err((backoff, fault));
-                    }
-                    let wait = self.policy.backoff_s(attempt);
-                    st.retries += 1;
-                    st.backoff_s += wait;
-                    backoff += wait;
-                    dev.wait("router.backoff", wait);
-                    if let Some(p) = dev.profiler() {
-                        p.metrics()
-                            .record("router.retry_backoff_us", (wait * 1e6) as u64);
-                    }
-                    attempt += 1;
-                }
-            }
-        }
-    }
-
-    /// Drain every session queue (session-major, submission order within a
-    /// session), journal every update on each shard it routes to —
-    /// primaries and cut-edge replicas, of both half-edges when the graph
-    /// is undirected, inserts before deletes — and run
-    /// one dispatch round. An update whose edge fails
-    /// [`DynGraph::check_edge`] is rejected on its own: it is never
-    /// journaled, and the shard owning its source reports it as
-    /// [`RouterError::Poisoned`] while its batch-mates apply.
-    ///
-    /// In the round, every dispatchable shard with a non-empty journal log
-    /// applies the log in order (work still pending from earlier flushes
-    /// first) and acks exactly the entries it applied; the shards run
-    /// concurrently. A shard that exhausts its device budget reports a
-    /// partial [`BatchOutcome`] and keeps the unapplied suffix logged, so
-    /// a later flush — with or without new updates — resumes it, while
-    /// the other shards proceed to completion. A shard whose device
-    /// refuses launch admission is retried per the [`RetryPolicy`]
-    /// (backoff charged on the modeled clock) and, once exhausted, marked
-    /// Down: its log is held, its [`ShardOutcome::error`] carries the
-    /// fault, and subsequent flushes skip it entirely (open circuit
-    /// breaker — zero device access) until [`Self::rebuild_downed`]
-    /// re-admits it.
-    pub fn flush(&self) -> FlushReport {
-        let drained: Vec<Vec<PendingOp>> = std::mem::take(&mut *self.sessions.lock());
-        let updates: usize = drained.iter().map(Vec::len).sum();
-        let n = self.graph.num_shards();
-        let drain_s = self.clock_s();
-        // Per shard, in journal order: insert primaries, insert replicas,
-        // delete primaries, delete replicas.
-        let mut routed: Vec<[Vec<JournalEntry>; 4]> = vec![Default::default(); n];
-        let mut rejected: Vec<Option<RouterError>> = vec![None; n];
-        {
-            // Open one lifecycle record per routed op; it settles when its
-            // last journal entry is acked.
-            let mut t = self.tracker.lock();
-            t.flushes += 1;
-            let flush_id = t.flushes;
-            for p in drained.iter().flatten() {
-                let (kind, e, group, wrap): (_, _, _, fn(Edge) -> Update) = match p.update {
-                    Update::Insert(e) => ("insert", e, 0, Update::Insert),
-                    Update::Delete(e) => ("delete", e, 2, Update::Delete),
-                };
-                let su = self.graph.owner_of(e.src);
-                if let Err(source) = self.graph.shard(su).check_edge(&e) {
-                    rejected[su].get_or_insert(RouterError::Poisoned { shard: su, source });
-                    continue;
-                }
-                let mut unacked = 0;
-                self.graph.route(e, |s, copy, is_replica| {
-                    routed[s][group + usize::from(is_replica)].push(JournalEntry {
-                        ctx: p.ctx,
-                        update: wrap(copy),
-                    });
-                    unacked += 1;
-                });
-                let queue_ns = as_ns((drain_s - p.submitted_s).max(0.0));
-                t.open.insert(
-                    p.ctx.op,
-                    OpenOp {
-                        rec: OpTraceRecord {
-                            op: p.ctx.op,
-                            session: p.ctx.session,
-                            kind: kind.to_string(),
-                            flush: flush_id,
-                            queue_ns,
-                            backoff_ns: 0,
-                            kernel_ns: 0,
-                            degraded_ns: 0,
-                            spans: vec![format!("flush#{flush_id} queue {queue_ns} ns")],
-                        },
-                        unacked,
-                    },
-                );
-            }
-        }
-        // Write-ahead: journal every routed update before any dispatch, so
-        // a shard that dies mid-flush can be rebuilt without losing writes.
-        let mut appended = vec![0; n];
-        for (s, groups) in routed.into_iter().enumerate() {
-            let mut st = self.states[s].lock();
-            appended[s] = groups.iter().map(Vec::len).sum();
-            st.journal.log.extend(groups.into_iter().flatten());
-            if let Some(p) = self.graph.group().device(s).profiler() {
-                p.metrics()
-                    .gauge("router.journal_depth")
-                    .set(st.journal.depth() as u64);
-            }
-        }
-        let dispatched = self.graph.group().dispatch(|s, dev| {
-            let mut st = self.states[s].lock();
-            let mut outcome = ShardOutcome {
-                shard: s,
-                insert: None,
-                delete: None,
-                modeled_s: 0.0,
-                backoff_s: 0.0,
-                health: st.health,
-                error: rejected[s],
-            };
-            if !st.health.is_dispatchable() {
-                // Circuit breaker open: hold the log without touching the
-                // device at all, and report only this flush's entries as
-                // held, so a long outage costs each flush only its own
-                // entries.
-                let log = &st.journal.log;
-                let held = replay(None, &log[log.len() - appended[s]..]);
-                outcome.insert = held.insert;
-                outcome.delete = held.delete;
-                return (outcome, Vec::new(), Vec::new());
-            }
-            let Some(first) = st.journal.first_op() else {
-                // No work: no launch admission consumed, so fault plans
-                // keyed on launch index stay deterministic w.r.t. work.
-                return (outcome, Vec::new(), Vec::new());
-            };
-            // Stamp everything this dispatch records — kernel spans,
-            // backoff waits, health instants — with the first op in the
-            // shard's journal, so the merged trace chains back to client
-            // traffic.
-            let _trace = dev.trace_scope(first);
-            let log = st.journal.log.clone();
-            let t0 = dev.clock_s();
-            let done = match self.admit(&mut st, s, dev) {
-                Err((backoff, fault)) => {
-                    outcome.backoff_s = backoff;
-                    // A rejected update keeps its report; the fault still
-                    // shows as the shard's Down health.
-                    outcome.error.get_or_insert(RouterError::Fault {
-                        shard: s,
-                        source: fault,
-                    });
-                    replay(None, &log)
-                }
-                Ok(backoff) => {
-                    let g = self.graph.shard(s);
-                    let _phase = dev.phase("router.flush");
-                    let done = replay(Some(&g), &log);
-                    drop(_phase);
-                    outcome.backoff_s = backoff;
-                    // A clean dispatch heals a Suspect shard.
-                    self.set_health(&mut st, s, ShardHealth::Healthy);
-                    st.journal.ack(&done.applied);
-                    if let Some(p) = dev.profiler() {
-                        p.metrics()
-                            .gauge("router.journal_depth")
-                            .set(st.journal.depth() as u64);
-                    }
-                    done
-                }
-            };
-            outcome.modeled_s = dev.clock_s() - t0;
-            outcome.health = st.health;
-            outcome.insert = done.insert;
-            outcome.delete = done.delete;
-            (outcome, log, done.applied)
-        });
-        let shards = dispatched
-            .into_iter()
-            .map(|(o, log, applied)| {
-                let kernel_s = (o.modeled_s - o.backoff_s).max(0.0);
-                self.charge(o.shard, &log, &applied, kernel_s, o.backoff_s, false);
-                o
-            })
-            .collect();
-        FlushReport { updates, shards }
-    }
-
-    /// Charge shard `s`'s replay of `entries` to their ops, an even share
-    /// of `kernel_s` and `backoff_s` each. An applied entry is acked: its
-    /// op gains a `dispatch` span (`router.rebuild` for a rebuild) and
-    /// settles once its last entry is acked. An unapplied one stays open
-    /// and gains a `retry` span for whatever it was charged.
-    fn charge(
-        &self,
-        s: usize,
-        entries: &[JournalEntry],
-        applied: &[bool],
-        kernel_s: f64,
-        backoff_s: f64,
-        rebuild: bool,
-    ) {
-        if entries.is_empty() {
-            return;
-        }
-        let kernel = as_ns(kernel_s / entries.len() as f64);
-        let backoff = as_ns(backoff_s / entries.len() as f64);
-        let mut t = self.tracker.lock();
-        for (entry, &acked) in entries.iter().zip(applied) {
-            if !acked && kernel == 0 && backoff == 0 {
-                continue;
-            }
-            let Some(open) = t.open.get_mut(&entry.ctx.op) else {
-                continue;
-            };
-            open.rec.kernel_ns += kernel;
-            open.rec.backoff_ns += backoff;
-            open.rec.spans.push(match (rebuild, acked) {
-                (true, _) => format!("shard{s}/router.rebuild {kernel} ns"),
-                (false, true) => {
-                    format!("shard{s}/dispatch kernel {kernel} ns backoff {backoff} ns")
-                }
-                (false, false) => format!("shard{s}/retry kernel {kernel} ns backoff {backoff} ns"),
-            });
-            if acked {
-                open.unacked -= 1;
-                if open.unacked == 0 {
-                    let open = t.open.remove(&entry.ctx.op).expect("open op present");
-                    t.finalize(open.rec, &self.op_metrics);
-                }
-            }
-        }
-    }
-
-    /// Rebuild every Down shard from its journal: reset the device
-    /// ([`gpu_sim::Device::reset`] clears the lost latch and fault
-    /// plans), replay the checkpoint and then a snapshot of the log into a
-    /// fresh shard through the same apply step a flush uses, audit the
-    /// whole sharded graph with [`ShardedGraph::validate`], and only then
-    /// ack the replayed entries and re-admit the shard as Healthy. Updates
-    /// journaled while the replay runs stay logged for the next flush.
-    /// Returns the rebuilt shard ids.
-    ///
-    /// If any replay runs out of device memory, every shard of the pass
-    /// goes back to Down with nothing acked, unaudited, and nothing is
-    /// returned; a later call retries them all. If the audit fails, no
-    /// rebuilt shard is re-admitted (they stay in `Rebuilding`) and the
-    /// audit error is returned.
-    pub fn rebuild_downed(&self) -> Result<Vec<usize>, ShardedValidationError> {
-        let mut replayed: Vec<(usize, Vec<JournalEntry>, f64)> = Vec::new();
-        let mut out_of_memory = false;
-        for s in 0..self.graph.num_shards() {
-            // Snapshot the replay image, then release the state lock for
-            // the device-side replay (degraded reads stay responsive).
-            let (first, mut checkpoint, log) = {
-                let mut st = self.states[s].lock();
-                if st.health != ShardHealth::Down {
-                    continue;
-                }
-                self.set_health(&mut st, s, ShardHealth::Rebuilding);
-                let checkpoint: Vec<Edge> = st
-                    .journal
-                    .checkpoint
-                    .iter()
-                    .map(|(&(u, v), &w)| Edge::weighted(u, v, w))
-                    .collect();
-                (st.journal.first_op(), checkpoint, st.journal.log.clone())
-            };
-            let dev = self.graph.group().device(s).clone();
-            // Replay spans chain to the first op in the shard's journal —
-            // the oldest write the rebuild is recovering.
-            let ctx = first.unwrap_or_else(|| self.graph.dispatch_ctx());
-            let _trace = dev.trace_scope(ctx);
-            let t0 = dev.clock_s();
-            // The checkpoint is a map; sort for a deterministic replay.
-            checkpoint.sort_unstable_by_key(|e| (e.src, e.dst));
-            let base: Vec<JournalEntry> = checkpoint
-                .into_iter()
-                .map(|e| JournalEntry {
-                    ctx,
-                    update: Update::Insert(e),
-                })
-                .collect();
-            self.graph.reset_shard(s);
-            let done = {
-                let g = self.graph.shard(s);
-                let _phase = dev.phase("router.rebuild");
-                let base = replay(Some(&g), &base);
-                if base.is_complete() {
-                    replay(Some(&g), &log)
-                } else {
-                    base
-                }
-            };
-            if !done.is_complete() {
-                out_of_memory = true;
-                self.set_health(&mut self.states[s].lock(), s, ShardHealth::Down);
-                continue;
-            }
-            replayed.push((s, log, dev.clock_s() - t0));
-        }
-        if out_of_memory || replayed.is_empty() {
-            // A half-replayed shard would fail the audit: after an OOM the
-            // whole pass goes back to Down, nothing acked, for a later
-            // retry.
-            for &(s, ..) in &replayed {
-                self.set_health(&mut self.states[s].lock(), s, ShardHealth::Down);
-            }
-            return Ok(Vec::new());
-        }
-        // Cross-shard audit before re-admitting anything: a rebuild that
-        // fails the audit leaves its shard un-admitted in Rebuilding.
-        self.graph.validate()?;
-        let mut rebuilt = Vec::new();
-        for (s, log, dur) in replayed {
-            // The replay applied every snapshot entry.
-            let applied = vec![true; log.len()];
-            let mut st = self.states[s].lock();
-            st.journal.ack(&applied);
-            st.rebuilds += 1;
-            self.set_health(&mut st, s, ShardHealth::Healthy);
-            let dev = self.graph.group().device(s);
-            if let Some(p) = dev.profiler() {
-                p.metrics()
-                    .gauge("router.journal_depth")
-                    .set(st.journal.depth() as u64);
-                p.metrics().record("router.rebuild_us", (dur * 1e6) as u64);
-                dev.instant("shard_rebuilt", format!("shard {s}"));
-            }
-            // Each replayed op is charged an even share of the rebuild as
-            // kernel time.
-            self.charge(s, &log, &applied, dur, 0.0, true);
-            rebuilt.push(s);
-        }
-        Ok(rebuilt)
-    }
-
-    /// Whether shard `s` currently serves dispatches and exact reads.
-    /// Reads the lock-free health mirror, never the state mutex: a flush
-    /// dispatch holds the mutex for its whole batch, and reads must not
-    /// fence behind it.
-    fn is_serving(&self, s: usize) -> bool {
-        self.serving[s].load(Ordering::Acquire)
-    }
-
-    /// Pin every serving shard for a read session that runs concurrently
-    /// with in-flight [`Self::flush`]es. Shards that are Down or
-    /// Rebuilding at pin time get no guard; reads routed to them degrade.
-    /// Nothing on this path touches the per-shard state mutex, so a flush
-    /// mid-dispatch never blocks a pinned read (and vice versa). Reads
-    /// under this pin are untraced: they mint no op, read no clock, and
-    /// never lock the op tracker.
-    pub fn pin_read(&self) -> LiveReadPin {
-        self.pin(None)
-    }
-
-    /// [`Self::pin_read`] for a traced session: every read under the
-    /// returned pin mints a client op for `session`, stamps the answering
-    /// shards' spans with its [`TraceCtx`], and folds a completed
-    /// `"query"` lifecycle into the op log, its modeled cost charged to
-    /// the `kernel` component when the read is exact and to `degraded`
-    /// otherwise.
-    pub fn pin_traced(&self, session: usize) -> LiveReadPin {
-        self.pin(Some(session as u64))
-    }
-
-    fn pin(&self, session: Option<u64>) -> LiveReadPin {
-        let guards = (0..self.graph.num_shards())
-            .map(|s| self.is_serving(s).then(|| self.graph.shard(s).pin_read()))
-            .collect();
-        LiveReadPin { guards, session }
-    }
-
-    /// Run `query` on shard `s` under its pinned guard. `None` when the
-    /// shard holds no guard (it was not serving at pin time), has since
-    /// stopped serving, or was reset since the pin — a rebuilt shard's
-    /// fresh allocator no longer owns the guard, so the guard cannot
-    /// block its reclamation and the read would be unprotected.
-    fn pinned_query<T>(
-        &self,
-        pin: &LiveReadPin,
-        s: usize,
-        query: impl FnOnce(&DynGraph, &ReadGuard) -> T,
-    ) -> Option<T> {
-        let guard = pin.guards.get(s)?.as_ref()?;
-        if !self.is_serving(s) {
-            return None;
-        }
-        let g = self.graph.shard(s);
-        if !g.allocator().owns_guard(guard) {
-            return None;
-        }
-        Some(query(&g, guard))
-    }
-
-    /// The one read path behind every `*_live` query. The owner answers
-    /// under its pinned guard, tagged [`ReadQuality::Exact`]; with the
-    /// owner unavailable (or its pin staled by a rebuild) every serving
-    /// shard in `replicas` answers instead, tagged
-    /// [`ReadQuality::Degraded`], and the caller folds their answers. The
-    /// epoch pins compose with the degraded-read protocol rather than
-    /// replacing it. Under a traced pin the read becomes one `"query"` op
-    /// whose spans are named `shard{s}/{what}`.
-    fn read<T>(
-        &self,
-        pin: &LiveReadPin,
-        what: &str,
-        owner: usize,
-        replicas: impl IntoIterator<Item = usize>,
-        query: impl Fn(&DynGraph, &ReadGuard) -> T,
-    ) -> (Vec<T>, ReadQuality) {
-        let ctx = pin
-            .session
-            .map(|session| TraceCtx::root(session, self.next_op.fetch_add(1, Ordering::AcqRel)));
-        // (shard, modeled ns) for every shard that answered a traced read.
-        let mut answered: Vec<(usize, u64)> = Vec::new();
-        let mut ask = |s: usize| -> Option<T> {
-            let Some(ctx) = ctx else {
-                return self.pinned_query(pin, s, &query);
-            };
-            let dev = self.graph.group().device(s);
-            let _trace = dev.trace_scope(ctx);
-            let t0 = dev.clock_s();
-            let answer = self.pinned_query(pin, s, &query)?;
-            answered.push((s, as_ns(dev.clock_s() - t0)));
-            Some(answer)
-        };
-        let (answers, quality) = match ask(owner) {
-            Some(a) => (vec![a], ReadQuality::Exact),
-            None => (
-                replicas.into_iter().filter_map(&mut ask).collect(),
-                ReadQuality::Degraded,
-            ),
-        };
-        if let Some(ctx) = ctx {
-            let cost_ns: u64 = answered.iter().map(|&(_, ns)| ns).sum();
-            let (kernel_ns, degraded_ns, q) = match quality {
-                ReadQuality::Exact => (cost_ns, 0, "exact"),
-                ReadQuality::Degraded => (0, cost_ns, "degraded"),
-            };
-            let mut spans: Vec<String> = answered
-                .iter()
-                .map(|&(s, ns)| format!("shard{s}/{what} {ns} ns ({q})"))
-                .collect();
-            if spans.is_empty() {
-                spans.push("unanswerable (owner down, no replica)".to_string());
-            }
-            let rec = OpTraceRecord {
-                op: ctx.op,
-                session: ctx.session,
-                kind: "query".to_string(),
-                flush: 0,
-                queue_ns: 0,
-                backoff_ns: 0,
-                kernel_ns,
-                degraded_ns,
-                spans,
-            };
-            self.tracker.lock().finalize(rec, &self.op_metrics);
-        }
-        (answers, quality)
-    }
-
-    /// Point membership under a read session: `src`'s owner answers
-    /// exactly; with the owner unavailable, a cut edge's replica on
-    /// `owner(dst)` answers, degraded (the replica is kept under the same
-    /// `u→v` key, so it is authoritative for that edge). A shard-internal
-    /// edge of an unavailable owner is unanswerable and reports
-    /// best-effort absence.
-    pub fn edge_exists_live(&self, pin: &LiveReadPin, src: u32, dst: u32) -> (bool, ReadQuality) {
-        let owner = self.graph.owner_of(src);
-        let replica = Some(self.graph.owner_of(dst)).filter(|&r| r != owner);
-        let (hits, quality) = self.read(pin, "edge_exists", owner, replica, |g, p| {
-            g.edge_exists(p, src, dst)
-        });
-        (hits.contains(&true), quality)
-    }
-
-    /// `u`'s neighbours under a read session: exact from the owner; else
-    /// the sorted union of `u`'s cut out-edges replicated on the other
-    /// serving shards, degraded (it misses `u`'s shard-internal edges).
-    pub fn neighbor_ids_live(&self, pin: &LiveReadPin, u: u32) -> (Vec<u32>, ReadQuality) {
-        let owner = self.graph.owner_of(u);
-        let others = (0..self.graph.num_shards()).filter(|&s| s != owner);
-        let (lists, quality) = self.read(pin, "neighbor_ids", owner, others, |g, p| {
-            g.neighbor_ids(p, u)
-        });
-        let mut out = lists.concat();
-        if quality == ReadQuality::Degraded {
-            out.sort_unstable();
-            out.dedup();
-        }
-        (out, quality)
-    }
-
-    /// Out-degree under a read session: exact from the owner; else the
-    /// sum of the replica degrees on the other serving shards, degraded
-    /// (it undercounts by `u`'s shard-internal edges).
-    pub fn degree_live(&self, pin: &LiveReadPin, u: u32) -> (u32, ReadQuality) {
-        let owner = self.graph.owner_of(u);
-        let others = (0..self.graph.num_shards()).filter(|&s| s != owner);
-        let (degrees, quality) = self.read(pin, "degree", owner, others, |g, _| g.degree(u));
-        (degrees.iter().sum(), quality)
-    }
-
-    /// Completed op lifecycles, oldest first (bounded ring).
-    pub fn op_records(&self) -> Vec<OpTraceRecord> {
-        self.tracker.lock().completed.iter().cloned().collect()
-    }
-
-    /// The slowest completed ops by total modeled latency, slowest
-    /// first, full span chains retained (a bounded ring of eight).
-    pub fn tail_exemplars(&self) -> Vec<OpTraceRecord> {
-        self.tracker.lock().exemplars.clone()
-    }
-
-    /// One merged [`TraceReport`] for the whole router: the group's
-    /// [`DeviceGroup::merged_report`] with the router's op-latency
-    /// summaries merged into its metric rows, sorted by name. The
-    /// `op.{queue,backoff,kernel,degraded,total}_ns` rows are the
-    /// per-component attribution (p50/p95/p99 over completed ops).
-    pub fn trace_report(&self) -> TraceReport {
-        let mut report = self.graph.group().merged_report();
-        report.metrics.extend(self.op_metrics.summaries());
-        report.metrics.sort_by(|a, b| a.name.cmp(&b.name));
-        report
-    }
-}
-
-/// An era-pinned read session over a [`BatchRouter`]'s serving shards,
-/// from [`BatchRouter::pin_read`] or [`BatchRouter::pin_traced`]. One
-/// guard per shard (`None` for shards not serving at pin time). A shard
-/// rebuilt while the pin is held stales its guard — subsequent `*_live`
-/// reads routed there degrade until a fresh pin is taken.
-#[must_use = "reads are only pinned while the session is held"]
-pub struct LiveReadPin {
-    guards: Vec<Option<ReadGuard>>,
-    /// The client session traced reads are attributed to; `None` for an
-    /// untraced session.
-    session: Option<u64>,
-}
-
-impl LiveReadPin {
-    /// How many shards this session actually pinned.
-    pub fn pinned_shards(&self) -> usize {
-        self.guards.iter().flatten().count()
-    }
-}
-
-/// A fully-pending [`BatchOutcome`] for a batch the router held back
-/// (circuit breaker open or apply-order barrier) without touching the
-/// device.
-fn held_outcome(op: BatchOp, batch: &[Edge]) -> BatchOutcome {
-    BatchOutcome {
-        op,
-        attempted: batch.len(),
-        completed: 0,
-        changed: 0,
-        pending: batch.to_vec(),
-        pending_vertices: Vec::new(),
-        error: None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use backend::GraphBackend;
-    use gpu_sim::FaultPlan;
+    use slabgraph::GraphConfig;
 
-    fn cfg(n_vertices: u32) -> GraphConfig {
+    pub(crate) fn cfg(n_vertices: u32) -> GraphConfig {
         GraphConfig::directed_map(n_vertices)
             .with_device_words(1 << 18)
             .with_pool_slabs(1 << 8)
     }
 
-    fn pairs(n: usize, seed: u64, n_vertices: u32) -> Vec<(u32, u32)> {
+    pub(crate) fn pairs(n: usize, seed: u64, n_vertices: u32) -> Vec<(u32, u32)> {
         let mut state = seed;
         let mut next = move || {
             state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -1872,485 +125,5 @@ mod tests {
         }
         assert_eq!(shard_of(42, 1), 0);
         assert_eq!(shard_of(42, 4), shard_of(42, 4));
-    }
-
-    #[test]
-    fn sharded_matches_unsharded_queries() {
-        let n_vertices = 256;
-        let edges: Vec<Edge> = pairs(400, 7, n_vertices)
-            .into_iter()
-            .map(Edge::from)
-            .collect();
-        let reference = DynGraph::new(cfg(n_vertices));
-        reference.insert_edges(&edges);
-        for shards in [1, 2, 4] {
-            let g = ShardedGraph::bulk_build(shards, cfg(n_vertices), &edges);
-            assert_eq!(g.num_edges(), reference.num_edges(), "{shards} shards");
-            let qry = pairs(300, 99, n_vertices);
-            let ref_pin = reference.pin_read();
-            let pin = g.pin_read();
-            assert_eq!(pin.guards().len(), shards);
-            assert_eq!(
-                g.edges_exist(&pin, &qry),
-                reference.edges_exist(&ref_pin, &qry)
-            );
-            for v in 0..n_vertices {
-                assert_eq!(g.degree(v), reference.degree(v), "degree({v})");
-                let mut a = g.read_neighbors(&pin, v);
-                let mut b = reference.neighbor_ids(&ref_pin, v);
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "neighbors({v})");
-            }
-            g.validate().expect("cross-shard audit");
-        }
-    }
-
-    #[test]
-    fn insert_and_delete_counts_match_unsharded() {
-        let n_vertices = 128;
-        let batch: Vec<Edge> = pairs(200, 3, n_vertices)
-            .into_iter()
-            .map(Edge::from)
-            .collect();
-        let reference = DynGraph::new(cfg(n_vertices));
-        let g = ShardedGraph::new(2, cfg(n_vertices));
-        assert_eq!(g.insert_edges(&batch), reference.insert_edges(&batch));
-        // Re-insert: zero new either way.
-        assert_eq!(g.insert_edges(&batch), reference.insert_edges(&batch));
-        let del: Vec<Edge> = batch[..50].to_vec();
-        assert_eq!(g.delete_edges(&del), reference.delete_edges(&del));
-        g.validate().expect("audit after churn");
-    }
-
-    #[test]
-    fn undirected_mirroring_routes_both_halves() {
-        let config = GraphConfig {
-            direction: Direction::Undirected,
-            ..cfg(64)
-        };
-        let g = ShardedGraph::new(4, config);
-        let changed = g.insert_edges(&[Edge::new(1, 2)]);
-        assert_eq!(changed, 2, "both half-edges counted");
-        assert_eq!(
-            g.edges_exist(&g.pin_read(), &[(1, 2), (2, 1)]),
-            vec![true, true]
-        );
-        g.validate().expect("mirrored cut edges audited");
-    }
-
-    #[test]
-    fn vertex_deletion_sweeps_all_shards() {
-        let n_vertices = 64;
-        let edges: Vec<Edge> = pairs(150, 11, n_vertices)
-            .into_iter()
-            .map(Edge::from)
-            .collect();
-        let reference = DynGraph::new(cfg(n_vertices));
-        reference.insert_edges(&edges);
-        let g = ShardedGraph::bulk_build(4, cfg(n_vertices), &edges);
-        let victims = [3u32, 17, 40];
-        reference.delete_vertices(&victims);
-        g.delete_vertices(&victims);
-        assert_eq!(g.num_edges(), reference.num_edges());
-        for v in 0..n_vertices {
-            assert_eq!(g.degree(v), reference.degree(v), "degree({v})");
-        }
-        g.validate().expect("audit after vertex deletion");
-    }
-
-    #[test]
-    fn backend_trait_is_object_safe_over_shards() {
-        let mut g: Box<dyn GraphBackend> = Box::new(ShardedGraph::new(3, cfg(32)));
-        assert_eq!(g.name(), "ShardedSlabGraph");
-        assert_eq!(g.devices().len(), 3);
-        assert_eq!(g.insert_edges(&[(1, 2), (2, 3)]), 2);
-        assert_eq!(g.edges_exist(&g.pin_read(), &[(1, 2)]), vec![true]);
-        assert_eq!(g.delete_edges(&[(1, 2)]), 1);
-        assert_eq!(g.num_edges(), 1);
-    }
-
-    #[test]
-    fn router_flush_is_deterministic_and_complete() {
-        let g = ShardedGraph::new(2, cfg(128));
-        let router = BatchRouter::new(&g);
-        // Two sessions submitting from threads: arrival order is racy,
-        // flush order is not.
-        let updates = pairs(60, 21, 128);
-        std::thread::scope(|sc| {
-            for session in 0..2usize {
-                let router = &router;
-                let updates = &updates;
-                sc.spawn(move || {
-                    for &(u, v) in &updates[session * 30..(session + 1) * 30] {
-                        router.submit(session, Update::Insert(Edge::new(u, v)));
-                    }
-                });
-            }
-        });
-        assert_eq!(router.queued(), 60);
-        let report = router.flush();
-        assert_eq!(report.updates, 60);
-        assert!(report.is_complete());
-        assert!(report.modeled_s() > 0.0);
-        assert_eq!(router.queued(), 0, "flush drains the queues");
-        // The graph now matches a direct insert of the same updates.
-        let reference = DynGraph::new(cfg(128));
-        reference.insert_edges(&updates.iter().map(|&p| Edge::from(p)).collect::<Vec<_>>());
-        assert_eq!(g.num_edges(), reference.num_edges());
-        g.validate().expect("audit after routed flush");
-    }
-
-    #[test]
-    fn partial_oom_on_one_shard_recovers_while_others_proceed() {
-        let g = ShardedGraph::new(2, cfg(256));
-        let faulty = 1usize;
-        g.group()
-            .device(faulty)
-            .set_fault_plan(FaultPlan::fail_nth(1));
-        let router = BatchRouter::new(&g);
-        let updates = pairs(120, 5, 256);
-        for (i, &(u, v)) in updates.iter().enumerate() {
-            router.submit(i % 3, Update::Insert(Edge::new(u, v)));
-        }
-        let report = router.flush();
-        assert!(!report.is_complete());
-        assert_eq!(report.incomplete_shards(), vec![faulty]);
-        let healthy = &report.shards[1 - faulty];
-        assert!(healthy.is_complete(), "other shard proceeds unaffected");
-        let broken = report.shards[faulty].insert.as_ref().unwrap();
-        assert!(broken.error.is_some());
-        assert!(!broken.pending.is_empty());
-        // Clear the fault: an empty flush resumes exactly the pending suffix.
-        g.group().device(faulty).clear_fault_plan();
-        let recovered = router.flush();
-        assert!(recovered.is_complete(), "{recovered:?}");
-        assert_eq!(recovered.updates, 0);
-        let resumed = recovered.shards[faulty].insert.as_ref().unwrap();
-        assert_eq!(resumed.attempted, broken.pending.len());
-        assert!(recovered.shards[1 - faulty].insert.is_none());
-        assert_eq!(router.journal_depth(faulty), 0);
-        let reference = DynGraph::new(cfg(256));
-        reference.insert_edges(&updates.iter().map(|&p| Edge::from(p)).collect::<Vec<_>>());
-        assert_eq!(g.num_edges(), reference.num_edges());
-        g.validate().expect("audit after recovery");
-    }
-
-    #[test]
-    fn flush_applies_inserts_before_deletes() {
-        let g = ShardedGraph::new(2, cfg(64));
-        let router = BatchRouter::new(&g);
-        router.submit(0, Update::Insert(Edge::new(1, 2)));
-        router.submit(0, Update::Delete(Edge::new(1, 2)));
-        let report = router.flush();
-        assert!(report.is_complete());
-        assert_eq!(
-            g.edges_exist(&g.pin_read(), &[(1, 2)]),
-            vec![false],
-            "insert-then-delete nets to absent"
-        );
-    }
-
-    #[test]
-    fn transient_fault_retries_within_policy_and_heals() {
-        let g = ShardedGraph::new(2, cfg(256));
-        let flaky = 0usize;
-        // First 2 launch admissions fail, then the device heals; the
-        // default policy allows 3 retries, so the flush should succeed.
-        g.group()
-            .device(flaky)
-            .set_fault_plan(FaultPlan::transient_kernel(1, 2));
-        let router = BatchRouter::new(&g);
-        for (i, &(u, v)) in pairs(60, 9, 256).iter().enumerate() {
-            router.submit(i % 2, Update::Insert(Edge::new(u, v)));
-        }
-        let report = router.flush();
-        assert!(report.is_complete(), "{report:?}");
-        assert_eq!(router.health(flaky), ShardHealth::Healthy);
-        let rows = router.report().rows;
-        assert_eq!(rows[flaky].retries, 2);
-        assert!(rows[flaky].backoff_s > 0.0, "backoff charged");
-        assert!(
-            report.shards[flaky].modeled_s >= rows[flaky].backoff_s,
-            "backoff counts toward the shard's modeled time"
-        );
-        // Acknowledged apply truncates the journal.
-        assert_eq!(router.journal_depth(flaky), 0);
-    }
-
-    #[test]
-    fn lost_device_opens_breaker_and_journal_holds_writes() {
-        let g = ShardedGraph::new(2, cfg(256));
-        let victim = 1usize;
-        g.group()
-            .device(victim)
-            .set_fault_plan(FaultPlan::device_lost_at(1));
-        let router = BatchRouter::new(&g);
-        for (i, &(u, v)) in pairs(80, 11, 256).iter().enumerate() {
-            router.submit(i % 2, Update::Insert(Edge::new(u, v)));
-        }
-        let report = router.flush();
-        assert!(!report.is_complete());
-        assert_eq!(router.health(victim), ShardHealth::Down);
-        assert_eq!(router.unhealthy_shards(), vec![victim]);
-        assert!(matches!(
-            report.shards[victim].error,
-            Some(RouterError::Fault { .. })
-        ));
-        let held = router.journal_depth(victim);
-        assert!(held > 0, "down shard's writes stay journaled");
-        // Second flush: the breaker is open, so the victim's device sees
-        // zero launches while the other shard keeps serving.
-        let before = g.group().device(victim).counters().snapshot();
-        for (i, &(u, v)) in pairs(40, 12, 256).iter().enumerate() {
-            router.submit(i % 2, Update::Insert(Edge::new(u, v)));
-        }
-        let second = router.flush();
-        let delta = g
-            .group()
-            .device(victim)
-            .counters()
-            .snapshot()
-            .delta(&before);
-        assert_eq!(delta.launches, 0, "open breaker never touches the device");
-        assert_eq!(delta.transactions, 0);
-        assert!(second.shards[1 - victim].is_complete());
-        assert!(
-            second.shards[victim].error.is_none(),
-            "held, not re-faulted"
-        );
-        let routed_here = pairs(40, 12, 256)
-            .iter()
-            .filter(|&&(u, v)| g.owner_of(u) == victim || g.owner_of(v) == victim)
-            .count();
-        assert_eq!(
-            second.shards[victim].insert.as_ref().map(|o| o.attempted),
-            Some(routed_here),
-            "an open breaker reports this flush's entries, not the backlog"
-        );
-        assert!(
-            router.journal_depth(victim) > held,
-            "holds keep accumulating"
-        );
-        // Rebuild: reset + journal replay + audit + re-admit.
-        let rebuilt = router.rebuild_downed().expect("audit after rebuild");
-        assert_eq!(rebuilt, vec![victim]);
-        assert_eq!(router.health(victim), ShardHealth::Healthy);
-        assert_eq!(router.journal_depth(victim), 0);
-        // Final state matches an unsharded replay of every update.
-        let reference = DynGraph::new(cfg(256));
-        let mut all = pairs(80, 11, 256);
-        all.extend(pairs(40, 12, 256));
-        reference.insert_edges(&all.iter().map(|&p| Edge::from(p)).collect::<Vec<_>>());
-        assert_eq!(g.num_edges(), reference.num_edges());
-        g.validate().expect("audit after re-admission");
-    }
-
-    type Pair = (u32, u32);
-
-    /// Fill a two-shard router with seeded edges, then lose shard 0.
-    /// Returns the updates, a cut edge out of shard 0, and one of its
-    /// shard-internal edges.
-    fn lose_shard_zero(g: &ShardedGraph, router: &BatchRouter<'_>) -> (Vec<Pair>, Pair, Pair) {
-        let updates = pairs(100, 21, 128);
-        for (i, &(u, v)) in updates.iter().enumerate() {
-            router.submit(i % 2, Update::Insert(Edge::new(u, v)));
-        }
-        assert!(router.flush().is_complete());
-        let out_of_zero = |cut: bool| {
-            updates
-                .iter()
-                .find(|&&(u, v)| g.owner_of(u) == 0 && (g.owner_of(v) != 0) == cut)
-                .copied()
-                .expect("the seeded edges hold both kinds")
-        };
-        let (cut, internal) = (out_of_zero(true), out_of_zero(false));
-        g.group()
-            .device(0)
-            .set_fault_plan(FaultPlan::device_lost_at(1));
-        // Re-submit an edge shard 0 owns so the flush definitely
-        // dispatches (and faults) there.
-        router.submit(0, Update::Insert(Edge::new(internal.0, internal.1)));
-        router.flush();
-        assert_eq!(router.health(0), ShardHealth::Down);
-        (updates, cut, internal)
-    }
-
-    #[test]
-    fn router_report_renders_one_line_summary() {
-        let g = ShardedGraph::new(3, cfg(64));
-        let router = BatchRouter::new(&g);
-        assert_eq!(router.report().render(), "router health: 3/3 healthy");
-        g.group()
-            .device(2)
-            .set_fault_plan(FaultPlan::device_lost_at(1));
-        router.submit(0, Update::Insert(Edge::new(5, 60)));
-        router.submit(0, Update::Insert(Edge::new(60, 5)));
-        router.flush();
-        assert_eq!(router.unhealthy_shards(), vec![2]);
-        let line = router.report().render();
-        assert!(
-            line.starts_with("router health: 2/3 healthy | shard 2: down"),
-            "{line}"
-        );
-        assert!(line.contains("journal"), "{line}");
-    }
-
-    #[test]
-    fn live_reads_serve_during_inflight_flushes() {
-        let g = ShardedGraph::new(2, cfg(256));
-        let router = BatchRouter::new(&g);
-        // A stable baseline the concurrent flushes never touch.
-        let stable = pairs(40, 31, 128); // ids < 128; churn uses 128..256
-        for &(u, v) in &stable {
-            router.submit(0, Update::Insert(Edge::new(u, v)));
-        }
-        assert!(router.flush().is_complete());
-        // One thread keeps flushing fresh edges while this thread holds a
-        // pinned session and reads the baseline: every read must answer
-        // exactly, without fencing behind the in-flight dispatches.
-        std::thread::scope(|sc| {
-            let router = &router;
-            sc.spawn(move || {
-                for round in 0..8u64 {
-                    for (i, &(u, v)) in pairs(30, 100 + round, 128).iter().enumerate() {
-                        router.submit(
-                            i % 2,
-                            Update::Insert(Edge::new(128 + u % 128, 128 + v % 128)),
-                        );
-                    }
-                    assert!(router.flush().is_complete());
-                }
-            });
-            for _ in 0..8 {
-                let pin = router.pin_read();
-                assert_eq!(pin.pinned_shards(), 2);
-                for &(u, v) in &stable {
-                    assert_eq!(
-                        router.edge_exists_live(&pin, u, v),
-                        (true, ReadQuality::Exact)
-                    );
-                }
-            }
-        });
-        g.validate()
-            .expect("audit after concurrent read/flush churn");
-    }
-
-    #[test]
-    fn live_reads_compose_with_degraded_protocol() {
-        let g = ShardedGraph::new(2, cfg(128));
-        let router = BatchRouter::new(&g);
-        let (updates, cut, internal) = lose_shard_zero(&g, &router);
-        let down = 0usize;
-        // A session pinned now only covers the survivor.
-        let pin = router.pin_read();
-        assert_eq!(pin.pinned_shards(), 1);
-        // Cut edge answers from the survivor's replica, degraded.
-        assert_eq!(
-            router.edge_exists_live(&pin, cut.0, cut.1),
-            (true, ReadQuality::Degraded)
-        );
-        // Internal edge of the down shard: best-effort absence.
-        assert_eq!(
-            router.edge_exists_live(&pin, internal.0, internal.1),
-            (false, ReadQuality::Degraded)
-        );
-        // Survivor-owned vertices stay exact.
-        let survivor_v = updates
-            .iter()
-            .find(|&&(u, _)| g.owner_of(u) != down)
-            .map(|&(u, _)| u)
-            .unwrap();
-        assert_eq!(router.degree_live(&pin, survivor_v).1, ReadQuality::Exact);
-        // Degraded neighbours are exactly the surviving cut out-edges.
-        let (nbrs, q) = router.neighbor_ids_live(&pin, cut.0);
-        assert_eq!(q, ReadQuality::Degraded);
-        let mut expected: Vec<u32> = updates
-            .iter()
-            .filter(|&&(a, b)| a == cut.0 && g.owner_of(b) != down)
-            .map(|&(_, b)| b)
-            .collect();
-        expected.sort_unstable();
-        expected.dedup();
-        assert_eq!(nbrs, expected);
-        // Degraded degree counts exactly those surviving cut out-edges.
-        assert_eq!(
-            router.degree_live(&pin, cut.0),
-            (expected.len() as u32, ReadQuality::Degraded)
-        );
-        // Untraced reads leave the op log alone.
-        assert!(router.op_records().iter().all(|r| r.kind != "query"));
-    }
-
-    #[test]
-    fn traced_read_of_a_downed_owner_charges_degraded_time() {
-        let g = ShardedGraph::new(2, cfg(128));
-        let router = BatchRouter::new(&g);
-        let (_, cut, _) = lose_shard_zero(&g, &router);
-        let pin = router.pin_traced(5);
-        assert_eq!(
-            router.edge_exists_live(&pin, cut.0, cut.1),
-            (true, ReadQuality::Degraded)
-        );
-        let reads: Vec<OpTraceRecord> = router
-            .op_records()
-            .into_iter()
-            .filter(|r| r.kind == "query")
-            .collect();
-        assert_eq!(reads.len(), 1, "one op per traced read");
-        let r = &reads[0];
-        assert_eq!(r.session, 5);
-        assert!(r.degraded_ns > 0, "{r:?}");
-        assert_eq!(r.kernel_ns, 0, "{r:?}");
-        assert_eq!(r.total_ns(), r.degraded_ns);
-        assert_eq!(r.spans.len(), 1, "{r:?}");
-        assert!(
-            r.spans[0].starts_with("shard1/edge_exists ") && r.spans[0].ends_with(" ns (degraded)"),
-            "{:?}",
-            r.spans
-        );
-    }
-
-    #[test]
-    fn stale_pin_after_rebuild_degrades_until_repinned() {
-        let g = ShardedGraph::new(2, cfg(128));
-        let router = BatchRouter::new(&g);
-        let updates = pairs(60, 17, 128);
-        for (i, &(u, v)) in updates.iter().enumerate() {
-            router.submit(i % 2, Update::Insert(Edge::new(u, v)));
-        }
-        assert!(router.flush().is_complete());
-        let down = 1usize;
-        let internal = updates
-            .iter()
-            .find(|&&(u, v)| g.owner_of(u) == down && g.owner_of(v) == down)
-            .copied()
-            .expect("an internal edge on the victim shard");
-        // Pin while healthy, then lose and rebuild the shard: the rebuild
-        // swaps in a fresh graph whose allocator does not own our guard.
-        let pin = router.pin_read();
-        assert_eq!(pin.pinned_shards(), 2);
-        g.group()
-            .device(down)
-            .set_fault_plan(FaultPlan::device_lost_at(1));
-        router.submit(0, Update::Insert(Edge::new(internal.0, internal.1)));
-        router.flush();
-        assert_eq!(router.health(down), ShardHealth::Down);
-        assert_eq!(router.rebuild_downed().expect("rebuild"), vec![down]);
-        assert_eq!(router.health(down), ShardHealth::Healthy);
-        // The stale guard cannot protect the rebuilt shard: reads routed
-        // there degrade instead of touching it unprotected.
-        assert_eq!(
-            router.edge_exists_live(&pin, internal.0, internal.1).1,
-            ReadQuality::Degraded
-        );
-        // A fresh session pins the rebuilt shard and answers exactly.
-        let fresh = router.pin_read();
-        assert_eq!(fresh.pinned_shards(), 2);
-        assert_eq!(
-            router.edge_exists_live(&fresh, internal.0, internal.1),
-            (true, ReadQuality::Exact)
-        );
     }
 }

@@ -63,9 +63,26 @@ fn stream(seed: u64, rounds: usize, ops: usize) -> Vec<Round> {
     out
 }
 
+/// A round whose inserts all have sources past the configured vertex
+/// capacity, so every graph grows its vertex dictionary; it deletes a
+/// quarter of them and queries them all.
+fn beyond_capacity_round(seed: u64, ops: usize) -> Round {
+    let mut rng = seed;
+    let ins: Vec<Edge> = (0..ops / 2)
+        .map(|_| {
+            let (u, v) = random_pair(&mut rng);
+            Edge::new(N_VERTICES + u, v)
+        })
+        .collect();
+    let del = ins[..ops / 8].to_vec();
+    let qry = ins.iter().map(|e| (e.src, e.dst)).collect();
+    Round { ins, del, qry }
+}
+
 #[test]
 fn churn_replay_is_byte_identical_across_shard_counts() {
-    let rounds = stream(0xB10C, 3, 400);
+    let mut rounds = stream(0xB10C, 3, 400);
+    rounds.push(beyond_capacity_round(0xB10C, 400));
     // Reference: the same stream on one unsharded graph, collecting every
     // query result round by round.
     let reference = DynGraph::new(config());
@@ -88,8 +105,9 @@ fn churn_replay_is_byte_identical_across_shard_counts() {
             );
         }
         assert_eq!(g.num_edges(), reference.num_edges(), "{shards} shards");
+        assert_eq!(g.num_vertices(), reference.vertex_capacity());
         let pin = g.pin_read();
-        for v in 0..N_VERTICES {
+        for v in 0..g.num_vertices() {
             assert_eq!(
                 g.degree(v),
                 reference.degree(v),

@@ -1,10 +1,10 @@
-//! The lint rules, R1–R3, R5, R6 and R8–R11, evaluated over the parsed file
+//! The lint rules, R1–R3 and R8–R10, evaluated over the parsed file
 //! models and effect summaries.
 //!
-//! R2, R3, R5 and R6 are the historical rules re-expressed over the token stream
+//! R2 and R3 are the historical rules re-expressed over the token stream
 //! (they used to be per-line regexes); R1 reads kernel effect summaries;
 //! R8–R10 are the flow-sensitive checks that guard the pin/epoch and
-//! publication protocols; R11 guards the causal-tracing contract:
+//! publication protocols:
 //! - **R8 `pin-escape`** — guard liveness. `ReadGuard`/`ReadPin` values
 //!   are tracked from `pin()`/`pin_read()` through bindings, moves and
 //!   drops; every query-path kernel launch must be dominated by a live
@@ -26,11 +26,6 @@
 //!   point must transitively reach an advance through the call graph, and
 //!   no batch-boundary function may early-return success between its
 //!   kernel launch and its era advance.
-//! - **R11 `untraced-dispatch`** — every `.dispatch(…)` fan-out in the
-//!   router crate must stamp its device work with a `TraceCtx` (a
-//!   `trace_scope` inside the dispatch closure): an untraced dispatch
-//!   produces charged kernel spans that name no op, so the op's flow in
-//!   the merged trace silently loses that work.
 
 use super::effects::{effects_of, AccessKind, EffectIndex, Effects};
 use super::parser::{Func, Kernel, Tree, LAUNCHERS};
@@ -43,7 +38,7 @@ pub struct RuleMeta {
     pub desc: &'static str,
 }
 
-pub const RULES: [RuleMeta; 9] = [
+pub const RULES: [RuleMeta; 6] = [
     RuleMeta {
         id: "R1",
         name: "host-transfer-in-kernel",
@@ -60,16 +55,6 @@ pub const RULES: [RuleMeta; 9] = [
         desc: "kernel launch without a literal name breaks attribution/provenance",
     },
     RuleMeta {
-        id: "R5",
-        name: "rogue-device",
-        desc: "direct Device construction in sharded code; shard devices must come from a DeviceGroup",
-    },
-    RuleMeta {
-        id: "R6",
-        name: "unretried-dispatch",
-        desc: "dispatch outcome unwrapped or discarded in sharded code; route it through the retry policy or journal",
-    },
-    RuleMeta {
         id: "R8",
         name: "pin-escape",
         desc: "guard liveness violation: launch not dominated by a live ReadGuard, guard discarded, escaping, or crossing advance_era",
@@ -83,11 +68,6 @@ pub const RULES: [RuleMeta; 9] = [
         id: "R10",
         name: "era-advance",
         desc: "mutation batch entry point does not reach advance_era() on its success paths",
-    },
-    RuleMeta {
-        id: "R11",
-        name: "untraced-dispatch",
-        desc: "router dispatch without a TraceCtx; wrap the closure's device work in trace_scope so spans name the op's TraceCtx",
     },
 ];
 
@@ -141,18 +121,6 @@ impl ScannedFile {
 
 fn in_gpu_sim(path: &str) -> bool {
     path.starts_with("crates/gpu-sim/")
-}
-
-/// Sharded code paths, where R5/R6 apply: the router crate and any
-/// `sharded.rs` module orchestrate device groups.
-fn in_sharded_scope(path: &str) -> bool {
-    path.starts_with("crates/router/") || path.ends_with("/sharded.rs")
-}
-
-/// Causal-tracing scope, where R11 applies: the router crate mints
-/// `TraceCtx`s and every shard fan-out it issues must carry one.
-fn in_router_scope(path: &str) -> bool {
-    path.starts_with("crates/router/")
 }
 
 /// The pinned query path, where R8 guard-domination applies: these
@@ -297,7 +265,6 @@ pub fn run_rules(files: &[ScannedFile], index: &EffectIndex) -> Vec<Finding> {
     let mut findings = Vec::new();
     for file in files {
         token_rules(file, &mut findings);
-        statement_rules(file, &mut findings);
         guard_rules(file, &mut findings);
         era_rules(file, index, &mut findings);
     }
@@ -338,10 +305,9 @@ fn push(
     });
 }
 
-/// R2 / R5: whole-file token-sequence rules; R1 / R3: per-kernel rules.
+/// R2: a whole-file token-sequence rule; R1 / R3: per-kernel rules.
 fn token_rules(file: &ScannedFile, findings: &mut Vec<Finding>) {
     let gpu_sim = in_gpu_sim(&file.path);
-    let sharded = in_sharded_scope(&file.path);
     token_walk(&file.trees, &mut |trees, i| {
         let Some(tok) = trees[i].as_leaf() else {
             return;
@@ -366,29 +332,6 @@ fn token_rules(file: &ScannedFile, findings: &mut Vec<Finding>) {
                 "",
                 "Ordering::Relaxed outside gpu-sim".to_string(),
             );
-        }
-        // R5: `Device::new/with_policy/with_config(…)` in sharded scope.
-        if sharded
-            && tok.is_ident("Device")
-            && trees
-                .get(i + 1)
-                .is_some_and(|t| t.as_leaf().is_some_and(|s| s.is_punct("::")))
-        {
-            if let Some(ctor) = trees.get(i + 2).and_then(|t| t.as_leaf()) {
-                if matches!(ctor.text.as_str(), "new" | "with_policy" | "with_config")
-                    && trees.get(i + 3).is_some_and(|a| a.is_group('('))
-                {
-                    push(
-                        findings,
-                        file,
-                        "R5",
-                        ctor.line,
-                        "",
-                        "",
-                        format!("direct `Device::{}` in sharded code", ctor.text),
-                    );
-                }
-            }
         }
     });
     for k in &file.model.kernels {
@@ -427,64 +370,6 @@ fn token_walk(trees: &[Tree], f: &mut impl FnMut(&[Tree], usize)) {
         f(trees, i);
         if let Tree::Group { trees: inner, .. } = t {
             token_walk(inner, f);
-        }
-    }
-}
-
-/// R6 / R11: statement-level rules over function bodies.
-fn statement_rules(file: &ScannedFile, findings: &mut Vec<Finding>) {
-    let sharded = in_sharded_scope(&file.path);
-    let router = in_router_scope(&file.path);
-    for func in &file.model.funcs {
-        for stmt in statements(&func.body) {
-            // R6: dispatch outcome unwrapped or discarded in sharded code.
-            if sharded && !func.cfg_test {
-                const DISPATCH: [&str; 5] = [
-                    "try_insert_edges",
-                    "try_delete_edges",
-                    "try_insert_vertices",
-                    "retry_suffix",
-                    "launch_check",
-                ];
-                if let Some(line) = contains_dotted_call(stmt, &DISPATCH) {
-                    let unwrapped = contains_dotted_call(stmt, &["unwrap", "expect"]).is_some();
-                    let discarded = stmt.len() >= 2
-                        && stmt[0].as_leaf().is_some_and(|t| t.is_ident("let"))
-                        && stmt[1].as_leaf().is_some_and(|t| t.is_ident("_"))
-                        && stmt
-                            .get(2)
-                            .is_some_and(|t| t.as_leaf().is_some_and(|l| l.is_punct("=")));
-                    if unwrapped || discarded {
-                        push(
-                            findings,
-                            file,
-                            "R6",
-                            line,
-                            "",
-                            &func.name,
-                            "dispatch outcome unwrapped/discarded; route through retry policy or journal".to_string(),
-                        );
-                    }
-                }
-            }
-            // R11: a shard fan-out must stamp its device work with a
-            // TraceCtx. The `trace_scope` call lives inside the dispatch
-            // closure, so it is always within the dispatch statement.
-            if router && !func.cfg_test {
-                if let Some(line) = contains_dotted_call(stmt, &["dispatch"]) {
-                    if !mentions_ident(stmt, "trace_scope") {
-                        push(
-                            findings,
-                            file,
-                            "R11",
-                            line,
-                            "",
-                            &func.name,
-                            "dispatch without a TraceCtx: wrap the closure's device work in `dev.trace_scope(ctx)` so its spans name the op's `TraceCtx`".to_string(),
-                        );
-                    }
-                }
-            }
         }
     }
 }

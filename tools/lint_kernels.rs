@@ -4,7 +4,7 @@
 //! external deps — the workspace builds offline) that extracts every
 //! kernel closure passed to `launch_tasks` / `launch_warps` / `memset`,
 //! computes a per-kernel **effect summary** (arena words read/written,
-//! atomic ops, allocator calls, pin/guard uses), and checks nine rules over
+//! atomic ops, allocator calls, pin/guard uses), and checks six rules over
 //! the summaries and the enclosing host code:
 //!
 //! - **R1 `host-transfer-in-kernel`** — a `Device` host transfer
@@ -21,13 +21,10 @@
 //!   provenance.
 //!   (A discarded `PhaseGuard` or a `PerfCounters` mutation outside
 //!   gpu-sim needs no rule: the guard is `#[must_use]` and clippy runs
-//!   with `-D warnings`; the mutators are crate-private.)
-//! - **R5 `rogue-device`** — direct `Device` construction in sharded code
-//!   (`crates/router/`, `*/sharded.rs`); shard devices must come from a
-//!   `DeviceGroup` or their work vanishes from merged traces.
-//! - **R6 `unretried-dispatch`** — a dispatch outcome consumed by
-//!   `.unwrap()` / `.expect(…)` or discarded with `let _ =` in sharded
-//!   code, instead of routing through the retry policy or the journal.
+//!   with `-D warnings`; the mutators are crate-private. Nor does the
+//!   router: clippy rejects a `Device` constructor there, and an
+//!   unwrapped or discarded dispatch outcome, and `DeviceGroup::dispatch`
+//!   takes every shard's `TraceCtx`.)
 //! - **R8 `pin-escape`** — flow-sensitive guard liveness: every
 //!   chain-walking launch in the query path must be dominated by a live
 //!   `ReadGuard`; a guard must not be discarded at birth, cross an
@@ -44,10 +41,6 @@
 //!   success paths before acknowledging the batch, and no batch-boundary
 //!   function may early-return success between its launch and its
 //!   advance.
-//! - **R11 `untraced-dispatch`** — every `.dispatch(…)` fan-out in
-//!   `crates/router` must stamp its device work with a `TraceCtx` via
-//!   `trace_scope`; untraced dispatches produce charged spans that name
-//!   no op, invisible to the op's flow in the merged trace.
 //!
 //! ## Usage
 //!
