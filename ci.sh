@@ -21,14 +21,21 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "== lint-kernels (static effect/protocol checks, lint-allow.txt ratchet) =="
 cargo run -q --bin lint-kernels -- .
 test -s target/lint/report.json
-# The allowlist may only shrink relative to the committed baseline.
-if git cat-file -e HEAD:lint-allow.txt 2>/dev/null; then
-    baseline=$(git show HEAD:lint-allow.txt | grep -cv -E '^[[:space:]]*(#|$)' || true)
-    current=$(grep -cv -E '^[[:space:]]*(#|$)' lint-allow.txt || true)
-    if [ "$current" -gt "$baseline" ]; then
-        echo "lint-allow.txt grew: $current entries vs $baseline at HEAD" >&2
+# The allowlist may only shrink, rule by rule, relative to the parent
+# commit (HEAD^1: the base branch for a PR's merge commit, the previous
+# commit on a push; the workflow checks out two commits for it).
+if git cat-file -e HEAD^1:lint-allow.txt 2>/dev/null; then
+    grown=$({ git show HEAD^1:lint-allow.txt | sed 's/^/parent /'; sed 's/^/current /' lint-allow.txt; } |
+        awk '$2 ~ /^R[0-9]+:/ { split($2, f, ":"); n[$1, f[1]]++; ids[f[1]] }
+             END { for (r in ids) if (n["current", r] > n["parent", r])
+                       printf "%s: %d entries vs %d at HEAD^1\n", r, n["current", r], n["parent", r] }')
+    if [ -n "$grown" ]; then
+        echo "lint-allow.txt grew:" >&2
+        echo "$grown" >&2
         exit 1
     fi
+else
+    echo "lint-allow.txt: no parent commit to compare with; shrink check skipped"
 fi
 
 if [ "$mode" = "quick" ]; then

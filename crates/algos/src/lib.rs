@@ -10,6 +10,9 @@
 //! and one BFS implementation for all four structures, plus a host-side
 //! reference counter for validation.
 
+// A guard bound to `_` drops at once and pins nothing.
+#![cfg_attr(not(test), deny(let_underscore_drop))]
+
 pub mod bfs;
 pub mod triangle;
 

@@ -26,6 +26,9 @@
 //!   can snapshot counters and pull per-kernel attribution around any
 //!   trait call.
 
+// A guard bound to `_` drops at once and pins nothing.
+#![cfg_attr(not(test), deny(let_underscore_drop))]
+
 use baselines::{Csr, FaimGraph, Hornet};
 use gpu_sim::Device;
 use slabgraph::{DynGraph, Edge, ReadGuard};

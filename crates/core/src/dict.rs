@@ -264,6 +264,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // a scratch kernel, no graph to launch through
     fn warp_desc_reads_installed_entry() {
         let d = dev();
         let dict = VertexDict::new(&d, TableKind::Map, 4);
@@ -278,6 +279,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // a scratch kernel, no graph to launch through
     fn try_install_races_resolve_to_one_winner() {
         let d = dev();
         let dict = VertexDict::new(&d, TableKind::Map, 4);

@@ -151,110 +151,107 @@ impl DynGraph {
                 *slot = Some(e);
             }
         };
-        self.dev.launch_tasks(kernel_name, n, |warp| {
-            let base = warp.warp_id() * WARP_SIZE as u32;
-            // Coalesced loads of this warp's 32 edges.
-            let srcs = warp.read_slab(src_buf + base);
-            let dsts = warp.read_slab(dst_buf + base);
-            let weights = weight_buf
-                .map(|wb| warp.read_slab(wb + base))
-                .unwrap_or_default();
-            // Status writes are bookkeeping for the host-side outcome, not
-            // part of the modelled kernel: uncharged so per-kernel
-            // attribution is unchanged by the recovery machinery.
-            let mark = |i: usize| self.dev.host_write(status_buf + base + i as u32, &[1]);
+        self.batch(|k| {
+            k.launch_tasks(kernel_name, n, |warp| {
+                let base = warp.warp_id() * WARP_SIZE as u32;
+                // Coalesced loads of this warp's 32 edges.
+                let srcs = warp.read_slab(src_buf + base);
+                let dsts = warp.read_slab(dst_buf + base);
+                let weights = weight_buf
+                    .map(|wb| warp.read_slab(wb + base))
+                    .unwrap_or_default();
+                // Status writes are bookkeeping for the host-side outcome, not
+                // part of the modelled kernel: uncharged so per-kernel
+                // attribution is unchanged by the recovery machinery.
+                let mark = |i: usize| self.dev.host_write(status_buf + base + i as u32, &[1]);
 
-            // Line 3: no self-edges (skipping one counts as applying it).
-            let mut pending = Lanes::from_fn(|i| warp.is_active(i) && srcs.get(i) != dsts.get(i));
-            for i in 0..WARP_SIZE {
-                if warp.is_active(i) && srcs.get(i) == dsts.get(i) {
-                    mark(i);
+                // Line 3: no self-edges (skipping one counts as applying it).
+                let mut pending =
+                    Lanes::from_fn(|i| warp.is_active(i) && srcs.get(i) != dsts.get(i));
+                for i in 0..WARP_SIZE {
+                    if warp.is_active(i) && srcs.get(i) == dsts.get(i) {
+                        mark(i);
+                    }
                 }
-            }
 
-            // Lines 4–14: warp work queue.
-            loop {
-                let work_queue = warp.ballot(&pending);
-                let Some(current_lane) = gpu_sim::ffs(work_queue) else {
-                    break;
-                };
-                let current_src = warp.shuffle(&srcs, current_lane);
-                let same_src = pending.zip_with(&srcs, |p, s| p && s == current_src);
-                let group = warp.ballot(&same_src);
-
-                let desc = match op {
-                    EdgeOp::Insert => match self.desc_or_create(warp, current_src) {
-                        Ok(d) => d,
-                        Err(e) => {
-                            // Lazy table construction failed: the whole
-                            // group stays unapplied (statuses remain 0).
-                            record(e);
-                            pending = pending.zip_with(&same_src, |p, s| p && !s);
-                            continue;
-                        }
-                    },
-                    EdgeOp::Delete => match self.dict.desc(warp, current_src) {
-                        Some(d) => d,
-                        None => {
-                            // Nothing to delete from an untouched vertex.
-                            for lane in iter_bits(group) {
-                                mark(lane as usize);
-                            }
-                            pending = pending.zip_with(&same_src, |p, s| p && !s);
-                            continue;
-                        }
-                    },
-                };
-
-                // Lines 8–9: coalesced group operation + success ballot.
-                // A lane whose insert fails on allocation leaves its status
-                // at 0; later lanes still run (under e.g. an every-Nth
-                // fault plan some of them succeed, guaranteeing progress).
-                let mut success = Lanes::splat(false);
-                for lane in iter_bits(group) {
-                    let li = lane as usize;
-                    let applied = match op {
-                        EdgeOp::Insert if self.config.recycle_tombstones => {
-                            desc.insert_recycling(warp, &self.alloc, dsts.get(li), weights.get(li))
-                        }
-                        EdgeOp::Insert => {
-                            desc.insert(warp, &self.alloc, dsts.get(li), weights.get(li))
-                        }
-                        EdgeOp::Delete => Ok(desc.delete(warp, dsts.get(li))),
+                // Lines 4–14: warp work queue.
+                loop {
+                    let work_queue = warp.ballot(&pending);
+                    let Some(current_lane) = gpu_sim::ffs(work_queue) else {
+                        break;
                     };
-                    match applied {
-                        Ok(changed) => {
-                            success.set(li, changed);
-                            mark(li);
-                        }
-                        Err(e) => record(e),
-                    }
-                }
+                    let current_src = warp.shuffle(&srcs, current_lane);
+                    let same_src = pending.zip_with(&srcs, |p, s| p && s == current_src);
+                    let group = warp.ballot(&same_src);
 
-                // Line 10: exact count via popc(ballot(success)).
-                let added_count = gpu_sim::popc(warp.ballot(&success));
-                if added_count > 0 {
-                    let count_addr = self.dict.count_addr(current_src);
-                    match op {
-                        EdgeOp::Insert => {
-                            warp.atomic_add(count_addr, added_count);
-                        }
-                        EdgeOp::Delete => {
-                            warp.atomic_sub(count_addr, added_count);
+                    let desc = match op {
+                        EdgeOp::Insert => match self.desc_or_create(warp, current_src) {
+                            Ok(d) => d,
+                            Err(e) => {
+                                // Lazy table construction failed: the whole
+                                // group stays unapplied (statuses remain 0).
+                                record(e);
+                                pending = pending.zip_with(&same_src, |p, s| p && !s);
+                                continue;
+                            }
+                        },
+                        EdgeOp::Delete => match self.dict.desc(warp, current_src) {
+                            Some(d) => d,
+                            None => {
+                                // Nothing to delete from an untouched vertex.
+                                for lane in iter_bits(group) {
+                                    mark(lane as usize);
+                                }
+                                pending = pending.zip_with(&same_src, |p, s| p && !s);
+                                continue;
+                            }
+                        },
+                    };
+
+                    // Lines 8–9: coalesced group operation + success ballot.
+                    // A lane whose insert fails on allocation leaves its status
+                    // at 0; later lanes still run (under e.g. an every-Nth
+                    // fault plan some of them succeed, guaranteeing progress).
+                    let mut success = Lanes::splat(false);
+                    for lane in iter_bits(group) {
+                        let li = lane as usize;
+                        let applied = match op {
+                            EdgeOp::Insert if self.config.recycle_tombstones => desc
+                                .insert_recycling(warp, &self.alloc, dsts.get(li), weights.get(li)),
+                            EdgeOp::Insert => {
+                                desc.insert(warp, &self.alloc, dsts.get(li), weights.get(li))
+                            }
+                            EdgeOp::Delete => Ok(desc.delete(warp, dsts.get(li))),
+                        };
+                        match applied {
+                            Ok(changed) => {
+                                success.set(li, changed);
+                                mark(li);
+                            }
+                            Err(e) => record(e),
                         }
                     }
-                    warp.atomic_add(changed_total, added_count);
-                }
 
-                // Lines 11–13: retire the completed group.
-                pending = pending.zip_with(&same_src, |p, s| p && !s);
-            }
+                    // Line 10: exact count via popc(ballot(success)).
+                    let added_count = gpu_sim::popc(warp.ballot(&success));
+                    if added_count > 0 {
+                        let count_addr = self.dict.count_addr(current_src);
+                        match op {
+                            EdgeOp::Insert => {
+                                warp.atomic_add(count_addr, added_count);
+                            }
+                            EdgeOp::Delete => {
+                                warp.atomic_sub(count_addr, added_count);
+                            }
+                        }
+                        warp.atomic_add(changed_total, added_count);
+                    }
+
+                    // Lines 11–13: retire the completed group.
+                    pending = pending.zip_with(&same_src, |p, s| p && !s);
+                }
+            })
         });
-        // Batch boundary: publish this batch's frees (the release edge of
-        // the epoch protocol). Readers pinning after this point do not
-        // cover slabs the batch quarantined, so those slabs become
-        // reclaimable as soon as all older pins drop.
-        self.dev.advance_era();
 
         // An edge is complete only when every direction-mirrored copy was
         // applied; half-applied undirected edges go back in the suffix

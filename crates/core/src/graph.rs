@@ -3,7 +3,7 @@
 use crate::batch::GraphError;
 use crate::config::{Direction, GraphConfig};
 use crate::dict::VertexDict;
-use gpu_sim::{Device, DeviceConfig, ExecPolicy, Warp, SLAB_WORDS};
+use gpu_sim::{Device, DeviceConfig, ExecPolicy, KernelSpec, Warp, SLAB_WORDS};
 use slab_alloc::{AllocError, ReadGuard, SlabAllocator};
 use slab_hash::{buckets_for, TableDesc, EMPTY_KEY, MAX_KEY};
 
@@ -50,6 +50,33 @@ impl From<(u32, u32)> for Edge {
 impl From<(u32, u32, u32)> for Edge {
     fn from((src, dst, weight): (u32, u32, u32)) -> Self {
         Edge::weighted(src, dst, weight)
+    }
+}
+
+/// The only way `slabgraph` code reaches the kernel API: handed out by
+/// [`DynGraph::pinned`] (tied to a live [`ReadGuard`]) and by
+/// [`DynGraph::batch`] (which advances the era after its launches).
+/// `clippy.toml` disallows the `Device` launch methods everywhere else.
+pub(crate) struct Launcher<'a> {
+    dev: &'a Device,
+}
+
+#[allow(clippy::disallowed_methods)] // the doors' launch path
+impl Launcher<'_> {
+    /// [`Device::launch_tasks`] through a door.
+    pub(crate) fn launch_tasks<F>(&self, name: &'static str, n_tasks: usize, kernel: F)
+    where
+        F: Fn(&mut Warp) + Sync,
+    {
+        self.dev.launch(KernelSpec::tasks(name, n_tasks), kernel);
+    }
+
+    /// [`Device::launch_warps`] through a door.
+    pub(crate) fn launch_warps<F>(&self, name: &'static str, n_warps: usize, kernel: F)
+    where
+        F: Fn(&mut Warp) + Sync,
+    {
+        self.dev.launch(KernelSpec::warps(name, n_warps), kernel);
     }
 }
 
@@ -228,6 +255,38 @@ impl DynGraph {
         self.alloc.pin(&self.dev)
     }
 
+    /// The read door: every chain-walking query launches through the
+    /// returned [`Launcher`], which borrows `pin` for its whole life, so
+    /// dropping or moving the guard first is a borrow error.
+    ///
+    /// Asserts the guard pins *this* graph's allocator — a guard from a
+    /// different graph would not block reclamation here, silently turning
+    /// "snapshot read" into "use-after-free roulette". A hard assert even
+    /// in release builds: the `Arc::ptr_eq` is negligible next to the
+    /// kernel launch every query performs, and callers that legitimately
+    /// hold possibly-stale guards (the router's degraded path) check
+    /// `owns_guard` themselves and degrade instead of calling in.
+    pub(crate) fn pinned<'a>(&'a self, pin: &'a ReadGuard) -> Launcher<'a> {
+        assert!(
+            self.alloc.owns_guard(pin),
+            "ReadGuard pinned against a different graph's allocator"
+        );
+        Launcher { dev: &self.dev }
+    }
+
+    /// The batch door: run one mutation batch's launches, then advance the
+    /// era exactly once — the release edge of the epoch protocol (DESIGN
+    /// §17). Readers pinning after the advance do not cover slabs the
+    /// batch quarantined, so those become reclaimable as soon as every
+    /// older pin drops. The advance follows every return from `body`,
+    /// error returns included.
+    #[allow(clippy::disallowed_methods)] // core's one era advance
+    pub(crate) fn batch<R>(&self, body: impl FnOnce(&Launcher) -> R) -> R {
+        let out = body(&Launcher { dev: &self.dev });
+        self.dev.advance_era();
+        out
+    }
+
     /// The vertex dictionary.
     pub fn dict(&self) -> &VertexDict {
         &self.dict
@@ -350,6 +409,7 @@ pub(crate) fn iter_bits(mask: u32) -> impl Iterator<Item = u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::{BatchOp, BatchOutcome};
     use crate::config::GraphConfig;
 
     #[test]
@@ -408,6 +468,93 @@ mod tests {
         assert_eq!(bits, vec![1, 2, 5, 7]);
         assert_eq!(iter_bits(0).count(), 0);
         assert_eq!(iter_bits(u32::MAX).count(), 32);
+    }
+
+    /// The launch-era sequence of every mutation and read. A kernel launch
+    /// opens one era; a mutation batch then advances once more to publish
+    /// its frees; a read never advances beyond its own launches.
+    #[test]
+    fn era_sequence_is_pinned_per_operation() {
+        let g = DynGraph::with_uniform_buckets(GraphConfig::undirected_map(16), 8, 1);
+        let step = |what: &str, expect: u64, op: &dyn Fn()| {
+            let before = g.device().launch_era();
+            op();
+            assert_eq!(g.device().launch_era() - before, expect, "{what}");
+        };
+        let edges: Vec<Edge> = (1..6).map(|v| Edge::weighted(0, v, v)).collect();
+        step("empty insert", 0, &|| {
+            g.try_insert_edges(&[]).unwrap();
+        });
+        step("insert", 2, &|| {
+            g.try_insert_edges(&edges).unwrap();
+        });
+        step("empty delete", 0, &|| {
+            g.try_delete_edges(&[]).unwrap();
+        });
+        step("delete", 2, &|| {
+            g.try_delete_edges(&edges[..2]).unwrap();
+        });
+        step("vertex insert", 2, &|| {
+            g.try_insert_vertices(&[9, 10], &[Edge::new(9, 10)])
+                .unwrap();
+        });
+        step("vertex insert, no ids", 2, &|| {
+            g.try_insert_vertices(&[], &[Edge::new(2, 3)]).unwrap();
+        });
+        step("empty vertex delete", 0, &|| {
+            g.try_delete_vertices(&[]).unwrap();
+        });
+        step("vertex delete", 2, &|| {
+            g.try_delete_vertices(&[10]).unwrap();
+        });
+        step("empty purge", 0, &|| g.try_purge_deleted(&[]).unwrap());
+        step("purge", 4, &|| g.try_purge_deleted(&[10]).unwrap());
+        // Out of memory building the scratch set: the insert and the
+        // scratch-set free still end in the batch's one advance.
+        g.device()
+            .set_fault_plan(gpu_sim::FaultPlan::fail_in_kernel("purge_deleted"));
+        let many: Vec<u32> = (0..2000).collect();
+        step("purge, out of memory", 3, &|| {
+            assert!(g.try_purge_deleted(&many).is_err());
+        });
+        g.device().clear_fault_plan();
+        step("flush", 2, &|| {
+            g.flush_tombstones();
+        });
+        step("rehash", 2, &|| {
+            g.rehash_overloaded(4.0);
+        });
+        g.device()
+            .set_fault_plan(gpu_sim::FaultPlan::fail_in_kernel("edge_insert"));
+        let partial = g.try_insert_edges(&[Edge::new(12, 1)]).unwrap();
+        assert!(!partial.is_complete());
+        g.device().clear_fault_plan();
+        step("retry", 2, &|| {
+            assert!(g.retry_suffix(&partial).unwrap().is_complete());
+        });
+        step("empty retry", 0, &|| {
+            g.retry_suffix(&BatchOutcome::complete(BatchOp::InsertEdges, 0, 0))
+                .unwrap();
+        });
+
+        let pin = g.pin_read();
+        step("pin", 0, &|| drop(g.pin_read()));
+        step("empty probe", 0, &|| {
+            g.edges_exist(&pin, &[]);
+        });
+        step("probe", 1, &|| {
+            g.edges_exist(&pin, &[(0, 3), (1, 0)]);
+        });
+        step("neighbors", 1, &|| {
+            g.neighbors(&pin, 0);
+        });
+        step("export", 1, &|| {
+            g.export_edges(&pin);
+        });
+        step("stats", 1, &|| {
+            g.stats(&pin);
+        });
+        step("validate", 1, &|| g.validate().unwrap());
     }
 
     #[test]

@@ -60,6 +60,9 @@
 //! assert!(!g.edge_exists(&pin, 0, 1));
 //! ```
 
+// A guard bound to `_` drops at once and pins nothing.
+#![cfg_attr(not(test), deny(let_underscore_drop))]
+
 mod batch;
 mod config;
 mod dict;

@@ -23,24 +23,24 @@ impl DynGraph {
         let _phase = self.dev.phase("flush_tombstones");
         let cap = self.dict.capacity();
         let removed = std::sync::atomic::AtomicU64::new(0);
-        self.dev.launch_warps("flush_tombstones", 1, |warp| {
-            for v in 0..cap {
-                let Some(desc) = self.dict.desc_host(&self.dev, v) else {
-                    continue;
-                };
-                let stats = desc.stats(warp);
-                if stats.tombstones == 0 {
-                    continue;
+        self.batch(|k| {
+            k.launch_warps("flush_tombstones", 1, |warp| {
+                for v in 0..cap {
+                    let Some(desc) = self.dict.desc_host(&self.dev, v) else {
+                        continue;
+                    };
+                    let stats = desc.stats(warp);
+                    if stats.tombstones == 0 {
+                        continue;
+                    }
+                    removed.fetch_add(stats.tombstones, std::sync::atomic::Ordering::AcqRel);
+                    let entries = self.collect_entries(warp, &desc);
+                    desc.free_dynamic_slabs(warp, &self.alloc)
+                        .expect("flushed chains must be freeable");
+                    self.reinsert(warp, &desc, &entries);
                 }
-                removed.fetch_add(stats.tombstones, std::sync::atomic::Ordering::AcqRel);
-                let entries = self.collect_entries(warp, &desc);
-                desc.free_dynamic_slabs(warp, &self.alloc)
-                    .expect("flushed chains must be freeable");
-                self.reinsert(warp, &desc, &entries);
-            }
+            })
         });
-        // Batch boundary (epoch release edge) for the flushed chains.
-        self.dev.advance_era();
         removed.into_inner()
     }
 
@@ -56,40 +56,41 @@ impl DynGraph {
         assert!(max_chain >= 1.0, "chains cannot be shorter than one slab");
         let cap = self.dict.capacity();
         let rehashed = std::sync::atomic::AtomicU64::new(0);
-        self.dev.launch_warps("rehash", 1, |warp| {
-            for v in 0..cap {
-                let Some(desc) = self.dict.desc_host(&self.dev, v) else {
-                    continue;
-                };
-                let stats = desc.stats(warp);
-                if stats.avg_chain() <= max_chain {
-                    continue;
+        self.batch(|k| {
+            k.launch_warps("rehash", 1, |warp| {
+                for v in 0..cap {
+                    let Some(desc) = self.dict.desc_host(&self.dev, v) else {
+                        continue;
+                    };
+                    let stats = desc.stats(warp);
+                    if stats.avg_chain() <= max_chain {
+                        continue;
+                    }
+                    rehashed.fetch_add(1, std::sync::atomic::Ordering::AcqRel);
+                    let entries = self.collect_entries(warp, &desc);
+                    let buckets =
+                        buckets_for(entries.len(), self.config.load_factor, self.config.kind);
+                    let base = self
+                        .dev
+                        .alloc_words(TableDesc::base_words(buckets), SLAB_WORDS);
+                    self.dev
+                        .memset("rehash", base, TableDesc::base_words(buckets), EMPTY_KEY);
+                    // Free the old chains before republishing the pointer.
+                    desc.free_dynamic_slabs(warp, &self.alloc)
+                        .expect("rehashed chains must be freeable");
+                    let new_desc = TableDesc {
+                        kind: self.config.kind,
+                        base,
+                        num_buckets: buckets,
+                    };
+                    self.reinsert(warp, &new_desc, &entries);
+                    self.dict.install_host(&self.dev, v, base, buckets);
+                    // install_host zeroes the count; restore the exact value.
+                    self.dev
+                        .host_write(self.dict.count_addr(v), &[entries.len() as u32]);
                 }
-                rehashed.fetch_add(1, std::sync::atomic::Ordering::AcqRel);
-                let entries = self.collect_entries(warp, &desc);
-                let buckets = buckets_for(entries.len(), self.config.load_factor, self.config.kind);
-                let base = self
-                    .dev
-                    .alloc_words(TableDesc::base_words(buckets), SLAB_WORDS);
-                self.dev
-                    .memset("rehash", base, TableDesc::base_words(buckets), EMPTY_KEY);
-                // Free the old chains before republishing the pointer.
-                desc.free_dynamic_slabs(warp, &self.alloc)
-                    .expect("rehashed chains must be freeable");
-                let new_desc = TableDesc {
-                    kind: self.config.kind,
-                    base,
-                    num_buckets: buckets,
-                };
-                self.reinsert(warp, &new_desc, &entries);
-                self.dict.install_host(&self.dev, v, base, buckets);
-                // install_host zeroes the count; restore the exact value.
-                self.dev
-                    .host_write(self.dict.count_addr(v), &[entries.len() as u32]);
-            }
+            })
         });
-        // Batch boundary (epoch release edge) for the abandoned chains.
-        self.dev.advance_era();
         rehashed.into_inner()
     }
 

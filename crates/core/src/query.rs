@@ -1,14 +1,15 @@
 //! Query operations (paper §IV-B): `edgeExist`, weight lookup, and the
 //! adjacency-list iterator.
 //!
-//! Every query takes a [`ReadGuard`] pinned via [`DynGraph::pin_read`]:
-//! queries no longer require phase separation from updates. The guard pins
-//! the launch era so the slab allocator cannot recycle any slab freed at
-//! or after the pin, and the slab-hash walks validate next-pointers as
-//! they hop, so a query running concurrently with an insert/delete batch
-//! observes a consistent snapshot. Batched queries use the same WCWS
-//! grouping as Algorithm 1 so lookups hitting the same source vertex are
-//! coalesced.
+//! Every query takes a [`ReadGuard`] pinned via [`DynGraph::pin_read`] and
+//! launches through the read door (`DynGraph::pinned`), whose launcher
+//! borrows the guard: queries need no phase separation from updates. The
+//! guard pins the launch era so the slab allocator cannot recycle any slab
+//! freed at or after the pin, and the slab-hash walks validate
+//! next-pointers as they hop, so a query running concurrently with an
+//! insert/delete batch observes a consistent snapshot. Batched queries use
+//! the same WCWS grouping as Algorithm 1 so lookups hitting the same source
+//! vertex are coalesced.
 
 use crate::graph::{DynGraph, Edge};
 use gpu_sim::{Lanes, WARP_SIZE};
@@ -16,21 +17,6 @@ use slab_alloc::ReadGuard;
 use slab_hash::TableKind;
 
 impl DynGraph {
-    /// Assert the guard pins *this* graph's allocator — a guard from a
-    /// different graph would not block reclamation here, silently turning
-    /// "snapshot read" into "use-after-free roulette". A hard assert even
-    /// in release builds: the `Arc::ptr_eq` is negligible next to the
-    /// kernel launch every query performs, and callers that legitimately
-    /// hold possibly-stale guards (the router's degraded path) check
-    /// `owns_guard` themselves and degrade instead of calling in.
-    #[inline]
-    pub(crate) fn check_pin(&self, pin: &ReadGuard) {
-        assert!(
-            self.alloc.owns_guard(pin),
-            "ReadGuard pinned against a different graph's allocator"
-        );
-    }
-
     /// Single edge-existence query (`edgeExist`, §IV-B). Runs a one-warp
     /// kernel; prefer [`Self::edges_exist`] for batches.
     pub fn edge_exists(&self, pin: &ReadGuard, src: u32, dst: u32) -> bool {
@@ -39,7 +25,7 @@ impl DynGraph {
 
     /// Single edge-weight lookup (map graphs).
     pub fn edge_weight(&self, pin: &ReadGuard, src: u32, dst: u32) -> Option<u32> {
-        self.check_pin(pin);
+        let k = self.pinned(pin);
         assert_eq!(
             self.config.kind,
             TableKind::Map,
@@ -47,7 +33,7 @@ impl DynGraph {
         );
         let desc = self.dict.desc_host(&self.dev, src)?;
         let out = parking_lot::Mutex::new(None);
-        self.dev.launch_warps("edge_weight", 1, |warp| {
+        k.launch_warps("edge_weight", 1, |warp| {
             *out.lock() = desc.find(warp, dst);
         });
         out.into_inner()
@@ -61,7 +47,7 @@ impl DynGraph {
     /// probes that hash there; a one-pair batch charges exactly one
     /// `find`. The group's hits are written back in one coalesced store.
     pub fn edges_exist(&self, pin: &ReadGuard, pairs: &[(u32, u32)]) -> Vec<bool> {
-        self.check_pin(pin);
+        let k = self.pinned(pin);
         if pairs.is_empty() {
             return vec![];
         }
@@ -71,7 +57,7 @@ impl DynGraph {
         let dst_buf = self.dev.upload(&dsts, u32::MAX);
         let out_buf = self.dev.upload(&vec![0u32; pairs.len()], 0);
 
-        self.dev.launch_tasks("edge_exist", pairs.len(), |warp| {
+        k.launch_tasks("edge_exist", pairs.len(), |warp| {
             let base = warp.warp_id() * WARP_SIZE as u32;
             let srcs = warp.read_slab(src_buf + base);
             let dsts = warp.read_slab(dst_buf + base);
@@ -106,12 +92,12 @@ impl DynGraph {
     /// is 0 for set graphs). Uses the slab iterator (§IV-B); order is the
     /// table's internal order, not sorted.
     pub fn neighbors(&self, pin: &ReadGuard, u: u32) -> Vec<(u32, u32)> {
-        self.check_pin(pin);
+        let k = self.pinned(pin);
         let Some(desc) = self.dict.desc_host(&self.dev, u) else {
             return vec![];
         };
         let out = parking_lot::Mutex::new(Vec::new());
-        self.dev.launch_warps("neighbors", 1, |warp| {
+        k.launch_warps("neighbors", 1, |warp| {
             *out.lock() = self.collect_entries(warp, &desc);
         });
         out.into_inner()
@@ -131,13 +117,13 @@ impl DynGraph {
     /// it stands when the walk reaches it (snapshot-at-walk), so a batch
     /// landing mid-export may show up for some vertices and not others.
     pub fn export_edges(&self, pin: &ReadGuard) -> Vec<Edge> {
-        self.check_pin(pin);
+        let k = self.pinned(pin);
         if self.num_edges() == 0 {
             return vec![];
         }
         let cap = self.dict.capacity();
         let out = parking_lot::Mutex::new(Vec::new());
-        self.dev.launch_warps("edge_export", 1, |warp| {
+        k.launch_warps("edge_export", 1, |warp| {
             let mut local = Vec::new();
             for u in 0..cap {
                 if let Some(desc) = self.dict.desc_host(&self.dev, u) {

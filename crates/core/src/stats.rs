@@ -47,10 +47,10 @@ impl DynGraph {
     /// Host-side instrumentation: runs as a kernel (so slab walks are
     /// charged) but is intended for use *between* measured phases.
     pub fn stats(&self, pin: &ReadGuard) -> GraphStats {
-        self.check_pin(pin);
+        let k = self.pinned(pin);
         let cap = self.dict.capacity();
         let out = parking_lot::Mutex::new(GraphStats::default());
-        self.dev.launch_warps("graph_stats", 1, |warp| {
+        k.launch_warps("graph_stats", 1, |warp| {
             let mut agg = GraphStats::default();
             for v in 0..cap {
                 if let Some(desc) = self.dict.desc_host(&self.dev, v) {
@@ -111,11 +111,11 @@ impl DynGraph {
         // The structural walk itself runs under a pin: validation may run
         // while readers and writers are live, and its own chain walks must
         // not race reclamation.
-        let _pin = self.pin_read();
+        let pin = self.pin_read();
         let cap = self.dict.capacity();
         let first: parking_lot::Mutex<Option<ValidationError>> = parking_lot::Mutex::new(None);
         let reachable = parking_lot::Mutex::new(std::collections::HashSet::new());
-        self.dev.launch_warps("validate", 1, |warp| {
+        self.pinned(&pin).launch_warps("validate", 1, |warp| {
             for v in 0..cap {
                 let Some(desc) = self.dict.desc_host(&self.dev, v) else {
                     continue;

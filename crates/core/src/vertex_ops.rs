@@ -12,7 +12,7 @@
 
 use crate::batch::{BatchOp, BatchOutcome, GraphError};
 use crate::config::Direction;
-use crate::graph::{iter_bits, DynGraph, Edge};
+use crate::graph::{iter_bits, DynGraph, Edge, Launcher};
 use slab_alloc::AllocError;
 use slab_hash::{TableDesc, TableKind};
 
@@ -216,60 +216,59 @@ impl DynGraph {
                 .record("vertex_delete.queue_depth", count as u64);
         }
         let n_warps = (count as usize).min(128);
-        self.dev.launch_warps("vertex_delete", n_warps, |warp| {
-            loop {
-                // Lines 3–6: lane 0 claims a queue slot, broadcast to warp.
-                let queue_id = warp.atomic_add(queue, 1);
-                let _ = warp.shuffle(&gpu_sim::Lanes::splat(queue_id), 0);
-                // Lines 7–9: all work claimed → warp exits.
-                if queue_id >= count {
-                    return;
-                }
-                // Line 10: fetch the vertex id.
-                let victim = warp.read_word(verts_buf + queue_id);
-                let Some(desc) = self.dict.desc(warp, victim) else {
-                    continue;
-                };
-                // Lines 11–21: iterate the victim's slabs.
-                if undirected {
-                    desc.for_each_slab(warp, |view| {
-                        // Lines 13–17: lanes hold destinations; loop over
-                        // the valid lanes, broadcasting each destination.
-                        let valid = view.valid_mask();
-                        for lane in iter_bits(valid) {
-                            let dst = view.words.get(lane as usize);
-                            if dst == victim {
-                                continue;
-                            }
-                            // Fellow victims are skipped: their owning warp
-                            // frees the whole table (racing with it here
-                            // would touch memory mid-teardown).
-                            let bits = warp.read_word(victim_bits + dst / 32);
-                            if bits & (1 << (dst % 32)) != 0 {
-                                continue;
-                            }
-                            // Line 16: delete victim from dst's table.
-                            if let Some(dst_desc) = self.dict.desc(warp, dst) {
-                                if dst_desc.delete(warp, victim) {
-                                    warp.atomic_sub(self.dict.count_addr(dst), 1);
+        self.batch(|k| {
+            k.launch_warps("vertex_delete", n_warps, |warp| {
+                loop {
+                    // Lines 3–6: lane 0 claims a queue slot, broadcast to warp.
+                    let queue_id = warp.atomic_add(queue, 1);
+                    let _ = warp.shuffle(&gpu_sim::Lanes::splat(queue_id), 0);
+                    // Lines 7–9: all work claimed → warp exits.
+                    if queue_id >= count {
+                        return;
+                    }
+                    // Line 10: fetch the vertex id.
+                    let victim = warp.read_word(verts_buf + queue_id);
+                    let Some(desc) = self.dict.desc(warp, victim) else {
+                        continue;
+                    };
+                    // Lines 11–21: iterate the victim's slabs.
+                    if undirected {
+                        desc.for_each_slab(warp, |view| {
+                            // Lines 13–17: lanes hold destinations; loop over
+                            // the valid lanes, broadcasting each destination.
+                            let valid = view.valid_mask();
+                            for lane in iter_bits(valid) {
+                                let dst = view.words.get(lane as usize);
+                                if dst == victim {
+                                    continue;
+                                }
+                                // Fellow victims are skipped: their owning warp
+                                // frees the whole table (racing with it here
+                                // would touch memory mid-teardown).
+                                let bits = warp.read_word(victim_bits + dst / 32);
+                                if bits & (1 << (dst % 32)) != 0 {
+                                    continue;
+                                }
+                                // Line 16: delete victim from dst's table.
+                                if let Some(dst_desc) = self.dict.desc(warp, dst) {
+                                    if dst_desc.delete(warp, victim) {
+                                        warp.atomic_sub(self.dict.count_addr(dst), 1);
+                                    }
                                 }
                             }
-                        }
-                    });
+                        });
+                    }
+                    // Lines 18–20: free dynamically allocated slabs (base
+                    // slabs are statically allocated and not reclaimed).
+                    desc.free_dynamic_slabs(warp, &self.alloc)
+                        .expect("victim's collision slabs must be freeable");
+                    // Line 22: zero the victim's edge count.
+                    warp.write_word(self.dict.count_addr(victim), 0);
+                    // Recycle the id (faimGraph's strategy, §VI-A3).
+                    self.free_ids.lock().push(victim);
                 }
-                // Lines 18–20: free dynamically allocated slabs (base
-                // slabs are statically allocated and not reclaimed).
-                desc.free_dynamic_slabs(warp, &self.alloc)
-                    .expect("victim's collision slabs must be freeable");
-                // Line 22: zero the victim's edge count.
-                warp.write_word(self.dict.count_addr(victim), 0);
-                // Recycle the id (faimGraph's strategy, §VI-A3).
-                self.free_ids.lock().push(victim);
-            }
+            })
         });
-        // Batch boundary: publish the victims' freed slabs (epoch release
-        // edge) so post-batch pins don't cover them.
-        self.dev.advance_era();
         Ok(BatchOutcome::complete(
             BatchOp::DeleteVertices,
             vertices.len(),
@@ -300,36 +299,39 @@ impl DynGraph {
             TableKind::Set,
             slab_hash::buckets_for(deleted.len(), self.config.load_factor, TableKind::Set),
         );
-        let release_dead_set = || {
-            self.dev.launch_warps("purge_deleted", 1, |warp| {
+        // The scratch set's dynamic slabs go back to the pool (on the
+        // out-of-memory path too) so the validate() slab audit never
+        // mistakes them for a leak.
+        let release_dead_set = |k: &Launcher| {
+            k.launch_warps("purge_deleted", 1, |warp| {
                 dead_set
                     .free_dynamic_slabs(warp, &self.alloc)
                     .expect("scratch-set slabs must be freeable");
             });
         };
-        let first_err = parking_lot::Mutex::new(None);
-        self.dev.launch_warps("purge_deleted", 1, |warp| {
-            for &v in deleted {
-                if let Err(e) = dead_set.insert(warp, &self.alloc, v, 0) {
-                    let mut slot = first_err.lock();
-                    if slot.is_none() {
-                        *slot = Some(e);
+        self.batch(|k| {
+            let first_err = parking_lot::Mutex::new(None);
+            k.launch_warps("purge_deleted", 1, |warp| {
+                for &v in deleted {
+                    if let Err(e) = dead_set.insert(warp, &self.alloc, v, 0) {
+                        let mut slot = first_err.lock();
+                        if slot.is_none() {
+                            *slot = Some(e);
+                        }
+                        break;
                     }
-                    break;
                 }
+            });
+            if let Some(e) = first_err.into_inner() {
+                release_dead_set(k);
+                return Err(GraphError::Alloc(e));
             }
-        });
-        if let Some(e) = first_err.into_inner() {
-            release_dead_set();
-            return Err(GraphError::Alloc(e));
-        }
 
-        let cap = self.dict.capacity();
-        let n_warps = (cap as usize).min(128);
-        let queue = self.dev.alloc_words(1, 1);
-        self.dev.host_write(queue, &[0]);
-        self.dev
-            .launch_warps("purge_deleted", n_warps, |warp| loop {
+            let cap = self.dict.capacity();
+            let n_warps = (cap as usize).min(128);
+            let queue = self.dev.alloc_words(1, 1);
+            self.dev.host_write(queue, &[0]);
+            k.launch_warps("purge_deleted", n_warps, |warp| loop {
                 let u = warp.atomic_add(queue, 1);
                 if u >= cap {
                     return;
@@ -357,12 +359,9 @@ impl DynGraph {
                     warp.atomic_sub(self.dict.count_addr(u), removed);
                 }
             });
-        // The scratch set's dynamic slabs go back to the pool so the
-        // validate() slab audit never mistakes them for a leak.
-        release_dead_set();
-        // Batch boundary (epoch release edge) for the freed scratch slabs.
-        self.dev.advance_era();
-        Ok(())
+            release_dead_set(k);
+            Ok(())
+        })
     }
 }
 

@@ -1020,7 +1020,7 @@ mod tests {
         // A guard on allocator 2 is live across allocator 1's free. It
         // does not block allocator 1's reclamation, so it must not
         // certify the quarantined read — this is the cross-graph hazard
-        // `check_pin` guards against on the query side.
+        // `DynGraph::pinned` asserts against on the query side.
         s.on_pin(2, 3);
         s.on_slab_free(64, "free_k", 5, A1);
         let mut w0 = WarpRace::new(6, 0);

@@ -30,6 +30,9 @@
 //! freed at era *F ≥ P* — the slab's bytes are guaranteed intact until the
 //! guard drops.
 
+// A guard bound to `_` drops at once and pins nothing.
+#![cfg_attr(not(test), deny(let_underscore_drop))]
+
 use gpu_sim::{Addr, Device, OomError, Profiler, Sanitizer, Warp, SLAB_WORDS};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashSet, VecDeque};

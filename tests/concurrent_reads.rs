@@ -247,7 +247,7 @@ fn sanitized_device(words: usize) -> Device {
 /// Negative fixture: a quarantined slab read with *no* live `ReadGuard`
 /// must be flagged as an unpinned read, with the reader's kernel and the
 /// allocation/free provenance attached. This is the runtime counterpart
-/// of the lint-kernels R8 rule.
+/// of `slabgraph`'s read door, which will not launch without a guard.
 #[test]
 fn unpinned_quarantined_read_is_flagged() {
     let dev = sanitized_device(1 << 16);

@@ -25,7 +25,7 @@
 //! the same word class. Both coarsenings are *conservative for R9* (more
 //! pairings checked, not fewer).
 
-use super::parser::{split_on, FileModel, Func, Tree};
+use super::parser::{split_on, FileModel, Tree};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How an access touches its word.
@@ -76,14 +76,12 @@ pub struct Effects {
     /// Slab-allocator calls (`allocate` / `try_allocate` / `free`), with
     /// lines.
     pub alloc_calls: Vec<(String, u32)>,
-    /// Pin-protocol calls (`pin` / `pin_read` / `check_pin`), with lines.
+    /// Pin-protocol calls (`pin` / `pin_read`), with lines.
     pub pin_calls: Vec<(String, u32)>,
-    /// `advance_era` call lines.
-    pub era_advances: Vec<u32>,
     /// `Ordering::X` mentions (ordering name, line) — R2's domain.
     pub orderings: Vec<(String, u32)>,
     /// Names called with `(…)` — the call-graph edges used to fold helper
-    /// effects into kernels and to resolve R10 reachability.
+    /// effects into kernels.
     pub calls: BTreeSet<String>,
 }
 
@@ -99,7 +97,7 @@ const HOST_TRANSFERS: [&str; 5] = [
     "host_atomic_and",
 ];
 const ALLOC_CALLS: [&str; 3] = ["allocate", "try_allocate", "free"];
-const PIN_CALLS: [&str; 3] = ["pin", "pin_read", "check_pin"];
+const PIN_CALLS: [&str; 2] = ["pin", "pin_read"];
 
 /// Compute the effect summary of a tree slice (a kernel body or a function
 /// body).
@@ -159,11 +157,9 @@ fn collect(trees: &[Tree], fx: &mut Effects) {
             fx.alloc_calls.push((name.to_string(), tok.line));
         } else if PIN_CALLS.contains(&name) {
             fx.pin_calls.push((name.to_string(), tok.line));
-        } else if name == "advance_era" {
-            fx.era_advances.push(tok.line);
         }
 
-        // Record the call edge for helper-effect folding / R10, skipping
+        // Record the call edge for helper-effect folding, skipping
         // obvious non-functions (macro bangs are lexed as `!` before `(`,
         // so `vec!(…)` never lands here; `name!(…)` has `!` between).
         fx.calls.insert(name.to_string());
@@ -254,17 +250,6 @@ impl EffectIndex {
         out
     }
 
-    /// Does `func` transitively reach a call to `target` within `depth`
-    /// call hops?
-    pub fn reaches(&self, func: &Func, target: &str, depth: usize) -> bool {
-        let direct = effects_of(&func.body);
-        direct.calls.contains(target)
-            || self
-                .reachable(&direct.calls, depth)
-                .iter()
-                .any(|fx| fx.calls.contains(target))
-    }
-
     /// The indexed functions within `depth` hops of `calls`, each once.
     /// Expansion is breadth-first, so every function is expanded at its
     /// shallowest depth and the result does not depend on the order in
@@ -295,7 +280,6 @@ fn merge(into: &mut Effects, from: &Effects) {
     into.host_calls.extend(from.host_calls.iter().cloned());
     into.alloc_calls.extend(from.alloc_calls.iter().cloned());
     into.pin_calls.extend(from.pin_calls.iter().cloned());
-    into.era_advances.extend(from.era_advances.iter().copied());
     into.orderings.extend(from.orderings.iter().cloned());
     into.calls.extend(from.calls.iter().cloned());
 }
@@ -359,24 +343,17 @@ mod tests {
         let models = vec![(
             "f.rs".to_string(),
             parse_file(
-                "fn inner(dev: &Device) { dev.advance_era(); }\nfn mid(dev: &Device) { inner(dev); }\nfn entry(dev: &Device) { mid(dev); }\nfn stray(dev: &Device) { noop(); }\n",
+                "fn inner(w: &Warp) { w.read_word(p + NEXT_LANE as u32); }\nfn mid(w: &Warp) { inner(w); }\nfn entry(w: &Warp) { mid(w); }\nfn stray(w: &Warp) { noop(); }\n",
             ),
         )];
         let idx = EffectIndex::build(&models);
-        let entry = models[0]
-            .1
-            .funcs
-            .iter()
-            .find(|f| f.name == "entry")
-            .unwrap();
-        let stray = models[0]
-            .1
-            .funcs
-            .iter()
-            .find(|f| f.name == "stray")
-            .unwrap();
-        assert!(idx.reaches(entry, "advance_era", 8));
-        assert!(!idx.reaches(stray, "advance_era", 8));
+        let body = |name: &str| {
+            let f = models[0].1.funcs.iter().find(|f| f.name == name).unwrap();
+            effects_of(&f.body)
+        };
+        assert_eq!(idx.transitive(&body("entry"), 2).accesses.len(), 1);
+        assert!(idx.transitive(&body("entry"), 1).accesses.is_empty());
+        assert!(idx.transitive(&body("stray"), 8).accesses.is_empty());
     }
 
     /// A helper reachable both directly (hop 1) and through `mid` (hop 2,
@@ -387,7 +364,7 @@ mod tests {
     fn fold_is_independent_of_caller_order() {
         for mid in ["aa_mid", "zz_mid"] {
             let src = format!(
-                "fn leaf(warp: &Warp) {{ warp.read_word(p + NEXT_LANE as u32); warp.device().advance_era(); }}\n\
+                "fn leaf(warp: &Warp) {{ warp.read_word(p + NEXT_LANE as u32); }}\n\
                  fn helper(warp: &Warp) {{ leaf(warp); }}\n\
                  fn {mid}(warp: &Warp) {{ helper(warp); }}\n\
                  fn entry(dev: &Device) {{ dev.launch_warps(\"k\", 1, |warp| {{ {mid}(warp); helper(warp); }}); }}\n"
@@ -398,15 +375,6 @@ mod tests {
             let trans = idx.transitive(&kernel, 2);
             let keys: Vec<&str> = trans.accesses.iter().map(|a| a.key.as_str()).collect();
             assert_eq!(keys, ["const:NEXT_LANE"], "caller {mid}");
-            assert_eq!(trans.era_advances.len(), 1, "caller {mid}");
-            let entry = models[0]
-                .1
-                .funcs
-                .iter()
-                .find(|f| f.name == "entry")
-                .unwrap();
-            assert!(idx.reaches(entry, "advance_era", 2), "caller {mid}");
-            assert!(!idx.reaches(entry, "advance_era", 1), "caller {mid}");
         }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Pipeline: [`lexer`] (token stream with line provenance) → [`parser`]
 //! (token trees; function and kernel extraction) → [`effects`] (per-kernel
-//! effect summaries and the name-keyed call graph) → [`rules`] (R1–R3,
-//! R8–R10) → [`report`] (rendering, JSON export, allowlist ratchet).
+//! effect summaries and the name-keyed call graph) → [`rules`] (R1, R2,
+//! R9) → [`report`] (rendering, JSON export, allowlist ratchet).
 //!
 //! This module is mounted both by the `lint-kernels` binary and by the
 //! analyzer's own integration test (`tests/lint_kernels.rs`), so each

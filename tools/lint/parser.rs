@@ -160,7 +160,7 @@ pub struct Func {
 #[derive(Debug)]
 pub struct Kernel {
     /// The literal kernel name, or `None` when the name argument is not a
-    /// string literal (an R3 finding).
+    /// string literal (reported as `<dynamic>`).
     pub name: Option<String>,
     /// `launch_tasks` / `launch_warps` / `memset`.
     pub launcher: String,
@@ -399,7 +399,7 @@ pub fn split_on<'t>(trees: &'t [Tree], punct: &str) -> Vec<&'t [Tree]> {
 }
 
 /// The launcher method names that define a kernel call site.
-pub const LAUNCHERS: [&str; 3] = ["launch_tasks", "launch_warps", "memset"];
+const LAUNCHERS: [&str; 3] = ["launch_tasks", "launch_warps", "memset"];
 
 /// Find kernel call sites (recursively) in `trees`. A call site is
 /// `. launcher (args)` — the leading `.` excludes declarations.
@@ -500,7 +500,7 @@ mod tests {
         assert_eq!(m.kernels[0].line, 2);
         assert_eq!(m.kernels[0].in_func, "go");
         assert!(!m.kernels[0].body.is_empty());
-        assert_eq!(m.kernels[1].name, None); // dynamic name → R3 later
+        assert_eq!(m.kernels[1].name, None); // dynamic name → `<dynamic>`
         assert!(!m.kernels[1].body.is_empty());
     }
 

@@ -41,8 +41,6 @@ pub struct KernelSummary {
     pub allocs: Vec<(String, u32)>,
     /// Pin-protocol calls (name, line).
     pub pins: Vec<(String, u32)>,
-    /// `advance_era` call lines.
-    pub era_advances: Vec<u32>,
 }
 
 impl KernelSummary {
@@ -74,7 +72,6 @@ impl KernelSummary {
                 .collect(),
             allocs: fx.alloc_calls.clone(),
             pins: fx.pin_calls.clone(),
-            era_advances: fx.era_advances.clone(),
         }
     }
 }
@@ -367,15 +364,6 @@ impl LintReport {
                     ),
                     ("allocs".into(), named_lines(&k.allocs)),
                     ("pins".into(), named_lines(&k.pins)),
-                    (
-                        "era_advances".into(),
-                        Json::Arr(
-                            k.era_advances
-                                .iter()
-                                .map(|l| Json::u64(*l as u64))
-                                .collect(),
-                        ),
-                    ),
                 ])
             })
             .collect();
@@ -443,7 +431,6 @@ mod tests {
                 )],
                 allocs: vec![("try_allocate".into(), 700)],
                 pins: vec![],
-                era_advances: vec![256],
             }],
             findings: vec![Finding {
                 rule: "R2".into(),

@@ -4,7 +4,7 @@
 //! external deps — the workspace builds offline) that extracts every
 //! kernel closure passed to `launch_tasks` / `launch_warps` / `memset`,
 //! computes a per-kernel **effect summary** (arena words read/written,
-//! atomic ops, allocator calls, pin/guard uses), and checks six rules over
+//! atomic ops, allocator calls, pin uses), and checks three rules over
 //! the summaries and the enclosing host code:
 //!
 //! - **R1 `host-transfer-in-kernel`** — a `Device` host transfer
@@ -13,34 +13,31 @@
 //!   `crates/gpu-sim`: uncharged, and invisible to racecheck. Staging and
 //!   read-back between launches needs no rule — the arena is private to
 //!   gpu-sim, so uncharged access can only go through those named calls.
+//!   R1 sees only transfers called directly in the closure: a helper
+//!   that transfers for it (`VertexDict::desc_host`) is not reported.
 //! - **R2 `relaxed-ordering`** — `Ordering::Relaxed` outside gpu-sim
 //!   defeats the acquire/release discipline published device pointers rely
 //!   on. Monotonic statistics counters are budgeted.
-//! - **R3 `unnamed-launch`** — a launch whose kernel-name argument is not
-//!   a string literal breaks per-kernel attribution and sanitizer
-//!   provenance.
-//!   (A discarded `PhaseGuard` or a `PerfCounters` mutation outside
-//!   gpu-sim needs no rule: the guard is `#[must_use]` and clippy runs
-//!   with `-D warnings`; the mutators are crate-private. Nor does the
-//!   router: clippy rejects a `Device` constructor there, and an
-//!   unwrapped or discarded dispatch outcome, and `DeviceGroup::dispatch`
-//!   takes every shard's `TraceCtx`.)
-//! - **R8 `pin-escape`** — flow-sensitive guard liveness: every
-//!   chain-walking launch in the query path must be dominated by a live
-//!   `ReadGuard`; a guard must not be discarded at birth, cross an
-//!   `advance_era()`, or escape a function whose return type doesn't
-//!   carry it.
 //! - **R9 `publication-order`** — an arena word class (keyed by the named
 //!   constants in its address expression, e.g. `NEXT_LANE`) written with a
 //!   plain store in one kernel but read by a concurrently-running pinned
 //!   reader kernel must be published atomically (`atomic_cas` /
-//!   `atomic_exchange` / RMW) — statically catching the class of race PR
-//!   4's sanitizer found dynamically.
-//! - **R10 `era-advance`** — every mutation batch entry point in
-//!   `crates/core` and `crates/router` must reach `advance_era()` on its
-//!   success paths before acknowledging the batch, and no batch-boundary
-//!   function may early-return success between its launch and its
-//!   advance.
+//!   `atomic_exchange` / RMW).
+//!
+//! The compiler checks the rest, so no rule does:
+//! - a kernel name is `&'static str`: a name borrowed from a caller
+//!   does not compile (E0521), so attribution never sees a temporary;
+//! - `slabgraph` launches only through `DynGraph::pinned`, which borrows
+//!   a live `ReadGuard` for the launch, and `DynGraph::batch`, which
+//!   advances the era once after its launches; `clippy.toml` disallows
+//!   every other `Device` launch or era advance there and in the router;
+//! - the guards are `#[must_use]` and the libraries deny
+//!   `let_underscore_drop`, so a guard cannot be discarded at birth;
+//! - a discarded `PhaseGuard` is `#[must_use]` too, and the `PerfCounters`
+//!   mutators are crate-private;
+//! - in the router, clippy rejects a `Device` constructor and an
+//!   unwrapped or discarded dispatch outcome, and `DeviceGroup::dispatch`
+//!   takes every shard's `TraceCtx`.
 //!
 //! ## Usage
 //!
