@@ -3,7 +3,9 @@
 //! (slower, memory reused), plus the effect of an explicit tombstone
 //! flush. The paper chose the former for throughput and notes the latter
 //! "could be used to optimize for memory usage on the expense of decreased
-//! insertion throughput" — this harness quantifies that trade-off.
+//! insertion throughput" — this harness quantifies that trade-off, prices
+//! the flush per call, and asserts that every strategy holds the same
+//! graph after every round.
 
 use bench::harness::{fnum, measure, mrate, Table};
 use graph_gen::{insert_batch, weighted};
@@ -19,6 +21,7 @@ fn main() {
             "slabs",
             "tombstones",
             "memory MB",
+            "flush µs/call",
         ],
     );
     let n = 512u32;
@@ -35,6 +38,8 @@ fn main() {
         // Churn workload: insert a batch, delete it, insert a different one.
         let mut rate_items = 0u64;
         let mut rate_seconds = 0.0f64;
+        let mut flush_seconds = 0.0f64;
+        let mut contents = Vec::new();
         for round in 0..rounds {
             let ins: Vec<Edge> = weighted(&insert_batch(n, batch, round), round)
                 .into_iter()
@@ -45,34 +50,48 @@ fn main() {
             });
             rate_items += batch as u64;
             rate_seconds += m.modeled_s;
+            contents.push(graph_contents(&g));
             let del: Vec<Edge> = ins.iter().map(|e| Edge::new(e.src, e.dst)).collect();
             g.delete_edges(&del);
             if flush_every_round {
-                g.flush_tombstones();
+                flush_seconds += measure(&[g.device()], || {
+                    g.flush_tombstones();
+                })
+                .modeled_s;
             }
         }
         g.check_invariants();
+        contents.push(graph_contents(&g));
         let stats = g.stats(&g.pin_read());
         (
             mrate(rate_items, rate_seconds),
             stats.tables.slabs,
             stats.tables.tombstones,
             stats.memory_bytes() as f64 / 1e6,
+            flush_every_round.then(|| flush_seconds * 1e6 / rounds as f64),
+            contents,
         )
     };
 
+    let mut reference = None;
     for (name, recycle, flush) in [
         ("skip tombstones (paper)", false, false),
         ("recycle tombstones", true, false),
         ("skip + flush each round", false, true),
     ] {
-        let (rate, slabs, tombs, mb) = run(recycle, flush);
+        let (rate, slabs, tombs, mb, flush_us, contents) = run(recycle, flush);
+        let reference = reference.get_or_insert_with(|| contents.clone());
+        assert!(
+            contents == *reference,
+            "{name}: edge set, weights or degrees differ from the skip-mode graph"
+        );
         t.row(vec![
             name.into(),
             fnum(rate),
             slabs.to_string(),
             tombs.to_string(),
             fnum(mb),
+            flush_us.map_or_else(|| "-".into(), fnum),
         ]);
     }
     t.note("churn workload: 8 rounds of insert-then-delete 2^13 random edges over 512 vertices");
@@ -81,5 +100,19 @@ fn main() {
 under delete-heavy churn, skip-mode chains bloat with dead slots until even early-exit \
 insertion traverses them, and recycling wins both throughput and memory",
     );
+    t.note("every row holds the same edge set, weights and degrees after each round's insert and at the end (asserted)");
     t.emit();
+}
+
+/// The graph's live edges as sorted ⟨src, dst, weight⟩ triples, and every
+/// vertex's degree.
+fn graph_contents(g: &DynGraph) -> (Vec<(u32, u32, u32)>, Vec<u32>) {
+    let mut edges: Vec<_> = g
+        .export_edges(&g.pin_read())
+        .into_iter()
+        .map(|e| (e.src, e.dst, e.weight))
+        .collect();
+    edges.sort_unstable();
+    let degrees = (0..g.vertex_capacity()).map(|v| g.degree(v)).collect();
+    (edges, degrees)
 }

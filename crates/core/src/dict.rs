@@ -172,6 +172,16 @@ impl VertexDict {
         dev.host_write(self.entry_addr(v), &[base, num_buckets, 0]);
     }
 
+    /// Warp-side (charged) republication of vertex `v`'s table after a
+    /// rebuild: one scattered write of its base and bucket count. The
+    /// live-edge count word is left alone — a rebuild keeps every edge.
+    pub(crate) fn publish(&self, warp: &Warp, v: u32, desc: &TableDesc) {
+        let e = self.entry_addr(v);
+        let addrs = Lanes::from_fn(|i| e + (i as u32).min(1));
+        let words = Lanes::from_fn(|i| if i == 0 { desc.base } else { desc.num_buckets });
+        warp.write_lanes(&addrs, &words, 0b11);
+    }
+
     /// Warp-side lazy table install: CAS the base pointer from NULL. If the
     /// CAS is lost, the winner's descriptor is returned and `fresh_base`
     /// should be released by the caller.

@@ -5,39 +5,38 @@
 //! data structure, if required" (§IV-C2) and "in practice we can maintain
 //! low-cost metrics per vertex to determine the chain-length and
 //! periodically perform rehashing if it exceeds a given threshold" (§III).
-//! This module provides both.
+//! This module provides both, over one dense chain writer: a flush
+//! rewrites each tombstoned chain in place, a rehash writes a table's live
+//! entries into a fresh base of a new size.
 
 use crate::graph::DynGraph;
 use gpu_sim::SLAB_WORDS;
-use slab_hash::{buckets_for, TableDesc, EMPTY_KEY};
+use slab_hash::{buckets_for, TableDesc};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 impl DynGraph {
-    /// Flush tombstones from every vertex's hash table: each table's live
-    /// entries are collected, its chains are reset to the base slabs
-    /// (collision slabs return to the pool), and the entries reinserted
-    /// densely. Counts are unchanged; queries see the same graph with
-    /// shorter chains and zero tombstones.
+    /// Flush tombstones from every vertex's hash table in one pass
+    /// ([`TableDesc::compact`]): each tombstoned chain is rewritten in
+    /// place with its live entries packed densely, in their chain order,
+    /// and its surplus collision slabs return to the pool. Counts are
+    /// unchanged; queries see the same graph with shorter chains and zero
+    /// tombstones. The rewrite is not safe next to concurrent readers.
     ///
     /// Returns the number of tombstones removed.
     pub fn flush_tombstones(&self) -> u64 {
         let _phase = self.dev.phase("flush_tombstones");
         let cap = self.dict.capacity();
-        let removed = std::sync::atomic::AtomicU64::new(0);
+        let removed = AtomicU64::new(0);
         self.batch(|k| {
             k.launch_warps("flush_tombstones", 1, |warp| {
                 for v in 0..cap {
-                    let Some(desc) = self.dict.desc_host(&self.dev, v) else {
+                    let Some(desc) = self.dict.desc(warp, v) else {
                         continue;
                     };
-                    let stats = desc.stats(warp);
-                    if stats.tombstones == 0 {
-                        continue;
-                    }
-                    removed.fetch_add(stats.tombstones, std::sync::atomic::Ordering::AcqRel);
-                    let entries = self.collect_entries(warp, &desc);
-                    desc.free_dynamic_slabs(warp, &self.alloc)
+                    let n = desc
+                        .compact(warp, &self.alloc)
                         .expect("flushed chains must be freeable");
-                    self.reinsert(warp, &desc, &entries);
+                    removed.fetch_add(n, Ordering::AcqRel);
                 }
             })
         });
@@ -46,48 +45,47 @@ impl DynGraph {
 
     /// Rehash every vertex whose average chain length exceeds
     /// `max_chain` slabs into a table sized for its *current* degree at
-    /// the configured load factor. New base slabs are bulk-allocated; the
-    /// old base slabs are abandoned (static memory is never reclaimed,
-    /// matching §IV-D2), and old collision slabs return to the pool.
+    /// the configured load factor ([`TableDesc::fill`]). New base slabs
+    /// are bulk-allocated; the old base slabs are abandoned (static memory
+    /// is never reclaimed, matching §IV-D2), and old collision slabs
+    /// return to the pool. The new table is published with the vertex's
+    /// edge count untouched.
     ///
     /// Returns the number of vertices rehashed.
     pub fn rehash_overloaded(&self, max_chain: f64) -> u64 {
         let _phase = self.dev.phase("rehash_overloaded");
         assert!(max_chain >= 1.0, "chains cannot be shorter than one slab");
         let cap = self.dict.capacity();
-        let rehashed = std::sync::atomic::AtomicU64::new(0);
+        let rehashed = AtomicU64::new(0);
         self.batch(|k| {
             k.launch_warps("rehash", 1, |warp| {
                 for v in 0..cap {
-                    let Some(desc) = self.dict.desc_host(&self.dev, v) else {
+                    let Some(desc) = self.dict.desc(warp, v) else {
                         continue;
                     };
-                    let stats = desc.stats(warp);
-                    if stats.avg_chain() <= max_chain {
+                    if desc.stats(warp).avg_chain() <= max_chain {
                         continue;
                     }
-                    rehashed.fetch_add(1, std::sync::atomic::Ordering::AcqRel);
+                    rehashed.fetch_add(1, Ordering::AcqRel);
                     let entries = self.collect_entries(warp, &desc);
-                    let buckets =
-                        buckets_for(entries.len(), self.config.load_factor, self.config.kind);
-                    let base = self
-                        .dev
-                        .alloc_words(TableDesc::base_words(buckets), SLAB_WORDS);
-                    self.dev
-                        .memset("rehash", base, TableDesc::base_words(buckets), EMPTY_KEY);
-                    // Free the old chains before republishing the pointer.
-                    desc.free_dynamic_slabs(warp, &self.alloc)
-                        .expect("rehashed chains must be freeable");
-                    let new_desc = TableDesc {
-                        kind: self.config.kind,
-                        base,
+                    let buckets = buckets_for(entries.len(), self.config.load_factor, desc.kind);
+                    let fresh = TableDesc {
+                        kind: desc.kind,
+                        base: self
+                            .dev
+                            .alloc_words(TableDesc::base_words(buckets), SLAB_WORDS),
                         num_buckets: buckets,
                     };
-                    self.reinsert(warp, &new_desc, &entries);
-                    self.dict.install_host(&self.dev, v, base, buckets);
-                    // install_host zeroes the count; restore the exact value.
-                    self.dev
-                        .host_write(self.dict.count_addr(v), &[entries.len() as u32]);
+                    // Maintenance is not a recoverable batch: the rebuild
+                    // allocates only the overflow slabs its live entries
+                    // need, so it can fail only under a fault plan or a
+                    // budget tighter than the structure it rebuilds.
+                    fresh
+                        .fill(warp, &self.alloc, &entries)
+                        .expect("rehash must not exhaust the pool");
+                    desc.free_dynamic_slabs(warp, &self.alloc)
+                        .expect("rehashed chains must be freeable");
+                    self.dict.publish(warp, v, &fresh);
                 }
             })
         });
@@ -103,23 +101,13 @@ impl DynGraph {
         desc.for_each_entry(warp, |k, v| entries.push((k, v)));
         entries
     }
-
-    // Maintenance is not a recoverable batch: reinsertion happens into
-    // freshly compacted tables after their old chains returned to the
-    // pool, so it can only fail under a fault plan or a budget tighter
-    // than the structure it is compacting — treated as fatal.
-    fn reinsert(&self, warp: &gpu_sim::Warp, desc: &TableDesc, entries: &[(u32, u32)]) {
-        for &(k, v) in entries {
-            desc.insert(warp, &self.alloc, k, v)
-                .expect("maintenance reinsert must not exhaust the pool");
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::config::GraphConfig;
     use crate::graph::{DynGraph, Edge};
+    use gpu_sim::{CounterSnapshot, NULL_ADDR};
 
     fn churned_graph() -> DynGraph {
         let g = DynGraph::with_uniform_buckets(GraphConfig::directed_map(64), 64, 1);
@@ -132,6 +120,54 @@ mod tests {
             .collect();
         g.delete_edges(&del);
         g
+    }
+
+    /// The counters `op` charges on `g`'s device.
+    fn charges(g: &DynGraph, op: impl FnOnce()) -> CounterSnapshot {
+        let before = g.device().counters().snapshot();
+        op();
+        g.device().counters().snapshot().delta(&before)
+    }
+
+    /// Per bucket chain of `v`'s table: (live keys, tombstones, slabs).
+    fn chain_shapes(g: &DynGraph, v: u32) -> Vec<(u64, u64, u64)> {
+        let pin = g.pin_read();
+        let Some(desc) = g.dict.desc_host(&g.dev, v) else {
+            return vec![];
+        };
+        let shapes = parking_lot::Mutex::new(vec![(0, 0, 0)]);
+        g.pinned(&pin).launch_warps("chain_shapes", 1, |warp| {
+            desc.for_each_slab(warp, |view| {
+                let mut shapes = shapes.lock();
+                let last = shapes.last_mut().expect("one open chain");
+                let key_lanes = desc.kind.key_lanes();
+                last.0 += view.keys().count() as u64;
+                last.1 += (0..gpu_sim::WARP_SIZE)
+                    .filter(|&i| key_lanes & (1 << i) != 0)
+                    .filter(|&i| view.words.get(i) == slab_hash::TOMBSTONE_KEY)
+                    .count() as u64;
+                last.2 += 1;
+                if view.next() == NULL_ADDR {
+                    shapes.push((0, 0, 0));
+                }
+            });
+        });
+        let mut shapes = shapes.into_inner();
+        shapes.pop();
+        shapes
+    }
+
+    /// Every chain of every table is dense: no tombstones, and
+    /// max(1, ⌈live/Bc⌉) slabs long (empties only in the tail slab is
+    /// `validate`'s check).
+    fn assert_dense(g: &DynGraph) {
+        let bc = g.config.kind.slab_capacity() as u64;
+        for v in 0..g.vertex_capacity() {
+            for (live, tombstones, slabs) in chain_shapes(g, v) {
+                assert_eq!(tombstones, 0, "vertex {v}");
+                assert_eq!(slabs, live.div_ceil(bc).max(1), "vertex {v}");
+            }
+        }
     }
 
     #[test]
@@ -153,7 +189,7 @@ mod tests {
         assert_eq!(after.tables.tombstones, 0);
         assert_eq!(after.tables.live_keys, before_stats.tables.live_keys);
         assert!(
-            after.tables.slabs <= before_stats.tables.slabs,
+            after.tables.slabs < before_stats.tables.slabs,
             "chains shrank"
         );
 
@@ -161,9 +197,30 @@ mod tests {
             let mut n = g.neighbors(&g.pin_read(), v);
             n.sort_unstable();
             assert_eq!(n, snapshot[v as usize], "vertex {v} changed");
+            assert_eq!(g.degree(v), n.len() as u32, "vertex {v} count");
         }
         g.check_invariants();
-        assert_eq!(g.flush_tombstones(), 0, "idempotent");
+        assert_dense(&g);
+
+        // Idempotent: the second flush reads every descriptor and slab
+        // and writes nothing.
+        let pin = g.pin_read();
+        let desc_reads = charges(&g, || {
+            g.pinned(&pin).launch_warps("desc_reads", 1, |warp| {
+                for v in 0..g.vertex_capacity() {
+                    g.dict.desc(warp, v);
+                }
+            })
+        });
+        drop(pin);
+        let second = charges(&g, || assert_eq!(g.flush_tombstones(), 0, "idempotent"));
+        assert_eq!(
+            second.transactions,
+            desc_reads.transactions + after.tables.slabs,
+            "reads only"
+        );
+        assert_eq!((second.atomics, second.shuffles), (0, 0));
+        g.validate().unwrap();
     }
 
     #[test]
@@ -177,18 +234,17 @@ mod tests {
         let before = g.stats(&g.pin_read());
         let chain_before = before.tables.max_chain;
         assert!(chain_before >= 1);
-        let snapshot = {
-            let mut n = g.neighbors(&g.pin_read(), 0);
-            n.sort_unstable();
-            n
-        };
+        let mut expect: std::collections::BTreeMap<u32, u32> =
+            g.neighbors(&g.pin_read(), 0).into_iter().collect();
 
         // Vertex 0 has 15 unique dsts in 1 bucket (1 slab chain of 1): add
-        // enough churn to force multi-slab chains first.
+        // enough churn to force multi-slab chains first. Replace
+        // semantics: the last weight inserted for a destination wins.
         let more: Vec<Edge> = (0..300u32)
             .map(|i| Edge::weighted(0, 100 + i % 200, i))
             .collect();
         g.insert_edges(&more);
+        expect.extend(more.iter().map(|e| (e.dst, e.weight)));
         let loaded = g.stats(&g.pin_read());
         assert!(loaded.tables.max_chain > 2, "chain built up");
 
@@ -197,23 +253,14 @@ mod tests {
         let after = g.stats(&g.pin_read());
         assert!(after.tables.max_chain <= loaded.tables.max_chain);
         assert!(after.avg_chain() < loaded.avg_chain());
+        assert!(g.dict().desc_host(g.device(), 0).unwrap().num_buckets > 1);
 
         let mut n0 = g.neighbors(&g.pin_read(), 0);
         n0.sort_unstable();
-        let mut expect: Vec<(u32, u32)> = snapshot;
-        for e in &more {
-            let w = more.iter().rfind(|m| m.dst == e.dst).unwrap().weight;
-            if !expect.iter().any(|&(d, _)| d == e.dst) {
-                expect.push((e.dst, w));
-            }
-        }
-        expect.sort_unstable();
-        // Weights of churned duplicates: compare destination sets instead.
-        let dsts: Vec<u32> = n0.iter().map(|&(d, _)| d).collect();
-        let expect_dsts: Vec<u32> = expect.iter().map(|&(d, _)| d).collect();
-        assert_eq!(dsts, expect_dsts);
-        assert_eq!(g.degree(0), dsts.len() as u32, "exact count preserved");
+        assert_eq!(n0, expect.into_iter().collect::<Vec<_>>(), "weights kept");
+        assert_eq!(g.degree(0), n0.len() as u32, "exact count preserved");
         g.check_invariants();
+        assert_dense(&g);
     }
 
     #[test]

@@ -25,7 +25,9 @@
 //! [`TableDesc::insert`], [`TableDesc::find`], [`TableDesc::delete`] and
 //! [`TableDesc::for_each_entry`] (a set's value reads as 0 and is ignored
 //! on insert). [`TableDesc::find_lanes`] is `find` for a warp's group of
-//! keys, with one chain walk per home bucket.
+//! keys, with one chain walk per home bucket. Maintenance rewrites whole
+//! chains through one dense writer: [`TableDesc::compact`] flushes
+//! tombstones in place, [`TableDesc::fill`] builds a fresh table.
 //!
 //! All operations are warp-cooperative: the whole warp reads one slab in a
 //! single coalesced transaction, ballots over its lanes, and elects lanes to
@@ -636,6 +638,141 @@ impl TableDesc {
             warp.write_slab(base, &Lanes::splat(EMPTY_KEY));
         }
         Ok(())
+    }
+
+    /// Flush this table's tombstones in one pass (§IV-C2: "can later be
+    /// completely flushed out"). Each bucket's chain is walked once. A
+    /// chain holding tombstones has its live entries written back densely,
+    /// in chain order, over its first max(1, ⌈live/Bc⌉) slabs; the last
+    /// kept slab is NULL-terminated and the surplus slabs return to
+    /// `alloc`. A chain without tombstones is only read.
+    ///
+    /// Charges one read and one live-lane ballot per slab walked, plus an
+    /// EMPTY ballot on the tail slab (the only one that can hold empties);
+    /// one shuffle and one store per slab written; one atomic per slab
+    /// freed. No CAS, no value exchange, no allocation.
+    ///
+    /// The rewrite is in place: the table must not be read or written
+    /// concurrently. Returns the number of tombstones removed. Fails with
+    /// the allocator's misuse errors if a chain links a slab the pool does
+    /// not own; the chains compacted before the faulty one stay compacted.
+    pub fn compact(&self, warp: &Warp, alloc: &SlabAllocator) -> Result<u64, AllocError> {
+        let key_lanes = self.kind.key_lanes();
+        let mut removed = 0u64;
+        let mut chain = Vec::new();
+        let mut entries = Vec::new();
+        for b in 0..self.num_buckets {
+            chain.clear();
+            entries.clear();
+            let mut tombstones = 0u32;
+            let mut addr = self.bucket_addr(b);
+            loop {
+                let view = SlabView {
+                    addr,
+                    words: warp.read_slab(addr),
+                    kind: self.kind,
+                };
+                let live = warp.ballot(&Lanes::from_fn(|i| {
+                    key_lanes & (1 << i) != 0 && view.words.get(i) < TOMBSTONE_KEY
+                }));
+                let dead = self.kind.slab_capacity() as u32 - live.count_ones();
+                chain.push(addr);
+                entries.extend(view.entries());
+                addr = view.next();
+                if addr == NULL_ADDR {
+                    let empties = self.match_lanes(warp, &view.words, EMPTY_KEY);
+                    tombstones += dead - empties.count_ones();
+                    break;
+                }
+                tombstones += dead;
+            }
+            if tombstones == 0 {
+                continue;
+            }
+            removed += u64::from(tombstones);
+            let kept = self.write_dense(warp, &chain, &entries);
+            for &slab in &chain[kept..] {
+                alloc.free(warp, slab)?;
+            }
+        }
+        Ok(removed)
+    }
+
+    /// Build this table from `entries` (distinct keys) over base slabs
+    /// that hold nothing yet — a rehash's fresh base. The entries are
+    /// grouped by home bucket, keeping their order; every overflow slab
+    /// the groups need is allocated first, then each bucket's chain is
+    /// written with the dense writer [`Self::compact`] uses. Every base
+    /// slab is written, so the base needs no initialisation.
+    ///
+    /// On `Err` nothing was written and the slabs already taken are back
+    /// in `alloc`.
+    pub fn fill(
+        &self,
+        warp: &Warp,
+        alloc: &SlabAllocator,
+        entries: &[(u32, u32)],
+    ) -> Result<(), AllocError> {
+        let mut groups = vec![Vec::new(); self.num_buckets as usize];
+        for &(k, v) in entries {
+            groups[bucket_of(k, self.num_buckets) as usize].push((k, v));
+        }
+        let mut chains: Vec<Vec<Addr>> = Vec::with_capacity(groups.len());
+        for (b, group) in (0..self.num_buckets).zip(&groups) {
+            let mut chain = vec![self.bucket_addr(b)];
+            while chain.len() < group.len().div_ceil(self.kind.slab_capacity()) {
+                match alloc.try_allocate(warp) {
+                    Ok(slab) => chain.push(slab),
+                    Err(e) => {
+                        for &slab in chains.iter().chain([&chain]).flat_map(|c| &c[1..]) {
+                            alloc
+                                .free(warp, slab)
+                                .expect("freshly allocated slab must be freeable");
+                        }
+                        return Err(e);
+                    }
+                }
+            }
+            chains.push(chain);
+        }
+        for (chain, group) in chains.iter().zip(&groups) {
+            self.write_dense(warp, chain, group);
+        }
+        Ok(())
+    }
+
+    /// Write `entries` densely over the chain `slabs`, in order: slab *i*
+    /// takes entries `i·Bc..(i+1)·Bc` and links to slab *i* + 1, and the
+    /// last of the max(1, ⌈n/Bc⌉) slabs written is NULL-terminated with
+    /// its unused slots EMPTY. One shuffle (routing the entries to their
+    /// lanes) and one store per slab. Returns the number of slabs written;
+    /// `slabs` must hold at least that many.
+    fn write_dense(&self, warp: &Warp, slabs: &[Addr], entries: &[(u32, u32)]) -> usize {
+        let bc = self.kind.slab_capacity();
+        let kept = entries.len().div_ceil(bc).max(1);
+        let identity = Lanes::from_fn(|lane| lane as u32);
+        // An empty chain still writes its one (all-EMPTY) slab.
+        let chunks = entries.chunks(bc).chain(std::iter::once(&[][..]));
+        for (i, (&addr, chunk)) in slabs[..kept].iter().zip(chunks).enumerate() {
+            let next = if i + 1 < kept {
+                slabs[i + 1]
+            } else {
+                NULL_ADDR
+            };
+            let packed = Lanes::from_fn(|lane| match lane {
+                NEXT_LANE => next,
+                RESERVED_LANE => EMPTY_KEY,
+                _ => match self.kind {
+                    TableKind::Map => chunk.get(lane / 2).map(|&(k, v)| [k, v][lane % 2]),
+                    TableKind::Set => chunk.get(lane).map(|&(k, _)| k),
+                }
+                .unwrap_or(EMPTY_KEY),
+            });
+            // The buffered entries are already in lane order, so the
+            // routing shuffle a warp issues is the identity here.
+            warp.write_slab(addr, &warp.shuffle_idx(&packed, &identity));
+        }
+        kept
     }
 
     /// Statistics over the chains (used by the Fig. 2 experiments). Each
@@ -1435,5 +1572,207 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `compact`'s exact charges on a one-bucket table whose chain is
+    /// `depth` slabs long, after deleting its first `deleted` keys: one
+    /// read and one live-lane ballot per slab plus an EMPTY ballot on the
+    /// tail; per slab written a shuffle and a store; an atomic per freed
+    /// slab. A chain without tombstones is only read.
+    #[test]
+    fn compact_charges_are_pinned() {
+        // (kind, depth, deleted, [transactions, atomics, ballots, shuffles]).
+        let cases: [(TableKind, usize, u32, [u64; 4]); 10] = [
+            (TableKind::Map, 1, 0, [1, 0, 2, 0]),
+            (TableKind::Map, 1, 1, [2, 0, 2, 1]),
+            (TableKind::Map, 3, 0, [3, 0, 4, 0]),
+            (TableKind::Map, 3, 1, [5, 1, 4, 2]),
+            (TableKind::Map, 3, 16, [4, 2, 4, 1]),
+            (TableKind::Set, 1, 0, [1, 0, 2, 0]),
+            (TableKind::Set, 1, 1, [2, 0, 2, 1]),
+            (TableKind::Set, 3, 0, [3, 0, 4, 0]),
+            (TableKind::Set, 3, 1, [5, 1, 4, 2]),
+            (TableKind::Set, 3, 31, [4, 2, 4, 1]),
+        ];
+        for (kind, depth, deleted, [transactions, atomics, ballots, shuffles]) in cases {
+            let charges = op_charges(kind, depth, |t, w, a, _| {
+                for k in 0..deleted {
+                    w.uncharged(|w| assert!(t.delete(w, k)));
+                }
+                assert_eq!(t.compact(w, a).unwrap(), u64::from(deleted));
+            });
+            assert_eq!(
+                charges,
+                gpu_sim::CounterSnapshot {
+                    transactions,
+                    atomics,
+                    ballots,
+                    shuffles,
+                    launches: 1,
+                    warps: 1,
+                    ..Default::default()
+                },
+                "{kind:?} at depth {depth}, {deleted} deleted"
+            );
+        }
+    }
+
+    /// A bucket's live ⟨key, value⟩ sequence, in chain order, and its
+    /// chain's slabs.
+    type Chain = (Vec<(u32, u32)>, Vec<SlabView>);
+
+    /// Every bucket's [`Chain`].
+    fn chains(t: &TableDesc, warp: &Warp) -> Vec<Chain> {
+        let mut out = Vec::new();
+        t.for_each_chain(warp, |chain| {
+            let live = chain.iter().flat_map(|view| view.entries()).collect();
+            out.push((live, chain.to_vec()));
+        });
+        out
+    }
+
+    #[test]
+    fn compact_packs_each_chain_densely_in_chain_order() {
+        for kind in [TableKind::Map, TableKind::Set] {
+            let (dev, alloc, t) = setup(kind, 4);
+            on_warp(&dev, |warp| {
+                for k in 0..400u32 {
+                    t.insert(warp, &alloc, k, 5 * k + 1).unwrap();
+                }
+                // Every third key, and a long run that empties whole slabs.
+                for k in (0..400u32).filter(|k| k % 3 == 0 || (100..220).contains(k)) {
+                    assert!(t.delete(warp, k));
+                }
+                let before_stats = t.stats(warp);
+                let before = chains(&t, warp);
+                assert!(before_stats.max_chain >= 3, "{before_stats:?}");
+                let slabs_before = alloc.live_slabs();
+
+                assert_eq!(t.compact(warp, &alloc).unwrap(), before_stats.tombstones);
+                let after = chains(&t, warp);
+                let bc = kind.slab_capacity();
+                let mut freed = 0;
+                for (b, ((live, old), (live_after, chain))) in before.iter().zip(&after).enumerate()
+                {
+                    let ctx = format!("{kind:?} bucket {b}");
+                    assert_eq!(live_after, live, "{ctx}: live sequence changed");
+                    assert_eq!(chain.len(), live.len().div_ceil(bc).max(1), "{ctx}");
+                    assert_eq!(chain[0].addr, old[0].addr, "{ctx}: base slab kept");
+                    for (i, view) in chain.iter().enumerate() {
+                        let slots: Vec<u32> = (0..WARP_SIZE)
+                            .filter(|l| kind.key_lanes() & (1 << l) != 0)
+                            .map(|l| view.words.get(l))
+                            .collect();
+                        assert!(!slots.contains(&TOMBSTONE_KEY), "{ctx}: tombstone left");
+                        let empties = slots.iter().filter(|&&w| w == EMPTY_KEY).count();
+                        if i + 1 < chain.len() {
+                            assert_eq!(empties, 0, "{ctx}: empty before the tail");
+                        } else {
+                            assert_eq!(empties, bc * chain.len() - live.len(), "{ctx}");
+                        }
+                    }
+                    freed += (old.len() - chain.len()) as u64;
+                }
+                assert_eq!(alloc.live_slabs(), slabs_before - freed);
+                let s = t.stats(warp);
+                assert_eq!((s.tombstones, s.live_keys), (0, before_stats.live_keys));
+
+                // A second pass finds nothing to do and writes nothing.
+                let counters = dev.counters().snapshot();
+                assert_eq!(t.compact(warp, &alloc).unwrap(), 0);
+                let d = dev.counters().snapshot().delta(&counters);
+                assert_eq!((d.transactions, d.atomics), (s.slabs, 0), "{kind:?}");
+            });
+        }
+    }
+
+    #[test]
+    fn compacting_an_all_deleted_chain_leaves_an_empty_base_slab() {
+        for kind in [TableKind::Map, TableKind::Set] {
+            let (dev, alloc, t) = setup(kind, 1);
+            on_warp(&dev, |warp| {
+                let n = 2 * kind.slab_capacity() as u32 + 5;
+                for k in 0..n {
+                    t.insert(warp, &alloc, k, k).unwrap();
+                }
+                for k in 0..n {
+                    assert!(t.delete(warp, k));
+                }
+                assert_eq!(alloc.live_slabs(), 2);
+                assert_eq!(t.compact(warp, &alloc).unwrap(), u64::from(n));
+                assert_eq!(
+                    alloc.live_slabs(),
+                    0,
+                    "{kind:?}: both collision slabs freed"
+                );
+                let base = warp.read_slab(t.bucket_addr(0));
+                for lane in 0..WARP_SIZE {
+                    let want = if lane == NEXT_LANE {
+                        NULL_ADDR
+                    } else {
+                        EMPTY_KEY
+                    };
+                    assert_eq!(base.get(lane), want, "{kind:?} lane {lane}");
+                }
+                assert!(t.insert(warp, &alloc, 7, 70).unwrap(), "reusable");
+                assert_eq!(
+                    t.find(warp, 7),
+                    Some(if kind == TableKind::Map { 70 } else { 0 })
+                );
+            });
+        }
+    }
+
+    #[test]
+    fn fill_writes_dense_chains_per_home_bucket() {
+        for kind in [TableKind::Map, TableKind::Set] {
+            let (dev, alloc, t) = setup(kind, 3);
+            let entries: Vec<(u32, u32)> = (0..100u32)
+                .map(|k| (k * 7, if kind == TableKind::Map { k } else { 0 }))
+                .collect();
+            on_warp(&dev, |warp| {
+                t.fill(warp, &alloc, &entries).unwrap();
+                let bc = kind.slab_capacity();
+                let mut slabs = 0;
+                for (b, (live, chain)) in chains(&t, warp).into_iter().enumerate() {
+                    let want: Vec<(u32, u32)> = entries
+                        .iter()
+                        .copied()
+                        .filter(|&(k, _)| bucket_of(k, 3) == b as u32)
+                        .collect();
+                    assert_eq!(live, want, "{kind:?} bucket {b}");
+                    assert_eq!(chain.len(), want.len().div_ceil(bc).max(1));
+                    slabs += chain.len() as u64 - 1;
+                }
+                assert_eq!(alloc.live_slabs(), slabs);
+                for &(k, v) in &entries {
+                    assert_eq!(t.find(warp, k), Some(v));
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn fill_allocates_before_any_store() {
+        let (dev, alloc, t) = setup(TableKind::Map, 1);
+        // 40 entries in one bucket need two overflow slabs; the second
+        // allocation fails.
+        let entries: Vec<(u32, u32)> = (0..40).map(|k| (k, k + 1)).collect();
+        dev.set_fault_plan(gpu_sim::FaultPlan::fail_nth(2));
+        on_warp(&dev, |warp| {
+            assert!(t.fill(warp, &alloc, &entries).is_err());
+            assert_eq!(alloc.live_slabs(), 0, "the first slab went back");
+            assert_eq!(
+                warp.read_slab(t.bucket_addr(0)),
+                Lanes::splat(EMPTY_KEY),
+                "base untouched"
+            );
+        });
+        dev.clear_fault_plan();
+        on_warp(&dev, |warp| {
+            t.fill(warp, &alloc, &entries).unwrap();
+            assert_eq!(t.find(warp, 39), Some(40));
+        });
+        assert_eq!(alloc.live_slabs(), 2);
     }
 }
