@@ -55,8 +55,8 @@ pub fn chaos_churn(cfg: &ChurnConfig) -> Table {
     let g = build_sharded(&ds, shards);
     let router = BatchRouter::new(&g);
 
-    // Unsharded reference: same bulk load, same per-round coalesced
-    // apply order (inserts before deletes).
+    // Unsharded reference: same bulk load, each round applied in the
+    // router's drain order (the last update to an edge decides it).
     let reference = build_slab(&ds);
 
     let mut table = Table::new(
@@ -131,20 +131,15 @@ pub fn chaos_churn(cfg: &ChurnConfig) -> Table {
         }
         drop(pin);
 
-        // Reference replay (inserts before deletes, session-major — the
-        // router's own drain order).
-        let mut ins: Vec<Edge> = Vec::new();
-        let mut del: Vec<Edge> = Vec::new();
-        for session in &round.sessions {
-            for &u in session {
-                match u {
-                    Update::Insert(e) => ins.push(e),
-                    Update::Delete(e) => del.push(e),
-                }
-            }
-        }
-        reference.insert_edges(&ins);
-        reference.delete_edges(&del);
+        // Reference replay in the router's drain order (session-major,
+        // the last update to an edge deciding it). The deciders touch
+        // distinct edges, so their inserts and deletes commute and apply
+        // as two plain batches.
+        let drained: Vec<Update> = round.sessions.concat();
+        let (last, _) = Update::collapse(&drained);
+        let (ins, del): (Vec<Update>, Vec<Update>) = last.into_iter().partition(|u| u.is_insert());
+        reference.insert_edges(&ins.iter().map(|u| u.edge()).collect::<Vec<_>>());
+        reference.delete_edges(&del.iter().map(|u| u.edge()).collect::<Vec<_>>());
 
         let max_journal = (0..shards)
             .map(|s| router.journal_depth(s))

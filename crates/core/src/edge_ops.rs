@@ -1,9 +1,10 @@
 //! Batched edge insertion and deletion — the paper's Algorithm 1.
 //!
-//! Each thread (lane) owns one edge. A warp-level work queue built from a
-//! `ballot` repeatedly elects the first unfinished lane, broadcasts its
-//! source vertex with a `shuffle`, and groups every lane holding the same
-//! source so their updates hit the same hash table in coalesced fashion.
+//! Each thread (lane) owns one edge and one op bit (insert or delete). A
+//! warp-level work queue built from a `ballot` repeatedly elects the first
+//! unfinished lane, broadcasts its source vertex (and, in a mixed batch,
+//! its op) with a `shuffle`, and groups every lane holding the same source
+//! and op so their updates hit the same hash table in coalesced fashion.
 //! The slab-hash `replace` / `delete` return booleans; a `popc` over their
 //! ballot maintains exact per-vertex edge counts (Algorithm 1, line 10).
 
@@ -12,12 +13,53 @@ use crate::graph::{iter_bits, DynGraph, Edge};
 use gpu_sim::{Lanes, OomError, WARP_SIZE};
 use slab_alloc::AllocError;
 use slab_hash::TableKind;
+use std::collections::HashMap;
 
-/// What a batch kernel should do with each edge.
+/// One edge update: the unit of a mixed batch ([`DynGraph::try_update_edges`])
+/// and of the router's journal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EdgeOp {
-    Insert,
-    Delete,
+pub enum Update {
+    /// Insert one edge (weight carried through on map-kind graphs).
+    Insert(Edge),
+    /// Delete one edge.
+    Delete(Edge),
+}
+
+impl Update {
+    /// The edge this update inserts or deletes.
+    pub fn edge(self) -> Edge {
+        match self {
+            Update::Insert(e) | Update::Delete(e) => e,
+        }
+    }
+
+    /// Whether this update inserts.
+    pub fn is_insert(self) -> bool {
+        matches!(self, Update::Insert(_))
+    }
+
+    /// Collapse `updates` per ⟨src, dst⟩ key in submit order: the last
+    /// update to a key decides it. Returns the deciding updates, one per
+    /// key in the order keys first appear, and for each update the index
+    /// of its key's decider among them. The deciders touch distinct keys,
+    /// so their inserts and deletes commute: applying them in one batch
+    /// leaves the state that applying `updates` one by one would.
+    pub fn collapse(updates: &[Update]) -> (Vec<Update>, Vec<usize>) {
+        let mut slot_of: HashMap<(u32, u32), usize> = HashMap::with_capacity(updates.len());
+        let mut deciders: Vec<Update> = Vec::new();
+        let mut slots = Vec::with_capacity(updates.len());
+        for &u in updates {
+            let e = u.edge();
+            let slot = *slot_of.entry((e.src, e.dst)).or_insert(deciders.len());
+            if slot == deciders.len() {
+                deciders.push(u);
+            } else {
+                deciders[slot] = u;
+            }
+            slots.push(slot);
+        }
+        (deciders, slots)
+    }
 }
 
 impl DynGraph {
@@ -56,13 +98,15 @@ impl DynGraph {
     /// applied and the unapplied suffix is reported in the returned
     /// [`BatchOutcome`] for [`Self::retry_suffix`].
     pub fn try_insert_edges(&self, edges: &[Edge]) -> Result<BatchOutcome, GraphError> {
-        self.run_edge_kernel(edges, EdgeOp::Insert)
+        let updates: Vec<Update> = edges.iter().copied().map(Update::Insert).collect();
+        Ok(self.try_update_edges(&updates)?.0)
     }
 
     /// Fallible [`Self::delete_edges`]. Deletion itself never allocates,
     /// but staging the batch on the device can exhaust a bounded budget.
     pub fn try_delete_edges(&self, edges: &[Edge]) -> Result<BatchOutcome, GraphError> {
-        self.run_edge_kernel(edges, EdgeOp::Delete)
+        let updates: Vec<Update> = edges.iter().copied().map(Update::Delete).collect();
+        Ok(self.try_update_edges(&updates)?.1)
     }
 
     fn expect_complete(what: &str, outcome: BatchOutcome) -> u64 {
@@ -75,32 +119,51 @@ impl DynGraph {
         outcome.changed
     }
 
-    /// Shared WCWS kernel for insert/delete.
+    /// One launch of Algorithm 1 over a batch of inserts and deletes,
+    /// one op bit per lane. Returns the outcomes of the batch's inserts
+    /// and of its deletes, each over the caller's own edges (before
+    /// undirected mirroring) in batch order, so
+    /// `completed + pending.len() == attempted` holds per kind.
     ///
-    /// Takes the batch as the caller submitted it (before undirected
-    /// mirroring) so partial outcomes report the caller's own edges.
-    fn run_edge_kernel(&self, original: &[Edge], op: EdgeOp) -> Result<BatchOutcome, GraphError> {
-        let batch_op = match op {
-            EdgeOp::Insert => BatchOp::InsertEdges,
-            EdgeOp::Delete => BatchOp::DeleteEdges,
-        };
-        if original.is_empty() {
-            return Ok(BatchOutcome::complete(batch_op, 0, 0));
+    /// A single-kind batch launches as `edge_insert` or `edge_delete`
+    /// and stages no op buffer; a mixed one launches as `edge_update`.
+    /// Lanes are grouped by source and op, so an insert and a delete of
+    /// the same key in one batch land in either order: callers that need
+    /// submit order collapse the batch first ([`Update::collapse`]).
+    ///
+    /// On device-memory exhaustion a prefix is applied and each kind's
+    /// unapplied edges are reported as pending; only inserts allocate
+    /// inside the kernel, so an in-kernel failure is the insert outcome's
+    /// `error`.
+    pub fn try_update_edges(
+        &self,
+        updates: &[Update],
+    ) -> Result<(BatchOutcome, BatchOutcome), GraphError> {
+        let mut outcomes =
+            [BatchOp::InsertEdges, BatchOp::DeleteEdges].map(|op| BatchOutcome::complete(op, 0, 0));
+        if updates.is_empty() {
+            let [ins, del] = outcomes;
+            return Ok((ins, del));
         }
-        for e in original {
-            self.check_edge(e)?;
+        for u in updates {
+            self.check_edge(&u.edge())?;
         }
-        let work = self.apply_direction(original);
+        let original: Vec<Edge> = updates.iter().map(|u| u.edge()).collect();
+        let work = self.apply_direction(&original);
         let per_edge = work.len() / original.len();
         let n = work.len();
+        // A single-kind batch keeps its op out of the lanes.
+        let uniform = updates[0].is_insert();
+        let mixed = updates.iter().any(|u| u.is_insert() != uniform);
+        let is_insert = |i: usize| updates[i / per_edge].is_insert();
 
         // Stage the batch on the device. A failure here applies nothing:
         // the whole batch is the pending suffix.
         let staged = (|| -> Result<_, OomError> {
-            if op == EdgeOp::Insert {
-                // A source past the dictionary needs an entry to install
-                // its table in: grow first (a shallow copy, §IV-A1).
-                let max_src = work.iter().map(|e| e.src).max().unwrap_or(0);
+            // A source past the dictionary needs an entry to install its
+            // table in: grow first (a shallow copy, §IV-A1).
+            let max_src = (0..n).filter(|&i| is_insert(i)).map(|i| work[i].src).max();
+            if let Some(max_src) = max_src {
                 self.dict.try_grow(&self.dev, max_src + 1)?;
             }
             let srcs: Vec<u32> = work.iter().map(|e| e.src).collect();
@@ -113,36 +176,49 @@ impl DynGraph {
             } else {
                 None
             };
-            let changed_total = self.dev.try_alloc_words(1, 1)?;
-            self.dev.host_write(changed_total, &[0]);
+            // Op bits (1 = delete) and a second changed word only when
+            // the batch mixes kinds.
+            let op_buf = if mixed {
+                let ops: Vec<u32> = (0..n).map(|i| u32::from(!is_insert(i))).collect();
+                Some(self.dev.try_upload(&ops, 0)?)
+            } else {
+                None
+            };
+            let totals = 1 + usize::from(mixed);
+            let changed_total = self.dev.try_alloc_words(totals, 1)?;
+            self.dev.host_write(changed_total, &vec![0; totals]);
             // One status word per work item: 0 = unapplied, 1 = applied.
             let status_buf = self.dev.try_alloc_words(n, 1)?;
             self.dev.host_write(status_buf, &vec![0; n]);
-            Ok((src_buf, dst_buf, weight_buf, changed_total, status_buf))
+            Ok((
+                src_buf,
+                dst_buf,
+                weight_buf,
+                op_buf,
+                changed_total,
+                status_buf,
+            ))
         })();
-        let (src_buf, dst_buf, weight_buf, changed_total, status_buf) = match staged {
+        let (src_buf, dst_buf, weight_buf, op_buf, changed_total, status_buf) = match staged {
             Ok(bufs) => bufs,
             Err(e) => {
-                return Ok(BatchOutcome {
-                    op: batch_op,
-                    attempted: original.len(),
-                    completed: 0,
-                    changed: 0,
-                    pending: original.to_vec(),
-                    pending_vertices: Vec::new(),
-                    error: Some(AllocError::Oom(e)),
-                })
+                for u in updates {
+                    let out = &mut outcomes[usize::from(!u.is_insert())];
+                    out.attempted += 1;
+                    out.pending.push(u.edge());
+                    out.error = Some(AllocError::Oom(e));
+                }
+                let [ins, del] = outcomes;
+                return Ok((ins, del));
             }
         };
 
-        let kernel_name = match op {
-            EdgeOp::Insert => "edge_insert",
-            EdgeOp::Delete => "edge_delete",
+        let (kernel_name, phase) = match (mixed, uniform) {
+            (true, _) => ("edge_update", "edge_update_batch"),
+            (false, true) => ("edge_insert", "edge_insert_batch"),
+            (false, false) => ("edge_delete", "edge_delete_batch"),
         };
-        let _phase = self.dev.phase(match op {
-            EdgeOp::Insert => "edge_insert_batch",
-            EdgeOp::Delete => "edge_delete_batch",
-        });
+        let _phase = self.dev.phase(phase);
         // First allocation failure observed inside the kernel, if any.
         let first_err: parking_lot::Mutex<Option<AllocError>> = parking_lot::Mutex::new(None);
         let record = |e: AllocError| {
@@ -160,6 +236,7 @@ impl DynGraph {
                 let weights = weight_buf
                     .map(|wb| warp.read_slab(wb + base))
                     .unwrap_or_default();
+                let ops = op_buf.map(|ob| warp.read_slab(ob + base));
                 // Status writes are bookkeeping for the host-side outcome, not
                 // part of the modelled kernel: uncharged so per-kernel
                 // attribution is unchanged by the recovery machinery.
@@ -181,11 +258,25 @@ impl DynGraph {
                         break;
                     };
                     let current_src = warp.shuffle(&srcs, current_lane);
-                    let same_src = pending.zip_with(&srcs, |p, s| p && s == current_src);
+                    let (insert, same_src) = match &ops {
+                        None => (
+                            uniform,
+                            pending.zip_with(&srcs, |p, s| p && s == current_src),
+                        ),
+                        Some(ops) => {
+                            let current_op = warp.shuffle(ops, current_lane);
+                            let same = Lanes::from_fn(|i| {
+                                pending.get(i)
+                                    && srcs.get(i) == current_src
+                                    && ops.get(i) == current_op
+                            });
+                            (current_op == 0, same)
+                        }
+                    };
                     let group = warp.ballot(&same_src);
 
-                    let desc = match op {
-                        EdgeOp::Insert => match self.desc_or_create(warp, current_src) {
+                    let desc = if insert {
+                        match self.desc_or_create(warp, current_src) {
                             Ok(d) => d,
                             Err(e) => {
                                 // Lazy table construction failed: the whole
@@ -194,8 +285,9 @@ impl DynGraph {
                                 pending = pending.zip_with(&same_src, |p, s| p && !s);
                                 continue;
                             }
-                        },
-                        EdgeOp::Delete => match self.dict.desc(warp, current_src) {
+                        }
+                    } else {
+                        match self.dict.desc(warp, current_src) {
                             Some(d) => d,
                             None => {
                                 // Nothing to delete from an untouched vertex.
@@ -205,7 +297,7 @@ impl DynGraph {
                                 pending = pending.zip_with(&same_src, |p, s| p && !s);
                                 continue;
                             }
-                        },
+                        }
                     };
 
                     // Lines 8–9: coalesced group operation + success ballot.
@@ -215,13 +307,12 @@ impl DynGraph {
                     let mut success = Lanes::splat(false);
                     for lane in iter_bits(group) {
                         let li = lane as usize;
-                        let applied = match op {
-                            EdgeOp::Insert if self.config.recycle_tombstones => desc
-                                .insert_recycling(warp, &self.alloc, dsts.get(li), weights.get(li)),
-                            EdgeOp::Insert => {
-                                desc.insert(warp, &self.alloc, dsts.get(li), weights.get(li))
-                            }
-                            EdgeOp::Delete => Ok(desc.delete(warp, dsts.get(li))),
+                        let applied = if !insert {
+                            Ok(desc.delete(warp, dsts.get(li)))
+                        } else if self.config.recycle_tombstones {
+                            desc.insert_recycling(warp, &self.alloc, dsts.get(li), weights.get(li))
+                        } else {
+                            desc.insert(warp, &self.alloc, dsts.get(li), weights.get(li))
                         };
                         match applied {
                             Ok(changed) => {
@@ -236,15 +327,14 @@ impl DynGraph {
                     let added_count = gpu_sim::popc(warp.ballot(&success));
                     if added_count > 0 {
                         let count_addr = self.dict.count_addr(current_src);
-                        match op {
-                            EdgeOp::Insert => {
-                                warp.atomic_add(count_addr, added_count);
-                            }
-                            EdgeOp::Delete => {
-                                warp.atomic_sub(count_addr, added_count);
-                            }
+                        if insert {
+                            warp.atomic_add(count_addr, added_count);
+                        } else {
+                            warp.atomic_sub(count_addr, added_count);
                         }
-                        warp.atomic_add(changed_total, added_count);
+                        // A mixed batch counts its deletes in the second word.
+                        let total = changed_total + u32::from(mixed && !insert);
+                        warp.atomic_add(total, added_count);
                     }
 
                     // Lines 11–13: retire the completed group.
@@ -256,25 +346,28 @@ impl DynGraph {
         // An edge is complete only when every direction-mirrored copy was
         // applied; half-applied undirected edges go back in the suffix
         // (re-inserting the applied half is an uncounted replace/no-op).
-        let mut changed = [0];
+        let mut changed = vec![0; 1 + usize::from(mixed)];
         self.dev.host_read(changed_total, &mut changed);
         let mut status = vec![0; n];
         self.dev.host_read(status_buf, &mut status);
-        let pending_edges: Vec<Edge> = original
-            .iter()
-            .zip(status.chunks(per_edge))
-            .filter(|(_, s)| s.contains(&0))
-            .map(|(&e, _)| e)
-            .collect();
-        Ok(BatchOutcome {
-            op: batch_op,
-            attempted: original.len(),
-            completed: original.len() - pending_edges.len(),
-            changed: changed[0] as u64,
-            pending: pending_edges,
-            pending_vertices: Vec::new(),
-            error: first_err.into_inner(),
-        })
+        for (u, s) in updates.iter().zip(status.chunks(per_edge)) {
+            let out = &mut outcomes[usize::from(!u.is_insert())];
+            out.attempted += 1;
+            if s.contains(&0) {
+                out.pending.push(u.edge());
+            } else {
+                out.completed += 1;
+            }
+        }
+        for (k, out) in outcomes.iter_mut().enumerate() {
+            let word = if mixed { k } else { 0 };
+            if out.attempted > 0 {
+                out.changed = changed[word] as u64;
+            }
+        }
+        outcomes[0].error = first_err.into_inner();
+        let [ins, del] = outcomes;
+        Ok((ins, del))
     }
 }
 
@@ -285,6 +378,16 @@ mod tests {
 
     fn graph(cap: u32) -> DynGraph {
         DynGraph::with_uniform_buckets(GraphConfig::directed_map(cap), cap, 1)
+    }
+
+    /// One name per launch since `before`.
+    fn launched_since(g: &DynGraph, before: &gpu_sim::TraceSnapshot) -> Vec<&'static str> {
+        let delta = g.device().trace().delta(before);
+        delta
+            .kernels
+            .iter()
+            .flat_map(|k| std::iter::repeat_n(k.name, k.counters.launches as usize))
+            .collect()
     }
 
     #[test]
@@ -471,6 +574,92 @@ mod tests {
         let g = graph(4);
         assert_eq!(g.insert_edges(&[]), 0);
         assert_eq!(g.delete_edges(&[]), 0);
+    }
+
+    #[test]
+    fn mixed_batch_is_one_edge_update_launch_with_per_kind_outcomes() {
+        let g = graph(8);
+        g.insert_edges(&[Edge::weighted(0, 1, 1), Edge::weighted(0, 2, 2)]);
+        let before = g.device().trace();
+        let (ins, del) = g
+            .try_update_edges(&[
+                Update::Delete(Edge::new(0, 1)),
+                Update::Insert(Edge::weighted(0, 3, 3)),
+                Update::Delete(Edge::new(5, 6)),
+                Update::Insert(Edge::weighted(0, 2, 9)),
+                Update::Insert(Edge::new(4, 4)),
+            ])
+            .unwrap();
+        assert_eq!(launched_since(&g, &before), vec!["edge_update"]);
+        assert_eq!((ins.attempted, ins.completed, ins.changed), (3, 3, 1));
+        assert_eq!((del.attempted, del.completed, del.changed), (2, 2, 1));
+        assert_eq!(
+            (ins.op, del.op),
+            (BatchOp::InsertEdges, BatchOp::DeleteEdges)
+        );
+        let pin = g.pin_read();
+        assert_eq!(
+            g.edges_exist(&pin, &[(0, 1), (0, 2), (0, 3)]),
+            vec![false, true, true]
+        );
+        assert_eq!(g.edge_weight(&pin, 0, 2), Some(9));
+        assert_eq!(g.degree(0), 2);
+    }
+
+    #[test]
+    fn single_kind_update_batches_keep_their_kernel_names() {
+        let g = graph(8);
+        for (batch, name) in [
+            (vec![Update::Insert(Edge::new(0, 1))], "edge_insert"),
+            (vec![Update::Delete(Edge::new(0, 1))], "edge_delete"),
+        ] {
+            let before = g.device().trace();
+            let (ins, del) = g.try_update_edges(&batch).unwrap();
+            assert_eq!(ins.changed + del.changed, 1);
+            assert_eq!(launched_since(&g, &before), vec![name]);
+        }
+    }
+
+    #[test]
+    fn undirected_mixed_batch_mirrors_each_update() {
+        let g = DynGraph::with_uniform_buckets(GraphConfig::undirected_map(8), 8, 1);
+        g.insert_edges(&[Edge::new(0, 1)]);
+        let (ins, del) = g
+            .try_update_edges(&[
+                Update::Delete(Edge::new(1, 0)),
+                Update::Insert(Edge::new(2, 3)),
+            ])
+            .unwrap();
+        assert_eq!((ins.changed, del.changed), (2, 2), "both half-edges");
+        let pin = g.pin_read();
+        assert_eq!(
+            g.edges_exist(&pin, &[(0, 1), (1, 0), (2, 3), (3, 2)]),
+            vec![false, false, true, true]
+        );
+    }
+
+    #[test]
+    fn collapse_keeps_the_last_update_per_edge_in_submit_order() {
+        let (a, b, c) = (Edge::weighted(0, 1, 1), Edge::new(0, 2), Edge::new(1, 0));
+        let updates = [
+            Update::Insert(a),
+            Update::Delete(b),
+            Update::Insert(c),
+            Update::Delete(a),
+            Update::Insert(b),
+            Update::Insert(Edge::weighted(0, 1, 7)),
+        ];
+        let (last, slots) = Update::collapse(&updates);
+        assert_eq!(
+            last,
+            vec![
+                Update::Insert(Edge::weighted(0, 1, 7)),
+                Update::Insert(b),
+                Update::Insert(c)
+            ]
+        );
+        assert_eq!(slots, vec![0, 1, 2, 0, 1, 0]);
+        assert_eq!(Update::collapse(&[]), (vec![], vec![]));
     }
 
     #[test]

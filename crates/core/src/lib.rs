@@ -22,6 +22,7 @@
 //! |---|---|
 //! | Algorithm 1 (batched edge insertion) | [`DynGraph::insert_edges`] |
 //! | batched edge deletion (§IV-C2) | [`DynGraph::delete_edges`] |
+//! | mixed insert/delete batch, one launch | [`DynGraph::try_update_edges`] |
 //! | vertex insertion (§IV-D1) | [`DynGraph::insert_vertices`] |
 //! | Algorithm 2 (vertex deletion) | [`DynGraph::delete_vertices`] |
 //! | `edgeExist` (§IV-B) | [`DynGraph::edge_exists`], [`DynGraph::edges_exist`] |
@@ -76,6 +77,7 @@ mod vertex_ops;
 pub use batch::{BatchOp, BatchOutcome, GraphError};
 pub use config::{Direction, GraphConfig, DEFAULT_LOAD_FACTOR};
 pub use dict::{VertexDict, ENTRY_WORDS};
+pub use edge_ops::Update;
 pub use graph::{DynGraph, Edge};
 pub use stats::{GraphStats, ValidationError};
 

@@ -4,13 +4,13 @@
 
 use crate::health::{
     replay, JournalEntry, RetryPolicy, RouterError, RouterReport, ShardHealth, ShardHealthRow,
-    ShardState, Update,
+    ShardState,
 };
 use crate::partition::{ShardedGraph, ShardedValidationError};
 use crate::tracing::{as_ns, OpTraceRecord, OpTracker, OpenOp};
 use gpu_sim::{Device, DeviceFault, MetricsRegistry, TraceCtx, TraceReport};
 use parking_lot::Mutex;
-use slabgraph::{BatchOutcome, DynGraph, Edge, ReadGuard};
+use slabgraph::{BatchOutcome, DynGraph, Edge, ReadGuard, Update};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Whether a read was answered by the authoritative owner shard or
@@ -40,14 +40,17 @@ struct PendingOp {
 #[derive(Debug, Clone)]
 pub struct ShardOutcome {
     pub shard: usize,
-    /// Outcome of the inserts in the shard's journal log: this flush's
-    /// coalesced batch (primaries then replicas, session order preserved)
-    /// after any work still pending from earlier flushes, so `attempted`
-    /// counts carried-over entries too. A shard whose circuit breaker is
-    /// open reports only this flush's entries, all held. `None` when
-    /// there were no inserts to report.
+    /// Outcome of the insert entries in the shard's journal log: work
+    /// still pending from earlier flushes, then this flush's entries in
+    /// submit order, so `attempted` counts carried-over entries too and
+    /// `completed + pending.len() == attempted`. An entry completes when
+    /// the last update to its ⟨src, dst⟩ key applies; `changed` counts
+    /// the edges the flush's one launch newly inserted. A shard whose
+    /// circuit breaker is open reports only this flush's entries, all
+    /// held. `None` when there were no inserts to report.
     pub insert: Option<BatchOutcome>,
-    /// Outcome of the deletes in the shard's journal log.
+    /// Outcome of the delete entries in the shard's journal log, counted
+    /// the same way; `changed` is the edges the launch deleted.
     pub delete: Option<BatchOutcome>,
     /// Modeled GPU seconds this shard spent on the flush: its device
     /// clock's advance across admission and replay, so retry backoff is
@@ -308,19 +311,22 @@ impl<'g> BatchRouter<'g> {
     /// Drain every session queue (session-major, submission order within a
     /// session), journal every update on each shard it routes to —
     /// primaries and cut-edge replicas, of both half-edges when the graph
-    /// is undirected, inserts before deletes — and run
+    /// is undirected — as one list per shard in submit order, and run
     /// one dispatch round. An update whose edge fails
     /// [`DynGraph::check_edge`] is rejected on its own: it is never
     /// journaled, and the shard owning its source reports it as
     /// [`RouterError::Poisoned`] while its batch-mates apply.
     ///
     /// In the round, every dispatchable shard with a non-empty journal log
-    /// applies the log in order (work still pending from earlier flushes
-    /// first) and acks exactly the entries it applied; the shards run
-    /// concurrently. A shard that exhausts its device budget reports a
-    /// partial [`BatchOutcome`] and keeps the unapplied suffix logged, so
-    /// a later flush — with or without new updates — resumes it, while
-    /// the other shards proceed to completion. A shard whose device
+    /// applies the log in one launch: collapsed per ⟨src, dst⟩ key (work
+    /// still pending from earlier flushes first, then this flush's
+    /// entries), the last update to a key decides it, so the result is
+    /// the submit-order one. The shard acks exactly the entries whose key
+    /// applied; the shards run concurrently. A shard that exhausts its
+    /// device budget reports a partial [`BatchOutcome`] and keeps the
+    /// unapplied entries logged, so a later flush — with or without new
+    /// updates — resumes them, while the other shards proceed to
+    /// completion. A shard whose device
     /// refuses launch admission is retried per the [`RetryPolicy`]
     /// (backoff charged on the modeled clock) and, once exhausted, marked
     /// Down: its log is held, its [`ShardOutcome::error`] carries the
@@ -332,9 +338,8 @@ impl<'g> BatchRouter<'g> {
         let updates: usize = drained.iter().map(Vec::len).sum();
         let n = self.graph.num_shards();
         let drain_s = self.clock_s();
-        // Per shard, in journal order: insert primaries, insert replicas,
-        // delete primaries, delete replicas.
-        let mut routed: Vec<[Vec<JournalEntry>; 4]> = vec![Default::default(); n];
+        // Per shard, its journal entries in submit order.
+        let mut routed: Vec<Vec<JournalEntry>> = vec![Vec::new(); n];
         let mut rejected: Vec<Option<RouterError>> = vec![None; n];
         {
             // Open one lifecycle record per routed op; it settles when its
@@ -343,9 +348,9 @@ impl<'g> BatchRouter<'g> {
             t.flushes += 1;
             let flush_id = t.flushes;
             for p in drained.iter().flatten() {
-                let (kind, e, group, wrap): (_, _, _, fn(Edge) -> Update) = match p.update {
-                    Update::Insert(e) => ("insert", e, 0, Update::Insert),
-                    Update::Delete(e) => ("delete", e, 2, Update::Delete),
+                let (kind, e, wrap): (_, _, fn(Edge) -> Update) = match p.update {
+                    Update::Insert(e) => ("insert", e, Update::Insert),
+                    Update::Delete(e) => ("delete", e, Update::Delete),
                 };
                 let su = self.graph.owner_of(e.src);
                 if let Err(source) = self.graph.shard(su).check_edge(&e) {
@@ -353,8 +358,8 @@ impl<'g> BatchRouter<'g> {
                     continue;
                 }
                 let mut unacked = 0;
-                self.graph.route(e, |s, copy, is_replica| {
-                    routed[s][group + usize::from(is_replica)].push(JournalEntry {
+                self.graph.route(e, |s, copy, _| {
+                    routed[s].push(JournalEntry {
                         ctx: p.ctx,
                         update: wrap(copy),
                     });
@@ -387,10 +392,10 @@ impl<'g> BatchRouter<'g> {
         // journal, so the merged trace chains back to client traffic.
         let mut appended = vec![0; n];
         let mut ctxs = vec![None; n];
-        for (s, groups) in routed.into_iter().enumerate() {
+        for (s, entries) in routed.into_iter().enumerate() {
             let mut st = self.states[s].lock();
-            appended[s] = groups.iter().map(Vec::len).sum();
-            st.journal.log.extend(groups.into_iter().flatten());
+            appended[s] = entries.len();
+            st.journal.log.extend(entries);
             ctxs[s] = st.journal.first_op();
             if let Some(p) = self.graph.group().device(s).profiler() {
                 p.metrics()
@@ -842,6 +847,7 @@ mod tests {
     use crate::tests::{cfg, pairs};
     use backend::GraphBackend;
     use gpu_sim::FaultPlan;
+    use slabgraph::GraphConfig;
 
     #[test]
     fn router_flush_is_deterministic_and_complete() {
@@ -909,19 +915,150 @@ mod tests {
         g.validate().expect("audit after recovery");
     }
 
-    #[test]
-    fn flush_applies_inserts_before_deletes() {
-        let g = ShardedGraph::new(2, cfg(64));
-        let router = BatchRouter::new(&g);
-        router.submit(0, Update::Insert(Edge::new(1, 2)));
-        router.submit(0, Update::Delete(Edge::new(1, 2)));
+    /// Submit `updates` from one session, flush, and return whether each
+    /// of `probes` is present afterwards.
+    fn flush_then_probe(g: &ShardedGraph, updates: &[Update], probes: &[(u32, u32)]) -> Vec<bool> {
+        let router = BatchRouter::new(g);
+        for &u in updates {
+            router.submit(0, u);
+        }
         let report = router.flush();
-        assert!(report.is_complete());
+        assert!(report.is_complete(), "{report:?}");
+        for s in 0..g.num_shards() {
+            assert_eq!(router.journal_depth(s), 0);
+        }
+        g.edges_exist(&g.pin_read(), probes)
+    }
+
+    #[test]
+    fn flush_applies_updates_in_submit_order() {
+        let g = ShardedGraph::new(2, cfg(64));
+        let e = Edge::new(1, 2);
         assert_eq!(
-            g.edges_exist(&g.pin_read(), &[(1, 2)]),
+            flush_then_probe(&g, &[Update::Insert(e), Update::Delete(e)], &[(1, 2)]),
             vec![false],
             "insert-then-delete nets to absent"
         );
+        assert_eq!(
+            flush_then_probe(&g, &[Update::Delete(e), Update::Insert(e)], &[(1, 2)]),
+            vec![true],
+            "delete-then-insert nets to present"
+        );
+        g.validate().expect("audit after submit-order flushes");
+    }
+
+    #[test]
+    fn last_insert_of_an_edge_keeps_its_weight() {
+        let g = ShardedGraph::new(2, cfg(64));
+        let updates = [
+            Update::Insert(Edge::weighted(3, 40, 7)),
+            Update::Insert(Edge::weighted(3, 40, 9)),
+        ];
+        assert_eq!(flush_then_probe(&g, &updates, &[(3, 40)]), vec![true]);
+        let owner = g.shard(g.owner_of(3));
+        assert_eq!(owner.edge_weight(&owner.pin_read(), 3, 40), Some(9));
+        assert_eq!(g.num_edges(), 1);
+    }
+
+    #[test]
+    fn undirected_delete_then_reversed_insert_keeps_both_halves() {
+        let g = ShardedGraph::new(
+            2,
+            GraphConfig::undirected_map(64).with_device_words(1 << 18),
+        );
+        let (u, v) = (5, 60);
+        let updates = [
+            Update::Insert(Edge::new(u, v)),
+            Update::Delete(Edge::new(v, u)),
+            Update::Insert(Edge::new(u, v)),
+        ];
+        assert_eq!(
+            flush_then_probe(&g, &updates, &[(u, v), (v, u)]),
+            vec![true, true]
+        );
+        assert_eq!(g.num_edges(), 2);
+        g.validate()
+            .expect("both half-edges and their replicas agree");
+    }
+
+    #[test]
+    fn delete_after_an_oom_pending_insert_nets_to_absent() {
+        let g = ShardedGraph::new(2, cfg(64));
+        let router = BatchRouter::new(&g);
+        let e = Edge::new(9, 33);
+        for dev in g.group().devices() {
+            dev.set_fault_plan(FaultPlan::fail_nth(1));
+        }
+        router.submit(0, Update::Insert(e));
+        let first = router.flush();
+        assert!(!first.is_complete(), "the insert stays pending: {first:?}");
+        let owner = g.owner_of(e.src);
+        assert_eq!(router.journal_depth(owner), 1);
+        for dev in g.group().devices() {
+            dev.clear_fault_plan();
+        }
+        router.submit(0, Update::Delete(e));
+        let second = router.flush();
+        assert!(second.is_complete(), "{second:?}");
+        let out = &second.shards[owner];
+        let (ins, del) = (out.insert.as_ref().unwrap(), out.delete.as_ref().unwrap());
+        assert_eq!(
+            (ins.attempted, ins.completed),
+            (1, 1),
+            "acks with the delete"
+        );
+        assert_eq!((del.attempted, del.completed, del.changed), (1, 1, 0));
+        for s in 0..g.num_shards() {
+            assert_eq!(router.journal_depth(s), 0, "shard {s}");
+        }
+        assert_eq!(g.edges_exist(&g.pin_read(), &[(e.src, e.dst)]), vec![false]);
+        g.validate().expect("audit after the netted flush");
+    }
+
+    #[test]
+    fn mixed_flush_costs_one_launch_per_shard_with_work() {
+        let g = ShardedGraph::new(3, cfg(256));
+        let router = BatchRouter::new(&g);
+        let base = pairs(90, 41, 256);
+        for &(u, v) in &base {
+            router.submit(0, Update::Insert(Edge::new(u, v)));
+        }
+        assert!(router.flush().is_complete());
+        // Lose shard 2: its breaker opens on the next flush that reaches it.
+        let down = 2usize;
+        g.group()
+            .device(down)
+            .set_fault_plan(FaultPlan::device_lost_at(1));
+        router.submit(0, Update::Insert(Edge::new(base[0].0, base[0].1)));
+        for &(u, v) in base.iter().filter(|&&(u, _)| g.owner_of(u) == down) {
+            router.submit(0, Update::Insert(Edge::new(u, v)));
+        }
+        router.flush();
+        assert_eq!(router.health(down), ShardHealth::Down);
+        // One mixed window: deletes of half the base, inserts of fresh
+        // edges, interleaved.
+        let fresh = pairs(90, 42, 256);
+        for (i, (&(u, v), &(a, b))) in base.iter().zip(&fresh).enumerate() {
+            router.submit(i % 2, Update::Delete(Edge::new(u, v)));
+            router.submit(i % 2, Update::Insert(Edge::new(a, b)));
+        }
+        let before: Vec<u64> = (0..3)
+            .map(|s| g.group().device(s).counters().snapshot().launches)
+            .collect();
+        let report = router.flush();
+        for (s, (o, before)) in report.shards.iter().zip(before).enumerate() {
+            let launches = g.group().device(s).counters().snapshot().launches - before;
+            if s == down {
+                assert_eq!(launches, 0, "open breaker never touches the device");
+            } else {
+                assert!(
+                    o.insert.is_some() && o.delete.is_some(),
+                    "shard {s} is mixed"
+                );
+                assert!(o.is_complete(), "{o:?}");
+                assert_eq!(launches, 1, "shard {s}: one launch per flush");
+            }
+        }
     }
 
     #[test]

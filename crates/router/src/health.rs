@@ -3,7 +3,7 @@
 //! and the one `replay` step that applies it, and the health report.
 
 use gpu_sim::{DeviceFault, TraceCtx};
-use slabgraph::{BatchOp, BatchOutcome, DynGraph, Edge, GraphError};
+use slabgraph::{BatchOp, BatchOutcome, DynGraph, GraphError, Update};
 use std::collections::HashMap;
 
 /// One shard's position in the router's health state machine.
@@ -117,34 +117,12 @@ impl std::fmt::Display for RouterError {
 
 impl std::error::Error for RouterError {}
 
-/// One client update. Sessions submit these; the router coalesces them
-/// into per-shard batches at flush time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Update {
-    /// Insert one edge (weight carried through on map-kind shards).
-    Insert(Edge),
-    /// Delete one edge.
-    Delete(Edge),
-}
-
 /// One journaled update on one shard: the client op it belongs to (its
 /// [`TraceCtx`]) and the edge it inserts or deletes there.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct JournalEntry {
     pub(crate) ctx: TraceCtx,
     pub(crate) update: Update,
-}
-
-impl JournalEntry {
-    fn is_insert(&self) -> bool {
-        matches!(self.update, Update::Insert(_))
-    }
-
-    fn edge(&self) -> Edge {
-        match self.update {
-            Update::Insert(e) | Update::Delete(e) => e,
-        }
-    }
 }
 
 /// Per-shard write-ahead journal: the acked entries folded into a compact
@@ -192,7 +170,7 @@ impl ShardJournal {
 }
 
 /// What one replay of journal entries did on one shard: per-kind outcomes
-/// folded over the entries' runs, and which entries were applied.
+/// over the entries, and which entries were applied.
 pub(crate) struct Replay {
     pub(crate) insert: Option<BatchOutcome>,
     pub(crate) delete: Option<BatchOutcome>,
@@ -205,66 +183,68 @@ impl Replay {
     }
 }
 
-/// The one apply step behind flush and rebuild: apply `entries` to `g` in
-/// maximal runs of one kind (`try_insert_edges` / `try_delete_edges`), in
-/// log order, stopping at the first incomplete run — a later run would
-/// break apply order. Runs not attempted, and every run when `g` is `None`
-/// (breaker open, admission refused), are held fully pending. Replay is
-/// idempotent: re-inserting an edge replaces its weight, re-deleting is a
-/// no-op.
+/// The one apply step behind flush and rebuild: collapse `entries` per
+/// ⟨src, dst⟩ key in log order ([`Update::collapse`]: the last update to
+/// a key decides it) and apply the deciders, which touch distinct keys,
+/// with one [`DynGraph::try_update_edges`] launch. Every entry acks with
+/// its key's decider. With `g` `None` (breaker open, admission refused)
+/// every entry is held pending. Replay is idempotent: re-inserting an
+/// edge replaces its weight, re-deleting is a no-op.
+///
+/// The per-kind outcomes count journal entries: `attempted` is the
+/// entries of that kind, `completed + pending.len() == attempted`, and
+/// `changed` and `error` are the launch's for that kind.
 pub(crate) fn replay(g: Option<&DynGraph>, entries: &[JournalEntry]) -> Replay {
-    let mut out = Replay {
-        insert: None,
-        delete: None,
-        applied: Vec::with_capacity(entries.len()),
-    };
-    let mut stopped = g.is_none();
-    for run in entries.chunk_by(|a, b| a.is_insert() == b.is_insert()) {
-        let edges: Vec<Edge> = run.iter().map(JournalEntry::edge).collect();
-        let is_insert = run[0].is_insert();
-        let op = if is_insert {
-            BatchOp::InsertEdges
-        } else {
-            BatchOp::DeleteEdges
-        };
-        let outcome = match g.filter(|_| !stopped) {
-            None => held_outcome(op, &edges),
-            Some(g) => {
-                let applied = if is_insert {
-                    g.try_insert_edges(&edges)
-                } else {
-                    g.try_delete_edges(&edges)
-                };
-                match applied {
-                    Ok(o) => o,
-                    // Flush checks every edge before journaling it.
-                    Err(e) => unreachable!("journaled edge failed validation: {e}"),
-                }
-            }
-        };
-        // `pending` is the run's unapplied entries, in run order.
-        let mut pending = outcome.pending.iter().peekable();
-        for e in &edges {
-            out.applied.push(pending.next_if(|&p| p == e).is_none());
+    let updates: Vec<Update> = entries.iter().map(|e| e.update).collect();
+    let kind = |u: &Update| usize::from(!u.is_insert());
+    let (deciders, slots) = Update::collapse(&updates);
+    // The launch's insert and delete outcomes.
+    let launched: Option<[BatchOutcome; 2]> = g.map(|g| match g.try_update_edges(&deciders) {
+        Ok((ins, del)) => [ins, del],
+        // Flush checks every edge before journaling it.
+        Err(e) => unreachable!("journaled edge failed validation: {e}"),
+    });
+    // Which deciders applied: each kind's `pending` lists its unapplied
+    // deciders in batch order.
+    let decided: Vec<bool> = match &launched {
+        None => vec![false; deciders.len()],
+        Some(launched) => {
+            let mut pending = launched.each_ref().map(|o| o.pending.iter().peekable());
+            deciders
+                .iter()
+                .map(|u| pending[kind(u)].next_if(|&&p| p == u.edge()).is_none())
+                .collect()
         }
-        stopped |= !outcome.is_complete();
-        let slot = if is_insert {
-            &mut out.insert
-        } else {
-            &mut out.delete
-        };
-        match slot {
-            None => *slot = Some(outcome),
-            Some(acc) => {
-                acc.attempted += outcome.attempted;
-                acc.completed += outcome.completed;
-                acc.changed += outcome.changed;
-                acc.pending.extend(outcome.pending);
-                acc.error = acc.error.take().or(outcome.error);
+    };
+    let applied: Vec<bool> = slots.iter().map(|&k| decided[k]).collect();
+    let mut outcomes: [Option<BatchOutcome>; 2] = [None, None];
+    for (u, &ok) in updates.iter().zip(&applied) {
+        let k = kind(u);
+        let out = outcomes[k].get_or_insert_with(|| {
+            let launch = launched.as_ref().map(|l| &l[k]);
+            BatchOutcome {
+                op: [BatchOp::InsertEdges, BatchOp::DeleteEdges][k],
+                attempted: 0,
+                completed: 0,
+                changed: launch.map_or(0, |o| o.changed),
+                pending: Vec::new(),
+                pending_vertices: Vec::new(),
+                error: launch.and_then(|o| o.error),
             }
+        });
+        out.attempted += 1;
+        if ok {
+            out.completed += 1;
+        } else {
+            out.pending.push(u.edge());
         }
     }
-    out
+    let [insert, delete] = outcomes;
+    Replay {
+        insert,
+        delete,
+        applied,
+    }
 }
 
 /// Per-shard router state: health machine position, cumulative
@@ -276,21 +256,6 @@ pub(crate) struct ShardState {
     pub(crate) backoff_s: f64,
     pub(crate) rebuilds: u64,
     pub(crate) journal: ShardJournal,
-}
-
-/// A fully-pending [`BatchOutcome`] for a batch the router held back
-/// (circuit breaker open or apply-order barrier) without touching the
-/// device.
-fn held_outcome(op: BatchOp, batch: &[Edge]) -> BatchOutcome {
-    BatchOutcome {
-        op,
-        attempted: batch.len(),
-        completed: 0,
-        changed: 0,
-        pending: batch.to_vec(),
-        pending_vertices: Vec::new(),
-        error: None,
-    }
 }
 
 /// One shard's health at report time: its state-machine position plus

@@ -32,12 +32,16 @@
 //! session's order is preserved; sessions are drained in id order, so a
 //! flush is deterministic regardless of arrival interleaving).
 //! [`BatchRouter::flush`] journals the queue into each shard's write-ahead
-//! log (one insert and one delete batch per shard), dispatches every shard
-//! with pending work concurrently through the device group's executor, and
-//! returns per-shard [`BatchOutcome`](slabgraph::BatchOutcome)s plus per-shard modeled times. The
-//! log is the only record of unapplied work: a shard that runs out of
-//! memory (capacity budget or injected fault) applies a prefix and keeps
-//! the pending suffix logged while the other shards complete unaffected,
+//! log (one list per shard, in submit order), dispatches every shard with
+//! pending work concurrently through the device group's executor, and
+//! returns per-shard [`BatchOutcome`](slabgraph::BatchOutcome)s plus
+//! per-shard modeled times. Each shard applies its whole unapplied log in
+//! one mixed insert/delete launch, collapsed per ⟨src, dst⟩ key so the
+//! last update to an edge decides it: a flush's result is the
+//! submit-order result. The log is the only record of unapplied work: a
+//! shard that runs out of memory (capacity budget or injected fault)
+//! applies part of its log and keeps the pending entries logged while the
+//! other shards complete unaffected,
 //! and after the caller raises the budget (or clears the fault plan) the
 //! next `flush` — with or without new updates — resumes it.
 //!
@@ -65,8 +69,9 @@ mod partition;
 mod tracing;
 
 pub use batch::{BatchRouter, FlushReport, LiveReadPin, ReadQuality, ShardOutcome};
-pub use health::{RetryPolicy, RouterError, RouterReport, ShardHealth, ShardHealthRow, Update};
+pub use health::{RetryPolicy, RouterError, RouterReport, ShardHealth, ShardHealthRow};
 pub use partition::{ShardedGraph, ShardedValidationError};
+pub use slabgraph::Update;
 pub use tracing::OpTraceRecord;
 
 /// The owner shard of vertex `v` among `n_shards`: a splitmix64 finalizer

@@ -310,3 +310,63 @@ fn read_charges_are_pinned() {
         }
     }
 }
+
+/// The single-kind update kernels charge exactly these counters: a fixed
+/// insert batch (new edges, weight replacements, in-batch duplicates and
+/// a self-loop) and a fixed delete batch (hits, misses and an untouched
+/// source) on one `SlabGraph`, each measured alone. A change to the edge
+/// kernel that moves a single-kind batch's modeled work fails here.
+#[test]
+fn update_charges_are_pinned() {
+    let n = 64u32;
+    let g = DynGraph::with_uniform_buckets(GraphConfig::directed_map(n), n, 1);
+    let base: Vec<Edge> = graph_gen::uniform_random(n, 600, 73)
+        .into_iter()
+        .enumerate()
+        .map(|(i, (u, v))| Edge::weighted(u, v, i as u32))
+        .collect();
+    let mut inserts: Vec<Edge> = base[..100]
+        .iter()
+        .map(|e| Edge::weighted(e.src, e.dst, e.weight + 1))
+        .collect();
+    inserts.extend(
+        graph_gen::uniform_random(n, 200, 74)
+            .into_iter()
+            .map(|(u, v)| Edge::weighted(u, v, u ^ v)),
+    );
+    inserts.push(Edge::new(5, 5));
+    let mut deletes: Vec<Edge> = base.iter().step_by(3).copied().collect();
+    deletes.extend(
+        graph_gen::uniform_random(n, 80, 75)
+            .into_iter()
+            .map(Edge::from),
+    );
+    deletes.push(Edge::new(n + 10, 1));
+    // [transactions, atomics, ballots, shuffles, launches, warps,
+    // words_allocated] and the changed count, per batch.
+    let expected: [(&str, [u64; 7], u64); 3] = [
+        ("base insert", [1143, 2045, 2587, 473, 1, 19, 2425], 552),
+        ("insert", [575, 731, 1172, 229, 1, 10, 1262], 164),
+        ("delete", [547, 527, 1042, 223, 1, 9, 1146], 201),
+    ];
+    let batches: [(&str, &[Edge], bool); 3] = [
+        ("base insert", &base, true),
+        ("insert", &inserts, true),
+        ("delete", &deletes, false),
+    ];
+    for ((name, batch, insert), (want_name, want, want_changed)) in
+        batches.into_iter().zip(expected)
+    {
+        assert_eq!(name, want_name);
+        let before = g.device().counters().snapshot();
+        let changed = if insert {
+            g.insert_edges(batch)
+        } else {
+            g.delete_edges(batch)
+        };
+        let delta = g.device().counters().snapshot().delta(&before);
+        let got: Vec<u64> = delta.iter().map(|(_, c)| c).collect();
+        assert_eq!((got, changed), (want.to_vec(), want_changed), "{name}");
+    }
+    g.validate().expect("audit after pinned updates");
+}

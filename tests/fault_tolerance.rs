@@ -50,19 +50,23 @@ fn rounds(seed: u64, n_rounds: usize, per_round: usize) -> Vec<Vec<Update>> {
         .collect()
 }
 
-/// Apply one round to the unsharded reference exactly as the router
-/// drains it: coalesced, inserts before deletes.
-fn apply_reference(reference: &DynGraph, round: &[Update]) {
-    let mut ins = Vec::new();
-    let mut del = Vec::new();
-    for &u in round {
-        match u {
-            Update::Insert(e) => ins.push(e),
-            Update::Delete(e) => del.push(e),
-        }
-    }
-    reference.insert_edges(&ins);
-    reference.delete_edges(&del);
+/// One round in the order the router drains it from `submit_round`:
+/// session-major, and `submit_round` deals updates round-robin.
+fn drained(round: &[Update], sessions: usize) -> Vec<Update> {
+    (0..sessions)
+        .flat_map(|s| round.iter().skip(s).step_by(sessions).copied())
+        .collect()
+}
+
+/// Apply one round to the unsharded reference as the router does: in
+/// drain order, the last update to an edge deciding it. The deciders
+/// touch distinct edges, so their inserts and deletes commute and apply
+/// as two plain batches.
+fn apply_reference(reference: &DynGraph, round: &[Update], sessions: usize) {
+    let (last, _) = Update::collapse(&drained(round, sessions));
+    let (ins, del): (Vec<Update>, Vec<Update>) = last.into_iter().partition(|u| u.is_insert());
+    reference.insert_edges(&ins.iter().map(|u| u.edge()).collect::<Vec<_>>());
+    reference.delete_edges(&del.iter().map(|u| u.edge()).collect::<Vec<_>>());
 }
 
 fn submit_round(router: &BatchRouter<'_>, round: &[Update], sessions: usize) {
@@ -117,7 +121,7 @@ fn killed_shard_rebuilds_to_byte_identical_state() {
         }
         submit_round(&router, round, 4);
         let report = router.flush();
-        apply_reference(&reference, round);
+        apply_reference(&reference, round, 4);
         if r >= 2 {
             assert_eq!(router.health(victim), ShardHealth::Down, "round {r}");
             assert!(!report.is_complete(), "round {r}: victim work is held");
@@ -149,7 +153,7 @@ fn killed_shard_rebuilds_to_byte_identical_state() {
     let extra = rounds(0xBEEF, 1, 60);
     submit_round(&router, &extra[0], 4);
     assert!(router.flush().is_complete());
-    apply_reference(&reference, &extra[0]);
+    apply_reference(&reference, &extra[0], 4);
     assert_state_identical(&g, &reference);
 }
 
@@ -167,7 +171,7 @@ fn degraded_reads_correct_for_every_replica_covered_edge() {
     for round in &traffic {
         submit_round(&router, round, 3);
         assert!(router.flush().is_complete());
-        for &u in round {
+        for u in drained(round, 3) {
             match u {
                 Update::Insert(e) => {
                     live.insert((e.src, e.dst), true);

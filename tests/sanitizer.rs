@@ -10,7 +10,9 @@
 
 use dynamic_graphs_gpu::algos;
 use dynamic_graphs_gpu::baselines::{Csr, FaimGraph, Hornet};
-use dynamic_graphs_gpu::gpu_sim::{Addr, Device, DeviceConfig, FindingKind, SanitizerConfig};
+use dynamic_graphs_gpu::gpu_sim::{
+    Addr, Device, DeviceConfig, ExecPolicy, FindingKind, SanitizerConfig,
+};
 use dynamic_graphs_gpu::graph_gen::{fixtures, mirror};
 use dynamic_graphs_gpu::prelude::*;
 use dynamic_graphs_gpu::slab_alloc::SlabAllocator;
@@ -152,6 +154,48 @@ fn dyn_graph_update_churn_is_sanitizer_clean() {
     g.insert_edges(&edges[..128]);
     g.delete_vertices(&[3, 17, 41]);
     g.validate().expect("churned graph validates");
+    assert_eq!(g.device().sanitizer_findings(), vec![]);
+}
+
+/// The mixed update kernel's race pair: one batch deletes and inserts
+/// distinct keys of a single multi-slab chain, every warp holding both
+/// kinds, on the threaded executor. A tombstone CAS in one warp races an
+/// EMPTY-slot claim in another on the same chain; the sanitizer must
+/// report nothing and the graph must validate.
+#[test]
+fn mixed_batch_on_one_chain_is_sanitizer_clean_threaded() {
+    let dev = Device::with_config(
+        DeviceConfig::new(1 << 18)
+            .with_sanitizer(SanitizerConfig::default())
+            .with_exec_policy(ExecPolicy::Threaded(4)),
+    );
+    let g = DynGraph::on_device(std::sync::Arc::new(dev), GraphConfig::directed_map(1024));
+    let old: Vec<Edge> = (1..=256).map(|v| Edge::weighted(0, v, v)).collect();
+    g.insert_edges(&old);
+    assert!(
+        g.stats(&g.pin_read()).tables.max_chain > 1,
+        "vertex 0's single bucket spans several slabs"
+    );
+    let updates: Vec<Update> = old
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &e)| {
+            let fresh = Edge::weighted(0, 300 + i as u32, i as u32);
+            [Update::Delete(e), Update::Insert(fresh)]
+        })
+        .collect();
+    let (ins, del) = g.try_update_edges(&updates).expect("valid ids");
+    assert!(ins.is_complete() && del.is_complete(), "{ins:?} {del:?}");
+    assert_eq!((ins.changed, del.changed), (256, 256));
+    assert_eq!(g.degree(0), 256);
+    let pin = g.pin_read();
+    assert_eq!(g.neighbor_ids(&pin, 0).len(), 256);
+    assert!(g
+        .edges_exist(&pin, &[(0, 1), (0, 256)])
+        .iter()
+        .all(|&hit| !hit));
+    drop(pin);
+    g.validate().expect("mixed batch leaves a valid chain");
     assert_eq!(g.device().sanitizer_findings(), vec![]);
 }
 
