@@ -251,6 +251,10 @@ impl DynGraph {
                     }
                 }
 
+                // Edges this warp changed, per kind ([insert, delete]):
+                // summed in a register, added to `changed_total` once.
+                let mut changed = [0u32; 2];
+
                 // Lines 4–14: warp work queue.
                 loop {
                     let work_queue = warp.ballot(&pending);
@@ -332,13 +336,19 @@ impl DynGraph {
                         } else {
                             warp.atomic_sub(count_addr, added_count);
                         }
-                        // A mixed batch counts its deletes in the second word.
-                        let total = changed_total + u32::from(mixed && !insert);
-                        warp.atomic_add(total, added_count);
+                        changed[usize::from(!insert)] += added_count;
                     }
 
                     // Lines 11–13: retire the completed group.
                     pending = pending.zip_with(&same_src, |p, s| p && !s);
+                }
+
+                // A mixed batch counts its deletes in the second word.
+                for (kind, count) in (0u32..).zip(changed) {
+                    if count > 0 {
+                        let word = if mixed { kind } else { 0 };
+                        warp.atomic_add(changed_total + word, count);
+                    }
                 }
             })
         });
@@ -618,6 +628,36 @@ mod tests {
             assert_eq!(ins.changed + del.changed, 1);
             assert_eq!(launched_since(&g, &before), vec![name]);
         }
+    }
+
+    /// Atomics of one warp's batch: a new map edge is one pair CAS and a
+    /// delete one tombstone CAS; each same-source group adds its vertex
+    /// count once (Algorithm 1, line 10); `changed_total` takes one add
+    /// per kind the warp changed.
+    #[test]
+    fn a_warp_adds_changed_total_once_per_kind() {
+        let g = graph(64);
+        let atomics = |updates: &[Update]| {
+            let before = g.device().counters().snapshot();
+            let (ins, del) = g.try_update_edges(updates).unwrap();
+            assert!(ins.is_complete() && del.is_complete());
+            g.device().counters().snapshot().delta(&before).atomics
+        };
+        // 32 distinct sources, one new edge each: 32 pair CAS, 32 count
+        // adds, 1 `changed_total` add.
+        let inserts: Vec<Update> = (0..32)
+            .map(|v| Update::Insert(Edge::weighted(v, v + 32, v)))
+            .collect();
+        assert_eq!(atomics(&inserts), 32 + 32 + 1);
+        // 16 deletes of those edges and 16 new edges, in one warp: 16
+        // tombstone CAS, 16 pair CAS, 32 count updates, 2 `changed_total`
+        // adds (one per kind).
+        let mixed: Vec<Update> = (0..16)
+            .map(|v| Update::Delete(Edge::new(v, v + 32)))
+            .chain((16..32).map(|v| Update::Insert(Edge::weighted(v, v + 1, v))))
+            .collect();
+        assert_eq!(atomics(&mixed), 16 + 16 + 32 + 2);
+        assert_eq!(g.num_edges(), 32);
     }
 
     #[test]

@@ -987,6 +987,21 @@ impl<'d> Warp<'d> {
         self.device.arena.cas(addr, expected, new)
     }
 
+    /// 64-bit `atomicCAS` issued by one lane on the word pair at the even
+    /// address `addr`: `expected` and `new` are ⟨word `addr`, word
+    /// `addr + 1`⟩. One atomic, one 2-word atomic access to the sanitizer.
+    #[inline]
+    pub fn atomic_cas_pair(
+        &self,
+        addr: Addr,
+        expected: [u32; 2],
+        new: [u32; 2],
+    ) -> Result<[u32; 2], [u32; 2]> {
+        self.charge_event(Event::Atomics, 1);
+        self.san_access(addr, 2, AccessKind::Atomic);
+        self.device.arena.cas_pair(addr, expected, new)
+    }
+
     /// `atomicExch` issued by one lane.
     #[inline]
     pub fn atomic_exchange(&self, addr: Addr, v: u32) -> u32 {

@@ -8,6 +8,14 @@
 //! charged [`crate::Warp`] accessors or the uncharged host transfers on
 //! [`crate::Device`] (`upload`, `host_write`, `host_read`).
 //!
+//! Words are stored in pairs: each even/odd pair is one `AtomicU64`, so a
+//! 64-bit CAS on a pair (a map slot's ⟨key, value⟩) is one atomic access
+//! and a slab load sees every pair whole. Rust's memory model forbids
+//! mixed-size atomics on one location, so the 32-bit accessors are built
+//! on the pair too: a load shifts, and every 32-bit write is a
+//! compare-and-swap loop on the pair that carries the other half through
+//! unchanged (a carry never crosses halves).
+//!
 //! Growth is lock-free for readers: the arena is a table of lazily
 //! allocated fixed-size segments; allocation bumps a cursor and publishes
 //! new segments with a CAS. Because slabs are 32-word aligned and segments
@@ -15,13 +23,15 @@
 
 use crate::fault::OomError;
 use crate::sanitizer::Sanitizer;
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// log2 of the segment size in words (2^20 words = 4 MiB per segment).
 const SEGMENT_SHIFT: u32 = 20;
 /// Words per segment.
 pub const SEGMENT_WORDS: usize = 1 << SEGMENT_SHIFT;
+/// 64-bit pairs per segment.
+const SEGMENT_PAIRS: usize = SEGMENT_WORDS / 2;
 /// Maximum number of segments (=> 16 GiB address space, ample for benches).
 const MAX_SEGMENTS: usize = 4096;
 
@@ -34,11 +44,23 @@ pub type Addr = u32;
 /// Sentinel for "null device pointer".
 pub const NULL_ADDR: Addr = u32::MAX;
 
+/// The 64-bit word holding an even/odd word pair (the even word low).
+#[inline]
+fn pack([lo, hi]: [u32; 2]) -> u64 {
+    u64::from(lo) | u64::from(hi) << 32
+}
+
+/// The even/odd word pair a 64-bit word holds.
+#[inline]
+fn unpack(p: u64) -> [u32; 2] {
+    [p as u32, (p >> 32) as u32]
+}
+
 /// Growable atomic word arena modelling GPU global memory. Private to
 /// this crate: [`crate::Device`] is its only owner and [`crate::Warp`]
 /// its only charged client.
 pub(crate) struct DeviceArena {
-    segments: Box<[AtomicPtr<AtomicU32>]>,
+    segments: Box<[AtomicPtr<AtomicU64>]>,
     /// Bump cursor: next free word index.
     cursor: AtomicU64,
     /// Number of words for which segments have been published.
@@ -114,8 +136,8 @@ impl DeviceArena {
                 MAX_SEGMENTS * SEGMENT_WORDS
             );
             if self.segments[seg_idx].load(Ordering::Acquire).is_null() {
-                let seg: Box<[AtomicU32]> = (0..SEGMENT_WORDS).map(|_| AtomicU32::new(0)).collect();
-                let ptr = Box::into_raw(seg).cast::<AtomicU32>();
+                let seg: Box<[AtomicU64]> = (0..SEGMENT_PAIRS).map(|_| AtomicU64::new(0)).collect();
+                let ptr = Box::into_raw(seg).cast::<AtomicU64>();
                 self.segments[seg_idx].store(ptr, Ordering::Release);
             }
             committed += SEGMENT_WORDS as u64;
@@ -158,33 +180,62 @@ impl DeviceArena {
         }
     }
 
-    /// Borrow the atomic word at `addr`.
+    /// Borrow the 64-bit pair holding word `addr`, and the bit shift of
+    /// `addr`'s half within it (the even word is the low half).
     #[inline]
-    fn word(&self, addr: Addr) -> &AtomicU32 {
+    fn pair_of(&self, addr: Addr) -> (&AtomicU64, u32) {
         let seg_idx = (addr >> SEGMENT_SHIFT) as usize;
-        let off = (addr as usize) & (SEGMENT_WORDS - 1);
+        let off = (addr as usize & (SEGMENT_WORDS - 1)) >> 1;
         let ptr = self.segments[seg_idx].load(Ordering::Acquire);
         assert!(
             !ptr.is_null(),
             "access to uncommitted device address {addr:#x}"
         );
-        // SAFETY: segments are SEGMENT_WORDS long, published once with
+        // SAFETY: segments are SEGMENT_PAIRS long, published once with
         // Release, never freed before the arena drops, and `off` is in
         // bounds by construction.
-        unsafe { &*ptr.add(off) }
+        (unsafe { &*ptr.add(off) }, (addr & 1) * 32)
     }
 
-    /// Relaxed load of one word.
+    /// Load one word.
     #[inline]
     pub fn load(&self, addr: Addr) -> u32 {
-        self.word(addr).load(Ordering::Acquire)
+        let (pair, shift) = self.pair_of(addr);
+        (pair.load(Ordering::Acquire) >> shift) as u32
+    }
+
+    /// Atomically replace word `addr` with `f(old)` unless `f` returns
+    /// `None`: a compare-and-swap loop on the containing pair that
+    /// carries the other half through unchanged. Returns `Ok(old)` when
+    /// the word was written, `Err(old)` when `f` declined.
+    #[inline]
+    fn update(&self, addr: Addr, f: impl Fn(u32) -> Option<u32>) -> Result<u32, u32> {
+        let (pair, shift) = self.pair_of(addr);
+        let half = |p: u64| (p >> shift) as u32;
+        let r = pair
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |p| {
+                f(half(p)).map(|v| p & !(0xFFFF_FFFF << shift) | u64::from(v) << shift)
+            })
+            .map(half)
+            .map_err(half);
+        if r.is_ok() {
+            self.mark_init(addr);
+        }
+        r
+    }
+
+    /// Atomically replace word `addr` with `f(old)`; returns `old`.
+    #[inline]
+    fn rmw(&self, addr: Addr, f: impl Fn(u32) -> u32) -> u32 {
+        match self.update(addr, |old| Some(f(old))) {
+            Ok(old) | Err(old) => old,
+        }
     }
 
     /// Store one word.
     #[inline]
     pub fn store(&self, addr: Addr, v: u32) {
-        self.word(addr).store(v, Ordering::Release);
-        self.mark_init(addr);
+        self.rmw(addr, |_| v);
     }
 
     /// Mark `addr` initialized in the sanitizer's shadow (no-op without
@@ -200,11 +251,33 @@ impl DeviceArena {
     /// `Err(actual)` on failure, like hardware `atomicCAS`.
     #[inline]
     pub fn cas(&self, addr: Addr, expected: u32, new: u32) -> Result<u32, u32> {
-        let r =
-            self.word(addr)
-                .compare_exchange(expected, new, Ordering::AcqRel, Ordering::Acquire);
+        self.update(addr, |old| (old == expected).then_some(new))
+    }
+
+    /// Compare-and-swap the pair of words at the even address `addr` as
+    /// one 64-bit word; returns `Ok(expected)` on success or
+    /// `Err(actual)` on failure, like a 64-bit `atomicCAS`.
+    #[inline]
+    pub fn cas_pair(
+        &self,
+        addr: Addr,
+        expected: [u32; 2],
+        new: [u32; 2],
+    ) -> Result<[u32; 2], [u32; 2]> {
+        assert_eq!(addr % 2, 0, "pair address {addr:#x} is odd");
+        let (pair, _) = self.pair_of(addr);
+        let r = pair
+            .compare_exchange(
+                pack(expected),
+                pack(new),
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            )
+            .map(unpack)
+            .map_err(unpack);
         if r.is_ok() {
             self.mark_init(addr);
+            self.mark_init(addr + 1);
         }
         r
     }
@@ -212,65 +285,73 @@ impl DeviceArena {
     /// Atomic exchange.
     #[inline]
     pub fn exchange(&self, addr: Addr, v: u32) -> u32 {
-        let r = self.word(addr).swap(v, Ordering::AcqRel);
-        self.mark_init(addr);
-        r
+        self.rmw(addr, |_| v)
     }
 
     /// Atomic add; returns the previous value.
     #[inline]
     pub fn fetch_add(&self, addr: Addr, v: u32) -> u32 {
-        let r = self.word(addr).fetch_add(v, Ordering::AcqRel);
-        self.mark_init(addr);
-        r
+        self.rmw(addr, |old| old.wrapping_add(v))
     }
 
     /// Atomic sub; returns the previous value.
     #[inline]
     pub fn fetch_sub(&self, addr: Addr, v: u32) -> u32 {
-        let r = self.word(addr).fetch_sub(v, Ordering::AcqRel);
-        self.mark_init(addr);
-        r
+        self.rmw(addr, |old| old.wrapping_sub(v))
     }
 
     /// Atomic bitwise OR; returns the previous value.
     #[inline]
     pub fn fetch_or(&self, addr: Addr, v: u32) -> u32 {
-        let r = self.word(addr).fetch_or(v, Ordering::AcqRel);
-        self.mark_init(addr);
-        r
+        self.rmw(addr, |old| old | v)
     }
 
     /// Atomic bitwise AND; returns the previous value.
     #[inline]
     pub fn fetch_and(&self, addr: Addr, v: u32) -> u32 {
-        let r = self.word(addr).fetch_and(v, Ordering::AcqRel);
-        self.mark_init(addr);
-        r
+        self.rmw(addr, |old| old & v)
     }
 
     /// Read `SLAB_WORDS` consecutive words starting at the slab-aligned
-    /// `base` into an array (one coalesced 128 B read).
+    /// `base` into an array (one coalesced 128 B read, each pair whole).
     #[inline]
     pub fn load_slab(&self, base: Addr) -> [u32; SLAB_WORDS] {
         debug_assert_eq!(base as usize % SLAB_WORDS, 0, "slab base misaligned");
-        std::array::from_fn(|i| self.load(base + i as u32))
+        let mut words = [0; SLAB_WORDS];
+        for (i, w) in words.chunks_exact_mut(2).enumerate() {
+            let (pair, _) = self.pair_of(base + 2 * i as u32);
+            w.copy_from_slice(&unpack(pair.load(Ordering::Acquire)));
+        }
+        words
     }
 
-    /// Write `SLAB_WORDS` consecutive words (one coalesced 128 B write).
+    /// Write `SLAB_WORDS` consecutive words (one coalesced 128 B write,
+    /// each pair whole).
     #[inline]
     pub fn store_slab(&self, base: Addr, words: &[u32; SLAB_WORDS]) {
         debug_assert_eq!(base as usize % SLAB_WORDS, 0, "slab base misaligned");
-        for (i, w) in words.iter().enumerate() {
-            self.store(base + i as u32, *w);
+        for (i, w) in words.chunks_exact(2).enumerate() {
+            let (pair, _) = self.pair_of(base + 2 * i as u32);
+            pair.store(pack([w[0], w[1]]), Ordering::Release);
+        }
+        if let Some(s) = &self.san {
+            s.mark_init_range(base, SLAB_WORDS);
         }
     }
 
     /// Zero-fill `n` words from `base` (host-side helper for initialising
     /// freshly allocated regions with a sentinel pattern).
     pub fn fill(&self, base: Addr, n: usize, v: u32) {
-        for i in 0..n {
-            self.word(base + i as u32).store(v, Ordering::Release);
+        let end = base + n as u32;
+        let mut addr = base;
+        while addr < end {
+            if addr.is_multiple_of(2) && addr + 1 < end {
+                self.pair_of(addr).0.store(pack([v, v]), Ordering::Release);
+                addr += 2;
+            } else {
+                self.store(addr, v);
+                addr += 1;
+            }
         }
         if let Some(s) = &self.san {
             s.mark_init_range(base, n);
@@ -288,8 +369,8 @@ impl DeviceArena {
     pub fn reset(&self) {
         let _g = self.grow_lock.lock();
         let cur = self.cursor.swap(0, Ordering::SeqCst);
-        for addr in 0..cur {
-            self.word(addr as Addr).store(0, Ordering::Release);
+        for addr in (0..cur).step_by(2) {
+            self.pair_of(addr as Addr).0.store(0, Ordering::Release);
         }
     }
 }
@@ -300,14 +381,14 @@ impl Drop for DeviceArena {
             let ptr = seg.load(Ordering::Acquire);
             if !ptr.is_null() {
                 // SAFETY: pointer came from Box::into_raw of a
-                // Box<[AtomicU32; SEGMENT_WORDS]>-shaped slice in
+                // Box<[AtomicU64; SEGMENT_PAIRS]>-shaped slice in
                 // ensure_committed; reconstitute and drop it. (A boxed
                 // slice, unlike a forgotten Vec, carries no capacity
                 // assumption to get wrong.)
                 unsafe {
                     drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(
                         ptr,
-                        SEGMENT_WORDS,
+                        SEGMENT_PAIRS,
                     )));
                 }
             }
@@ -367,6 +448,68 @@ mod tests {
         assert_eq!(a.fetch_or(p, 0b0100), 0b0011);
         assert_eq!(a.fetch_and(p, 0b0110), 0b0111);
         assert_eq!(a.load(p), 0b0110);
+    }
+
+    #[test]
+    fn wrapping_add_and_sub_stay_in_their_half() {
+        let a = arena(64);
+        let p = a.try_alloc_words(2, 2).unwrap();
+        for half in [p, p + 1] {
+            let other = half ^ 1;
+            a.store(half, u32::MAX);
+            a.store(other, 0x1234_5678);
+            assert_eq!(a.fetch_add(half, 2), u32::MAX);
+            assert_eq!(a.load(half), 1);
+            assert_eq!(a.fetch_sub(half, 3), 1);
+            assert_eq!(a.load(half), u32::MAX - 1);
+            assert_eq!(a.load(other), 0x1234_5678, "carry or borrow crossed halves");
+        }
+    }
+
+    #[test]
+    fn cas_on_the_high_half_leaves_the_low_half() {
+        let a = arena(64);
+        let p = a.try_alloc_words(2, 2).unwrap();
+        a.store(p, 7);
+        assert_eq!(a.cas(p + 1, 0, 9), Ok(0));
+        assert_eq!(a.cas(p + 1, 0, 5), Err(9));
+        assert_eq!((a.load(p), a.load(p + 1)), (7, 9));
+    }
+
+    #[test]
+    fn concurrent_adds_on_both_halves_total_exactly() {
+        let a = std::sync::Arc::new(arena(64));
+        let p = a.try_alloc_words(2, 2).unwrap();
+        std::thread::scope(|s| {
+            for half in [p, p + 1] {
+                let a = a.clone();
+                s.spawn(move || {
+                    for _ in 0..100_000 {
+                        a.fetch_add(half, 1);
+                    }
+                });
+            }
+        });
+        assert_eq!((a.load(p), a.load(p + 1)), (100_000, 100_000));
+    }
+
+    #[test]
+    fn cas_pair_swaps_both_words_or_returns_the_observed_pair() {
+        let a = arena(64);
+        let p = a.try_alloc_words(2, 2).unwrap();
+        a.store(p, 3);
+        a.store(p + 1, 4);
+        assert_eq!(a.cas_pair(p, [3, 0], [5, 6]), Err([3, 4]));
+        assert_eq!(a.cas_pair(p, [3, 4], [5, 6]), Ok([3, 4]));
+        assert_eq!((a.load(p), a.load(p + 1)), (5, 6));
+    }
+
+    #[test]
+    #[should_panic(expected = "is odd")]
+    fn cas_pair_at_an_odd_address_panics() {
+        let a = arena(64);
+        let p = a.try_alloc_words(2, 2).unwrap();
+        let _ = a.cas_pair(p + 1, [0, 0], [1, 1]);
     }
 
     #[test]

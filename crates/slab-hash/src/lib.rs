@@ -35,6 +35,11 @@
 //! because claims always CAS the *first* empty slot of the chain and retry
 //! on failure: the loser re-reads the slab and finds the winner's key.
 //!
+//! A map slot's ⟨key, value⟩ is one even/odd word pair, claimed or
+//! replaced with one 64-bit pair CAS ([`gpu_sim::Warp::atomic_cas_pair`])
+//! as in SlabHash: a new key costs one atomic, and a reader's slab load
+//! never sees a key without its value. Set slots CAS the key alone.
+//!
 //! Sentinels: [`EMPTY_KEY`] marks a never-used slot, [`TOMBSTONE_KEY`] a
 //! deleted one. Deleted slots are *not* reused by later insertions (paper
 //! §IV-C2): empties therefore only exist at the tail of a chain, which is
@@ -66,6 +71,13 @@ pub const SET_SLAB_KEYS: usize = 30;
 const MAP_KEY_LANES: u32 = 0x1555_5555;
 /// Bit set for every lane `< 30`: the key lanes of a set slab.
 const SET_KEY_LANES: u32 = 0x3FFF_FFFF;
+
+/// The slot on key lane `lane` of `words`: its key and the word after it
+/// (a map's value; ignored for a set).
+#[inline]
+fn slot(words: &Lanes<u32>, lane: u32) -> [u32; 2] {
+    [words.get(lane as usize), words.get(lane as usize + 1)]
+}
 
 /// Which slab-hash variant a table is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -331,15 +343,33 @@ impl TableDesc {
         }))
     }
 
-    /// Store `value` beside the key at `key_addr` (maps only; a set has
-    /// no value word). The value must be *atomically* published: a reader
-    /// that saw the key in its own slab fetch may load this value word
-    /// concurrently, and the key CAS orders the key word only.
+    /// Write ⟨`key`, `value`⟩ into the slot at `addr` iff it still holds
+    /// `seen`, the slot's ⟨key, next word⟩ as last read: one 64-bit pair
+    /// CAS for a map, so a reader never sees a key without its value; a
+    /// CAS of the key alone for a set. `false` on a lost race.
     #[inline]
-    fn write_value(&self, warp: &Warp, key_addr: Addr, value: u32) {
-        if self.kind == TableKind::Map {
-            warp.atomic_exchange(key_addr + 1, value);
+    fn claim(&self, warp: &Warp, addr: Addr, seen: [u32; 2], key: u32, value: u32) -> bool {
+        match self.kind {
+            TableKind::Map => warp.atomic_cas_pair(addr, seen, [key, value]).is_ok(),
+            TableKind::Set => warp.atomic_cas(addr, seen[0], key).is_ok(),
         }
+    }
+
+    /// Give `key`, found on `lane` of the slab at `slab_addr` read as
+    /// `words`, the value `value`: a pair CAS `(key, old) → (key, value)`
+    /// for a map, nothing for a set. `false` on a lost race (the pair
+    /// changed or the key was deleted since the read).
+    #[inline]
+    fn replace(
+        &self,
+        warp: &Warp,
+        slab_addr: Addr,
+        words: &Lanes<u32>,
+        lane: u32,
+        value: u32,
+    ) -> bool {
+        let seen = slot(words, lane);
+        self.kind == TableKind::Set || self.claim(warp, slab_addr + lane, seen, seen[0], value)
     }
 
     /// Insert `key` with `value`, or replace the value of an existing key
@@ -363,22 +393,25 @@ impl TableDesc {
         debug_assert!(key <= MAX_KEY, "key {key:#x} collides with sentinels");
         let mut slab_addr = self.home(key);
         let mut depth = 1u64;
-        // Each probe step is speculative: on a lost claim race the step's
+        // Each probe step is speculative: on a lost race the step's
         // charges are discarded and the step re-runs, so the committed
         // profile is the sequential one (losers simply probe after winners).
         loop {
             warp.begin_attempt();
             let words = warp.read_slab(slab_addr);
             if let Some(lane) = gpu_sim::ffs(self.match_lanes(warp, &words, key)) {
-                self.write_value(warp, slab_addr + lane, value);
-                warp.commit_attempt();
-                return Ok(false);
+                // A lost replace race re-reads the slab.
+                if self.replace(warp, slab_addr, &words, lane, value) {
+                    warp.commit_attempt();
+                    return Ok(false);
+                }
+                warp.abort_attempt();
+                continue;
             }
             if let Some(lane) = gpu_sim::ffs(self.match_lanes(warp, &words, EMPTY_KEY)) {
                 // Claim the first empty slot; on a lost race re-read the
                 // slab (the winner may have inserted this very key).
-                if warp.atomic_cas(slab_addr + lane, EMPTY_KEY, key).is_ok() {
-                    self.write_value(warp, slab_addr + lane, value);
+                if self.claim(warp, slab_addr + lane, slot(&words, lane), key, value) {
                     warp.commit_attempt();
                     note_chain_at_insert(warp, depth);
                     return Ok(true);
@@ -484,29 +517,28 @@ impl TableDesc {
             // aborts it and the rescan charges what a sequential loser would.
             warp.begin_attempt();
             // Stage 1: full-chain scan for the key, remembering the first
-            // tombstone and the first empty slot.
+            // tombstone and the first empty slot with their contents.
             let mut slab_addr = self.home(key);
-            let mut first_tombstone: Option<Addr> = None;
-            let mut first_empty: Option<Addr> = None;
+            let mut first_tombstone: Option<(Addr, [u32; 2])> = None;
+            let mut first_empty: Option<(Addr, [u32; 2])> = None;
             let tail_addr;
             loop {
                 let words = warp.read_slab(slab_addr);
                 if let Some(lane) = gpu_sim::ffs(self.match_lanes(warp, &words, key)) {
-                    self.write_value(warp, slab_addr + lane, value);
-                    warp.commit_attempt();
-                    return Ok(false);
+                    if self.replace(warp, slab_addr, &words, lane, value) {
+                        warp.commit_attempt();
+                        return Ok(false);
+                    }
+                    warp.abort_attempt();
+                    continue 'retry;
                 }
                 let tombs = self.match_lanes(warp, &words, TOMBSTONE_KEY);
                 if first_tombstone.is_none() {
-                    if let Some(lane) = gpu_sim::ffs(tombs) {
-                        first_tombstone = Some(slab_addr + lane);
-                    }
+                    first_tombstone = gpu_sim::ffs(tombs).map(|l| (slab_addr + l, slot(&words, l)));
                 }
                 let empties = self.match_lanes(warp, &words, EMPTY_KEY);
                 if first_empty.is_none() {
-                    if let Some(lane) = gpu_sim::ffs(empties) {
-                        first_empty = Some(slab_addr + lane);
-                    }
+                    first_empty = gpu_sim::ffs(empties).map(|l| (slab_addr + l, slot(&words, l)));
                 }
                 let next = words.get(NEXT_LANE);
                 if empties != 0 || next == NULL_ADDR {
@@ -519,15 +551,8 @@ impl TableDesc {
             // Stage 2: claim the first tombstone, else the first empty,
             // else grow the chain. Retry the whole operation on any lost
             // race (the winner may have inserted this very key).
-            let target = first_tombstone.or(first_empty);
-            if let Some(addr) = target {
-                let expected = if first_tombstone.is_some() {
-                    TOMBSTONE_KEY
-                } else {
-                    EMPTY_KEY
-                };
-                if warp.atomic_cas(addr, expected, key).is_ok() {
-                    self.write_value(warp, addr, value);
+            if let Some((addr, seen)) = first_tombstone.or(first_empty) {
+                if self.claim(warp, addr, seen, key, value) {
                     warp.commit_attempt();
                     return Ok(true);
                 }
@@ -1503,7 +1528,7 @@ mod tests {
                 TableKind::Map,
                 1,
                 [
-                    [1, 2, 2],
+                    [1, 1, 2],
                     [1, 1, 1],
                     [1, 0, 1],
                     [1, 0, 2],
@@ -1517,7 +1542,7 @@ mod tests {
                 TableKind::Map,
                 3,
                 [
-                    [3, 2, 6],
+                    [3, 1, 6],
                     [3, 1, 5],
                     [5, 0, 5],
                     [5, 0, 6],

@@ -345,9 +345,9 @@ fn update_charges_are_pinned() {
     // [transactions, atomics, ballots, shuffles, launches, warps,
     // words_allocated] and the changed count, per batch.
     let expected: [(&str, [u64; 7], u64); 3] = [
-        ("base insert", [1143, 2045, 2587, 473, 1, 19, 2425], 552),
-        ("insert", [575, 731, 1172, 229, 1, 10, 1262], 164),
-        ("delete", [547, 527, 1042, 223, 1, 9, 1146], 201),
+        ("base insert", [1143, 1064, 2587, 473, 1, 19, 2425], 552),
+        ("insert", [575, 441, 1172, 229, 1, 10, 1262], 164),
+        ("delete", [547, 373, 1042, 223, 1, 9, 1146], 201),
     ];
     let batches: [(&str, &[Edge], bool); 3] = [
         ("base insert", &base, true),

@@ -16,6 +16,7 @@ use dynamic_graphs_gpu::gpu_sim::{
 use dynamic_graphs_gpu::graph_gen::{fixtures, mirror};
 use dynamic_graphs_gpu::prelude::*;
 use dynamic_graphs_gpu::slab_alloc::SlabAllocator;
+use dynamic_graphs_gpu::slab_hash;
 
 fn sanitized_device(words: usize) -> Device {
     Device::with_config(DeviceConfig::new(words).with_sanitizer(SanitizerConfig::default()))
@@ -196,6 +197,108 @@ fn mixed_batch_on_one_chain_is_sanitizer_clean_threaded() {
         .all(|&hit| !hit));
     drop(pin);
     g.validate().expect("mixed batch leaves a valid chain");
+    assert_eq!(g.device().sanitizer_findings(), vec![]);
+}
+
+/// Map writes racing pinned readers on one chain, on the threaded
+/// executor: each round's batch deletes, replaces and inserts distinct
+/// keys of vertex 0's single multi-slab bucket while reader threads probe
+/// it. A slot's ⟨key, value⟩ is claimed or replaced with one pair CAS, so
+/// a reader that finds a key reads a value written for that key, never
+/// the EMPTY filler of a just-claimed slot.
+#[test]
+fn map_writes_racing_pinned_readers_on_one_chain_are_clean_threaded() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    const ROUNDS: u32 = 16;
+    let dev = Device::with_config(
+        DeviceConfig::new(1 << 18)
+            .with_sanitizer(SanitizerConfig::default())
+            .with_exec_policy(ExecPolicy::Threaded(4)),
+    );
+    let g = DynGraph::on_device(std::sync::Arc::new(dev), GraphConfig::directed_map(2048));
+    // Key k's value written in round r: a reader can tell whose it is.
+    let value = |k: u32, round: u32| k * 1000 + round;
+    let old: Vec<Edge> = (1..=128)
+        .map(|k| Edge::weighted(0, k, value(k, 0)))
+        .collect();
+    g.insert_edges(&old);
+    assert!(
+        g.stats(&g.pin_read()).tables.max_chain > 1,
+        "vertex 0's single bucket spans several slabs"
+    );
+    let fresh = |round: u32| (1000 + 16 * (round - 1))..(1000 + 16 * round);
+    let probes: Vec<(u32, u32)> = (1..=128)
+        .chain(fresh(1).start..fresh(ROUNDS).end)
+        .map(|k| (0, k))
+        .collect();
+    let (stop, ready) = (AtomicBool::new(false), AtomicUsize::new(0));
+    std::thread::scope(|s| {
+        let readers: Vec<_> = (0..2u32)
+            .map(|r| {
+                let (g, stop, ready, probes) = (&g, &stop, &ready, &probes);
+                s.spawn(move || {
+                    let (mut seen, mut first) = (0u64, true);
+                    let mut i = r as usize;
+                    while !stop.load(Ordering::Acquire) {
+                        let pin = g.pin_read();
+                        let hits = g.edges_exist(&pin, probes).iter().filter(|&&h| h).count();
+                        assert!(hits >= 64, "a live key went missing: {hits} hits");
+                        for _ in 0..8 {
+                            i = (i + 7) % probes.len();
+                            let k = probes[i].1;
+                            if let Some(w) = g.edge_weight(&pin, 0, k) {
+                                assert_ne!(
+                                    w,
+                                    slab_hash::EMPTY_KEY,
+                                    "key {k} read before its value"
+                                );
+                                assert!(
+                                    w / 1000 == k && w % 1000 <= ROUNDS,
+                                    "key {k} read value {w}, never written for it"
+                                );
+                                seen += 1;
+                            }
+                        }
+                        if std::mem::replace(&mut first, false) {
+                            ready.fetch_add(1, Ordering::Release);
+                        }
+                    }
+                    seen
+                })
+            })
+            .collect();
+        // Write only once every reader is live.
+        while ready.load(Ordering::Acquire) < readers.len() {
+            std::thread::yield_now();
+        }
+        for round in 1..=ROUNDS {
+            let deleted = (4 * (round - 1) + 1)..=(4 * round);
+            let updates: Vec<Update> = deleted
+                .map(|k| Update::Delete(Edge::new(0, k)))
+                .chain((65..=128).map(|k| Update::Insert(Edge::weighted(0, k, value(k, round)))))
+                .chain(fresh(round).map(|k| Update::Insert(Edge::weighted(0, k, value(k, round)))))
+                .collect();
+            let (ins, del) = g.try_update_edges(&updates).expect("valid ids");
+            assert!(ins.is_complete() && del.is_complete(), "{ins:?} {del:?}");
+            assert_eq!((ins.changed, del.changed), (16, 4));
+        }
+        stop.store(true, Ordering::Release);
+        for h in readers {
+            assert!(h.join().unwrap() > 0, "every reader saw some values");
+        }
+    });
+    assert_eq!(g.degree(0), 128 - 4 * ROUNDS + 16 * ROUNDS);
+    let pin = g.pin_read();
+    for k in 65..=128 {
+        assert_eq!(g.edge_weight(&pin, 0, k), Some(value(k, ROUNDS)));
+    }
+    for round in 1..=ROUNDS {
+        for k in fresh(round) {
+            assert_eq!(g.edge_weight(&pin, 0, k), Some(value(k, round)));
+        }
+    }
+    drop(pin);
+    g.validate().expect("racing map writes leave a valid chain");
     assert_eq!(g.device().sanitizer_findings(), vec![]);
 }
 

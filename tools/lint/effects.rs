@@ -37,7 +37,8 @@ pub enum AccessKind {
     Write,
     /// `atomic_add` / `atomic_sub` / `atomic_or` / `atomic_and`.
     AtomicRmw,
-    /// `atomic_cas` — a release publication when it installs a pointer.
+    /// `atomic_cas` / `atomic_cas_pair` — a release publication when it
+    /// installs a pointer or a ⟨key, value⟩ pair.
     Cas,
     /// `atomic_exchange` — an unconditional release store.
     Exchange,
@@ -148,7 +149,7 @@ fn collect(trees: &[Tree], fx: &mut Effects) {
         } else if dotted && RMWS.contains(&name) {
             fx.accesses
                 .push(access(AccessKind::AtomicRmw, name, tok, args));
-        } else if dotted && name == "atomic_cas" {
+        } else if dotted && (name == "atomic_cas" || name == "atomic_cas_pair") {
             fx.accesses.push(access(AccessKind::Cas, name, tok, args));
         } else if dotted && name == "atomic_exchange" {
             fx.accesses
@@ -292,10 +293,10 @@ mod tests {
     #[test]
     fn kernel_accesses_are_classified_and_keyed() {
         let m = parse_file(
-            "fn go(dev: &Device) {\n  dev.launch_warps(\"k\", 1, |warp| {\n    let w = warp.read_word(p + NEXT_LANE as u32);\n    warp.write_word(out_buf + base, 1);\n    warp.atomic_cas(slab_addr + NEXT_LANE as u32, NULL_ADDR, fresh);\n    warp.atomic_add(count_addr, n);\n  });\n}\n",
+            "fn go(dev: &Device) {\n  dev.launch_warps(\"k\", 1, |warp| {\n    let w = warp.read_word(p + NEXT_LANE as u32);\n    warp.write_word(out_buf + base, 1);\n    warp.atomic_cas(slab_addr + NEXT_LANE as u32, NULL_ADDR, fresh);\n    warp.atomic_add(count_addr, n);\n    warp.atomic_cas_pair(slot_addr + lane, seen, [key, value]);\n  });\n}\n",
         );
         let fx = effects_of(&m.kernels[0].body);
-        assert_eq!(fx.accesses.len(), 4);
+        assert_eq!(fx.accesses.len(), 5);
         assert_eq!(fx.accesses[0].kind, AccessKind::Read);
         assert_eq!(fx.accesses[0].key, "const:NEXT_LANE");
         assert_eq!(fx.accesses[1].kind, AccessKind::Write);
@@ -306,6 +307,8 @@ mod tests {
         assert_eq!(fx.accesses[2].key, "const:NEXT_LANE");
         assert_eq!(fx.accesses[3].kind, AccessKind::AtomicRmw);
         assert_eq!(fx.accesses[3].line, 6);
+        assert_eq!(fx.accesses[4].kind, AccessKind::Cas);
+        assert_eq!(fx.accesses[4].key, "base:slot_addr");
     }
 
     #[test]
