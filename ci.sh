@@ -91,8 +91,9 @@ else
     echo "== recovery-overhead and tombstone-ablation harnesses =="
     cargo run --release -q -p bench --bin fault_recovery
     cargo run --release -q -p bench --bin ablation_tombstones
-    echo "== triangle-counting tables (batched edgeExist probes; table7 asserts every structure counts the same triangles) =="
-    cargo run --release -q -p bench --bin paper_tables -- table7 table9 fig3
+    echo "== paper tables (every experiment incl. the TC tables' triangle-count asserts; the committed BENCH_tables.json must be current) =="
+    cargo run --release -q -p bench --bin run_all
+    git diff --exit-code -- BENCH_tables.json
     echo "== sanitized test suite (racecheck/memcheck/initcheck on every device) =="
     cargo test --workspace --release -q --features dynamic-graphs-gpu/sanitize
     echo "== sanitized chaos churn smoke run (4 shards, seeded kill/revive; zero findings + clean post-rebuild validate asserted in-run) =="

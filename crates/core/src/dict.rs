@@ -140,7 +140,8 @@ impl VertexDict {
     }
 
     /// Warp-side (charged) read of vertex `v`'s descriptor. One scattered
-    /// read covering the entry's three words; `None` (uncharged) for an id
+    /// read of the entry's first two words (base address and bucket
+    /// count; the edge count is not read); `None` (uncharged) for an id
     /// past capacity, which has no entry.
     pub fn desc(&self, warp: &Warp, v: u32) -> Option<TableDesc> {
         // Capacity before base: `try_grow` stores them in the opposite

@@ -127,6 +127,7 @@ impl DynGraph {
     ///
     /// A single-kind batch launches as `edge_insert` or `edge_delete`
     /// and stages no op buffer; a mixed one launches as `edge_update`.
+    /// A delete-only batch also stages no weights.
     /// Lanes are grouped by source and op, so an insert and a delete of
     /// the same key in one batch land in either order: callers that need
     /// submit order collapse the batch first ([`Update::collapse`]).
@@ -155,6 +156,7 @@ impl DynGraph {
         // A single-kind batch keeps its op out of the lanes.
         let uniform = updates[0].is_insert();
         let mixed = updates.iter().any(|u| u.is_insert() != uniform);
+        let has_inserts = mixed || uniform;
         let is_insert = |i: usize| updates[i / per_edge].is_insert();
 
         // Stage the batch on the device. A failure here applies nothing:
@@ -170,7 +172,9 @@ impl DynGraph {
             let dsts: Vec<u32> = work.iter().map(|e| e.dst).collect();
             let src_buf = self.dev.try_upload(&srcs, u32::MAX)?;
             let dst_buf = self.dev.try_upload(&dsts, u32::MAX)?;
-            let weight_buf = if self.config.kind == TableKind::Map {
+            // Only inserts carry weights: a delete-only batch stages none,
+            // and its warps read none.
+            let weight_buf = if self.config.kind == TableKind::Map && has_inserts {
                 let ws: Vec<u32> = work.iter().map(|e| e.weight).collect();
                 Some(self.dev.try_upload(&ws, 0)?)
             } else {

@@ -45,7 +45,10 @@ impl DynGraph {
     /// [`TableDesc::find_lanes`](slab_hash::TableDesc::find_lanes) call,
     /// which walks every home bucket's chain once for all the group's
     /// probes that hash there; a one-pair batch charges exactly one
-    /// `find`. The group's hits are written back in one coalesced store.
+    /// `find`. Each group's hit mask is kept in the warp's lane
+    /// registers, and the warp writes all its answers with one coalesced
+    /// store once its queue drains: one result transaction per warp, not
+    /// per group.
     pub fn edges_exist(&self, pin: &ReadGuard, pairs: &[(u32, u32)]) -> Vec<bool> {
         let k = self.pinned(pin);
         if pairs.is_empty() {
@@ -62,6 +65,9 @@ impl DynGraph {
             let srcs = warp.read_slab(src_buf + base);
             let dsts = warp.read_slab(dst_buf + base);
             let mut pending = Lanes::from_fn(|i| warp.is_active(i));
+            // Each lane's answer stays in its register (one bit here)
+            // until the queue drains.
+            let mut found = 0u32;
             loop {
                 let queue = warp.ballot(&pending);
                 let Some(current_lane) = gpu_sim::ffs(queue) else {
@@ -70,17 +76,15 @@ impl DynGraph {
                 let current_src = warp.shuffle(&srcs, current_lane);
                 let same_src = pending.zip_with(&srcs, |p, s| p && s == current_src);
                 let group = warp.ballot(&same_src);
-                let hits = match self.dict.desc(warp, current_src) {
-                    Some(desc) => desc.find_lanes(warp, &dsts, group).0,
-                    None => 0,
-                };
-                let found = warp.ballot(&Lanes::from_fn(|i| hits & (1 << i) != 0));
-                // Coalesced result write-back for the group.
-                let addrs = Lanes::from_fn(|i| out_buf + base + i as u32);
-                let vals = Lanes::from_fn(|i| (found >> i) & 1);
-                warp.write_lanes(&addrs, &vals, group);
+                if let Some(desc) = self.dict.desc(warp, current_src) {
+                    found |= desc.find_lanes(warp, &dsts, group).0;
+                }
                 pending = pending.zip_with(&same_src, |p, s| p && !s);
             }
+            // One coalesced store of the warp's answers.
+            let addrs = Lanes::from_fn(|i| out_buf + base + i as u32);
+            let vals = Lanes::from_fn(|i| (found >> i) & 1);
+            warp.write_lanes(&addrs, &vals, warp.active_mask());
         });
 
         let mut found = vec![0; pairs.len()];
@@ -297,6 +301,46 @@ mod tests {
     }
 
     #[test]
+    fn edges_exist_stores_once_per_warp() {
+        // 33 probes over distinct sources: two warps, the second holding
+        // one lane, every group a singleton. Sources are even so that no
+        // two-word descriptor read straddles a 128 B segment (entries are
+        // three words wide). Probe i hits for i % 3 == 0, misses in a
+        // one-slab table for i % 3 == 1, and finds no table for
+        // i % 3 == 2 (tables are built lazily on insert).
+        let g = DynGraph::new(GraphConfig::directed_set(128));
+        let src = |i: u32| 2 * i;
+        let ins: Vec<Edge> = (0..33)
+            .filter(|i| i % 3 != 2)
+            .map(|i| Edge::new(src(i), src(i) + 1))
+            .collect();
+        g.insert_edges(&ins);
+        let pin = g.pin_read();
+        let pairs: Vec<(u32, u32)> = (0..33)
+            .map(|i| (src(i), src(i) + if i % 3 == 0 { 1 } else { 3 }))
+            .collect();
+        let before = g.device().counters().snapshot();
+        let res = g.edges_exist(&pin, &pairs);
+        let delta = g.device().counters().snapshot().delta(&before);
+        let want: Vec<bool> = (0..33).map(|i| i % 3 == 0).collect();
+        assert_eq!(res, want);
+
+        let (warps, groups, hits, misses) = (2, 33, 11, 11);
+        // Per warp: the staged src and dst slabs and one result store.
+        // Per group: one descriptor read, and one base-slab read when the
+        // source has a table.
+        let transactions = warps * 2 + groups + (hits + misses) + warps;
+        // Per group: the queue and group ballots; per warp, the ballot
+        // that finds the queue empty; per walk, a match ballot, plus an
+        // EMPTY ballot for a miss.
+        let ballots = groups * 2 + warps + hits + misses * 2;
+        let got: Vec<u64> = delta.iter().map(|(_, c)| c).collect();
+        // [transactions, atomics, ballots, shuffles, launches, warps,
+        // words_allocated]: three 33-word buffers padded to two slabs.
+        assert_eq!(got, [transactions, 0, ballots, groups, 1, warps, 3 * 64]);
+    }
+
+    #[test]
     fn single_probe_charges_are_pinned() {
         // One-probe reads (the router's live reads, `serve_road`,
         // `mixed_rw`) must charge exactly one key's walk: the grouped
@@ -312,27 +356,27 @@ mod tests {
             (
                 "exist base hit",
                 |g, p| assert!(g.edge_exists(p, 0, 1)),
-                [5, 0, 5, 1, 1, 1, 96],
+                [5, 0, 4, 1, 1, 1, 96],
             ),
             (
                 "exist deep hit",
                 |g, p| assert!(g.edge_exists(p, 0, 39)),
-                [9, 0, 9, 1, 1, 1, 96],
+                [9, 0, 8, 1, 1, 1, 96],
             ),
             (
                 "exist miss",
                 |g, p| assert!(!g.edge_exists(p, 0, 40)),
-                [9, 0, 10, 1, 1, 1, 96],
+                [9, 0, 9, 1, 1, 1, 96],
             ),
             (
                 "exist short chain",
                 |g, p| assert!(g.edge_exists(p, 5, 6)),
-                [5, 0, 5, 1, 1, 1, 96],
+                [5, 0, 4, 1, 1, 1, 96],
             ),
             (
                 "exist no table",
                 |g, p| assert!(!g.edge_exists(p, 63, 0)),
-                [5, 0, 6, 1, 1, 1, 96],
+                [5, 0, 5, 1, 1, 1, 96],
             ),
             (
                 "weight deep hit",

@@ -140,9 +140,11 @@ pub struct Device {
     /// charges issued while the stack is non-empty, and only the outermost
     /// entry charges a launch: host-side helpers that are conceptually one
     /// fused kernel (e.g. a triangle-counting pass built from many small
-    /// launches) wrap themselves in [`Device::fused_scope`]. Pushes and
-    /// pops happen only on the host thread (launches are serial); worker
-    /// threads never mutate it.
+    /// launches) wrap themselves in [`Device::fused_scope`]. Warp worker
+    /// threads never mutate it, but launches are not serial: a live read
+    /// may launch from a second host thread while a flush's launch holds
+    /// the stack, and is then charged to the flush (ROADMAP item 5, one
+    /// attribution stream per host thread).
     scope: parking_lot::Mutex<Vec<&'static str>>,
     /// Deterministic fault-injection state, consulted by fallible
     /// allocation paths via [`Device::fault_check`].
