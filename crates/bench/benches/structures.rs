@@ -21,7 +21,7 @@ fn bench_slab_hash_ops() {
     );
     dev.launch_warps("bench_setup", 1, |warp| {
         for k in 0..n {
-            table.insert(warp, &alloc, k, k).unwrap();
+            table.insert(warp, &alloc, k, k, true).unwrap();
         }
     });
 
@@ -48,7 +48,7 @@ fn bench_slab_hash_ops() {
     let mut k2 = 0u32;
     bench_case("slab_hash/insert_existing", ITERS, || {
         dev.launch_warps("bench_insert", 1, |warp| {
-            table.insert(warp, &alloc, k2 % n, 9).unwrap();
+            table.insert(warp, &alloc, k2 % n, 9, true).unwrap();
         });
         k2 = k2.wrapping_add(1);
     });

@@ -17,6 +17,12 @@ pub enum Direction {
 }
 
 /// Configuration for a [`crate::DynGraph`].
+///
+/// Tombstone handling is not configurable: insert launches claim the
+/// first free slot of a chain, a deleted one included, while a mixed
+/// insert/delete batch claims only never-used slots (see
+/// [`slab_hash::TableDesc::insert`]). [`crate::DynGraph::flush_tombstones`]
+/// compacts the tombstones left over.
 #[derive(Debug, Clone, Copy)]
 pub struct GraphConfig {
     /// Map (weighted edges) or set (destinations only) adjacency tables.
@@ -38,11 +44,6 @@ pub struct GraphConfig {
     pub device_capacity_words: Option<u64>,
     /// Initial dynamic-pool capacity in slabs.
     pub pool_slabs: usize,
-    /// Use the paper's alternative two-stage insertion that overwrites
-    /// tombstones (§IV-C2): better memory reuse, lower insertion
-    /// throughput (the full chain is always traversed). Default: off,
-    /// matching the paper's measured configuration.
-    pub recycle_tombstones: bool,
 }
 
 impl GraphConfig {
@@ -57,7 +58,6 @@ impl GraphConfig {
             device_words: 1 << 22,
             device_capacity_words: None,
             pool_slabs: 1 << 12,
-            recycle_tombstones: false,
         }
     }
 
@@ -110,13 +110,6 @@ impl GraphConfig {
     /// Override the initial dynamic slab-pool size.
     pub fn with_pool_slabs(mut self, slabs: usize) -> Self {
         self.pool_slabs = slabs;
-        self
-    }
-
-    /// Enable tombstone-recycling insertion (§IV-C2's memory-optimised
-    /// alternative; see the `ablation_tombstones` bench).
-    pub fn with_tombstone_recycling(mut self) -> Self {
-        self.recycle_tombstones = true;
         self
     }
 }

@@ -1,28 +1,38 @@
 //! The vertex dictionary (paper §III, §IV-A1).
 //!
-//! A device-resident array indexed by vertex id. Each entry is three words:
+//! A device-resident array indexed by vertex id: three words per vertex,
+//! laid out as a descriptor array followed by a count array.
 //!
 //! ```text
-//! word 0: base address of the vertex's hash-table base slabs (NULL_ADDR if
-//!         the vertex's table has not been constructed yet)
-//! word 1: number of buckets
-//! word 2: exact live-edge count
+//! words 2v, 2v+1:       base address of the vertex's hash-table base
+//!                       slabs (NULL_ADDR if the vertex's table has not
+//!                       been constructed yet), number of buckets
+//! word 2·capacity + v:  exact live-edge count
 //! ```
 //!
-//! Growing past capacity performs the paper's *shallow copy*: only these
-//! three words per vertex move; the hash tables themselves stay put.
+//! A descriptor is one even/odd word pair, so reading it never straddles
+//! two 128 B segments and a lazy install publishes it with one 64-bit
+//! CAS. Growing past capacity performs the paper's *shallow copy*: only
+//! these three words per vertex move; the hash tables themselves stay put.
 
 use gpu_sim::{Addr, Device, Lanes, OomError, Warp, NULL_ADDR, SLAB_WORDS};
 use slab_hash::{TableDesc, TableKind};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Words per dictionary entry.
+/// Dictionary words per vertex: a descriptor pair and a count.
 pub const ENTRY_WORDS: u32 = 3;
+
+/// The packed ⟨base, capacity⟩ of a dictionary allocation.
+fn pack(base: Addr, capacity: u32) -> u64 {
+    (u64::from(base) << 32) | u64::from(capacity)
+}
 
 /// Device-resident vertex dictionary.
 pub struct VertexDict {
-    base: AtomicU32,
-    capacity: AtomicU32,
+    /// The current allocation's base address (high half) and vertex
+    /// capacity (low half), published together: an address computed from
+    /// one load never pairs a new base with an old capacity.
+    layout: AtomicU64,
     kind: TableKind,
 }
 
@@ -33,8 +43,7 @@ impl VertexDict {
         let capacity = capacity.max(1);
         let base = Self::alloc_entries(dev, capacity);
         VertexDict {
-            base: AtomicU32::new(base),
-            capacity: AtomicU32::new(capacity),
+            layout: AtomicU64::new(pack(base, capacity)),
             kind,
         }
     }
@@ -47,18 +56,26 @@ impl VertexDict {
     fn try_alloc_entries(dev: &Device, capacity: u32) -> Result<Addr, OomError> {
         let words = (capacity * ENTRY_WORDS) as usize;
         let base = dev.try_alloc_words(words, SLAB_WORDS)?;
-        // Initialise every table pointer to NULL and counts to zero.
-        // (Charged as a device memset — part of construction cost.)
+        // Initialise every table pointer to NULL, bucket counts and edge
+        // counts to zero. (Charged as a device memset — part of
+        // construction cost.)
         dev.memset("dict_init", base, words, 0);
         for v in 0..capacity {
-            dev.host_write(base + v * ENTRY_WORDS, &[NULL_ADDR]);
+            dev.host_write(base + 2 * v, &[NULL_ADDR]);
         }
         Ok(base)
     }
 
     /// Current vertex capacity.
     pub fn capacity(&self) -> u32 {
-        self.capacity.load(Ordering::Acquire)
+        self.layout().1
+    }
+
+    /// The current ⟨base, capacity⟩.
+    #[inline]
+    fn layout(&self) -> (Addr, u32) {
+        let l = self.layout.load(Ordering::Acquire);
+        ((l >> 32) as Addr, l as u32)
     }
 
     /// The table kind stored in every entry.
@@ -66,17 +83,21 @@ impl VertexDict {
         self.kind
     }
 
-    /// Device address of vertex `v`'s entry.
+    /// Device address of vertex `v`'s descriptor pair ⟨base, buckets⟩
+    /// (even, so the pair sits in one 128 B segment).
     #[inline]
-    pub fn entry_addr(&self, v: u32) -> Addr {
-        debug_assert!(v < self.capacity(), "vertex {v} out of capacity");
-        self.base.load(Ordering::Acquire) + v * ENTRY_WORDS
+    pub fn desc_addr(&self, v: u32) -> Addr {
+        let (base, capacity) = self.layout();
+        debug_assert!(v < capacity, "vertex {v} out of capacity");
+        base + 2 * v
     }
 
     /// Device address of vertex `v`'s edge-count word.
     #[inline]
     pub fn count_addr(&self, v: u32) -> Addr {
-        self.entry_addr(v) + 2
+        let (base, capacity) = self.layout();
+        debug_assert!(v < capacity, "vertex {v} out of capacity");
+        base + 2 * capacity + v
     }
 
     /// Grow capacity to at least `needed`, shallow-copying entries
@@ -90,13 +111,12 @@ impl VertexDict {
     /// Fallible [`Self::grow`]: on a budget-exhausted device the old
     /// dictionary is left fully intact and the growth can be retried.
     pub fn try_grow(&self, dev: &Device, needed: u32) -> Result<(), OomError> {
-        let old_cap = self.capacity();
+        let (old_base, old_cap) = self.layout();
         if needed <= old_cap {
             return Ok(());
         }
         let new_cap = needed.max(old_cap * 2);
         let new_base = Self::try_alloc_entries(dev, new_cap)?;
-        let old_base = self.base.load(Ordering::Acquire);
         let words = (old_cap * ENTRY_WORDS) as usize;
         // Copy kernel: read + write, coalesced.
         let charge = dev.charge("dict_grow");
@@ -104,9 +124,13 @@ impl VertexDict {
         charge.add_transactions(2 * (words as u64).div_ceil(SLAB_WORDS as u64));
         let mut entries = vec![0; words];
         dev.host_read(old_base, &mut entries);
-        dev.host_write(new_base, &entries);
-        self.base.store(new_base, Ordering::Release);
-        self.capacity.store(new_cap, Ordering::Release);
+        // The descriptor pairs keep their offsets; the counts move to the
+        // new count array.
+        let (descs, counts) = entries.split_at(2 * old_cap as usize);
+        dev.host_write(new_base, descs);
+        dev.host_write(new_base + 2 * new_cap, counts);
+        self.layout
+            .store(pack(new_base, new_cap), Ordering::Release);
         Ok(())
     }
 
@@ -117,7 +141,7 @@ impl VertexDict {
             return None;
         }
         let mut entry = [0; 2];
-        dev.host_read(self.entry_addr(v), &mut entry);
+        dev.host_read(self.desc_addr(v), &mut entry);
         let [base, num_buckets] = entry;
         if base == NULL_ADDR {
             return None;
@@ -139,30 +163,25 @@ impl VertexDict {
         count[0]
     }
 
-    /// Warp-side (charged) read of vertex `v`'s descriptor. One scattered
-    /// read of the entry's first two words (base address and bucket
-    /// count; the edge count is not read); `None` (uncharged) for an id
-    /// past capacity, which has no entry.
+    /// Warp-side (charged) read of vertex `v`'s descriptor: one
+    /// scattered read of its pair (base address and bucket count; the
+    /// edge count is not read), one transaction for every `v`; `None`
+    /// (uncharged) for an id past capacity, which has no entry.
     pub fn desc(&self, warp: &Warp, v: u32) -> Option<TableDesc> {
-        // Capacity before base: `try_grow` stores them in the opposite
-        // order, so a capacity admitting `v` comes with a base covering it.
         if v >= self.capacity() {
             return None;
         }
-        let e = self.entry_addr(v);
-        let addrs = Lanes::from_fn(|i| e + (i as u32).min(ENTRY_WORDS - 1));
+        let e = self.desc_addr(v);
+        let addrs = Lanes::from_fn(|i| e + (i as u32).min(1));
         let words = warp.read_lanes(&addrs, 0b11);
         let base = words.get(0);
         if base == NULL_ADDR {
             return None;
         }
-        // A racing `try_install` winner may not have published the bucket
-        // count yet; lazily built tables always start at one bucket, so a
-        // transient zero (which would poison the bucket modulo) reads as 1.
         Some(TableDesc {
             kind: self.kind,
             base,
-            num_buckets: words.get(1).max(1),
+            num_buckets: words.get(1),
         })
     }
 
@@ -170,22 +189,24 @@ impl VertexDict {
     /// insertion). Host-side store; the allocation itself is charged by
     /// the caller.
     pub fn install_host(&self, dev: &Device, v: u32, base: Addr, num_buckets: u32) {
-        dev.host_write(self.entry_addr(v), &[base, num_buckets, 0]);
+        dev.host_write(self.desc_addr(v), &[base, num_buckets]);
+        dev.host_write(self.count_addr(v), &[0]);
     }
 
     /// Warp-side (charged) republication of vertex `v`'s table after a
     /// rebuild: one scattered write of its base and bucket count. The
     /// live-edge count word is left alone — a rebuild keeps every edge.
     pub(crate) fn publish(&self, warp: &Warp, v: u32, desc: &TableDesc) {
-        let e = self.entry_addr(v);
+        let e = self.desc_addr(v);
         let addrs = Lanes::from_fn(|i| e + (i as u32).min(1));
         let words = Lanes::from_fn(|i| if i == 0 { desc.base } else { desc.num_buckets });
         warp.write_lanes(&addrs, &words, 0b11);
     }
 
-    /// Warp-side lazy table install: CAS the base pointer from NULL. If the
-    /// CAS is lost, the winner's descriptor is returned and `fresh_base`
-    /// should be released by the caller.
+    /// Warp-side lazy table install: one 64-bit CAS of the descriptor
+    /// pair from ⟨NULL, 0⟩, so a reader sees either no table or the whole
+    /// descriptor. If the CAS is lost, the winner's descriptor is
+    /// returned and `fresh_base` should be released by the caller.
     pub fn try_install(
         &self,
         warp: &Warp,
@@ -193,30 +214,14 @@ impl VertexDict {
         fresh_base: Addr,
         num_buckets: u32,
     ) -> Result<TableDesc, TableDesc> {
-        let e = self.entry_addr(v);
-        match warp.atomic_cas(e, NULL_ADDR, fresh_base) {
-            Ok(_) => {
-                // Atomic publication: the winning CAS orders the base word
-                // only. A concurrent `desc()` that already saw the new base
-                // would read this word unordered if it were a plain store.
-                warp.atomic_exchange(e + 1, num_buckets);
-                Ok(TableDesc {
-                    kind: self.kind,
-                    base: fresh_base,
-                    num_buckets,
-                })
-            }
-            Err(winner_base) => {
-                // Winner may not have published bucket count yet; for the
-                // lazy path the count is always 1 (unknown degree ⇒ one
-                // bucket, paper §III-b).
-                Err(TableDesc {
-                    kind: self.kind,
-                    base: winner_base,
-                    num_buckets: 1,
-                })
-            }
-        }
+        let desc = |[base, num_buckets]: [u32; 2]| TableDesc {
+            kind: self.kind,
+            base,
+            num_buckets,
+        };
+        warp.atomic_cas_pair(self.desc_addr(v), [NULL_ADDR, 0], [fresh_base, num_buckets])
+            .map(|_| desc([fresh_base, num_buckets]))
+            .map_err(desc)
     }
 }
 
@@ -306,10 +311,49 @@ mod tests {
     }
 
     #[test]
-    fn count_addr_is_third_word() {
+    fn descriptors_are_pairs_and_counts_follow_them() {
         let d = dev();
         let dict = VertexDict::new(&d, TableKind::Map, 4);
-        assert_eq!(dict.count_addr(0), dict.entry_addr(0) + 2);
-        assert_eq!(dict.entry_addr(1) - dict.entry_addr(0), ENTRY_WORDS);
+        assert_eq!(dict.desc_addr(0) % 2, 0);
+        assert_eq!(dict.desc_addr(1) - dict.desc_addr(0), 2);
+        assert_eq!(dict.count_addr(0), dict.desc_addr(0) + 2 * 4);
+        assert_eq!(dict.count_addr(3) - dict.count_addr(0), 3);
+    }
+
+    #[test]
+    #[allow(clippy::disallowed_methods)] // a scratch kernel, no graph to launch through
+    fn desc_costs_one_transaction_for_every_vertex() {
+        let d = dev();
+        let dict = VertexDict::new(&d, TableKind::Map, 96);
+        for v in 0..96 {
+            dict.install_host(&d, v, 0x1000 + 32 * v, 1 + v % 3);
+        }
+        for v in 0..96 {
+            let before = d.counters().snapshot();
+            let got = parking_lot::Mutex::new(None);
+            d.launch_warps("dict_test", 1, |warp| {
+                *got.lock() = dict.desc(warp, v);
+            });
+            let charged = d.counters().snapshot().delta(&before);
+            assert_eq!(charged.transactions, 1, "vertex {v}");
+            let t = got.into_inner().unwrap();
+            assert_eq!((t.base, t.num_buckets), (0x1000 + 32 * v, 1 + v % 3));
+        }
+    }
+
+    #[test]
+    #[allow(clippy::disallowed_methods)] // a scratch kernel, no graph to launch through
+    fn try_install_publishes_the_whole_descriptor_with_one_atomic() {
+        let d = dev();
+        let dict = VertexDict::new(&d, TableKind::Map, 4);
+        let before = d.counters().snapshot();
+        d.launch_warps("dict_test", 1, |warp| {
+            assert!(dict.try_install(warp, 2, 0x400, 1).is_ok());
+            let lost = dict.try_install(warp, 2, 0x800, 1).unwrap_err();
+            assert_eq!((lost.base, lost.num_buckets), (0x400, 1));
+        });
+        assert_eq!(d.counters().snapshot().delta(&before).atomics, 2);
+        let t = dict.desc_host(&d, 2).unwrap();
+        assert_eq!((t.base, t.num_buckets), (0x400, 1));
     }
 }

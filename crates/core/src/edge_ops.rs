@@ -127,7 +127,9 @@ impl DynGraph {
     ///
     /// A single-kind batch launches as `edge_insert` or `edge_delete`
     /// and stages no op buffer; a mixed one launches as `edge_update`.
-    /// A delete-only batch also stages no weights.
+    /// A delete-only batch also stages no weights. `edge_insert` claims
+    /// tombstones; `edge_update`, whose deletes free slots while its
+    /// inserts claim them, claims only EMPTY slots.
     /// Lanes are grouped by source and op, so an insert and a delete of
     /// the same key in one batch land in either order: callers that need
     /// submit order collapse the batch first ([`Update::collapse`]).
@@ -315,12 +317,12 @@ impl DynGraph {
                     let mut success = Lanes::splat(false);
                     for lane in iter_bits(group) {
                         let li = lane as usize;
-                        let applied = if !insert {
-                            Ok(desc.delete(warp, dsts.get(li)))
-                        } else if self.config.recycle_tombstones {
-                            desc.insert_recycling(warp, &self.alloc, dsts.get(li), weights.get(li))
+                        // Only a mixed launch frees slots while it claims
+                        // them, so only it leaves tombstones unclaimed.
+                        let applied = if insert {
+                            desc.insert(warp, &self.alloc, dsts.get(li), weights.get(li), !mixed)
                         } else {
-                            desc.insert(warp, &self.alloc, dsts.get(li), weights.get(li))
+                            Ok(desc.delete(warp, dsts.get(li)))
                         };
                         match applied {
                             Ok(changed) => {
@@ -662,6 +664,45 @@ mod tests {
             .collect();
         assert_eq!(atomics(&mixed), 16 + 16 + 32 + 2);
         assert_eq!(g.num_edges(), 32);
+    }
+
+    /// A mixed batch on the threaded executor: 90 deletes empty vertex
+    /// 0's six-slab chain while 160 inserts, four copies each of 40 new
+    /// destinations, land on the same chain in the same launch. Its
+    /// inserts claim only EMPTY slots, so every tombstone survives and no
+    /// destination is stored twice.
+    #[test]
+    fn threaded_mixed_batch_claims_no_tombstone() {
+        use gpu_sim::{Device, DeviceConfig, ExecPolicy};
+        let dev = Device::with_config(
+            DeviceConfig::new(1 << 18).with_exec_policy(ExecPolicy::Threaded(4)),
+        );
+        let g = DynGraph::on_device(std::sync::Arc::new(dev), GraphConfig::directed_map(1024));
+        let old: Vec<Edge> = (1..=90).map(|v| Edge::weighted(0, v, v)).collect();
+        g.insert_edges(&old);
+        assert_eq!(g.stats(&g.pin_read()).tables.max_chain, 6);
+        let updates: Vec<Update> = (0..160u32)
+            .flat_map(|i| {
+                let insert = Update::Insert(Edge::weighted(0, 500 + i % 40, i));
+                let delete = (i < 90).then(|| Update::Delete(old[i as usize]));
+                std::iter::once(insert).chain(delete)
+            })
+            .collect();
+        let (ins, del) = g.try_update_edges(&updates).unwrap();
+        assert!(ins.is_complete() && del.is_complete());
+        assert_eq!((ins.changed, del.changed), (40, 90));
+        let pin = g.pin_read();
+        let mut dsts = g.neighbor_ids(&pin, 0);
+        dsts.sort_unstable();
+        assert_eq!(
+            dsts,
+            (500..540).collect::<Vec<_>>(),
+            "each destination once"
+        );
+        assert_eq!(g.stats(&pin).tables.tombstones, 90, "no tombstone claimed");
+        drop(pin);
+        assert_eq!(g.degree(0), 40);
+        g.validate().expect("mixed batch leaves a valid chain");
     }
 
     #[test]

@@ -302,22 +302,22 @@ mod tests {
 
     #[test]
     fn edges_exist_stores_once_per_warp() {
-        // 33 probes over distinct sources: two warps, the second holding
-        // one lane, every group a singleton. Sources are even so that no
-        // two-word descriptor read straddles a 128 B segment (entries are
-        // three words wide). Probe i hits for i % 3 == 0, misses in a
-        // one-slab table for i % 3 == 1, and finds no table for
-        // i % 3 == 2 (tables are built lazily on insert).
+        // 33 probes over the distinct sources 0..33: two warps, the
+        // second holding one lane, every group a singleton. Every
+        // descriptor read is one transaction, vertex 21's included (a
+        // descriptor is a pair-aligned word pair). Probe i hits for
+        // i % 3 == 0, misses in a one-slab table for i % 3 == 1, and
+        // finds no table for i % 3 == 2 (tables are built lazily on
+        // insert).
         let g = DynGraph::new(GraphConfig::directed_set(128));
-        let src = |i: u32| 2 * i;
         let ins: Vec<Edge> = (0..33)
             .filter(|i| i % 3 != 2)
-            .map(|i| Edge::new(src(i), src(i) + 1))
+            .map(|i| Edge::new(i, i + 1))
             .collect();
         g.insert_edges(&ins);
         let pin = g.pin_read();
         let pairs: Vec<(u32, u32)> = (0..33)
-            .map(|i| (src(i), src(i) + if i % 3 == 0 { 1 } else { 3 }))
+            .map(|i| (i, i + if i % 3 == 0 { 1 } else { 3 }))
             .collect();
         let before = g.device().counters().snapshot();
         let res = g.edges_exist(&pin, &pairs);

@@ -313,7 +313,7 @@ impl DynGraph {
             let first_err = parking_lot::Mutex::new(None);
             k.launch_warps("purge_deleted", 1, |warp| {
                 for &v in deleted {
-                    if let Err(e) = dead_set.insert(warp, &self.alloc, v, 0) {
+                    if let Err(e) = dead_set.insert(warp, &self.alloc, v, 0, true) {
                         let mut slot = first_err.lock();
                         if slot.is_none() {
                             *slot = Some(e);

@@ -32,8 +32,8 @@
 //! All operations are warp-cooperative: the whole warp reads one slab in a
 //! single coalesced transaction, ballots over its lanes, and elects lanes to
 //! perform atomics. Uniqueness under concurrent same-key insertion holds
-//! because claims always CAS the *first* empty slot of the chain and retry
-//! on failure: the loser re-reads the slab and finds the winner's key.
+//! because claims always CAS the *first* free slot of the chain and retry
+//! on failure: the loser walks again and finds the winner's key.
 //!
 //! A map slot's ⟨key, value⟩ is one even/odd word pair, claimed or
 //! replaced with one 64-bit pair CAS ([`gpu_sim::Warp::atomic_cas_pair`])
@@ -41,9 +41,14 @@
 //! never sees a key without its value. Set slots CAS the key alone.
 //!
 //! Sentinels: [`EMPTY_KEY`] marks a never-used slot, [`TOMBSTONE_KEY`] a
-//! deleted one. Deleted slots are *not* reused by later insertions (paper
-//! §IV-C2): empties therefore only exist at the tail of a chain, which is
-//! what makes search early-exit and uniqueness sound.
+//! deleted one. An insert of a new key walks to the chain's last slab
+//! anyway (replace semantics must rule the key out), so it claims the
+//! first free slot it saw, a tombstone included, in every launch that
+//! frees no slot; a mixed insert/delete launch claims only EMPTY slots
+//! (see [`TableDesc::insert`]). The paper (§IV-C2) never reuses
+//! tombstones. Nothing turns a used slot back into EMPTY, so empties
+//! only exist at the tail of a chain, which is what makes search
+//! early-exit and uniqueness sound.
 
 use gpu_sim::{Addr, Device, Lanes, Warp, NULL_ADDR, SLAB_WORDS, WARP_SIZE};
 use slab_alloc::SlabAllocator;
@@ -52,7 +57,8 @@ pub use slab_alloc::AllocError;
 
 /// Slot never written. Keys must be `< TOMBSTONE_KEY`.
 pub const EMPTY_KEY: u32 = u32::MAX;
-/// Slot whose key was deleted. Ignored by queries, skipped by inserts.
+/// Slot whose key was deleted. Ignored by queries; free for inserts that
+/// reuse tombstones.
 pub const TOMBSTONE_KEY: u32 = u32::MAX - 1;
 /// Largest storable key.
 pub const MAX_KEY: u32 = u32::MAX - 2;
@@ -376,9 +382,34 @@ impl TableDesc {
     /// (the paper's `replace` semantics, §IV-C1). `value` is ignored for
     /// sets.
     ///
-    /// Returns `Ok(true)` if the key was added into the first empty slot
-    /// (allocating a chained slab if needed), `Ok(false)` if it already
-    /// existed. The boolean drives the caller's exact edge counting.
+    /// One walk from the home bucket, until the key is found or the
+    /// chain's last slab is read. Every slab costs one key ballot and,
+    /// until a free slot has been seen, one sentinel ballot: a free slot
+    /// is EMPTY, or with `reuse_tombstones` also TOMBSTONE. A new key
+    /// then claims the first free slot seen with one `claim` CAS; the
+    /// chain grows only when the walk saw no free slot. A lost claim
+    /// walks again from the slab that held the slot. Since EMPTY slots
+    /// only exist on the tail slab, a chain without tombstones is charged
+    /// the same either way.
+    ///
+    /// Uniqueness holds because every successful claim takes the first
+    /// free slot of the chain as it stood at the claim. Without
+    /// `reuse_tombstones` that slot is the tail's first EMPTY, and no
+    /// operation turns a slot back into EMPTY. With it, pass `true` only
+    /// in launches that free no slot (no delete runs concurrently): then
+    /// a live slot stays live with the same key, so the first free slot
+    /// only moves forward. Suppose two claims for one key succeeded, at
+    /// slots s before t. t's claimer saw s non-free, so s then held a
+    /// live key for good, and the claim of s could not succeed. The same
+    /// argument rules out a claim beside a live copy: the copy's slot was
+    /// either seen live before the claimed slot, or claimed later by a
+    /// walker that saw the claimed slot live. A launch whose own deletes
+    /// free slots while it claims them (a mixed update batch) must pass
+    /// `false`.
+    ///
+    /// Returns `Ok(true)` if the key was added (allocating a chained slab
+    /// if needed), `Ok(false)` if it already existed. The boolean drives
+    /// the caller's exact edge counting.
     ///
     /// Fails only when chain growth cannot acquire a slab. Allocation
     /// happens strictly *before* any table mutation, so on `Err` the table
@@ -389,13 +420,20 @@ impl TableDesc {
         alloc: &SlabAllocator,
         key: u32,
         value: u32,
+        reuse_tombstones: bool,
     ) -> Result<bool, AllocError> {
         debug_assert!(key <= MAX_KEY, "key {key:#x} collides with sentinels");
+        let free_word = |w: u32| w == EMPTY_KEY || (reuse_tombstones && w == TOMBSTONE_KEY);
         let mut slab_addr = self.home(key);
         let mut depth = 1u64;
-        // Each probe step is speculative: on a lost race the step's
-        // charges are discarded and the step re-runs, so the committed
-        // profile is the sequential one (losers simply probe after winners).
+        // The first free slot seen: its address, contents as read, and
+        // the slab and chain depth holding it.
+        let mut free: Option<(Addr, [u32; 2], Addr, u64)> = None;
+        // Each slab step is speculative: on a lost race the step's charges
+        // are discarded and it re-runs, so the committed profile is the
+        // sequential one (losers simply probe after winners). The step
+        // that finds the free slot stays open until the claim, so a lost
+        // claim discards every charge from that slab on.
         loop {
             warp.begin_attempt();
             let words = warp.read_slab(slab_addr);
@@ -403,26 +441,54 @@ impl TableDesc {
                 // A lost replace race re-reads the slab.
                 if self.replace(warp, slab_addr, &words, lane, value) {
                     warp.commit_attempt();
+                    if free.is_some() {
+                        warp.commit_attempt();
+                    }
                     return Ok(false);
                 }
                 warp.abort_attempt();
                 continue;
             }
-            if let Some(lane) = gpu_sim::ffs(self.match_lanes(warp, &words, EMPTY_KEY)) {
-                // Claim the first empty slot; on a lost race re-read the
-                // slab (the winner may have inserted this very key).
-                if self.claim(warp, slab_addr + lane, slot(&words, lane), key, value) {
+            let found_free = free.is_none() && {
+                let lanes = self.kind.key_lanes();
+                let free_lanes = warp.ballot(&Lanes::from_fn(|i| {
+                    lanes & (1 << i) != 0 && free_word(words.get(i))
+                }));
+                free = gpu_sim::ffs(free_lanes)
+                    .map(|l| (slab_addr + l, slot(&words, l), slab_addr, depth));
+                free.is_some()
+            };
+            let next = words.get(NEXT_LANE);
+            if next != NULL_ADDR {
+                if !found_free {
                     warp.commit_attempt();
-                    note_chain_at_insert(warp, depth);
-                    return Ok(true);
                 }
-                warp.abort_attempt();
+                slab_addr = next;
+                depth += 1;
                 continue;
             }
-            let step = self.advance_or_grow(warp, alloc, slab_addr, &words);
-            warp.commit_attempt();
-            slab_addr = step?;
-            depth += 1;
+            let Some((addr, seen, free_slab, free_depth)) = free else {
+                let step = self.advance_or_grow(warp, alloc, slab_addr, &words);
+                warp.commit_attempt();
+                slab_addr = step?;
+                depth += 1;
+                continue;
+            };
+            if !found_free {
+                // Close the tail step into the free slot's attempt.
+                warp.commit_attempt();
+            }
+            if self.claim(warp, addr, seen, key, value) {
+                warp.commit_attempt();
+                note_chain_at_insert(warp, free_depth);
+                return Ok(true);
+            }
+            // The winner may have inserted this very key: walk again from
+            // the slab that held the slot.
+            warp.abort_attempt();
+            free = None;
+            slab_addr = free_slab;
+            depth = free_depth;
         }
     }
 
@@ -495,81 +561,10 @@ impl TableDesc {
         (found, values)
     }
 
-    /// The paper's *alternative* insertion strategy (§IV-C2): a two-stage
-    /// insert that first traverses the whole chain to ensure uniqueness,
-    /// then **overwrites the first tombstone** if one exists (falling back
-    /// to the first empty slot otherwise). Trades insertion throughput
-    /// (no early exit; the full chain is always read) for memory reuse.
-    /// Works for both variants; `value` is ignored for sets.
-    ///
-    /// Returns `Ok(true)` iff the key was newly added. Same failure
-    /// contract as [`Self::insert`]: on `Err` the table is untouched.
-    pub fn insert_recycling(
-        &self,
-        warp: &Warp,
-        alloc: &SlabAllocator,
-        key: u32,
-        value: u32,
-    ) -> Result<bool, AllocError> {
-        debug_assert!(key <= MAX_KEY, "key {key:#x} collides with sentinels");
-        'retry: loop {
-            // The whole two-stage attempt is speculative: a lost claim race
-            // aborts it and the rescan charges what a sequential loser would.
-            warp.begin_attempt();
-            // Stage 1: full-chain scan for the key, remembering the first
-            // tombstone and the first empty slot with their contents.
-            let mut slab_addr = self.home(key);
-            let mut first_tombstone: Option<(Addr, [u32; 2])> = None;
-            let mut first_empty: Option<(Addr, [u32; 2])> = None;
-            let tail_addr;
-            loop {
-                let words = warp.read_slab(slab_addr);
-                if let Some(lane) = gpu_sim::ffs(self.match_lanes(warp, &words, key)) {
-                    if self.replace(warp, slab_addr, &words, lane, value) {
-                        warp.commit_attempt();
-                        return Ok(false);
-                    }
-                    warp.abort_attempt();
-                    continue 'retry;
-                }
-                let tombs = self.match_lanes(warp, &words, TOMBSTONE_KEY);
-                if first_tombstone.is_none() {
-                    first_tombstone = gpu_sim::ffs(tombs).map(|l| (slab_addr + l, slot(&words, l)));
-                }
-                let empties = self.match_lanes(warp, &words, EMPTY_KEY);
-                if first_empty.is_none() {
-                    first_empty = gpu_sim::ffs(empties).map(|l| (slab_addr + l, slot(&words, l)));
-                }
-                let next = words.get(NEXT_LANE);
-                if empties != 0 || next == NULL_ADDR {
-                    // Empties only exist at the tail: the scan is complete.
-                    tail_addr = slab_addr;
-                    break;
-                }
-                slab_addr = next;
-            }
-            // Stage 2: claim the first tombstone, else the first empty,
-            // else grow the chain. Retry the whole operation on any lost
-            // race (the winner may have inserted this very key).
-            if let Some((addr, seen)) = first_tombstone.or(first_empty) {
-                if self.claim(warp, addr, seen, key, value) {
-                    warp.commit_attempt();
-                    return Ok(true);
-                }
-                warp.abort_attempt();
-                continue 'retry;
-            }
-            // Chain full with no tombstones: link a fresh slab.
-            let words = warp.read_slab(tail_addr);
-            let grown = self.advance_or_grow(warp, alloc, tail_addr, &words);
-            warp.commit_attempt();
-            grown?;
-        }
-    }
-
     /// Delete `key` by tombstoning it (§IV-C2). Returns `true` iff this
-    /// call deleted it (drives exact edge-count decrements). Tombstones
-    /// are not removed and not overwritten by later insertions.
+    /// call deleted it (drives exact edge-count decrements). A tombstone
+    /// stays until [`Self::compact`] or an insert that reuses tombstones
+    /// claims it.
     pub fn delete(&self, warp: &Warp, key: u32) -> bool {
         let mut walk = ChainWalk::new(warp, self.home(key));
         loop {
@@ -830,7 +825,7 @@ impl TableDesc {
     /// slab if at the tail. On a lost link CAS the competing slab is freed
     /// and the winner's is followed, as in SlabHash.
     ///
-    /// This is the *only* allocation point of the insert paths: a failure
+    /// This is the *only* allocation point of [`Self::insert`]: a failure
     /// here surfaces before any slot is claimed, which is what keeps a
     /// table consistent when an insert fails mid-chain.
     fn advance_or_grow(
@@ -918,7 +913,9 @@ mod tests {
     use super::*;
     use gpu_sim::Device;
 
-    fn setup(kind: TableKind, buckets: u32) -> (Device, SlabAllocator, TableDesc) {
+    type Setup = (Device, SlabAllocator, TableDesc);
+
+    fn setup(kind: TableKind, buckets: u32) -> Setup {
         let dev = Device::new(1 << 18);
         let alloc = SlabAllocator::new(&dev, 1024);
         let t = TableDesc::create(&dev, kind, buckets);
@@ -946,8 +943,8 @@ mod tests {
     fn map_insert_and_find() {
         let (dev, alloc, t) = setup(TableKind::Map, 2);
         on_warp(&dev, |warp| {
-            assert!(t.insert(warp, &alloc, 7, 70).unwrap());
-            assert!(t.insert(warp, &alloc, 8, 80).unwrap());
+            assert!(t.insert(warp, &alloc, 7, 70, true).unwrap());
+            assert!(t.insert(warp, &alloc, 8, 80, true).unwrap());
             assert_eq!(t.find(warp, 7), Some(70));
             assert_eq!(t.find(warp, 8), Some(80));
             assert_eq!(t.find(warp, 9), None);
@@ -958,9 +955,9 @@ mod tests {
     fn insert_overwrites_and_reports_existing() {
         let (dev, alloc, t) = setup(TableKind::Map, 1);
         on_warp(&dev, |warp| {
-            assert!(t.insert(warp, &alloc, 42, 1).unwrap());
+            assert!(t.insert(warp, &alloc, 42, 1, true).unwrap());
             assert!(
-                !t.insert(warp, &alloc, 42, 2).unwrap(),
+                !t.insert(warp, &alloc, 42, 2, true).unwrap(),
                 "second insert replaces"
             );
             assert_eq!(t.find(warp, 42), Some(2));
@@ -975,7 +972,7 @@ mod tests {
         on_warp(&dev, |warp| {
             // 100 keys in a single bucket => ⌈100/15⌉ = 7 slabs.
             for k in 0..100 {
-                assert!(t.insert(warp, &alloc, k, k * 2).unwrap());
+                assert!(t.insert(warp, &alloc, k, k * 2, true).unwrap());
             }
             for k in 0..100 {
                 assert_eq!(t.find(warp, k), Some(k * 2), "key {k}");
@@ -992,8 +989,8 @@ mod tests {
     fn set_insert_and_find() {
         let (dev, alloc, t) = setup(TableKind::Set, 2);
         on_warp(&dev, |warp| {
-            assert!(t.insert(warp, &alloc, 5, 0).unwrap());
-            assert!(!t.insert(warp, &alloc, 5, 0).unwrap());
+            assert!(t.insert(warp, &alloc, 5, 0, true).unwrap());
+            assert!(!t.insert(warp, &alloc, 5, 0, true).unwrap());
             assert!(t.find(warp, 5).is_some());
             assert!(t.find(warp, 6).is_none());
         });
@@ -1004,10 +1001,10 @@ mod tests {
         let (dev, alloc, t) = setup(TableKind::Set, 1);
         on_warp(&dev, |warp| {
             for k in 0..30 {
-                assert!(t.insert(warp, &alloc, k, 0).unwrap());
+                assert!(t.insert(warp, &alloc, k, 0, true).unwrap());
             }
             assert_eq!(t.stats(warp).slabs, 1, "30 keys fit one set slab");
-            assert!(t.insert(warp, &alloc, 30, 0).unwrap());
+            assert!(t.insert(warp, &alloc, 30, 0, true).unwrap());
             assert_eq!(t.stats(warp).slabs, 2, "31st key chains a slab");
         });
     }
@@ -1016,8 +1013,8 @@ mod tests {
     fn delete_tombstones_and_reports() {
         let (dev, alloc, t) = setup(TableKind::Map, 1);
         on_warp(&dev, |warp| {
-            t.insert(warp, &alloc, 1, 10).unwrap();
-            t.insert(warp, &alloc, 2, 20).unwrap();
+            t.insert(warp, &alloc, 1, 10, true).unwrap();
+            t.insert(warp, &alloc, 2, 20, true).unwrap();
             assert!(t.delete(warp, 1));
             assert!(!t.delete(warp, 1), "second delete is a no-op");
             assert!(!t.delete(warp, 99), "absent key");
@@ -1030,39 +1027,45 @@ mod tests {
     }
 
     #[test]
-    fn tombstones_are_not_overwritten_by_insert() {
-        // Paper §IV-C2: inserts append at the chain tail; tombstoned slots
-        // stay dead, so empties only exist at the tail.
+    fn inserts_that_keep_tombstones_append_at_the_tail() {
+        // Without reuse (a mixed insert/delete launch) an insert claims
+        // only EMPTY slots: tombstoned slots stay dead, as in the paper's
+        // §IV-C2, so empties only exist at the tail.
         let (dev, alloc, t) = setup(TableKind::Map, 1);
         on_warp(&dev, |warp| {
             for k in 0..10 {
-                t.insert(warp, &alloc, k, k).unwrap();
+                t.insert(warp, &alloc, k, k, false).unwrap();
             }
             for k in 0..5 {
                 t.delete(warp, k);
             }
-            t.insert(warp, &alloc, 100, 100).unwrap();
+            t.insert(warp, &alloc, 100, 100, false).unwrap();
+            assert!(
+                t.insert(warp, &alloc, 3, 31, false).unwrap(),
+                "reinsert is new"
+            );
             let stats = t.stats(warp);
             assert_eq!(stats.tombstones, 5, "tombstones preserved");
-            assert_eq!(stats.live_keys, 6);
+            assert_eq!(stats.live_keys, 7);
             assert_eq!(t.find(warp, 100), Some(100));
+            assert_eq!(t.find(warp, 3), Some(31));
         });
     }
 
     #[test]
-    fn reinserting_deleted_key_appends_fresh_copy() {
+    fn reinserting_a_deleted_key_takes_the_first_tombstone() {
         let (dev, alloc, t) = setup(TableKind::Map, 1);
         on_warp(&dev, |warp| {
-            t.insert(warp, &alloc, 3, 30).unwrap();
+            t.insert(warp, &alloc, 3, 30, true).unwrap();
             t.delete(warp, 3);
             assert!(
-                t.insert(warp, &alloc, 3, 31).unwrap(),
+                t.insert(warp, &alloc, 3, 31, true).unwrap(),
                 "reinsert counts as new"
             );
             assert_eq!(t.find(warp, 3), Some(31));
             let stats = t.stats(warp);
             assert_eq!(stats.live_keys, 1);
-            assert_eq!(stats.tombstones, 1);
+            assert_eq!(stats.tombstones, 0);
         });
     }
 
@@ -1072,7 +1075,7 @@ mod tests {
         on_warp(&dev, |warp| {
             let mut expect = std::collections::BTreeMap::new();
             for k in 0..200 {
-                t.insert(warp, &alloc, k, 1000 + k).unwrap();
+                t.insert(warp, &alloc, k, 1000 + k, true).unwrap();
                 expect.insert(k, 1000 + k);
             }
             for k in (0..200).step_by(3) {
@@ -1092,7 +1095,7 @@ mod tests {
         let (dev, alloc, t) = setup(TableKind::Set, 3);
         on_warp(&dev, |warp| {
             for k in (0..500).step_by(2) {
-                t.insert(warp, &alloc, k, 0).unwrap();
+                t.insert(warp, &alloc, k, 0, true).unwrap();
             }
             let mut got: Vec<u32> = vec![];
             t.for_each_entry(warp, |k, _| got.push(k));
@@ -1107,7 +1110,7 @@ mod tests {
         let (dev, alloc, t) = setup(TableKind::Map, 2);
         on_warp(&dev, |warp| {
             for k in 0..200 {
-                t.insert(warp, &alloc, k, k).unwrap();
+                t.insert(warp, &alloc, k, k, true).unwrap();
             }
             assert!(alloc.live_slabs() > 0);
             t.free_dynamic_slabs(warp, &alloc).unwrap();
@@ -1129,7 +1132,7 @@ mod tests {
         let t = TableDesc::create(&dev, TableKind::Map, buckets);
         on_warp(&dev, |warp| {
             for k in 0..n {
-                t.insert(warp, &alloc, k, k).unwrap();
+                t.insert(warp, &alloc, k, k, true).unwrap();
             }
         });
         let before = dev.counters().snapshot();
@@ -1151,7 +1154,7 @@ mod tests {
         let (dev, alloc, t) = setup(TableKind::Set, 1);
         on_warp(&dev, |warp| {
             for k in 0..15 {
-                t.insert(warp, &alloc, k, 0).unwrap();
+                t.insert(warp, &alloc, k, 0, true).unwrap();
             }
             let s = t.stats(warp);
             assert_eq!(s.live_keys, 15);
@@ -1161,57 +1164,74 @@ mod tests {
     }
 
     #[test]
-    fn insert_recycling_reuses_tombstones() {
+    fn insert_reuses_tombstones() {
         let (dev, alloc, t) = setup(TableKind::Map, 1);
         on_warp(&dev, |warp| {
-            for k in 0..10 {
-                t.insert(warp, &alloc, k, k).unwrap();
+            for k in 0..20 {
+                t.insert(warp, &alloc, k, k, true).unwrap();
             }
             for k in 0..5 {
                 t.delete(warp, k);
             }
-            // Recycling insert lands in the first tombstone: no growth.
+            // New keys land in the first tombstones: no growth.
             let slabs_before = t.stats(warp).slabs;
-            assert!(t.insert_recycling(warp, &alloc, 100, 1).unwrap());
-            assert!(t.insert_recycling(warp, &alloc, 101, 2).unwrap());
+            assert!(t.insert(warp, &alloc, 100, 1, true).unwrap());
+            assert!(t.insert(warp, &alloc, 101, 2, true).unwrap());
             let s = t.stats(warp);
             assert_eq!(s.slabs, slabs_before, "no new slabs needed");
             assert_eq!(s.tombstones, 3, "two tombstones consumed");
+            let base = warp.read_slab(t.bucket_addr(0));
+            assert_eq!((base.get(0), base.get(2)), (100, 101), "first two slots");
             assert_eq!(t.find(warp, 100), Some(1));
             assert_eq!(t.find(warp, 101), Some(2));
         });
     }
 
     #[test]
-    fn insert_recycling_keeps_uniqueness_and_replace_semantics() {
+    fn insert_over_tombstones_keeps_uniqueness_and_replace_semantics() {
         let (dev, alloc, t) = setup(TableKind::Map, 1);
         on_warp(&dev, |warp| {
-            assert!(t.insert_recycling(warp, &alloc, 7, 1).unwrap());
-            assert!(!t.insert_recycling(warp, &alloc, 7, 2).unwrap(), "replaces");
+            // Key 7 sits on the chain's second slab, behind tombstones.
+            for k in 0..20 {
+                t.insert(warp, &alloc, k, k, true).unwrap();
+            }
+            for k in 0..15 {
+                t.delete(warp, k);
+            }
+            assert!(t.insert(warp, &alloc, 7, 1, true).unwrap(), "7 was deleted");
+            assert!(!t.insert(warp, &alloc, 7, 2, true).unwrap(), "replaces");
+            assert!(
+                !t.insert(warp, &alloc, 17, 3, true).unwrap(),
+                "found past a tombstone"
+            );
             assert_eq!(t.find(warp, 7), Some(2));
-            assert_eq!(t.stats(warp).live_keys, 1);
-            // Interleaves correctly with the standard path.
+            assert_eq!(t.find(warp, 17), Some(3));
+            let s = t.stats(warp);
+            assert_eq!((s.live_keys, s.tombstones), (6, 14));
+            // Interleaves with inserts that keep tombstones.
             t.delete(warp, 7);
-            assert!(t.insert(warp, &alloc, 7, 3).unwrap());
-            assert_eq!(t.stats(warp).live_keys, 1);
+            assert!(t.insert(warp, &alloc, 7, 4, false).unwrap());
+            assert_eq!(t.stats(warp).live_keys, 6);
+            assert_eq!(t.find(warp, 7), Some(4));
         });
     }
 
     #[test]
-    fn insert_recycling_set_variant() {
+    fn insert_reuses_tombstones_in_a_set() {
         let (dev, alloc, t) = setup(TableKind::Set, 1);
         on_warp(&dev, |warp| {
             for k in 0..40 {
-                t.insert(warp, &alloc, k, 0).unwrap();
+                t.insert(warp, &alloc, k, 0, true).unwrap();
             }
             for k in 0..20 {
                 t.delete(warp, k);
             }
             let slabs_before = t.stats(warp).slabs;
             for k in 100..115 {
-                assert!(t.insert_recycling(warp, &alloc, k, 0).unwrap());
+                assert!(t.insert(warp, &alloc, k, 0, true).unwrap());
             }
             assert_eq!(t.stats(warp).slabs, slabs_before);
+            assert_eq!(t.stats(warp).tombstones, 5);
             for k in 100..115 {
                 assert!(t.find(warp, k).is_some());
             }
@@ -1219,71 +1239,143 @@ mod tests {
     }
 
     #[test]
-    fn insert_recycling_grows_when_no_tombstones() {
-        let (dev, alloc, t) = setup(TableKind::Map, 1);
-        on_warp(&dev, |warp| {
-            for k in 0..40 {
-                assert!(t.insert_recycling(warp, &alloc, k, k).unwrap(), "key {k}");
-            }
-            let s = t.stats(warp);
-            assert_eq!(s.live_keys, 40);
-            assert_eq!(s.slabs, 3, "⌈40/15⌉ slabs chained");
-            for k in 0..40 {
-                assert_eq!(t.find(warp, k), Some(k));
-            }
-        });
-    }
-
-    #[test]
-    fn concurrent_recycling_inserts_stay_unique() {
-        use gpu_sim::ExecPolicy;
-        let dev = Device::with_policy(1 << 20, ExecPolicy::Threaded(4));
-        let alloc = SlabAllocator::new(&dev, 1024);
-        let t = TableDesc::create(&dev, TableKind::Map, 1);
-        dev.launch_warps("hash_test", 1, |warp| {
-            for k in 0..12 {
-                t.insert(warp, &alloc, k, 0).unwrap();
-            }
-            for k in 0..12 {
-                t.delete(warp, k);
-            }
-        });
-        dev.launch_warps("hash_test", 16, |warp| {
-            for k in 100..108 {
-                t.insert_recycling(warp, &alloc, k, warp.warp_id()).unwrap();
-            }
-        });
-        let count = std::sync::atomic::AtomicU32::new(0);
-        dev.launch_warps("hash_test", 1, |warp| {
-            let mut seen = std::collections::HashSet::new();
-            t.for_each_entry(warp, |k, _| {
-                assert!(seen.insert(k), "duplicate {k}");
+    fn insert_grows_when_no_slot_is_free() {
+        for reuse in [false, true] {
+            let (dev, alloc, t) = setup(TableKind::Map, 1);
+            on_warp(&dev, |warp| {
+                for k in 0..40 {
+                    assert!(t.insert(warp, &alloc, k, k, reuse).unwrap(), "key {k}");
+                }
+                let s = t.stats(warp);
+                assert_eq!(s.live_keys, 40);
+                assert_eq!(s.slabs, 3, "⌈40/15⌉ slabs chained");
+                for k in 0..40 {
+                    assert_eq!(t.find(warp, k), Some(k));
+                }
             });
-            count.store(seen.len() as u32, std::sync::atomic::Ordering::Release);
-        });
-        assert_eq!(count.into_inner(), 8);
+        }
     }
 
-    #[test]
-    fn concurrent_same_key_inserts_keep_uniqueness() {
-        use gpu_sim::ExecPolicy;
-        // Many warps all replace the same small key set concurrently; the
-        // first-empty-CAS-retry protocol must never produce duplicates.
-        let dev = Device::with_policy(1 << 20, ExecPolicy::Threaded(4));
-        let alloc = SlabAllocator::new(&dev, 4096);
-        let t = TableDesc::create(&dev, TableKind::Map, 2);
-        dev.launch_warps("hash_test", 32, |warp| {
-            for k in 0..20 {
-                t.insert(warp, &alloc, k, warp.warp_id()).unwrap();
+    /// Delete every key of a one-bucket chain of `slabs` full slabs,
+    /// leaving a chain that holds only tombstones.
+    fn tombstoned_chain(kind: TableKind, slabs: usize, policy: gpu_sim::ExecPolicy) -> Setup {
+        let dev = Device::with_policy(1 << 20, policy);
+        let alloc = SlabAllocator::new(&dev, 1024);
+        let t = TableDesc::create(&dev, kind, 1);
+        let n = (kind.slab_capacity() * slabs) as u32;
+        dev.launch_warps("hash_test", 1, |warp| {
+            for k in 0..n {
+                t.insert(warp, &alloc, k, k, true).unwrap();
+            }
+            for k in 0..n {
+                assert!(t.delete(warp, k));
             }
         });
+        (dev, alloc, t)
+    }
+
+    /// Every live key of `t` with its multiplicity.
+    fn key_counts(dev: &Device, t: &TableDesc) -> std::collections::HashMap<u32, u32> {
         let counts = parking_lot::Mutex::new(std::collections::HashMap::new());
         dev.launch_warps("hash_test", 1, |warp| {
             t.for_each_entry(warp, |k, _| {
                 *counts.lock().entry(k).or_insert(0u32) += 1;
             });
         });
-        let counts = counts.into_inner();
+        counts.into_inner()
+    }
+
+    #[test]
+    fn concurrent_inserts_over_tombstones_stay_unique() {
+        use gpu_sim::ExecPolicy;
+        for kind in [TableKind::Map, TableKind::Set] {
+            let (dev, alloc, t) = tombstoned_chain(kind, 3, ExecPolicy::Threaded(4));
+            let slabs = alloc.live_slabs();
+            // 16 warps in one launch, each inserting 20 keys of 40 with
+            // heavy overlap between warps: 40 new keys fit the chain's
+            // tombstones without growing it.
+            let added = std::sync::atomic::AtomicU32::new(0);
+            dev.launch_warps("hash_test", 16, |warp| {
+                for j in 0..20 {
+                    let k = 1000 + (warp.warp_id() * 3 + j) % 40;
+                    if t.insert(warp, &alloc, k, warp.warp_id(), true).unwrap() {
+                        added.fetch_add(1, std::sync::atomic::Ordering::AcqRel);
+                    }
+                }
+            });
+            let counts = key_counts(&dev, &t);
+            assert_eq!(counts.len(), 40, "{kind:?}");
+            for (k, c) in counts {
+                assert_eq!(c, 1, "{kind:?}: key {k} stored {c} times");
+            }
+            assert_eq!(
+                added.into_inner(),
+                40,
+                "{kind:?}: exactly one claim per key"
+            );
+            assert_eq!(alloc.live_slabs(), slabs, "{kind:?}: no new slab");
+        }
+    }
+
+    #[test]
+    fn concurrent_mixed_launch_claims_no_tombstone() {
+        use gpu_sim::ExecPolicy;
+        // One launch deletes keys and inserts duplicated new keys on one
+        // chain, as a mixed update batch does: its inserts must not reuse
+        // the tombstones its deletes leave, or two warps could claim one
+        // key in two freed slots.
+        let dev = Device::with_policy(1 << 20, ExecPolicy::Threaded(4));
+        let alloc = SlabAllocator::new(&dev, 1024);
+        let t = TableDesc::create(&dev, TableKind::Map, 1);
+        dev.launch_warps("hash_test", 1, |warp| {
+            for k in 0..45 {
+                t.insert(warp, &alloc, k, k, true).unwrap();
+            }
+        });
+        let (added, deleted) = (
+            std::sync::atomic::AtomicU32::new(0),
+            std::sync::atomic::AtomicU32::new(0),
+        );
+        dev.launch_warps("hash_test", 16, |warp| {
+            let w = warp.warp_id();
+            for j in 0..6 {
+                if t.delete(warp, (w * 3 + j) % 45) {
+                    deleted.fetch_add(1, std::sync::atomic::Ordering::AcqRel);
+                }
+                if t.insert(warp, &alloc, 100 + (w + j) % 12, w, false)
+                    .unwrap()
+                {
+                    added.fetch_add(1, std::sync::atomic::Ordering::AcqRel);
+                }
+            }
+        });
+        let counts = key_counts(&dev, &t);
+        for (k, c) in &counts {
+            assert_eq!(*c, 1, "key {k} stored {c} times");
+        }
+        assert_eq!(added.into_inner(), 12);
+        let deleted = deleted.into_inner();
+        dev.launch_warps("hash_test", 1, |warp| {
+            let s = t.stats(warp);
+            assert_eq!(s.tombstones, u64::from(deleted), "every tombstone kept");
+            assert_eq!(s.live_keys, 45 + 12 - u64::from(deleted));
+        });
+    }
+
+    #[test]
+    fn concurrent_same_key_inserts_keep_uniqueness() {
+        use gpu_sim::ExecPolicy;
+        // Many warps all replace the same small key set concurrently; the
+        // first-free-CAS-retry protocol must never produce duplicates.
+        let dev = Device::with_policy(1 << 20, ExecPolicy::Threaded(4));
+        let alloc = SlabAllocator::new(&dev, 4096);
+        let t = TableDesc::create(&dev, TableKind::Map, 2);
+        dev.launch_warps("hash_test", 32, |warp| {
+            for k in 0..20 {
+                t.insert(warp, &alloc, k, warp.warp_id(), true).unwrap();
+            }
+        });
+        let counts = key_counts(&dev, &t);
         assert_eq!(counts.len(), 20);
         for (k, c) in counts {
             assert_eq!(c, 1, "key {k} stored {c} times");
@@ -1301,7 +1393,7 @@ mod tests {
         on_warp(&dev, |warp| {
             // 100 keys in one bucket: chain grows to ⌈100/15⌉ = 7 slabs.
             for k in 0..100 {
-                t.insert(warp, &alloc, k, k).unwrap();
+                t.insert(warp, &alloc, k, k, true).unwrap();
             }
             for k in 0..100 {
                 t.find(warp, k);
@@ -1354,7 +1446,7 @@ mod tests {
             on_warp(&dev, |warp| {
                 // Keys ≡ 1 (mod 3) below 720; every fifth one deleted.
                 for k in 0..240u32 {
-                    t.insert(warp, &alloc, k * 3 + 1, k * 10 + 7).unwrap();
+                    t.insert(warp, &alloc, k * 3 + 1, k * 10 + 7, true).unwrap();
                 }
                 for k in (0..240u32).step_by(5) {
                     assert!(t.delete(warp, k * 3 + 1));
@@ -1385,7 +1477,7 @@ mod tests {
             let n = 100u32;
             on_warp(&dev, |warp| {
                 for k in 0..n {
-                    t.insert(warp, &alloc, k, k).unwrap();
+                    t.insert(warp, &alloc, k, k, true).unwrap();
                 }
             });
             let charge = |f: &(dyn Fn(&Warp) + Sync)| {
@@ -1428,7 +1520,7 @@ mod tests {
         let keys = Lanes::from_fn(|i| probes[i % probes.len()]);
         on_warp(&dev, |warp| {
             for k in 0..100 {
-                t.insert(warp, &alloc, k, k).unwrap();
+                t.insert(warp, &alloc, k, k, true).unwrap();
             }
             t.find_lanes(warp, &keys, (1 << probes.len()) - 1);
         });
@@ -1451,7 +1543,7 @@ mod tests {
         let t = TableDesc::create(&dev, TableKind::Set, 4);
         dev.launch_warps("hash_test", 1, |warp| {
             for k in 0..64 {
-                t.insert(warp, &alloc, k, 0).unwrap();
+                t.insert(warp, &alloc, k, 0, true).unwrap();
             }
         });
         let deleted = std::sync::atomic::AtomicU32::new(0);
@@ -1484,7 +1576,7 @@ mod tests {
         let n = (kind.slab_capacity() * (depth - 1) + 1) as u32;
         on_warp(&dev, |warp| {
             for k in 0..n {
-                t.insert(warp, &alloc, k, k).unwrap();
+                t.insert(warp, &alloc, k, k, true).unwrap();
             }
             assert_eq!(t.stats(warp).max_chain, depth as u64);
         });
@@ -1502,10 +1594,10 @@ mod tests {
         type Op = fn(&TableDesc, &Warp, &SlabAllocator, u32);
         let ops: [(&str, Op); 8] = [
             ("insert-new", |t, w, a, _| {
-                assert!(t.insert(w, a, NEW_KEY, 7).unwrap())
+                assert!(t.insert(w, a, NEW_KEY, 7, true).unwrap())
             }),
             ("insert-existing", |t, w, a, last| {
-                assert!(!t.insert(w, a, last, 7).unwrap())
+                assert!(!t.insert(w, a, last, 7, true).unwrap())
             }),
             ("find-hit", |t, w, _, last| {
                 assert!(t.find(w, last).is_some())
@@ -1599,6 +1691,36 @@ mod tests {
         }
     }
 
+    /// A new key's exact charges on a one-bucket chain of 3 slabs whose
+    /// first key was deleted: the walk reads every slab and ballots for
+    /// the key on each, but for a free slot only until it sees one. With
+    /// reuse the tombstone on the base slab is free; without, only the
+    /// tail's EMPTY slots are.
+    #[test]
+    fn insert_over_a_tombstone_charges_are_pinned() {
+        for kind in [TableKind::Map, TableKind::Set] {
+            for (reuse, ballots, tombstones) in [(true, 4, 0), (false, 6, 1)] {
+                let charges = op_charges(kind, 3, |t, w, a, _| {
+                    w.uncharged(|w| assert!(t.delete(w, 0)));
+                    assert!(t.insert(w, a, NEW_KEY, 7, reuse).unwrap());
+                    w.uncharged(|w| assert_eq!(t.stats(w).tombstones, tombstones));
+                });
+                assert_eq!(
+                    charges,
+                    gpu_sim::CounterSnapshot {
+                        transactions: 3,
+                        atomics: 1,
+                        ballots,
+                        launches: 1,
+                        warps: 1,
+                        ..Default::default()
+                    },
+                    "{kind:?}, reuse {reuse}"
+                );
+            }
+        }
+    }
+
     /// `compact`'s exact charges on a one-bucket table whose chain is
     /// `depth` slabs long, after deleting its first `deleted` keys: one
     /// read and one live-lane ballot per slab plus an EMPTY ballot on the
@@ -1662,7 +1784,7 @@ mod tests {
             let (dev, alloc, t) = setup(kind, 4);
             on_warp(&dev, |warp| {
                 for k in 0..400u32 {
-                    t.insert(warp, &alloc, k, 5 * k + 1).unwrap();
+                    t.insert(warp, &alloc, k, 5 * k + 1, true).unwrap();
                 }
                 // Every third key, and a long run that empties whole slabs.
                 for k in (0..400u32).filter(|k| k % 3 == 0 || (100..220).contains(k)) {
@@ -1718,7 +1840,7 @@ mod tests {
             on_warp(&dev, |warp| {
                 let n = 2 * kind.slab_capacity() as u32 + 5;
                 for k in 0..n {
-                    t.insert(warp, &alloc, k, k).unwrap();
+                    t.insert(warp, &alloc, k, k, true).unwrap();
                 }
                 for k in 0..n {
                     assert!(t.delete(warp, k));
@@ -1739,7 +1861,7 @@ mod tests {
                     };
                     assert_eq!(base.get(lane), want, "{kind:?} lane {lane}");
                 }
-                assert!(t.insert(warp, &alloc, 7, 70).unwrap(), "reusable");
+                assert!(t.insert(warp, &alloc, 7, 70, true).unwrap(), "reusable");
                 assert_eq!(
                     t.find(warp, 7),
                     Some(if kind == TableKind::Map { 70 } else { 0 })

@@ -244,9 +244,9 @@ fn read_charges_are_pinned() {
         (
             "SlabGraph",
             [
-                [142, 0, 315, 64, 1, 4, 384],
+                [140, 0, 315, 64, 1, 4, 384],
                 [8, 0, 0, 0, 8, 8, 0],
-                [1314, 0, 4155, 492, 1, 147, 7968],
+                [1297, 0, 4155, 492, 1, 147, 7968],
                 [64, 0, 0, 0, 64, 64, 0],
             ],
         ),
@@ -280,9 +280,9 @@ fn read_charges_are_pinned() {
         (
             "ShardedSlabGraph",
             [
-                [148, 0, 317, 64, 3, 6, 576],
+                [146, 0, 317, 64, 3, 6, 576],
                 [8, 0, 0, 0, 8, 8, 0],
-                [1190, 0, 3993, 432, 43, 148, 8064],
+                [1180, 0, 3993, 432, 43, 148, 8064],
                 [64, 0, 0, 0, 64, 64, 0],
             ],
         ),
@@ -345,9 +345,9 @@ fn update_charges_are_pinned() {
     // [transactions, atomics, ballots, shuffles, launches, warps,
     // words_allocated] and the changed count, per batch.
     let expected: [(&str, [u64; 7], u64); 3] = [
-        ("base insert", [1143, 1064, 2587, 473, 1, 19, 2425], 552),
-        ("insert", [575, 441, 1172, 229, 1, 10, 1262], 164),
-        ("delete", [538, 373, 1042, 223, 1, 9, 858], 201),
+        ("base insert", [1129, 1064, 2587, 473, 1, 19, 2425], 552),
+        ("insert", [568, 441, 1172, 229, 1, 10, 1262], 164),
+        ("delete", [530, 373, 1042, 223, 1, 9, 858], 201),
     ];
     let batches: [(&str, &[Edge], bool); 3] = [
         ("base insert", &base, true),

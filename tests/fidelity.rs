@@ -3,11 +3,16 @@
 //! run_all`). EXPERIMENTS.md records each claim's verdict; this test keeps
 //! a regenerated artifact from silently breaking one. Absolute rates are
 //! not gated here, only orderings, trends and crossovers.
+//!
+//! Each claim is a predicate over its table, and each has a second test
+//! that perturbs a copy of the committed table the way a broken
+//! reproduction would and asserts that the predicate rejects it.
 
 use dynamic_graphs_gpu::gpu_sim::json::Json;
 use dynamic_graphs_gpu::graph_gen::catalog::{self, Family};
 
 /// One rendered table: its headers and its rows of cell text.
+#[derive(Clone)]
 struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -32,6 +37,12 @@ impl Table {
                     .unwrap_or_else(|_| panic!("{header}: {:?} is not a number", r[c]))
             })
             .collect()
+    }
+
+    /// Overwrite the numeric cell of column `header` in row `row`.
+    fn set(&mut self, row: usize, header: &str, value: f64) {
+        let c = self.col(header);
+        self.rows[row][c] = value.to_string();
     }
 
     /// The dataset family of each row, from its first cell.
@@ -87,37 +98,44 @@ fn table(id: &str) -> Table {
         .1
 }
 
+/// A claim's verdict: `Err` names the row or series that breaks it.
+type Verdict = Result<(), String>;
+
 /// Table II: ours beats Hornet and faimGraph at every batch size, and all
 /// three insertion rates grow with the batch.
-#[test]
-fn table2_ours_wins_every_batch_and_all_rates_grow() {
-    let t = table("table2");
+fn table2_ours_wins_every_batch(t: &Table) -> Verdict {
     let ours = t.nums("Ours");
     for rival in ["Hornet", "faimGraph"] {
         for (i, (o, r)) in ours.iter().zip(t.nums(rival)).enumerate() {
-            assert!(*o > r, "batch {}: ours {o} vs {rival} {r}", t.rows[i][0]);
+            if *o <= r {
+                return Err(format!("batch {}: ours {o} vs {rival} {r}", t.rows[i][0]));
+            }
         }
     }
     for name in ["Hornet", "faimGraph", "Ours"] {
         let rates = t.nums(name);
-        assert!(
-            rates.windows(2).all(|w| w[0] < w[1]),
-            "{name}'s rate does not grow with the batch: {rates:?}"
-        );
+        if !rates.windows(2).all(|w| w[0] < w[1]) {
+            return Err(format!(
+                "{name}'s rate does not grow with the batch: {rates:?}"
+            ));
+        }
     }
+    Ok(())
+}
+
+/// The Hornet/ours bulk-build ratio of each Table V row.
+fn table5_ratios(t: &Table) -> Vec<f64> {
+    t.nums("Hornet")
+        .iter()
+        .zip(t.nums("Ours"))
+        .map(|(h, o)| h / o)
+        .collect()
 }
 
 /// Table V: the Hornet/ours bulk-build ratio is larger on every road
 /// network than on any scale-free graph.
-#[test]
-fn table5_speedup_is_larger_on_road_networks_than_scale_free() {
-    let t = table("table5");
-    let ratios: Vec<f64> = t
-        .nums("Hornet")
-        .iter()
-        .zip(t.nums("Ours"))
-        .map(|(h, o)| h / o)
-        .collect();
+fn table5_road_beats_scale_free(t: &Table) -> Verdict {
+    let ratios = table5_ratios(t);
     let of = |family: Family| -> Vec<f64> {
         ratios
             .iter()
@@ -127,54 +145,140 @@ fn table5_speedup_is_larger_on_road_networks_than_scale_free() {
             .collect()
     };
     let (road, scale_free) = (of(Family::Road), of(Family::ScaleFree));
-    assert!(!road.is_empty() && !scale_free.is_empty());
+    if road.is_empty() || scale_free.is_empty() {
+        return Err("no road or no scale-free row".into());
+    }
     let least_road = road.iter().copied().fold(f64::INFINITY, f64::min);
     let most_scale_free = scale_free.iter().copied().fold(0.0, f64::max);
-    assert!(
-        least_road > most_scale_free,
-        "road ratios {road:?} vs scale-free ratios {scale_free:?}"
-    );
+    if least_road <= most_scale_free {
+        return Err(format!(
+            "road ratios {road:?} vs scale-free ratios {scale_free:?}"
+        ));
+    }
+    Ok(())
 }
 
 /// Table VIII: faimGraph's per-list sort beats the CUB-style CSR sort on
 /// every graph with a small maximum degree and loses on every scale-free
 /// graph.
-#[test]
-fn table8_sort_crossover_holds() {
-    let t = table("table8");
+fn table8_sort_crossover(t: &Table) -> Verdict {
     let cub = t.nums("Sort CSR (CUB-style)");
     let faim = t.nums("Sort faimGraph");
     for (i, family) in t.families().into_iter().enumerate() {
-        let faim_wins = faim[i] < cub[i];
-        assert_eq!(
-            faim_wins,
-            family != Family::ScaleFree,
-            "{} ({family:?}): CUB {} vs faimGraph {}",
-            t.rows[i][0],
-            cub[i],
-            faim[i]
-        );
+        if (faim[i] < cub[i]) != (family != Family::ScaleFree) {
+            return Err(format!(
+                "{} ({family:?}): CUB {} vs faimGraph {}",
+                t.rows[i][0], cub[i], faim[i]
+            ));
+        }
     }
+    Ok(())
+}
+
+/// Fig. 2's average-degree series: per series, the row indices sorted by
+/// average chain length.
+fn fig2_series(t: &Table) -> Vec<Vec<usize>> {
+    let (degree, chain) = (t.col("avg degree"), t.nums("avg chain"));
+    let mut names: Vec<&str> = t.rows.iter().map(|r| r[degree].as_str()).collect();
+    names.dedup();
+    names
+        .into_iter()
+        .map(|s| {
+            let mut rows: Vec<usize> = (0..t.rows.len())
+                .filter(|&i| t.rows[i][degree] == s)
+                .collect();
+            rows.sort_by(|&a, &b| chain[a].total_cmp(&chain[b]));
+            rows
+        })
+        .collect()
 }
 
 /// Fig. 2: within each average-degree series, the insertion rate does not
 /// rise as the average chain grows.
+fn fig2_rate_decays_with_chain_length(t: &Table) -> Verdict {
+    let series = fig2_series(t);
+    if series.len() < 2 {
+        return Err(format!("{} series, want several", series.len()));
+    }
+    let (chain, rate) = (t.nums("avg chain"), t.nums("MEdge/s"));
+    for rows in series {
+        if !rows.windows(2).all(|w| rate[w[1]] <= rate[w[0]]) {
+            let points: Vec<(f64, f64)> = rows.iter().map(|&i| (chain[i], rate[i])).collect();
+            return Err(format!(
+                "degree-{} series: rate rises with chain length: {points:?}",
+                t.rows[rows[0]][0]
+            ));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn table2_ours_wins_every_batch_and_all_rates_grow() {
+    table2_ours_wins_every_batch(&table("table2")).unwrap();
+}
+
+#[test]
+fn table2_claim_rejects_a_rival_that_wins_one_batch() {
+    let mut t = table("table2");
+    let last = t.rows.len() - 1;
+    let ours = t.nums("Ours")[last];
+    t.set(last, "faimGraph", ours * 1.01);
+    assert!(table2_ours_wins_every_batch(&t).is_err());
+}
+
+#[test]
+fn table5_speedup_is_larger_on_road_networks_than_scale_free() {
+    table5_road_beats_scale_free(&table("table5")).unwrap();
+}
+
+#[test]
+fn table5_claim_rejects_a_scale_free_speedup_above_a_road_one() {
+    let mut t = table("table5");
+    let ratios = table5_ratios(&t);
+    let families = t.families();
+    let least_road = (0..ratios.len())
+        .filter(|&i| families[i] == Family::Road)
+        .map(|i| ratios[i])
+        .fold(f64::INFINITY, f64::min);
+    let scale_free = families
+        .iter()
+        .position(|f| *f == Family::ScaleFree)
+        .expect("a scale-free row");
+    let ours = t.nums("Ours")[scale_free];
+    t.set(scale_free, "Hornet", ours * least_road * 1.01);
+    assert!(table5_road_beats_scale_free(&t).is_err());
+}
+
+#[test]
+fn table8_sort_crossover_holds() {
+    table8_sort_crossover(&table("table8")).unwrap();
+}
+
+#[test]
+fn table8_claim_rejects_faimgraph_winning_on_a_scale_free_graph() {
+    let mut t = table("table8");
+    let scale_free = t
+        .families()
+        .iter()
+        .position(|f| *f == Family::ScaleFree)
+        .expect("a scale-free row");
+    let cub = t.nums("Sort CSR (CUB-style)")[scale_free];
+    t.set(scale_free, "Sort faimGraph", cub * 0.99);
+    assert!(table8_sort_crossover(&t).is_err());
+}
+
 #[test]
 fn fig2_insert_rate_does_not_rise_with_chain_length() {
-    let t = table("fig2");
-    let (degree, chain, rate) = (t.col("avg degree"), t.nums("avg chain"), t.nums("MEdge/s"));
-    let mut series: Vec<&str> = t.rows.iter().map(|r| r[degree].as_str()).collect();
-    series.dedup();
-    assert!(series.len() > 1);
-    for s in series {
-        let mut points: Vec<(f64, f64)> = (0..t.rows.len())
-            .filter(|&i| t.rows[i][degree] == s)
-            .map(|i| (chain[i], rate[i]))
-            .collect();
-        points.sort_by(|a, b| a.0.total_cmp(&b.0));
-        assert!(
-            points.windows(2).all(|w| w[1].1 <= w[0].1),
-            "degree-{s} series: rate rises with chain length: {points:?}"
-        );
-    }
+    fig2_rate_decays_with_chain_length(&table("fig2")).unwrap();
+}
+
+#[test]
+fn fig2_claim_rejects_a_rate_that_rises_at_the_longest_chain() {
+    let mut t = table("fig2");
+    let rows = fig2_series(&t).swap_remove(0);
+    let (shortest, longest) = (rows[0], rows[rows.len() - 1]);
+    let top = t.nums("MEdge/s")[shortest];
+    t.set(longest, "MEdge/s", top * 1.01);
+    assert!(fig2_rate_decays_with_chain_length(&t).is_err());
 }
