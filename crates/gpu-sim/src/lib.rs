@@ -74,7 +74,7 @@ pub use lanes::{
 };
 pub use memory::{Addr, NULL_ADDR, SLAB_WORDS};
 pub use metrics::{
-    Gauge, Histogram, HistogramSnapshot, MetricKind, MetricSummary, MetricsRegistry,
+    Gauge, Histogram, HistogramSnapshot, MetricKind, MetricSummary, MetricsRegistry, StatCounter,
 };
 pub use profiler::{
     chrome_trace_json, op_flow_events, parse_chrome_trace, ChromeEvent, PhaseGuard, Profiler,

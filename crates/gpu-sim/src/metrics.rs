@@ -1,4 +1,5 @@
-//! Metrics registry: named log2-bucketed histograms and gauges.
+//! Metrics registry: named log2-bucketed histograms and gauges, plus the
+//! always-on [`StatCounter`].
 //!
 //! The profiler's timeline (see [`crate::profiler`]) answers *when* work
 //! happened; the metrics registry answers *how it was distributed*: probe
@@ -202,6 +203,32 @@ impl Gauge {
             p95: v,
             p99: v,
         }
+    }
+}
+
+/// A monotonic statistics counter that is always on (no profiler needed).
+///
+/// Its value is only ever a count or a unique ticket: no reader infers
+/// from it that some other memory is visible, so `Relaxed` ordering is
+/// correct here, and this type keeps that ordering inside gpu-sim.
+#[derive(Debug, Default)]
+pub struct StatCounter(AtomicU64);
+
+impl StatCounter {
+    /// A counter starting at `v` (usable in a `static`).
+    pub const fn new(v: u64) -> Self {
+        StatCounter(AtomicU64::new(v))
+    }
+
+    /// Add `n`; returns the value before the add (a unique ticket when
+    /// `n` is 1).
+    pub fn add(&self, n: u64) -> u64 {
+        self.0.fetch_add(n, Ordering::Relaxed)
+    }
+
+    /// The current value.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -417,6 +444,23 @@ mod tests {
         let g = Gauge::default();
         g.sub(7);
         assert_eq!(g.value(), 0);
+    }
+
+    #[test]
+    fn stat_counter_hands_out_unique_tickets() {
+        static TICKETS: StatCounter = StatCounter::new(1);
+        let seen: Vec<u64> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| (0..100).map(|_| TICKETS.add(1)).collect::<Vec<_>>()))
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        let unique: std::collections::HashSet<u64> = seen.iter().copied().collect();
+        assert_eq!(unique.len(), 400);
+        assert_eq!(TICKETS.get(), 401);
     }
 
     #[test]

@@ -7,9 +7,13 @@
 //! - The pool grows in **super-blocks** of 32 **memory blocks**; each memory
 //!   block holds 32 slabs tracked by one 32-bit occupancy bitmap word that
 //!   lives in device memory.
-//! - **Allocation** is warp-cooperative: a warp hashes to a memory block,
-//!   reads its bitmap, picks a free bit, and claims it with `atomicOr`;
-//!   on conflict or a full block it rehashes to another block.
+//! - **Allocation** is warp-cooperative: a warp hashes to a home memory
+//!   block and reads its super-block's 32 bitmap words in one coalesced
+//!   load (lane *b* holds block *b*'s word). It claims a free bit of the
+//!   home word with `atomicOr`, or else ballots for the first block with a
+//!   free bit. A full super-block sends it to the others, newest first, one
+//!   read and one ballot each; the pool grows only when all of them are
+//!   full.
 //! - **Freeing** clears the bit with `atomicAnd`. The paper frees collision
 //!   slabs only during vertex deletion.
 //!
@@ -33,10 +37,9 @@
 // A guard bound to `_` drops at once and pins nothing.
 #![cfg_attr(not(test), deny(let_underscore_drop))]
 
-use gpu_sim::{Addr, Device, OomError, Profiler, Sanitizer, Warp, SLAB_WORDS};
+use gpu_sim::{Addr, Device, Lanes, OomError, Profiler, Sanitizer, StatCounter, Warp, SLAB_WORDS};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Sentinel filled into newly allocated slabs (matches slab-hash `EMPTY`).
@@ -102,7 +105,7 @@ const QUARANTINE_SLABS: usize = 1024;
 /// model per allocator (see [`Sanitizer::on_pin`]) so a guard on one
 /// graph cannot certify quarantined-slab reads of another graph sharing
 /// the device.
-static NEXT_ALLOC_ID: AtomicU64 = AtomicU64::new(1);
+static NEXT_ALLOC_ID: StatCounter = StatCounter::new(1);
 
 /// Freed slabs whose occupancy bit is deliberately left claimed until it is
 /// safe to recycle them.
@@ -229,8 +232,8 @@ struct SuperBlock {
 /// lock; the hot path takes a read lock only.
 pub struct SlabAllocator {
     supers: RwLock<Vec<SuperBlock>>,
-    allocated: AtomicU64,
-    freed: AtomicU64,
+    allocated: StatCounter,
+    freed: StatCounter,
     quarantine: Mutex<Quarantine>,
     pins: Arc<PinRegistry>,
     /// Process-unique identity keying the sanitizer's pin model.
@@ -243,26 +246,31 @@ impl SlabAllocator {
     pub fn new(dev: &Device, initial_slabs: usize) -> Self {
         let alloc = SlabAllocator {
             supers: RwLock::new(Vec::new()),
-            allocated: AtomicU64::new(0),
-            freed: AtomicU64::new(0),
+            allocated: StatCounter::default(),
+            freed: StatCounter::default(),
             quarantine: Mutex::new(Quarantine::default()),
             pins: Arc::new(PinRegistry::default()),
-            id: NEXT_ALLOC_ID.fetch_add(1, Ordering::Relaxed),
+            id: NEXT_ALLOC_ID.add(1),
         };
         let supers_needed = initial_slabs.div_ceil(SLABS_PER_SUPER).max(1);
-        for _ in 0..supers_needed {
+        for seen in 0..supers_needed {
             alloc
-                .try_grow(dev)
+                .try_grow(dev, seen)
                 .unwrap_or_else(|e| panic!("initial slab pool allocation failed: {e}"));
         }
         alloc
     }
 
-    /// Add one super-block to the pool. The bitmaps and slab storage come
-    /// from a *single* arena allocation so a capacity failure can never
-    /// strand a half-built super-block (the bump arena cannot free).
-    fn try_grow(&self, dev: &Device) -> Result<(), OomError> {
+    /// Add one super-block to the pool, unless it already holds more than
+    /// the `seen` super-blocks the caller found full (a racing warp grew
+    /// it); returns the new super-block count. The bitmaps and slab storage
+    /// come from a *single* arena allocation so a capacity failure can
+    /// never strand a half-built super-block (the bump arena cannot free).
+    fn try_grow(&self, dev: &Device, seen: usize) -> Result<usize, OomError> {
         let mut supers = self.supers.write();
+        if supers.len() > seen {
+            return Ok(supers.len());
+        }
         // Layout: 32 bitmap words, then the 1024 slabs. BLOCKS_PER_SUPER is
         // a multiple of SLAB_WORDS' alignment, so both regions stay
         // slab-aligned.
@@ -283,17 +291,17 @@ impl SlabAllocator {
                 format!("super-blocks: {}, pool words: {words}", supers.len()),
             );
         }
-        Ok(())
+        Ok(supers.len())
     }
 
     /// Number of slabs currently live (allocated − freed).
     pub fn live_slabs(&self) -> u64 {
-        self.allocated.load(Ordering::Relaxed) - self.freed.load(Ordering::Relaxed)
+        self.allocated.get() - self.freed.get()
     }
 
     /// Total slabs ever allocated.
     pub fn total_allocated(&self) -> u64 {
-        self.allocated.load(Ordering::Relaxed)
+        self.allocated.get()
     }
 
     /// Total pool capacity in slabs.
@@ -318,8 +326,26 @@ impl SlabAllocator {
     /// Warp-cooperative allocation of one slab.
     ///
     /// The returned address is slab-aligned and its 32 words are initialised
-    /// to [`SLAB_INIT_WORD`]. Charges: one transaction per bitmap probe, one
-    /// atomic per claim attempt, one transaction for the init write.
+    /// to [`SLAB_INIT_WORD`]. The warp probes whole super-blocks: one probe
+    /// is one coalesced read of a super-block's 32 bitmap words, lane *b*
+    /// holding memory block *b*'s word. The probe order:
+    ///
+    /// 1. The **home block** `hash_block(warp id, nonce) % blocks`. If its
+    ///    word has a free bit, the warp claims it without a ballot.
+    /// 2. Otherwise one ballot over the home super-block's words picks the
+    ///    first free block at or after the home block's lane (cyclically).
+    /// 3. Then every other super-block, **newest to oldest**, one read and
+    ///    one ballot each: the pool grows a super-block at a time, so the
+    ///    newest one holds most of the free slabs.
+    /// 4. Only when every super-block was read and none had a free bit
+    ///    does the pool grow, and the warp probes the new super-block(s).
+    ///
+    /// Each super-block is read at most once per call. Charges: one
+    /// transaction per super-block read, one ballot per probe that needs
+    /// one, one atomic for the claim, one transaction for the init write —
+    /// a home-word hit is 2 transactions, 1 atomic and no ballot. A claim
+    /// lost to a racing warp is speculative and uncharged: the warp folds
+    /// the returned bitmap into its copy and picks again from the same read.
     ///
     /// This is the fallible allocation site of the whole stack: it consults
     /// the device's fault plan (once per call) and propagates capacity
@@ -328,60 +354,91 @@ impl SlabAllocator {
     pub fn try_allocate(&self, warp: &Warp) -> Result<Addr, AllocError> {
         warp.device().fault_check()?;
         self.drain_quarantine(warp.device());
-        loop {
-            let n_supers = self.supers.read().len();
-            // Probe sequence seeded by warp id and a per-call nonce derived
-            // from the allocation counter, mimicking SlabAlloc's hashed
-            // resident-block strategy.
-            let nonce = self.allocated.load(Ordering::Relaxed) as u32;
-            let total_blocks = n_supers * BLOCKS_PER_SUPER;
-            for attempt in 0..total_blocks.max(1) {
-                let h = hash_block(warp.warp_id(), nonce, attempt as u32);
-                let block_idx = (h as usize) % total_blocks;
-                let (sb, block_in_super) = {
-                    let supers = self.supers.read();
-                    (
-                        supers[block_idx / BLOCKS_PER_SUPER],
-                        block_idx % BLOCKS_PER_SUPER,
-                    )
-                };
-                let bitmap_addr = sb.bitmaps + block_in_super as u32;
-                let mut bitmap = warp.read_word(bitmap_addr);
-                while bitmap != u32::MAX {
-                    let slot = (!bitmap).trailing_zeros();
-                    // The claim is speculative: a sequential executor never
-                    // issues a failing atomicOr (it always sees the current
-                    // bitmap), so a lost race must not be charged.
-                    warp.begin_attempt();
-                    let prev = warp.atomic_or(bitmap_addr, 1 << slot);
-                    if prev & (1 << slot) == 0 {
-                        warp.commit_attempt();
-                        // Claimed. Initialise the slab to the EMPTY pattern.
-                        self.allocated.fetch_add(1, Ordering::Relaxed);
-                        let slab_idx = block_in_super * SLABS_PER_BLOCK + slot as usize;
-                        let addr = sb.slabs + (slab_idx * SLAB_WORDS) as u32;
-                        if let Some(san) = warp.device().sanitizer() {
-                            san.on_slab_alloc(addr, warp.kernel_name(), self.id);
-                        }
-                        if let Some(p) = warp.device().profiler() {
-                            p.metrics().gauge("slab_alloc.live_slabs").add(1);
-                            warp.device().instant(
-                                "slab_alloc",
-                                format!("slab {addr:#x} by {}", warp.kernel_name()),
-                            );
-                        }
-                        let init = gpu_sim::Lanes::splat(SLAB_INIT_WORD);
-                        warp.write_slab(addr, &init);
-                        return Ok(addr);
-                    }
-                    // Raced: another warp took the bit; retry on updated map.
-                    warp.abort_attempt();
-                    bitmap = prev | (1 << slot);
+        // The home block is seeded by warp id and a per-call nonce derived
+        // from the allocation counter, SlabAlloc's hashed resident block.
+        let mut n_supers = self.supers.read().len();
+        let home = hash_block(warp.warp_id(), self.allocated.get() as u32) as usize
+            % (n_supers * BLOCKS_PER_SUPER);
+        let (home_super, home_lane) = (home / BLOCKS_PER_SUPER, home % BLOCKS_PER_SUPER);
+        let mut reads = 0;
+        let mut probe = |s: usize| {
+            reads += 1;
+            self.claim_in(warp, s, home_lane, s == home_super)
+        };
+        let mut lo = 0;
+        let addr = match probe(home_super) {
+            Some(addr) => addr,
+            None => loop {
+                let mut newest_first = (lo..n_supers).rev().filter(|&s| s != home_super);
+                if let Some(addr) = newest_first.find_map(&mut probe) {
+                    break addr;
                 }
-            }
-            // Every probed block was full: grow the pool and retry.
-            self.try_grow(warp.device())?;
+                // A whole pass saw no free bit: grow (unless a racing warp
+                // already did) and probe the super-blocks added since.
+                lo = n_supers;
+                n_supers = self.try_grow(warp.device(), n_supers)?;
+            },
+        };
+        if let Some(p) = warp.device().profiler() {
+            p.metrics().record("slab_alloc.bitmap_reads", reads);
         }
+        Ok(addr)
+    }
+
+    /// One probe of super-block `s`: read its 32 bitmap words in one
+    /// coalesced load and claim a free slab, trying `start_lane`'s word
+    /// without a ballot when `home`, else balloting for the first free
+    /// word at or after `start_lane`. Returns the initialised slab, or
+    /// `None` when every word is full.
+    fn claim_in(&self, warp: &Warp, s: usize, start_lane: usize, home: bool) -> Option<Addr> {
+        let sb = self.supers.read()[s];
+        let mut words = warp.read_slab(sb.bitmaps);
+        loop {
+            // The pick and the claim are one speculative attempt: a
+            // sequential executor never issues a failing atomicOr (it
+            // always sees the current bitmap), so a lost race must charge
+            // neither.
+            warp.begin_attempt();
+            let lane = if home && words.0[start_lane] != u32::MAX {
+                start_lane
+            } else {
+                let free = warp.ballot(&Lanes::from_fn(|b| words.0[b] != u32::MAX));
+                if free == 0 {
+                    warp.commit_attempt();
+                    return None;
+                }
+                (start_lane + free.rotate_right(start_lane as u32).trailing_zeros() as usize)
+                    % BLOCKS_PER_SUPER
+            };
+            let slot = (!words.0[lane]).trailing_zeros();
+            let prev = warp.atomic_or(sb.bitmaps + lane as u32, 1 << slot);
+            if prev & (1 << slot) == 0 {
+                warp.commit_attempt();
+                let slab_idx = lane * SLABS_PER_BLOCK + slot as usize;
+                return Some(self.init_claimed(warp, sb.slabs, slab_idx));
+            }
+            // Raced: another warp took the bit; pick again on the updated word.
+            warp.abort_attempt();
+            words.0[lane] = prev | (1 << slot);
+        }
+    }
+
+    /// Account for a claimed slab and initialise it to the EMPTY pattern.
+    fn init_claimed(&self, warp: &Warp, slabs: Addr, slab_idx: usize) -> Addr {
+        self.allocated.add(1);
+        let addr = slabs + (slab_idx * SLAB_WORDS) as u32;
+        if let Some(san) = warp.device().sanitizer() {
+            san.on_slab_alloc(addr, warp.kernel_name(), self.id);
+        }
+        if let Some(p) = warp.device().profiler() {
+            p.metrics().gauge("slab_alloc.live_slabs").add(1);
+            warp.device().instant(
+                "slab_alloc",
+                format!("slab {addr:#x} by {}", warp.kernel_name()),
+            );
+        }
+        warp.write_slab(addr, &Lanes::splat(SLAB_INIT_WORD));
+        addr
     }
 
     /// Warp-cooperative free of a slab previously returned by
@@ -428,7 +485,7 @@ impl SlabAllocator {
                 format!("slab {addr:#x} quarantined by {}", warp.kernel_name()),
             );
         }
-        self.freed.fetch_add(1, Ordering::Relaxed);
+        self.freed.add(1);
         Ok(())
     }
 
@@ -601,13 +658,12 @@ impl SlabAllocator {
     }
 }
 
-/// Mixing hash for the probe sequence (xorshift-multiply).
+/// Mixing hash for an allocation's home block (xorshift-multiply).
 #[inline]
-fn hash_block(warp_id: u32, nonce: u32, attempt: u32) -> u32 {
+fn hash_block(warp_id: u32, nonce: u32) -> u32 {
     let mut x = warp_id
         .wrapping_mul(0x9E37_79B9)
-        .wrapping_add(nonce.wrapping_mul(0x85EB_CA6B))
-        .wrapping_add(attempt.wrapping_mul(0xC2B2_AE35));
+        .wrapping_add(nonce.wrapping_mul(0x85EB_CA6B));
     x ^= x >> 16;
     x = x.wrapping_mul(0x7FEB_352D);
     x ^= x >> 15;
@@ -617,7 +673,7 @@ fn hash_block(warp_id: u32, nonce: u32, attempt: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::{Device, ExecPolicy};
+    use gpu_sim::{CounterSnapshot, Device, ExecPolicy};
 
     fn with_warp(dev: &Device, f: impl Fn(&Warp) + Sync) {
         dev.launch_warps("alloc_test", 1, |warp| f(warp));
@@ -925,6 +981,25 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_fill_grows_the_pool_once() {
+        // 64 racing warps claim exactly two super-blocks' worth of slabs
+        // from a one-super-block pool. Nothing is freed, so a warp still
+        // waiting for a slab can never see every bit taken: the pool must
+        // grow exactly once, however many warps find the first one full.
+        let dev = Device::with_policy(1 << 20, ExecPolicy::Threaded(4));
+        let alloc = SlabAllocator::new(&dev, SLABS_PER_SUPER);
+        let seen = parking_lot::Mutex::new(std::collections::HashSet::new());
+        dev.launch_warps("alloc_test", 64, |warp| {
+            for _ in 0..2 * SLABS_PER_SUPER / 64 {
+                let a = alloc.allocate(warp);
+                assert!(seen.lock().insert(a), "duplicate slab under threads");
+            }
+        });
+        assert_eq!(alloc.live_slabs() as usize, 2 * SLABS_PER_SUPER);
+        assert_eq!(alloc.capacity_slabs(), 2 * SLABS_PER_SUPER);
+    }
+
+    #[test]
     fn profiler_observes_allocator_events() {
         use gpu_sim::{DeviceConfig, ProfilerConfig};
         let dev = Device::with_config(
@@ -955,16 +1030,152 @@ mod tests {
         assert!(pool.max >= (SLABS_PER_SUPER * SLAB_WORDS) as u64);
     }
 
-    #[test]
-    fn allocation_charges_counters() {
-        let dev = Device::new(1 << 16);
-        let alloc = SlabAllocator::new(&dev, 64);
+    /// The home block of the next allocation by warp `warp_id`, as
+    /// (super-block, lane).
+    fn home_of(alloc: &SlabAllocator, warp_id: u32) -> (usize, usize) {
+        let blocks = alloc.supers.read().len() * BLOCKS_PER_SUPER;
+        let home = hash_block(warp_id, alloc.allocated.get() as u32) as usize % blocks;
+        (home / BLOCKS_PER_SUPER, home % BLOCKS_PER_SUPER)
+    }
+
+    /// Mark every slab of super-block `s` claimed, straight in its bitmaps.
+    fn fill_super(dev: &Device, alloc: &SlabAllocator, s: usize) {
+        dev.host_write(
+            alloc.supers.read()[s].bitmaps,
+            &[u32::MAX; BLOCKS_PER_SUPER],
+        );
+    }
+
+    /// The charges of one allocation by warp 0.
+    fn allocation_charges(dev: &Device, alloc: &SlabAllocator) -> CounterSnapshot {
         let before = dev.counters().snapshot();
-        with_warp(&dev, |warp| {
+        with_warp(dev, |warp| {
             alloc.allocate(warp);
         });
-        let d = dev.counters().snapshot().delta(&before);
-        assert!(d.transactions >= 2, "bitmap probe + slab init");
-        assert!(d.atomics >= 1, "bitmap claim");
+        dev.counters().snapshot().delta(&before)
+    }
+
+    #[test]
+    fn allocation_charges_counters() {
+        let charges = |d: CounterSnapshot| (d.transactions, d.atomics, d.ballots);
+        // A home-word hit: one bitmap read, the claim, the init write.
+        let dev = Device::new(1 << 16);
+        let alloc = SlabAllocator::new(&dev, 64);
+        assert_eq!(charges(allocation_charges(&dev, &alloc)), (2, 1, 0));
+
+        // The home word is full but its super-block has room: the same
+        // read, plus one ballot to pick another block.
+        let dev = Device::new(1 << 16);
+        let alloc = SlabAllocator::new(&dev, 64);
+        let (s, lane) = home_of(&alloc, 0);
+        dev.host_write(alloc.supers.read()[s].bitmaps + lane as u32, &[u32::MAX]);
+        assert_eq!(charges(allocation_charges(&dev, &alloc)), (2, 1, 1));
+
+        // Only the newest super-block has room: the home super-block's read
+        // and ballot, then the newest one's; the middle one is never read.
+        let dev = Device::new(1 << 16);
+        let alloc = SlabAllocator::new(&dev, 3 * SLABS_PER_SUPER);
+        let (home, _) = home_of(&alloc, 0);
+        assert_ne!(home, 2, "the home super-block must not be the newest");
+        fill_super(&dev, &alloc, 0);
+        fill_super(&dev, &alloc, 1);
+        assert_eq!(charges(allocation_charges(&dev, &alloc)), (3, 1, 2));
+    }
+
+    #[test]
+    fn full_pool_reads_each_super_block_once_then_grows() {
+        for k in [1, 4] {
+            let dev = Device::new(1 << 16);
+            let alloc = SlabAllocator::new(&dev, k * SLABS_PER_SUPER);
+            for s in 0..k {
+                fill_super(&dev, &alloc, s);
+            }
+            let d = allocation_charges(&dev, &alloc);
+            assert_eq!(alloc.capacity_slabs(), (k + 1) * SLABS_PER_SUPER, "k = {k}");
+            // k reads and k ballots find every super-block full; the pool
+            // grows and one read and one ballot claim in the new one.
+            let k = k as u64;
+            assert_eq!(
+                (d.transactions, d.atomics, d.ballots),
+                (k + 2, 1, k + 1),
+                "k = {k}"
+            );
+        }
+    }
+
+    /// Super-blocks an allocation by warp 0 reads, from the bitmaps: one
+    /// when its home super-block has room, else one more per super-block
+    /// tried newest first up to the first with room.
+    fn expected_reads(dev: &Device, alloc: &SlabAllocator) -> u64 {
+        let supers = alloc.supers.read().clone();
+        let has_room = |s: usize| {
+            let mut words = [0; BLOCKS_PER_SUPER];
+            dev.host_read(supers[s].bitmaps, &mut words);
+            words.iter().any(|&w| w != u32::MAX)
+        };
+        let (home, _) = home_of(alloc, 0);
+        if has_room(home) {
+            return 1;
+        }
+        let mut newest_first = (0..supers.len()).rev().filter(|&s| s != home);
+        2 + newest_first.position(has_room).expect("the pool has room") as u64
+    }
+
+    #[test]
+    fn filling_the_pool_grows_it_only_when_full() {
+        for k in [1, 4] {
+            let dev = Device::new(1 << 16);
+            let alloc = SlabAllocator::new(&dev, k * SLABS_PER_SUPER);
+            let cap = alloc.capacity_slabs();
+            let total = dev.counters().snapshot();
+            with_warp(&dev, |warp| {
+                for live in 0..cap {
+                    let reads = expected_reads(&dev, &alloc);
+                    let before = dev.counters().snapshot();
+                    alloc.allocate(warp);
+                    let d = dev.counters().snapshot().delta(&before);
+                    assert_eq!(alloc.capacity_slabs(), cap, "grew at {live} live, k = {k}");
+                    assert_eq!(d.transactions, reads + 1, "allocation {live}, k = {k}");
+                }
+            });
+            let d = dev.counters().snapshot().delta(&total);
+            assert_eq!(alloc.live_slabs() as usize, cap);
+            if k == 1 {
+                // One super-block: every allocation is one read and the init.
+                assert_eq!(d.transactions as usize, 2 * cap);
+            }
+            with_warp(&dev, |warp| {
+                alloc.allocate(warp);
+            });
+            assert_eq!(alloc.capacity_slabs(), cap + SLABS_PER_SUPER, "k = {k}");
+        }
+    }
+
+    #[test]
+    fn profiler_records_bitmap_reads_per_allocation() {
+        use gpu_sim::{DeviceConfig, ProfilerConfig};
+        let run = |dev: &Device| {
+            let alloc = SlabAllocator::new(dev, 2 * SLABS_PER_SUPER);
+            // A home-word hit reads one super-block; with both full, the
+            // allocation reads both, grows, and reads the new one.
+            allocation_charges(dev, &alloc);
+            fill_super(dev, &alloc, 0);
+            fill_super(dev, &alloc, 1);
+            allocation_charges(dev, &alloc);
+            dev.counters().snapshot()
+        };
+        let dev = Device::with_config(
+            DeviceConfig::new(1 << 16).with_profiler(ProfilerConfig::default()),
+        );
+        let plain = Device::new(1 << 16);
+        assert_eq!(run(&dev), run(&plain), "the histogram charges nothing");
+        let reads = dev
+            .profiler()
+            .unwrap()
+            .metric_summaries()
+            .into_iter()
+            .find(|s| s.name == "slab_alloc.bitmap_reads")
+            .expect("bitmap-read histogram missing");
+        assert_eq!((reads.count, reads.sum, reads.max), (2, 4, 3));
     }
 }
