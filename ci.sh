@@ -38,6 +38,14 @@ else
     echo "lint-allow.txt: no parent commit to compare with; shrink check skipped"
 fi
 
+echo "== no Ordering::Relaxed outside crates/gpu-sim/ (published pointers need acquire/release) =="
+relaxed=$(grep -rn --include='*.rs' --exclude-dir=target --exclude-dir=.git 'Ordering::Relaxed' . | grep -v '^\./crates/gpu-sim/' || true)
+if [ -n "$relaxed" ]; then
+    echo "Ordering::Relaxed outside crates/gpu-sim/:" >&2
+    echo "$relaxed" >&2
+    exit 1
+fi
+
 if [ "$mode" = "quick" ]; then
     echo "== end-to-end benchmark build (own workspace; consumes the public read API) =="
     cargo build --offline --manifest-path dgbench/Cargo.toml

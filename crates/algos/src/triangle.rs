@@ -9,9 +9,13 @@
 //! [`IntersectionKind`]:
 //!
 //! - **Hash probe** (SlabGraph) — the paper's hash approach: "we perform
-//!   an `edgeExist` query for all edges". For every vertex `u` and
-//!   neighbour pair v<w (both > u), probe w in A_v. O(1) per probe, no
-//!   sorting needed.
+//!   an `edgeExist` query for all edges". Every wedge v–u–w with u < v < w
+//!   costs one probe of its closing edge {v, w}, issued in the table of
+//!   the endpoint with the *shorter* adjacency list (ties on id): a miss
+//!   walks its probe table's whole chain, so the short side is the cheap
+//!   side. Probes are issued grouped by the table they probe, which fills
+//!   each `edgeExist` warp with one source whose chain is walked once for
+//!   all its lanes. O(1) per probe, no sorting of the device lists needed.
 //! - **Sorted merge** (Hornet, faimGraph, CSR) — the list approach:
 //!   intersect two *sorted* adjacency lists with a serial merge walk
 //!   ("little parallelism, but cheaper and faster than a
@@ -63,11 +67,36 @@ pub fn tc<B: GraphBackend + ?Sized>(g: &B) -> u64 {
     }
 }
 
-/// The hash approach: batched `edgeExist` probes for every candidate
-/// closing edge, flushed through the backend's batched query kernel.
+/// The hash approach: one batched `edgeExist` probe per wedge, flushed
+/// through the backend's batched query kernel.
+///
+/// Every adjacency list is read once (through `read_neighbors`) and held,
+/// sorted, on the host: O(E) words. A wedge v–u–w (u < v < w) probes its
+/// closing edge in the table of whichever of v and w sorts first by
+/// (list length, id) — the *target* t — for the other endpoint x: with
+/// one bucket per vertex a hub's chain is many slabs long, and a miss
+/// walks all of it, while the short side's chain is short. Either way
+/// there is one probe per pair of a vertex's higher neighbours.
+///
+/// Probes are issued target-major: for each target t and each lower
+/// neighbour u < t, the wedges t–u–x come from u's list (x > u, x ≠ t,
+/// t sorting before x), so each wedge is issued exactly once and all of
+/// t's probes are contiguous. `edges_exist` groups a warp's lanes by
+/// source, so up to 32 probes share one descriptor read and one walk of
+/// t's chain.
 fn tc_hash_probe<B: GraphBackend + ?Sized>(g: &B, pin: &ReadPin) -> u64 {
     // One logical TC kernel: helper launches fuse under one named scope.
     g.device().fused_scope("triangle_count", || {
+        let adj: Vec<Vec<u32>> = (0..g.num_vertices())
+            .map(|u| {
+                let mut list = g.read_neighbors(pin, u);
+                list.sort_unstable();
+                list
+            })
+            .collect();
+        // A directed graph's destination may lie past the vertex range.
+        let len = |v: u32| adj.get(v as usize).map_or(0, Vec::len);
+        let sorts_first = |a: u32, b: u32| (len(a), a) < (len(b), b);
         let mut count = 0u64;
         let mut pending: Vec<(u32, u32)> = Vec::new();
         const FLUSH: usize = 1 << 16;
@@ -79,18 +108,15 @@ fn tc_hash_probe<B: GraphBackend + ?Sized>(g: &B, pin: &ReadPin) -> u64 {
             pairs.clear();
             hits
         };
-        for u in 0..g.num_vertices() {
-            let mut nu: Vec<u32> = g
-                .read_neighbors(pin, u)
-                .into_iter()
-                .filter(|&v| v > u)
-                .collect();
-            nu.sort_unstable();
-            for (i, &v) in nu.iter().enumerate() {
-                for &w in &nu[i + 1..] {
-                    pending.push((v, w));
-                    if pending.len() >= FLUSH {
-                        count += flush(&mut pending);
+        for (t, list) in (0u32..).zip(&adj) {
+            for &u in list.iter().take_while(|&&u| u < t) {
+                let up = &adj[u as usize];
+                for &x in &up[up.partition_point(|&x| x <= u)..] {
+                    if x != t && sorts_first(t, x) {
+                        pending.push((t, x));
+                        if pending.len() >= FLUSH {
+                            count += flush(&mut pending);
+                        }
                     }
                 }
             }
@@ -155,7 +181,7 @@ mod tests {
     use super::*;
     use baselines::{Csr, FaimGraph, Hornet};
     use graph_gen::fixtures::{both_directions, fixture_edges, FIXTURE_TRIANGLES};
-    use slabgraph::{DynGraph, Edge, GraphConfig};
+    use slabgraph::{CounterSnapshot, DynGraph, Edge, GraphConfig};
 
     #[test]
     fn reference_counts_k5() {
@@ -258,6 +284,109 @@ mod tests {
         let mut g = Hornet::bulk_build(8, &[(0, 1), (1, 0)], 1 << 16);
         g.insert_batch(&[(0, 2)]); // unsorts
         tc(&g);
+    }
+
+    /// Sorted, deduplicated undirected adjacency lists.
+    fn host_adjacency(n: u32, edges: &[(u32, u32)]) -> Vec<Vec<u32>> {
+        let mut adj = vec![Vec::new(); n as usize];
+        for (u, v) in both_directions(edges) {
+            if u != v {
+                adj[u as usize].push(v);
+            }
+        }
+        for list in &mut adj {
+            list.sort_unstable();
+            list.dedup();
+        }
+        adj
+    }
+
+    /// The id-ordered probe stream: for each apex u, every pair v < w of
+    /// its higher neighbours probes w in v's table, whatever its length.
+    fn per_apex_probes(adj: &[Vec<u32>]) -> Vec<(u32, u32)> {
+        let mut probes = Vec::new();
+        for (u, list) in (0u32..).zip(adj) {
+            let up: Vec<u32> = list.iter().copied().filter(|&v| v > u).collect();
+            for (i, &v) in up.iter().enumerate() {
+                probes.extend(up[i + 1..].iter().map(|&w| (v, w)));
+            }
+        }
+        probes
+    }
+
+    /// Build a one-bucket-per-vertex SlabGraph, count its triangles, and
+    /// return the count with the `triangle_count` kernel's counters.
+    fn counted(n: u32, edges: &[(u32, u32)]) -> (DynGraph, u64, CounterSnapshot) {
+        let g = DynGraph::with_uniform_buckets(GraphConfig::undirected_set(n), n, 1);
+        g.insert_edges(&edges.iter().map(|&p| Edge::from(p)).collect::<Vec<_>>());
+        let before = g.device().trace();
+        let count = tc(&g);
+        let delta = g.device().trace().delta(&before);
+        let row = delta
+            .kernels
+            .iter()
+            .find(|k| k.name == "triangle_count")
+            .map(|k| k.counters)
+            .expect("tc runs under one triangle_count scope");
+        assert_eq!(row, delta.global, "tc launches nothing outside its scope");
+        (g, count, row)
+    }
+
+    #[test]
+    fn hash_probe_issues_one_probe_per_wedge() {
+        // Below one 2^16 flush: one read warp per vertex, then one
+        // `edge_exist` launch of ⌈wedges / 32⌉ warps, all fused into one
+        // `triangle_count` launch.
+        let (n, edges) = (64u32, graph_gen::uniform_random(64, 600, 42));
+        let wedges = per_apex_probes(&host_adjacency(n, &edges)).len() as u64;
+        assert!(wedges < 1 << 16, "fixture fits one flush");
+        let (_, count, row) = counted(n, &edges);
+        assert_eq!(count, tc_reference(n, &edges));
+        assert_eq!(row.warps, n as u64 + wedges.div_ceil(32));
+        assert_eq!(row.launches, 1);
+    }
+
+    #[test]
+    fn hash_probe_walks_the_shorter_chain() {
+        // Vertex 100 is a hub joined to every other vertex: one bucket
+        // holds its 255 edges in a long chain. In id order every wedge
+        // u–100–w with u < 100 < w probes the hub's chain, and mostly
+        // misses it end to end; probed from the short side, it costs the
+        // short chain's walk.
+        let n = 256u32;
+        let mut edges = graph_gen::uniform_random(n, 1200, 7);
+        edges.extend((0..n).filter(|&v| v != 100).map(|v| (100, v)));
+        let adj = host_adjacency(n, &edges);
+        assert!(adj[100].len() >= 200);
+        let (g, count, row) = counted(n, &edges);
+        assert_eq!(count, tc_reference(n, &edges));
+
+        let probes = per_apex_probes(&adj);
+        let pin = g.pin_read();
+        let before = g.device().counters().snapshot();
+        let hits = g
+            .edges_exist(&pin, &probes)
+            .into_iter()
+            .filter(|&b| b)
+            .count();
+        let id_order = g.device().counters().snapshot().delta(&before);
+        assert_eq!(hits as u64, count);
+        assert!(
+            row.transactions < id_order.transactions,
+            "tc {} transactions (reads included) vs {} for the id-ordered probes alone",
+            row.transactions,
+            id_order.transactions
+        );
+    }
+
+    #[test]
+    fn hash_probe_tolerates_destinations_past_the_vertex_range() {
+        // A directed graph stores destination 100 without growing its
+        // eight-vertex dictionary; the wedge 1–0–100 must not index past
+        // it.
+        let g = DynGraph::new(GraphConfig::directed_set(8));
+        g.insert_edges(&[Edge::new(0, 100), Edge::new(0, 1), Edge::new(1, 0)]);
+        assert_eq!(tc(&g), 0);
     }
 
     #[test]

@@ -23,7 +23,8 @@ impl DynGraph {
         self.edges_exist(pin, &[(src, dst)])[0]
     }
 
-    /// Single edge-weight lookup (map graphs).
+    /// Single edge-weight lookup (map graphs). The kernel reads `src`'s
+    /// descriptor itself (charged, as in [`Self::edges_exist`]).
     pub fn edge_weight(&self, pin: &ReadGuard, src: u32, dst: u32) -> Option<u32> {
         let k = self.pinned(pin);
         assert_eq!(
@@ -31,10 +32,12 @@ impl DynGraph {
             TableKind::Map,
             "edge weights require the map variant"
         );
-        let desc = self.dict.desc_host(&self.dev, src)?;
         let out = parking_lot::Mutex::new(None);
         k.launch_warps("edge_weight", 1, |warp| {
-            *out.lock() = desc.find(warp, dst);
+            *out.lock() = self
+                .dict
+                .desc(warp, src)
+                .and_then(|desc| desc.find(warp, dst));
         });
         out.into_inner()
     }
@@ -94,15 +97,16 @@ impl DynGraph {
 
     /// Retrieve vertex `u`'s adjacency list as ⟨dst, weight⟩ pairs (weight
     /// is 0 for set graphs). Uses the slab iterator (§IV-B); order is the
-    /// table's internal order, not sorted.
+    /// table's internal order, not sorted. The kernel reads `u`'s
+    /// descriptor itself, so a vertex without a table still costs one
+    /// launch and one dictionary transaction.
     pub fn neighbors(&self, pin: &ReadGuard, u: u32) -> Vec<(u32, u32)> {
         let k = self.pinned(pin);
-        let Some(desc) = self.dict.desc_host(&self.dev, u) else {
-            return vec![];
-        };
         let out = parking_lot::Mutex::new(Vec::new());
         k.launch_warps("neighbors", 1, |warp| {
-            *out.lock() = self.collect_entries(warp, &desc);
+            if let Some(desc) = self.dict.desc(warp, u) {
+                *out.lock() = self.collect_entries(warp, &desc);
+            }
         });
         out.into_inner()
     }
@@ -195,6 +199,27 @@ mod tests {
         let pin = g.pin_read();
         assert!(g.neighbors(&pin, 63).is_empty());
         assert!(g.neighbor_ids(&pin, 62).is_empty());
+    }
+
+    #[test]
+    fn reads_of_a_vertex_without_a_table_charge_its_descriptor() {
+        // Tables are built lazily on insert, so vertex 2 has none: the
+        // read still launches, and its kernel pays the one dictionary
+        // transaction that finds no table.
+        let g = DynGraph::new(GraphConfig::directed_map(8));
+        g.insert_edges(&[Edge::weighted(1, 2, 5)]);
+        let pin = g.pin_read();
+        let charge = |read: &dyn Fn()| {
+            let before = g.device().counters().snapshot();
+            read();
+            let delta = g.device().counters().snapshot().delta(&before);
+            (delta.transactions, delta.launches)
+        };
+        assert_eq!(charge(&|| assert!(g.neighbors(&pin, 2).is_empty())), (1, 1));
+        assert_eq!(
+            charge(&|| assert_eq!(g.edge_weight(&pin, 2, 1), None)),
+            (1, 1)
+        );
     }
 
     #[test]
@@ -345,7 +370,8 @@ mod tests {
         // One-probe reads (the router's live reads, `serve_road`,
         // `mixed_rw`) must charge exactly one key's walk: the grouped
         // membership walk saves only on groups of two or more probes.
-        // Vertex 0's 39 edges fill a three-slab chain in one bucket.
+        // Vertex 0's 39 edges fill a three-slab chain in one bucket. Every
+        // read charges its source's descriptor read, one transaction.
         let g = graph_with_star();
         g.insert_edges(&[Edge::weighted(5, 6, 7)]);
         let pin = g.pin_read();
@@ -381,12 +407,12 @@ mod tests {
             (
                 "weight deep hit",
                 |g, p| assert_eq!(g.edge_weight(p, 0, 39), Some(139)),
-                [5, 0, 5, 0, 1, 1, 0],
+                [6, 0, 5, 0, 1, 1, 0],
             ),
             (
                 "weight miss",
                 |g, p| assert_eq!(g.edge_weight(p, 0, 40), None),
-                [5, 0, 6, 0, 1, 1, 0],
+                [6, 0, 6, 0, 1, 1, 0],
             ),
         ];
         for (name, read, want) in reads {

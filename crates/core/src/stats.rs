@@ -13,9 +13,11 @@ use slab_hash::{TableStats, EMPTY_KEY};
 pub struct GraphStats {
     /// Merged per-table chain statistics.
     pub tables: TableStats,
-    /// Words in statically allocated base slabs.
+    /// Words in statically allocated base slabs (bulk-built tables; a
+    /// lazily created table's base is a pool slab, counted below).
     pub base_slab_words: u64,
-    /// Words in live dynamically allocated collision slabs.
+    /// Words in live slabs of the dynamic pool: collision slabs and the
+    /// bases of lazily created tables.
     pub dynamic_slab_words: u64,
     /// Words in the vertex dictionary.
     pub dict_words: u64,
@@ -57,7 +59,9 @@ impl DynGraph {
                     let s = desc.stats(warp);
                     agg.tables.merge(&s);
                     agg.touched_vertices += 1;
-                    agg.base_slab_words += desc.num_buckets as u64 * SLAB_WORDS as u64;
+                    if !self.alloc.owns(desc.base) {
+                        agg.base_slab_words += desc.num_buckets as u64 * SLAB_WORDS as u64;
+                    }
                 }
             }
             *out.lock() = agg;
@@ -284,6 +288,18 @@ mod tests {
         let empty = slab_hash::TableStats::default();
         assert_eq!(empty.utilization(), 0.0);
         assert_eq!(empty.avg_chain(), 0.0);
+    }
+
+    #[test]
+    fn lazily_created_bases_are_counted_once() {
+        // Vertex 0's table is built on insert from one pool slab, which
+        // `dynamic_slab_words` already counts: one 128 B slab plus the
+        // eight-entry dictionary's 96 B.
+        let g = DynGraph::new(GraphConfig::directed_set(8));
+        g.insert_edges(&[Edge::new(0, 1), Edge::new(0, 2)]);
+        let s = g.stats(&g.pin_read());
+        assert_eq!((s.base_slab_words, s.dynamic_slab_words), (0, 32));
+        assert_eq!(s.memory_bytes(), 224);
     }
 
     #[test]

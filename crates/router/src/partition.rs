@@ -589,6 +589,32 @@ mod tests {
     }
 
     #[test]
+    fn shard_stats_count_each_lazy_base_once() {
+        // Every table here is created lazily from its shard's pool, so the
+        // shards' footprint is exactly their live pool slabs plus their
+        // dictionaries: no base slab is counted twice.
+        let g = ShardedGraph::new(2, cfg(64));
+        g.insert_edges(
+            &pairs(100, 5, 64)
+                .into_iter()
+                .map(Edge::from)
+                .collect::<Vec<_>>(),
+        );
+        for s in 0..g.num_shards() {
+            let shard = g.shard(s);
+            let stats = shard.stats(&shard.pin_read());
+            assert!(stats.touched_vertices > 0, "shard {s} holds tables");
+            assert_eq!(stats.base_slab_words, 0, "shard {s}");
+            assert_eq!(
+                stats.memory_bytes(),
+                (shard.allocator().live_slabs() * gpu_sim::SLAB_WORDS as u64 + stats.dict_words)
+                    * 4,
+                "shard {s}"
+            );
+        }
+    }
+
+    #[test]
     fn backend_trait_is_object_safe_over_shards() {
         let mut g: Box<dyn GraphBackend> = Box::new(ShardedGraph::new(3, cfg(32)));
         assert_eq!(g.name(), "ShardedSlabGraph");

@@ -99,7 +99,7 @@ fn findings_of(fx: &Fixture) -> BTreeSet<(String, u32)> {
         .collect()
 }
 
-/// Every rule (R1, R2, R9) has a negative fixture, every negative
+/// Every rule (R1, R9) has a negative fixture, every negative
 /// fixture is flagged with exactly the declared rule ids at exactly the
 /// declared lines — no misses, no extras.
 #[test]

@@ -4,8 +4,7 @@
 //! folded through helper calls) this pass computes what the code *does* to
 //! the device: arena words read and written through the `Warp` accessors,
 //! atomic RMWs, uncharged host transfers (`Device::upload` / `host_write`
-//! / …), allocator calls, pin/guard uses, and `std::sync::atomic`
-//! orderings.
+//! / …), allocator calls, and pin/guard uses.
 //!
 //! ## Address keys
 //!
@@ -79,8 +78,6 @@ pub struct Effects {
     pub alloc_calls: Vec<(String, u32)>,
     /// Pin-protocol calls (`pin` / `pin_read`), with lines.
     pub pin_calls: Vec<(String, u32)>,
-    /// `Ordering::X` mentions (ordering name, line) — R2's domain.
-    pub orderings: Vec<(String, u32)>,
     /// Names called with `(…)` — the call-graph edges used to fold helper
     /// effects into kernels.
     pub calls: BTreeSet<String>,
@@ -120,17 +117,6 @@ fn collect(trees: &[Tree], fx: &mut Effects) {
         let pathed = i > 0 && trees[i - 1].as_leaf().is_some_and(|p| p.is_punct("::"));
         let called = trees.get(i + 1).is_some_and(|n| n.is_group('('));
         let declared = i > 0 && trees[i - 1].as_leaf().is_some_and(|p| p.is_ident("fn"));
-
-        // `Ordering::X` — R2's token pattern, wherever it appears.
-        if name == "Ordering" {
-            if let (Some(sep), Some(which)) = (trees.get(i + 1), trees.get(i + 2)) {
-                if sep.as_leaf().is_some_and(|s| s.is_punct("::")) {
-                    if let Some(ord) = which.as_leaf() {
-                        fx.orderings.push((ord.text.clone(), ord.line));
-                    }
-                }
-            }
-        }
 
         if !called || declared {
             continue;
@@ -281,7 +267,6 @@ fn merge(into: &mut Effects, from: &Effects) {
     into.host_calls.extend(from.host_calls.iter().cloned());
     into.alloc_calls.extend(from.alloc_calls.iter().cloned());
     into.pin_calls.extend(from.pin_calls.iter().cloned());
-    into.orderings.extend(from.orderings.iter().cloned());
     into.calls.extend(from.calls.iter().cloned());
 }
 
@@ -312,14 +297,13 @@ mod tests {
     }
 
     #[test]
-    fn host_transfers_and_orderings_and_calls() {
+    fn host_transfers_and_calls() {
         let m = parse_file(
-            "fn stage(&self) {\n  self.dev.host_write(a, &[0]);\n  self.allocated.fetch_add(1, Ordering::Relaxed);\n  self.dict.desc(warp, v);\n}\n",
+            "fn stage(&self) {\n  self.dev.host_write(a, &[0]);\n  self.allocated.fetch_add(1, Ordering::AcqRel);\n  self.dict.desc(warp, v);\n}\n",
         );
         let fx = effects_of(&m.funcs[0].body);
         assert_eq!(fx.host_calls, vec![("host_write".to_string(), 2)]);
         assert!(!fx.calls.contains("host_write"), "not a call-graph edge");
-        assert_eq!(fx.orderings, vec![("Relaxed".to_string(), 3)]);
         assert!(fx.calls.contains("desc"));
         // `fetch_add` on a std atomic is NOT an arena access.
         assert!(fx.accesses.is_empty());

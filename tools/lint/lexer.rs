@@ -322,7 +322,7 @@ mod tests {
 
     #[test]
     fn comments_are_stripped() {
-        assert_eq!(texts("a // Ordering::Relaxed\nb"), vec!["a", "b"]);
+        assert_eq!(texts("a // Ordering::AcqRel\nb"), vec!["a", "b"]);
         assert_eq!(texts("a /* x /* y */ z */ b"), vec!["a", "b"]);
     }
 

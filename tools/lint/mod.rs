@@ -2,7 +2,7 @@
 //!
 //! Pipeline: [`lexer`] (token stream with line provenance) → [`parser`]
 //! (token trees; function and kernel extraction) → [`effects`] (per-kernel
-//! effect summaries and the name-keyed call graph) → [`rules`] (R1, R2,
+//! effect summaries and the name-keyed call graph) → [`rules`] (R1 and
 //! R9) → [`report`] (rendering, JSON export, allowlist ratchet).
 //!
 //! This module is mounted both by the `lint-kernels` binary and by the

@@ -433,18 +433,19 @@ mod tests {
                 pins: vec![],
             }],
             findings: vec![Finding {
-                rule: "R2".into(),
-                path: "crates/bench/benches/structures.rs".into(),
-                line: 47,
-                kernel: String::new(),
-                func: "bench_insert".into(),
-                message: "Ordering::Relaxed outside gpu-sim".into(),
-                excerpt: "x.fetch_add(1, Ordering::Relaxed);".into(),
+                rule: "R1".into(),
+                path: "crates/core/src/edge_ops.rs".into(),
+                line: 249,
+                kernel: "edge_insert".into(),
+                func: "run_edge_kernel".into(),
+                message: "host transfer `host_write` inside a kernel closure (uncharged, not racechecked)".into(),
+                excerpt: "let mark = |i: usize| self.dev.host_write(status_buf + base + i as u32, &[1]);"
+                    .into(),
             }],
             ..Default::default()
         };
         r.apply_allowlist(
-            &Allowlist::parse("# ratchet: 1\nR2:crates/bench/benches/structures.rs:47\n").unwrap(),
+            &Allowlist::parse("# ratchet: 1\nR1:crates/core/src/edge_ops.rs:249\n").unwrap(),
         );
         r
     }
@@ -452,12 +453,12 @@ mod tests {
     #[test]
     fn allowlist_matches_spans_and_flags_stale() {
         let allow =
-            Allowlist::parse("# ratchet: 2\nR2:a.rs:10\nR1:b.rs:20  # staged writes\n").unwrap();
+            Allowlist::parse("# ratchet: 2\nR1:a.rs:10\nR9:b.rs:20  # staged writes\n").unwrap();
         assert_eq!(allow.ratchet, 2);
         assert_eq!(allow.entries[1].note, "staged writes");
         let mut report = LintReport {
             findings: vec![Finding {
-                rule: "R2".into(),
+                rule: "R1".into(),
                 path: "a.rs".into(),
                 line: 10,
                 kernel: String::new(),
@@ -471,7 +472,7 @@ mod tests {
         assert_eq!(report.new_findings(), 0);
         assert_eq!(
             report.stale,
-            vec!["R1:b.rs:20  # staged writes".to_string()]
+            vec!["R9:b.rs:20  # staged writes".to_string()]
         );
         assert!(!report.ok());
     }
@@ -479,7 +480,7 @@ mod tests {
     #[test]
     fn allowlist_rejects_typos() {
         assert!(Allowlist::parse("R99:a.rs:1\n").is_err());
-        assert!(Allowlist::parse("R2:a.rs:notaline\n").is_err());
+        assert!(Allowlist::parse("R1:a.rs:notaline\n").is_err());
         assert!(Allowlist::parse("just some words\n").is_err());
     }
 
@@ -490,15 +491,15 @@ mod tests {
         let parsed = Allowlist::parse(&text).unwrap();
         assert_eq!(parsed.ratchet, 1);
         assert_eq!(parsed.entries.len(), 1);
-        assert_eq!(parsed.entries[0].rule, "R2");
-        assert_eq!(parsed.entries[0].line, 47);
+        assert_eq!(parsed.entries[0].rule, "R1");
+        assert_eq!(parsed.entries[0].line, 249);
     }
 
     #[test]
     fn ratchet_must_equal_the_entry_count() {
         for (ratchet, ok) in [(1, true), (2, false), (0, false)] {
             let mut report = sample();
-            let text = format!("# ratchet: {ratchet}\nR2:crates/bench/benches/structures.rs:47\n");
+            let text = format!("# ratchet: {ratchet}\nR1:crates/core/src/edge_ops.rs:249\n");
             report.apply_allowlist(&Allowlist::parse(&text).unwrap());
             assert_eq!(report.ok(), ok, "ratchet {ratchet}");
             assert_eq!(

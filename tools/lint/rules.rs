@@ -1,8 +1,8 @@
-//! The lint rules, R1, R2 and R9, evaluated over the parsed file models
-//! and effect summaries.
+//! The lint rules, R1 and R9, evaluated over the parsed file models and
+//! effect summaries.
 //!
-//! R2 is a token-sequence rule; R1 reads kernel effect summaries; R9 is
-//! the cross-kernel check that guards the publication protocol:
+//! R1 reads kernel effect summaries; R9 is the cross-kernel check that
+//! guards the publication protocol:
 //! - **R9 `publication-order`** — cross-kernel word classes (keyed by the
 //!   named constants in their address expressions, e.g. `NEXT_LANE`)
 //!   written in one kernel and read in a concurrently-running pinned
@@ -27,16 +27,11 @@ pub struct RuleMeta {
     pub desc: &'static str,
 }
 
-pub const RULES: [RuleMeta; 3] = [
+pub const RULES: [RuleMeta; 2] = [
     RuleMeta {
         id: "R1",
         name: "host-transfer-in-kernel",
         desc: "host transfer inside a kernel closure is uncharged and invisible to racecheck",
-    },
-    RuleMeta {
-        id: "R2",
-        name: "relaxed-ordering",
-        desc: "Ordering::Relaxed outside gpu-sim defeats acquire/release publication",
     },
     RuleMeta {
         id: "R9",
@@ -132,7 +127,7 @@ fn contains_call(trees: &[Tree], name: &str) -> Option<u32> {
 pub fn run_rules(files: &[ScannedFile], index: &EffectIndex) -> Vec<Finding> {
     let mut findings = Vec::new();
     for file in files {
-        token_rules(file, &mut findings);
+        kernel_rules(file, &mut findings);
     }
     publication_rules(files, index, &mut findings);
     findings.sort_by(|a, b| {
@@ -171,37 +166,12 @@ fn push(
     });
 }
 
-/// R2: a whole-file token-sequence rule; R1: a per-kernel rule. Neither
-/// applies inside gpu-sim, which owns the arena and the atomics.
-fn token_rules(file: &ScannedFile, findings: &mut Vec<Finding>) {
+/// R1: a per-kernel rule. It does not apply inside gpu-sim, which owns
+/// the arena.
+fn kernel_rules(file: &ScannedFile, findings: &mut Vec<Finding>) {
     if in_gpu_sim(&file.path) {
         return;
     }
-    token_walk(&file.trees, &mut |trees, i| {
-        let Some(tok) = trees[i].as_leaf() else {
-            return;
-        };
-        // R2: `Ordering::Relaxed` outside gpu-sim.
-        if tok.is_ident("Ordering")
-            && trees
-                .get(i + 1)
-                .is_some_and(|t| t.as_leaf().is_some_and(|s| s.is_punct("::")))
-            && trees
-                .get(i + 2)
-                .is_some_and(|t| t.as_leaf().is_some_and(|s| s.is_ident("Relaxed")))
-        {
-            let line = trees[i + 2].line();
-            push(
-                findings,
-                file,
-                "R2",
-                line,
-                "",
-                "",
-                "Ordering::Relaxed outside gpu-sim".to_string(),
-            );
-        }
-    });
     // R1: host transfers lexically inside the launch closure.
     for k in &file.model.kernels {
         for (method, line) in effects_of(&k.body).host_calls {
@@ -216,16 +186,6 @@ fn token_rules(file: &ScannedFile, findings: &mut Vec<Finding>) {
                     "host transfer `{method}` inside a kernel closure (uncharged, not racechecked)"
                 ),
             );
-        }
-    }
-}
-
-/// Depth-first walk invoking `f` at every position of every tree level.
-fn token_walk(trees: &[Tree], f: &mut impl FnMut(&[Tree], usize)) {
-    for (i, t) in trees.iter().enumerate() {
-        f(trees, i);
-        if let Tree::Group { trees: inner, .. } = t {
-            token_walk(inner, f);
         }
     }
 }

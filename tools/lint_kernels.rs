@@ -4,7 +4,7 @@
 //! external deps — the workspace builds offline) that extracts every
 //! kernel closure passed to `launch_tasks` / `launch_warps` / `memset`,
 //! computes a per-kernel **effect summary** (arena words read/written,
-//! atomic ops, allocator calls, pin uses), and checks three rules over
+//! atomic ops, allocator calls, pin uses), and checks two rules over
 //! the summaries and the enclosing host code:
 //!
 //! - **R1 `host-transfer-in-kernel`** — a `Device` host transfer
@@ -15,9 +15,6 @@
 //!   gpu-sim, so uncharged access can only go through those named calls.
 //!   R1 sees only transfers called directly in the closure: a helper
 //!   that transfers for it (`VertexDict::desc_host`) is not reported.
-//! - **R2 `relaxed-ordering`** — `Ordering::Relaxed` outside gpu-sim
-//!   defeats the acquire/release discipline published device pointers rely
-//!   on. Monotonic statistics counters are budgeted.
 //! - **R9 `publication-order`** — an arena word class (keyed by the named
 //!   constants in its address expression, e.g. `NEXT_LANE`) written with a
 //!   plain store in one kernel but read by a concurrently-running pinned
