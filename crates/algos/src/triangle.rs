@@ -13,9 +13,11 @@
 //!   costs one probe of its closing edge {v, w}, issued in the table of
 //!   the endpoint with the *shorter* adjacency list (ties on id): a miss
 //!   walks its probe table's whole chain, so the short side is the cheap
-//!   side. Probes are issued grouped by the table they probe, which fills
-//!   each `edgeExist` warp with one source whose chain is walked once for
-//!   all its lanes. O(1) per probe, no sorting of the device lists needed.
+//!   side. Probes are issued grouped by the table they probe, so a table
+//!   probed 32 times or more is one run of probes, which `edgeExist`
+//!   answers in run tiles: up to 256 probes per warp share one
+//!   descriptor read, one walk of the table's chain and one answer store.
+//!   O(1) per probe, no sorting of the device lists needed.
 //! - **Sorted merge** (Hornet, faimGraph, CSR) — the list approach:
 //!   intersect two *sorted* adjacency lists with a serial merge walk
 //!   ("little parallelism, but cheaper and faster than a
@@ -52,7 +54,8 @@ pub fn tc_reference(n_vertices: u32, edges: &[(u32, u32)]) -> u64 {
 
 /// Triangle count over any [`GraphBackend`], using the intersection
 /// strategy the backend declares in its capabilities. All device work is
-/// fused under one `triangle_count` kernel scope for attribution.
+/// fused under one `triangle_count` kernel scope on each of the backend's
+/// devices: one launch per device, and one name for attribution.
 ///
 /// # Panics
 /// Sorted-merge backends must have sorted adjacency lists — call
@@ -81,12 +84,13 @@ pub fn tc<B: GraphBackend + ?Sized>(g: &B) -> u64 {
 /// Probes are issued target-major: for each target t and each lower
 /// neighbour u < t, the wedges t–u–x come from u's list (x > u, x ≠ t,
 /// t sorting before x), so each wedge is issued exactly once and all of
-/// t's probes are contiguous. `edges_exist` groups a warp's lanes by
-/// source, so up to 32 probes share one descriptor read and one walk of
-/// t's chain.
+/// t's probes are contiguous. `edges_exist` answers such a run of 32 or
+/// more probes in run tiles: up to 256 of t's probes share one warp, one
+/// descriptor read, one walk of t's chain and one answer store. A target
+/// probed fewer than 32 times shares a 32-lane warp with its neighbours
+/// in the stream, one descriptor read and one walk per target.
 fn tc_hash_probe<B: GraphBackend + ?Sized>(g: &B, pin: &ReadPin) -> u64 {
-    // One logical TC kernel: helper launches fuse under one named scope.
-    g.device().fused_scope("triangle_count", || {
+    fused_on_every_device(g, || {
         let adj: Vec<Vec<u32>> = (0..g.num_vertices())
             .map(|u| {
                 let mut list = g.read_neighbors(pin, u);
@@ -134,7 +138,7 @@ fn tc_sorted_merge<B: GraphBackend + ?Sized>(g: &B, pin: &ReadPin) -> u64 {
         "{} TC requires sorted adjacency lists",
         g.name()
     );
-    g.device().fused_scope("triangle_count", || {
+    fused_on_every_device(g, || {
         let mut count = 0u64;
         for u in 0..g.num_vertices() {
             let adj_u = g.read_neighbors(pin, u);
@@ -146,6 +150,19 @@ fn tc_sorted_merge<B: GraphBackend + ?Sized>(g: &B, pin: &ReadPin) -> u64 {
         }
         count
     })
+}
+
+/// Run `body` as one logical TC kernel: its helper launches fuse under
+/// one `triangle_count` scope on every device the backend spans, so a
+/// sharded backend pays one launch per device, not one per shard probe.
+fn fused_on_every_device<B: GraphBackend + ?Sized>(g: &B, body: impl FnOnce() -> u64) -> u64 {
+    let devices = g.devices();
+    let mut fused: Box<dyn FnOnce() -> u64 + '_> = Box::new(body);
+    for dev in devices.iter().rev() {
+        let inner = fused;
+        fused = Box::new(move || dev.fused_scope("triangle_count", inner));
+    }
+    fused()
 }
 
 /// Serial sorted-merge intersection size over elements `> floor`.
@@ -335,14 +352,29 @@ mod tests {
     #[test]
     fn hash_probe_issues_one_probe_per_wedge() {
         // Below one 2^16 flush: one read warp per vertex, then one
-        // `edge_exist` launch of ⌈wedges / 32⌉ warps, all fused into one
-        // `triangle_count` launch.
+        // `edge_exist` launch, all fused into one `triangle_count` launch.
+        // Each table's probes are contiguous, so a table probed 32 times
+        // or more gets ⌈probes / 256⌉ run-tile warps, and the other
+        // probes share ⌈rest / 32⌉ chunk warps.
         let (n, edges) = (64u32, graph_gen::uniform_random(64, 600, 42));
-        let wedges = per_apex_probes(&host_adjacency(n, &edges)).len() as u64;
-        assert!(wedges < 1 << 16, "fixture fits one flush");
+        let adj = host_adjacency(n, &edges);
+        let probes = per_apex_probes(&adj);
+        assert!(probes.len() < 1 << 16, "fixture fits one flush");
+        let mut per_table = vec![0u64; n as usize];
+        for (v, w) in probes {
+            let key = |x: u32| (adj[x as usize].len(), x);
+            per_table[key(v).min(key(w)).1 as usize] += 1;
+        }
+        let tiles: u64 = per_table
+            .iter()
+            .filter(|&&p| p >= 32)
+            .map(|p| p.div_ceil(256))
+            .sum();
+        let rest: u64 = per_table.iter().filter(|&&p| p < 32).sum();
+        assert!(tiles > 0 && rest > 0, "fixture has both kinds of warp");
         let (_, count, row) = counted(n, &edges);
         assert_eq!(count, tc_reference(n, &edges));
-        assert_eq!(row.warps, n as u64 + wedges.div_ceil(32));
+        assert_eq!(row.warps, n as u64 + tiles + rest.div_ceil(32));
         assert_eq!(row.launches, 1);
     }
 

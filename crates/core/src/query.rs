@@ -9,12 +9,54 @@
 //! next-pointers as they hop, so a query running concurrently with an
 //! insert/delete batch observes a consistent snapshot. Batched queries use
 //! the same WCWS grouping as Algorithm 1 so lookups hitting the same source
-//! vertex are coalesced.
+//! vertex are coalesced, and a run of 32 or more probes of one source
+//! shares one warp's descriptor read and chain walk (run tiles).
 
 use crate::graph::{DynGraph, Edge};
-use gpu_sim::{Lanes, WARP_SIZE};
+use gpu_sim::{Addr, Lanes, Warp, WARP_SIZE};
 use slab_alloc::ReadGuard;
 use slab_hash::TableKind;
+
+/// Most chunks one run tile spans. A tile warp holds one key register per
+/// lane per chunk, so the cap costs 8 registers per lane. At 8 chunks
+/// `dynamic_tc` still yields about 4.9 k tiles per round, close to the
+/// TITAN V's 5 120 resident warps (80 SMs × 64), so a longer tile would
+/// idle warp slots to save little more.
+const TILE_CHUNKS: usize = 8;
+/// Most probes one run tile answers.
+const TILE_PAIRS: usize = TILE_CHUNKS * WARP_SIZE;
+
+/// A probe batch cut into warp work while staging: host work, uncharged
+/// like the upload itself.
+struct Tiling {
+    /// Pairs outside every run of 32 or more, in batch order: the chunk
+    /// warps' lanes.
+    loose: Vec<usize>,
+    /// Each run tile's first pair and length (at most [`TILE_PAIRS`]).
+    tiles: Vec<(usize, usize)>,
+}
+
+impl Tiling {
+    fn new(pairs: &[(u32, u32)]) -> Self {
+        let mut plan = Tiling {
+            loose: Vec::new(),
+            tiles: Vec::new(),
+        };
+        let mut start = 0;
+        for run in pairs.chunk_by(|a, b| a.0 == b.0) {
+            let end = start + run.len();
+            if run.len() >= WARP_SIZE {
+                let tiles = (start..end).step_by(TILE_PAIRS);
+                plan.tiles
+                    .extend(tiles.map(|s| (s, TILE_PAIRS.min(end - s))));
+            } else {
+                plan.loose.extend(start..end);
+            }
+            start = end;
+        }
+        plan
+    }
+}
 
 impl DynGraph {
     /// Single edge-existence query (`edgeExist`, §IV-B). Runs a one-warp
@@ -42,57 +84,135 @@ impl DynGraph {
         out.into_inner()
     }
 
-    /// Batched edge-existence queries: one lane per ⟨src,dst⟩ pair, grouped
-    /// by source exactly like Algorithm 1's insertion work queue. Each
-    /// same-source group is answered by one
-    /// [`TableDesc::find_lanes`](slab_hash::TableDesc::find_lanes) call,
-    /// which walks every home bucket's chain once for all the group's
-    /// probes that hash there; a one-pair batch charges exactly one
-    /// `find`. Each group's hit mask is kept in the warp's lane
-    /// registers, and the warp writes all its answers with one coalesced
-    /// store once its queue drains: one result transaction per warp, not
-    /// per group.
+    /// Batched edge-existence queries, answered by one `edge_exist`
+    /// kernel of two kinds of warp. While staging, the host cuts the batch
+    /// (uncharged, like the upload itself): every maximal run of at least
+    /// 32 consecutive pairs with one source becomes *run tiles* of up to
+    /// 8 chunks (256 probes), and the other pairs, packed in batch order,
+    /// form 32-pair *chunks*.
+    ///
+    /// A chunk warp (these come first, found from `warp_id`) holds one
+    /// pair per lane, grouped by source exactly like Algorithm 1's
+    /// insertion work queue, and answers each same-source group with one
+    /// one-chunk [`TableDesc::find_lanes`](slab_hash::TableDesc::find_lanes)
+    /// call; a one-pair batch charges exactly one `find`. A run-tile warp
+    /// reads its ⟨source, length⟩ header (one word pair), its key slabs
+    /// and the source's descriptor once each, and answers the whole tile
+    /// with one `find_lanes` call: one walk of each home bucket's chain
+    /// for up to 256 probes. Either warp keeps its hits in lane registers
+    /// and writes them as an answer bitmap with one store once done. A
+    /// batch without runs reads no header and charges what per-chunk
+    /// warps always did.
     pub fn edges_exist(&self, pin: &ReadGuard, pairs: &[(u32, u32)]) -> Vec<bool> {
         let k = self.pinned(pin);
         if pairs.is_empty() {
             return vec![];
         }
-        let srcs: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-        let dsts: Vec<u32> = pairs.iter().map(|p| p.1).collect();
+        let plan = Tiling::new(pairs);
+        let chunks = plan.loose.len().div_ceil(WARP_SIZE);
+        let chunk_words = chunks * WARP_SIZE;
+        // Sources: the chunks', then one ⟨source, length⟩ header per tile.
+        // Keys: the chunks' destinations, then each tile's, TILE_PAIRS
+        // apart. Answers: one bit per pair, a word per chunk, then
+        // TILE_CHUNKS words per tile (one segment, so one store).
+        let mut srcs: Vec<u32> = plan.loose.iter().map(|&i| pairs[i].0).collect();
+        let mut keys: Vec<u32> = plan.loose.iter().map(|&i| pairs[i].1).collect();
+        srcs.resize(chunk_words, u32::MAX);
+        for (t, &(start, len)) in plan.tiles.iter().enumerate() {
+            srcs.extend([pairs[start].0, len as u32]);
+            keys.resize(chunk_words + t * TILE_PAIRS, u32::MAX);
+            keys.extend(pairs[start..start + len].iter().map(|p| p.1));
+        }
+        let tile_answers = chunks.next_multiple_of(TILE_CHUNKS);
         let src_buf = self.dev.upload(&srcs, u32::MAX);
-        let dst_buf = self.dev.upload(&dsts, u32::MAX);
-        let out_buf = self.dev.upload(&vec![0u32; pairs.len()], 0);
+        let key_buf = self.dev.upload(&keys, u32::MAX);
+        let out_words = tile_answers + plan.tiles.len() * TILE_CHUNKS;
+        let out_buf = self.dev.upload(&vec![0u32; out_words], 0);
 
-        k.launch_tasks("edge_exist", pairs.len(), |warp| {
-            let base = warp.warp_id() * WARP_SIZE as u32;
-            let srcs = warp.read_slab(src_buf + base);
-            let dsts = warp.read_slab(dst_buf + base);
-            let mut pending = Lanes::from_fn(|i| warp.is_active(i));
-            // Each lane's answer stays in its register (one bit here)
-            // until the queue drains.
-            let mut found = 0u32;
-            loop {
-                let queue = warp.ballot(&pending);
-                let Some(current_lane) = gpu_sim::ffs(queue) else {
-                    break;
-                };
-                let current_src = warp.shuffle(&srcs, current_lane);
-                let same_src = pending.zip_with(&srcs, |p, s| p && s == current_src);
-                let group = warp.ballot(&same_src);
-                if let Some(desc) = self.dict.desc(warp, current_src) {
-                    found |= desc.find_lanes(warp, &dsts, group).0;
-                }
-                pending = pending.zip_with(&same_src, |p, s| p && !s);
+        k.launch_warps("edge_exist", chunks + plan.tiles.len(), |warp| {
+            let w = warp.warp_id() as usize;
+            if w < chunks {
+                let base = (w * WARP_SIZE) as u32;
+                let live = (plan.loose.len() - w * WARP_SIZE).min(WARP_SIZE);
+                let found = self.answer_chunk(warp, src_buf + base, key_buf + base, live);
+                // One store of the warp's answers.
+                warp.write_word(out_buf + w as u32, found);
+                return;
             }
-            // One coalesced store of the warp's answers.
-            let addrs = Lanes::from_fn(|i| out_buf + base + i as u32);
-            let vals = Lanes::from_fn(|i| (found >> i) & 1);
-            warp.write_lanes(&addrs, &vals, warp.active_mask());
+            let t = w - chunks;
+            let head = (chunk_words + 2 * t) as u32;
+            let keys = (chunk_words + t * TILE_PAIRS) as u32;
+            let found = self.answer_tile(warp, src_buf + head, key_buf + keys);
+            // One store of the tile's answer bitmap.
+            let out = out_buf + (tile_answers + t * TILE_CHUNKS) as u32;
+            let addrs = Lanes::from_fn(|i| out + (i % TILE_CHUNKS) as u32);
+            let vals = Lanes::from_fn(|i| found.get(i).copied().unwrap_or(0));
+            warp.write_lanes(&addrs, &vals, (1 << found.len()) - 1);
         });
 
-        let mut found = vec![0; pairs.len()];
-        self.dev.host_read(out_buf, &mut found);
-        found.into_iter().map(|w| w != 0).collect()
+        let mut bits = vec![0; out_words];
+        self.dev.host_read(out_buf, &mut bits);
+        let bit = |word: usize, lane: usize| bits[word] & (1 << lane) != 0;
+        let mut found = vec![false; pairs.len()];
+        for (j, &i) in plan.loose.iter().enumerate() {
+            found[i] = bit(j / WARP_SIZE, j % WARP_SIZE);
+        }
+        for (t, &(start, len)) in plan.tiles.iter().enumerate() {
+            for j in 0..len {
+                found[start + j] = bit(
+                    tile_answers + t * TILE_CHUNKS + j / WARP_SIZE,
+                    j % WARP_SIZE,
+                );
+            }
+        }
+        found
+    }
+
+    /// A chunk warp: the `live` pairs staged at `srcs`/`dsts`, one per
+    /// lane, answered one same-source group at a time. Returns the hit
+    /// mask.
+    fn answer_chunk(&self, warp: &Warp, srcs: Addr, dsts: Addr, live: usize) -> u32 {
+        let srcs = warp.read_slab(srcs);
+        let dsts = warp.read_slab(dsts);
+        let mut pending = Lanes::from_fn(|i| i < live);
+        // Each lane's answer stays in its register (one bit here) until
+        // the queue drains.
+        let mut found = 0u32;
+        loop {
+            let queue = warp.ballot(&pending);
+            let Some(current_lane) = gpu_sim::ffs(queue) else {
+                return found;
+            };
+            let current_src = warp.shuffle(&srcs, current_lane);
+            let same_src = pending.zip_with(&srcs, |p, s| p && s == current_src);
+            let group = warp.ballot(&same_src);
+            if let Some(desc) = self.dict.desc(warp, current_src) {
+                found |= desc.find_lanes(warp, &[dsts], &[group])[0].0;
+            }
+            pending = pending.zip_with(&same_src, |p, s| p && !s);
+        }
+    }
+
+    /// A run-tile warp: the ⟨source, length⟩ header at `head` and the
+    /// tile's keys from `keys` on, one slab per chunk. Returns the hit
+    /// mask of each chunk.
+    fn answer_tile(&self, warp: &Warp, head: Addr, keys: Addr) -> Vec<u32> {
+        let head = warp.read_lanes(&Lanes::from_fn(|i| head + (i as u32).min(1)), 0b11);
+        let (src, len) = (head.get(0), head.get(1) as usize);
+        let tile: Vec<Lanes<u32>> = (0..len.div_ceil(WARP_SIZE))
+            .map(|c| warp.read_slab(keys + (c * WARP_SIZE) as u32))
+            .collect();
+        let groups: Vec<u32> = (0..tile.len())
+            .map(|c| u32::MAX >> (WARP_SIZE - (len - c * WARP_SIZE).min(WARP_SIZE)))
+            .collect();
+        match self.dict.desc(warp, src) {
+            Some(desc) => desc
+                .find_lanes(warp, &tile, &groups)
+                .into_iter()
+                .map(|(hits, _)| hits)
+                .collect(),
+            None => vec![0; tile.len()],
+        }
     }
 
     /// Retrieve vertex `u`'s adjacency list as ⟨dst, weight⟩ pairs (weight
@@ -361,8 +481,51 @@ mod tests {
         let ballots = groups * 2 + warps + hits + misses * 2;
         let got: Vec<u64> = delta.iter().map(|(_, c)| c).collect();
         // [transactions, atomics, ballots, shuffles, launches, warps,
-        // words_allocated]: three 33-word buffers padded to two slabs.
-        assert_eq!(got, [transactions, 0, ballots, groups, 1, warps, 3 * 64]);
+        // words_allocated]: the 33-word source and key buffers padded to
+        // two slabs, and the two-word answer bitmap padded to one.
+        assert_eq!(
+            got,
+            [transactions, 0, ballots, groups, 1, warps, 2 * 64 + 32]
+        );
+    }
+
+    #[test]
+    fn run_tile_charges_are_pinned() {
+        // 256 probes of one source: one run tile, so one warp reads the
+        // ⟨source, length⟩ header (one transaction), 8 key slabs and the
+        // descriptor once, walks the one-bucket chain once, and stores
+        // its answer bitmap once. Vertex 0's chain is L full slabs of 30
+        // keys (destinations 1..=30·L), so the 256 − 30·L misses walk it
+        // to the end: L slab reads and L − 1 next-pointer re-validations.
+        // Vertex 511 has no table; vertex 600 is past capacity.
+        for slabs in [1u64, 3] {
+            let g = DynGraph::new(GraphConfig::directed_set(512));
+            let ins: Vec<Edge> = (1..=30 * slabs as u32).map(|d| Edge::new(0, d)).collect();
+            g.insert_edges(&ins);
+            let pin = g.pin_read();
+            for (src, walk, hits) in [(0, 2 * slabs - 1, 30 * slabs), (511, 0, 0), (600, 0, 0)] {
+                let pairs: Vec<(u32, u32)> = (1..=256).map(|d| (src, d)).collect();
+                let before = g.device().counters().snapshot();
+                let res = g.edges_exist(&pin, &pairs);
+                let delta = g.device().counters().snapshot().delta(&before);
+                assert_eq!(res.iter().filter(|&&b| b).count() as u64, hits);
+                let desc = u64::from(src < 512);
+                let transactions = 1 + 8 + desc + walk + 1;
+                // Per slab: a match ballot per key still open there, and
+                // the EMPTY ballot (misses stay open to the end).
+                let ballots = if walk == 0 {
+                    0
+                } else {
+                    (0..slabs).map(|s| 256 - 30 * s + 1).sum()
+                };
+                let got: Vec<u64> = delta.iter().map(|(_, c)| c).collect();
+                // [transactions, atomics, ballots, shuffles, launches,
+                // warps, words_allocated]: a one-slab header buffer, the
+                // 256-key buffer and an eight-word bitmap padded to a slab.
+                let want = [transactions, 0, ballots, 0, 1, 1, 32 + 256 + 32];
+                assert_eq!(got, want, "L = {slabs}, source {src}");
+            }
+        }
     }
 
     #[test]

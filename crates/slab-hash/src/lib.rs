@@ -24,8 +24,10 @@
 //! value word follows each key, so each verb is one operation over both:
 //! [`TableDesc::insert`], [`TableDesc::find`], [`TableDesc::delete`] and
 //! [`TableDesc::for_each_entry`] (a set's value reads as 0 and is ignored
-//! on insert). [`TableDesc::find_lanes`] is `find` for a warp's group of
-//! keys, with one chain walk per home bucket. Maintenance rewrites whole
+//! on insert). [`TableDesc::find_lanes`] is `find` for a *tile* of keys:
+//! up to several 32-lane chunks (one key register per lane per chunk),
+//! answered with one chain walk per home bucket however many chunks the
+//! tile spans; `find` is its one-lane call. Maintenance rewrites whole
 //! chains through one dense writer: [`TableDesc::compact`] flushes
 //! tombstones in place, [`TableDesc::fill`] builds a fresh table.
 //!
@@ -246,11 +248,19 @@ const MAX_WALK_RESTARTS: u32 = 8;
 /// case) and rewinds to the bucket on skew — e.g. a concurrent
 /// `free_dynamic_slabs` cutting the chain back to its base slab.
 ///
+/// A slab load copies its word pairs one after another, so a claim can
+/// land between two of them: the copy then shows a used slot after an
+/// EMPTY one, which no chain holds (empties only exist at the tail). Such
+/// a torn read rewinds to the bucket like skew, so a walk that answers
+/// many keys from one slab answers them all from one instant of it.
+///
 /// The cursor only charges reads; it never opens or closes a speculative
 /// attempt, so each caller keeps its own charging protocol around it.
 struct ChainWalk<'a, 'd> {
     warp: &'a Warp<'d>,
     bucket: Addr,
+    /// The table's key lanes, for the torn-read check.
+    key_lanes: u32,
     /// The slab the next [`Self::read`] loads.
     addr: Addr,
     parent: Option<Addr>,
@@ -260,10 +270,11 @@ struct ChainWalk<'a, 'd> {
 }
 
 impl<'a, 'd> ChainWalk<'a, 'd> {
-    fn new(warp: &'a Warp<'d>, bucket: Addr) -> Self {
+    fn new(warp: &'a Warp<'d>, kind: TableKind, bucket: Addr) -> Self {
         ChainWalk {
             warp,
             bucket,
+            key_lanes: kind.key_lanes(),
             addr: bucket,
             parent: None,
             depth: 1,
@@ -272,23 +283,31 @@ impl<'a, 'd> ChainWalk<'a, 'd> {
     }
 
     /// Read the current slab and validate the hop that reached it. On
-    /// skew the cursor rewinds to the bucket and returns `None`; the walk
-    /// continues from the base slab.
+    /// skew or a torn read the cursor rewinds to the bucket and returns
+    /// `None`; the walk continues from the base slab.
     fn read(&mut self) -> Option<Lanes<u32>> {
         let words = self.warp.read_slab(self.addr);
-        if let Some(p) = self.parent {
-            if self.warp.read_word(p + NEXT_LANE as u32) != self.addr
-                && self.restarts < MAX_WALK_RESTARTS
-            {
-                self.restarts += 1;
-                note_walk_restart(self.warp);
-                self.addr = self.bucket;
-                self.parent = None;
-                self.depth = 1;
-                return None;
-            }
+        let skewed = self
+            .parent
+            .is_some_and(|p| self.warp.read_word(p + NEXT_LANE as u32) != self.addr);
+        if (skewed || self.torn(&words)) && self.restarts < MAX_WALK_RESTARTS {
+            self.restarts += 1;
+            note_walk_restart(self.warp);
+            self.addr = self.bucket;
+            self.parent = None;
+            self.depth = 1;
+            return None;
         }
         Some(words)
+    }
+
+    /// Whether `words` shows a used key slot after an EMPTY one. A
+    /// host-side check of the copy: on hardware a slab is one 128 B line,
+    /// read whole.
+    fn torn(&self, words: &Lanes<u32>) -> bool {
+        let empties = gpu_sim::ballot(self.key_lanes, &words.map(|w| w == EMPTY_KEY));
+        let used = self.key_lanes & !empties;
+        empties != 0 && used >> empties.trailing_zeros() != 0
     }
 
     /// Step past the current slab, whose contents are `words`; `false` at
@@ -496,69 +515,105 @@ impl TableDesc {
     /// absent. The one-lane call of [`Self::find_lanes`], charging exactly
     /// one key's walk.
     pub fn find(&self, warp: &Warp, key: u32) -> Option<u32> {
-        let (found, values) = self.find_lanes(warp, &Lanes::splat(key), 1);
+        let (found, values) = self.find_lanes(warp, &[Lanes::splat(key)], &[1])[0];
         (found != 0).then(|| values.get(0))
     }
 
-    /// Look up the key on every lane of `group` (a lane mask over `keys`)
-    /// with one walk per home bucket: bit *i* of the returned mask is set
-    /// iff lane *i*'s key is present, and lane *i* of the returned values
-    /// holds its value (a map's stored value, 0 for a set or a miss).
-    /// Membership, `edgeExist`'s primitive, is the mask.
+    /// Look up a *tile* of keys: chunk *c* holds one key per lane in
+    /// `tile[c]` (one register per lane per chunk) and looks up the lanes
+    /// of `groups[c]`. Returns one `(mask, values)` per chunk: bit *i* of
+    /// the mask is set iff lane *i*'s key is present, and lane *i* of the
+    /// values holds its value (a map's stored value, 0 for a set or a
+    /// miss). Membership, `edgeExist`'s primitive, is the masks.
     ///
-    /// The group splits by home bucket (one ballot per bucket, charged
-    /// only when the table has more than one bucket and the group more
-    /// than one lane). Each bucket's chain is then walked once: at every
-    /// slab, one match ballot per still-open key and, while keys remain
-    /// open, one EMPTY ballot. The walk stops when every key is resolved
-    /// or the chain ends, so a group costs the transactions of its
-    /// deepest single probe, not their sum.
+    /// The tile splits by home bucket: per bucket, one ballot for each
+    /// chunk with keys still pending, charged only when the table has
+    /// more than one bucket and the tile more than one key. Each bucket's
+    /// chain is then walked once for all the tile's keys that hash there:
+    /// at every slab, one match ballot per still-open key and, while keys
+    /// remain open, one EMPTY ballot. The walk stops when every key is
+    /// resolved or the chain ends, so a tile costs the transactions of
+    /// its deepest probe per bucket, not their sum, however many chunks
+    /// it spans. A one-chunk tile is a warp's group of lanes.
     ///
     /// The walk is *snapshot-consistent* under concurrent mutation: every
     /// hop past a slab re-validates that slab's next pointer and re-probes
-    /// the still-open keys from the bucket on skew; keys resolved before
-    /// the restart stay resolved.
-    pub fn find_lanes(&self, warp: &Warp, keys: &Lanes<u32>, group: u32) -> (u32, Lanes<u32>) {
-        let homes = keys.map(|k| bucket_of(k, self.num_buckets));
-        let split_charged = self.num_buckets > 1 && group.count_ones() > 1;
-        let mut found = 0u32;
-        let mut values = Lanes::splat(0);
-        let mut pending = group;
-        while let Some(lead) = gpu_sim::ffs(pending) {
-            let bucket = homes.get(lead as usize);
-            let same_home = Lanes::from_fn(|i| pending & (1 << i) != 0 && homes.get(i) == bucket);
-            let mut open = if split_charged {
-                warp.ballot(&same_home)
-            } else {
-                gpu_sim::ballot(pending, &same_home)
-            };
-            pending &= !open;
-            let mut walk = ChainWalk::new(warp, self.bucket_addr(bucket));
-            while open != 0 {
+    /// the still-open keys from the bucket on skew or a torn slab read;
+    /// keys resolved before the restart stay resolved.
+    pub fn find_lanes(
+        &self,
+        warp: &Warp,
+        tile: &[Lanes<u32>],
+        groups: &[u32],
+    ) -> Vec<(u32, Lanes<u32>)> {
+        debug_assert_eq!(tile.len(), groups.len(), "one group mask per chunk");
+        let homes: Vec<Lanes<u32>> = tile
+            .iter()
+            .map(|keys| keys.map(|k| bucket_of(k, self.num_buckets)))
+            .collect();
+        let keys_in_tile: u32 = groups.iter().map(|g| g.count_ones()).sum();
+        let split_charged = self.num_buckets > 1 && keys_in_tile > 1;
+        let mut out = vec![(0u32, Lanes::splat(0)); tile.len()];
+        let mut pending = groups.to_vec();
+        // The lowest pending lane of the first chunk holding one names
+        // the next bucket to walk.
+        while let Some(bucket) = pending
+            .iter()
+            .zip(&homes)
+            .find_map(|(&p, h)| gpu_sim::ffs(p).map(|lead| h.get(lead as usize)))
+        {
+            let mut open: Vec<u32> = pending
+                .iter_mut()
+                .zip(&homes)
+                .map(|(p, h)| {
+                    if *p == 0 {
+                        return 0;
+                    }
+                    let same_home = Lanes::from_fn(|i| *p & (1 << i) != 0 && h.get(i) == bucket);
+                    let open = if split_charged {
+                        warp.ballot(&same_home)
+                    } else {
+                        gpu_sim::ballot(*p, &same_home)
+                    };
+                    *p &= !open;
+                    open
+                })
+                .collect();
+            let mut walk = ChainWalk::new(warp, self.kind, self.bucket_addr(bucket));
+            while open.iter().any(|&o| o != 0) {
                 let Some(words) = walk.read() else {
                     continue;
                 };
-                for lane in (0..WARP_SIZE).filter(move |i| open & (1 << i) != 0) {
-                    if let Some(slot) = gpu_sim::ffs(self.match_lanes(warp, &words, keys.get(lane)))
-                    {
+                for ((o, keys), (found, values)) in open.iter_mut().zip(tile).zip(&mut out) {
+                    for lane in 0..WARP_SIZE {
+                        if *o & (1 << lane) == 0 {
+                            continue;
+                        }
+                        let Some(slot) =
+                            gpu_sim::ffs(self.match_lanes(warp, &words, keys.get(lane)))
+                        else {
+                            continue;
+                        };
                         note_probe_depth(warp, walk.depth);
-                        found |= 1 << lane;
-                        open &= !(1 << lane);
+                        *found |= 1 << lane;
+                        *o &= !(1 << lane);
                         values.set(lane, self.kind.value_of(&words, slot as usize));
                     }
                 }
                 // Empties only exist at the tail ⇒ the open keys are absent.
-                if open != 0
+                if open.iter().any(|&o| o != 0)
                     && (self.match_lanes(warp, &words, EMPTY_KEY) != 0 || !walk.advance(&words))
                 {
-                    for _ in 0..open.count_ones() {
-                        note_probe_depth(warp, walk.depth);
+                    for o in &mut open {
+                        for _ in 0..o.count_ones() {
+                            note_probe_depth(warp, walk.depth);
+                        }
+                        *o = 0;
                     }
-                    open = 0;
                 }
             }
         }
-        (found, values)
+        out
     }
 
     /// Delete `key` by tombstoning it (§IV-C2). Returns `true` iff this
@@ -566,7 +621,7 @@ impl TableDesc {
     /// stays until [`Self::compact`] or an insert that reuses tombstones
     /// claims it.
     pub fn delete(&self, warp: &Warp, key: u32) -> bool {
-        let mut walk = ChainWalk::new(warp, self.home(key));
+        let mut walk = ChainWalk::new(warp, self.kind, self.home(key));
         loop {
             warp.begin_attempt();
             let Some(words) = walk.read() else {
@@ -607,7 +662,7 @@ impl TableDesc {
         let mut views = Vec::new();
         for b in 0..self.num_buckets {
             views.clear();
-            let mut walk = ChainWalk::new(warp, self.bucket_addr(b));
+            let mut walk = ChainWalk::new(warp, self.kind, self.bucket_addr(b));
             loop {
                 let Some(words) = walk.read() else {
                     views.clear();
@@ -1453,17 +1508,26 @@ mod tests {
                 }
                 let stats = t.stats(warp);
                 assert!(stats.max_chain >= 2 && stats.tombstones > 0, "{stats:?}");
-                for (keys, group) in probe_groups() {
-                    let (found, values) = t.find_lanes(warp, &keys, group);
-                    for lane in 0..WARP_SIZE {
-                        let want = if group & (1 << lane) != 0 {
-                            t.find(warp, keys.get(lane))
-                        } else {
-                            None
-                        };
-                        let ctx = format!("{kind:?} group {group:#x} lane {lane}");
-                        assert_eq!(found & (1 << lane) != 0, want.is_some(), "{ctx}");
-                        assert_eq!(values.get(lane), want.unwrap_or(0), "{ctx}");
+                // Tiles of 1 to 8 chunks, each chunk one probe group.
+                let probes = probe_groups();
+                for (i, chunks) in (1..=8).cycle().take(probes.len()).enumerate() {
+                    let tile: Vec<_> = (0..chunks)
+                        .map(|c| probes[(i + c) % probes.len()])
+                        .collect();
+                    let (keys, groups): (Vec<_>, Vec<_>) = tile.into_iter().unzip();
+                    let answers = t.find_lanes(warp, &keys, &groups);
+                    assert_eq!(answers.len(), chunks);
+                    for (c, (found, values)) in answers.into_iter().enumerate() {
+                        for lane in 0..WARP_SIZE {
+                            let want = if groups[c] & (1 << lane) != 0 {
+                                t.find(warp, keys[c].get(lane))
+                            } else {
+                                None
+                            };
+                            let ctx = format!("{kind:?} tile {i} chunk {c} lane {lane}");
+                            assert_eq!(found & (1 << lane) != 0, want.is_some(), "{ctx}");
+                            assert_eq!(values.get(lane), want.unwrap_or(0), "{ctx}");
+                        }
                     }
                 }
             });
@@ -1497,12 +1561,19 @@ mod tests {
                     })
                     .collect();
                 let grouped = charge(&|w| {
-                    t.find_lanes(w, &keys, group);
+                    t.find_lanes(w, &[keys], &[group]);
                 });
                 let deepest = singles.iter().map(|c| c.transactions).max().unwrap();
                 assert_eq!(grouped.transactions, deepest, "{kind:?}, k = {k}");
                 let ballots: u64 = singles.iter().map(|c| c.ballots).sum();
                 assert!(grouped.ballots <= ballots, "{kind:?}, k = {k}");
+                // The same keys dealt over eight chunks still walk the
+                // one chain once.
+                let dealt: Vec<u32> = (0..8).map(|c| group & (0x0101_0101 << c)).collect();
+                let tiled = charge(&|w| {
+                    t.find_lanes(w, &[keys; 8], &dealt);
+                });
+                assert_eq!(tiled.transactions, deepest, "{kind:?}, k = {k}, 8 chunks");
             }
         }
     }
@@ -1522,7 +1593,7 @@ mod tests {
             for k in 0..100 {
                 t.insert(warp, &alloc, k, k, true).unwrap();
             }
-            t.find_lanes(warp, &keys, (1 << probes.len()) - 1);
+            t.find_lanes(warp, &[keys], &[(1 << probes.len()) - 1]);
         });
         let probe = dev
             .profiler()

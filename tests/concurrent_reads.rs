@@ -1,7 +1,8 @@
 //! Concurrent readers vs writers over the epoch-pinned read path
 //! (DESIGN.md §17): property tests that every snapshot a pinned reader
 //! observes while mutation batches land is *prefix-consistent* — equal to
-//! the graph state after some prefix of the writer's operation sequence —
+//! the graph state after some prefix of the writer's operation sequence,
+//! whether read one probe at a time or in one run-tile walk —
 //! plus negative fixtures proving the sanitizer catches a quarantined-slab
 //! read that is not covered by a live [`ReadGuard`].
 //!
@@ -176,6 +177,77 @@ fn concurrent_deletes_observe_only_prefix_states() {
         });
         let pin = g.pin_read();
         assert!(edges.iter().all(|e| !g.edge_exists(&pin, e.src, e.dst)));
+        drop(pin);
+        g.validate().unwrap();
+        assert_eq!(g.device().sanitizer_findings(), vec![]);
+    }
+}
+
+/// The run-shaped case: the writer inserts `(HUB, d_i)` one edge per
+/// batch, and each pinned reader asks for all of the hub's 250 edges in
+/// one `edges_exist` call. One source and at most 256 pairs make one run
+/// tile, so each answer is one walk of the hub's chain (a lazily built
+/// table has one bucket) racing the inserts. Inserts fill the chain's
+/// slots in insertion order, and the walk reads them in slot order and
+/// stops at the first EMPTY one, so each answer must be a prefix of the
+/// insertion order; a slab copy torn by a claim would break that, and
+/// the walk re-reads it.
+#[test]
+fn run_tile_reads_racing_inserts_observe_only_prefix_states() {
+    const HUB: u32 = 7;
+    for seed in [2u64, 29] {
+        let mut rng = seed;
+        let mut dsts: Vec<u32> = (0..251).filter(|&d| d != HUB).collect();
+        for i in (1..dsts.len()).rev() {
+            dsts.swap(i, (splitmix64(&mut rng) % (i as u64 + 1)) as usize);
+        }
+        let probes: Vec<(u32, u32)> = dsts.iter().map(|&d| (HUB, d)).collect();
+        let g = graph(256);
+        let stop = AtomicBool::new(false);
+        let ready = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            let (g, stop, ready, probes) = (&g, &stop, &ready, &probes);
+            let handles: Vec<_> = (0..READERS)
+                .map(|r| {
+                    s.spawn(move || {
+                        let mut snaps = 0u64;
+                        loop {
+                            let pin = g.pin_read();
+                            let obs = g.edges_exist(&pin, probes);
+                            let head = obs.iter().position(|&b| !b).unwrap_or(obs.len());
+                            assert!(
+                                obs[head..].iter().all(|&b| !b),
+                                "seed {seed} reader {r}: tile answer is not a prefix of the \
+                                 insertion order: {obs:?}"
+                            );
+                            snaps += 1;
+                            if snaps == 1 {
+                                ready.fetch_add(1, Ordering::Release);
+                            }
+                            if stop.load(Ordering::Acquire) {
+                                break;
+                            }
+                        }
+                        snaps
+                    })
+                })
+                .collect();
+            while ready.load(Ordering::Acquire) < READERS {
+                std::thread::yield_now();
+            }
+            for &(u, v) in probes {
+                g.insert_edges(&[Edge::weighted(u, v, v + 1)]);
+            }
+            stop.store(true, Ordering::Release);
+            let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+            assert!(total >= READERS as u64);
+        });
+        let pin = g.pin_read();
+        assert!(g.edges_exist(&pin, &probes).into_iter().all(|b| b));
+        assert!(
+            g.stats(&pin).tables.max_chain > 8,
+            "the hub's chain is long"
+        );
         drop(pin);
         g.validate().unwrap();
         assert_eq!(g.device().sanitizer_findings(), vec![]);

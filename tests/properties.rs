@@ -204,3 +204,87 @@ fn edge_counts_are_exact_under_duplicates() {
         assert_eq!(g.num_edges(), unique.len() as u64, "seed {seed}");
     }
 }
+
+/// Tiled `edges_exist` answers every pair as per-pair `find` does (a
+/// one-pair `edge_exists` batch), on both executors. Runs of 1 to 700
+/// pairs of one source cross the 32-pair tile threshold and the 256-pair
+/// tile cap; the tables have several buckets, multi-slab chains and
+/// tombstones, so one tile walks several home buckets; and runs of
+/// sources without a table or past the vertex capacity are mixed in.
+#[test]
+fn tiled_edges_exist_answers_like_per_pair_find() {
+    use dynamic_graphs_gpu::gpu_sim::ExecPolicy;
+    // Vertices 0..24 have tables, 24..32 none; 32..40 are past capacity.
+    const CAP: u32 = 32;
+    for seed in 0..4u64 {
+        let mut rng = StdRng::seed_from_u64(0x711E + seed);
+        let cfg = if seed % 2 == 0 {
+            GraphConfig::directed_map(CAP)
+        } else {
+            GraphConfig::directed_set(CAP)
+        };
+        // Hints of 60 give each table 6 buckets (map) or 3 (set); 300
+        // edges then chain several slabs per bucket.
+        let mut g = DynGraph::with_degree_hints(cfg, &[60; 24]);
+        let edges: Vec<Edge> = (0..24u32)
+            .flat_map(|u| (0..300u32).map(move |i| Edge::weighted(u, (i * 7 + u) % 1000, i)))
+            .collect();
+        g.insert_edges(&edges);
+        let gone: Vec<Edge> = edges.iter().step_by(3).copied().collect();
+        g.delete_edges(&gone);
+        assert!(
+            g.stats(&g.pin_read()).tables.tombstones > 0,
+            "fixture has tombstones"
+        );
+
+        let mut lengths: Vec<usize> = vec![1, 2, 31, 32, 33, 255, 256, 257, 511, 512, 513, 700];
+        lengths.extend((0..4).map(|_| rng.random_range(1..701usize)));
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        let mut src = u32::MAX;
+        for &len in &lengths {
+            // A new source each run, so the runs stay apart.
+            let next = loop {
+                let s = rng.random_range(0..CAP + 8);
+                if s != src {
+                    break s;
+                }
+            };
+            src = next;
+            pairs.extend((0..len).map(|_| (src, rng.random_range(0..1000u32))));
+        }
+        let per_pair: Vec<bool> = {
+            let pin = g.pin_read();
+            pairs
+                .iter()
+                .map(|&(u, v)| g.edge_exists(&pin, u, v))
+                .collect()
+        };
+        assert!(per_pair.iter().any(|&b| b) && per_pair.iter().any(|&b| !b));
+        // Each run of 32 or more becomes ⌈len / 256⌉ tile warps; the
+        // shorter runs share 32-lane chunk warps.
+        let tiles: usize = lengths
+            .iter()
+            .filter(|&&l| l >= 32)
+            .map(|&l| l.div_ceil(256))
+            .sum();
+        let rest: usize = lengths.iter().filter(|&&l| l < 32).sum();
+        for policy in [ExecPolicy::Sequential, ExecPolicy::Threaded(4)] {
+            g.device_mut().set_policy(policy);
+            let pin = g.pin_read();
+            let before = g.device().counters().snapshot();
+            let tiled = g.edges_exist(&pin, &pairs);
+            let delta = g.device().counters().snapshot().delta(&before);
+            if let Some(i) = (0..pairs.len()).find(|&i| tiled[i] != per_pair[i]) {
+                panic!(
+                    "{policy:?} seed {seed}: pair {i} {:?}: tiled {}",
+                    pairs[i], tiled[i]
+                );
+            }
+            assert_eq!(
+                delta.warps,
+                (tiles + rest.div_ceil(32)) as u64,
+                "{policy:?} seed {seed}"
+            );
+        }
+    }
+}
