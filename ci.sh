@@ -9,6 +9,12 @@ cd "$(dirname "$0")"
 
 mode="${1:-full}"
 
+# The release test run and the sanitized suite keep their output here
+# (`tee` under pipefail: a failing suite still fails CI), so the workflow
+# can upload a failure's error text.
+rm -rf target/ci
+mkdir -p target/ci
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
@@ -79,7 +85,7 @@ else
     echo "== cargo build --release =="
     cargo build --workspace --release
     echo "== cargo test (release) =="
-    cargo test --workspace --release -q
+    cargo test --workspace --release -q 2>&1 | tee target/ci/test-release.log
     echo "== bounded-memory quickstart smoke run =="
     cargo run --release -q --example quickstart
     echo "== example smoke runs (BFS and TC through the backend trait, structure shootout) =="
@@ -103,7 +109,7 @@ else
     cargo run --release -q -p bench --bin run_all
     git diff --exit-code -- BENCH_tables.json
     echo "== sanitized test suite (racecheck/memcheck/initcheck on every device) =="
-    cargo test --workspace --release -q --features dynamic-graphs-gpu/sanitize
+    cargo test --workspace --release -q --features dynamic-graphs-gpu/sanitize 2>&1 | tee target/ci/test-sanitized.log
     echo "== sanitized chaos churn smoke run (4 shards, seeded kill/revive; zero findings + clean post-rebuild validate asserted in-run) =="
     cargo run --release -q -p bench --features sanitize --bin churn -- --scale 4096 --rounds 5 --ops 256 --shards 4 --sessions 4 --seed 41 --chaos
     test -s BENCH_chaos.json

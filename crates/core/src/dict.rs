@@ -185,6 +185,34 @@ impl VertexDict {
         })
     }
 
+    /// Warp-side (charged) walk over every constructed table in vertex-id
+    /// order, `f(v, desc)` for each. The descriptor array starts on a
+    /// 128 B line and a line holds 16 descriptor pairs, so the walk reads
+    /// them a line at a time: one masked read of 16 pairs (fewer on the
+    /// last line, never past the descriptor array), ⌈capacity/16⌉
+    /// transactions in all. The capacity is read once, at the start.
+    pub fn for_each_table(&self, warp: &Warp, mut f: impl FnMut(u32, TableDesc)) {
+        const PER_LINE: u32 = (SLAB_WORDS / 2) as u32;
+        let (base, capacity) = self.layout();
+        for first in (0..capacity).step_by(PER_LINE as usize) {
+            let n = (capacity - first).min(PER_LINE);
+            let line = base + 2 * first;
+            let addrs = Lanes::from_fn(|i| line + i as u32);
+            let words = warp.read_lanes(&addrs, gpu_sim::lanemask_lt(2 * n));
+            for j in 0..n as usize {
+                let table = words.get(2 * j);
+                if table != NULL_ADDR {
+                    let desc = TableDesc {
+                        kind: self.kind,
+                        base: table,
+                        num_buckets: words.get(2 * j + 1),
+                    };
+                    f(first + j as u32, desc);
+                }
+            }
+        }
+    }
+
     /// Install a table for vertex `v` (bulk/incremental build, vertex
     /// insertion). Host-side store; the allocation itself is charged by
     /// the caller.

@@ -25,19 +25,15 @@ impl DynGraph {
     /// Returns the number of tombstones removed.
     pub fn flush_tombstones(&self) -> u64 {
         let _phase = self.dev.phase("flush_tombstones");
-        let cap = self.dict.capacity();
         let removed = AtomicU64::new(0);
         self.batch(|k| {
             k.launch_warps("flush_tombstones", 1, |warp| {
-                for v in 0..cap {
-                    let Some(desc) = self.dict.desc(warp, v) else {
-                        continue;
-                    };
+                self.dict.for_each_table(warp, |_, desc| {
                     let n = desc
                         .compact(warp, &self.alloc)
                         .expect("flushed chains must be freeable");
                     removed.fetch_add(n, Ordering::AcqRel);
-                }
+                });
             })
         });
         removed.into_inner()
@@ -55,16 +51,12 @@ impl DynGraph {
     pub fn rehash_overloaded(&self, max_chain: f64) -> u64 {
         let _phase = self.dev.phase("rehash_overloaded");
         assert!(max_chain >= 1.0, "chains cannot be shorter than one slab");
-        let cap = self.dict.capacity();
         let rehashed = AtomicU64::new(0);
         self.batch(|k| {
             k.launch_warps("rehash", 1, |warp| {
-                for v in 0..cap {
-                    let Some(desc) = self.dict.desc(warp, v) else {
-                        continue;
-                    };
+                self.dict.for_each_table(warp, |v, desc| {
                     if desc.stats(warp).avg_chain() <= max_chain {
-                        continue;
+                        return;
                     }
                     rehashed.fetch_add(1, Ordering::AcqRel);
                     let entries = self.collect_entries(warp, &desc);
@@ -86,7 +78,7 @@ impl DynGraph {
                     desc.free_dynamic_slabs(warp, &self.alloc)
                         .expect("rehashed chains must be freeable");
                     self.dict.publish(warp, v, &fresh);
-                }
+                });
             })
         });
         rehashed.into_inner()
@@ -107,7 +99,7 @@ impl DynGraph {
 mod tests {
     use crate::config::GraphConfig;
     use crate::graph::{DynGraph, Edge};
-    use gpu_sim::{CounterSnapshot, NULL_ADDR};
+    use gpu_sim::{CounterSnapshot, Device, DeviceConfig, SanitizerConfig, NULL_ADDR};
 
     fn churned_graph() -> DynGraph {
         let g = DynGraph::with_uniform_buckets(GraphConfig::directed_map(64), 64, 1);
@@ -202,24 +194,86 @@ mod tests {
         g.check_invariants();
         assert_dense(&g);
 
-        // Idempotent: the second flush reads every descriptor and slab
-        // and writes nothing.
-        let pin = g.pin_read();
-        let desc_reads = charges(&g, || {
-            g.pinned(&pin).launch_warps("desc_reads", 1, |warp| {
-                for v in 0..g.vertex_capacity() {
-                    g.dict.desc(warp, v);
-                }
-            })
-        });
-        drop(pin);
-        let second = charges(&g, || assert_eq!(g.flush_tombstones(), 0, "idempotent"));
+        // Idempotent: the second flush reads the dictionary line by line
+        // and every slab, and writes nothing.
+        assert_second_flush_only_reads(&g);
+        g.validate().unwrap();
+    }
+
+    /// Flush `g` (removing any tombstones), then flush again: the second
+    /// flush charges one transaction per 128 B line of descriptors,
+    /// ⌈capacity/16⌉, plus one per slab, and no atomic or shuffle.
+    fn assert_second_flush_only_reads(g: &DynGraph) {
+        g.flush_tombstones();
+        let slabs = g.stats(&g.pin_read()).tables.slabs;
+        let second = charges(g, || assert_eq!(g.flush_tombstones(), 0, "idempotent"));
         assert_eq!(
             second.transactions,
-            desc_reads.transactions + after.tables.slabs,
-            "reads only"
+            u64::from(g.vertex_capacity().div_ceil(16)) + slabs,
+            "reads only, at capacity {}",
+            g.vertex_capacity()
         );
         assert_eq!((second.atomics, second.shuffles), (0, 0));
+    }
+
+    /// A directed map graph on a device with its own shadow-memory
+    /// sanitizer, so a dictionary read past the descriptor array is a
+    /// finding (the words after it are the count array's end, alignment
+    /// padding or past the arena's bump cursor) with or without the
+    /// `sanitize` feature.
+    fn sanitized_graph(vertex_capacity: u32) -> DynGraph {
+        let config = GraphConfig::directed_map(vertex_capacity);
+        let dev = Device::with_config(
+            DeviceConfig::new(config.device_words).with_sanitizer(SanitizerConfig::default()),
+        );
+        DynGraph::on_device(std::sync::Arc::new(dev), config)
+    }
+
+    /// Insert two edges per vertex in `vertices`, then delete one.
+    fn churn(g: &DynGraph, vertices: std::ops::Range<u32>) {
+        let cap = g.vertex_capacity();
+        let ins: Vec<Edge> = vertices
+            .clone()
+            .flat_map(|u| {
+                [
+                    Edge::weighted(u, (u + 1) % cap, 1),
+                    Edge::weighted(u, (u + 2) % cap, 2),
+                ]
+            })
+            .collect();
+        g.insert_edges(&ins);
+        let del: Vec<Edge> = vertices.map(|u| Edge::new(u, (u + 1) % cap)).collect();
+        g.delete_edges(&del);
+    }
+
+    #[test]
+    fn flush_reads_a_partial_last_dictionary_line_within_the_array() {
+        // 21 descriptors fill one line and 5 pairs of the next: an
+        // unmasked read of the whole second line would run one word past
+        // the dictionary's 63.
+        let g = sanitized_graph(21);
+        g.install_tables(&[1; 21]);
+        churn(&g, 0..21);
+        assert_second_flush_only_reads(&g);
+        assert_eq!(g.vertex_capacity().div_ceil(16), 2);
+        assert!(g.device().sanitizer_findings().is_empty());
+        g.validate().unwrap();
+    }
+
+    #[test]
+    fn flush_reads_a_grown_dictionary_by_the_line() {
+        // Vertex insertion grows the dictionary from 10 to 20 entries
+        // (`VertexDict::try_grow`); the flush walks the new allocation,
+        // whose second line holds 4 descriptor pairs.
+        let g = sanitized_graph(10);
+        g.install_tables(&[1; 10]);
+        churn(&g, 0..10);
+        let ids: Vec<u32> = (10..20).collect();
+        g.insert_vertices(&ids, &[]).unwrap();
+        assert_eq!(g.vertex_capacity(), 20);
+        churn(&g, 10..20);
+        assert_second_flush_only_reads(&g);
+        assert!(g.device().sanitizer_findings().is_empty());
         g.validate().unwrap();
     }
 

@@ -32,8 +32,10 @@ pub(crate) type Clock = Arc<parking_lot::Mutex<f64>>;
 pub enum ExecPolicy {
     /// Run warps one at a time in warp-id order. Deterministic; the default.
     Sequential,
-    /// Run warps on `n` host threads. Non-deterministic interleaving;
-    /// used to validate phase-concurrency.
+    /// Run warps on `n` host threads, or one per warp if the launch has
+    /// fewer; a one-warp launch runs on the calling thread.
+    /// Non-deterministic interleaving; used to validate
+    /// phase-concurrency.
     Threaded(usize),
 }
 
@@ -453,17 +455,22 @@ impl Device {
                 };
                 kernel(&mut warp);
             };
-            match self.policy {
-                ExecPolicy::Sequential => {
+            // A threaded launch spawns one worker per warp at most; with
+            // one worker it runs on the calling thread, as sequential.
+            let workers = match self.policy {
+                ExecPolicy::Sequential => 1,
+                ExecPolicy::Threaded(threads) => threads.clamp(1, n_warps),
+            };
+            match workers {
+                1 => {
                     for w in 0..n_warps {
                         run_warp(w);
                     }
                 }
-                ExecPolicy::Threaded(threads) => {
-                    let threads = threads.max(1);
+                _ => {
                     let next = std::sync::atomic::AtomicUsize::new(0);
                     std::thread::scope(|s| {
-                        for _ in 0..threads {
+                        for _ in 0..workers {
                             s.spawn(|| loop {
                                 let w = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                                 if w >= n_warps {
@@ -1071,6 +1078,20 @@ mod tests {
         for i in 0..100 {
             assert_eq!(load(&dev, out + i), 1, "task {i}");
         }
+    }
+
+    #[test]
+    fn one_warp_threaded_launch_runs_on_the_calling_thread() {
+        let dev = Device::with_policy(1024, ExecPolicy::Threaded(4));
+        let ran_on = parking_lot::Mutex::new(None);
+        dev.launch_warps("threads", 1, |_| {
+            *ran_on.lock() = Some(std::thread::current().id());
+        });
+        assert_eq!(
+            ran_on.into_inner(),
+            Some(std::thread::current().id()),
+            "a one-warp launch spawns no thread"
+        );
     }
 
     #[test]

@@ -40,7 +40,9 @@
 //! A map slot's ⟨key, value⟩ is one even/odd word pair, claimed or
 //! replaced with one 64-bit pair CAS ([`gpu_sim::Warp::atomic_cas_pair`])
 //! as in SlabHash: a new key costs one atomic, and a reader's slab load
-//! never sees a key without its value. Set slots CAS the key alone.
+//! never sees a key without its value. Set slots CAS the key alone. A
+//! replace that would write the value the slot already holds issues no
+//! CAS.
 //!
 //! Sentinels: [`EMPTY_KEY`] marks a never-used slot, [`TOMBSTONE_KEY`] a
 //! deleted one. An insert of a new key walks to the chain's last slab
@@ -382,7 +384,8 @@ impl TableDesc {
 
     /// Give `key`, found on `lane` of the slab at `slab_addr` read as
     /// `words`, the value `value`: a pair CAS `(key, old) → (key, value)`
-    /// for a map, nothing for a set. `false` on a lost race (the pair
+    /// for a map whose slot held another value, nothing for a set or a
+    /// slot that already held `value`. `false` on a lost race (the pair
     /// changed or the key was deleted since the read).
     #[inline]
     fn replace(
@@ -394,7 +397,9 @@ impl TableDesc {
         value: u32,
     ) -> bool {
         let seen = slot(words, lane);
-        self.kind == TableKind::Set || self.claim(warp, slab_addr + lane, seen, seen[0], value)
+        self.kind == TableKind::Set
+            || seen[1] == value
+            || self.claim(warp, slab_addr + lane, seen, seen[0], value)
     }
 
     /// Insert `key` with `value`, or replace the value of an existing key
@@ -425,6 +430,14 @@ impl TableDesc {
     /// walker that saw the claimed slot live. A launch whose own deletes
     /// free slots while it claims them (a mixed update batch) must pass
     /// `false`.
+    ///
+    /// A key found already holding `value` (every key of a set) is not
+    /// written: no CAS, the insert returns `Ok(false)` and linearizes at
+    /// the slab read that showed the slot, since a slab load reads each
+    /// word pair whole. Writing nothing leaves the argument above as it
+    /// is. If a delete of the same key runs in the same launch (a mixed
+    /// update batch), it lands after the insert: one of the two orders
+    /// such a batch already allows.
     ///
     /// Returns `Ok(true)` if the key was added (allocating a chained slab
     /// if needed), `Ok(false)` if it already existed. The boolean drives
@@ -1438,6 +1451,66 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_same_value_reinserts_replaces_and_new_keys_stay_exact() {
+        use gpu_sim::ExecPolicy;
+        use std::collections::{BTreeSet, HashMap};
+        // Keys 0..30 start stored with themselves as value. One launch of
+        // 16 warps writes keys 0..60 with heavy overlap: each write to an
+        // old key either re-inserts its stored value (no CAS) or replaces
+        // it; keys 30..60 are new.
+        let dev = Device::with_policy(1 << 20, ExecPolicy::Threaded(4));
+        let alloc = SlabAllocator::new(&dev, 1024);
+        let t = TableDesc::create(&dev, TableKind::Map, 2);
+        dev.launch_warps("hash_test", 1, |warp| {
+            for k in 0..30 {
+                assert!(t.insert(warp, &alloc, k, k, true).unwrap());
+            }
+        });
+        let write = |w: u32, j: u32| {
+            let k = (w * 7 + j) % 60;
+            let v = if k < 30 && w.is_multiple_of(2) {
+                k
+            } else {
+                1000 + w
+            };
+            (k, v)
+        };
+        let mut written: HashMap<u32, BTreeSet<u32>> = HashMap::new();
+        for w in 0..16 {
+            for j in 0..20 {
+                let (k, v) = write(w, j);
+                written.entry(k).or_default().insert(v);
+            }
+        }
+        assert_eq!(written.len(), 60, "every key is written");
+        assert!(
+            (0..30).all(|k| written[&k].contains(&k) && written[&k].len() > 1),
+            "every old key gets same-value re-inserts and replaces"
+        );
+        let added = std::sync::atomic::AtomicU32::new(0);
+        dev.launch_warps("hash_test", 16, |warp| {
+            for j in 0..20 {
+                let (k, v) = write(warp.warp_id(), j);
+                if t.insert(warp, &alloc, k, v, true).unwrap() {
+                    added.fetch_add(1, std::sync::atomic::Ordering::AcqRel);
+                }
+            }
+        });
+        assert_eq!(added.into_inner(), 30, "exactly one claim per new key");
+        let counts = key_counts(&dev, &t);
+        assert_eq!(counts.len(), 60);
+        for (k, c) in counts {
+            assert_eq!(c, 1, "key {k} stored {c} times");
+        }
+        dev.launch_warps("hash_test", 1, |warp| {
+            assert_eq!(t.stats(warp).live_keys, 60);
+            t.for_each_entry(warp, |k, v| {
+                assert!(written[&k].contains(&v), "key {k}: {v} was never written");
+            });
+        });
+    }
+
+    #[test]
     fn profiler_histograms_track_probe_and_chain_depth() {
         use gpu_sim::{DeviceConfig, ProfilerConfig};
         let dev = Device::with_config(
@@ -1663,12 +1736,16 @@ mod tests {
     #[test]
     fn op_charges_are_pinned() {
         type Op = fn(&TableDesc, &Warp, &SlabAllocator, u32);
-        let ops: [(&str, Op); 8] = [
+        let ops: [(&str, Op); 9] = [
             ("insert-new", |t, w, a, _| {
                 assert!(t.insert(w, a, NEW_KEY, 7, true).unwrap())
             }),
             ("insert-existing", |t, w, a, last| {
                 assert!(!t.insert(w, a, last, 7, true).unwrap())
+            }),
+            // `op_charges` stores every key with itself as its value.
+            ("insert-same-value", |t, w, a, last| {
+                assert!(!t.insert(w, a, last, last, true).unwrap())
             }),
             ("find-hit", |t, w, _, last| {
                 assert!(t.find(w, last).is_some())
@@ -1686,13 +1763,14 @@ mod tests {
             }),
         ];
         // [transactions, atomics, ballots] per op, in `ops` order.
-        let expected: [(TableKind, usize, [[u64; 3]; 8]); 4] = [
+        let expected: [(TableKind, usize, [[u64; 3]; 9]); 4] = [
             (
                 TableKind::Map,
                 1,
                 [
                     [1, 1, 2],
                     [1, 1, 1],
+                    [1, 0, 1],
                     [1, 0, 1],
                     [1, 0, 2],
                     [1, 1, 1],
@@ -1707,6 +1785,7 @@ mod tests {
                 [
                     [3, 1, 6],
                     [3, 1, 5],
+                    [3, 0, 5],
                     [5, 0, 5],
                     [5, 0, 6],
                     [5, 1, 5],
@@ -1722,6 +1801,7 @@ mod tests {
                     [1, 1, 2],
                     [1, 0, 1],
                     [1, 0, 1],
+                    [1, 0, 1],
                     [1, 0, 2],
                     [1, 1, 1],
                     [1, 0, 2],
@@ -1734,6 +1814,7 @@ mod tests {
                 3,
                 [
                     [3, 1, 6],
+                    [3, 0, 5],
                     [3, 0, 5],
                     [5, 0, 5],
                     [5, 0, 6],
