@@ -541,7 +541,7 @@ pub fn table9_dynamic_tc() -> Table {
         for iter in 1..=5u32 {
             let batch = insert_batch(ds.n_vertices, batch_size, 500 + iter as u64);
             let mut tris: Vec<u64> = vec![];
-            for c in &mut contenders {
+            for (ci, c) in contenders.iter_mut().enumerate() {
                 let (edges, touched): (Vec<(u32, u32)>, Vec<u32>) = if c.mirror_batches {
                     let sym = mirror(&batch);
                     let touched = sym.iter().map(|&(u, _)| u).collect();
@@ -559,7 +559,12 @@ pub fn table9_dynamic_tc() -> Table {
                 // (a no-op for the hash-based structure).
                 c.g.ensure_sorted_touched(&touched);
                 let tri = tc(c.g.as_ref());
-                c.tc_ms += phase.end(&[c.g.device()]).modeled_ms();
+                let m = phase.end(&[c.g.device()]);
+                c.tc_ms += m.modeled_ms();
+                // Integer counts pin what the rounded ms cell can hide.
+                if ci == 0 && iter == 5 && name == "hollywood-2009" {
+                    t.breakdown(format!("ours TC, {name} round {iter}"), m.report());
+                }
                 tris.push(tri);
             }
             assert!(
@@ -680,6 +685,10 @@ pub fn fig3_tc_load_factor() -> Table {
             let m = measure(&[g.device()], || {
                 tri = tc(&g);
             });
+            // Integer counts pin what the rounded ms cell can hide.
+            if lf == 0.7 || lf == 4.0 {
+                t.breakdown(format!("ours TC, avg degree {avg_deg} lf {lf}"), m.report());
+            }
             t.row(vec![
                 avg_deg.to_string(),
                 fnum(lf),

@@ -17,10 +17,14 @@
 
 use gpu_sim::{Addr, Device, Lanes, OomError, Warp, NULL_ADDR, SLAB_WORDS};
 use slab_hash::{TableDesc, TableKind};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Dictionary words per vertex: a descriptor pair and a count.
 pub const ENTRY_WORDS: u32 = 3;
+
+/// Descriptor pairs per 128 B line of the descriptor array.
+const TABLES_PER_LINE: u32 = (SLAB_WORDS / 2) as u32;
 
 /// The packed ⟨base, capacity⟩ of a dictionary allocation.
 fn pack(base: Addr, capacity: u32) -> u64 {
@@ -185,17 +189,36 @@ impl VertexDict {
         })
     }
 
+    /// Number of 128 B lines the descriptor array spans, ⌈capacity/16⌉:
+    /// a line holds 16 descriptor pairs.
+    pub fn lines(&self) -> u32 {
+        self.capacity().div_ceil(TABLES_PER_LINE)
+    }
+
     /// Warp-side (charged) walk over every constructed table in vertex-id
-    /// order, `f(v, desc)` for each. The descriptor array starts on a
-    /// 128 B line and a line holds 16 descriptor pairs, so the walk reads
-    /// them a line at a time: one masked read of 16 pairs (fewer on the
-    /// last line, never past the descriptor array), ⌈capacity/16⌉
-    /// transactions in all. The capacity is read once, at the start.
-    pub fn for_each_table(&self, warp: &Warp, mut f: impl FnMut(u32, TableDesc)) {
-        const PER_LINE: u32 = (SLAB_WORDS / 2) as u32;
+    /// order, `f(v, desc)` for each: [`Self::for_each_table_in_lines`]
+    /// over the whole array, ⌈capacity/16⌉ transactions.
+    pub fn for_each_table(&self, warp: &Warp, f: impl FnMut(u32, TableDesc)) {
+        self.for_each_table_in_lines(warp, 0..u32::MAX, f);
+    }
+
+    /// Warp-side (charged) walk over the constructed tables of the
+    /// descriptor lines in `lines` (clipped to the array's end), in
+    /// vertex-id order, `f(v, desc)` for each. The descriptor array
+    /// starts on a 128 B line and a line holds 16 descriptor pairs, so
+    /// the walk reads them a line at a time: one masked read of 16 pairs
+    /// (fewer on the last line, never past the descriptor array) per
+    /// line. The capacity is read once, at the start.
+    pub fn for_each_table_in_lines(
+        &self,
+        warp: &Warp,
+        lines: Range<u32>,
+        mut f: impl FnMut(u32, TableDesc),
+    ) {
         let (base, capacity) = self.layout();
-        for first in (0..capacity).step_by(PER_LINE as usize) {
-            let n = (capacity - first).min(PER_LINE);
+        let end = lines.end.min(capacity.div_ceil(TABLES_PER_LINE));
+        for first in (lines.start..end).map(|l| l * TABLES_PER_LINE) {
+            let n = (capacity - first).min(TABLES_PER_LINE);
             let line = base + 2 * first;
             let addrs = Lanes::from_fn(|i| line + i as u32);
             let words = warp.read_lanes(&addrs, gpu_sim::lanemask_lt(2 * n));

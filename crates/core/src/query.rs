@@ -96,13 +96,15 @@ impl DynGraph {
     /// insertion work queue, and answers each same-source group with one
     /// one-chunk [`TableDesc::find_lanes`](slab_hash::TableDesc::find_lanes)
     /// call; a one-pair batch charges exactly one `find`. A run-tile warp
-    /// reads its ⟨source, length⟩ header (one word pair), its key slabs
-    /// and the source's descriptor once each, and answers the whole tile
-    /// with one `find_lanes` call: one walk of each home bucket's chain
-    /// for up to 256 probes. Either warp keeps its hits in lane registers
-    /// and writes them as an answer bitmap with one store once done. A
-    /// batch without runs reads no header and charges what per-chunk
-    /// warps always did.
+    /// reads its ⟨source, length, key offset⟩ header (one transaction),
+    /// its key slabs and the source's descriptor once each, and answers
+    /// the whole tile with one `find_lanes` call: one walk of each home
+    /// bucket's chain for up to 256 probes. A tile's keys are staged from
+    /// the slab boundary after the previous tile's, so a short tile
+    /// stages ⌈len/32⌉ slabs, not 8. Either warp keeps its hits in lane
+    /// registers and writes them as an answer bitmap with one store once
+    /// done. A batch without runs reads no header and charges what
+    /// per-chunk warps always did.
     pub fn edges_exist(&self, pin: &ReadGuard, pairs: &[(u32, u32)]) -> Vec<bool> {
         let k = self.pinned(pin);
         if pairs.is_empty() {
@@ -111,16 +113,18 @@ impl DynGraph {
         let plan = Tiling::new(pairs);
         let chunks = plan.loose.len().div_ceil(WARP_SIZE);
         let chunk_words = chunks * WARP_SIZE;
-        // Sources: the chunks', then one ⟨source, length⟩ header per tile.
-        // Keys: the chunks' destinations, then each tile's, TILE_PAIRS
-        // apart. Answers: one bit per pair, a word per chunk, then
-        // TILE_CHUNKS words per tile (one segment, so one store).
+        // Sources: the chunks', then one ⟨source, length, key offset⟩
+        // header per tile, 4 words apart so no header straddles a 128 B
+        // segment. Keys: the chunks' destinations, then each tile's from
+        // the next slab boundary on. Answers: one bit per pair, a word
+        // per chunk, then TILE_CHUNKS words per tile (one segment, so
+        // one store).
         let mut srcs: Vec<u32> = plan.loose.iter().map(|&i| pairs[i].0).collect();
         let mut keys: Vec<u32> = plan.loose.iter().map(|&i| pairs[i].1).collect();
         srcs.resize(chunk_words, u32::MAX);
-        for (t, &(start, len)) in plan.tiles.iter().enumerate() {
-            srcs.extend([pairs[start].0, len as u32]);
-            keys.resize(chunk_words + t * TILE_PAIRS, u32::MAX);
+        for &(start, len) in &plan.tiles {
+            keys.resize(keys.len().next_multiple_of(WARP_SIZE), u32::MAX);
+            srcs.extend([pairs[start].0, len as u32, keys.len() as u32, u32::MAX]);
             keys.extend(pairs[start..start + len].iter().map(|p| p.1));
         }
         let tile_answers = chunks.next_multiple_of(TILE_CHUNKS);
@@ -140,9 +144,8 @@ impl DynGraph {
                 return;
             }
             let t = w - chunks;
-            let head = (chunk_words + 2 * t) as u32;
-            let keys = (chunk_words + t * TILE_PAIRS) as u32;
-            let found = self.answer_tile(warp, src_buf + head, key_buf + keys);
+            let head = src_buf + (chunk_words + 4 * t) as u32;
+            let found = self.answer_tile(warp, head, key_buf);
             // One store of the tile's answer bitmap.
             let out = out_buf + (tile_answers + t * TILE_CHUNKS) as u32;
             let addrs = Lanes::from_fn(|i| out + (i % TILE_CHUNKS) as u32);
@@ -193,12 +196,14 @@ impl DynGraph {
         }
     }
 
-    /// A run-tile warp: the ⟨source, length⟩ header at `head` and the
-    /// tile's keys from `keys` on, one slab per chunk. Returns the hit
-    /// mask of each chunk.
-    fn answer_tile(&self, warp: &Warp, head: Addr, keys: Addr) -> Vec<u32> {
-        let head = warp.read_lanes(&Lanes::from_fn(|i| head + (i as u32).min(1)), 0b11);
+    /// A run-tile warp: the ⟨source, length, key offset⟩ header at
+    /// `head` (one read) and the tile's keys from that offset into
+    /// `key_buf` on, one slab per chunk. Returns the hit mask of each
+    /// chunk.
+    fn answer_tile(&self, warp: &Warp, head: Addr, key_buf: Addr) -> Vec<u32> {
+        let head = warp.read_lanes(&Lanes::from_fn(|i| head + (i as u32).min(2)), 0b111);
         let (src, len) = (head.get(0), head.get(1) as usize);
+        let keys = key_buf + head.get(2);
         let tile: Vec<Lanes<u32>> = (0..len.div_ceil(WARP_SIZE))
             .map(|c| warp.read_slab(keys + (c * WARP_SIZE) as u32))
             .collect();
@@ -492,7 +497,7 @@ mod tests {
     #[test]
     fn run_tile_charges_are_pinned() {
         // 256 probes of one source: one run tile, so one warp reads the
-        // ⟨source, length⟩ header (one transaction), 8 key slabs and the
+        // ⟨source, length, key offset⟩ header (one transaction), 8 key slabs and the
         // descriptor once, walks the one-bucket chain once, and stores
         // its answer bitmap once. Vertex 0's chain is L full slabs of 30
         // keys (destinations 1..=30·L), so the 256 − 30·L misses walk it
@@ -511,21 +516,48 @@ mod tests {
                 assert_eq!(res.iter().filter(|&&b| b).count() as u64, hits);
                 let desc = u64::from(src < 512);
                 let transactions = 1 + 8 + desc + walk + 1;
-                // Per slab: a match ballot per key still open there, and
-                // the EMPTY ballot (misses stay open to the end).
-                let ballots = if walk == 0 {
-                    0
-                } else {
-                    (0..slabs).map(|s| 256 - 30 * s + 1).sum()
-                };
+                // Every slab has more than 30 keys open (the misses stay
+                // open to the end), so each charges 30 broadcast shuffles
+                // and no ballot.
+                let shuffles = if walk == 0 { 0 } else { 30 * slabs };
                 let got: Vec<u64> = delta.iter().map(|(_, c)| c).collect();
                 // [transactions, atomics, ballots, shuffles, launches,
                 // warps, words_allocated]: a one-slab header buffer, the
                 // 256-key buffer and an eight-word bitmap padded to a slab.
-                let want = [transactions, 0, ballots, 0, 1, 1, 32 + 256 + 32];
+                let want = [transactions, 0, 0, shuffles, 1, 1, 32 + 256 + 32];
                 assert_eq!(got, want, "L = {slabs}, source {src}");
             }
         }
+    }
+
+    #[test]
+    fn tile_keys_are_staged_on_slab_boundaries() {
+        // Five loose probes of sources without a table, then three runs
+        // of 40 probes (sources 1, 2, 3, each with the ten even
+        // destinations 20..40 in a one-slab table). Keys: the chunk's 5 padded to a slab, then each tile's
+        // 40 from the next slab boundary: 32 + 64 + 64 + 40, padded to
+        // 224 words (a 256-word stride would stage 608). Sources: 32 for
+        // the chunk and three 4-word headers, padded to 64. Answers: one
+        // chunk word padded to 8, and 8 per tile, one slab in all.
+        let g = DynGraph::new(GraphConfig::directed_set(128));
+        let ins: Vec<Edge> = (1..4)
+            .flat_map(|u| (10..20).map(move |i| Edge::new(u, 2 * i)))
+            .collect();
+        g.insert_edges(&ins);
+        let pin = g.pin_read();
+        let mut pairs: Vec<(u32, u32)> = (10..15).map(|u| (u, 1)).collect();
+        pairs.extend((1..4).flat_map(|u| (0..40).map(move |d| (u, d))));
+        let before = g.device().counters().snapshot();
+        let res = g.edges_exist(&pin, &pairs);
+        let delta = g.device().counters().snapshot().delta(&before);
+        for (&(u, d), &hit) in pairs.iter().zip(&res) {
+            let want = (1..4).contains(&u) && d >= 20 && d % 2 == 0;
+            assert_eq!(hit, want, "({u}, {d})");
+        }
+        // Chunk warp: two staged slabs, five descriptor reads, a store.
+        // Each tile: header, two key slabs, descriptor, one slab, store.
+        assert_eq!(delta.transactions, (2 + 5 + 1) + 3 * (1 + 2 + 1 + 1 + 1));
+        assert_eq!(delta.words_allocated, 64 + 224 + 32);
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //! on insert). [`TableDesc::find_lanes`] is `find` for a *tile* of keys:
 //! up to several 32-lane chunks (one key register per lane per chunk),
 //! answered with one chain walk per home bucket however many chunks the
-//! tile spans; `find` is its one-lane call. Maintenance rewrites whole
+//! tile spans; `find` is its one-lane call. At each slab it matches up to
+//! 30 open keys with one ballot each and more by broadcasting the slab's
+//! 30 data words to every lane instead. Maintenance rewrites whole
 //! chains through one dense writer: [`TableDesc::compact`] flushes
 //! tombstones in place, [`TableDesc::fill`] builds a fresh table.
 //!
@@ -542,12 +544,23 @@ impl TableDesc {
     /// The tile splits by home bucket: per bucket, one ballot for each
     /// chunk with keys still pending, charged only when the table has
     /// more than one bucket and the tile more than one key. Each bucket's
-    /// chain is then walked once for all the tile's keys that hash there:
-    /// at every slab, one match ballot per still-open key and, while keys
-    /// remain open, one EMPTY ballot. The walk stops when every key is
-    /// resolved or the chain ends, so a tile costs the transactions of
-    /// its deepest probe per bucket, not their sum, however many chunks
-    /// it spans. A one-chunk tile is a warp's group of lanes.
+    /// chain is then walked once for all the tile's keys that hash there.
+    /// At every slab the walk matches the still-open keys one of two
+    /// ways, so the slab's match step charges the smaller of the open-key
+    /// count and 30 warp intrinsics:
+    /// - with 30 or fewer keys open (WCWS, §IV), one match ballot per
+    ///   open key and, while keys remain open, one EMPTY ballot;
+    /// - with more keys open than the slab's 30 data words, 30 broadcast
+    ///   shuffles of those words and no ballot: every lane compares each
+    ///   word with its own open keys (one register per chunk), takes a
+    ///   map's value from the broadcast value word, and sees any EMPTY
+    ///   itself.
+    ///
+    /// Either way a lane makes one compare per open key per key word.
+    /// The walk stops when every key is resolved or the chain ends, so a
+    /// tile costs the transactions of its deepest probe per bucket, not
+    /// their sum, however many chunks it spans. A one-chunk tile is a
+    /// warp's group of lanes; a one-key call is [`Self::find`].
     ///
     /// The walk is *snapshot-consistent* under concurrent mutation: every
     /// hop past a slab re-validates that slab's next pointer and re-probes
@@ -597,25 +610,43 @@ impl TableDesc {
                 let Some(words) = walk.read() else {
                     continue;
                 };
+                // With more keys open than the slab has data words (the
+                // lanes below `RESERVED_LANE`), every lane takes a copy
+                // of those words, one broadcast shuffle each, and
+                // compares its own keys with them in registers.
+                let open_keys: u32 = open.iter().map(|o| o.count_ones()).sum();
+                let seen = (open_keys as usize > RESERVED_LANE).then(|| {
+                    // The reserved lane and the next pointer hold no key.
+                    Lanes::from_fn(|w| {
+                        if w < RESERVED_LANE {
+                            warp.shuffle(&words, w as u32)
+                        } else {
+                            0
+                        }
+                    })
+                });
+                let matches = |word: u32| match &seen {
+                    Some(seen) => gpu_sim::ballot(self.kind.key_lanes(), &seen.map(|w| w == word)),
+                    None => self.match_lanes(warp, &words, word),
+                };
                 for ((o, keys), (found, values)) in open.iter_mut().zip(tile).zip(&mut out) {
                     for lane in 0..WARP_SIZE {
                         if *o & (1 << lane) == 0 {
                             continue;
                         }
-                        let Some(slot) =
-                            gpu_sim::ffs(self.match_lanes(warp, &words, keys.get(lane)))
-                        else {
+                        let Some(slot) = gpu_sim::ffs(matches(keys.get(lane))) else {
                             continue;
                         };
                         note_probe_depth(warp, walk.depth);
                         *found |= 1 << lane;
                         *o &= !(1 << lane);
-                        values.set(lane, self.kind.value_of(&words, slot as usize));
+                        let slab = seen.as_ref().unwrap_or(&words);
+                        values.set(lane, self.kind.value_of(slab, slot as usize));
                     }
                 }
                 // Empties only exist at the tail ⇒ the open keys are absent.
                 if open.iter().any(|&o| o != 0)
-                    && (self.match_lanes(warp, &words, EMPTY_KEY) != 0 || !walk.advance(&words))
+                    && (matches(EMPTY_KEY) != 0 || !walk.advance(&words))
                 {
                     for o in &mut open {
                         for _ in 0..o.count_ones() {
@@ -1677,6 +1708,153 @@ mod tests {
             .expect("probe-depth histogram missing");
         // Depths 1, 1, 2, 7, 7 (the miss resolves at the tail), 1.
         assert_eq!((probe.count, probe.sum, probe.max), (6, 19, 7));
+    }
+
+    /// A four-bucket table whose bucket *b* holds a chain of *b* + 1
+    /// slabs, every seventh key deleted, and an 8-chunk tile over it:
+    /// every stored key (so hits on every slab), every deleted key,
+    /// absent keys, and keys repeated across chunks, under full and
+    /// sparse group masks. A map stores `10k + 7` with key `k`, so some
+    /// value words equal other keys.
+    fn broadcast_fixture(kind: TableKind) -> (Setup, Vec<Lanes<u32>>, Vec<u32>) {
+        let (dev, alloc, t) = setup(kind, 4);
+        let cap = kind.slab_capacity();
+        // Bucket b gets b full slabs, then three keys on slab b + 1.
+        let stored: Vec<u32> = (0..4u32)
+            .flat_map(|b| {
+                let keys = (0..1000u32).filter(move |&k| bucket_of(k, 4) == b);
+                keys.take(cap * b as usize + 3)
+            })
+            .collect();
+        let deleted: Vec<u32> = stored.iter().copied().skip(3).step_by(7).collect();
+        on_warp(&dev, |warp| {
+            for &k in &stored {
+                t.insert(warp, &alloc, k, k * 10 + 7, true).unwrap();
+            }
+            for &k in &deleted {
+                assert!(t.delete(warp, k));
+            }
+        });
+        let depths: Vec<usize> = on_warp(&dev, |warp| {
+            chains(&t, warp)
+                .iter()
+                .map(|(_, slabs)| slabs.len())
+                .collect()
+        });
+        assert_eq!(depths, [1, 2, 3, 4], "{kind:?}");
+        assert!(on_warp(&dev, |warp| t.stats(warp)).tombstones > 0);
+        let mut pool = stored.clone();
+        pool.extend(&deleted);
+        pool.extend(1000..1040);
+        // 256 lanes step through the pool 5 keys at a time, wrapping
+        // around, so nearly every pool key lands in a lane and many land
+        // in several chunks.
+        let tile: Vec<Lanes<u32>> = (0..8)
+            .map(|c| Lanes::from_fn(|i| pool[(5 * (32 * c + i)) % pool.len()]))
+            .collect();
+        assert!((1..8).any(|c| tile[c].0.iter().any(|k| tile[0].0.contains(k))));
+        let groups = vec![
+            gpu_sim::FULL_MASK,
+            gpu_sim::FULL_MASK,
+            0x5555_5555,
+            gpu_sim::FULL_MASK,
+            0xF0F0_00FF,
+            gpu_sim::FULL_MASK,
+            1,
+            gpu_sim::FULL_MASK,
+        ];
+        ((dev, alloc, t), tile, groups)
+    }
+
+    #[test]
+    fn broadcast_matching_answers_like_per_key_find() {
+        for kind in [TableKind::Map, TableKind::Set] {
+            let ((dev, _alloc, t), tile, groups) = broadcast_fixture(kind);
+            on_warp(&dev, |warp| {
+                // Every slab of every chain holds a live key the tile asks.
+                let asked = |k: u32| {
+                    (0..8).any(|c| {
+                        (0..WARP_SIZE).any(|i| groups[c] & (1 << i) != 0 && tile[c].get(i) == k)
+                    })
+                };
+                for (_, slabs) in chains(&t, warp) {
+                    assert!(slabs.iter().all(|view| view.keys().any(asked)), "{kind:?}");
+                }
+                let answers = t.find_lanes(warp, &tile, &groups);
+                let mut hits = 0;
+                for (c, (found, values)) in answers.into_iter().enumerate() {
+                    for lane in 0..WARP_SIZE {
+                        let want = if groups[c] & (1 << lane) != 0 {
+                            t.find(warp, tile[c].get(lane))
+                        } else {
+                            None
+                        };
+                        let ctx = format!("{kind:?} chunk {c} lane {lane}");
+                        assert_eq!(found & (1 << lane) != 0, want.is_some(), "{ctx}");
+                        assert_eq!(values.get(lane), want.unwrap_or(0), "{ctx}");
+                        hits += u32::from(want.is_some());
+                    }
+                }
+                assert!(hits > 30, "{kind:?}: {hits} hits");
+            });
+        }
+    }
+
+    #[test]
+    fn broadcast_charges_are_pinned() {
+        // Exact charges of a one-warp launch running `f` on a one-bucket
+        // set whose chain holds keys 0..n (30 per slab, in order).
+        let charge = |n: u32, f: &(dyn Fn(&TableDesc, &Warp) + Sync)| {
+            let (dev, alloc, t) = setup(TableKind::Set, 1);
+            on_warp(&dev, |warp| {
+                for k in 0..n {
+                    t.insert(warp, &alloc, k, 0, true).unwrap();
+                }
+            });
+            let before = dev.counters().snapshot();
+            on_warp(&dev, |warp| f(&t, warp));
+            let d = dev.counters().snapshot().delta(&before);
+            [d.transactions, d.ballots, d.shuffles]
+        };
+        let tile = |keys: &[u32]| -> (Vec<Lanes<u32>>, Vec<u32>) {
+            keys.chunks(WARP_SIZE)
+                .map(|c| {
+                    let lanes = Lanes::from_fn(|i| c.get(i).copied().unwrap_or(0));
+                    (lanes, gpu_sim::FULL_MASK >> (WARP_SIZE - c.len()))
+                })
+                .unzip()
+        };
+        // 256 misses stay open down an L-slab chain: L reads, L − 1 hop
+        // re-validations, 30 shuffles per slab and no ballot.
+        let misses: Vec<u32> = (1000..1256).collect();
+        let (keys, groups) = tile(&misses);
+        for slabs in [1u32, 3] {
+            let got = charge(30 * slabs, &|t, w| {
+                let answers = t.find_lanes(w, &keys, &groups);
+                assert!(answers.iter().all(|&(found, _)| found == 0));
+            });
+            let want = [u64::from(2 * slabs - 1), 0, u64::from(30 * slabs)];
+            assert_eq!(got, want, "all-miss tile, L = {slabs}");
+        }
+        // 64 keys on a 3-slab chain: 30 hit on slab 1 and 10 on slab 2,
+        // leaving 24 misses open at slab 3. Slabs 1 and 2 broadcast (64
+        // then 34 keys open); slab 3 charges 24 match ballots and the
+        // EMPTY ballot.
+        let mixed: Vec<u32> = (0..40).chain(1000..1024).collect();
+        let (keys, groups) = tile(&mixed);
+        let got = charge(90, &|t, w| {
+            let hits: u32 = t
+                .find_lanes(w, &keys, &groups)
+                .iter()
+                .map(|(found, _)| found.count_ones())
+                .sum();
+            assert_eq!(hits, 40);
+        });
+        assert_eq!(got, [5, 25, 60], "tile that drops to ballots");
+        // A one-key `find` never broadcasts: a miss on the 3-slab chain
+        // charges a match and an EMPTY ballot per slab.
+        let got = charge(90, &|t, w| assert_eq!(t.find(w, 1000), None));
+        assert_eq!(got, [5, 6, 0], "one-key find");
     }
 
     #[test]

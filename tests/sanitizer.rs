@@ -302,6 +302,73 @@ fn map_writes_racing_pinned_readers_on_one_chain_are_clean_threaded() {
     assert_eq!(g.device().sanitizer_findings(), vec![]);
 }
 
+/// Run tiles racing an insert batch, on the threaded executor: a pinned
+/// reader asks 512 probes of vertex 0's single multi-slab bucket in one
+/// call (two 256-probe run tiles, so every slab is matched by broadcast)
+/// while insert batches grow that chain. Every old key is always found,
+/// no key outside the inserted ones ever is, and the sanitizer reports
+/// nothing.
+#[test]
+fn run_tiles_racing_an_insert_batch_are_sanitizer_clean_threaded() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let dev = Device::with_config(
+        DeviceConfig::new(1 << 19)
+            .with_sanitizer(SanitizerConfig::default())
+            .with_exec_policy(ExecPolicy::Threaded(4)),
+    );
+    let g = DynGraph::on_device(std::sync::Arc::new(dev), GraphConfig::directed_set(4096));
+    let old: Vec<Edge> = (1..=100).map(|v| Edge::new(0, v)).collect();
+    g.insert_edges(&old);
+    assert!(
+        g.stats(&g.pin_read()).tables.max_chain > 3,
+        "vertex 0's single bucket spans several slabs"
+    );
+    // Old keys, keys the batches insert, and keys nobody inserts.
+    let probes: Vec<(u32, u32)> = (1..=100)
+        .chain(1000..1312)
+        .chain(3000..3100)
+        .map(|k| (0, k))
+        .collect();
+    assert_eq!(probes.len(), 512);
+    let (stop, ready) = (AtomicBool::new(false), AtomicBool::new(false));
+    std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let mut calls = 0u32;
+            while !stop.load(Ordering::Acquire) {
+                let pin = g.pin_read();
+                let hits = g.edges_exist(&pin, &probes);
+                for (&(_, k), &hit) in probes.iter().zip(&hits) {
+                    assert!(hit || k > 100, "old key {k} went missing");
+                    assert!(!hit || k < 3000, "key {k} was never inserted");
+                }
+                calls += 1;
+                ready.store(true, Ordering::Release);
+            }
+            calls
+        });
+        while !ready.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        for batch in (1000..1312).collect::<Vec<u32>>().chunks(104) {
+            let edges: Vec<Edge> = batch.iter().map(|&k| Edge::new(0, k)).collect();
+            g.insert_edges(&edges);
+        }
+        stop.store(true, Ordering::Release);
+        assert!(reader.join().unwrap() > 0);
+    });
+    assert_eq!(g.degree(0), 412);
+    let pin = g.pin_read();
+    let hits = g.edges_exist(&pin, &probes);
+    assert!(probes
+        .iter()
+        .zip(&hits)
+        .all(|(&(_, k), &hit)| hit == (k < 3000)));
+    drop(pin);
+    g.validate()
+        .expect("inserts racing run tiles leave a valid chain");
+    assert_eq!(g.device().sanitizer_findings(), vec![]);
+}
+
 /// The sanitizer charges nothing: an identical allocator-heavy workload
 /// run with and without an attached sanitizer produces byte-identical
 /// global and per-kernel counters.
