@@ -5,8 +5,9 @@
 use backend::GraphBackend;
 
 /// Level (hop distance) of every vertex from `src`; `u32::MAX` for
-/// unreachable vertices. Frontier-at-a-time traversal, one adjacency
-/// read ([`GraphBackend::read_neighbors`]) per frontier vertex per level.
+/// unreachable vertices. Frontier-at-a-time traversal, one batched
+/// adjacency read ([`GraphBackend::read_neighbors`]) of the whole
+/// frontier per level.
 pub fn bfs_levels<B: GraphBackend + ?Sized>(g: &B, src: u32) -> Vec<u32> {
     let n = g.num_vertices();
     let mut levels = vec![u32::MAX; n as usize];
@@ -20,13 +21,11 @@ pub fn bfs_levels<B: GraphBackend + ?Sized>(g: &B, src: u32) -> Vec<u32> {
     while !frontier.is_empty() {
         depth += 1;
         let mut next = Vec::new();
-        for &u in &frontier {
-            for v in g.read_neighbors(&pin, u) {
-                let slot = &mut levels[v as usize];
-                if *slot == u32::MAX {
-                    *slot = depth;
-                    next.push(v);
-                }
+        for &v in g.read_neighbors(&pin, &frontier).lists().flatten() {
+            let slot = &mut levels[v as usize];
+            if *slot == u32::MAX {
+                *slot = depth;
+                next.push(v);
             }
         }
         frontier = next;

@@ -73,13 +73,14 @@ pub fn tc<B: GraphBackend + ?Sized>(g: &B) -> u64 {
 /// The hash approach: one batched `edgeExist` probe per wedge, flushed
 /// through the backend's batched query kernel.
 ///
-/// Every adjacency list is read once (through `read_neighbors`) and held,
-/// sorted, on the host: O(E) words. A wedge v–u–w (u < v < w) probes its
-/// closing edge in the table of whichever of v and w sorts first by
-/// (list length, id) — the *target* t — for the other endpoint x: with
-/// one bucket per vertex a hub's chain is many slabs long, and a miss
-/// walks all of it, while the short side's chain is short. Either way
-/// there is one probe per pair of a vertex's higher neighbours.
+/// Every adjacency list is read once, by one batched `read_neighbors` of
+/// every vertex, and held, sorted, on the host: O(E) words. A wedge
+/// v–u–w (u < v < w) probes its closing edge in the table of whichever
+/// of v and w sorts first by (list length, id) — the *target* t — for
+/// the other endpoint x: with one bucket per vertex a hub's chain is many
+/// slabs long, and a miss walks all of it, while the short side's chain
+/// is short. Either way there is one probe per pair of a vertex's higher
+/// neighbours.
 ///
 /// Probes are issued target-major: for each target t and each lower
 /// neighbour u < t, the wedges t–u–x come from u's list (x > u, x ≠ t,
@@ -91,9 +92,12 @@ pub fn tc<B: GraphBackend + ?Sized>(g: &B) -> u64 {
 /// in the stream, one descriptor read and one walk per target.
 fn tc_hash_probe<B: GraphBackend + ?Sized>(g: &B, pin: &ReadPin) -> u64 {
     fused_on_every_device(g, || {
-        let adj: Vec<Vec<u32>> = (0..g.num_vertices())
-            .map(|u| {
-                let mut list = g.read_neighbors(pin, u);
+        let vertices: Vec<u32> = (0..g.num_vertices()).collect();
+        let adj: Vec<Vec<u32>> = g
+            .read_neighbors(pin, &vertices)
+            .lists()
+            .map(|list| {
+                let mut list = list.to_vec();
                 list.sort_unstable();
                 list
             })
@@ -131,7 +135,8 @@ fn tc_hash_probe<B: GraphBackend + ?Sized>(g: &B, pin: &ReadPin) -> u64 {
 }
 
 /// The list approach: serial sorted-merge intersection of adjacency
-/// lists.
+/// lists. Each apex `u` reads its own list, then its higher neighbours'
+/// lists as one batch.
 fn tc_sorted_merge<B: GraphBackend + ?Sized>(g: &B, pin: &ReadPin) -> u64 {
     assert!(
         g.is_sorted(),
@@ -141,11 +146,13 @@ fn tc_sorted_merge<B: GraphBackend + ?Sized>(g: &B, pin: &ReadPin) -> u64 {
     fused_on_every_device(g, || {
         let mut count = 0u64;
         for u in 0..g.num_vertices() {
-            let adj_u = g.read_neighbors(pin, u);
+            let read_u = g.read_neighbors(pin, &[u]);
+            let adj_u = read_u.list(0);
             debug_assert!(adj_u.windows(2).all(|w| w[0] <= w[1]), "unsorted list");
-            for &v in adj_u.iter().filter(|&&v| v > u) {
-                let adj_v = g.read_neighbors(pin, v);
-                count += intersect_above(&adj_u, &adj_v, v);
+            let higher: Vec<u32> = adj_u.iter().copied().filter(|&v| v > u).collect();
+            let adj_higher = g.read_neighbors(pin, &higher);
+            for (&v, adj_v) in higher.iter().zip(adj_higher.lists()) {
+                count += intersect_above(adj_u, adj_v, v);
             }
         }
         count
@@ -351,8 +358,9 @@ mod tests {
 
     #[test]
     fn hash_probe_issues_one_probe_per_wedge() {
-        // Below one 2^16 flush: one read warp per vertex, then one
-        // `edge_exist` launch, all fused into one `triangle_count` launch.
+        // Below one 2^16 flush: one read warp per 16-vertex dictionary
+        // line, then one `edge_exist` launch, all fused into one
+        // `triangle_count` launch.
         // Each table's probes are contiguous, so a table probed 32 times
         // or more gets ⌈probes / 256⌉ run-tile warps, and the other
         // probes share ⌈rest / 32⌉ chunk warps.
@@ -374,7 +382,7 @@ mod tests {
         assert!(tiles > 0 && rest > 0, "fixture has both kinds of warp");
         let (_, count, row) = counted(n, &edges);
         assert_eq!(count, tc_reference(n, &edges));
-        assert_eq!(row.warps, n as u64 + tiles + rest.div_ceil(32));
+        assert_eq!(row.warps, u64::from(n / 16) + tiles + rest.div_ceil(32));
         assert_eq!(row.launches, 1);
     }
 

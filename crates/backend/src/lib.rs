@@ -10,11 +10,12 @@
 //!
 //! - The trait is object-safe: benchmark drivers hold
 //!   `Box<dyn GraphBackend>` contenders and loop over them.
-//! - Each read question has one verb: [`GraphBackend::edges_exist`]
-//!   answers batched membership (the paper's `edgeExist`) and
-//!   [`GraphBackend::read_neighbors`] reads one adjacency list. Every
-//!   backend implements both with its native read, so one read entry
-//!   point per backend carries its charges.
+//! - Each read question has one batched verb: [`GraphBackend::edges_exist`]
+//!   answers membership (the paper's `edgeExist`) and
+//!   [`GraphBackend::read_neighbors`] reads a vertex batch's adjacency
+//!   lists into one CSR-shaped [`Adjacency`]. Every backend implements
+//!   both with its native read, so one read entry point per backend
+//!   carries its charges.
 //! - Not every structure supports every operation (CSR is static; Hornet
 //!   has no vertex deletion). [`Capabilities`] advertises what a backend
 //!   can do so generic drivers can skip unsupported contenders instead of
@@ -32,6 +33,8 @@
 use baselines::{Csr, FaimGraph, Hornet};
 use gpu_sim::Device;
 use slabgraph::{DynGraph, Edge, ReadGuard};
+
+pub use slabgraph::Adjacency;
 
 /// An epoch pin over every allocator a backend reads from — the trait-level
 /// form of [`slabgraph::ReadGuard`]. Backends with true epoch-based
@@ -154,9 +157,11 @@ pub trait GraphBackend {
     /// caller's order.
     fn edges_exist(&self, pin: &ReadPin, pairs: &[(u32, u32)]) -> Vec<bool>;
 
-    /// Read `u`'s adjacency list into a fresh `Vec` (order is the
-    /// structure's internal order; sorted only if [`Self::is_sorted`]).
-    fn read_neighbors(&self, pin: &ReadPin, u: u32) -> Vec<u32>;
+    /// Read the adjacency lists of `us`, one per requested vertex in the
+    /// caller's order (each in the structure's internal order; sorted
+    /// only if [`Self::is_sorted`]). An id past [`Self::num_vertices`]
+    /// reads an empty list.
+    fn read_neighbors(&self, pin: &ReadPin, us: &[u32]) -> Adjacency;
 
     /// Insert a batch of directed edges; returns how many were new.
     fn insert_edges(&mut self, edges: &[(u32, u32)]) -> u64;
@@ -183,6 +188,15 @@ pub trait GraphBackend {
     fn ensure_sorted_touched(&mut self, _touched: &[u32]) {
         self.ensure_sorted();
     }
+}
+
+/// The batched read of a structure that reads one list at a time: the
+/// sum of its per-list reads; an id past `n` reads an empty list, free.
+fn list_by_list(us: &[u32], n: u32, read: impl Fn(u32) -> Vec<u32>) -> Adjacency {
+    let read = |u| if u < n { read(u) } else { Vec::new() };
+    us.iter()
+        .map(|&u| read(u).into_iter().map(|d| (d, 0)))
+        .collect()
 }
 
 fn unsupported(name: &str, op: &str) -> ! {
@@ -231,8 +245,8 @@ impl GraphBackend for DynGraph {
         DynGraph::edges_exist(self, &pin.guards()[0], pairs)
     }
 
-    fn read_neighbors(&self, pin: &ReadPin, u: u32) -> Vec<u32> {
-        self.neighbor_ids(&pin.guards()[0], u)
+    fn read_neighbors(&self, pin: &ReadPin, us: &[u32]) -> Adjacency {
+        DynGraph::read_neighbors(self, &pin.guards()[0], us)
     }
 
     fn insert_edges(&mut self, edges: &[(u32, u32)]) -> u64 {
@@ -290,8 +304,8 @@ impl GraphBackend for Hornet {
         pairs.iter().map(|&(u, v)| self.edge_exists(u, v)).collect()
     }
 
-    fn read_neighbors(&self, _pin: &ReadPin, u: u32) -> Vec<u32> {
-        self.read_adjacency(u)
+    fn read_neighbors(&self, _pin: &ReadPin, us: &[u32]) -> Adjacency {
+        list_by_list(us, self.num_vertices(), |u| self.read_adjacency(u))
     }
 
     fn insert_edges(&mut self, edges: &[(u32, u32)]) -> u64 {
@@ -362,8 +376,8 @@ impl GraphBackend for FaimGraph {
             .collect()
     }
 
-    fn read_neighbors(&self, _pin: &ReadPin, u: u32) -> Vec<u32> {
-        self.read_adjacency(u)
+    fn read_neighbors(&self, _pin: &ReadPin, us: &[u32]) -> Adjacency {
+        list_by_list(us, self.num_vertices(), |u| self.read_adjacency(u))
     }
 
     fn insert_edges(&mut self, edges: &[(u32, u32)]) -> u64 {
@@ -421,8 +435,8 @@ impl GraphBackend for Csr {
         pairs.iter().map(|&(u, v)| self.edge_exists(u, v)).collect()
     }
 
-    fn read_neighbors(&self, _pin: &ReadPin, u: u32) -> Vec<u32> {
-        self.read_adjacency(u)
+    fn read_neighbors(&self, _pin: &ReadPin, us: &[u32]) -> Adjacency {
+        list_by_list(us, self.num_vertices(), |u| self.read_adjacency(u))
     }
 
     fn insert_edges(&mut self, _edges: &[(u32, u32)]) -> u64 {
@@ -477,7 +491,7 @@ mod tests {
                 vec![true, true, false, true],
                 "{name}: (1, 0) is the mirrored copy"
             );
-            let mut read = b.read_neighbors(&pin, 2);
+            let mut read = b.read_neighbors(&pin, &[2]).list(0).to_vec();
             read.sort_unstable();
             assert_eq!(read, vec![0, 1, 3], "{name}");
         }

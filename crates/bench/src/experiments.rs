@@ -431,7 +431,7 @@ pub fn table7_static_tc() -> Table {
                 count = tc(g.as_ref());
             });
             // Integer counts pin what the rounded ms cell can hide.
-            if c.label == "Ours" && spec.name == "soc-LiveJournal1" {
+            if c.label == "Ours" && matches!(spec.name, "soc-LiveJournal1" | "luxembourg_osm") {
                 t.breakdown(format!("ours TC, {}", spec.name), m.report());
             }
             counts.push(count);

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const ENTRY_WORDS: u32 = 3;
 
 /// Descriptor pairs per 128 B line of the descriptor array.
-const TABLES_PER_LINE: u32 = (SLAB_WORDS / 2) as u32;
+pub(crate) const TABLES_PER_LINE: u32 = (SLAB_WORDS / 2) as u32;
 
 /// The packed ⟨base, capacity⟩ of a dictionary allocation.
 fn pack(base: Addr, capacity: u32) -> u64 {

@@ -412,7 +412,7 @@ mod tests {
         g.insert_edges(&[Edge::new(0, 1), Edge::new(1, 2)]);
         let pin = g.pin_read();
         assert_eq!(g.edges_exist(&pin, &[(64, 1), (70, 1)]), vec![false, false]);
-        assert!(g.neighbor_ids(&pin, 64).is_empty());
+        assert!(g.read_neighbors(&pin, &[64]).list(0).is_empty());
         drop(pin);
         assert_eq!(g.delete_edges(&[Edge::new(64, 1)]), 0);
         // Inserting grows the dictionary to cover the new sources.
@@ -425,7 +425,7 @@ mod tests {
             g.edges_exist(&pin, &[(64, 1), (70, 1), (65, 1)]),
             vec![true, true, false]
         );
-        assert_eq!(g.neighbor_ids(&pin, 70), vec![1]);
+        assert_eq!(g.read_neighbors(&pin, &[70]).list(0), [1]);
         g.validate()
             .expect("every pool slab reachable from a table");
     }
@@ -692,7 +692,7 @@ mod tests {
         assert!(ins.is_complete() && del.is_complete());
         assert_eq!((ins.changed, del.changed), (40, 90));
         let pin = g.pin_read();
-        let mut dsts = g.neighbor_ids(&pin, 0);
+        let mut dsts = g.read_neighbors(&pin, &[0]).list(0).to_vec();
         dsts.sort_unstable();
         assert_eq!(
             dsts,

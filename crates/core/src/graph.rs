@@ -546,7 +546,7 @@ mod tests {
             g.edges_exist(&pin, &[(0, 3), (1, 0)]);
         });
         step("neighbors", 1, &|| {
-            g.neighbors(&pin, 0);
+            g.read_neighbors(&pin, &[0]);
         });
         step("export", 1, &|| {
             g.export_edges(&pin);

@@ -26,7 +26,7 @@
 //! | vertex insertion (§IV-D1) | [`DynGraph::insert_vertices`] |
 //! | Algorithm 2 (vertex deletion) | [`DynGraph::delete_vertices`] |
 //! | `edgeExist` (§IV-B) | [`DynGraph::edge_exists`], [`DynGraph::edges_exist`] |
-//! | adjacency iterator (§IV-B) | [`DynGraph::neighbors`] |
+//! | adjacency iterator (§IV-B), one vertex batch per launch | [`DynGraph::read_neighbors`] |
 //! | bulk build (§V-B1) | [`DynGraph::bulk_build`] |
 //! | incremental build (§V-B2) | [`DynGraph::with_uniform_buckets`] + batches |
 //!
@@ -79,6 +79,7 @@ pub use config::{Direction, GraphConfig, DEFAULT_LOAD_FACTOR};
 pub use dict::{VertexDict, ENTRY_WORDS};
 pub use edge_ops::Update;
 pub use graph::{DynGraph, Edge};
+pub use query::Adjacency;
 pub use stats::{GraphStats, ValidationError};
 
 // Re-export the substrate types callers need for instrumentation and

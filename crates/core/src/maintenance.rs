@@ -169,7 +169,10 @@ mod tests {
         assert!(before_stats.tables.tombstones > 0, "fixture has tombstones");
         let snapshot: Vec<Vec<(u32, u32)>> = (0..64)
             .map(|v| {
-                let mut n = g.neighbors(&g.pin_read(), v);
+                let mut n = g
+                    .read_neighbors(&g.pin_read(), &[v])
+                    .entries(0)
+                    .collect::<Vec<_>>();
                 n.sort_unstable();
                 n
             })
@@ -186,7 +189,10 @@ mod tests {
         );
 
         for v in 0..64 {
-            let mut n = g.neighbors(&g.pin_read(), v);
+            let mut n = g
+                .read_neighbors(&g.pin_read(), &[v])
+                .entries(0)
+                .collect::<Vec<_>>();
             n.sort_unstable();
             assert_eq!(n, snapshot[v as usize], "vertex {v} changed");
             assert_eq!(g.degree(v), n.len() as u32, "vertex {v} count");
@@ -289,7 +295,7 @@ mod tests {
         let chain_before = before.tables.max_chain;
         assert!(chain_before >= 1);
         let mut expect: std::collections::BTreeMap<u32, u32> =
-            g.neighbors(&g.pin_read(), 0).into_iter().collect();
+            g.read_neighbors(&g.pin_read(), &[0]).entries(0).collect();
 
         // Vertex 0 has 15 unique dsts in 1 bucket (1 slab chain of 1): add
         // enough churn to force multi-slab chains first. Replace
@@ -309,7 +315,10 @@ mod tests {
         assert!(after.avg_chain() < loaded.avg_chain());
         assert!(g.dict().desc_host(g.device(), 0).unwrap().num_buckets > 1);
 
-        let mut n0 = g.neighbors(&g.pin_read(), 0);
+        let mut n0 = g
+            .read_neighbors(&g.pin_read(), &[0])
+            .entries(0)
+            .collect::<Vec<_>>();
         n0.sort_unstable();
         assert_eq!(n0, expect.into_iter().collect::<Vec<_>>(), "weights kept");
         assert_eq!(g.degree(0), n0.len() as u32, "exact count preserved");

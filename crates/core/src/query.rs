@@ -1,5 +1,7 @@
 //! Query operations (paper §IV-B): `edgeExist`, weight lookup, and the
-//! adjacency-list iterator.
+//! adjacency-list iterator. Adjacency has one read, batched by vertex
+//! ([`DynGraph::read_neighbors`], one `neighbors` launch per batch); the
+//! whole-graph export is that read over every vertex.
 //!
 //! Every query takes a [`ReadGuard`] pinned via [`DynGraph::pin_read`] and
 //! launches through the read door (`DynGraph::pinned`), whose launcher
@@ -12,6 +14,7 @@
 //! vertex are coalesced, and a run of 32 or more probes of one source
 //! shares one warp's descriptor read and chain walk (run tiles).
 
+use crate::dict::TABLES_PER_LINE;
 use crate::graph::{DynGraph, Edge};
 use gpu_sim::{Addr, Lanes, Warp, WARP_SIZE};
 use slab_alloc::ReadGuard;
@@ -220,58 +223,106 @@ impl DynGraph {
         }
     }
 
-    /// Retrieve vertex `u`'s adjacency list as ⟨dst, weight⟩ pairs (weight
-    /// is 0 for set graphs). Uses the slab iterator (§IV-B); order is the
-    /// table's internal order, not sorted. The kernel reads `u`'s
-    /// descriptor itself, so a vertex without a table still costs one
-    /// launch and one dictionary transaction.
-    pub fn neighbors(&self, pin: &ReadGuard, u: u32) -> Vec<(u32, u32)> {
-        let k = self.pinned(pin);
-        let out = parking_lot::Mutex::new(Vec::new());
-        k.launch_warps("neighbors", 1, |warp| {
-            if let Some(desc) = self.dict.desc(warp, u) {
-                *out.lock() = self.collect_entries(warp, &desc);
-            }
-        });
-        out.into_inner()
+    /// The adjacency lists of `us` (§IV-B's slab iterator) in batch order,
+    /// each in table order with its weights (0 for set graphs); a vertex
+    /// without a table, or past the capacity, reads an empty list. One
+    /// `neighbors` launch gives each run of vertices that share a
+    /// 16-vertex dictionary line one warp, which reads the line's
+    /// descriptors with one transaction, then walks each requested table.
+    /// Nothing is staged: one vertex costs one launch, one warp, one
+    /// dictionary transaction (none past the capacity) and its walk.
+    pub fn read_neighbors(&self, pin: &ReadGuard, us: &[u32]) -> Adjacency {
+        self.read_lists(pin, us)
     }
 
-    /// Export every live edge as ⟨src, dst, weight⟩ (weight 0 for set
-    /// graphs) in one `edge_export` kernel: a single warp walks every
-    /// constructed table with the slab iterator (§IV-B), exactly as
-    /// [`Self::neighbors`] walks one. Tombstoned slots are skipped.
-    /// Edges come out vertex-ascending by source, each vertex's
-    /// destinations in table order (not sorted). An edgeless graph
-    /// returns without a launch.
-    ///
-    /// Like every query this needs a [`ReadGuard`] pinned on *this*
-    /// graph, so no slab the walk reaches is recycled under it. The
-    /// guard pins reclamation, not data: the export sees each table as
-    /// it stands when the walk reaches it (snapshot-at-walk), so a batch
-    /// landing mid-export may show up for some vertices and not others.
-    pub fn export_edges(&self, pin: &ReadGuard) -> Vec<Edge> {
+    /// The `neighbors` kernel, named apart from `read_neighbors` because
+    /// the kernel lint's call graph joins same-named functions.
+    fn read_lists(&self, pin: &ReadGuard, us: &[u32]) -> Adjacency {
         let k = self.pinned(pin);
-        if self.num_edges() == 0 {
-            return vec![];
+        let groups: Vec<&[u32]> = us
+            .chunk_by(|a, b| a / TABLES_PER_LINE == b / TABLES_PER_LINE)
+            .collect();
+        let lists = parking_lot::Mutex::new(vec![Vec::new(); groups.len()]);
+        if !groups.is_empty() {
+            k.launch_warps("neighbors", groups.len(), |warp| {
+                let w = warp.warp_id() as usize;
+                let line = groups[w][0] / TABLES_PER_LINE;
+                let mut tables = [None; TABLES_PER_LINE as usize];
+                self.dict
+                    .for_each_table_in_lines(warp, line..line + 1, |v, desc| {
+                        tables[(v % TABLES_PER_LINE) as usize] = Some(desc);
+                    });
+                lists.lock()[w] = groups[w]
+                    .iter()
+                    .map(|&u| tables[(u % TABLES_PER_LINE) as usize])
+                    .map(|t| t.map_or_else(Vec::new, |desc| self.collect_entries(warp, &desc)))
+                    .collect();
+            });
         }
-        let cap = self.dict.capacity();
-        let out = parking_lot::Mutex::new(Vec::new());
-        k.launch_warps("edge_export", 1, |warp| {
-            let mut local = Vec::new();
-            for u in 0..cap {
-                if let Some(desc) = self.dict.desc_host(&self.dev, u) {
-                    let entries = self.collect_entries(warp, &desc);
-                    local.extend(entries.into_iter().map(|(v, w)| Edge::weighted(u, v, w)));
-                }
-            }
-            *out.lock() = local;
-        });
-        out.into_inner()
+        lists.into_inner().into_iter().flatten().collect()
     }
 
-    /// Destination-only adjacency list.
-    pub fn neighbor_ids(&self, pin: &ReadGuard, u: u32) -> Vec<u32> {
-        self.neighbors(pin, u).into_iter().map(|(d, _)| d).collect()
+    /// Every live edge as ⟨src, dst, weight⟩: the batched read of every
+    /// vertex, so vertex-ascending by source (an edgeless graph launches
+    /// nothing). The guard pins reclamation, not data: a batch landing
+    /// mid-export may show for some vertices only (snapshot-at-walk).
+    pub fn export_edges(&self, pin: &ReadGuard) -> Vec<Edge> {
+        let edgeless = self.num_edges() == 0;
+        let n = if edgeless { 0 } else { self.dict.capacity() };
+        let adj = self.read_lists(pin, &(0..n).collect::<Vec<_>>());
+        (0..n)
+            .flat_map(|u| {
+                adj.entries(u as usize)
+                    .map(move |(v, w)| Edge::weighted(u, v, w))
+            })
+            .collect()
+    }
+}
+
+/// The adjacency lists of a vertex batch, CSR-shaped: list `i` is
+/// `dsts[offsets[i]..offsets[i + 1]]`, with its weights alongside (0 for
+/// set graphs and for structures without weights). Built by collecting
+/// ⟨dst, weight⟩ lists.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Adjacency {
+    offsets: Vec<usize>,
+    dsts: Vec<u32>,
+    weights: Vec<u32>,
+}
+
+impl Adjacency {
+    /// List `i`'s destinations.
+    pub fn list(&self, i: usize) -> &[u32] {
+        &self.dsts[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// List `i` as ⟨dst, weight⟩ pairs.
+    pub fn entries(&self, i: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let weights = &self.weights[self.offsets[i]..self.offsets[i + 1]];
+        self.list(i).iter().copied().zip(weights.iter().copied())
+    }
+
+    /// Every list's destinations, in batch order.
+    pub fn lists(&self) -> impl ExactSizeIterator<Item = &[u32]> + '_ {
+        self.offsets.windows(2).map(|w| &self.dsts[w[0]..w[1]])
+    }
+}
+
+impl<L: IntoIterator<Item = (u32, u32)>> FromIterator<L> for Adjacency {
+    fn from_iter<I: IntoIterator<Item = L>>(lists: I) -> Self {
+        let (mut offsets, mut dsts, mut weights) = (vec![0], Vec::new(), Vec::new());
+        for list in lists {
+            for (dst, weight) in list {
+                dsts.push(dst);
+                weights.push(weight);
+            }
+            offsets.push(dsts.len());
+        }
+        Adjacency {
+            offsets,
+            dsts,
+            weights,
+        }
     }
 }
 
@@ -312,7 +363,7 @@ mod tests {
     fn neighbors_returns_all_pairs() {
         let g = graph_with_star();
         let pin = g.pin_read();
-        let mut n = g.neighbors(&pin, 0);
+        let mut n: Vec<(u32, u32)> = g.read_neighbors(&pin, &[0]).entries(0).collect();
         n.sort_unstable();
         let expect: Vec<(u32, u32)> = (1..40).map(|v| (v, 100 + v)).collect();
         assert_eq!(n, expect);
@@ -322,8 +373,99 @@ mod tests {
     fn neighbors_of_untouched_vertex_is_empty() {
         let g = graph_with_star();
         let pin = g.pin_read();
-        assert!(g.neighbors(&pin, 63).is_empty());
-        assert!(g.neighbor_ids(&pin, 62).is_empty());
+        let adj = g.read_neighbors(&pin, &[63, 62]);
+        assert_eq!(adj.lists().len(), 2);
+        assert!(adj.lists().all(<[u32]>::is_empty));
+    }
+
+    #[test]
+    fn a_one_vertex_read_charges_one_line_and_its_walk() {
+        // One launch, one warp, the vertex's descriptor (one transaction,
+        // none past the capacity) and its table's walk. Vertex 0's 38
+        // live edges fill three slabs of one bucket (three reads, two
+        // next-pointer re-validations); 5 and 63 hold one slab each.
+        let g = graph_with_star();
+        g.insert_edges(&[Edge::weighted(5, 6, 7)]);
+        g.delete_edges(&[Edge::new(0, 3)]);
+        let pin = g.pin_read();
+        for (u, len, transactions) in [(0, 38, 6), (5, 1, 2), (63, 0, 2), (600, 0, 0)] {
+            let before = g.device().counters().snapshot();
+            let adj = g.read_neighbors(&pin, &[u]);
+            let delta = g.device().counters().snapshot().delta(&before);
+            assert_eq!(adj.list(0).len(), len, "vertex {u}");
+            let got: Vec<u64> = delta.iter().map(|(_, c)| c).collect();
+            // [transactions, atomics, ballots, shuffles, launches, warps,
+            // words_allocated]
+            assert_eq!(got, [transactions, 0, 0, 0, 1, 1, 0], "vertex {u}");
+        }
+    }
+
+    #[test]
+    fn a_read_of_every_vertex_charges_one_transaction_per_line() {
+        // 100 vertices span seven dictionary lines (the last one partial):
+        // seven warps, seven descriptor transactions, and each table's
+        // walk exactly as a one-vertex read walks it. Vertices 7 and 90
+        // have no table; 0, 40 and 80 have multi-slab chains.
+        let g = DynGraph::new(GraphConfig::directed_set(100));
+        let ins: Vec<Edge> = (0..100u32)
+            .filter(|u| u % 83 != 7)
+            .flat_map(|u| {
+                let degree = if u % 40 == 0 { 71 } else { 1 };
+                (0..degree).map(move |i| Edge::new(u, u + i + 1))
+            })
+            .collect();
+        g.insert_edges(&ins);
+        let pin = g.pin_read();
+        let cap = g.vertex_capacity();
+        assert_eq!(cap, 100);
+        let mut walks = 0;
+        for u in 0..cap {
+            let before = g.device().counters().snapshot();
+            g.read_neighbors(&pin, &[u]);
+            walks += g.device().counters().snapshot().delta(&before).transactions - 1;
+        }
+        let all: Vec<u32> = (0..cap).collect();
+        let before = g.device().counters().snapshot();
+        let adj = g.read_neighbors(&pin, &all);
+        let delta = g.device().counters().snapshot().delta(&before);
+        let lines = u64::from(cap.div_ceil(16));
+        assert_eq!(lines, 7);
+        assert_eq!(
+            (delta.transactions, delta.launches, delta.warps),
+            (lines + walks, 1, lines)
+        );
+        assert_eq!(adj.lists().map(<[u32]>::len).sum::<usize>(), ins.len());
+        assert!(adj.list(7).is_empty() && adj.list(90).is_empty());
+        assert_eq!(adj.list(40).len(), 71);
+    }
+
+    #[test]
+    fn a_batch_reads_each_vertex_as_a_one_vertex_read_does() {
+        // Arbitrary order, duplicates, ids past the capacity, vertices
+        // without a table, and runs that share a line and runs that
+        // do not.
+        let g = DynGraph::new(GraphConfig::directed_map(64));
+        let ins: Vec<Edge> = (0..64u32)
+            .filter(|u| u % 5 != 0)
+            .flat_map(|u| (0..u % 7).map(move |i| Edge::weighted(u, (u * 3 + i) % 64, u + i)))
+            .collect();
+        g.insert_edges(&ins);
+        let pin = g.pin_read();
+        let batch = [9, 3, 3, 17, 16, 99, 63, 0, 5, 62, 1000, 17, 9];
+        let adj = g.read_neighbors(&pin, &batch);
+        assert_eq!(adj.lists().len(), batch.len());
+        for (i, &u) in batch.iter().enumerate() {
+            let one = g.read_neighbors(&pin, &[u]);
+            assert_eq!(
+                adj.entries(i).collect::<Vec<_>>(),
+                one.entries(0).collect::<Vec<_>>(),
+                "vertex {u}"
+            );
+        }
+        let before = g.device().counters().snapshot();
+        assert_eq!(g.read_neighbors(&pin, &[]).lists().len(), 0);
+        let delta = g.device().counters().snapshot().delta(&before);
+        assert_eq!(delta.launches, 0, "an empty batch launches nothing");
     }
 
     #[test]
@@ -340,7 +482,10 @@ mod tests {
             let delta = g.device().counters().snapshot().delta(&before);
             (delta.transactions, delta.launches)
         };
-        assert_eq!(charge(&|| assert!(g.neighbors(&pin, 2).is_empty())), (1, 1));
+        assert_eq!(
+            charge(&|| assert!(g.read_neighbors(&pin, &[2]).list(0).is_empty())),
+            (1, 1)
+        );
         assert_eq!(
             charge(&|| assert_eq!(g.edge_weight(&pin, 2, 1), None)),
             (1, 1)
@@ -352,7 +497,7 @@ mod tests {
         let g = graph_with_star();
         g.delete_edges(&[Edge::new(0, 1), Edge::new(0, 2)]);
         let pin = g.pin_read();
-        let ids = g.neighbor_ids(&pin, 0);
+        let ids = g.read_neighbors(&pin, &[0]).list(0).to_vec();
         assert!(!ids.contains(&1));
         assert!(!ids.contains(&2));
         assert_eq!(ids.len(), 37);
@@ -370,7 +515,7 @@ mod tests {
         let g = DynGraph::with_uniform_buckets(GraphConfig::directed_set(8), 8, 1);
         g.insert_edges(&[Edge::new(1, 2), Edge::new(1, 3)]);
         let pin = g.pin_read();
-        let mut n = g.neighbors(&pin, 1);
+        let mut n: Vec<(u32, u32)> = g.read_neighbors(&pin, &[1]).entries(0).collect();
         n.sort_unstable();
         assert_eq!(n, vec![(2, 0), (3, 0)]);
     }
@@ -402,14 +547,16 @@ mod tests {
                 "fixture has tombstones"
             );
 
-            let before = g.device().counters().snapshot().launches;
+            let before = g.device().counters().snapshot();
             let export = g.export_edges(&pin);
-            assert_eq!(g.device().counters().snapshot().launches, before + 1);
+            let delta = g.device().counters().snapshot().delta(&before);
+            // One launch, a warp per dictionary line.
+            assert_eq!((delta.launches, delta.warps), (1, 4));
             let mut union: Vec<Edge> = (0..64u32)
                 .flat_map(|u| {
-                    g.neighbors(&pin, u)
-                        .into_iter()
-                        .map(move |(v, w)| Edge::weighted(u, v, w))
+                    let adj = g.read_neighbors(&pin, &[u]);
+                    let list: Vec<_> = adj.entries(0).collect();
+                    list.into_iter().map(move |(v, w)| Edge::weighted(u, v, w))
                 })
                 .collect();
             // Vertex-ascending with table order inside a vertex, exactly

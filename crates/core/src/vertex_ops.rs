@@ -327,17 +327,10 @@ impl DynGraph {
                 return Err(GraphError::Alloc(e));
             }
 
-            // Work is handed out a dictionary line (16 vertices) per queue
-            // atomic, and each line's descriptors are one read.
-            let lines = self.dict.lines();
-            let n_warps = (lines as usize).min(128);
-            let queue = self.dev.alloc_words(1, 1);
-            self.dev.host_write(queue, &[0]);
-            k.launch_warps("purge_deleted", n_warps, |warp| loop {
-                let line = warp.atomic_add(queue, 1);
-                if line >= lines {
-                    return;
-                }
+            // One warp per dictionary line (16 vertices): its descriptors
+            // are one read.
+            k.launch_warps("purge_deleted", self.dict.lines() as usize, |warp| {
+                let line = warp.warp_id();
                 self.dict
                     .for_each_table_in_lines(warp, line..line + 1, |u, desc| {
                         // Collect victims first (iterators must not observe
@@ -406,7 +399,7 @@ mod tests {
         let pin = g.pin_read();
         for v in [1u32, 2, 5] {
             assert_eq!(g.degree(v), 0);
-            assert!(g.neighbors(&pin, v).is_empty());
+            assert!(g.read_neighbors(&pin, &[v]).list(0).is_empty());
         }
         for v in [0u32, 3, 4, 6, 7] {
             assert_eq!(g.degree(v), 4, "survivor {v} keeps edges to survivors");
@@ -439,7 +432,7 @@ mod tests {
         let g = clique(5);
         g.delete_vertices(&[2]);
         let pin = g.pin_read();
-        assert!(g.neighbors(&pin, 2).is_empty());
+        assert!(g.read_neighbors(&pin, &[2]).list(0).is_empty());
         let pairs: Vec<(u32, u32)> = (0..5).map(|v| (2, v)).collect();
         assert!(
             g.edges_exist(&pin, &pairs).iter().all(|&b| !b),
@@ -571,16 +564,15 @@ mod tests {
         // Transactions: 256 descriptor lines, 4 096 one-slab walks, three
         // dead-set finds (keys 0, 0, 8), two delete reads, and the dead
         // set's base memset, insert read, and release read and reset.
-        // Atomics: 256 line hand-outs, the atomic with which each of the
-        // 128 warps finds the queue empty, the dead-set claim, two
-        // tombstone CASes and two count decrements. One `desc` read and one queue atomic per
-        // vertex charged 8 201 and 4 229.
+        // Atomics: the dead-set claim, two tombstone CASes and two count
+        // decrements: the line warps take no work-queue atomic. Warps:
+        // the dead-set insert, one per line, and the release.
         let lines = n / 16;
         let transactions = lines + n + 3 + 2 + 4;
-        let atomics = lines + 128 + 1 + 2 + 2;
+        let atomics = 1 + 2 + 2;
         assert_eq!(
             (d.transactions, d.atomics, d.launches, d.warps),
-            (u64::from(transactions), u64::from(atomics), 4, 130)
+            (u64::from(transactions), atomics, 4, u64::from(lines) + 2)
         );
     }
 }

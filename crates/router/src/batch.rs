@@ -155,8 +155,8 @@ impl<'g> BatchRouter<'g> {
 
     /// Build a router with an explicit [`RetryPolicy`]. Seeds each
     /// shard's journal checkpoint from the shard's *current* contents
-    /// (primaries and replicas alike, one `edge_export` launch per
-    /// non-empty shard), so graphs assembled via
+    /// (primaries and replicas alike, one `neighbors` launch over every
+    /// vertex per non-empty shard), so graphs assembled via
     /// [`ShardedGraph::bulk_build`] — which bypasses the router — are
     /// still rebuildable.
     pub fn with_policy(graph: &'g ShardedGraph, policy: RetryPolicy) -> Self {
@@ -776,7 +776,7 @@ impl<'g> BatchRouter<'g> {
         let owner = self.graph.owner_of(u);
         let others = (0..self.graph.num_shards()).filter(|&s| s != owner);
         let (lists, quality) = self.read(pin, "neighbor_ids", owner, others, |g, p| {
-            g.neighbor_ids(p, u)
+            g.read_neighbors(p, &[u]).list(0).to_vec()
         });
         let mut out = lists.concat();
         if quality == ReadQuality::Degraded {

@@ -99,6 +99,29 @@ impl ShardedGraph {
             .dispatch(&ctxs, |s, _| f(s, &self.shards[s].read()))
     }
 
+    /// The one read routing: `read` each shard's share of `keys` (by the
+    /// owner of a key's vertex) under its guard, the shards concurrently,
+    /// and return one answer per key, in the caller's order.
+    fn routed_read<K: Copy + Sync, T: Send>(
+        &self,
+        pin: &backend::ReadPin,
+        keys: &[K],
+        vertex: impl Fn(&K) -> u32,
+        read: impl Fn(&DynGraph, &slabgraph::ReadGuard, &[K]) -> Vec<T> + Sync,
+    ) -> Vec<T> {
+        let (pins, n) = (pin.guards(), self.shards.len());
+        let owner = |key: &K| shard_of(vertex(key), n);
+        let mut per: Vec<Vec<K>> = vec![Vec::new(); n];
+        for key in keys {
+            per[owner(key)].push(*key);
+        }
+        let answers = self.fan_out(|s, g| read(g, &pins[s], &per[s]));
+        let mut answers: Vec<_> = answers.into_iter().map(Vec::into_iter).collect();
+        keys.iter()
+            .filter_map(|key| answers[owner(key)].next())
+            .collect()
+    }
+
     /// Build and populate from an edge list in one step.
     pub fn bulk_build(n_shards: usize, config: GraphConfig, edges: &[Edge]) -> Self {
         let g = Self::new(n_shards, config);
@@ -248,8 +271,8 @@ impl ShardedGraph {
     }
 
     /// Every shard's full contents — primaries and replicas — in shard
-    /// order: one `edge_export` launch per non-empty shard, the shards
-    /// running concurrently.
+    /// order: one `neighbors` launch over every vertex per non-empty
+    /// shard, the shards running concurrently.
     pub(crate) fn shard_exports(&self) -> Vec<Vec<Edge>> {
         self.fan_out(|_, g| g.export_edges(&g.pin_read()))
     }
@@ -450,36 +473,27 @@ impl backend::GraphBackend for ShardedGraph {
         backend::ReadPin::from_guards(self.shards.iter().map(|s| s.read().pin_read()).collect())
     }
 
-    /// Pairs route to their src's owner, the per-shard query kernels run
-    /// concurrently (each under its shard's guard), and results return in
-    /// the caller's order — bit-identical to an unsharded replay.
+    /// Pairs route to their src's owner (`routed_read`):
+    /// answers bit-identical to an unsharded replay.
     fn edges_exist(&self, pin: &backend::ReadPin, pairs: &[(u32, u32)]) -> Vec<bool> {
-        let pins = pin.guards();
-        let n = self.shards.len();
-        let mut index: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut per: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-        for (i, &p) in pairs.iter().enumerate() {
-            let s = shard_of(p.0, n);
-            index[s].push(i);
-            per[s].push(p);
-        }
-        let results = self.fan_out(|s, g| g.edges_exist(&pins[s], &per[s]));
-        let mut out = vec![false; pairs.len()];
-        for (s, found) in results.into_iter().enumerate() {
-            for (k, b) in found.into_iter().enumerate() {
-                out[index[s][k]] = b;
-            }
-        }
-        out
+        self.routed_read(pin, pairs, |p| p.0, DynGraph::edges_exist)
     }
 
-    /// `u`'s neighbours, from its owner shard (the primary copy holds the
-    /// complete adjacency).
-    fn read_neighbors(&self, pin: &backend::ReadPin, u: u32) -> Vec<u32> {
-        let owner = self.owner_of(u);
-        self.shards[owner]
-            .read()
-            .neighbor_ids(&pin.guards()[owner], u)
+    /// Each list comes from its vertex's owner, whose primary copy holds
+    /// the complete adjacency (`routed_read`).
+    fn read_neighbors(&self, pin: &backend::ReadPin, us: &[u32]) -> backend::Adjacency {
+        let lists = self.routed_read(
+            pin,
+            us,
+            |&u| u,
+            |g, guard, us| {
+                let adj = g.read_neighbors(guard, us);
+                (0..us.len())
+                    .map(|i| adj.entries(i).collect::<Vec<_>>())
+                    .collect()
+            },
+        );
+        lists.into_iter().collect()
     }
 
     fn insert_edges(&mut self, edges: &[(u32, u32)]) -> u64 {
@@ -525,8 +539,8 @@ mod tests {
             );
             for v in 0..n_vertices {
                 assert_eq!(g.degree(v), reference.degree(v), "degree({v})");
-                let mut a = g.read_neighbors(&pin, v);
-                let mut b = reference.neighbor_ids(&ref_pin, v);
+                let mut a = g.read_neighbors(&pin, &[v]).list(0).to_vec();
+                let mut b = reference.read_neighbors(&ref_pin, &[v]).list(0).to_vec();
                 a.sort_unstable();
                 b.sort_unstable();
                 assert_eq!(a, b, "neighbors({v})");

@@ -28,8 +28,8 @@ fn main() {
     println!("weight of 0->2:   {:?}", g.edge_weight(&pin, 0, 2));
     assert_eq!(g.edge_weight(&pin, 0, 2), Some(25));
 
-    // Adjacency iteration.
-    let mut n = g.neighbors(&pin, 0);
+    // Adjacency iteration: one batched read of any vertex list.
+    let mut n: Vec<(u32, u32)> = g.read_neighbors(&pin, &[0]).entries(0).collect();
     n.sort_unstable();
     println!("neighbors of 0:   {n:?}");
 

@@ -26,7 +26,7 @@ fn workload(policy: ExecPolicy) -> Vec<KernelStats> {
         g.delete_edges(&del);
     }
     g.delete_vertices(&[1, 5, 9]);
-    let _ = g.neighbors(&g.pin_read(), 3);
+    let _ = g.read_neighbors(&g.pin_read(), &[3]);
     let _ = g.edge_exists(&g.pin_read(), 2, 7);
     g.device().trace().kernels
 }

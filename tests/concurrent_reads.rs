@@ -255,8 +255,10 @@ fn run_tile_reads_racing_inserts_observe_only_prefix_states() {
 }
 
 /// Full mixed churn under concurrent pinned readers running the whole
-/// read surface (membership, neighbor walks, stats): must stay
-/// sanitizer-clean and structurally valid. Deleting and reinserting the
+/// read surface (membership, batched adjacency reads, stats): must stay
+/// sanitizer-clean and structurally valid. Each adjacency batch holds
+/// nine sources in arbitrary order, so its warps read dictionary lines
+/// that insert batches are installing tables in. Deleting and reinserting the
 /// same edges drives slabs through quarantine while reader pins are live,
 /// which is exactly the window epoch-based reclamation protects.
 #[test]
@@ -277,7 +279,10 @@ fn mixed_churn_with_pinned_readers_is_clean_and_valid() {
                         let pin = g.pin_read();
                         let e = &edges[(splitmix64(&mut rng) as usize) % edges.len()];
                         let _ = g.edge_exists(&pin, e.src, e.dst);
-                        let _ = g.neighbor_ids(&pin, e.src);
+                        let mut srcs = vec![e.src];
+                        srcs.extend((0..8).map(|_| (splitmix64(&mut rng) % 256) as u32));
+                        let adj = g.read_neighbors(&pin, &srcs);
+                        assert_eq!(adj.lists().len(), srcs.len());
                         let _ = g.stats(&pin);
                         probes += 1;
                         if probes == 1 {

@@ -25,7 +25,7 @@ fn bulk_build_agrees_with_baselines_on_every_family() {
 
         // Spot-check per-vertex adjacency parity.
         for u in (0..ds.n_vertices).step_by((ds.n_vertices as usize / 50).max(1)) {
-            let mut ours = g.neighbor_ids(&g.pin_read(), u);
+            let mut ours = g.read_neighbors(&g.pin_read(), &[u]).list(0).to_vec();
             ours.sort_unstable();
             let mut hs = h.read_adjacency(u);
             hs.sort_unstable();
@@ -68,7 +68,7 @@ fn mixed_update_stream_keeps_all_structures_in_sync() {
     }
     // Full adjacency parity at the end.
     for u in 0..n {
-        let mut ours = g.neighbor_ids(&g.pin_read(), u);
+        let mut ours = g.read_neighbors(&g.pin_read(), &[u]).list(0).to_vec();
         ours.sort_unstable();
         let mut hs = h.read_adjacency(u);
         hs.sort_unstable();
@@ -130,12 +130,12 @@ fn vertex_deletion_end_to_end() {
 
     for &v in &victims {
         assert_eq!(g.degree(v), 0, "victim {v}");
-        assert!(g.neighbors(&g.pin_read(), v).is_empty());
+        assert!(g.read_neighbors(&g.pin_read(), &[v]).list(0).is_empty());
     }
     // No survivor may still point at a victim.
     let victim_set: std::collections::HashSet<u32> = victims.iter().copied().collect();
     for u in 0..n {
-        for d in g.neighbor_ids(&g.pin_read(), u) {
+        for &d in g.read_neighbors(&g.pin_read(), &[u]).list(0) {
             assert!(
                 !victim_set.contains(&d),
                 "vertex {u} still points at deleted {d}"

@@ -60,7 +60,10 @@ fn retry_to_completion(g: &DynGraph, mut outcome: BatchOutcome) -> u64 {
 }
 
 fn sorted_neighbors(g: &DynGraph, v: u32) -> Vec<(u32, u32)> {
-    let mut n = g.neighbors(&g.pin_read(), v);
+    let mut n = g
+        .read_neighbors(&g.pin_read(), &[v])
+        .entries(0)
+        .collect::<Vec<_>>();
     n.sort_unstable();
     n
 }

@@ -80,9 +80,12 @@ fn assert_state_identical(g: &ShardedGraph, reference: &DynGraph) {
     assert_eq!(g.num_edges(), reference.num_edges(), "edge counts diverge");
     let pin = g.pin_read();
     for u in 0..N {
-        let mut got = g.read_neighbors(&pin, u);
+        let mut got = g.read_neighbors(&pin, &[u]).list(0).to_vec();
         got.sort_unstable();
-        let mut want = reference.neighbor_ids(&reference.pin_read(), u);
+        let mut want = reference
+            .read_neighbors(&reference.pin_read(), &[u])
+            .list(0)
+            .to_vec();
         want.sort_unstable();
         assert_eq!(got, want, "vertex {u}: adjacency diverged");
         for &v in &got {

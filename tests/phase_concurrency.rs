@@ -9,7 +9,10 @@ use dynamic_graphs_gpu::prelude::*;
 fn canonical_state(g: &DynGraph) -> Vec<(u32, Vec<(u32, u32)>)> {
     (0..g.vertex_capacity())
         .map(|v| {
-            let mut n = g.neighbors(&g.pin_read(), v);
+            let mut n = g
+                .read_neighbors(&g.pin_read(), &[v])
+                .entries(0)
+                .collect::<Vec<_>>();
             n.sort_unstable();
             (g.degree(v), n)
         })
@@ -92,7 +95,7 @@ fn threaded_vertex_deletion_is_complete() {
         assert_eq!(g.degree(v), 0);
     }
     for u in 0..n {
-        for d in g.neighbor_ids(&g.pin_read(), u) {
+        for &d in g.read_neighbors(&g.pin_read(), &[u]).list(0) {
             assert!(!victim_set.contains(&d), "{u} -> deleted {d} survived");
         }
     }

@@ -107,7 +107,10 @@ fn directed_graph_matches_reference() {
 
         // Full-state comparison.
         for u in 0..N {
-            let mut ours = g.neighbors(&g.pin_read(), u);
+            let mut ours = g
+                .read_neighbors(&g.pin_read(), &[u])
+                .entries(0)
+                .collect::<Vec<_>>();
             ours.sort_unstable();
             let mut want: Vec<(u32, u32)> = reference
                 .adj
@@ -161,7 +164,11 @@ fn undirected_graph_stays_symmetric() {
 
         // Symmetry: u lists v  <=>  v lists u (with equal weight).
         for u in 0..N {
-            for (v, w) in g.neighbors(&g.pin_read(), u) {
+            for (v, w) in g
+                .read_neighbors(&g.pin_read(), &[u])
+                .entries(0)
+                .collect::<Vec<_>>()
+            {
                 assert_eq!(
                     g.edge_weight(&g.pin_read(), v, u),
                     Some(w),

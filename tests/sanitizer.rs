@@ -190,7 +190,7 @@ fn mixed_batch_on_one_chain_is_sanitizer_clean_threaded() {
     assert_eq!((ins.changed, del.changed), (256, 256));
     assert_eq!(g.degree(0), 256);
     let pin = g.pin_read();
-    assert_eq!(g.neighbor_ids(&pin, 0).len(), 256);
+    assert_eq!(g.read_neighbors(&pin, &[0]).list(0).len(), 256);
     assert!(g
         .edges_exist(&pin, &[(0, 1), (0, 256)])
         .iter()

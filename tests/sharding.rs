@@ -113,8 +113,11 @@ fn churn_replay_is_byte_identical_across_shard_counts() {
                 reference.degree(v),
                 "degree({v}), {shards} shards"
             );
-            let mut a = g.read_neighbors(&pin, v);
-            let mut b = reference.neighbor_ids(&reference.pin_read(), v);
+            let mut a = g.read_neighbors(&pin, &[v]).list(0).to_vec();
+            let mut b = reference
+                .read_neighbors(&reference.pin_read(), &[v])
+                .list(0)
+                .to_vec();
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b, "neighbors({v}), {shards} shards");
@@ -161,8 +164,11 @@ fn routed_stream_matches_direct_application() {
         assert_eq!(g.num_edges(), reference.num_edges());
         let pin = g.pin_read();
         for v in 0..N_VERTICES {
-            let mut a = g.read_neighbors(&pin, v);
-            let mut b = reference.neighbor_ids(&reference.pin_read(), v);
+            let mut a = g.read_neighbors(&pin, &[v]).list(0).to_vec();
+            let mut b = reference
+                .read_neighbors(&reference.pin_read(), &[v])
+                .list(0)
+                .to_vec();
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b, "neighbors({v}), {:?}", config.direction);
