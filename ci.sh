@@ -2,7 +2,8 @@
 # The one CI definition: the GitHub workflow runs `./ci.sh` (full mode)
 # and uploads the artifacts it leaves.
 #   ./ci.sh          # every check: fmt, clippy, lint ratchet, release build
-#                    # and tests, sanitized suite, smoke runs, bench gate
+#                    # and tests, sanitized suite, smoke runs, paper tables
+#                    # and their exact counter gate against the parent commit
 #   ./ci.sh quick    # skip the release build, test in debug only
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -61,12 +62,8 @@ if [ "$mode" = "quick" ]; then
     cargo test -q --features sanitize --test sanitizer
     echo "== churn workload smoke run (debug, incl. mixed readers-vs-writers) =="
     cargo run -q -p bench --bin churn -- --rounds 2 --ops 512 --readers 2
-    test -s BENCH_churn.json
     echo "== chaos churn smoke run (debug, seeded kill/revive) =="
     cargo run -q -p bench --bin churn -- --scale 4096 --rounds 5 --ops 256 --shards 4 --sessions 4 --seed 41 --chaos
-    test -s BENCH_chaos.json
-    echo "== bench regression gate (fresh artifacts vs benchmarks/baselines, incl. perturbation self-test) =="
-    cargo run -q --bin bench-gate -- --selftest BENCH_churn.json BENCH_chaos.json
     echo "== profiled churn replay (debug) =="
     cargo run -q -p bench --bin profile -- --scale 4096 --rounds 2 --ops 512 | tee /tmp/profile.out
     grep -q "trace OK:" /tmp/profile.out   # span count == launch count, trace parsed back
@@ -94,7 +91,6 @@ else
     cargo run --release -q --example structure_shootout
     echo "== churn workload smoke run =="
     cargo run --release -q -p bench --bin churn -- --rounds 2 --ops 512
-    test -s BENCH_churn.json
     echo "== profiled churn replay (trace export + span/launch accounting) =="
     cargo run --release -q -p bench --bin profile -- --scale 4096 | tee /tmp/profile.out
     grep -q "trace OK:" /tmp/profile.out   # span count == launch count, trace parsed back
@@ -108,15 +104,17 @@ else
     echo "== paper tables (every experiment incl. the TC tables' triangle-count asserts; the committed BENCH_tables.json must be current) =="
     cargo run --release -q -p bench --bin run_all
     git diff --exit-code -- BENCH_tables.json
+    echo "== bench gate (BENCH_tables.json counters vs HEAD^1's, exact; bench-accept.txt holds the accepted rises) =="
+    if git cat-file -e HEAD^1:BENCH_tables.json 2>/dev/null; then
+        git show HEAD^1:BENCH_tables.json > target/ci/parent-tables.json
+        cargo run --release -q --bin bench-gate -- target/ci/parent-tables.json BENCH_tables.json bench-accept.txt
+    else
+        echo "BENCH_tables.json: no parent commit to compare with; bench gate skipped"
+    fi
     echo "== sanitized test suite (racecheck/memcheck/initcheck on every device) =="
     cargo test --workspace --release -q --features dynamic-graphs-gpu/sanitize 2>&1 | tee target/ci/test-sanitized.log
     echo "== sanitized chaos churn smoke run (4 shards, seeded kill/revive; zero findings + clean post-rebuild validate asserted in-run) =="
     cargo run --release -q -p bench --features sanitize --bin churn -- --scale 4096 --rounds 5 --ops 256 --shards 4 --sessions 4 --seed 41 --chaos
-    test -s BENCH_chaos.json
-    echo "== bench regression gate (fresh artifacts vs benchmarks/baselines, incl. perturbation self-test) =="
-    cargo run --release -q --bin bench-gate -- --selftest BENCH_churn.json BENCH_chaos.json
-    # The small-scale smokes below overwrite BENCH_churn.json, so they run
-    # after the gate has compared the default-scale artifact.
     echo "== sanitized churn smoke run (small scale: shadow tracking is ~50x; mixed readers-vs-writers with oracle byte-equality asserted in-run) =="
     cargo run --release -q -p bench --features sanitize --bin churn -- --scale 4096 --rounds 2 --ops 512 --readers 4
     echo "== sanitized sharded churn smoke runs (1 and 4 shards; cross-backend hit parity asserted in-run) =="

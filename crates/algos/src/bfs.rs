@@ -7,7 +7,9 @@ use backend::GraphBackend;
 /// Level (hop distance) of every vertex from `src`; `u32::MAX` for
 /// unreachable vertices. Frontier-at-a-time traversal, one batched
 /// adjacency read ([`GraphBackend::read_neighbors`]) of the whole
-/// frontier per level.
+/// frontier per level. Each frontier is sorted by vertex id first (host
+/// work between launches), so consecutive requested vertices share
+/// dictionary lines and a slab-hash backend reads each line once.
 pub fn bfs_levels<B: GraphBackend + ?Sized>(g: &B, src: u32) -> Vec<u32> {
     let n = g.num_vertices();
     let mut levels = vec![u32::MAX; n as usize];
@@ -28,6 +30,7 @@ pub fn bfs_levels<B: GraphBackend + ?Sized>(g: &B, src: u32) -> Vec<u32> {
                 next.push(v);
             }
         }
+        next.sort_unstable();
         frontier = next;
     }
     levels

@@ -2,7 +2,9 @@
 //! stream against every backend that supports it (including the
 //! hash-partitioned `ShardedSlabGraph`), then replay multi-tenant traffic
 //! through the batch router at increasing shard counts to measure
-//! modeled-throughput scaling.
+//! modeled-throughput scaling. It prints each table and keeps its JSON
+//! under `target/experiments/`; `run_all` records the churn, sharded and
+//! chaos tables at fixed configs in `BENCH_tables.json`.
 //!
 //! ```text
 //! cargo run -p bench --release --bin churn -- \
@@ -13,7 +15,6 @@
 
 use bench::chaos::chaos_churn;
 use bench::churn::{churn, readers_vs_writers, ChurnConfig};
-use bench::harness::write_bench_artifact;
 use bench::sharded::sharded_scaling;
 
 fn main() {
@@ -65,9 +66,7 @@ fn main() {
         // Fault-tolerance mode: seeded kill/revive schedule over the
         // sharded router replay, with the byte-identical-vs-unsharded
         // assertion and sanitizer check built in.
-        let t = chaos_churn(&cfg);
-        t.emit();
-        write_bench_artifact("BENCH_chaos.json", "chaos_churn", &[&t]);
+        chaos_churn(&cfg).emit();
         return;
     }
     let t = churn(&cfg);
@@ -80,7 +79,7 @@ fn main() {
     rw.emit();
 
     // Scaling study: identical multi-tenant traffic at 1..=max(8, shards)
-    // shards (powers of two), so the artifact always records how modeled
+    // shards (powers of two), so the run always shows how modeled
     // throughput scales with the shard count.
     let mut counts: Vec<usize> = vec![1, 2, 4, 8];
     if !counts.contains(&cfg.shards) {
@@ -90,9 +89,4 @@ fn main() {
     let (scaling, per_shard) = sharded_scaling(&cfg, &counts);
     scaling.emit();
     per_shard.emit();
-    write_bench_artifact(
-        "BENCH_churn.json",
-        "churn",
-        &[&t, &rw, &scaling, &per_shard],
-    );
 }

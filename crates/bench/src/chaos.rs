@@ -12,9 +12,9 @@
 //! audit passes, and that every device is sanitizer-clean.
 
 use crate::churn::ChurnConfig;
-use crate::harness::{build_sharded, build_slab, dataset_for, fnum, Table};
+use crate::harness::{build_sharded, build_slab, dataset_for, fnum, Phase, Table};
 use crate::sharded::traffic_for;
-use gpu_sim::FaultPlan;
+use gpu_sim::{Device, FaultPlan};
 use graph_gen::splitmix64;
 use router::{BatchRouter, ReadQuality, Update};
 use slabgraph::Edge;
@@ -54,6 +54,7 @@ pub fn chaos_churn(cfg: &ChurnConfig) -> Table {
     let traffic = traffic_for(cfg, &ds, shards);
     let g = build_sharded(&ds, shards);
     let router = BatchRouter::new(&g);
+    let devices: Vec<&Device> = g.group().devices().iter().map(|d| &**d).collect();
 
     // Unsharded reference: same bulk load, each round applied in the
     // router's drain order (the last update to an edge decides it).
@@ -111,7 +112,9 @@ pub fn chaos_churn(cfg: &ChurnConfig) -> Table {
             .filter(|&s| !router.health(s).is_dispatchable())
             .map(|s| (s, g.group().device(s).counters().snapshot().launches))
             .collect();
+        let phase = Phase::begin(&devices);
         let report = router.flush();
+        table.end(format!("round {r} flush"), phase, &devices);
         for (s, launches) in down_before {
             assert_eq!(
                 g.group().device(s).counters().snapshot().launches,
@@ -202,6 +205,18 @@ pub fn chaos_churn(cfg: &ChurnConfig) -> Table {
         sharded_digest,
     ));
     table
+}
+
+/// The chaos run `run_all` records: four shards fed by four sessions over
+/// the default churn dataset, five rounds (two kills, two revives).
+pub fn chaos_default() -> Table {
+    chaos_churn(&ChurnConfig {
+        rounds: 5,
+        shards: 4,
+        sessions: 4,
+        seed: 41,
+        ..ChurnConfig::default()
+    })
 }
 
 #[cfg(test)]

@@ -190,20 +190,26 @@ pub fn churn(cfg: &ChurnConfig) -> Table {
         let stream_phase = Phase::begin(&g.devices());
         let (mut ins_s, mut del_s, mut qry_s) = (0.0f64, 0.0f64, 0.0f64);
         let (mut n_ins, mut n_del, mut n_qry, mut hits) = (0u64, 0u64, 0u64, 0u64);
-        for round in &stream {
+        for (r, round) in stream.iter().enumerate() {
             let phase = Phase::begin(&g.devices());
             g.insert_edges(&round.ins);
-            ins_s += phase.end(&g.devices()).modeled_s;
+            ins_s += t
+                .end(format!("{name} r{r} inserts"), phase, &g.devices())
+                .modeled_s;
             n_ins += round.ins.len() as u64;
 
             let phase = Phase::begin(&g.devices());
             g.delete_edges(&round.del);
-            del_s += phase.end(&g.devices()).modeled_s;
+            del_s += t
+                .end(format!("{name} r{r} deletes"), phase, &g.devices())
+                .modeled_s;
             n_del += round.del.len() as u64;
 
             let phase = Phase::begin(&g.devices());
             let found = g.edges_exist(&g.pin_read(), &round.qry);
-            qry_s += phase.end(&g.devices()).modeled_s;
+            qry_s += t
+                .end(format!("{name} r{r} queries"), phase, &g.devices())
+                .modeled_s;
             n_qry += round.qry.len() as u64;
             hits += found.iter().filter(|&&b| b).count() as u64;
         }

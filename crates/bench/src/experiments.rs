@@ -11,7 +11,7 @@
 //! priced by one [`Measurement`](crate::Measurement).
 
 use crate::harness::{
-    baseline_words, fnum, measure, scale_shift, slab_config, weighted_edges, Phase, Table,
+    baseline_words, fnum, scale_shift, slab_config, weighted_edges, Phase, Table,
 };
 use algos::tc;
 use backend::GraphBackend;
@@ -194,7 +194,8 @@ fn update_rate_table(deletion: bool) -> Table {
                 } else {
                     g.insert_edges(&batch);
                 }
-                let m = phase.end(&[g.device()]);
+                let label = format!("{}, {} 2^{be}", c.label, specs[di].name);
+                let m = t.end(label, phase, &[g.device()]);
                 let report = m.report();
                 assert_eq!(
                     report.kernel_sum(),
@@ -255,7 +256,7 @@ pub fn table4_vertex_deletion() -> Table {
     for (bi, &be) in batch_exps.iter().enumerate() {
         let bsz = 1usize << be;
         let mut rates: Vec<Vec<f64>> = vec![vec![]; contenders.len()];
-        for ds in &datasets {
+        for (spec, ds) in specs.iter().zip(&datasets) {
             let victims = vertex_batch(
                 ds.n_vertices,
                 bsz.min(ds.n_vertices as usize / 2),
@@ -270,7 +271,8 @@ pub fn table4_vertex_deletion() -> Table {
                 );
                 let phase = Phase::begin(&[g.device()]);
                 g.delete_vertices(&victims);
-                let m = phase.end(&[g.device()]);
+                let label = format!("{}, {} 2^{be}", c.label, spec.name);
+                let m = t.end(label, phase, &[g.device()]);
                 rates[ci].push(m.mrate(victims.len() as u64));
             }
         }
@@ -299,19 +301,19 @@ pub fn table5_bulk_build() -> Table {
     let mut headers = vec!["dataset"];
     headers.extend(contenders.iter().map(|c| c.label));
     let mut t = Table::new("table5", "Bulk build elapsed time (modeled ms)", &headers);
-    let model = gpu_sim::CostModel::titan_v();
     for spec in catalog::datasets() {
         let ds = spec.generate_default(29);
 
         // The build *is* the measured operation: construct each structure
-        // and read its device counters afterwards.
+        // and price everything its device did since creation.
         let mut cells = vec![spec.name.to_string()];
         let mut edge_counts: Vec<u64> = vec![];
         for c in &contenders {
             let g = (c.build)(&ds);
-            let ms = model.seconds(&g.device().counters().snapshot()) * 1e3;
+            let label = format!("{}, {}", c.label, spec.name);
+            let m = t.end(label, Phase::since_creation(1), &[g.device()]);
             edge_counts.push(g.num_edges());
-            cells.push(fnum(ms));
+            cells.push(fnum(m.modeled_ms()));
         }
         assert!(
             edge_counts.windows(2).all(|w| w[0] == w[1]),
@@ -356,14 +358,14 @@ pub fn table6_incremental_build() -> Table {
     for be in [12 + shift, 13 + shift, 14 + shift] {
         let bsz = 1usize << be;
         let mut rates: Vec<Vec<f64>> = vec![vec![]; contenders.len()];
-        for ds in &datasets {
+        for (name, ds) in names.iter().zip(&datasets) {
             for (ci, c) in contenders.iter().enumerate() {
                 let mut g = (c.build)(ds);
                 let phase = Phase::begin(&[g.device()]);
                 for chunk in ds.edges.chunks(bsz) {
                     g.insert_edges(chunk);
                 }
-                let m = phase.end(&[g.device()]);
+                let m = t.end(format!("{}, {name} 2^{be}", c.label), phase, &[g.device()]);
                 rates[ci].push(m.mrate(ds.edges.len() as u64));
             }
         }
@@ -427,7 +429,8 @@ pub fn table7_static_tc() -> Table {
             let mut g = (c.build)(&ds);
             g.ensure_sorted(); // sort cost reported in Table VIII
             let mut count = 0;
-            let m = measure(&[g.device()], || {
+            let label = format!("{}, {}", c.label, spec.name);
+            let m = t.measure(label, &[g.device()], || {
                 count = tc(g.as_ref());
             });
             // Integer counts pin what the rounded ms cell can hide.
@@ -466,12 +469,12 @@ pub fn table8_sort_cost() -> Table {
         let csr = Csr::build(ds.n_vertices, &sym, baseline_words(&ds) * 2);
         let segs = csr.segments();
         let mut vals: Vec<u32> = (0..csr.num_edges() as u32).collect();
-        let m_c = measure(&[csr.device()], || {
+        let m_c = t.measure(format!("CSR, {}", spec.name), &[csr.device()], || {
             sort::segmented_sort(csr.device(), &segs, &mut vals);
         });
 
         let f = FaimGraph::build(ds.n_vertices, &sym, baseline_words(&ds) * 2);
-        let m_f = measure(&[f.device()], || {
+        let m_f = t.measure(format!("faimGraph, {}", spec.name), &[f.device()], || {
             f.sort_adjacencies();
         });
 
@@ -514,6 +517,7 @@ pub fn table9_dynamic_tc() -> Table {
         // undirected graph internally; Hornet needs explicitly mirrored
         // batches and incremental re-sort maintenance before counting.
         struct Dynamic {
+            label: &'static str,
             g: Box<dyn GraphBackend>,
             mirror_batches: bool,
             ins_ms: f64,
@@ -521,6 +525,7 @@ pub fn table9_dynamic_tc() -> Table {
         }
         let mut contenders = [
             Dynamic {
+                label: "ours",
                 g: Box::new(DynGraph::with_uniform_buckets(
                     slab_config(&ds, TableKind::Set, Direction::Undirected),
                     ds.n_vertices,
@@ -531,6 +536,7 @@ pub fn table9_dynamic_tc() -> Table {
                 tc_ms: 0.0,
             },
             Dynamic {
+                label: "hornet",
                 g: Box::new(Hornet::new(ds.n_vertices, baseline_words(&ds) * 2)),
                 mirror_batches: true,
                 ins_ms: 0.0,
@@ -550,16 +556,19 @@ pub fn table9_dynamic_tc() -> Table {
                     (batch.clone(), vec![])
                 };
 
+                let label = format!("{}, {name} round {iter}", c.label);
                 let phase = Phase::begin(&[c.g.device()]);
                 c.g.insert_edges(&edges);
-                c.ins_ms += phase.end(&[c.g.device()]).modeled_ms();
+                c.ins_ms += t
+                    .end(format!("{label} insert"), phase, &[c.g.device()])
+                    .modeled_ms();
 
                 let phase = Phase::begin(&[c.g.device()]);
                 // Incremental sort maintenance: only batch-touched lists
                 // (a no-op for the hash-based structure).
                 c.g.ensure_sorted_touched(&touched);
                 let tri = tc(c.g.as_ref());
-                let m = phase.end(&[c.g.device()]);
+                let m = t.end(format!("{label} TC"), phase, &[c.g.device()]);
                 c.tc_ms += m.modeled_ms();
                 // Integer counts pin what the rounded ms cell can hide.
                 if ci == 0 && iter == 5 && name == "hollywood-2009" {
@@ -622,7 +631,8 @@ pub fn fig2_load_factor() -> Table {
                 .with_device_words(edges.len() * 12)
                 .with_pool_slabs((edges.len() / 64).max(1 << 10));
             let g = DynGraph::with_degree_hints(cfg, &degrees);
-            let m = measure(&[g.device()], || {
+            let label = format!("avg degree {avg_deg} lf {lf}");
+            let m = t.measure(label, &[g.device()], || {
                 g.insert_edges(&edges);
             });
             let stats = g.stats(&g.pin_read());
@@ -682,7 +692,8 @@ pub fn fig3_tc_load_factor() -> Table {
             g.insert_edges(&edges);
             let stats = g.stats(&g.pin_read());
             let mut tri = 0;
-            let m = measure(&[g.device()], || {
+            let label = format!("avg degree {avg_deg} lf {lf}");
+            let m = t.measure(label, &[g.device()], || {
                 tri = tc(&g);
             });
             // Integer counts pin what the rounded ms cell can hide.

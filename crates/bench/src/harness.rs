@@ -13,7 +13,10 @@ use crate::churn::{ChurnConfig, Round};
 use backend::GraphBackend;
 use baselines::{Csr, FaimGraph, Hornet};
 use gpu_sim::profiler::{default_profiler, set_default_profiler};
-use gpu_sim::{CostModel, Device, DeviceGroup, Json, ProfilerConfig, TraceReport, TraceSnapshot};
+use gpu_sim::{
+    CostModel, CounterSnapshot, Device, DeviceGroup, Json, ProfilerConfig, TraceReport,
+    TraceSnapshot,
+};
 use graph_gen::catalog;
 use router::ShardedGraph;
 use slabgraph::{Direction, DynGraph, Edge, GraphConfig, TableKind};
@@ -67,6 +70,12 @@ pub struct Phase(Vec<TraceSnapshot>);
 impl Phase {
     pub fn begin(devices: &[&Device]) -> Phase {
         Phase(devices.iter().map(|d| d.trace()).collect())
+    }
+
+    /// The phase that began when `n` devices were created: it ends with
+    /// everything they have done (a build that creates its device).
+    pub fn since_creation(n: usize) -> Phase {
+        Phase(vec![TraceSnapshot::default(); n])
     }
 
     /// Close the phase over the same devices, in the same order, that
@@ -130,6 +139,20 @@ pub fn scale_shift() -> u32 {
         .unwrap_or(0)
 }
 
+/// The integer cost terms a [`Table`] records per priced phase, in JSON
+/// key order: what `bench-gate` compares exactly against the parent
+/// commit's `BENCH_tables.json`.
+const COST_TERMS: [&str; 4] = ["transactions", "atomics", "ballots+shuffles", "launches"];
+
+fn cost_terms(c: &CounterSnapshot) -> [u64; 4] {
+    [
+        c.transactions,
+        c.atomics,
+        c.ballots + c.shuffles,
+        c.launches,
+    ]
+}
+
 /// A printable experiment table that also serialises to JSON.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -142,6 +165,10 @@ pub struct Table {
     /// Per-kernel breakdowns attached to named phases of the experiment,
     /// rendered after the table and embedded in the emitted JSON.
     pub breakdowns: Vec<(String, TraceReport)>,
+    /// The cost terms (transactions, atomics, ballots + shuffles,
+    /// launches) of every phase priced through [`Table::end`] or
+    /// [`Table::measure`], under its label (unique in the table).
+    pub costs: Vec<(String, [u64; 4])>,
 }
 
 impl Table {
@@ -153,7 +180,39 @@ impl Table {
             rows: vec![],
             notes: vec![],
             breakdowns: vec![],
+            costs: vec![],
         }
+    }
+
+    /// Close `phase` over `devices` ([`Phase::end`]) and record its cost
+    /// terms under `label`. Every phase behind a cell is priced here.
+    pub fn end(
+        &mut self,
+        label: impl Into<String>,
+        phase: Phase,
+        devices: &[&Device],
+    ) -> Measurement {
+        let (label, m) = (label.into(), phase.end(devices));
+        assert!(
+            self.costs.iter().all(|(l, _)| *l != label),
+            "{}: phase {label:?} priced twice",
+            self.id
+        );
+        self.costs.push((label, cost_terms(&m.trace.global)));
+        m
+    }
+
+    /// [`measure`] `f` over `devices`, recording its cost terms under
+    /// `label` as [`Table::end`] does.
+    pub fn measure(
+        &mut self,
+        label: impl Into<String>,
+        devices: &[&Device],
+        f: impl FnOnce(),
+    ) -> Measurement {
+        let phase = Phase::begin(devices);
+        f();
+        self.end(label, phase, devices)
     }
 
     pub fn row(&mut self, cells: Vec<String>) {
@@ -232,6 +291,19 @@ impl Table {
                         .collect(),
                 ),
             ),
+            (
+                "counters".into(),
+                Json::Obj(
+                    self.costs
+                        .iter()
+                        .map(|(label, terms)| {
+                            let terms = COST_TERMS.iter().zip(terms);
+                            let terms = terms.map(|(k, &v)| (k.to_string(), Json::u64(v)));
+                            (label.clone(), Json::Obj(terms.collect()))
+                        })
+                        .collect(),
+                ),
+            ),
         ])
     }
 
@@ -247,13 +319,13 @@ impl Table {
 }
 
 /// Write a benchmark-trajectory artifact: one JSON file collecting the
-/// given tables, intended to be committed to CI artifact storage so runs
-/// can be compared over time. Table rows carry the workload/backend rates
-/// and modeled times; the embedded per-kernel breakdowns (TraceReport
-/// JSON) carry the per-kernel counter sums.
+/// given tables (`run_all` writes the committed `BENCH_tables.json`).
+/// Table rows carry the workload/backend rates and modeled times, each
+/// table's `counters` the cost terms of every phase behind them, and the
+/// embedded per-kernel breakdowns (TraceReport JSON) the per-kernel
+/// counter sums of selected phases.
 ///
-/// `path` is relative to the invoking directory — `ci.sh` runs the bench
-/// bins from the repository root, which puts `BENCH_*.json` there.
+/// `path` is relative to the invoking directory.
 pub fn write_bench_artifact(path: &str, workload: &str, tables: &[&Table]) {
     let json = Json::Obj(vec![
         ("schema".into(), Json::str("bench-trajectory-v1")),

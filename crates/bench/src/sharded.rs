@@ -124,7 +124,17 @@ struct ScalePoint {
     per_shard: Vec<(u64, f64)>,
 }
 
-fn replay_at(cfg: &ChurnConfig, ds: &graph_gen::Dataset, shards: usize) -> ScalePoint {
+/// Replay the traffic at `shards` shards. Each flush is priced through a
+/// phase over every shard device (recorded in `scaling`) and one per shard
+/// device (recorded in `per_shard`); each query batch through one over
+/// every shard device.
+fn replay_at(
+    cfg: &ChurnConfig,
+    ds: &graph_gen::Dataset,
+    shards: usize,
+    scaling: &mut Table,
+    per_shard: &mut Table,
+) -> ScalePoint {
     let traffic = traffic_for(cfg, ds, shards);
     let g = build_sharded(ds, shards);
     let router = BatchRouter::new(&g);
@@ -137,7 +147,7 @@ fn replay_at(cfg: &ChurnConfig, ds: &graph_gen::Dataset, shards: usize) -> Scale
         query_s: 0.0,
         per_shard: vec![(0, 0.0); shards],
     };
-    for round in &traffic {
+    for (r, round) in traffic.iter().enumerate() {
         // Sessions submit concurrently — arrival interleaving is racy on
         // purpose; the router's flush order is deterministic regardless.
         std::thread::scope(|sc| {
@@ -150,7 +160,13 @@ fn replay_at(cfg: &ChurnConfig, ds: &graph_gen::Dataset, shards: usize) -> Scale
                 });
             }
         });
+        let shard_phases: Vec<Phase> = devices.iter().map(|d| Phase::begin(&[d])).collect();
+        let phase = Phase::begin(&devices);
         let report = router.flush();
+        scaling.end(format!("{shards} shards r{r} flush"), phase, &devices);
+        for (s, (phase, d)) in shard_phases.into_iter().zip(&devices).enumerate() {
+            per_shard.end(format!("{shards} shards, shard {s} r{r}"), phase, &[d]);
+        }
         assert!(
             report.is_complete(),
             "scaling replay must not hit the memory ceiling (shards {shards})"
@@ -166,7 +182,8 @@ fn replay_at(cfg: &ChurnConfig, ds: &graph_gen::Dataset, shards: usize) -> Scale
 
         let phase = Phase::begin(&devices);
         let found = g.edges_exist(&g.pin_read(), &round.qry);
-        point.query_s += phase.end(&devices).modeled_s;
+        let label = format!("{shards} shards r{r} queries");
+        point.query_s += scaling.end(label, phase, &devices).modeled_s;
         point.queries += round.qry.len() as u64;
         point.hits += found.iter().filter(|&&b| b).count() as u64;
     }
@@ -204,7 +221,7 @@ pub fn sharded_scaling(cfg: &ChurnConfig, shard_counts: &[usize]) -> (Table, Tab
     let mut base_rate: Option<f64> = None;
     let mut hit_counts: Vec<u64> = Vec::new();
     for &n in shard_counts {
-        let p = replay_at(cfg, &ds, n);
+        let p = replay_at(cfg, &ds, n, &mut scaling, &mut per_shard);
         let ups = mrate(p.updates, p.update_s);
         let speedup = match base_rate {
             None => {
@@ -259,6 +276,12 @@ pub fn sharded_scaling(cfg: &ChurnConfig, shard_counts: &[usize]) -> (Table, Tab
         cfg.skew,
     ));
     (scaling, per_shard)
+}
+
+/// The scaling study `run_all` records: the default churn config at 1, 2,
+/// 4 and 8 shards.
+pub fn sharded_default() -> (Table, Table) {
+    sharded_scaling(&ChurnConfig::default(), &[1, 2, 4, 8])
 }
 
 #[cfg(test)]

@@ -292,8 +292,9 @@ fn read_charges_are_pinned() {
     // read is one launch per device, with a warp per run of requested
     // vertices that share a 16-vertex dictionary line, which reads the
     // line's descriptors with one transaction (so `tc` reads all 64 lists
-    // with 4 warps, and `bfs_levels` launches once per level and device
-    // that holds part of the frontier); the slab-hash `tc` probes each closing edge in its
+    // with 4 warps, and `bfs_levels`, which sorts each frontier, launches
+    // once per level and device that holds part of the frontier and reads
+    // each of its lines once); the slab-hash `tc` probes each closing edge in its
     // shorter table, grouped by table, so a table probed 32 times or more
     // is answered by run tiles, and it is one fused launch per device.
     // A slab walked with more than 30 keys open charges 30 broadcast
@@ -306,7 +307,7 @@ fn read_charges_are_pinned() {
                 [140, 0, 315, 64, 1, 4, 288],
                 [9, 0, 0, 0, 1, 1, 0],
                 [414, 0, 479, 1173, 1, 54, 4192],
-                [107, 0, 0, 0, 4, 43, 0],
+                [74, 0, 0, 0, 4, 10, 0],
             ],
         ),
         (
@@ -342,7 +343,7 @@ fn read_charges_are_pinned() {
                 [146, 0, 317, 64, 3, 6, 480],
                 [11, 0, 0, 0, 3, 3, 0],
                 [423, 0, 479, 1172, 3, 63, 4320],
-                [112, 0, 0, 0, 8, 48, 0],
+                [85, 0, 0, 0, 8, 21, 0],
             ],
         ),
     ];

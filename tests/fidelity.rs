@@ -101,24 +101,86 @@ fn table(id: &str) -> Table {
 /// A claim's verdict: `Err` names the row or series that breaks it.
 type Verdict = Result<(), String>;
 
-/// Table II: ours beats Hornet and faimGraph at every batch size, and all
-/// three insertion rates grow with the batch.
-fn table2_ours_wins_every_batch(t: &Table) -> Verdict {
+/// Ours beats every rival at every batch (row) of a rate table.
+fn ours_beats(t: &Table, rivals: &[&str]) -> Verdict {
     let ours = t.nums("Ours");
-    for rival in ["Hornet", "faimGraph"] {
+    for rival in rivals {
         for (i, (o, r)) in ours.iter().zip(t.nums(rival)).enumerate() {
             if *o <= r {
                 return Err(format!("batch {}: ours {o} vs {rival} {r}", t.rows[i][0]));
             }
         }
     }
-    for name in ["Hornet", "faimGraph", "Ours"] {
+    Ok(())
+}
+
+/// Each named rate grows with the batch (row).
+fn rates_grow(t: &Table, names: &[&str]) -> Verdict {
+    for name in names {
         let rates = t.nums(name);
         if !rates.windows(2).all(|w| w[0] < w[1]) {
             return Err(format!(
                 "{name}'s rate does not grow with the batch: {rates:?}"
             ));
         }
+    }
+    Ok(())
+}
+
+/// Table II: ours beats Hornet and faimGraph at every batch size, and all
+/// three insertion rates grow with the batch.
+fn table2_ours_wins_every_batch(t: &Table) -> Verdict {
+    ours_beats(t, &["Hornet", "faimGraph"])?;
+    rates_grow(t, &["Hornet", "faimGraph", "Ours"])
+}
+
+/// Ours/Hornet per row of Table III.
+fn table3_ratios(t: &Table) -> Vec<f64> {
+    t.nums("Ours")
+        .iter()
+        .zip(t.nums("Hornet"))
+        .map(|(o, h)| o / h)
+        .collect()
+}
+
+/// Table III: ours beats Hornet and faimGraph at every batch size, and
+/// Hornet closes the gap as the batch grows (ours/Hornet shrinks).
+fn table3_ours_wins_and_hornet_closes(t: &Table) -> Verdict {
+    ours_beats(t, &["Hornet", "faimGraph"])?;
+    let ratios = table3_ratios(t);
+    if !ratios.windows(2).all(|w| w[1] < w[0]) {
+        return Err(format!("ours/Hornet does not shrink: {ratios:?}"));
+    }
+    Ok(())
+}
+
+/// Table IV: ours beats faimGraph at every batch size, and both
+/// vertex-deletion rates grow with the batch.
+fn table4_ours_wins_and_rates_grow(t: &Table) -> Verdict {
+    ours_beats(t, &["faimGraph"])?;
+    rates_grow(t, &["faimGraph", "Ours"])
+}
+
+/// Table IX's speedup column for one dataset, round by round.
+fn table9_speedups(t: &Table, dataset: &str) -> Vec<f64> {
+    let speedup = t.col("speedup");
+    t.rows
+        .iter()
+        .filter(|r| r[0] == dataset)
+        .map(|r| r[speedup].parse().expect("a numeric speedup"))
+        .collect()
+}
+
+/// Table IX: ours wins every `road_usa` round, and `hollywood-2009`'s
+/// speedup falls every round.
+fn table9_road_wins_and_hollywood_lead_shrinks(t: &Table) -> Verdict {
+    let road = table9_speedups(t, "road_usa");
+    if road.is_empty() || road.iter().any(|&s| s <= 1.0) {
+        return Err(format!("road_usa speedups {road:?}"));
+    }
+    let hollywood = table9_speedups(t, "hollywood-2009");
+    if hollywood.len() < 2 || !hollywood.windows(2).all(|w| w[1] < w[0]) {
+        return Err(format!("hollywood-2009 speedups {hollywood:?}"));
     }
     Ok(())
 }
@@ -225,6 +287,68 @@ fn table2_claim_rejects_a_rival_that_wins_one_batch() {
     let ours = t.nums("Ours")[last];
     t.set(last, "faimGraph", ours * 1.01);
     assert!(table2_ours_wins_every_batch(&t).is_err());
+}
+
+#[test]
+fn table3_ours_wins_every_batch_and_hornet_closes_the_gap() {
+    table3_ours_wins_and_hornet_closes(&table("table3")).unwrap();
+}
+
+#[test]
+fn table3_claim_rejects_a_gap_that_widens_at_the_largest_batch() {
+    let mut t = table("table3");
+    let last = t.rows.len() - 1;
+    let ratio = table3_ratios(&t)[last - 1];
+    let ours = t.nums("Ours")[last];
+    t.set(last, "Hornet", ours / (ratio * 1.01));
+    assert!(table3_ours_wins_and_hornet_closes(&t).is_err());
+}
+
+#[test]
+fn table4_ours_wins_every_batch_and_both_rates_grow() {
+    table4_ours_wins_and_rates_grow(&table("table4")).unwrap();
+}
+
+#[test]
+fn table4_claim_rejects_a_rate_that_falls_at_the_largest_batch() {
+    let mut t = table("table4");
+    let last = t.rows.len() - 1;
+    let before = t.nums("faimGraph")[last - 1];
+    t.set(last, "faimGraph", before * 0.99);
+    assert!(table4_ours_wins_and_rates_grow(&t).is_err());
+}
+
+/// Table VI: ours beats Hornet at every batch size.
+#[test]
+fn table6_ours_beats_hornet_at_every_batch() {
+    ours_beats(&table("table6"), &["Hornet"]).unwrap();
+}
+
+#[test]
+fn table6_claim_rejects_hornet_winning_one_batch() {
+    let mut t = table("table6");
+    let ours = t.nums("Ours")[0];
+    t.set(0, "Hornet", ours * 1.01);
+    assert!(ours_beats(&t, &["Hornet"]).is_err());
+}
+
+#[test]
+fn table9_ours_wins_road_usa_and_hollywood_lead_shrinks() {
+    table9_road_wins_and_hollywood_lead_shrinks(&table("table9")).unwrap();
+}
+
+#[test]
+fn table9_claim_rejects_a_lost_road_round_or_a_growing_hollywood_lead() {
+    let t = table("table9");
+    let road = t.rows.iter().position(|r| r[0] == "road_usa");
+    let mut lost = t.clone();
+    lost.set(road.expect("a road_usa row"), "speedup", 0.99);
+    assert!(table9_road_wins_and_hollywood_lead_shrinks(&lost).is_err());
+    // The last row is hollywood-2009's last round.
+    let (mut growing, last) = (t.clone(), t.rows.len() - 1);
+    let before = t.nums("speedup")[last - 1];
+    growing.set(last, "speedup", before * 1.01);
+    assert!(table9_road_wins_and_hollywood_lead_shrinks(&growing).is_err());
 }
 
 #[test]
