@@ -244,6 +244,28 @@ impl VertexDict {
         dev.host_write(self.count_addr(v), &[0]);
     }
 
+    /// Install the tables `tables` yields as ⟨v, base, buckets⟩, in
+    /// ascending `v`, from inside a build launch: the descriptor pairs are
+    /// written a 128 B line at a time, charged one coalesced store per
+    /// line that receives a descriptor. The edge counts are left alone.
+    pub(crate) fn install_lines(
+        &self,
+        dev: &Device,
+        tables: impl IntoIterator<Item = (u32, Addr, u32)>,
+    ) {
+        let mut lines = 0u64;
+        let mut last_line = None;
+        for (v, base, num_buckets) in tables {
+            dev.host_write(self.desc_addr(v), &[base, num_buckets]);
+            let line = v / TABLES_PER_LINE;
+            if last_line != Some(line) {
+                last_line = Some(line);
+                lines += 1;
+            }
+        }
+        dev.charge("graph_init").add_transactions(lines);
+    }
+
     /// Warp-side (charged) republication of vertex `v`'s table after a
     /// rebuild: one scattered write of its base and bucket count. The
     /// live-edge count word is left alone — a rebuild keeps every edge.

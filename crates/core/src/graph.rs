@@ -132,48 +132,45 @@ impl DynGraph {
     /// Create a graph whose first `degrees.len()` vertices get hash tables
     /// sized from the given expected degrees (paper §III-b: connectivity
     /// information + load factor determine bucket counts; base slabs for
-    /// *all* vertices are allocated in one bulk region, §IV-A2).
+    /// *all* vertices are allocated in one bulk region, §IV-A2). The
+    /// tables are installed by [`Self::install_tables`]: one `graph_init`
+    /// launch charging one transaction per base slab and one per
+    /// dictionary line of descriptors.
     pub fn with_degree_hints(config: GraphConfig, degrees: &[u32]) -> Self {
         let g = Self::new(config);
-        g.install_tables(degrees);
+        let buckets: Vec<u32> = degrees.iter().map(|&d| g.buckets_for(d)).collect();
+        g.install_tables(&buckets);
         g
     }
 
     /// Create a graph where the first `n_vertices` vertices each get
     /// exactly `buckets` buckets — the incremental-build configuration
-    /// (§V-B2: vertex bound known, edges unknown ⇒ one bucket each).
+    /// (§V-B2: vertex bound known, edges unknown ⇒ one bucket each),
+    /// installed as [`Self::with_degree_hints`] installs its tables.
     pub fn with_uniform_buckets(config: GraphConfig, n_vertices: u32, buckets: u32) -> Self {
+        assert!(buckets >= 1);
         let g = Self::new(config);
-        g.install_uniform(n_vertices, buckets);
+        g.install_tables(&vec![buckets; n_vertices as usize]);
         g
     }
 
     /// Bulk-build from a COO edge list (§V-B1): degrees are counted on the
-    /// host, base slabs are bulk-allocated, and all edges are inserted in
-    /// one batch through the edge-insertion kernel.
+    /// host ([`Self::source_degrees`], uncharged input preparation), every
+    /// vertex's base slabs are bulk-allocated and its descriptor written
+    /// in one `graph_init` launch (one transaction per base slab and one
+    /// per dictionary line), and all edges are inserted in one batch
+    /// through the edge-insertion kernel.
     pub fn bulk_build(config: GraphConfig, edges: &[Edge]) -> Self {
         let g = Self::new(config);
         let _phase = g.dev.phase("bulk_build");
         let degrees = {
             let _p = g.dev.phase("bulk_build.degrees");
-            let mut degrees = vec![0u32; g.config.vertex_capacity as usize];
-            for e in edges {
-                if e.src != e.dst {
-                    if let Some(d) = degrees.get_mut(e.src as usize) {
-                        *d += 1;
-                    }
-                    if g.config.direction == Direction::Undirected {
-                        if let Some(d) = degrees.get_mut(e.dst as usize) {
-                            *d += 1;
-                        }
-                    }
-                }
-            }
-            degrees
+            g.source_degrees(edges)
         };
         {
             let _p = g.dev.phase("bulk_build.tables");
-            g.install_tables(&degrees);
+            let buckets: Vec<u32> = degrees.iter().map(|&d| g.buckets_for(d)).collect();
+            g.install_tables(&buckets);
         }
         {
             let _p = g.dev.phase("bulk_build.insert");
@@ -183,38 +180,61 @@ impl DynGraph {
         g
     }
 
-    /// Install tables for vertices `0..degrees.len()` sized by expected
-    /// degree, bulk-allocating every base slab in one contiguous region.
-    pub fn install_tables(&self, degrees: &[u32]) {
-        assert!(
-            degrees.len() as u64 <= self.dict.capacity() as u64,
-            "degree hints exceed vertex capacity"
-        );
-        let buckets: Vec<u32> = degrees
-            .iter()
-            .map(|&d| buckets_for(d as usize, self.config.load_factor, self.config.kind))
-            .collect();
-        self.install_with_buckets(&buckets);
-    }
-
-    fn install_uniform(&self, n_vertices: u32, buckets: u32) {
-        assert!(buckets >= 1);
-        assert!(n_vertices <= self.dict.capacity());
-        self.install_with_buckets(&vec![buckets; n_vertices as usize]);
-    }
-
-    fn install_with_buckets(&self, buckets: &[u32]) {
-        let total: u64 = buckets.iter().map(|&b| b as u64).sum();
-        let region = self
-            .dev
-            .alloc_words(total as usize * SLAB_WORDS, SLAB_WORDS);
-        self.dev
-            .memset("graph_init", region, total as usize * SLAB_WORDS, EMPTY_KEY);
-        let mut cursor = region;
-        for (v, &b) in buckets.iter().enumerate() {
-            self.dict.install_host(&self.dev, v as u32, cursor, b);
-            cursor += b * SLAB_WORDS as u32;
+    /// The host degree count of a bulk build (§V-B1's input preparation,
+    /// uncharged): for each vertex under capacity, how many of `edges`
+    /// start at it once the graph's direction mirrors them, self-loops
+    /// excluded (the insert kernel skips them).
+    pub fn source_degrees(&self, edges: &[Edge]) -> Vec<u32> {
+        let mut degrees = vec![0u32; self.config.vertex_capacity as usize];
+        for e in self.apply_direction(edges) {
+            if e.src != e.dst {
+                if let Some(d) = degrees.get_mut(e.src as usize) {
+                    *d += 1;
+                }
+            }
         }
+        degrees
+    }
+
+    /// Buckets for a table expected to hold `degree` edges at the graph's
+    /// load factor, minimum 1 (§IV-A2).
+    pub fn buckets_for(&self, degree: u32) -> u32 {
+        buckets_for(degree as usize, self.config.load_factor, self.config.kind)
+    }
+
+    /// The one table installer: vertex `v` gets a table of `buckets[v]`
+    /// buckets, all base slabs in one contiguous region (§IV-A2) in
+    /// vertex order; a count of 0 leaves `v` without a table, so its first
+    /// insert builds a one-bucket table lazily (§III-b). One `graph_init`
+    /// launch EMPTY-fills the region and writes the descriptors, charged
+    /// one transaction per base slab and one coalesced store per
+    /// dictionary line that receives a descriptor; nothing is launched
+    /// when no table is installed. The vertices must have no table yet,
+    /// and their edge counts stay zero.
+    pub fn install_tables(&self, buckets: &[u32]) {
+        assert!(
+            buckets.len() as u64 <= self.dict.capacity() as u64,
+            "table sizes exceed vertex capacity"
+        );
+        let total: usize = buckets.iter().map(|&b| b as usize).sum();
+        if total == 0 {
+            return;
+        }
+        let region = self.dev.alloc_words(total * SLAB_WORDS, SLAB_WORDS);
+        self.dev.fused_scope("graph_init", || {
+            self.dev
+                .memset("graph_init", region, total * SLAB_WORDS, EMPTY_KEY);
+            let tables = buckets.iter().zip(0u32..).filter(|&(&b, _)| b > 0);
+            let mut cursor = region;
+            self.dict.install_lines(
+                &self.dev,
+                tables.map(|(&b, v)| {
+                    let base = cursor;
+                    cursor += b * SLAB_WORDS as u32;
+                    (v, base, b)
+                }),
+            );
+        });
     }
 
     /// The graph's configuration.
@@ -460,6 +480,64 @@ mod tests {
         for v in 0..8 {
             assert_eq!(g.dict().desc_host(g.device(), v).unwrap().num_buckets, 1);
         }
+    }
+
+    /// `name`'s counters since the device was created.
+    fn kernel(g: &DynGraph, name: &str) -> gpu_sim::CounterSnapshot {
+        let trace = g.device().trace();
+        let k = trace.kernels.iter().find(|k| k.name == name);
+        k.map(|k| k.counters).unwrap_or_default()
+    }
+
+    /// ⟨launches, transactions, atomics⟩ of `graph_init`.
+    fn init_charges(g: &DynGraph) -> (u64, u64, u64) {
+        let c = kernel(g, "graph_init");
+        (c.launches, c.transactions, c.atomics)
+    }
+
+    #[test]
+    fn installer_charges_one_launch_a_slab_and_a_line() {
+        // 40 vertices × 3 buckets: 120 base slabs, descriptors on 3 lines.
+        let g = DynGraph::with_uniform_buckets(GraphConfig::directed_map(64), 40, 3);
+        assert_eq!(init_charges(&g), (1, 120 + 3, 0));
+        // Vertex 0's 29 edges take ⌈29/10.5⌉ = 3 buckets and the other 49
+        // vertices one each; all 50 descriptors fill 4 lines.
+        let edges: Vec<Edge> = (1..30).map(|v| Edge::new(0, v)).collect();
+        let g = DynGraph::bulk_build(GraphConfig::directed_map(50), &edges);
+        assert_eq!(g.dict().desc_host(g.device(), 0).unwrap().num_buckets, 3);
+        assert_eq!(init_charges(&g), (1, 3 + 49 + 4, 0));
+        let g = DynGraph::with_degree_hints(GraphConfig::directed_map(40), &[100, 0, 10]);
+        assert_eq!(init_charges(&g), (1, 10 + 1 + 1 + 1, 0));
+    }
+
+    #[test]
+    fn a_zero_bucket_count_installs_no_table() {
+        let g = DynGraph::new(GraphConfig::directed_map(64));
+        g.install_tables(&[0; 64]);
+        assert_eq!(init_charges(&g), (0, 0, 0), "nothing to install");
+        // Vertices 1 and 40 get tables, on descriptor lines 0 and 2.
+        let mut buckets = vec![0; 41];
+        buckets[1] = 2;
+        buckets[40] = 1;
+        g.install_tables(&buckets);
+        assert_eq!(init_charges(&g), (1, 3 + 2, 0));
+        let desc = |v| g.dict().desc_host(g.device(), v);
+        assert_eq!(desc(1).unwrap().num_buckets, 2);
+        assert_eq!(desc(40).unwrap().num_buckets, 1);
+        assert_eq!(
+            desc(1).unwrap().base + 2 * SLAB_WORDS as u32,
+            desc(40).unwrap().base
+        );
+        assert!((0..64)
+            .filter(|&v| v != 1 && v != 40)
+            .all(|v| desc(v).is_none()));
+        // Vertex 0's first insert builds a one-bucket table from the pool.
+        assert_eq!(g.allocator().live_slabs(), 0);
+        g.insert_edges(&[Edge::new(0, 1), Edge::new(1, 0)]);
+        assert_eq!(desc(0).unwrap().num_buckets, 1);
+        assert_eq!(g.allocator().live_slabs(), 1);
+        assert_eq!(desc(1).unwrap().num_buckets, 2);
+        g.validate().unwrap();
     }
 
     #[test]

@@ -53,7 +53,9 @@
 //! ]);
 //! let pin = g.pin_read();
 //! assert!(g.edge_exists(&pin, 0, 1));
-//! assert_eq!(g.edge_weight(&pin, 1, 2), Some(30));
+//! // Weights come with the adjacency read: ⟨dst, weight⟩ per edge.
+//! let adj = g.read_neighbors(&pin, &[1]);
+//! assert_eq!(adj.entries(0).collect::<Vec<_>>(), [(2, 30)]);
 //! assert_eq!(g.num_edges(), 3);
 //!
 //! g.delete_edges(&[Edge::new(0, 1)]);

@@ -1,7 +1,7 @@
-//! Query operations (paper §IV-B): `edgeExist`, weight lookup, and the
-//! adjacency-list iterator. Adjacency has one read, batched by vertex
-//! ([`DynGraph::read_neighbors`], one `neighbors` launch per batch); the
-//! whole-graph export is that read over every vertex.
+//! Query operations (paper §IV-B): `edgeExist` and the adjacency-list
+//! iterator, which also answers weights. Adjacency has one read, batched
+//! by vertex ([`DynGraph::read_neighbors`], one `neighbors` launch per
+//! batch); the whole-graph export is that read over every vertex.
 //!
 //! Every query takes a [`ReadGuard`] pinned via [`DynGraph::pin_read`] and
 //! launches through the read door (`DynGraph::pinned`), whose launcher
@@ -18,7 +18,6 @@ use crate::dict::TABLES_PER_LINE;
 use crate::graph::{DynGraph, Edge};
 use gpu_sim::{Addr, Lanes, Warp, WARP_SIZE};
 use slab_alloc::ReadGuard;
-use slab_hash::TableKind;
 
 /// Most chunks one run tile spans. A tile warp holds one key register per
 /// lane per chunk, so the cap costs 8 registers per lane. At 8 chunks
@@ -66,25 +65,6 @@ impl DynGraph {
     /// kernel; prefer [`Self::edges_exist`] for batches.
     pub fn edge_exists(&self, pin: &ReadGuard, src: u32, dst: u32) -> bool {
         self.edges_exist(pin, &[(src, dst)])[0]
-    }
-
-    /// Single edge-weight lookup (map graphs). The kernel reads `src`'s
-    /// descriptor itself (charged, as in [`Self::edges_exist`]).
-    pub fn edge_weight(&self, pin: &ReadGuard, src: u32, dst: u32) -> Option<u32> {
-        let k = self.pinned(pin);
-        assert_eq!(
-            self.config.kind,
-            TableKind::Map,
-            "edge weights require the map variant"
-        );
-        let out = parking_lot::Mutex::new(None);
-        k.launch_warps("edge_weight", 1, |warp| {
-            *out.lock() = self
-                .dict
-                .desc(warp, src)
-                .and_then(|desc| desc.find(warp, dst));
-        });
-        out.into_inner()
     }
 
     /// Batched edge-existence queries, answered by one `edge_exist`
@@ -486,10 +466,6 @@ mod tests {
             charge(&|| assert!(g.read_neighbors(&pin, &[2]).list(0).is_empty())),
             (1, 1)
         );
-        assert_eq!(
-            charge(&|| assert_eq!(g.edge_weight(&pin, 2, 1), None)),
-            (1, 1)
-        );
     }
 
     #[test]
@@ -713,14 +689,16 @@ mod tests {
         // `mixed_rw`) must charge exactly one key's walk: the grouped
         // membership walk saves only on groups of two or more probes.
         // Vertex 0's 39 edges fill a three-slab chain in one bucket. Every
-        // read charges its source's descriptor read, one transaction.
+        // read charges its source's descriptor read, one transaction. A
+        // weight comes from its source's adjacency read: one launch reads
+        // the whole chain and answers every weight in it.
         let g = graph_with_star();
         g.insert_edges(&[Edge::weighted(5, 6, 7)]);
         let pin = g.pin_read();
         type Read = fn(&DynGraph, &ReadGuard);
         // [transactions, atomics, ballots, shuffles, launches, warps,
         // words_allocated] per read.
-        let reads: [(&str, Read, [u64; 7]); 7] = [
+        let reads: [(&str, Read, [u64; 7]); 6] = [
             (
                 "exist base hit",
                 |g, p| assert!(g.edge_exists(p, 0, 1)),
@@ -747,14 +725,13 @@ mod tests {
                 [5, 0, 5, 1, 1, 1, 96],
             ),
             (
-                "weight deep hit",
-                |g, p| assert_eq!(g.edge_weight(p, 0, 39), Some(139)),
-                [6, 0, 5, 0, 1, 1, 0],
-            ),
-            (
-                "weight miss",
-                |g, p| assert_eq!(g.edge_weight(p, 0, 40), None),
-                [6, 0, 6, 0, 1, 1, 0],
+                "weights of a chain",
+                |g, p| {
+                    let adj = g.read_neighbors(p, &[0]);
+                    let weight = |v| adj.entries(0).find(|&(d, _)| d == v).map(|(_, w)| w);
+                    assert_eq!((weight(39), weight(40)), (Some(139), None));
+                },
+                [6, 0, 0, 0, 1, 1, 0],
             ),
         ];
         for (name, read, want) in reads {

@@ -956,7 +956,8 @@ mod tests {
         ];
         assert_eq!(flush_then_probe(&g, &updates, &[(3, 40)]), vec![true]);
         let owner = g.shard(g.owner_of(3));
-        assert_eq!(owner.edge_weight(&owner.pin_read(), 3, 40), Some(9));
+        let adj = owner.read_neighbors(&owner.pin_read(), &[3]);
+        assert_eq!(adj.entries(0).collect::<Vec<_>>(), [(40, 9)]);
         assert_eq!(g.num_edges(), 1);
     }
 

@@ -122,10 +122,29 @@ impl ShardedGraph {
             .collect()
     }
 
-    /// Build and populate from an edge list in one step.
+    /// Build and populate from an edge list in one step, each shard as
+    /// `DynGraph::bulk_build` builds one graph (§V-B1). The batch is routed
+    /// once. Each shard counts its source degrees over its primaries and
+    /// replicas on the host (`DynGraph::source_degrees`, uncharged) and
+    /// installs a table of `buckets_for(degree)` buckets for every vertex
+    /// it holds an edge of, in one `graph_init` launch charging one
+    /// transaction per base slab and one per dictionary line of
+    /// descriptors; every other vertex gets no table. It then inserts its
+    /// primaries and replicas as one `edge_insert` batch. The shards build
+    /// concurrently; an empty shard launches nothing.
     pub fn bulk_build(n_shards: usize, config: GraphConfig, edges: &[Edge]) -> Self {
         let g = Self::new(n_shards, config);
-        g.insert_edges(edges);
+        let parts = g.partition(edges);
+        g.fan_out(|s, shard| {
+            let batch = [&parts.primary[s][..], &parts.replica[s][..]].concat();
+            let buckets: Vec<u32> = shard
+                .source_degrees(&batch)
+                .into_iter()
+                .map(|d| if d == 0 { 0 } else { shard.buckets_for(d) })
+                .collect();
+            shard.install_tables(&buckets);
+            shard.insert_edges(&batch);
+        });
         g
     }
 

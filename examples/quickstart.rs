@@ -25,11 +25,14 @@ fn main() {
     // O(1) queries into the per-vertex hash tables.
     let pin = g.pin_read();
     println!("edge 0->2 exists: {}", g.edge_exists(&pin, 0, 2));
-    println!("weight of 0->2:   {:?}", g.edge_weight(&pin, 0, 2));
-    assert_eq!(g.edge_weight(&pin, 0, 2), Some(25));
 
-    // Adjacency iteration: one batched read of any vertex list.
-    let mut n: Vec<(u32, u32)> = g.read_neighbors(&pin, &[0]).entries(0).collect();
+    // Adjacency iteration: one batched read of any vertex list, with
+    // each edge's weight.
+    let adj = g.read_neighbors(&pin, &[0]);
+    let weight = adj.entries(0).find(|&(dst, _)| dst == 2).map(|(_, w)| w);
+    println!("weight of 0->2:   {weight:?}");
+    assert_eq!(weight, Some(25));
+    let mut n: Vec<(u32, u32)> = adj.entries(0).collect();
     n.sort_unstable();
     println!("neighbors of 0:   {n:?}");
 

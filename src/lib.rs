@@ -66,6 +66,7 @@ mod tests {
     fn prelude_roundtrip() {
         let g = DynGraph::new(GraphConfig::directed_map(8));
         g.insert_edges(&[Edge::weighted(1, 2, 3)]);
-        assert_eq!(g.edge_weight(&g.pin_read(), 1, 2), Some(3));
+        let adj = g.read_neighbors(&g.pin_read(), &[1]);
+        assert_eq!(adj.entries(0).collect::<Vec<_>>(), [(2, 3)]);
     }
 }

@@ -163,15 +163,15 @@ fn undirected_graph_stays_symmetric() {
         g.delete_vertices(&dedup);
 
         // Symmetry: u lists v  <=>  v lists u (with equal weight).
-        for u in 0..N {
-            for (v, w) in g
-                .read_neighbors(&g.pin_read(), &[u])
-                .entries(0)
-                .collect::<Vec<_>>()
-            {
+        let all: Vec<u32> = (0..N).collect();
+        let adj = g.read_neighbors(&g.pin_read(), &all);
+        let lists: Vec<std::collections::HashMap<u32, u32>> =
+            (0..all.len()).map(|u| adj.entries(u).collect()).collect();
+        for (u, list) in lists.iter().enumerate() {
+            for (&v, &w) in list {
                 assert_eq!(
-                    g.edge_weight(&g.pin_read(), v, u),
-                    Some(w),
+                    lists[v as usize].get(&(u as u32)),
+                    Some(&w),
                     "seed {seed}: asymmetry at ({u}, {v})"
                 );
             }

@@ -264,6 +264,108 @@ fn sorted_export(g: &ShardedGraph, s: usize) -> Vec<Edge> {
     edges
 }
 
+/// `name`'s launches on shard `s`'s device since it was created.
+fn kernel_launches(g: &ShardedGraph, s: usize, name: &str) -> u64 {
+    let trace = g.group().device(s).trace();
+    let k = trace.kernels.iter().find(|k| k.name == name);
+    k.map_or(0, |k| k.counters.launches)
+}
+
+/// A bulk-build input: distinct weighted edges, repeats of some of them
+/// with other weights, self-loops, a hub whose table needs several
+/// buckets, and sources past the configured capacity.
+fn bulk_input() -> Vec<Edge> {
+    let mut edges = weighted_edges(0xB01D, 300);
+    let repeats: Vec<Edge> = edges[..20]
+        .iter()
+        .map(|e| Edge::weighted(e.src, e.dst, e.weight + 1))
+        .collect();
+    edges.extend(repeats);
+    edges.extend([Edge::new(7, 7), Edge::weighted(9, 9, 3)]);
+    edges.extend((1..=48).map(|v| Edge::weighted(3, 5 * v + 100, v)));
+    edges.extend([
+        Edge::weighted(N_VERTICES + 5, 1, 8),
+        Edge::weighted(N_VERTICES + 9, 2, 6),
+    ]);
+    edges
+}
+
+/// Each shard's copies of `edges` under the routing rule: every edge
+/// (and, undirected, its reverse) on its source's owner, and a cut edge
+/// also on its destination's owner.
+fn routed_copies(edges: &[Edge], undirected: bool, shards: usize) -> Vec<Vec<Edge>> {
+    let mut per = vec![Vec::new(); shards];
+    for &e in edges {
+        let mirrored = [Some(e), undirected.then(|| e.reversed())];
+        for c in mirrored.into_iter().flatten() {
+            let (su, sv) = (shard_of(c.src, shards), shard_of(c.dst, shards));
+            per[su].push(c);
+            if sv != su {
+                per[sv].push(c);
+            }
+        }
+    }
+    per
+}
+
+#[test]
+fn bulk_build_sizes_each_shards_tables_and_loads_it_with_one_launch() {
+    let edges = bulk_input();
+    for base in [
+        GraphConfig::directed_map(N_VERTICES),
+        GraphConfig::undirected_map(N_VERTICES),
+    ] {
+        let config = base.with_device_words(1 << 20).with_pool_slabs(1 << 10);
+        let undirected = config.direction == slabgraph::Direction::Undirected;
+        for shards in [1usize, 2, 4] {
+            let g = ShardedGraph::bulk_build(shards, config, &edges);
+            let reference = ShardedGraph::new(shards, config);
+            reference.insert_edges(&edges);
+            let copies = routed_copies(&edges, undirected, shards);
+            for (s, copies) in copies.iter().enumerate() {
+                let what = format!("{:?}, shard {s} of {shards}", config.direction);
+                assert_eq!(
+                    sorted_export(&g, s),
+                    sorted_export(&reference, s),
+                    "{what}: contents"
+                );
+                let shard = g.shard(s);
+                let mut degree = vec![0u32; shard.vertex_capacity() as usize];
+                for c in copies.iter().filter(|c| c.src != c.dst) {
+                    degree[c.src as usize] += 1;
+                }
+                // Tables for exactly the sources the shard holds an edge
+                // of, sized from its own degree. Past the configured
+                // capacity the first insert builds a one-bucket table;
+                // these sources have one edge per shard, so that size is
+                // `buckets_for(1)` too.
+                let mut next_base = None;
+                for (v, &d) in (0u32..).zip(&degree) {
+                    let desc = shard.dict().desc_host(shard.device(), v);
+                    let want = (d > 0).then(|| shard.buckets_for(d));
+                    assert_eq!(desc.map(|t| t.num_buckets), want, "{what}: vertex {v}");
+                    // The installed tables lie back to back in one region.
+                    if let Some(t) = desc.filter(|_| v < N_VERTICES) {
+                        assert!(next_base.is_none_or(|b| b == t.base), "{what}: vertex {v}");
+                        next_base = Some(t.base + t.num_buckets * 32);
+                    }
+                }
+                let multi = degree.iter().any(|&d| shard.buckets_for(d) > 1);
+                assert!(multi, "{what}: a table of several buckets");
+                assert_eq!(kernel_launches(&g, s, "graph_init"), 1, "{what}");
+                assert_eq!(kernel_launches(&g, s, "edge_insert"), 1, "{what}");
+            }
+            g.validate().expect("audit after the bulk build");
+        }
+    }
+    let g = ShardedGraph::bulk_build(2, config(), &[]);
+    for s in 0..2 {
+        assert_eq!(kernel_launches(&g, s, "graph_init"), 0);
+        assert_eq!(kernel_launches(&g, s, "edge_insert"), 0);
+    }
+    g.validate().expect("an empty build audits clean");
+}
+
 /// Lose `victim`'s device and drive the router's health machine to Down
 /// with a flush that re-inserts `same` (an edge the victim already
 /// holds, same weight), so the graph's contents do not change.
