@@ -122,13 +122,10 @@ impl FaimGraph {
     /// after whoever freed the recycled page.
     fn alloc_page(&self, warp: &Warp) -> Addr {
         warp.atomic_add(self.qsync, 1);
-        if let Some(p) = self.page_queue.lock().pop() {
-            // Re-initialise the recycled page (charged write).
-            warp.write_slab(p, &Lanes(EMPTY_PAGE));
-            return p;
-        }
-        let p = self.fresh_page_host();
-        self.dev.charge("faim_page").add_transactions(1); // init write
+        let recycled = self.page_queue.lock().pop();
+        let p = recycled.unwrap_or_else(|| self.dev.alloc_words(SLAB_WORDS, SLAB_WORDS));
+        // (Re-)initialise the page (charged write).
+        warp.write_slab(p, &Lanes(EMPTY_PAGE));
         p
     }
 

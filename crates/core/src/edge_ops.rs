@@ -14,6 +14,7 @@ use gpu_sim::{Lanes, OomError, WARP_SIZE};
 use slab_alloc::AllocError;
 use slab_hash::TableKind;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// One edge update: the unit of a mixed batch ([`DynGraph::try_update_edges`])
 /// and of the router's journal.
@@ -193,19 +194,9 @@ impl DynGraph {
             let totals = 1 + usize::from(mixed);
             let changed_total = self.dev.try_alloc_words(totals, 1)?;
             self.dev.host_write(changed_total, &vec![0; totals]);
-            // One status word per work item: 0 = unapplied, 1 = applied.
-            let status_buf = self.dev.try_alloc_words(n, 1)?;
-            self.dev.host_write(status_buf, &vec![0; n]);
-            Ok((
-                src_buf,
-                dst_buf,
-                weight_buf,
-                op_buf,
-                changed_total,
-                status_buf,
-            ))
+            Ok((src_buf, dst_buf, weight_buf, op_buf, changed_total))
         })();
-        let (src_buf, dst_buf, weight_buf, op_buf, changed_total, status_buf) = match staged {
+        let (src_buf, dst_buf, weight_buf, op_buf, changed_total) = match staged {
             Ok(bufs) => bufs,
             Err(e) => {
                 for u in updates {
@@ -233,6 +224,11 @@ impl DynGraph {
                 *slot = Some(e);
             }
         };
+        // Whether each work item was applied: bookkeeping for the
+        // host-side outcome, not part of the modelled kernel, so it stays
+        // on the host and per-kernel attribution is unchanged by the
+        // recovery machinery.
+        let applied: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
         self.batch(|k| {
             k.launch_tasks(kernel_name, n, |warp| {
                 let base = warp.warp_id() * WARP_SIZE as u32;
@@ -243,10 +239,7 @@ impl DynGraph {
                     .map(|wb| warp.read_slab(wb + base))
                     .unwrap_or_default();
                 let ops = op_buf.map(|ob| warp.read_slab(ob + base));
-                // Status writes are bookkeeping for the host-side outcome, not
-                // part of the modelled kernel: uncharged so per-kernel
-                // attribution is unchanged by the recovery machinery.
-                let mark = |i: usize| self.dev.host_write(status_buf + base + i as u32, &[1]);
+                let mark = |i: usize| applied[base as usize + i].store(true, Ordering::Release);
 
                 // Line 3: no self-edges (skipping one counts as applying it).
                 let mut pending =
@@ -290,7 +283,7 @@ impl DynGraph {
                             Ok(d) => d,
                             Err(e) => {
                                 // Lazy table construction failed: the whole
-                                // group stays unapplied (statuses remain 0).
+                                // group stays unapplied.
                                 record(e);
                                 pending = pending.zip_with(&same_src, |p, s| p && !s);
                                 continue;
@@ -311,8 +304,8 @@ impl DynGraph {
                     };
 
                     // Lines 8–9: coalesced group operation + success ballot.
-                    // A lane whose insert fails on allocation leaves its status
-                    // at 0; later lanes still run (under e.g. an every-Nth
+                    // A lane whose insert fails on allocation stays
+                    // unapplied; later lanes still run (under e.g. an every-Nth
                     // fault plan some of them succeed, guaranteeing progress).
                     let mut success = Lanes::splat(false);
                     for lane in iter_bits(group) {
@@ -364,12 +357,11 @@ impl DynGraph {
         // (re-inserting the applied half is an uncounted replace/no-op).
         let mut changed = vec![0; 1 + usize::from(mixed)];
         self.dev.host_read(changed_total, &mut changed);
-        let mut status = vec![0; n];
-        self.dev.host_read(status_buf, &mut status);
-        for (u, s) in updates.iter().zip(status.chunks(per_edge)) {
+        let applied: Vec<bool> = applied.into_iter().map(AtomicBool::into_inner).collect();
+        for (u, s) in updates.iter().zip(applied.chunks(per_edge)) {
             let out = &mut outcomes[usize::from(!u.is_insert())];
             out.attempted += 1;
-            if s.contains(&0) {
+            if s.contains(&false) {
                 out.pending.push(u.edge());
             } else {
                 out.completed += 1;

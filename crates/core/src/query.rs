@@ -212,12 +212,6 @@ impl DynGraph {
     /// Nothing is staged: one vertex costs one launch, one warp, one
     /// dictionary transaction (none past the capacity) and its walk.
     pub fn read_neighbors(&self, pin: &ReadGuard, us: &[u32]) -> Adjacency {
-        self.read_lists(pin, us)
-    }
-
-    /// The `neighbors` kernel, named apart from `read_neighbors` because
-    /// the kernel lint's call graph joins same-named functions.
-    fn read_lists(&self, pin: &ReadGuard, us: &[u32]) -> Adjacency {
         let k = self.pinned(pin);
         let groups: Vec<&[u32]> = us
             .chunk_by(|a, b| a / TABLES_PER_LINE == b / TABLES_PER_LINE)
@@ -249,7 +243,7 @@ impl DynGraph {
     pub fn export_edges(&self, pin: &ReadGuard) -> Vec<Edge> {
         let edgeless = self.num_edges() == 0;
         let n = if edgeless { 0 } else { self.dict.capacity() };
-        let adj = self.read_lists(pin, &(0..n).collect::<Vec<_>>());
+        let adj = self.read_neighbors(pin, &(0..n).collect::<Vec<_>>());
         (0..n)
             .flat_map(|u| {
                 adj.entries(u as usize)

@@ -5,7 +5,7 @@
 use crate::graph::DynGraph;
 use gpu_sim::{Addr, NULL_ADDR, SLAB_WORDS, WARP_SIZE};
 use slab_alloc::ReadGuard;
-use slab_hash::{TableStats, EMPTY_KEY};
+use slab_hash::{TableDesc, TableStats, EMPTY_KEY};
 
 /// Aggregated statistics over every vertex's hash table plus the memory
 /// footprint of the whole structure.
@@ -50,18 +50,16 @@ impl DynGraph {
     /// charged) but is intended for use *between* measured phases.
     pub fn stats(&self, pin: &ReadGuard) -> GraphStats {
         let k = self.pinned(pin);
-        let cap = self.dict.capacity();
+        let descs = self.tables_host();
         let out = parking_lot::Mutex::new(GraphStats::default());
         k.launch_warps("graph_stats", 1, |warp| {
             let mut agg = GraphStats::default();
-            for v in 0..cap {
-                if let Some(desc) = self.dict.desc_host(&self.dev, v) {
-                    let s = desc.stats(warp);
-                    agg.tables.merge(&s);
-                    agg.touched_vertices += 1;
-                    if !self.alloc.owns(desc.base) {
-                        agg.base_slab_words += desc.num_buckets as u64 * SLAB_WORDS as u64;
-                    }
+            for (_, desc) in &descs {
+                let s = desc.stats(warp);
+                agg.tables.merge(&s);
+                agg.touched_vertices += 1;
+                if !self.alloc.owns(desc.base) {
+                    agg.base_slab_words += desc.num_buckets as u64 * SLAB_WORDS as u64;
                 }
             }
             *out.lock() = agg;
@@ -70,6 +68,14 @@ impl DynGraph {
         stats.dynamic_slab_words = self.alloc.live_slabs() * SLAB_WORDS as u64;
         stats.dict_words = self.dict.capacity() as u64 * crate::dict::ENTRY_WORDS as u64;
         stats
+    }
+
+    /// Every constructed table with its vertex, read on the host before
+    /// a launch walks them (uncharged, like all instrumentation reads).
+    fn tables_host(&self) -> Vec<(u32, TableDesc)> {
+        (0..self.dict.capacity())
+            .filter_map(|v| self.dict.desc_host(&self.dev, v).map(|d| (v, d)))
+            .collect()
     }
 
     /// Debug-check the structure's core invariants; panics on violation.
@@ -116,14 +122,15 @@ impl DynGraph {
         // while readers and writers are live, and its own chain walks must
         // not race reclamation.
         let pin = self.pin_read();
-        let cap = self.dict.capacity();
+        let tables: Vec<_> = self
+            .tables_host()
+            .into_iter()
+            .map(|(v, desc)| (v, desc, self.dict.count_host(&self.dev, v)))
+            .collect();
         let first: parking_lot::Mutex<Option<ValidationError>> = parking_lot::Mutex::new(None);
         let reachable = parking_lot::Mutex::new(std::collections::HashSet::new());
         self.pinned(&pin).launch_warps("validate", 1, |warp| {
-            for v in 0..cap {
-                let Some(desc) = self.dict.desc_host(&self.dev, v) else {
-                    continue;
-                };
+            for &(v, desc, count) in &tables {
                 let key_lanes = desc.kind.key_lanes();
                 let mut seen = std::collections::HashSet::new();
                 let mut live = 0u32;
@@ -157,15 +164,12 @@ impl DynGraph {
                         }
                     }
                 });
-                if err.is_none() {
-                    let count = self.dict.count_host(&self.dev, v);
-                    if count != live {
-                        err = Some(ValidationError::CountMismatch {
-                            vertex: v,
-                            count,
-                            live,
-                        });
-                    }
+                if err.is_none() && count != live {
+                    err = Some(ValidationError::CountMismatch {
+                        vertex: v,
+                        count,
+                        live,
+                    });
                 }
                 if let Some(e) = err {
                     let mut slot = first.lock();

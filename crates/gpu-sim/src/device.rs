@@ -164,9 +164,10 @@ pub struct Device {
     /// never overlap, so the clock is the run's modeled time. Shared with
     /// open [`PhaseGuard`]s, which read it on drop.
     clock: Clock,
-    /// Global launch counter. Every launch fully joins its warps before
-    /// returning, so each launch is a barrier and opens a new *era*: the
-    /// sanitizer's racecheck only considers same-era accesses, and the
+    /// Global launch counter: every launch opens a new *era*. A launch
+    /// fully joins its warps before returning, so launches on one host
+    /// thread never overlap: the sanitizer's racecheck compares a launch
+    /// only with the launches still running when it started, and the
     /// slab allocator's quarantine holds freed slabs until the era
     /// advances.
     era: AtomicU64,
@@ -422,7 +423,16 @@ impl Device {
             let kcounters = self.registry.counters(target);
             self.counters.add_event(Event::Warps, n_warps as u64);
             kcounters.add_event(Event::Warps, n_warps as u64);
-            let era = self.era.fetch_add(1, Ordering::Relaxed) + 1;
+            // With a sanitizer the era is taken under its launch lock, so
+            // racecheck knows which launches overlap this one.
+            let next_era = || self.era.fetch_add(1, Ordering::Relaxed) + 1;
+            let running = match &self.san {
+                Some(s) => Some(s.begin_launch(next_era)),
+                None => {
+                    next_era();
+                    None
+                }
+            };
             if n_warps == 0 {
                 // Still one charged launch, so still one span.
                 return;
@@ -448,11 +458,11 @@ impl Device {
                     name: spec.name,
                     kernel: kcounters.clone(),
                     attempts: std::cell::RefCell::new(Vec::new()),
-                    race: self
-                        .san
-                        .as_ref()
-                        .map(|_| std::cell::RefCell::new(WarpRace::new(era, warp_id as u32))),
+                    race: running.as_ref().map(|r| {
+                        std::cell::RefCell::new(WarpRace::new(r.eras.clone(), warp_id as u32))
+                    }),
                 };
+                let _in_warp = InWarp::enter(spec.name);
                 kernel(&mut warp);
             };
             // A threaded launch spawns one worker per warp at most; with
@@ -482,6 +492,7 @@ impl Device {
                     });
                 }
             }
+            drop(running);
             if let Some(s) = &self.san {
                 s.escalate_after_launch();
             }
@@ -578,7 +589,11 @@ impl Device {
 
     // ---- host transfers: uncharged, since the paper does not "include the
     // time required to transfer memory between CPU and GPU". Written words
-    // are marked initialised; racecheck sees only `Warp` accessors. ----
+    // are marked initialised; racecheck sees only `Warp` accessors. A
+    // transfer runs between launches: inside a warp body (helpers
+    // included) `upload`, `host_write` and `host_read` panic, naming the
+    // kernel, since a kernel reaches memory only through its charged
+    // `Warp` accessors. ----
 
     /// Stage `data` in a fresh slab-aligned buffer of `max(⌈len/32⌉·32, 32)`
     /// words (only the allocation is charged), padding the rest with `pad`
@@ -590,6 +605,7 @@ impl Device {
 
     /// Fallible [`Self::upload`]: fails before writing anything.
     pub fn try_upload(&self, data: &[u32], pad: u32) -> Result<Addr, OomError> {
+        InWarp::refuse("try_upload");
         let words = data.len().div_ceil(SLAB_WORDS).max(1) * SLAB_WORDS;
         let buf = self.try_alloc_words(words, SLAB_WORDS)?;
         self.host_write(buf, data);
@@ -600,6 +616,7 @@ impl Device {
 
     /// Copy `data` to device memory at `base`.
     pub fn host_write(&self, base: Addr, data: &[u32]) {
+        InWarp::refuse("host_write");
         for (i, &w) in data.iter().enumerate() {
             self.arena.store(base + i as u32, w);
         }
@@ -607,15 +624,34 @@ impl Device {
 
     /// Copy `out.len()` words starting at `base` back to the host.
     pub fn host_read(&self, base: Addr, out: &mut [u32]) {
+        InWarp::refuse("host_read");
         for (i, w) in out.iter_mut().enumerate() {
             *w = self.arena.load(base + i as u32);
         }
     }
 
     /// Atomic AND returning the previous word: for host bookkeeping that
-    /// races with kernels on the same word (the slab allocator's drain).
+    /// races with kernels on the same word (the slab allocator's drain,
+    /// which also runs from inside a warp, so this one is callable there).
     pub fn host_atomic_and(&self, addr: Addr, mask: u32) -> u32 {
         self.arena.fetch_and(addr, mask)
+    }
+
+    /// Allocate `n` words (aligned to `align`) like
+    /// [`Self::try_alloc_words`] and set the first `filled` of them to
+    /// `v`, uncharged, as a device allocator's `cudaMemset` at pool
+    /// setup; the rest stay unwritten, so initcheck still flags a read of
+    /// them. Callable from inside a warp (pool growth).
+    pub fn try_alloc_filled(
+        &self,
+        n: usize,
+        align: usize,
+        filled: usize,
+        v: u32,
+    ) -> Result<Addr, OomError> {
+        let addr = self.try_alloc_words(n, align)?;
+        self.arena.fill(addr, filled.min(n), v);
+        Ok(addr)
     }
 
     /// Words handed out by the allocator so far (the arena's bump cursor).
@@ -713,6 +749,40 @@ impl Device {
     }
 }
 
+thread_local! {
+    /// The kernel whose warp body this thread is running, if any.
+    static IN_WARP: std::cell::Cell<Option<&'static str>> = const { std::cell::Cell::new(None) };
+}
+
+/// Marks the running thread as inside a warp body of a kernel for its
+/// lifetime, and restores the previous mark on drop (a nested launch, or
+/// a panic unwinding out of a kernel).
+struct InWarp(Option<&'static str>);
+
+impl InWarp {
+    fn enter(kernel: &'static str) -> Self {
+        InWarp(IN_WARP.with(|k| k.replace(Some(kernel))))
+    }
+
+    /// Panic if the calling thread is inside a warp body: host transfers
+    /// run between launches.
+    fn refuse(transfer: &str) {
+        if let Some(kernel) = IN_WARP.with(|k| k.get()) {
+            panic!(
+                "`Device::{transfer}` called inside a warp of kernel `{kernel}`: \
+                 host transfers run between launches; a kernel reaches memory \
+                 through its charged `Warp` accessors"
+            );
+        }
+    }
+}
+
+impl Drop for InWarp {
+    fn drop(&mut self) {
+        IN_WARP.with(|k| k.set(self.0));
+    }
+}
+
 /// Pops the scope stack on exit, including panic unwinds (kernels panic in
 /// invariant-violation tests; the stack must stay balanced).
 struct ScopeGuard<'a> {
@@ -787,32 +857,23 @@ impl<'d> Warp<'d> {
         self.name
     }
 
-    /// Hand a contiguous access to the sanitizer, if one is attached.
-    /// Never charges; a single `Option` check when sanitizing is off.
+    /// Run the arena operation `op` of a contiguous access, through the
+    /// sanitizer if one is attached (which runs `op` under its shadow
+    /// lock). Never charges; a single `Option` check when sanitizing is
+    /// off.
     #[inline]
-    fn san_access(&self, base: Addr, len: u32, kind: AccessKind) {
-        if let (Some(s), Some(r)) = (&self.device.san, &self.race) {
-            s.on_warp_access(
+    fn san_access<R>(&self, base: Addr, len: u32, kind: AccessKind, op: impl FnOnce() -> R) -> R {
+        match (&self.device.san, &self.race) {
+            (Some(s), Some(r)) => s.on_warp_access(
                 &mut r.borrow_mut(),
-                self.warp_id,
                 self.name,
                 base,
                 len,
                 kind,
                 self.device.arena.allocated_words(),
-            );
-        }
-    }
-
-    /// Sanitize a masked scattered access, word by word.
-    fn san_lanes(&self, addrs: &Lanes<Addr>, mask: u32, kind: AccessKind) {
-        if self.device.san.is_none() {
-            return;
-        }
-        for i in 0..WARP_SIZE {
-            if mask & (1 << i) != 0 {
-                self.san_access(addrs.0[i], 1, kind);
-            }
+                op,
+            ),
+            _ => op(),
         }
     }
 
@@ -918,16 +979,20 @@ impl<'d> Warp<'d> {
     #[inline]
     pub fn read_slab(&self, base: Addr) -> Lanes<u32> {
         self.charge_event(Event::Transactions, 1);
-        self.san_access(base, SLAB_WORDS as u32, AccessKind::PlainRead);
-        Lanes(self.device.arena.load_slab(base))
+        Lanes(
+            self.san_access(base, SLAB_WORDS as u32, AccessKind::PlainRead, || {
+                self.device.arena.load_slab(base)
+            }),
+        )
     }
 
     /// Coalesced write of one 128 B slab. One transaction.
     #[inline]
     pub fn write_slab(&self, base: Addr, words: &Lanes<u32>) {
         self.charge_event(Event::Transactions, 1);
-        self.san_access(base, SLAB_WORDS as u32, AccessKind::PlainWrite);
-        self.device.arena.store_slab(base, &words.0);
+        self.san_access(base, SLAB_WORDS as u32, AccessKind::PlainWrite, || {
+            self.device.arena.store_slab(base, &words.0)
+        });
     }
 
     /// Scattered per-lane reads: lane *i* (if set in `mask`) loads
@@ -935,10 +1000,10 @@ impl<'d> Warp<'d> {
     /// touched, exactly like hardware coalescing.
     pub fn read_lanes(&self, addrs: &Lanes<Addr>, mask: u32) -> Lanes<u32> {
         self.charge_scattered(addrs, mask);
-        self.san_lanes(addrs, mask, AccessKind::PlainRead);
         Lanes::from_fn(|i| {
             if mask & (1 << i) != 0 {
-                self.device.arena.load(addrs.0[i])
+                let a = addrs.0[i];
+                self.san_access(a, 1, AccessKind::PlainRead, || self.device.arena.load(a))
             } else {
                 0
             }
@@ -948,10 +1013,12 @@ impl<'d> Warp<'d> {
     /// Scattered per-lane writes with coalescing-aware charging.
     pub fn write_lanes(&self, addrs: &Lanes<Addr>, vals: &Lanes<u32>, mask: u32) {
         self.charge_scattered(addrs, mask);
-        self.san_lanes(addrs, mask, AccessKind::PlainWrite);
         for i in 0..WARP_SIZE {
             if mask & (1 << i) != 0 {
-                self.device.arena.store(addrs.0[i], vals.0[i]);
+                let a = addrs.0[i];
+                self.san_access(a, 1, AccessKind::PlainWrite, || {
+                    self.device.arena.store(a, vals.0[i])
+                });
             }
         }
     }
@@ -976,24 +1043,27 @@ impl<'d> Warp<'d> {
     #[inline]
     pub fn read_word(&self, addr: Addr) -> u32 {
         self.charge_event(Event::Transactions, 1);
-        self.san_access(addr, 1, AccessKind::PlainRead);
-        self.device.arena.load(addr)
+        self.san_access(addr, 1, AccessKind::PlainRead, || {
+            self.device.arena.load(addr)
+        })
     }
 
     /// Single-word write issued by one lane. One transaction.
     #[inline]
     pub fn write_word(&self, addr: Addr, v: u32) {
         self.charge_event(Event::Transactions, 1);
-        self.san_access(addr, 1, AccessKind::PlainWrite);
-        self.device.arena.store(addr, v);
+        self.san_access(addr, 1, AccessKind::PlainWrite, || {
+            self.device.arena.store(addr, v)
+        });
     }
 
     /// `atomicCAS` issued by one lane.
     #[inline]
     pub fn atomic_cas(&self, addr: Addr, expected: u32, new: u32) -> Result<u32, u32> {
         self.charge_event(Event::Atomics, 1);
-        self.san_access(addr, 1, AccessKind::Atomic);
-        self.device.arena.cas(addr, expected, new)
+        self.san_access(addr, 1, AccessKind::Atomic, || {
+            self.device.arena.cas(addr, expected, new)
+        })
     }
 
     /// 64-bit `atomicCAS` issued by one lane on the word pair at the even
@@ -1007,48 +1077,54 @@ impl<'d> Warp<'d> {
         new: [u32; 2],
     ) -> Result<[u32; 2], [u32; 2]> {
         self.charge_event(Event::Atomics, 1);
-        self.san_access(addr, 2, AccessKind::Atomic);
-        self.device.arena.cas_pair(addr, expected, new)
+        self.san_access(addr, 2, AccessKind::Atomic, || {
+            self.device.arena.cas_pair(addr, expected, new)
+        })
     }
 
     /// `atomicExch` issued by one lane.
     #[inline]
     pub fn atomic_exchange(&self, addr: Addr, v: u32) -> u32 {
         self.charge_event(Event::Atomics, 1);
-        self.san_access(addr, 1, AccessKind::Atomic);
-        self.device.arena.exchange(addr, v)
+        self.san_access(addr, 1, AccessKind::Atomic, || {
+            self.device.arena.exchange(addr, v)
+        })
     }
 
     /// `atomicAdd` issued by one lane.
     #[inline]
     pub fn atomic_add(&self, addr: Addr, v: u32) -> u32 {
         self.charge_event(Event::Atomics, 1);
-        self.san_access(addr, 1, AccessKind::Atomic);
-        self.device.arena.fetch_add(addr, v)
+        self.san_access(addr, 1, AccessKind::Atomic, || {
+            self.device.arena.fetch_add(addr, v)
+        })
     }
 
     /// `atomicSub` issued by one lane.
     #[inline]
     pub fn atomic_sub(&self, addr: Addr, v: u32) -> u32 {
         self.charge_event(Event::Atomics, 1);
-        self.san_access(addr, 1, AccessKind::Atomic);
-        self.device.arena.fetch_sub(addr, v)
+        self.san_access(addr, 1, AccessKind::Atomic, || {
+            self.device.arena.fetch_sub(addr, v)
+        })
     }
 
     /// `atomicOr` issued by one lane.
     #[inline]
     pub fn atomic_or(&self, addr: Addr, v: u32) -> u32 {
         self.charge_event(Event::Atomics, 1);
-        self.san_access(addr, 1, AccessKind::Atomic);
-        self.device.arena.fetch_or(addr, v)
+        self.san_access(addr, 1, AccessKind::Atomic, || {
+            self.device.arena.fetch_or(addr, v)
+        })
     }
 
     /// `atomicAnd` issued by one lane.
     #[inline]
     pub fn atomic_and(&self, addr: Addr, v: u32) -> u32 {
         self.charge_event(Event::Atomics, 1);
-        self.san_access(addr, 1, AccessKind::Atomic);
-        self.device.arena.fetch_and(addr, v)
+        self.san_access(addr, 1, AccessKind::Atomic, || {
+            self.device.arena.fetch_and(addr, v)
+        })
     }
 }
 

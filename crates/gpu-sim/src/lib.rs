@@ -17,6 +17,7 @@
 //!   the uncharged host transfers ([`Device::upload`],
 //!   [`Device::host_write`], [`Device::host_read`]): the paper does not
 //!   time host↔device copies, and this is the one place that policy lives.
+//!   They run between launches: inside a warp body they panic.
 //! - [`PerfCounters`] / [`CounterSnapshot`] / [`CostModel`] — the seven
 //!   hardware events (named once, in [`CounterSnapshot::NAMES`]), charged
 //!   only by the simulator (read-only outside this crate; manual charge

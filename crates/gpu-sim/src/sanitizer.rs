@@ -14,16 +14,25 @@
 //! Three checkers, each individually switchable:
 //!
 //! - **racecheck** — FastTrack-style vector clocks keyed by
-//!   (launch era, warp id). Every kernel launch is a global barrier
-//!   (both executors join all warps before returning), so each launch
-//!   opens a fresh era and only same-era accesses can race. Atomic RMWs
+//!   (launch era, warp id). Every launch opens a fresh era and records
+//!   the eras of the launches still running when it starts. Launches on
+//!   one host thread never overlap: each joins its warps before
+//!   returning, so the launch boundary is a barrier. A launch from a
+//!   second host thread (a pinned reader next to a writer's batch) can
+//!   overlap, and two accesses from different eras are unordered exactly
+//!   when one launch was running when the other started. Atomic RMWs
 //!   acquire *and* release a per-word synchronization clock; plain reads
 //!   acquire it too, modelling the GPU guarantee that a pointer published
 //!   by `atomicCAS` makes the data it points at visible through the data
-//!   dependency (the paper's slab-list link-CAS publication pattern).
+//!   dependency (the paper's slab-list link-CAS publication pattern), in
+//!   the same launch or across overlapping ones. Each access runs its
+//!   arena operation under the word shadow's lock, so the shadow records
+//!   accesses in the order memory saw them. A slab handed out again by
+//!   the allocator starts with a fresh shadow: the quarantine, not launch
+//!   order, orders its old readers before its new writer.
 //!   Flagged pairs: plain-write/plain-write, plain-write/plain-read, and
-//!   plain-write/atomic on the same word from different warps of the same
-//!   era with no happens-before path. Atomic/atomic and atomic/plain-read
+//!   plain-write/atomic on the same word from different warps with no
+//!   happens-before path. Atomic/atomic and atomic/plain-read
 //!   pairs are whitelisted: word loads are single-copy atomic on the
 //!   device, so they cannot observe torn state.
 //! - **memcheck** — per-slab shadow states (`Allocated` → `Quarantined` →
@@ -57,6 +66,7 @@ use crate::memory::{Addr, SLAB_WORDS};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Number of word-shadow shards; accesses hash by slab so one coalesced
 /// slab access stays within a single shard.
@@ -191,8 +201,11 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// Vector clock over (warp id → epoch) within one launch era.
-type VClock = HashMap<u32, u64>;
+/// A racecheck clock slot: one warp of one launch, as (era, warp id).
+type WarpKey = (u64, u32);
+
+/// Vector clock over (era, warp id) → epoch.
+type VClock = HashMap<WarpKey, u64>;
 
 fn clock_join(into: &mut VClock, from: &VClock) {
     for (&w, &e) in from {
@@ -203,16 +216,36 @@ fn clock_join(into: &mut VClock, from: &VClock) {
     }
 }
 
-/// Happens-before: is the recorded access (warp, epoch) ordered before the
-/// current access of `self_warp` holding `clock`?
-fn ordered(clock: &VClock, self_warp: u32, rec: &Access) -> bool {
-    rec.warp == self_warp || clock.get(&rec.warp).copied().unwrap_or(0) >= rec.epoch
+/// A launch as racecheck sees it: its era and the eras of the launches
+/// still running when it started, the only ones it can race with.
+#[derive(Debug)]
+pub(crate) struct LaunchEras {
+    era: u64,
+    /// Ascending.
+    overlaps: Vec<u64>,
+}
+
+/// Ends a launch's racecheck lifetime on drop, including panic unwinds
+/// (a kernel that panics under test must not stay "running" and make
+/// every later launch overlap it).
+pub(crate) struct RunningLaunch<'s> {
+    san: &'s Sanitizer,
+    pub(crate) eras: Arc<LaunchEras>,
+}
+
+impl Drop for RunningLaunch<'_> {
+    fn drop(&mut self) {
+        let mut running = self.san.running.lock();
+        running.remove(&self.eras.era);
+        self.san.raise_horizon(&running);
+    }
 }
 
 /// Per-warp racecheck state, created at launch and owned by the `Warp`.
 #[derive(Debug)]
 pub struct WarpRace {
-    era: u64,
+    launch: Arc<LaunchEras>,
+    warp: u32,
     epoch: u64,
     clock: VClock,
     /// Last `sync_vers` of each word whose sync clock this warp already
@@ -222,40 +255,77 @@ pub struct WarpRace {
 }
 
 impl WarpRace {
-    /// Fresh state for one warp of launch `era`.
-    pub(crate) fn new(era: u64, warp_id: u32) -> Self {
+    /// Fresh state for warp `warp` of `launch`.
+    pub(crate) fn new(launch: Arc<LaunchEras>, warp: u32) -> Self {
         WarpRace {
-            era,
+            clock: HashMap::from([((launch.era, warp), 0)]),
+            launch,
+            warp,
             epoch: 0,
-            clock: HashMap::from([(warp_id, 0)]),
             sync_seen: HashMap::new(),
         }
+    }
+
+    /// Happens-before: is the recorded access ordered before this warp's
+    /// current access? Same warp (program order), a clock that covers it
+    /// (a barrier-free publication), or a launch that had finished before
+    /// this one started (the launch barrier).
+    fn ordered(&self, rec: &Access) -> bool {
+        let key = (rec.era, rec.warp);
+        key == (self.launch.era, self.warp)
+            || self.clock.get(&key).is_some_and(|&e| e >= rec.epoch)
+            || (rec.era < self.launch.era && self.launch.overlaps.binary_search(&rec.era).is_err())
     }
 }
 
 /// One recorded access in a word's shadow.
 #[derive(Debug, Clone)]
 struct Access {
+    era: u64,
     warp: u32,
     epoch: u64,
     kernel: &'static str,
 }
 
-/// Racecheck shadow for one word, valid for a single era.
+/// Racecheck shadow for one word.
 #[derive(Debug, Default)]
 struct WordShadow {
-    era: u64,
+    /// Oldest era among the records below; records older than the
+    /// sanitizer's horizon can never race again and are dropped.
+    oldest: u64,
     /// Last plain write.
     write: Option<Access>,
     /// Last atomic RMW.
     atomic: Option<Access>,
-    /// Latest plain read per warp since the last plain write.
-    reads: HashMap<u32, Access>,
+    /// Latest plain read per (era, warp) since the last plain write.
+    reads: HashMap<WarpKey, Access>,
     /// Synchronization clock released into by atomics on this word.
     sync: VClock,
-    /// Bumped on every release into `sync`; pairs with
-    /// [`WarpRace::sync_seen`] to skip redundant joins.
+    /// Set on every release into `sync` from its shard's counter; pairs
+    /// with [`WarpRace::sync_seen`] to skip redundant joins.
     sync_vers: u64,
+}
+
+impl WordShadow {
+    /// Drop every record from an era below `horizon`.
+    fn prune(&mut self, horizon: u64) {
+        if self.oldest >= horizon {
+            return;
+        }
+        self.write = self.write.take().filter(|a| a.era >= horizon);
+        self.atomic = self.atomic.take().filter(|a| a.era >= horizon);
+        self.reads.retain(|&(era, _), _| era >= horizon);
+        self.sync.retain(|&(era, _), _| era >= horizon);
+        self.oldest = (self.write.iter().chain(&self.atomic).map(|a| a.era))
+            .chain(
+                self.reads
+                    .keys()
+                    .chain(self.sync.keys())
+                    .map(|&(era, _)| era),
+            )
+            .min()
+            .unwrap_or(u64::MAX);
+    }
 }
 
 /// Shadow state for the 32 words of one slab, allocated on first touch.
@@ -265,6 +335,16 @@ type SlabWords = Box<[WordShadow; SLAB_WORDS]>;
 
 fn new_slab_words() -> SlabWords {
     Box::new(std::array::from_fn(|_| WordShadow::default()))
+}
+
+/// One shard of the word shadow.
+#[derive(Default)]
+struct Shard {
+    slabs: HashMap<Addr, SlabWords>,
+    /// Release counter: every release into a word's sync clock takes a
+    /// fresh value, so a version is never reused for an address, even
+    /// after its slab's shadow was dropped.
+    vers: u64,
 }
 
 /// Lifetime state of one dynamic-pool slab.
@@ -295,7 +375,13 @@ pub struct Sanitizer {
     cfg: SanitizerConfig,
     /// Word shadows grouped per slab, sharded by slab index so a
     /// coalesced slab access takes one lock.
-    shards: Box<[Mutex<HashMap<Addr, SlabWords>>]>,
+    shards: Box<[Mutex<Shard>]>,
+    /// Running launches: era → the oldest era its accesses can race with
+    /// (its own, or the oldest launch it overlaps).
+    running: Mutex<BTreeMap<u64, u64>>,
+    /// The oldest era any running or future launch can race with: word
+    /// records from older eras are dropped. Only ever grows.
+    horizon: AtomicU64,
     /// Slab lifetime shadows keyed by slab base (slab bases are 32-word
     /// aligned by construction).
     slabs: Mutex<HashMap<Addr, SlabShadow>>,
@@ -319,9 +405,11 @@ impl Sanitizer {
         Sanitizer {
             cfg,
             shards: (0..N_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(Shard::default()))
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
+            running: Mutex::new(BTreeMap::new()),
+            horizon: AtomicU64::new(0),
             slabs: Mutex::new(HashMap::new()),
             pins: Mutex::new(HashMap::new()),
             init: RwLock::new(Vec::new()),
@@ -357,10 +445,40 @@ impl Sanitizer {
     /// the reset must survive for end-of-run assertions.
     pub fn reset_shadow(&self) {
         for shard in self.shards.iter() {
-            shard.lock().clear();
+            shard.lock().slabs.clear();
         }
         self.slabs.lock().clear();
         self.init.write().clear();
+    }
+
+    /// The shard holding the word shadow of the slab at `slab`.
+    fn shard(&self, slab: Addr) -> &Mutex<Shard> {
+        &self.shards[(slab as usize >> 5) % N_SHARDS]
+    }
+
+    /// Register a launch whose era `next_era` assigns, together with the
+    /// eras of the launches still running, under one lock: a launch that
+    /// takes a later era always sees every earlier one that is still
+    /// running. The launch counts as running until the returned handle
+    /// drops.
+    pub(crate) fn begin_launch(&self, next_era: impl FnOnce() -> u64) -> RunningLaunch<'_> {
+        let mut running = self.running.lock();
+        let era = next_era();
+        let overlaps: Vec<u64> = running.keys().copied().collect();
+        running.insert(era, overlaps.first().copied().unwrap_or(era));
+        self.raise_horizon(&running);
+        RunningLaunch {
+            san: self,
+            eras: Arc::new(LaunchEras { era, overlaps }),
+        }
+    }
+
+    /// Move the horizon to the oldest era a running launch can race with
+    /// (unchanged when none is running: the next launch sets it).
+    fn raise_horizon(&self, running: &BTreeMap<u64, u64>) {
+        if let Some(&oldest) = running.values().min() {
+            self.horizon.store(oldest, Ordering::Relaxed);
+        }
     }
 
     fn report(&self, finding: Finding) {
@@ -425,8 +543,11 @@ impl Sanitizer {
     // ---- slab lifetime hooks (called by the slab allocator) ----
 
     /// A pool slab at `base` was claimed by `kernel` on behalf of the
-    /// allocator identified by `owner`.
+    /// allocator identified by `owner`. Its words start a fresh race
+    /// shadow: the quarantine held the slab until every reader pinned
+    /// before its free had dropped its guard.
     pub fn on_slab_alloc(&self, base: Addr, kernel: &'static str, owner: u64) {
+        self.shard(base).lock().slabs.remove(&base);
         self.slabs.lock().insert(
             base,
             SlabShadow {
@@ -530,21 +651,22 @@ impl Sanitizer {
 
     // ---- the per-access classifier ----
 
-    /// Classify a contiguous warp access of `len` words at `base`.
-    /// `cursor` is the arena's current bump cursor (for the out-of-bounds
-    /// check). Called from every `Warp` memory accessor; never charges.
+    /// Classify a contiguous warp access of `len` words at `base` and run
+    /// its arena operation `op` under the word shadow's lock. `cursor` is
+    /// the arena's current bump cursor (for the out-of-bounds check).
+    /// Called from every `Warp` memory accessor; never charges.
     #[allow(clippy::too_many_arguments)]
-    pub fn on_warp_access(
+    pub fn on_warp_access<R>(
         &self,
         st: &mut WarpRace,
-        warp: u32,
         kernel: &'static str,
         base: Addr,
         len: u32,
         kind: AccessKind,
         cursor: u64,
-    ) {
-        let era = st.era;
+        op: impl FnOnce() -> R,
+    ) -> R {
+        let (warp, era) = (st.warp, st.launch.era);
         if base as u64 + len as u64 > cursor {
             self.report(Finding {
                 kind: FindingKind::OutOfBounds,
@@ -561,7 +683,7 @@ impl Sanitizer {
                     cursor
                 ),
             });
-            return;
+            return op();
         }
         // Use-after-free: check each distinct slab the range touches.
         let first_slab = base & !(SLAB_WORDS as u32 - 1);
@@ -640,68 +762,67 @@ impl Sanitizer {
                 });
             }
         }
-        self.racecheck(st, warp, kernel, base, len, kind);
+        drop(slabs);
+        self.racecheck(st, kernel, base, len, kind, op)
     }
 
-    fn racecheck(
+    fn racecheck<R>(
         &self,
         st: &mut WarpRace,
-        warp: u32,
         kernel: &'static str,
         base: Addr,
         len: u32,
         kind: AccessKind,
-    ) {
-        let era = st.era;
+        op: impl FnOnce() -> R,
+    ) -> R {
+        let (warp, era) = (st.warp, st.launch.era);
         st.epoch += 1;
-        st.clock.insert(warp, st.epoch);
+        st.clock.insert((era, warp), st.epoch);
+        // Lock every shard the range touches (one, or two when the range
+        // straddles slabs), in shard order, then run the arena operation
+        // under them: the shadow sees this access in memory order.
         let first_slab = base & !(SLAB_WORDS as u32 - 1);
         let last_slab = (base + len - 1) & !(SLAB_WORDS as u32 - 1);
+        let slabs: Vec<Addr> = (first_slab..=last_slab).step_by(SLAB_WORDS).collect();
+        let mut order: Vec<usize> = slabs
+            .iter()
+            .map(|&s| (s as usize >> 5) % N_SHARDS)
+            .collect();
+        order.sort_unstable();
+        order.dedup();
+        let mut guards: Vec<_> = order.iter().map(|&i| (i, self.shards[i].lock())).collect();
+        let r = op();
+        let horizon = self.horizon.load(Ordering::Relaxed);
         // Pass 1 — acquire: plain reads and atomics join every touched
         // word's sync clock *before* any conflict check, so that a slab
         // read that covers both a CAS-published link word and the data it
         // publishes sees the publication regardless of word order.
-        if kind != AccessKind::PlainWrite {
-            let mut slab = first_slab;
-            while slab <= last_slab {
-                let shard = self.shards[(slab as usize >> 5) % N_SHARDS].lock();
-                if let Some(words) = shard.get(&slab) {
-                    let lo = base.max(slab);
-                    let hi = (base + len).min(slab + SLAB_WORDS as u32);
-                    for addr in lo..hi {
-                        let e = &words[(addr - slab) as usize];
-                        if e.era == era
-                            && !e.sync.is_empty()
-                            && st.sync_seen.get(&addr) != Some(&e.sync_vers)
-                        {
-                            clock_join(&mut st.clock, &e.sync);
-                            st.sync_seen.insert(addr, e.sync_vers);
-                        }
-                    }
+        for &slab in &slabs {
+            let (_, words) = slab_shadow(&mut guards, slab);
+            for addr in base.max(slab)..(base + len).min(slab + SLAB_WORDS as u32) {
+                let e = &mut words[(addr - slab) as usize];
+                e.prune(horizon);
+                if kind != AccessKind::PlainWrite
+                    && !e.sync.is_empty()
+                    && st.sync_seen.get(&addr) != Some(&e.sync_vers)
+                {
+                    clock_join(&mut st.clock, &e.sync);
+                    st.sync_seen.insert(addr, e.sync_vers);
                 }
-                slab += SLAB_WORDS as u32;
             }
         }
         // Pass 2 — conflict checks + shadow update.
         let me = Access {
+            era,
             warp,
             epoch: st.epoch,
             kernel,
         };
-        let mut slab = first_slab;
-        while slab <= last_slab {
-            let mut shard = self.shards[(slab as usize >> 5) % N_SHARDS].lock();
-            let words = shard.entry(slab).or_insert_with(new_slab_words);
-            let lo = base.max(slab);
-            let hi = (base + len).min(slab + SLAB_WORDS as u32);
-            for addr in lo..hi {
+        for &slab in &slabs {
+            let (vers, words) = slab_shadow(&mut guards, slab);
+            for addr in base.max(slab)..(base + len).min(slab + SLAB_WORDS as u32) {
                 let e = &mut words[(addr - slab) as usize];
-                if e.era != era {
-                    *e = WordShadow {
-                        era,
-                        ..WordShadow::default()
-                    };
-                }
+                e.oldest = e.oldest.min(era);
                 let race = |kind2: FindingKind, rec: &Access, what: &str| {
                     self.report(Finding {
                         kind: kind2,
@@ -712,62 +833,71 @@ impl Sanitizer {
                         other_kernel: rec.kernel.to_string(),
                         other_warp: rec.warp,
                         note: format!(
-                            "{} races with {} by `{}` (warp {})",
+                            "{} races with {} by `{}` (warp {}, launch {})",
                             kind.as_str(),
                             what,
                             rec.kernel,
-                            rec.warp
+                            rec.warp,
+                            rec.era
                         ),
                     });
                 };
                 match kind {
                     AccessKind::PlainRead => {
-                        if let Some(w) = &e.write {
-                            if !ordered(&st.clock, warp, w) {
-                                race(FindingKind::RaceReadWrite, w, "plain write");
-                            }
+                        if let Some(w) = e.write.as_ref().filter(|w| !st.ordered(w)) {
+                            race(FindingKind::RaceReadWrite, w, "plain write");
                         }
-                        e.reads.insert(warp, me.clone());
+                        e.reads.insert((era, warp), me.clone());
                     }
                     AccessKind::PlainWrite => {
-                        if let Some(w) = &e.write {
-                            if !ordered(&st.clock, warp, w) {
-                                race(FindingKind::RaceWriteWrite, w, "plain write");
-                            }
+                        if let Some(w) = e.write.as_ref().filter(|w| !st.ordered(w)) {
+                            race(FindingKind::RaceWriteWrite, w, "plain write");
                         }
-                        if let Some(a) = &e.atomic {
-                            if !ordered(&st.clock, warp, a) {
-                                race(FindingKind::RaceWriteWrite, a, "atomic update");
-                            }
+                        if let Some(a) = e.atomic.as_ref().filter(|a| !st.ordered(a)) {
+                            race(FindingKind::RaceWriteWrite, a, "atomic update");
                         }
-                        for r in e.reads.values() {
-                            if !ordered(&st.clock, warp, r) {
-                                race(FindingKind::RaceReadWrite, r, "plain read");
-                            }
+                        for r in e.reads.values().filter(|r| !st.ordered(r)) {
+                            race(FindingKind::RaceReadWrite, r, "plain read");
                         }
                         e.write = Some(me.clone());
                         e.reads.clear();
                     }
                     AccessKind::Atomic => {
-                        if let Some(w) = &e.write {
-                            if !ordered(&st.clock, warp, w) {
-                                race(FindingKind::RaceWriteWrite, w, "plain write");
-                            }
+                        if let Some(w) = e.write.as_ref().filter(|w| !st.ordered(w)) {
+                            race(FindingKind::RaceWriteWrite, w, "plain write");
                         }
                         // Acquire + release on the word's sync clock. The
                         // acquire half already ran in pass 1; the release
-                        // bumps the version so other warps re-join.
+                        // takes a fresh version so other warps re-join.
                         clock_join(&mut e.sync, &st.clock);
-                        e.sync_vers += 1;
-                        st.sync_seen.insert(addr, e.sync_vers);
+                        *vers += 1;
+                        e.sync_vers = *vers;
+                        st.sync_seen.insert(addr, *vers);
                         e.atomic = Some(me.clone());
                     }
                 }
             }
-            slab += SLAB_WORDS as u32;
         }
+        r
     }
+}
 
+/// The shadow of the slab at `slab`, and its shard's release counter,
+/// from the shard guards a racecheck holds.
+fn slab_shadow<'a>(
+    guards: &'a mut [(usize, std::sync::MutexGuard<'_, Shard>)],
+    slab: Addr,
+) -> (&'a mut u64, &'a mut SlabWords) {
+    let i = (slab as usize >> 5) % N_SHARDS;
+    let (_, shard) = guards
+        .iter_mut()
+        .find(|(j, _)| *j == i)
+        .expect("the racecheck holds every shard its range touches");
+    let Shard { slabs, vers } = &mut **shard;
+    (vers, slabs.entry(slab).or_insert_with(new_slab_words))
+}
+
+impl Sanitizer {
     /// Called by the device at the end of every launch: under
     /// `escalate`, panic the first time any findings exist, printing them.
     pub fn escalate_after_launch(&self) {
@@ -807,6 +937,14 @@ mod tests {
         Sanitizer::new(SanitizerConfig::default())
     }
 
+    /// A launch at `era` that overlaps no other.
+    fn launch(era: u64) -> Arc<LaunchEras> {
+        Arc::new(LaunchEras {
+            era,
+            overlaps: vec![],
+        })
+    }
+
     #[test]
     fn init_bitmap_marks_and_tests_ranges() {
         let s = san();
@@ -826,10 +964,10 @@ mod tests {
     fn same_warp_accesses_never_race() {
         let s = san();
         s.mark_init_range(0, 32);
-        let mut w0 = WarpRace::new(1, 0);
-        s.on_warp_access(&mut w0, 0, "k", 0, 1, AccessKind::PlainWrite, 1024);
-        s.on_warp_access(&mut w0, 0, "k", 0, 1, AccessKind::PlainRead, 1024);
-        s.on_warp_access(&mut w0, 0, "k", 0, 1, AccessKind::PlainWrite, 1024);
+        let mut w0 = WarpRace::new(launch(1), 0);
+        s.on_warp_access(&mut w0, "k", 0, 1, AccessKind::PlainWrite, 1024, || ());
+        s.on_warp_access(&mut w0, "k", 0, 1, AccessKind::PlainRead, 1024, || ());
+        s.on_warp_access(&mut w0, "k", 0, 1, AccessKind::PlainWrite, 1024, || ());
         assert_eq!(s.finding_count(), 0);
     }
 
@@ -837,10 +975,10 @@ mod tests {
     fn unsynchronized_write_write_is_flagged() {
         let s = san();
         s.mark_init_range(0, 32);
-        let mut w0 = WarpRace::new(1, 0);
-        let mut w1 = WarpRace::new(1, 1);
-        s.on_warp_access(&mut w0, 0, "ka", 5, 1, AccessKind::PlainWrite, 1024);
-        s.on_warp_access(&mut w1, 1, "kb", 5, 1, AccessKind::PlainWrite, 1024);
+        let mut w0 = WarpRace::new(launch(1), 0);
+        let mut w1 = WarpRace::new(launch(1), 1);
+        s.on_warp_access(&mut w0, "ka", 5, 1, AccessKind::PlainWrite, 1024, || ());
+        s.on_warp_access(&mut w1, "kb", 5, 1, AccessKind::PlainWrite, 1024, || ());
         let f = s.findings();
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].kind, FindingKind::RaceWriteWrite);
@@ -857,17 +995,17 @@ mod tests {
         // race. Without the link access, the same read would race.
         let s = san();
         s.mark_init_range(0, 64);
-        let mut w0 = WarpRace::new(1, 0);
-        let mut w1 = WarpRace::new(1, 1);
-        s.on_warp_access(&mut w0, 0, "wr", 10, 1, AccessKind::PlainWrite, 1024);
-        s.on_warp_access(&mut w0, 0, "wr", 40, 1, AccessKind::Atomic, 1024);
-        s.on_warp_access(&mut w1, 1, "rd", 40, 1, AccessKind::PlainRead, 1024);
-        s.on_warp_access(&mut w1, 1, "rd", 10, 1, AccessKind::PlainRead, 1024);
+        let mut w0 = WarpRace::new(launch(1), 0);
+        let mut w1 = WarpRace::new(launch(1), 1);
+        s.on_warp_access(&mut w0, "wr", 10, 1, AccessKind::PlainWrite, 1024, || ());
+        s.on_warp_access(&mut w0, "wr", 40, 1, AccessKind::Atomic, 1024, || ());
+        s.on_warp_access(&mut w1, "rd", 40, 1, AccessKind::PlainRead, 1024, || ());
+        s.on_warp_access(&mut w1, "rd", 10, 1, AccessKind::PlainRead, 1024, || ());
         assert_eq!(s.finding_count(), 0, "{:?}", s.findings());
 
         // A third warp that never touched the link word *does* race.
-        let mut w2 = WarpRace::new(1, 2);
-        s.on_warp_access(&mut w2, 2, "rogue", 10, 1, AccessKind::PlainRead, 1024);
+        let mut w2 = WarpRace::new(launch(1), 2);
+        s.on_warp_access(&mut w2, "rogue", 10, 1, AccessKind::PlainRead, 1024, || ());
         assert_eq!(s.finding_count(), 1);
         assert_eq!(s.findings()[0].kind, FindingKind::RaceReadWrite);
     }
@@ -876,15 +1014,15 @@ mod tests {
     fn atomics_are_whitelisted_but_plain_write_vs_atomic_is_not() {
         let s = san();
         s.mark_init_range(0, 32);
-        let mut w0 = WarpRace::new(1, 0);
-        let mut w1 = WarpRace::new(1, 1);
-        s.on_warp_access(&mut w0, 0, "a", 3, 1, AccessKind::Atomic, 1024);
-        s.on_warp_access(&mut w1, 1, "b", 3, 1, AccessKind::Atomic, 1024);
+        let mut w0 = WarpRace::new(launch(1), 0);
+        let mut w1 = WarpRace::new(launch(1), 1);
+        s.on_warp_access(&mut w0, "a", 3, 1, AccessKind::Atomic, 1024, || ());
+        s.on_warp_access(&mut w1, "b", 3, 1, AccessKind::Atomic, 1024, || ());
         assert_eq!(s.finding_count(), 0, "atomic vs atomic is whitelisted");
-        let mut w2 = WarpRace::new(2, 0);
-        let mut w3 = WarpRace::new(2, 1);
-        s.on_warp_access(&mut w2, 0, "a", 3, 1, AccessKind::Atomic, 1024);
-        s.on_warp_access(&mut w3, 1, "b", 3, 1, AccessKind::PlainWrite, 1024);
+        let mut w2 = WarpRace::new(launch(2), 0);
+        let mut w3 = WarpRace::new(launch(2), 1);
+        s.on_warp_access(&mut w2, "a", 3, 1, AccessKind::Atomic, 1024, || ());
+        s.on_warp_access(&mut w3, "b", 3, 1, AccessKind::PlainWrite, 1024, || ());
         assert_eq!(s.finding_count(), 1);
         assert_eq!(s.findings()[0].kind, FindingKind::RaceWriteWrite);
     }
@@ -893,23 +1031,95 @@ mod tests {
     fn new_era_clears_conflicts() {
         let s = san();
         s.mark_init_range(0, 32);
-        let mut w0 = WarpRace::new(1, 0);
-        s.on_warp_access(&mut w0, 0, "ka", 7, 1, AccessKind::PlainWrite, 1024);
+        let mut w0 = WarpRace::new(launch(1), 0);
+        s.on_warp_access(&mut w0, "ka", 7, 1, AccessKind::PlainWrite, 1024, || ());
         // Same word, different warp, but a later launch: the launch
         // boundary is a barrier.
-        let mut w1 = WarpRace::new(2, 1);
-        s.on_warp_access(&mut w1, 1, "kb", 7, 1, AccessKind::PlainWrite, 1024);
+        let mut w1 = WarpRace::new(launch(2), 1);
+        s.on_warp_access(&mut w1, "kb", 7, 1, AccessKind::PlainWrite, 1024, || ());
         assert_eq!(s.finding_count(), 0);
+    }
+
+    #[test]
+    fn overlapping_launches_race_and_later_ones_do_not() {
+        let s = san();
+        s.mark_init_range(0, 64);
+        let reader = s.begin_launch(|| 1);
+        let writer = s.begin_launch(|| 2);
+        assert_eq!(writer.eras.overlaps, [1]);
+        let mut r = WarpRace::new(reader.eras.clone(), 0);
+        let mut w = WarpRace::new(writer.eras.clone(), 0);
+        s.on_warp_access(&mut w, "writer", 7, 1, AccessKind::PlainWrite, 1024, || ());
+        s.on_warp_access(&mut r, "reader", 7, 1, AccessKind::PlainRead, 1024, || ());
+        let f = s.findings();
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].kind, FindingKind::RaceReadWrite);
+        assert_eq!((f[0].kernel.as_str(), f[0].era), ("reader", 1));
+        assert_eq!((f[0].other_kernel.as_str(), f[0].other_warp), ("writer", 0));
+        drop((reader, writer));
+        // A launch that starts after both ended is ordered after them.
+        s.clear_findings();
+        let later = s.begin_launch(|| 3);
+        assert!(later.eras.overlaps.is_empty());
+        let mut l = WarpRace::new(later.eras.clone(), 1);
+        s.on_warp_access(&mut l, "later", 7, 1, AccessKind::PlainWrite, 1024, || ());
+        assert_eq!(s.finding_count(), 0, "{:?}", s.findings());
+    }
+
+    #[test]
+    fn a_cas_published_link_orders_an_overlapping_readers_data_read() {
+        let s = san();
+        s.mark_init_range(0, 64);
+        let reader = s.begin_launch(|| 1);
+        let writer = s.begin_launch(|| 2);
+        let mut r = WarpRace::new(reader.eras.clone(), 0);
+        let mut w = WarpRace::new(writer.eras.clone(), 3);
+        s.on_warp_access(&mut w, "fill", 40, 1, AccessKind::PlainWrite, 1024, || ());
+        s.on_warp_access(&mut w, "fill", 10, 1, AccessKind::Atomic, 1024, || ());
+        s.on_warp_access(&mut r, "walk", 10, 1, AccessKind::PlainRead, 1024, || ());
+        s.on_warp_access(&mut r, "walk", 40, 1, AccessKind::PlainRead, 1024, || ());
+        assert_eq!(s.finding_count(), 0, "{:?}", s.findings());
+    }
+
+    #[test]
+    fn a_reallocated_slab_starts_a_fresh_race_shadow() {
+        let s = san();
+        s.mark_init_range(0, 128);
+        let reader = s.begin_launch(|| 1);
+        let writer = s.begin_launch(|| 2);
+        let mut r = WarpRace::new(reader.eras.clone(), 0);
+        let mut w = WarpRace::new(writer.eras.clone(), 0);
+        s.on_warp_access(&mut r, "walk", 64, 32, AccessKind::PlainRead, 1024, || ());
+        s.on_slab_alloc(64, "grow", A1);
+        s.on_warp_access(&mut w, "grow", 64, 32, AccessKind::PlainWrite, 1024, || ());
+        assert_eq!(s.finding_count(), 0, "{:?}", s.findings());
+    }
+
+    #[test]
+    fn records_older_than_every_running_launch_are_dropped() {
+        let s = san();
+        s.mark_init_range(0, 32);
+        let first = s.begin_launch(|| 1);
+        let mut a = WarpRace::new(first.eras.clone(), 0);
+        s.on_warp_access(&mut a, "k", 5, 1, AccessKind::PlainRead, 1024, || ());
+        drop(first);
+        let second = s.begin_launch(|| 2);
+        assert_eq!(s.horizon.load(Ordering::Relaxed), 2);
+        let mut b = WarpRace::new(second.eras.clone(), 0);
+        s.on_warp_access(&mut b, "k", 5, 1, AccessKind::PlainRead, 1024, || ());
+        let shard = s.shard(0).lock();
+        let e = &shard.slabs[&0][5];
+        assert_eq!(e.reads.keys().copied().collect::<Vec<_>>(), [(2, 0)]);
     }
 
     #[test]
     fn uninit_read_and_oob_are_flagged() {
         let s = san();
-        let mut w0 = WarpRace::new(1, 0);
-        s.on_warp_access(&mut w0, 0, "k", 9, 1, AccessKind::PlainRead, 1024);
+        let mut w0 = WarpRace::new(launch(1), 0);
+        s.on_warp_access(&mut w0, "k", 9, 1, AccessKind::PlainRead, 1024, || ());
         assert_eq!(s.findings()[0].kind, FindingKind::UninitRead);
         s.clear_findings();
-        s.on_warp_access(&mut w0, 0, "k", 2000, 4, AccessKind::PlainRead, 1024);
+        s.on_warp_access(&mut w0, "k", 2000, 4, AccessKind::PlainRead, 1024, || ());
         assert_eq!(s.findings()[0].kind, FindingKind::OutOfBounds);
     }
 
@@ -921,22 +1131,22 @@ mod tests {
         let s = san();
         s.mark_init_range(0, 256);
         s.on_slab_alloc(64, "alloc_k", A1);
-        let mut w0 = WarpRace::new(1, 0);
-        s.on_warp_access(&mut w0, 0, "reader", 70, 1, AccessKind::PlainRead, 1024);
+        let mut w0 = WarpRace::new(launch(1), 0);
+        s.on_warp_access(&mut w0, "reader", 70, 1, AccessKind::PlainRead, 1024, || ());
         assert_eq!(s.finding_count(), 0);
         s.on_slab_free(64, "free_k", 1, A1);
-        s.on_warp_access(&mut w0, 0, "reader", 70, 1, AccessKind::PlainRead, 1024);
+        s.on_warp_access(&mut w0, "reader", 70, 1, AccessKind::PlainRead, 1024, || ());
         let f = s.findings();
         assert_eq!(f[0].kind, FindingKind::UseAfterFree);
         assert_eq!(f[0].other_kernel, "alloc_k");
         assert!(f[0].note.contains("free_k"));
         s.on_slab_drain(64);
         s.clear_findings();
-        s.on_warp_access(&mut w0, 0, "reader", 70, 1, AccessKind::PlainRead, 1024);
+        s.on_warp_access(&mut w0, "reader", 70, 1, AccessKind::PlainRead, 1024, || ());
         assert_eq!(s.findings()[0].kind, FindingKind::UseAfterFree);
         s.on_slab_alloc(64, "alloc2", A1);
         s.clear_findings();
-        s.on_warp_access(&mut w0, 0, "reader", 70, 1, AccessKind::PlainRead, 1024);
+        s.on_warp_access(&mut w0, "reader", 70, 1, AccessKind::PlainRead, 1024, || ());
         assert_eq!(s.finding_count(), 0);
     }
 
@@ -949,12 +1159,12 @@ mod tests {
         // happened-before the free, so the quarantined read is certified.
         s.on_pin(A1, 3);
         s.on_slab_free(64, "free_k", 5, A1);
-        let mut w0 = WarpRace::new(6, 0);
-        s.on_warp_access(&mut w0, 0, "reader", 70, 1, AccessKind::PlainRead, 1024);
+        let mut w0 = WarpRace::new(launch(6), 0);
+        s.on_warp_access(&mut w0, "reader", 70, 1, AccessKind::PlainRead, 1024, || ());
         assert_eq!(s.finding_count(), 0, "{:?}", s.findings());
         // Dropping the guard withdraws the certificate.
         s.on_unpin(A1, 3);
-        s.on_warp_access(&mut w0, 0, "reader", 70, 1, AccessKind::PlainRead, 1024);
+        s.on_warp_access(&mut w0, "reader", 70, 1, AccessKind::PlainRead, 1024, || ());
         assert_eq!(s.finding_count(), 1);
         let f = s.findings();
         assert_eq!(f[0].kind, FindingKind::UseAfterFree);
@@ -969,8 +1179,8 @@ mod tests {
         s.on_slab_free(64, "free_k", 2, A1);
         // A pin at era 7 postdates the free: it cannot resurrect the slab.
         s.on_pin(A1, 7);
-        let mut w0 = WarpRace::new(8, 0);
-        s.on_warp_access(&mut w0, 0, "reader", 70, 1, AccessKind::PlainRead, 1024);
+        let mut w0 = WarpRace::new(launch(8), 0);
+        s.on_warp_access(&mut w0, "reader", 70, 1, AccessKind::PlainRead, 1024, || ());
         assert_eq!(s.finding_count(), 1);
         assert_eq!(s.findings()[0].kind, FindingKind::UseAfterFree);
         s.on_unpin(A1, 7);
@@ -987,8 +1197,8 @@ mod tests {
         // Even a covering pin cannot excuse a read of fully drained
         // memory — the allocator only drains past every pin, so reaching
         // here means the protocol itself was violated.
-        let mut w0 = WarpRace::new(5, 0);
-        s.on_warp_access(&mut w0, 0, "reader", 70, 1, AccessKind::PlainRead, 1024);
+        let mut w0 = WarpRace::new(launch(5), 0);
+        s.on_warp_access(&mut w0, "reader", 70, 1, AccessKind::PlainRead, 1024, || ());
         assert_eq!(s.finding_count(), 1);
         assert!(s.findings()[0].note.contains("recycled"));
         s.on_unpin(A1, 1);
@@ -1004,11 +1214,11 @@ mod tests {
         s.on_slab_free(64, "free_k", 3, A1);
         s.on_unpin(A1, 2);
         // One guard at era 2 is still live: the slab stays covered.
-        let mut w0 = WarpRace::new(4, 0);
-        s.on_warp_access(&mut w0, 0, "reader", 70, 1, AccessKind::PlainRead, 1024);
+        let mut w0 = WarpRace::new(launch(4), 0);
+        s.on_warp_access(&mut w0, "reader", 70, 1, AccessKind::PlainRead, 1024, || ());
         assert_eq!(s.finding_count(), 0, "{:?}", s.findings());
         s.on_unpin(A1, 2);
-        s.on_warp_access(&mut w0, 0, "reader", 70, 1, AccessKind::PlainRead, 1024);
+        s.on_warp_access(&mut w0, "reader", 70, 1, AccessKind::PlainRead, 1024, || ());
         assert_eq!(s.finding_count(), 1);
     }
 
@@ -1023,14 +1233,14 @@ mod tests {
         // `DynGraph::pinned` asserts against on the query side.
         s.on_pin(2, 3);
         s.on_slab_free(64, "free_k", 5, A1);
-        let mut w0 = WarpRace::new(6, 0);
-        s.on_warp_access(&mut w0, 0, "reader", 70, 1, AccessKind::PlainRead, 1024);
+        let mut w0 = WarpRace::new(launch(6), 0);
+        s.on_warp_access(&mut w0, "reader", 70, 1, AccessKind::PlainRead, 1024, || ());
         assert_eq!(s.finding_count(), 1, "{:?}", s.findings());
         assert!(s.findings()[0].note.contains("unpinned read"));
         // An equally-old pin on the owning allocator does certify.
         s.on_pin(A1, 3);
         s.clear_findings();
-        s.on_warp_access(&mut w0, 0, "reader", 70, 1, AccessKind::PlainRead, 1024);
+        s.on_warp_access(&mut w0, "reader", 70, 1, AccessKind::PlainRead, 1024, || ());
         assert_eq!(s.finding_count(), 0, "{:?}", s.findings());
         s.on_unpin(2, 3);
         s.on_unpin(A1, 3);

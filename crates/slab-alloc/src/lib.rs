@@ -274,14 +274,18 @@ impl SlabAllocator {
         // Layout: 32 bitmap words, then the 1024 slabs. BLOCKS_PER_SUPER is
         // a multiple of SLAB_WORDS' alignment, so both regions stay
         // slab-aligned.
-        let bitmaps =
-            dev.try_alloc_words(BLOCKS_PER_SUPER + SLABS_PER_SUPER * SLAB_WORDS, SLAB_WORDS)?;
+        // Bitmaps start all-free. cudaMalloc'd memory is garbage, so the
+        // zeros are written explicitly (the equivalent of the cudaMemset
+        // SlabAlloc issues at pool setup) instead of leaning on the arena's
+        // Rust-side zero-init — initcheck treats unwritten words as
+        // uninitialised, so the slabs stay unwritten until claimed.
+        let bitmaps = dev.try_alloc_filled(
+            BLOCKS_PER_SUPER + SLABS_PER_SUPER * SLAB_WORDS,
+            SLAB_WORDS,
+            BLOCKS_PER_SUPER,
+            0,
+        )?;
         let slabs = bitmaps + BLOCKS_PER_SUPER as u32;
-        // Bitmaps start all-free. cudaMalloc'd memory is garbage, so write
-        // the zeros explicitly (the equivalent of the cudaMemset SlabAlloc
-        // issues at pool setup) instead of leaning on the arena's Rust-side
-        // zero-init — initcheck treats unwritten words as uninitialised.
-        dev.host_write(bitmaps, &[0; BLOCKS_PER_SUPER]);
         supers.push(SuperBlock { bitmaps, slabs });
         if let Some(p) = dev.profiler() {
             let words = (supers.len() * (SLABS_PER_SUPER * SLAB_WORDS + BLOCKS_PER_SUPER)) as u64;
@@ -686,9 +690,7 @@ mod tests {
         with_warp(&dev, |warp| {
             let a = alloc.allocate(warp);
             assert_eq!(a as usize % SLAB_WORDS, 0);
-            let mut words = [0; SLAB_WORDS];
-            dev.host_read(a, &mut words);
-            assert_eq!(words, [SLAB_INIT_WORD; SLAB_WORDS]);
+            assert_eq!(warp.read_slab(a), Lanes::splat(SLAB_INIT_WORD));
         });
         assert_eq!(alloc.live_slabs(), 1);
     }
@@ -715,16 +717,14 @@ mod tests {
             let first: Vec<Addr> = (0..100).map(|_| alloc.allocate(warp)).collect();
             for &a in &first {
                 // Dirty the slab, then free it.
-                dev.host_write(a, &[123]);
+                warp.write_word(a, 123);
                 alloc.free(warp, a).unwrap();
             }
             assert_eq!(alloc.live_slabs(), 0);
             // Reallocated slabs must be re-initialised.
             for _ in 0..100 {
                 let a = alloc.allocate(warp);
-                let mut w = [0];
-                dev.host_read(a, &mut w);
-                assert_eq!(w, [SLAB_INIT_WORD]);
+                assert_eq!(warp.read_word(a), SLAB_INIT_WORD);
             }
         });
     }
@@ -1128,16 +1128,12 @@ mod tests {
             let alloc = SlabAllocator::new(&dev, k * SLABS_PER_SUPER);
             let cap = alloc.capacity_slabs();
             let total = dev.counters().snapshot();
-            with_warp(&dev, |warp| {
-                for live in 0..cap {
-                    let reads = expected_reads(&dev, &alloc);
-                    let before = dev.counters().snapshot();
-                    alloc.allocate(warp);
-                    let d = dev.counters().snapshot().delta(&before);
-                    assert_eq!(alloc.capacity_slabs(), cap, "grew at {live} live, k = {k}");
-                    assert_eq!(d.transactions, reads + 1, "allocation {live}, k = {k}");
-                }
-            });
+            for live in 0..cap {
+                let reads = expected_reads(&dev, &alloc);
+                let d = allocation_charges(&dev, &alloc);
+                assert_eq!(alloc.capacity_slabs(), cap, "grew at {live} live, k = {k}");
+                assert_eq!(d.transactions, reads + 1, "allocation {live}, k = {k}");
+            }
             let d = dev.counters().snapshot().delta(&total);
             assert_eq!(alloc.live_slabs() as usize, cap);
             if k == 1 {

@@ -409,9 +409,9 @@ fn update_charges_are_pinned() {
     // [transactions, atomics, ballots, shuffles, launches, warps,
     // words_allocated] and the changed count, per batch.
     let expected: [(&str, [u64; 7], u64); 3] = [
-        ("base insert", [1129, 1064, 2587, 473, 1, 19, 2425], 552),
-        ("insert", [568, 436, 1172, 229, 1, 10, 1262], 164),
-        ("delete", [530, 373, 1042, 223, 1, 9, 858], 201),
+        ("base insert", [1129, 1064, 2587, 473, 1, 19, 1825], 552),
+        ("insert", [568, 436, 1172, 229, 1, 10, 961], 164),
+        ("delete", [530, 373, 1042, 223, 1, 9, 577], 201),
     ];
     let batches: [(&str, &[Edge], bool); 3] = [
         ("base insert", &base, true),

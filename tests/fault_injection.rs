@@ -244,7 +244,7 @@ fn bounded_budget_recovers_identically_sequential_and_threaded() {
     reference.validate().expect("reference audit");
 
     for policy in [ExecPolicy::Sequential, ExecPolicy::Threaded(4)] {
-        let mut g = DynGraph::new(config().with_device_capacity(130_000));
+        let mut g = DynGraph::new(config().with_device_capacity(112_400));
         g.device_mut().set_policy(policy);
 
         let outcome = g.try_insert_edges(&batch).unwrap();

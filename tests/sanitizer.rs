@@ -11,7 +11,7 @@
 use dynamic_graphs_gpu::algos;
 use dynamic_graphs_gpu::baselines::{Csr, FaimGraph, Hornet};
 use dynamic_graphs_gpu::gpu_sim::{
-    Addr, Device, DeviceConfig, ExecPolicy, FindingKind, SanitizerConfig,
+    self, Addr, Device, DeviceConfig, ExecPolicy, FindingKind, SanitizerConfig,
 };
 use dynamic_graphs_gpu::graph_gen::{fixtures, mirror};
 use dynamic_graphs_gpu::prelude::*;
@@ -196,8 +196,8 @@ fn mixed_batch_on_one_chain_is_sanitizer_clean_threaded() {
         .iter()
         .all(|&hit| !hit));
     drop(pin);
-    g.validate().expect("mixed batch leaves a valid chain");
     assert_eq!(g.device().sanitizer_findings(), vec![]);
+    g.validate().expect("mixed batch leaves a valid chain");
 }
 
 /// Map writes racing pinned readers on one chain, on the threaded
@@ -291,8 +291,8 @@ fn map_writes_racing_pinned_readers_on_one_chain_are_clean_threaded() {
         }
     }
     drop(pin);
-    g.validate().expect("racing map writes leave a valid chain");
     assert_eq!(g.device().sanitizer_findings(), vec![]);
+    g.validate().expect("racing map writes leave a valid chain");
 }
 
 /// Run tiles racing an insert batch, on the threaded executor: a pinned
@@ -357,9 +357,62 @@ fn run_tiles_racing_an_insert_batch_are_sanitizer_clean_threaded() {
         .zip(&hits)
         .all(|(&(_, k), &hit)| hit == (k < 3000)));
     drop(pin);
+    assert_eq!(g.device().sanitizer_findings(), vec![]);
     g.validate()
         .expect("inserts racing run tiles leave a valid chain");
-    assert_eq!(g.device().sanitizer_findings(), vec![]);
+}
+
+/// A known deviation, pinned: `flush_tombstones` rewrites a tombstoned
+/// chain in place, so a pinned reader paused mid-walk races the rewrite
+/// (ROADMAP item 1). The reader reads the chain's first slab, waits while
+/// another host thread flushes, then follows the link it read. Racecheck
+/// compares the overlapping launches and names the flush. Item 1's
+/// copy-and-publish rebuild inverts this test: the reader then walks the
+/// old chain the rebuild leaves untouched, and the findings are empty.
+#[test]
+fn flush_under_a_paused_pinned_reader_races_known_deviation() {
+    let dev = sanitized_device(1 << 18);
+    let g = DynGraph::on_device(std::sync::Arc::new(dev), GraphConfig::directed_set(64));
+    let edges: Vec<Edge> = (1..=120).map(|v| Edge::new(0, v)).collect();
+    g.insert_edges(&edges);
+    g.delete_edges(&edges.iter().copied().step_by(2).collect::<Vec<_>>());
+    let desc = g
+        .dict()
+        .desc_host(g.device(), 0)
+        .expect("vertex 0 has a table");
+    assert_eq!(desc.num_buckets, 1);
+    let (paused, flushed) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let _pin = g.pin_read();
+            g.device().launch_warps("pinned_reader", 1, |warp| {
+                let mut slab = desc.base;
+                let mut slabs = 0;
+                while slab != gpu_sim::NULL_ADDR {
+                    let words = warp.read_slab(slab);
+                    slabs += 1;
+                    if slabs == 1 {
+                        paused.wait();
+                        flushed.wait();
+                    }
+                    slab = words.get(slab_hash::NEXT_LANE);
+                }
+                assert!(slabs > 1, "the walk crosses the rewritten chain");
+            });
+        });
+        paused.wait();
+        assert_eq!(g.flush_tombstones(), 60);
+        flushed.wait();
+    });
+    let f = g.device().sanitizer_findings();
+    assert!(
+        f.iter().any(|x| matches!(
+            x.kind,
+            FindingKind::RaceReadWrite | FindingKind::RaceWriteWrite
+        ) && [&x.kernel, &x.other_kernel]
+            .contains(&&"flush_tombstones".to_string())),
+        "{f:?}"
+    );
 }
 
 /// The sanitizer charges nothing: an identical allocator-heavy workload

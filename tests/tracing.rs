@@ -1,4 +1,4 @@
-//! Causal request tracing acceptance tests (DESIGN.md §19): every charged
+//! Causal request tracing acceptance tests (DESIGN.md §18): every charged
 //! kernel span that ran on behalf of client traffic names a submitted
 //! client op, per-op latency attribution components sum to the end-to-end
 //! modeled latency (and conserve the per-flush modeled time they were
