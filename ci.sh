@@ -40,6 +40,8 @@ if [ "$mode" = "quick" ]; then
     cargo test --workspace -q
     echo "== sanitizer fixture suite (debug, shadow-memory checks on) =="
     cargo test -q --features sanitize --test sanitizer
+    echo "== core unit tests under the sanitizer (debug; flush certificates and revokes under racecheck) =="
+    cargo test -q -p slabgraph --features gpu-sim/sanitize
     echo "== churn workload smoke run (debug, incl. mixed readers-vs-writers) =="
     cargo run -q -p bench --bin churn -- --rounds 2 --ops 512 --readers 2
     echo "== chaos churn smoke run (debug, seeded kill/revive) =="

@@ -4,9 +4,11 @@
 //! laid out as a descriptor array followed by a count array.
 //!
 //! ```text
-//! words 2v, 2v+1:       base address of the vertex's hash-table base
+//! word 2v:              base address of the vertex's hash-table base
 //!                       slabs (NULL_ADDR if the vertex's table has not
-//!                       been constructed yet), number of buckets
+//!                       been constructed yet)
+//! word 2v+1:            bit 31: clean certificate; bits 0–30: number
+//!                       of buckets
 //! word 2·capacity + v:  exact live-edge count
 //! ```
 //!
@@ -14,6 +16,17 @@
 //! two 128 B segments and a lazy install publishes it with one 64-bit
 //! CAS. Growing past capacity performs the paper's *shallow copy*: only
 //! these three words per vertex move; the hash tables themselves stay put.
+//!
+//! The clean certificate ([`CERTIFIED`]) says the table held no tombstone
+//! when [`crate::DynGraph::flush_tombstones`] last walked it: the flush
+//! sets it with one store per dictionary line it walked, and the first
+//! delete that tombstones a key after it clears it with one `atomicAnd`
+//! ([`VertexDict::revoke`]). Nothing else sets it: installs, lazy
+//! installs and a rehash's publish write uncertified descriptors, and a
+//! shallow copy moves each certificate with its untouched table. Every
+//! decode ([`VertexDict::desc`], [`VertexDict::desc_host`],
+//! [`VertexDict::for_each_table_in_lines`], a lost
+//! [`VertexDict::try_install`]) masks the bit out of the bucket count.
 
 use gpu_sim::{Addr, Device, Lanes, OomError, Warp, NULL_ADDR, SLAB_WORDS};
 use slab_hash::{TableDesc, TableKind};
@@ -25,6 +38,23 @@ pub const ENTRY_WORDS: u32 = 3;
 
 /// Descriptor pairs per 128 B line of the descriptor array.
 pub(crate) const TABLES_PER_LINE: u32 = (SLAB_WORDS / 2) as u32;
+
+/// Bit 31 of a descriptor's bucket word: the table is certified clean
+/// (no tombstone since the flush that walked it).
+pub const CERTIFIED: u32 = 1 << 31;
+
+/// The table and certificate a descriptor pair ⟨base, bucket word⟩
+/// encodes, or `None` for a vertex without a table.
+fn decode(kind: TableKind, base: Addr, word: u32) -> Option<(TableDesc, bool)> {
+    (base != NULL_ADDR).then(|| {
+        let desc = TableDesc {
+            kind,
+            base,
+            num_buckets: word & !CERTIFIED,
+        };
+        (desc, word & CERTIFIED != 0)
+    })
+}
 
 /// The packed ⟨base, capacity⟩ of a dictionary allocation.
 fn pack(base: Addr, capacity: u32) -> u64 {
@@ -141,20 +171,24 @@ impl VertexDict {
     /// Host-side (uncharged) read of vertex `v`'s table descriptor, or
     /// `None` if the vertex has no constructed table yet.
     pub fn desc_host(&self, dev: &Device, v: u32) -> Option<TableDesc> {
+        self.entry_host(dev, v).map(|(desc, _)| desc)
+    }
+
+    /// Host-side (uncharged): whether vertex `v` has a table certified
+    /// clean ([`CERTIFIED`]).
+    pub fn certified_host(&self, dev: &Device, v: u32) -> bool {
+        self.entry_host(dev, v)
+            .is_some_and(|(_, certified)| certified)
+    }
+
+    fn entry_host(&self, dev: &Device, v: u32) -> Option<(TableDesc, bool)> {
         if v >= self.capacity() {
             return None;
         }
         let mut entry = [0; 2];
         dev.host_read(self.desc_addr(v), &mut entry);
-        let [base, num_buckets] = entry;
-        if base == NULL_ADDR {
-            return None;
-        }
-        Some(TableDesc {
-            kind: self.kind,
-            base,
-            num_buckets,
-        })
+        let [base, word] = entry;
+        decode(self.kind, base, word)
     }
 
     /// Host-side (uncharged) read of vertex `v`'s live-edge count.
@@ -168,25 +202,49 @@ impl VertexDict {
     }
 
     /// Warp-side (charged) read of vertex `v`'s descriptor: one
-    /// scattered read of its pair (base address and bucket count; the
+    /// scattered read of its pair (base address and bucket word; the
     /// edge count is not read), one transaction for every `v`; `None`
     /// (uncharged) for an id past capacity, which has no entry.
     pub fn desc(&self, warp: &Warp, v: u32) -> Option<TableDesc> {
+        self.desc_certified(warp, v).map(|(desc, _)| desc)
+    }
+
+    /// [`Self::desc`] with the table's clean certificate, for the
+    /// deletes that must [`Self::revoke`] it.
+    pub(crate) fn desc_certified(&self, warp: &Warp, v: u32) -> Option<(TableDesc, bool)> {
         if v >= self.capacity() {
             return None;
         }
         let e = self.desc_addr(v);
         let addrs = Lanes::from_fn(|i| e + (i as u32).min(1));
         let words = warp.read_lanes(&addrs, 0b11);
-        let base = words.get(0);
-        if base == NULL_ADDR {
-            return None;
-        }
-        Some(TableDesc {
-            kind: self.kind,
-            base,
-            num_buckets: words.get(1),
-        })
+        decode(self.kind, words.get(0), words.get(1))
+    }
+
+    /// Warp-side clear of vertex `v`'s clean certificate, by the first
+    /// delete that tombstones a key in a table it read certified: one
+    /// `atomicAnd` of the bucket word, which leaves the base and the
+    /// bucket count alone.
+    pub(crate) fn revoke(&self, warp: &Warp, v: u32) {
+        warp.atomic_and(self.desc_addr(v) + 1, !CERTIFIED);
+    }
+
+    /// Warp-side certification of `tables`, tables one dictionary line
+    /// holds that a flush has just left without tombstones: their bucket
+    /// words are stored with [`CERTIFIED`] set, one scattered write,
+    /// charged one transaction. The rewrite is plain, so like the flush
+    /// it is not safe next to concurrent readers or writers.
+    pub(crate) fn certify(&self, warp: &Warp, tables: &[(u32, TableDesc)]) {
+        debug_assert!(tables.len() <= TABLES_PER_LINE as usize);
+        let mask = gpu_sim::lanemask_lt(tables.len() as u32);
+        let lane = |i: usize| {
+            tables.get(i).map_or((0, 0), |&(v, desc)| {
+                (self.desc_addr(v) + 1, desc.num_buckets | CERTIFIED)
+            })
+        };
+        let addrs = Lanes::from_fn(|i| lane(i).0);
+        let words = Lanes::from_fn(|i| lane(i).1);
+        warp.write_lanes(&addrs, &words, mask);
     }
 
     /// Number of 128 B lines the descriptor array spans, ⌈capacity/16⌉:
@@ -196,15 +254,17 @@ impl VertexDict {
     }
 
     /// Warp-side (charged) walk over every constructed table in vertex-id
-    /// order, `f(v, desc)` for each: [`Self::for_each_table_in_lines`]
-    /// over the whole array, ⌈capacity/16⌉ transactions.
-    pub fn for_each_table(&self, warp: &Warp, f: impl FnMut(u32, TableDesc)) {
+    /// order, `f(v, desc, certified)` for each:
+    /// [`Self::for_each_table_in_lines`] over the whole array,
+    /// ⌈capacity/16⌉ transactions.
+    pub fn for_each_table(&self, warp: &Warp, f: impl FnMut(u32, TableDesc, bool)) {
         self.for_each_table_in_lines(warp, 0..u32::MAX, f);
     }
 
     /// Warp-side (charged) walk over the constructed tables of the
     /// descriptor lines in `lines` (clipped to the array's end), in
-    /// vertex-id order, `f(v, desc)` for each. The descriptor array
+    /// vertex-id order, `f(v, desc, certified)` for each, the bucket
+    /// count decoded and the clean certificate apart. The descriptor array
     /// starts on a 128 B line and a line holds 16 descriptor pairs, so
     /// the walk reads them a line at a time: one masked read of 16 pairs
     /// (fewer on the last line, never past the descriptor array) per
@@ -213,7 +273,7 @@ impl VertexDict {
         &self,
         warp: &Warp,
         lines: Range<u32>,
-        mut f: impl FnMut(u32, TableDesc),
+        mut f: impl FnMut(u32, TableDesc, bool),
     ) {
         let (base, capacity) = self.layout();
         let end = lines.end.min(capacity.div_ceil(TABLES_PER_LINE));
@@ -223,14 +283,10 @@ impl VertexDict {
             let addrs = Lanes::from_fn(|i| line + i as u32);
             let words = warp.read_lanes(&addrs, gpu_sim::lanemask_lt(2 * n));
             for j in 0..n as usize {
-                let table = words.get(2 * j);
-                if table != NULL_ADDR {
-                    let desc = TableDesc {
-                        kind: self.kind,
-                        base: table,
-                        num_buckets: words.get(2 * j + 1),
-                    };
-                    f(first + j as u32, desc);
+                if let Some((desc, certified)) =
+                    decode(self.kind, words.get(2 * j), words.get(2 * j + 1))
+                {
+                    f(first + j as u32, desc, certified);
                 }
             }
         }
@@ -267,8 +323,9 @@ impl VertexDict {
     }
 
     /// Warp-side (charged) republication of vertex `v`'s table after a
-    /// rebuild: one scattered write of its base and bucket count. The
-    /// live-edge count word is left alone — a rebuild keeps every edge.
+    /// rebuild: one scattered write of its base and bucket count,
+    /// uncertified. The live-edge count word is left alone — a rebuild
+    /// keeps every edge.
     pub(crate) fn publish(&self, warp: &Warp, v: u32, desc: &TableDesc) {
         let e = self.desc_addr(v);
         let addrs = Lanes::from_fn(|i| e + (i as u32).min(1));
@@ -278,8 +335,9 @@ impl VertexDict {
 
     /// Warp-side lazy table install: one 64-bit CAS of the descriptor
     /// pair from ⟨NULL, 0⟩, so a reader sees either no table or the whole
-    /// descriptor. If the CAS is lost, the winner's descriptor is
-    /// returned and `fresh_base` should be released by the caller.
+    /// descriptor, uncertified. If the CAS is lost, the winner's
+    /// descriptor is returned decoded (its certificate masked) and
+    /// `fresh_base` should be released by the caller.
     pub fn try_install(
         &self,
         warp: &Warp,
@@ -287,10 +345,10 @@ impl VertexDict {
         fresh_base: Addr,
         num_buckets: u32,
     ) -> Result<TableDesc, TableDesc> {
-        let desc = |[base, num_buckets]: [u32; 2]| TableDesc {
+        let desc = |[base, word]: [u32; 2]| TableDesc {
             kind: self.kind,
             base,
-            num_buckets,
+            num_buckets: word & !CERTIFIED,
         };
         warp.atomic_cas_pair(self.desc_addr(v), [NULL_ADDR, 0], [fresh_base, num_buckets])
             .map(|_| desc([fresh_base, num_buckets]))
@@ -428,5 +486,89 @@ mod tests {
         assert_eq!(d.counters().snapshot().delta(&before).atomics, 2);
         let t = dict.desc_host(&d, 2).unwrap();
         assert_eq!((t.base, t.num_buckets), (0x400, 1));
+    }
+    #[test]
+    #[allow(clippy::disallowed_methods)] // a scratch kernel, no graph to launch through
+    fn certificate_is_set_by_a_line_store_masked_on_decode_and_revoked_by_one_atomic() {
+        let d = dev();
+        let dict = VertexDict::new(&d, TableKind::Map, 40);
+        for v in [1, 3, 17] {
+            dict.install_host(&d, v, 0x1000 + 0x100 * v, 5);
+        }
+        let decoded = |d: &Device| {
+            (0..40)
+                .filter_map(|v| dict.desc_host(d, v).map(|t| (v, t.num_buckets)))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(decoded(&d), [(1, 5), (3, 5), (17, 5)]);
+        assert!(
+            (0..40).all(|v| !dict.certified_host(&d, v)),
+            "installs are uncertified"
+        );
+        let before = d.counters().snapshot();
+        d.launch_warps("dict_test", 1, |warp| {
+            let line0 = [1, 3].map(|v| (v, dict.desc(warp, v).unwrap()));
+            dict.certify(warp, &line0);
+        });
+        let charged = d.counters().snapshot().delta(&before);
+        assert_eq!(
+            (charged.transactions, charged.atomics),
+            (2 + 1, 0),
+            "one store per line"
+        );
+        assert!(dict.certified_host(&d, 1) && dict.certified_host(&d, 3));
+        assert!(!dict.certified_host(&d, 17));
+        assert_eq!(
+            decoded(&d),
+            [(1, 5), (3, 5), (17, 5)],
+            "desc_host masks the bit"
+        );
+        let seen = parking_lot::Mutex::new(vec![]);
+        d.launch_warps("dict_test", 1, |warp| {
+            let (t, certified) = dict.desc_certified(warp, 3).unwrap();
+            assert_eq!((t.num_buckets, certified), (5, true));
+            assert_eq!(dict.desc(warp, 1).unwrap().num_buckets, 5);
+            dict.for_each_table(warp, |v, t, certified| {
+                seen.lock().push((v, t.num_buckets, certified));
+            });
+        });
+        assert_eq!(
+            seen.into_inner(),
+            [(1, 5, true), (3, 5, true), (17, 5, false)]
+        );
+        let before = d.counters().snapshot();
+        d.launch_warps("dict_test", 1, |warp| dict.revoke(warp, 3));
+        let charged = d.counters().snapshot().delta(&before);
+        assert_eq!((charged.transactions, charged.atomics), (0, 1));
+        assert!(dict.certified_host(&d, 1) && !dict.certified_host(&d, 3));
+        assert_eq!(dict.desc_host(&d, 3).unwrap().base, 0x1300);
+    }
+
+    #[test]
+    #[allow(clippy::disallowed_methods)] // a scratch kernel, no graph to launch through
+    fn a_lost_install_race_returns_the_decoded_winner() {
+        let d = dev();
+        let dict = VertexDict::new(&d, TableKind::Map, 4);
+        d.host_write(dict.desc_addr(2), &[0x400, 3 | CERTIFIED]);
+        d.launch_warps("dict_test", 1, |warp| {
+            let lost = dict.try_install(warp, 2, 0x800, 1).unwrap_err();
+            assert_eq!((lost.base, lost.num_buckets), (0x400, 3));
+            let won = dict.try_install(warp, 1, 0x800, 1).unwrap();
+            assert_eq!((won.base, won.num_buckets), (0x800, 1));
+        });
+        assert!(dict.certified_host(&d, 2));
+        assert!(!dict.certified_host(&d, 1), "a lazy install is uncertified");
+    }
+
+    #[test]
+    fn grow_moves_each_certificate_with_its_table() {
+        let d = dev();
+        let dict = VertexDict::new(&d, TableKind::Set, 2);
+        d.host_write(dict.desc_addr(0), &[0x40, 3 | CERTIFIED]);
+        dict.install_host(&d, 1, 0x80, 5);
+        dict.grow(&d, 40);
+        assert!(dict.certified_host(&d, 0) && !dict.certified_host(&d, 1));
+        assert_eq!(dict.desc_host(&d, 0).unwrap().num_buckets, 3);
+        assert!((2..dict.capacity()).all(|v| !dict.certified_host(&d, v)));
     }
 }

@@ -278,9 +278,11 @@ impl DynGraph {
                     };
                     let group = warp.ballot(&same_src);
 
-                    let desc = if insert {
+                    // A delete revokes the clean certificate of the table
+                    // it tombstones (an insert never adds a tombstone).
+                    let (desc, certified) = if insert {
                         match self.desc_or_create(warp, current_src) {
-                            Ok(d) => d,
+                            Ok(d) => (d, false),
                             Err(e) => {
                                 // Lazy table construction failed: the whole
                                 // group stays unapplied.
@@ -290,8 +292,8 @@ impl DynGraph {
                             }
                         }
                     } else {
-                        match self.dict.desc(warp, current_src) {
-                            Some(d) => d,
+                        match self.dict.desc_certified(warp, current_src) {
+                            Some(entry) => entry,
                             None => {
                                 // Nothing to delete from an untouched vertex.
                                 for lane in iter_bits(group) {
@@ -334,6 +336,9 @@ impl DynGraph {
                             warp.atomic_add(count_addr, added_count);
                         } else {
                             warp.atomic_sub(count_addr, added_count);
+                            if certified {
+                                self.dict.revoke(warp, current_src);
+                            }
                         }
                         changed[usize::from(!insert)] += added_count;
                     }

@@ -78,7 +78,7 @@ mod vertex_ops;
 
 pub use batch::{BatchOp, BatchOutcome, GraphError};
 pub use config::{Direction, GraphConfig, DEFAULT_LOAD_FACTOR};
-pub use dict::{VertexDict, ENTRY_WORDS};
+pub use dict::{VertexDict, CERTIFIED, ENTRY_WORDS};
 pub use edge_ops::Update;
 pub use graph::{DynGraph, Edge};
 pub use query::Adjacency;

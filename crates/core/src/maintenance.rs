@@ -8,6 +8,13 @@
 //! This module provides both, over one dense chain writer: a flush
 //! rewrites each tombstoned chain in place, a rehash writes a table's live
 //! entries into a fresh base of a new size.
+//!
+//! The flush's cost follows the tables deletes touched, not the
+//! structure: it certifies every table it leaves clean in the table's
+//! descriptor ([`crate::CERTIFIED`]), the first delete that tombstones a
+//! key after it revokes that, and the next flush walks only uncertified
+//! tables. A graph that never flushes certifies nothing, so its deletes
+//! never pay a revoke.
 
 use crate::graph::DynGraph;
 use gpu_sim::SLAB_WORDS;
@@ -20,20 +27,40 @@ impl DynGraph {
     /// place with its live entries packed densely, in their chain order,
     /// and its surplus collision slabs return to the pool. Counts are
     /// unchanged; queries see the same graph with shorter chains and zero
-    /// tombstones. The rewrite is not safe next to concurrent readers.
+    /// tombstones.
+    ///
+    /// One warp per dictionary line (16 vertices) reads the line's
+    /// descriptors with one transaction, compacts the line's uncertified
+    /// tables, and, if it compacted any, stores their bucket words back
+    /// certified clean with one more ([`crate::CERTIFIED`]). A certified
+    /// table holds no tombstone and is not walked, so a flush costs
+    /// ⌈capacity/16⌉ line reads plus the walks and stores of the tables
+    /// deletes touched since the last one. The rewrite and the
+    /// certificate stores are plain writes: neither is safe next to
+    /// concurrent readers.
     ///
     /// Returns the number of tombstones removed.
     pub fn flush_tombstones(&self) -> u64 {
         let _phase = self.dev.phase("flush_tombstones");
         let removed = AtomicU64::new(0);
         self.batch(|k| {
-            k.launch_warps("flush_tombstones", 1, |warp| {
-                self.dict.for_each_table(warp, |_, desc| {
-                    let n = desc
-                        .compact(warp, &self.alloc)
-                        .expect("flushed chains must be freeable");
-                    removed.fetch_add(n, Ordering::AcqRel);
-                });
+            k.launch_warps("flush_tombstones", self.dict.lines() as usize, |warp| {
+                let line = warp.warp_id();
+                let mut walked = Vec::new();
+                self.dict
+                    .for_each_table_in_lines(warp, line..line + 1, |v, desc, certified| {
+                        if certified {
+                            return;
+                        }
+                        let n = desc
+                            .compact(warp, &self.alloc)
+                            .expect("flushed chains must be freeable");
+                        removed.fetch_add(n, Ordering::AcqRel);
+                        walked.push((v, desc));
+                    });
+                if !walked.is_empty() {
+                    self.dict.certify(warp, &walked);
+                }
             })
         });
         removed.into_inner()
@@ -54,7 +81,7 @@ impl DynGraph {
         let rehashed = AtomicU64::new(0);
         self.batch(|k| {
             k.launch_warps("rehash", 1, |warp| {
-                self.dict.for_each_table(warp, |v, desc| {
+                self.dict.for_each_table(warp, |v, desc, _| {
                     if desc.stats(warp).avg_chain() <= max_chain {
                         return;
                     }
@@ -200,26 +227,27 @@ mod tests {
         g.check_invariants();
         assert_dense(&g);
 
-        // Idempotent: the second flush reads the dictionary line by line
-        // and every slab, and writes nothing.
-        assert_second_flush_only_reads(&g);
+        // Idempotent: the first flush certified every table clean, so
+        // the second reads the dictionary line by line and nothing else.
+        assert_second_flush_reads_only_the_lines(&g);
         g.validate().unwrap();
     }
 
-    /// Flush `g` (removing any tombstones), then flush again: the second
-    /// flush charges one transaction per 128 B line of descriptors,
-    /// ⌈capacity/16⌉, plus one per slab, and no atomic or shuffle.
-    fn assert_second_flush_only_reads(g: &DynGraph) {
+    /// Flush `g` (removing any tombstones and certifying every table
+    /// clean), then flush again: the second flush launches one warp per
+    /// 128 B line of descriptors, ⌈capacity/16⌉, each charged its one
+    /// line read; it walks no certified table and stores nothing.
+    fn assert_second_flush_reads_only_the_lines(g: &DynGraph) {
         g.flush_tombstones();
-        let slabs = g.stats(&g.pin_read()).tables.slabs;
+        let lines = u64::from(g.vertex_capacity().div_ceil(16));
         let second = charges(g, || assert_eq!(g.flush_tombstones(), 0, "idempotent"));
         assert_eq!(
-            second.transactions,
-            u64::from(g.vertex_capacity().div_ceil(16)) + slabs,
-            "reads only, at capacity {}",
+            (second.transactions, second.launches, second.warps),
+            (lines, 1, lines),
+            "line reads only, at capacity {}",
             g.vertex_capacity()
         );
-        assert_eq!((second.atomics, second.shuffles), (0, 0));
+        assert_eq!((second.atomics, second.ballots, second.shuffles), (0, 0, 0));
     }
 
     /// A directed map graph on a device with its own shadow-memory
@@ -260,7 +288,7 @@ mod tests {
         let g = sanitized_graph(21);
         g.install_tables(&[1; 21]);
         churn(&g, 0..21);
-        assert_second_flush_only_reads(&g);
+        assert_second_flush_reads_only_the_lines(&g);
         assert_eq!(g.vertex_capacity().div_ceil(16), 2);
         assert!(g.device().sanitizer_findings().is_empty());
         g.validate().unwrap();
@@ -278,7 +306,7 @@ mod tests {
         g.insert_vertices(&ids, &[]).unwrap();
         assert_eq!(g.vertex_capacity(), 20);
         churn(&g, 10..20);
-        assert_second_flush_only_reads(&g);
+        assert_second_flush_reads_only_the_lines(&g);
         assert!(g.device().sanitizer_findings().is_empty());
         g.validate().unwrap();
     }
@@ -350,5 +378,186 @@ mod tests {
             assert_eq!(g.delete_edges(&del), 60, "round {round}");
         }
         g.check_invariants();
+    }
+    /// `n` one-bucket map tables, vertex `u` pointing at the 20
+    /// vertices after it: two slabs per chain (15 + 5), no tombstone.
+    fn two_slab_tables(n: u32) -> DynGraph {
+        let g = DynGraph::with_uniform_buckets(GraphConfig::directed_map(n), n, 1);
+        let ins: Vec<Edge> = (0..n)
+            .flat_map(|u| (1..=20).map(move |i| Edge::weighted(u, (u + i) % n, i)))
+            .collect();
+        g.insert_edges(&ins);
+        g
+    }
+
+    #[test]
+    fn flush_after_deletes_on_k_tables_walks_only_them() {
+        // 100 tables, certified by a first flush that rewrites nothing.
+        // Deletes then touch k = 4 tables on 3 of the 7 dictionary lines:
+        // one edge of tables 3, 40 and 99 (19 live keys keep 2 slabs)
+        // and six of table 4 (14 live keys fit 1 slab, 1 is freed).
+        let n = 100;
+        let g = two_slab_tables(n);
+        let first = charges(&g, || assert_eq!(g.flush_tombstones(), 0));
+        assert_eq!(first.shuffles, 0, "the certifying flush rewrites nothing");
+        assert!((0..n).all(|v| g.dict().certified_host(g.device(), v)));
+        let del: Vec<Edge> = [(3, 1), (4, 6), (40, 1), (99, 1)]
+            .into_iter()
+            .flat_map(|(u, k)| (1..=k).map(move |i| Edge::new(u, (u + i) % n)))
+            .collect();
+        assert_eq!(g.delete_edges(&del), 9);
+        let touched = [3, 4, 40, 99];
+        for v in 0..n {
+            let certified = g.dict().certified_host(g.device(), v);
+            assert_eq!(certified, !touched.contains(&v), "vertex {v}");
+        }
+
+        let flush = charges(&g, || assert_eq!(g.flush_tombstones(), 9));
+        // ⌈100/16⌉ line reads, the k tables' 8 slabs walked, 2 + 1 + 2
+        // + 2 slabs rewritten, one certificate store on each of lines
+        // 0, 2 and 6; one atomic frees table 4's surplus slab.
+        let (lines, walked, rewritten, stores) = (7, 4 * 2, 7, 3);
+        assert_eq!(
+            (flush.transactions, flush.atomics, flush.shuffles),
+            (lines + walked + rewritten + stores, 1, rewritten)
+        );
+        assert_eq!((flush.launches, flush.warps), (1, lines));
+        assert!((0..n).all(|v| g.dict().certified_host(g.device(), v)));
+        assert_eq!(g.stats(&g.pin_read()).tables.tombstones, 0);
+        assert_dense(&g);
+        g.validate().unwrap();
+    }
+
+    #[test]
+    fn a_delete_revokes_each_certificate_it_breaks_with_one_atomic() {
+        // Two graphs with the same chains, one certified by a flush that
+        // rewrites nothing: the same delete batch costs the certified
+        // graph one `atomicAnd` per table it tombstones, and nothing
+        // else; a graph that never flushed pays no revoke.
+        let (certified, plain) = (two_slab_tables(64), two_slab_tables(64));
+        certified.flush_tombstones();
+        let del: Vec<Edge> = (0..64)
+            .step_by(8)
+            .flat_map(|u| [Edge::new(u, (u + 1) % 64), Edge::new(u, (u + 7) % 64)])
+            .collect();
+        let a = charges(&certified, || assert_eq!(certified.delete_edges(&del), 16));
+        let b = charges(&plain, || assert_eq!(plain.delete_edges(&del), 16));
+        assert_eq!(a.atomics, b.atomics + 8, "one revoke per touched table");
+        assert_eq!(
+            (a.transactions, a.ballots, a.shuffles, a.launches, a.warps),
+            (b.transactions, b.ballots, b.shuffles, b.launches, b.warps)
+        );
+        // A second delete on the same tables finds them revoked already.
+        let more: Vec<Edge> = (0..64)
+            .step_by(8)
+            .map(|u| Edge::new(u, (u + 2) % 64))
+            .collect();
+        let a = charges(&certified, || assert_eq!(certified.delete_edges(&more), 8));
+        let b = charges(&plain, || assert_eq!(plain.delete_edges(&more), 8));
+        assert_eq!(a.atomics, b.atomics);
+        for g in [&certified, &plain] {
+            g.validate().unwrap();
+            g.flush_tombstones();
+            assert_eq!(g.stats(&g.pin_read()).tables.tombstones, 0);
+            g.validate().unwrap();
+        }
+    }
+
+    /// Certify every table of `g` with a flush, run `op`, and check that
+    /// the certificates it broke were revoked: `validate` (which rejects
+    /// a certified table holding a tombstone) passes, and the next flush
+    /// leaves no tombstone and passes it too.
+    fn assert_op_revokes(g: &DynGraph, op: impl FnOnce()) {
+        g.flush_tombstones();
+        let tombstones = g.stats(&g.pin_read()).tables.tombstones;
+        assert_eq!(tombstones, 0);
+        op();
+        let tombstones = g.stats(&g.pin_read()).tables.tombstones;
+        assert!(tombstones > 0, "the op tombstones keys");
+        g.validate().unwrap();
+        assert_eq!(g.flush_tombstones(), tombstones);
+        assert_eq!(g.stats(&g.pin_read()).tables.tombstones, 0);
+        assert_dense(g);
+        g.validate().unwrap();
+    }
+
+    #[test]
+    fn edge_delete_revokes_before_the_flush() {
+        let g = two_slab_tables(48);
+        assert_op_revokes(&g, || {
+            let del: Vec<Edge> = (0..48)
+                .step_by(5)
+                .map(|u| Edge::new(u, (u + 3) % 48))
+                .collect();
+            g.delete_edges(&del);
+        });
+    }
+
+    #[test]
+    fn mixed_edge_update_revokes_before_the_flush() {
+        use crate::edge_ops::Update;
+        let g = two_slab_tables(48);
+        assert_op_revokes(&g, || {
+            let updates: Vec<Update> = (0..48)
+                .step_by(3)
+                .flat_map(|u| {
+                    [
+                        Update::Delete(Edge::new(u, (u + 4) % 48)),
+                        Update::Insert(Edge::weighted(u, (u + 30) % 48, 7)),
+                    ]
+                })
+                .collect();
+            let (ins, del) = g.try_update_edges(&updates).unwrap();
+            assert_eq!((ins.changed, del.changed), (16, 16));
+        });
+    }
+
+    #[test]
+    fn undirected_vertex_delete_sweep_revokes_before_the_flush() {
+        let g = DynGraph::with_uniform_buckets(GraphConfig::undirected_map(40), 40, 1);
+        let ins: Vec<Edge> = (0..40)
+            .flat_map(|u| (1..=6).map(move |i| Edge::weighted(u, (u + i) % 40, i)))
+            .collect();
+        g.insert_edges(&ins);
+        assert_op_revokes(&g, || g.delete_vertices(&[5, 17, 30]));
+    }
+
+    #[test]
+    fn purge_deleted_revokes_before_the_flush() {
+        let g = two_slab_tables(48);
+        g.delete_vertices(&[10, 11]);
+        assert_op_revokes(&g, || g.purge_deleted(&[10, 11]));
+    }
+
+    #[test]
+    fn new_and_republished_tables_start_uncertified() {
+        // Lazily created tables: the first insert into an untouched vertex.
+        let g = DynGraph::new(GraphConfig::directed_map(20));
+        g.insert_edges(&[Edge::new(0, 1), Edge::new(2, 3)]);
+        g.flush_tombstones();
+        g.insert_edges(&[Edge::new(4, 5)]);
+        let cert = |g: &DynGraph, v| g.dict().certified_host(g.device(), v);
+        assert!(cert(&g, 0) && cert(&g, 2), "flushed tables are certified");
+        assert!(!cert(&g, 4), "a lazy install is uncertified");
+        // `insert_vertices` installs into a grown dictionary: the shallow
+        // copy moves each certificate with its untouched table, and the
+        // new entries start uncertified.
+        g.insert_vertices(&[40, 41], &[Edge::new(40, 0)]).unwrap();
+        assert!(g.vertex_capacity() > 20);
+        assert!(cert(&g, 0) && cert(&g, 2));
+        assert!(!cert(&g, 40) && !cert(&g, 41));
+        assert!((20..g.vertex_capacity()).all(|v| !cert(&g, v)));
+        g.validate().unwrap();
+
+        // A rehash publishes an uncertified table.
+        let g = two_slab_tables(20);
+        g.flush_tombstones();
+        assert!(cert(&g, 0));
+        assert_eq!(g.rehash_overloaded(1.5), 20);
+        assert!(
+            (0..20).all(|v| !cert(&g, v)),
+            "a rehash's publish is uncertified"
+        );
+        g.validate().unwrap();
     }
 }

@@ -223,7 +223,7 @@ impl DynGraph {
                 let line = groups[w][0] / TABLES_PER_LINE;
                 let mut tables = [None; TABLES_PER_LINE as usize];
                 self.dict
-                    .for_each_table_in_lines(warp, line..line + 1, |v, desc| {
+                    .for_each_table_in_lines(warp, line..line + 1, |v, desc, _| {
                         tables[(v % TABLES_PER_LINE) as usize] = Some(desc);
                     });
                 lists.lock()[w] = groups[w]

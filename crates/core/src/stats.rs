@@ -5,7 +5,7 @@
 use crate::graph::DynGraph;
 use gpu_sim::{Addr, NULL_ADDR, SLAB_WORDS, WARP_SIZE};
 use slab_alloc::ReadGuard;
-use slab_hash::{TableDesc, TableStats, EMPTY_KEY};
+use slab_hash::{TableDesc, TableStats, EMPTY_KEY, TOMBSTONE_KEY};
 
 /// Aggregated statistics over every vertex's hash table plus the memory
 /// footprint of the whole structure.
@@ -102,6 +102,8 @@ impl DynGraph {
     /// - slot accounting: every key slot classifies as exactly one of
     ///   live / tombstone / empty, and empty slots only appear in a
     ///   chain's tail slab (deletion writes tombstones, never empties);
+    /// - a table certified clean ([`crate::CERTIFIED`]) holds no
+    ///   tombstone;
     /// - no slab is linked into more than one chain position;
     /// - no table stores duplicate destinations or self-loops;
     /// - the per-vertex exact edge count equals the live (non-tombstoned)
@@ -125,12 +127,15 @@ impl DynGraph {
         let tables: Vec<_> = self
             .tables_host()
             .into_iter()
-            .map(|(v, desc)| (v, desc, self.dict.count_host(&self.dev, v)))
+            .map(|(v, desc)| {
+                let certified = self.dict.certified_host(&self.dev, v);
+                (v, desc, certified, self.dict.count_host(&self.dev, v))
+            })
             .collect();
         let first: parking_lot::Mutex<Option<ValidationError>> = parking_lot::Mutex::new(None);
         let reachable = parking_lot::Mutex::new(std::collections::HashSet::new());
         self.pinned(&pin).launch_warps("validate", 1, |warp| {
-            for &(v, desc, count) in &tables {
+            for &(v, desc, certified, count) in &tables {
                 let key_lanes = desc.kind.key_lanes();
                 let mut seen = std::collections::HashSet::new();
                 let mut live = 0u32;
@@ -147,6 +152,15 @@ impl DynGraph {
                         .any(|i| key_lanes & (1 << i) != 0 && view.words.get(i) == EMPTY_KEY);
                     if has_empty && view.next() != NULL_ADDR {
                         err = Some(ValidationError::EmptyBeforeTail {
+                            vertex: v,
+                            slab: view.addr,
+                        });
+                        return;
+                    }
+                    let has_tombstone = (0..WARP_SIZE)
+                        .any(|i| key_lanes & (1 << i) != 0 && view.words.get(i) == TOMBSTONE_KEY);
+                    if certified && has_tombstone {
+                        err = Some(ValidationError::CertifiedTombstone {
                             vertex: v,
                             slab: view.addr,
                         });
@@ -203,6 +217,9 @@ pub enum ValidationError {
     SelfLoop { vertex: u32 },
     /// A non-tail slab has empty key slots — deletion must tombstone.
     EmptyBeforeTail { vertex: u32, slab: Addr },
+    /// A table certified clean holds a tombstone: a delete did not
+    /// revoke the certificate, so the next flush would skip the table.
+    CertifiedTombstone { vertex: u32, slab: Addr },
     /// The same pool slab is linked into more than one chain position.
     SlabReuse { addr: Addr },
     /// Live pool slabs and table-reachable pool slabs disagree (a slab
@@ -233,6 +250,10 @@ impl std::fmt::Display for ValidationError {
             ValidationError::EmptyBeforeTail { vertex, slab } => write!(
                 f,
                 "vertex {vertex}: slab {slab:#x} has empty slots before the chain tail"
+            ),
+            ValidationError::CertifiedTombstone { vertex, slab } => write!(
+                f,
+                "vertex {vertex}: table certified clean holds a tombstone in slab {slab:#x}"
             ),
             ValidationError::SlabReuse { addr } => {
                 write!(f, "slab {addr:#x} linked into more than one chain")
@@ -352,5 +373,33 @@ mod tests {
         // Corrupt an edge count behind the structure's back.
         g.device().host_write(g.dict().count_addr(3), &[999]);
         g.check_invariants();
+    }
+    #[test]
+    fn validate_rejects_a_certified_table_holding_a_tombstone() {
+        use crate::{ValidationError, CERTIFIED};
+        let g = populated();
+        g.delete_edges(&[Edge::new(3, 4)]);
+        g.validate().unwrap();
+        // Certify vertex 3's table by hand, as a delete that forgot its
+        // revoke would leave it; vertex 5's clean table may be certified.
+        let certify = |v: u32| {
+            let desc = g.dict().desc_host(g.device(), v).unwrap();
+            g.device()
+                .host_write(g.dict().desc_addr(v) + 1, &[desc.num_buckets | CERTIFIED]);
+            desc
+        };
+        certify(5);
+        g.validate().unwrap();
+        let desc = certify(3);
+        assert_eq!(
+            g.validate(),
+            Err(ValidationError::CertifiedTombstone {
+                vertex: 3,
+                slab: desc.base
+            })
+        );
+        // The flush skips certified tables, so it leaves that tombstone.
+        assert_eq!(g.flush_tombstones(), 0);
+        assert!(g.validate().is_err());
     }
 }

@@ -249,10 +249,16 @@ impl DynGraph {
                                 if bits & (1 << (dst % 32)) != 0 {
                                     continue;
                                 }
-                                // Line 16: delete victim from dst's table.
-                                if let Some(dst_desc) = self.dict.desc(warp, dst) {
+                                // Line 16: delete victim from dst's table,
+                                // revoking its clean certificate.
+                                if let Some((dst_desc, certified)) =
+                                    self.dict.desc_certified(warp, dst)
+                                {
                                     if dst_desc.delete(warp, victim) {
                                         warp.atomic_sub(self.dict.count_addr(dst), 1);
+                                        if certified {
+                                            self.dict.revoke(warp, dst);
+                                        }
                                     }
                                 }
                             }
@@ -332,7 +338,7 @@ impl DynGraph {
             k.launch_warps("purge_deleted", self.dict.lines() as usize, |warp| {
                 let line = warp.warp_id();
                 self.dict
-                    .for_each_table_in_lines(warp, line..line + 1, |u, desc| {
+                    .for_each_table_in_lines(warp, line..line + 1, |u, desc, certified| {
                         // Collect victims first (iterators must not observe
                         // their own tombstoning mid-walk), then delete.
                         let mut victims = Vec::new();
@@ -351,6 +357,9 @@ impl DynGraph {
                         }
                         if removed > 0 {
                             warp.atomic_sub(self.dict.count_addr(u), removed);
+                            if certified {
+                                self.dict.revoke(warp, u);
+                            }
                         }
                     });
             });

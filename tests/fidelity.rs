@@ -237,6 +237,40 @@ fn table8_sort_crossover(t: &Table) -> Verdict {
     Ok(())
 }
 
+/// Table VII: ours' triangle count is slower than Hornet's on every
+/// scale-free graph (all four) and faster on luxembourg_osm, the paper's
+/// one win.
+fn table7_loses_scale_free_and_wins_luxembourg(t: &Table) -> Verdict {
+    let (hornet, ours) = (t.nums("Hornet"), t.nums("Ours"));
+    let families = t.families();
+    let scale_free: Vec<usize> = (0..t.rows.len())
+        .filter(|&i| families[i] == Family::ScaleFree)
+        .collect();
+    if scale_free.len() != 4 {
+        return Err(format!("{} scale-free rows, want 4", scale_free.len()));
+    }
+    for i in scale_free {
+        if ours[i] <= hornet[i] {
+            return Err(format!(
+                "{}: ours {} vs Hornet {}",
+                t.rows[i][0], ours[i], hornet[i]
+            ));
+        }
+    }
+    let lux = t
+        .rows
+        .iter()
+        .position(|r| r[0] == "luxembourg_osm")
+        .ok_or("no luxembourg_osm row")?;
+    if ours[lux] >= hornet[lux] {
+        return Err(format!(
+            "luxembourg_osm: ours {} vs Hornet {}",
+            ours[lux], hornet[lux]
+        ));
+    }
+    Ok(())
+}
+
 /// Fig. 2's average-degree series: per series, the row indices sorted by
 /// average chain length.
 fn fig2_series(t: &Table) -> Vec<Vec<usize>> {
@@ -390,6 +424,27 @@ fn table8_claim_rejects_faimgraph_winning_on_a_scale_free_graph() {
     let cub = t.nums("Sort CSR (CUB-style)")[scale_free];
     t.set(scale_free, "Sort faimGraph", cub * 0.99);
     assert!(table8_sort_crossover(&t).is_err());
+}
+
+#[test]
+fn table7_ours_loses_on_scale_free_and_wins_luxembourg_osm() {
+    table7_loses_scale_free_and_wins_luxembourg(&table("table7")).unwrap();
+}
+
+#[test]
+fn table7_claim_rejects_a_scale_free_win_or_a_luxembourg_loss() {
+    let t = table("table7");
+    let families = t.families();
+    for i in (0..t.rows.len()).filter(|&i| families[i] == Family::ScaleFree) {
+        let mut won = t.clone();
+        won.set(i, "Ours", t.nums("Hornet")[i] * 0.99);
+        assert!(table7_loses_scale_free_and_wins_luxembourg(&won).is_err());
+    }
+    let lux = t.rows.iter().position(|r| r[0] == "luxembourg_osm");
+    let mut lost = t.clone();
+    let lux = lux.expect("a luxembourg_osm row");
+    lost.set(lux, "Ours", t.nums("Hornet")[lux] * 1.01);
+    assert!(table7_loses_scale_free_and_wins_luxembourg(&lost).is_err());
 }
 
 #[test]

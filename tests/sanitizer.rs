@@ -362,6 +362,71 @@ fn run_tiles_racing_an_insert_batch_are_sanitizer_clean_threaded() {
         .expect("inserts racing run tiles leave a valid chain");
 }
 
+/// Delete batches revoking clean certificates beside pinned readers, on
+/// the threaded executor: a flush certifies every table, then a reader
+/// probes edges no batch deletes (and pairs never inserted) while
+/// delete batches tombstone keys in every table, each group's first
+/// delete clearing its table's certificate with one `atomicAnd` next to
+/// the readers' plain descriptor reads. The sanitizer reports nothing,
+/// the certificates are gone from every table a batch touched, and the
+/// next flush removes every tombstone.
+#[test]
+fn delete_batches_revoking_certificates_beside_pinned_readers_are_clean_threaded() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let dev = Device::with_config(
+        DeviceConfig::new(1 << 19)
+            .with_sanitizer(SanitizerConfig::default())
+            .with_exec_policy(ExecPolicy::Threaded(4)),
+    );
+    let n = 96u32;
+    let g = DynGraph::on_device(std::sync::Arc::new(dev), GraphConfig::directed_set(n));
+    // Vertex u points at the 40 vertices after it: keys 1..=20 after u
+    // stay, keys 21..=40 after u are deleted, four per batch.
+    let edge = |u: u32, i: u32| Edge::new(u, (u + i) % n);
+    let all: Vec<Edge> = (0..n)
+        .flat_map(|u| (1..=40).map(move |i| edge(u, i)))
+        .collect();
+    g.insert_edges(&all);
+    assert_eq!(g.flush_tombstones(), 0);
+    assert!((0..n).all(|v| g.dict().certified_host(g.device(), v)));
+    let probes: Vec<(u32, u32)> = (0..n)
+        .flat_map(|u| [(u, (u + 1) % n), (u, (u + 20) % n), (u, (u + 41) % n)])
+        .collect();
+    let (stop, ready) = (AtomicBool::new(false), AtomicBool::new(false));
+    std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let mut calls = 0u32;
+            while !stop.load(Ordering::Acquire) {
+                let pin = g.pin_read();
+                let hits = g.edges_exist(&pin, &probes);
+                for (&(u, v), &hit) in probes.iter().zip(&hits) {
+                    assert_eq!(hit, (v + n - u) % n <= 20, "probe {u} -> {v}");
+                }
+                calls += 1;
+                ready.store(true, Ordering::Release);
+            }
+            calls
+        });
+        while !ready.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        for batch in 0..5u32 {
+            let del: Vec<Edge> = (0..n)
+                .flat_map(|u| (21 + 4 * batch..25 + 4 * batch).map(move |i| edge(u, i)))
+                .collect();
+            assert_eq!(g.delete_edges(&del), u64::from(4 * n));
+        }
+        stop.store(true, Ordering::Release);
+        assert!(reader.join().unwrap() > 0);
+    });
+    assert_eq!(g.device().sanitizer_findings(), vec![]);
+    assert!((0..n).all(|v| !g.dict().certified_host(g.device(), v)));
+    g.validate().expect("revoked tables validate");
+    assert_eq!(g.flush_tombstones(), u64::from(20 * n));
+    assert_eq!(g.stats(&g.pin_read()).tables.tombstones, 0);
+    g.validate().expect("the flush leaves no tombstone");
+}
+
 /// A known deviation, pinned: `flush_tombstones` rewrites a tombstoned
 /// chain in place, so a pinned reader paused mid-walk races the rewrite
 /// (ROADMAP item 1). The reader reads the chain's first slab, waits while
