@@ -42,6 +42,8 @@ if [ "$mode" = "quick" ]; then
     cargo test -q --features sanitize --test sanitizer
     echo "== core unit tests under the sanitizer (debug; flush certificates and revokes under racecheck) =="
     cargo test -q -p slabgraph --features gpu-sim/sanitize
+    echo "== slab-hash tests under the sanitizer (debug; group walks and their racing claims) =="
+    cargo test -q -p slab-hash --features gpu-sim/sanitize
     echo "== churn workload smoke run (debug, incl. mixed readers-vs-writers) =="
     cargo run -q -p bench --bin churn -- --rounds 2 --ops 512 --readers 2
     echo "== chaos churn smoke run (debug, seeded kill/revive) =="

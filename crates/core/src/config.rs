@@ -21,7 +21,7 @@ pub enum Direction {
 /// Tombstone handling is not configurable: insert launches claim the
 /// first free slot of a chain, a deleted one included, while a mixed
 /// insert/delete batch claims only never-used slots (see
-/// [`slab_hash::TableDesc::insert`]). [`crate::DynGraph::flush_tombstones`]
+/// [`slab_hash::TableDesc::insert_lanes`]). [`crate::DynGraph::flush_tombstones`]
 /// compacts the tombstones left over.
 #[derive(Debug, Clone, Copy)]
 pub struct GraphConfig {

@@ -275,13 +275,11 @@ impl VertexDict {
         lines: Range<u32>,
         mut f: impl FnMut(u32, TableDesc, bool),
     ) {
-        let (base, capacity) = self.layout();
-        let end = lines.end.min(capacity.div_ceil(TABLES_PER_LINE));
-        for first in (lines.start..end).map(|l| l * TABLES_PER_LINE) {
-            let n = (capacity - first).min(TABLES_PER_LINE);
-            let line = base + 2 * first;
-            let addrs = Lanes::from_fn(|i| line + i as u32);
-            let words = warp.read_lanes(&addrs, gpu_sim::lanemask_lt(2 * n));
+        let layout = self.layout();
+        let end = lines.end.min(layout.1.div_ceil(TABLES_PER_LINE));
+        for line in lines.start..end {
+            let (first, words) = Self::read_line(warp, layout, line);
+            let n = (layout.1 - first).min(TABLES_PER_LINE);
             for j in 0..n as usize {
                 if let Some((desc, certified)) =
                     decode(self.kind, words.get(2 * j), words.get(2 * j + 1))
@@ -290,6 +288,50 @@ impl VertexDict {
                 }
             }
         }
+    }
+
+    /// Warp-side (charged) read of descriptor line `line` of the
+    /// dictionary laid out as `(base, capacity)`: one masked read of its
+    /// 16 pairs (fewer on the last line, never past the descriptor
+    /// array), one transaction. Returns the line's first vertex and its
+    /// words, pair *j* on lanes 2j and 2j + 1.
+    fn read_line(warp: &Warp, (base, capacity): (Addr, u32), line: u32) -> (u32, Lanes<u32>) {
+        let first = line * TABLES_PER_LINE;
+        let n = (capacity - first).min(TABLES_PER_LINE);
+        let addrs = Lanes::from_fn(|i| base + 2 * first + i as u32);
+        (first, warp.read_lanes(&addrs, gpu_sim::lanemask_lt(2 * n)))
+    }
+
+    /// Algorithm 1's descriptor read for the group of source `v`, with
+    /// its clean certificate: from a line `lines` keeps, with 2 charged
+    /// shuffles of its lanes 2j and 2j + 1; otherwise one transaction.
+    /// When other pending lanes' sources share `v`'s line (`shared`),
+    /// the whole line is read and kept in `lines` for the rest of the
+    /// warp; a source alone in its line reads only its pair, which costs
+    /// the line's one transaction all the same. `None` for a vertex
+    /// without a table; uncharged for an id past capacity.
+    pub(crate) fn desc_in_lines(
+        &self,
+        warp: &Warp,
+        v: u32,
+        lines: &mut LineRegisters,
+        shared: bool,
+    ) -> Option<(TableDesc, bool)> {
+        let layout = self.layout();
+        if v >= layout.1 {
+            return None;
+        }
+        let (line, j) = (v / TABLES_PER_LINE, 2 * (v % TABLES_PER_LINE));
+        if let Some(words) = lines.get(line) {
+            let base = warp.shuffle(words, j);
+            return decode(self.kind, base, warp.shuffle(words, j + 1));
+        }
+        if !shared {
+            return self.desc_certified(warp, v);
+        }
+        let (_, words) = Self::read_line(warp, layout, line);
+        lines.keep(line, words);
+        decode(self.kind, words.get(j as usize), words.get(j as usize + 1))
     }
 
     /// Install a table for vertex `v` (bulk/incremental build, vertex
@@ -353,6 +395,51 @@ impl VertexDict {
         warp.atomic_cas_pair(self.desc_addr(v), [NULL_ADDR, 0], [fresh_base, num_buckets])
             .map(|_| desc([fresh_base, num_buckets]))
             .map_err(desc)
+    }
+}
+
+/// The descriptor lines one warp keeps in lane registers while it works
+/// through Algorithm 1's queue ([`VertexDict::desc_in_lines`]). A line is
+/// kept only when two or more of the warp's (at most 32) groups need it,
+/// so 16 lines suffice; lanes 2j and 2j + 1 of a kept line hold pair j.
+pub(crate) struct LineRegisters {
+    lines: [(u32, Lanes<u32>); LineRegisters::MAX],
+    kept: usize,
+}
+
+impl Default for LineRegisters {
+    fn default() -> Self {
+        LineRegisters {
+            lines: [(0, Lanes::splat(0)); Self::MAX],
+            kept: 0,
+        }
+    }
+}
+
+impl LineRegisters {
+    const MAX: usize = gpu_sim::WARP_SIZE / 2;
+
+    fn get(&self, line: u32) -> Option<&Lanes<u32>> {
+        self.lines[..self.kept]
+            .iter()
+            .find_map(|(l, words)| (*l == line).then_some(words))
+    }
+
+    fn keep(&mut self, line: u32, words: Lanes<u32>) {
+        debug_assert!(self.kept < Self::MAX, "a kept line serves two groups");
+        self.lines[self.kept] = (line, words);
+        self.kept += 1;
+    }
+
+    /// Record the table the warp has just installed for `v`, uncertified,
+    /// in `v`'s line if it is kept: the lanes holding the pair take the
+    /// descriptor every lane already knows, a register write.
+    pub(crate) fn install(&mut self, v: u32, desc: &TableDesc) {
+        let (line, j) = (v / TABLES_PER_LINE, 2 * (v % TABLES_PER_LINE) as usize);
+        if let Some((_, words)) = self.lines[..self.kept].iter_mut().find(|(l, _)| *l == line) {
+            words.set(j, desc.base);
+            words.set(j + 1, desc.num_buckets);
+        }
     }
 }
 

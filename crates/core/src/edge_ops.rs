@@ -5,11 +5,18 @@
 //! unfinished lane, broadcasts its source vertex (and, in a mixed batch,
 //! its op) with a `shuffle`, and groups every lane holding the same source
 //! and op so their updates hit the same hash table in coalesced fashion.
-//! The slab-hash `replace` / `delete` return booleans; a `popc` over their
-//! ballot maintains exact per-vertex edge counts (Algorithm 1, line 10).
+//! A group takes its descriptor from its source's dictionary line, read
+//! once per warp when other pending sources share it
+//! (`VertexDict::desc_in_lines`); an insert group is one
+//! chain walk per home bucket ([`slab_hash::TableDesc::insert_lanes`]),
+//! a delete group one walk per key. The added and deleted masks feed a
+//! `popc` over their ballot, which maintains exact per-vertex edge counts
+//! (Algorithm 1, line 10).
 
 use crate::batch::{BatchOp, BatchOutcome, GraphError};
-use crate::graph::{iter_bits, DynGraph, Edge};
+use crate::dict::{LineRegisters, TABLES_PER_LINE};
+use crate::graph::{DynGraph, Edge};
+use gpu_sim::iter_bits;
 use gpu_sim::{Lanes, OomError, WARP_SIZE};
 use slab_alloc::AllocError;
 use slab_hash::TableKind;
@@ -250,6 +257,9 @@ impl DynGraph {
                     }
                 }
 
+                // Descriptor lines kept in registers for later groups.
+                let mut lines = LineRegisters::default();
+
                 // Edges this warp changed, per kind ([insert, delete]):
                 // summed in a register, added to `changed_total` once.
                 let mut changed = [0u32; 2];
@@ -277,54 +287,69 @@ impl DynGraph {
                         }
                     };
                     let group = warp.ballot(&same_src);
+                    // Lines 11–13: the lanes left once the group retires.
+                    let rest = pending.zip_with(&same_src, |p, s| p && !s);
 
+                    // The group's descriptor, from its source's dictionary
+                    // line: read once when other pending lanes' sources
+                    // share the line, then shuffled out of the kept line.
+                    let line = current_src / TABLES_PER_LINE;
+                    let shared = (0..WARP_SIZE)
+                        .any(|i| rest.get(i) && srcs.get(i) / TABLES_PER_LINE == line);
+                    let entry = self
+                        .dict
+                        .desc_in_lines(warp, current_src, &mut lines, shared);
                     // A delete revokes the clean certificate of the table
                     // it tombstones (an insert never adds a tombstone).
-                    let (desc, certified) = if insert {
-                        match self.desc_or_create(warp, current_src) {
-                            Ok(d) => (d, false),
+                    let (desc, certified) = match entry {
+                        Some(entry) => entry,
+                        None if insert => match self.create_table(warp, current_src) {
+                            Ok(desc) => {
+                                lines.install(current_src, &desc);
+                                (desc, false)
+                            }
                             Err(e) => {
                                 // Lazy table construction failed: the whole
                                 // group stays unapplied.
                                 record(e);
-                                pending = pending.zip_with(&same_src, |p, s| p && !s);
+                                pending = rest;
                                 continue;
                             }
-                        }
-                    } else {
-                        match self.dict.desc_certified(warp, current_src) {
-                            Some(entry) => entry,
-                            None => {
-                                // Nothing to delete from an untouched vertex.
-                                for lane in iter_bits(group) {
-                                    mark(lane as usize);
-                                }
-                                pending = pending.zip_with(&same_src, |p, s| p && !s);
-                                continue;
+                        },
+                        None => {
+                            // Nothing to delete from an untouched vertex.
+                            for lane in iter_bits(group) {
+                                mark(lane as usize);
                             }
+                            pending = rest;
+                            continue;
                         }
                     };
 
                     // Lines 8–9: coalesced group operation + success ballot.
-                    // A lane whose insert fails on allocation stays
-                    // unapplied; later lanes still run (under e.g. an every-Nth
-                    // fault plan some of them succeed, guaranteeing progress).
+                    // An insert group is one walk per home bucket
+                    // (`insert_lanes`); a lane whose insert fails on
+                    // allocation stays unapplied, while later keys still
+                    // try (under e.g. an every-Nth fault plan some of them
+                    // succeed, guaranteeing progress).
                     let mut success = Lanes::splat(false);
-                    for lane in iter_bits(group) {
-                        let li = lane as usize;
+                    if insert {
                         // Only a mixed launch frees slots while it claims
                         // them, so only it leaves tombstones unclaimed.
-                        let applied = if insert {
-                            desc.insert(warp, &self.alloc, dsts.get(li), weights.get(li), !mixed)
-                        } else {
-                            Ok(desc.delete(warp, dsts.get(li)))
-                        };
-                        match applied {
-                            Ok(changed) => {
-                                success.set(li, changed);
-                                mark(li);
-                            }
-                            Err(e) => record(e),
+                        let done =
+                            desc.insert_lanes(warp, &self.alloc, &dsts, &weights, group, !mixed);
+                        if let Some(e) = done.error {
+                            record(e);
+                        }
+                        for lane in iter_bits(done.applied) {
+                            success.set(lane as usize, done.added & (1 << lane) != 0);
+                            mark(lane as usize);
+                        }
+                    } else {
+                        for lane in iter_bits(group) {
+                            let li = lane as usize;
+                            success.set(li, desc.delete(warp, dsts.get(li)));
+                            mark(li);
                         }
                     }
 
@@ -343,8 +368,7 @@ impl DynGraph {
                         changed[usize::from(!insert)] += added_count;
                     }
 
-                    // Lines 11–13: retire the completed group.
-                    pending = pending.zip_with(&same_src, |p, s| p && !s);
+                    pending = rest;
                 }
 
                 // A mixed batch counts its deletes in the second word.
@@ -433,6 +457,32 @@ mod tests {
         assert_eq!(g.read_neighbors(&pin, &[70]).list(0), [1]);
         g.validate()
             .expect("every pool slab reachable from a table");
+    }
+
+    /// The dictionary's last line is partial: a delete source past the
+    /// capacity finds no table even when a source in its line had the
+    /// line read and kept.
+    #[test]
+    fn sources_past_the_capacity_share_no_kept_line() {
+        let g = graph(20);
+        assert_eq!(g.dict().capacity(), 20);
+        g.insert_edges(&[Edge::new(17, 1), Edge::new(18, 2)]);
+        let before = g.device().counters().snapshot();
+        let deleted = g.delete_edges(&[
+            Edge::new(17, 1),
+            Edge::new(25, 1),
+            Edge::new(18, 2),
+            Edge::new(31, 2),
+        ]);
+        assert_eq!(deleted, 2);
+        let d = g.device().counters().snapshot().delta(&before);
+        // Four groups elect their source with a shuffle each; the kept
+        // line serves vertex 18 with 2 more, and 25 and 31 cost nothing
+        // to look up. Transactions: the warp's source and destination
+        // loads, one line read for all four, one slab per delete.
+        assert_eq!((d.shuffles, d.transactions), (4 + 2, 2 + 1 + 2));
+        g.validate().expect("nothing but the two edges deleted");
+        assert_eq!(g.num_edges(), 0);
     }
 
     #[test]
@@ -750,6 +800,141 @@ mod tests {
         );
         assert_eq!(slots, vec![0, 1, 2, 0, 1, 0]);
         assert_eq!(Update::collapse(&[]), (vec![], vec![]));
+    }
+
+    /// Insert batches full of repeated edges, self-loops and sources that
+    /// share dictionary lines, some sources tableless, against a map
+    /// applied in batch order: on the sequential executor the last copy
+    /// of an edge in a batch sets its weight and the edge counts once.
+    #[test]
+    fn insert_groups_apply_in_batch_order() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        let g = DynGraph::new(GraphConfig::directed_map(48));
+        let mut oracle: HashMap<(u32, u32), u32> = HashMap::new();
+        for round in 0..6 {
+            let batch: Vec<Edge> = (0..300)
+                .map(|_| {
+                    let (u, v) = (rng.random_range(0..40u32), rng.random_range(0..12u32));
+                    Edge::weighted(u, v, rng.random_range(0..1000u32))
+                })
+                .collect();
+            let before = oracle.len();
+            for e in batch.iter().filter(|e| e.src != e.dst) {
+                oracle.insert((e.src, e.dst), e.weight);
+            }
+            let added = g.insert_edges(&batch);
+            assert_eq!(added, (oracle.len() - before) as u64, "round {round}");
+            if round % 2 == 1 {
+                let del: Vec<Edge> = batch.iter().step_by(3).copied().collect();
+                for e in &del {
+                    oracle.remove(&(e.src, e.dst));
+                }
+                g.delete_edges(&del);
+            }
+        }
+        let pin = g.pin_read();
+        let got: HashMap<(u32, u32), u32> = (0..48)
+            .flat_map(|u| {
+                let adj = g.read_neighbors(&pin, &[u]);
+                adj.entries(0)
+                    .map(move |(v, w)| ((u, v), w))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        assert_eq!(got, oracle);
+        drop(pin);
+        g.validate().expect("audit after the batches");
+    }
+
+    /// [transactions, atomics, ballots, shuffles, launches, warps] of one
+    /// `try_update_edges` call.
+    fn update_charges(g: &DynGraph, updates: &[Update]) -> [u64; 6] {
+        let before = g.device().counters().snapshot();
+        let (ins, del) = g.try_update_edges(updates).unwrap();
+        assert!(ins.is_complete() && del.is_complete());
+        let d = g.device().counters().snapshot().delta(&before);
+        [
+            d.transactions,
+            d.atomics,
+            d.ballots,
+            d.shuffles,
+            d.launches,
+            d.warps,
+        ]
+    }
+
+    /// A dictionary line shared by s of a warp's sources is read once:
+    /// its groups cost 1 descriptor transaction plus 2 shuffles for each
+    /// later group, where s sources in s lines cost s transactions.
+    #[test]
+    fn a_shared_line_costs_one_read_and_two_shuffles_a_group() {
+        for s in [1u32, 2, 5, 16] {
+            let charge = |src: &dyn Fn(u32) -> u32| {
+                let g = DynGraph::with_uniform_buckets(GraphConfig::directed_map(512), 512, 1);
+                let batch: Vec<Update> = (0..s)
+                    .map(|i| Update::Insert(Edge::weighted(src(i), 500, i)))
+                    .collect();
+                update_charges(&g, &batch)
+            };
+            let [tx, atomics, ballots, shuffles, launches, warps] = charge(&|i| 16 * i);
+            let extra = u64::from(s - 1);
+            assert_eq!(
+                charge(&|i| i),
+                [
+                    tx - extra,
+                    atomics,
+                    ballots,
+                    shuffles + 2 * extra,
+                    launches,
+                    warps
+                ],
+                "s = {s}"
+            );
+        }
+    }
+
+    /// Batches whose warps hold one edge per source and one source per
+    /// dictionary line: inserts (new edges, replaces, and tableless
+    /// sources that create their table), deletes (hits, misses, a
+    /// tableless source and one past capacity) and a mixed batch. No
+    /// group has a second key or a line to share, so each charges what
+    /// the per-key walk and the per-group descriptor read charged.
+    #[test]
+    fn batches_without_shared_lines_charge_the_per_key_walk() {
+        let g = DynGraph::with_uniform_buckets(GraphConfig::directed_map(4096), 2048, 1);
+        let src = |i: u32| 16 * i;
+        let inserts: Vec<Update> = (0..256)
+            .map(|i| Update::Insert(Edge::weighted(src(i), 1 + i % 7, i)))
+            .collect();
+        let again: Vec<Update> = (0..256)
+            .map(|i| Update::Insert(Edge::weighted(src(i), 1 + (i + i % 2) % 7, i + 1)))
+            .collect();
+        let deletes: Vec<Update> = (0..256)
+            .map(|i| Update::Delete(Edge::new(src(i) + (i % 5 == 0) as u32, 1 + i % 3)))
+            .chain([Update::Delete(Edge::new(5000, 1))])
+            .collect();
+        let mixed: Vec<Update> = (0..256)
+            .map(|i| {
+                let e = Edge::weighted(src(i), 1 + i % 4, 7);
+                if i % 2 == 0 {
+                    Update::Insert(e)
+                } else {
+                    Update::Delete(e)
+                }
+            })
+            .collect();
+        // Recorded on the per-key walk with per-group descriptor reads.
+        let expected: [(&str, &[Update], [u64; 6]); 4] = [
+            ("insert", &inserts, [792, 776, 1288, 256, 1, 8]),
+            ("insert again", &again, [536, 392, 1160, 256, 1, 8]),
+            ("delete", &deletes, [502, 102, 1161, 256, 1, 9]),
+            ("mixed", &mixed, [544, 322, 1242, 512, 1, 8]),
+        ];
+        for (name, batch, want) in expected {
+            assert_eq!(update_charges(&g, batch), want, "{name}");
+        }
+        g.validate().expect("audit after the pinned batches");
     }
 
     #[test]

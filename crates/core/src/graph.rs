@@ -361,16 +361,16 @@ impl DynGraph {
         Ok(())
     }
 
-    /// Warp-side descriptor lookup that lazily constructs a single-bucket
-    /// table for an untouched vertex (slab from the dynamic pool).
+    /// Warp-side lazy construction of a single-bucket table (slab from
+    /// the dynamic pool) for vertex `v`, whose descriptor the warp has
+    /// just read without a table: one pool allocation and one pair-CAS
+    /// install, no second descriptor read. A lost install returns the
+    /// winner's table.
     ///
     /// Fails only if the pool cannot acquire the fresh slab; the failure
     /// precedes any dictionary mutation, so the vertex stays untouched and
     /// the operation can be retried.
-    pub(crate) fn desc_or_create(&self, warp: &Warp, v: u32) -> Result<TableDesc, AllocError> {
-        if let Some(t) = self.dict.desc(warp, v) {
-            return Ok(t);
-        }
+    pub(crate) fn create_table(&self, warp: &Warp, v: u32) -> Result<TableDesc, AllocError> {
         // Speculative: a sequential loser would have found the winner's
         // descriptor above, so a lost install race must leave no charges.
         warp.begin_attempt();
@@ -409,21 +409,6 @@ impl DynGraph {
             }
         }
     }
-}
-
-/// Iterate the set bits of a warp mask in ascending lane order.
-#[inline]
-pub(crate) fn iter_bits(mask: u32) -> impl Iterator<Item = u32> {
-    let mut m = mask;
-    std::iter::from_fn(move || {
-        if m == 0 {
-            None
-        } else {
-            let b = m.trailing_zeros();
-            m &= m - 1;
-            Some(b)
-        }
-    })
 }
 
 #[cfg(test)]
@@ -538,14 +523,6 @@ mod tests {
         assert_eq!(g.allocator().live_slabs(), 1);
         assert_eq!(desc(1).unwrap().num_buckets, 2);
         g.validate().unwrap();
-    }
-
-    #[test]
-    fn iter_bits_ascending() {
-        let bits: Vec<u32> = iter_bits(0b1010_0110).collect();
-        assert_eq!(bits, vec![1, 2, 5, 7]);
-        assert_eq!(iter_bits(0).count(), 0);
-        assert_eq!(iter_bits(u32::MAX).count(), 32);
     }
 
     /// The launch-era sequence of every mutation and read. A kernel launch

@@ -69,9 +69,10 @@ impl DynGraph {
     /// Rehash every vertex whose average chain length exceeds
     /// `max_chain` slabs into a table sized for its *current* degree at
     /// the configured load factor ([`TableDesc::fill`]). New base slabs
-    /// are bulk-allocated; the old base slabs are abandoned (static memory
-    /// is never reclaimed, matching §IV-D2), and old collision slabs
-    /// return to the pool. The new table is published with the vertex's
+    /// are bulk-allocated; old bulk-allocated base slabs are abandoned
+    /// (static memory is never reclaimed, matching §IV-D2), while old
+    /// collision slabs and the pool slab a lazily created table used as
+    /// its base return to the pool. The new table is published with the vertex's
     /// edge count untouched.
     ///
     /// Returns the number of vertices rehashed.
@@ -104,6 +105,12 @@ impl DynGraph {
                         .expect("rehash must not exhaust the pool");
                     desc.free_dynamic_slabs(warp, &self.alloc)
                         .expect("rehashed chains must be freeable");
+                    // A lazily created table's base is a pool slab.
+                    if self.alloc.owns(desc.base) {
+                        self.alloc
+                            .free(warp, desc.base)
+                            .expect("a pool base must be freeable");
+                    }
                     self.dict.publish(warp, v, &fresh);
                 });
             })
@@ -352,6 +359,29 @@ mod tests {
         assert_eq!(g.degree(0), n0.len() as u32, "exact count preserved");
         g.check_invariants();
         assert_dense(&g);
+    }
+
+    #[test]
+    fn rehash_returns_a_lazy_tables_pool_base() {
+        // Vertex 0's table is created lazily, so its base is a pool slab;
+        // 19 edges chain a second slab onto it.
+        let g = DynGraph::new(GraphConfig::directed_map(20));
+        let edges: Vec<Edge> = (1..20).map(|v| Edge::weighted(0, v, v)).collect();
+        assert_eq!(g.insert_edges(&edges), 19);
+        assert_eq!(g.allocator().live_slabs(), 2);
+        assert_eq!(g.rehash_overloaded(1.0), 1);
+        g.validate().expect("the old base went back to the pool");
+        assert_eq!(
+            g.allocator().live_slabs(),
+            0,
+            "the new table is bulk-allocated"
+        );
+        let mut n0 = g
+            .read_neighbors(&g.pin_read(), &[0])
+            .entries(0)
+            .collect::<Vec<_>>();
+        n0.sort_unstable();
+        assert_eq!(n0, (1..20).map(|v| (v, v)).collect::<Vec<_>>());
     }
 
     #[test]

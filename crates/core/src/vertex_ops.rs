@@ -12,7 +12,8 @@
 
 use crate::batch::{BatchOp, BatchOutcome, GraphError};
 use crate::config::Direction;
-use crate::graph::{iter_bits, DynGraph, Edge, Launcher};
+use crate::graph::{DynGraph, Edge, Launcher};
+use gpu_sim::iter_bits;
 use slab_alloc::AllocError;
 use slab_hash::{TableDesc, TableKind};
 

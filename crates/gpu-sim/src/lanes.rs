@@ -118,6 +118,17 @@ pub fn ffs(x: u32) -> Option<u32> {
     }
 }
 
+/// The set bits of a warp mask, in ascending lane order.
+#[inline]
+pub fn iter_bits(mask: u32) -> impl Iterator<Item = u32> {
+    let mut m = mask;
+    std::iter::from_fn(move || {
+        let b = ffs(m)?;
+        m &= m - 1;
+        Some(b)
+    })
+}
+
 /// Mask with bits `[0, lane)` set: the "lanes before me" mask used for
 /// warp-scan style offset computation (`__lanemask_lt`).
 #[inline]
@@ -132,6 +143,14 @@ pub fn lanemask_lt(lane: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn iter_bits_ascending() {
+        let bits: Vec<u32> = iter_bits(0b1010_0110).collect();
+        assert_eq!(bits, vec![1, 2, 5, 7]);
+        assert_eq!(iter_bits(0).count(), 0);
+        assert_eq!(iter_bits(u32::MAX).count(), 32);
+    }
 
     #[test]
     fn splat_and_get() {

@@ -71,7 +71,7 @@ pub use fault::{DeviceFault, FaultPlan, OomError};
 pub use group::DeviceGroup;
 pub use json::Json;
 pub use lanes::{
-    ballot, ffs, lanemask_lt, popc, shuffle, shuffle_idx, Lanes, FULL_MASK, WARP_SIZE,
+    ballot, ffs, iter_bits, lanemask_lt, popc, shuffle, shuffle_idx, Lanes, FULL_MASK, WARP_SIZE,
 };
 pub use memory::{Addr, NULL_ADDR, SLAB_WORDS};
 pub use metrics::{

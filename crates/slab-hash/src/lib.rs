@@ -24,7 +24,11 @@
 //! value word follows each key, so each verb is one operation over both:
 //! [`TableDesc::insert`], [`TableDesc::find`], [`TableDesc::delete`] and
 //! [`TableDesc::for_each_entry`] (a set's value reads as 0 and is ignored
-//! on insert). [`TableDesc::find_lanes`] is `find` for a *tile* of keys:
+//! on insert). [`TableDesc::insert_lanes`] is `insert` for a warp's
+//! *group* of keys: one chain walk per home bucket for all of them,
+//! claiming the absent keys into the free slots seen, in chain order;
+//! `insert` is its one-key call. [`TableDesc::find_lanes`] is `find` for
+//! a *tile* of keys:
 //! up to several 32-lane chunks (one key register per lane per chunk),
 //! answered with one chain walk per home bucket however many chunks the
 //! tile spans; `find` is its one-lane call. At each slab it matches up to
@@ -36,8 +40,10 @@
 //! All operations are warp-cooperative: the whole warp reads one slab in a
 //! single coalesced transaction, ballots over its lanes, and elects lanes to
 //! perform atomics. Uniqueness under concurrent same-key insertion holds
-//! because claims always CAS the *first* free slot of the chain and retry
-//! on failure: the loser walks again and finds the winner's key.
+//! because every successful claim CASes the *first* free slot of the
+//! chain, a group's i-th claim included (its earlier claims took the free
+//! slots before it), and a lost claim walks again: the loser finds the
+//! winner's key.
 //!
 //! A map slot's ⟨key, value⟩ is one even/odd word pair, claimed or
 //! replaced with one 64-bit pair CAS ([`gpu_sim::Warp::atomic_cas_pair`])
@@ -51,12 +57,12 @@
 //! anyway (replace semantics must rule the key out), so it claims the
 //! first free slot it saw, a tombstone included, in every launch that
 //! frees no slot; a mixed insert/delete launch claims only EMPTY slots
-//! (see [`TableDesc::insert`]). The paper (§IV-C2) never reuses
+//! (see [`TableDesc::insert_lanes`]). The paper (§IV-C2) never reuses
 //! tombstones. Nothing turns a used slot back into EMPTY, so empties
 //! only exist at the tail of a chain, which is what makes search
 //! early-exit and uniqueness sound.
 
-use gpu_sim::{Addr, Device, Lanes, Warp, NULL_ADDR, SLAB_WORDS, WARP_SIZE};
+use gpu_sim::{iter_bits, Addr, Device, Lanes, Warp, NULL_ADDR, SLAB_WORDS, WARP_SIZE};
 use slab_alloc::SlabAllocator;
 
 pub use slab_alloc::AllocError;
@@ -195,6 +201,43 @@ impl SlabView {
             }
         }
         m
+    }
+}
+
+/// What [`TableDesc::insert_lanes`] did with a group of lanes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Inserted {
+    /// Lanes whose key was added: the first lane of each new key.
+    pub added: u32,
+    /// Lanes whose insert took effect: added, replaced, or found holding
+    /// its value already.
+    pub applied: u32,
+    /// The first chain growth that failed; the lanes of the keys it left
+    /// out are in neither mask.
+    pub error: Option<AllocError>,
+}
+
+/// One insert walk's state ([`TableDesc::insert_lanes`]): the group's
+/// keys and values, one register per lane, the free slots the walk of the
+/// current chain has seen, in chain order (address, contents as read, and
+/// the slab and chain depth holding it), and the outcome so far.
+struct GroupWalk<'k> {
+    keys: &'k Lanes<u32>,
+    values: &'k Lanes<u32>,
+    reuse_tombstones: bool,
+    free: [(Addr, [u32; 2], Addr, u32); WARP_SIZE],
+    out: Inserted,
+}
+
+impl<'k> GroupWalk<'k> {
+    fn new(keys: &'k Lanes<u32>, values: &'k Lanes<u32>, reuse_tombstones: bool) -> Self {
+        GroupWalk {
+            keys,
+            values,
+            reuse_tombstones,
+            free: [(0, [0; 2], 0, 0); WARP_SIZE],
+            out: Inserted::default(),
+        }
     }
 }
 
@@ -406,40 +449,10 @@ impl TableDesc {
 
     /// Insert `key` with `value`, or replace the value of an existing key
     /// (the paper's `replace` semantics, §IV-C1). `value` is ignored for
-    /// sets.
-    ///
-    /// One walk from the home bucket, until the key is found or the
-    /// chain's last slab is read. Every slab costs one key ballot and,
-    /// until a free slot has been seen, one sentinel ballot: a free slot
-    /// is EMPTY, or with `reuse_tombstones` also TOMBSTONE. A new key
-    /// then claims the first free slot seen with one `claim` CAS; the
-    /// chain grows only when the walk saw no free slot. A lost claim
-    /// walks again from the slab that held the slot. Since EMPTY slots
-    /// only exist on the tail slab, a chain without tombstones is charged
-    /// the same either way.
-    ///
-    /// Uniqueness holds because every successful claim takes the first
-    /// free slot of the chain as it stood at the claim. Without
-    /// `reuse_tombstones` that slot is the tail's first EMPTY, and no
-    /// operation turns a slot back into EMPTY. With it, pass `true` only
-    /// in launches that free no slot (no delete runs concurrently): then
-    /// a live slot stays live with the same key, so the first free slot
-    /// only moves forward. Suppose two claims for one key succeeded, at
-    /// slots s before t. t's claimer saw s non-free, so s then held a
-    /// live key for good, and the claim of s could not succeed. The same
-    /// argument rules out a claim beside a live copy: the copy's slot was
-    /// either seen live before the claimed slot, or claimed later by a
-    /// walker that saw the claimed slot live. A launch whose own deletes
-    /// free slots while it claims them (a mixed update batch) must pass
-    /// `false`.
-    ///
-    /// A key found already holding `value` (every key of a set) is not
-    /// written: no CAS, the insert returns `Ok(false)` and linearizes at
-    /// the slab read that showed the slot, since a slab load reads each
-    /// word pair whole. Writing nothing leaves the argument above as it
-    /// is. If a delete of the same key runs in the same launch (a mixed
-    /// update batch), it lands after the insert: one of the two orders
-    /// such a batch already allows.
+    /// sets. The one-key call of [`Self::insert_lanes`], charging exactly
+    /// one key's walk: one read and one key ballot per slab walked and,
+    /// until a free slot has been seen, one free-slot ballot; one CAS to
+    /// claim or replace.
     ///
     /// Returns `Ok(true)` if the key was added (allocating a chained slab
     /// if needed), `Ok(false)` if it already existed. The boolean drives
@@ -457,72 +470,308 @@ impl TableDesc {
         reuse_tombstones: bool,
     ) -> Result<bool, AllocError> {
         debug_assert!(key <= MAX_KEY, "key {key:#x} collides with sentinels");
+        let (keys, values) = (Lanes::splat(key), Lanes::splat(value));
+        let mut walk = GroupWalk::new(&keys, &values, reuse_tombstones);
+        self.walk_chain(warp, alloc, &mut walk, 1, self.home(key));
+        match walk.out.error {
+            Some(e) => Err(e),
+            None => Ok(walk.out.added != 0),
+        }
+    }
+
+    /// Insert a warp's *group* of keys, one per lane of `group` (`keys`
+    /// and `values` hold one register per lane), with `replace`
+    /// semantics: the result equals inserting the lanes one at a time in
+    /// lane order. A key repeated in the group is stored once, counts as
+    /// added at most once (on its first lane), and keeps the value of its
+    /// last lane.
+    ///
+    /// The group splits by home bucket as [`Self::find_lanes`]' tile does
+    /// (one ballot per bucket, charged only when the table has more than
+    /// one bucket and the group more than one key), and each bucket's
+    /// chain is walked once for all of its keys:
+    /// - every slab costs one read, one match ballot per key still open
+    ///   (a repeated key is matched once: its later lanes compare equal
+    ///   with it in registers when it is broadcast), and, until as many
+    ///   free slots have been seen as keys remain open, one free-slot
+    ///   ballot. A free slot is EMPTY, or with `reuse_tombstones` also
+    ///   TOMBSTONE;
+    /// - a key found is replaced on the spot with one `claim` CAS (none
+    ///   for a set, or for a slot already holding the value);
+    /// - when the walk has read the chain's last slab, the absent keys,
+    ///   in lane order, claim the free slots seen, in chain order, with
+    ///   one CAS each. Keys left over grow the chain by one slab and the
+    ///   walk goes on there; the chain grows only when every free slot
+    ///   seen is taken.
+    ///
+    /// A one-key group is [`Self::insert`], and charges what the per-key
+    /// walk always did: a k-key group on a one-bucket chain of L slabs
+    /// reads L slabs, not k·L.
+    ///
+    /// Uniqueness holds because every successful claim takes the first
+    /// free slot of the chain as it stood at the claim. The walk saw
+    /// every slot before its i-th free slot either non-free or as one of
+    /// the free slots its earlier claims took, and a lost claim sends
+    /// that key and every later one back to a per-key re-walk, so no
+    /// claim skips a free slot. Without
+    /// `reuse_tombstones` the free slots are the tail's EMPTY ones, and no
+    /// operation turns a slot back into EMPTY. With it, pass `true` only
+    /// in launches that free no slot (no delete runs concurrently): then
+    /// a live slot stays live with the same key, so the first free slot
+    /// only moves forward. Suppose two claims for one key succeeded, at
+    /// slots s before t. t's claimer saw s non-free (a slot it took
+    /// itself holds another key of its group, since the group claims each
+    /// key once), so s then held a live key for good, and the claim of s
+    /// could not succeed. The same argument rules out a claim beside a
+    /// live copy: the copy's slot was either seen live before the claimed
+    /// slot, and the walk's match ballot found it, or claimed later by a
+    /// walker that saw the claimed slot live. A launch whose own deletes
+    /// free slots while it claims them (a mixed update batch) must pass
+    /// `false`.
+    ///
+    /// A key found already holding its value (every key of a set) is not
+    /// written: no CAS; the key is applied and not added, and linearizes
+    /// at the slab read that showed the slot, since a slab load reads each
+    /// word pair whole. Writing nothing leaves the argument above as it
+    /// is. If a delete of the same key runs in the same launch (a mixed
+    /// update batch), it lands after the insert: one of the two orders
+    /// such a batch already allows.
+    ///
+    /// Each slab step is speculative, as in SlabHash: a lost race
+    /// discards its charges. A one-key walk that loses its replace
+    /// re-reads the slab; one that loses its claim discards every charge
+    /// from the free slot's slab on and walks again from there, so the
+    /// committed profile is the sequential one (losers simply probe after
+    /// winners). In a group walk a lost CAS discards only itself, and the
+    /// keys it sends back pay their own re-walks from their home bucket;
+    /// the sequential executor never loses a race.
+    ///
+    /// Only chain growth can fail. Allocation happens strictly *before*
+    /// the slots it provides are claimed, so a key whose growth failed is
+    /// not in the table, which stays fully queryable, deletable, and
+    /// retryable; the later keys of its chain each try the growth again,
+    /// as one-key inserts in lane order would.
+    pub fn insert_lanes(
+        &self,
+        warp: &Warp,
+        alloc: &SlabAllocator,
+        keys: &Lanes<u32>,
+        values: &Lanes<u32>,
+        group: u32,
+        reuse_tombstones: bool,
+    ) -> Inserted {
+        // Each key's first lane walks for it, with its last lane's value,
+        // from the key's home bucket.
+        let mut leaders = 0u32;
+        let mut value = *values;
+        let mut homes = Lanes::splat(0);
+        for lane in iter_bits(group) {
+            let key = keys.get(lane as usize);
+            debug_assert!(key <= MAX_KEY, "key {key:#x} collides with sentinels");
+            match iter_bits(leaders).find(|&l| keys.get(l as usize) == key) {
+                Some(l) => value.set(l as usize, values.get(lane as usize)),
+                None => {
+                    leaders |= 1 << lane;
+                    homes.set(lane as usize, bucket_of(key, self.num_buckets));
+                }
+            }
+        }
+        let split_charged = self.num_buckets > 1 && leaders.count_ones() > 1;
+        let mut walk = GroupWalk::new(keys, &value, reuse_tombstones);
+        let mut pending = leaders;
+        while let Some(lead) = gpu_sim::ffs(pending) {
+            let bucket = homes.get(lead as usize);
+            let lanes = iter_bits(pending)
+                .filter(|&l| homes.get(l as usize) == bucket)
+                .fold(0, |mask, l| mask | 1 << l);
+            if split_charged {
+                warp.ballot(&Lanes::from_fn(|i| lanes & (1 << i) != 0));
+            }
+            pending &= !lanes;
+            let home = self.bucket_addr(bucket);
+            let sent_back = self.walk_chain(warp, alloc, &mut walk, lanes, home);
+            for lane in iter_bits(sent_back) {
+                let rest = self.walk_chain(warp, alloc, &mut walk, 1 << lane, home);
+                debug_assert_eq!(rest, 0, "a one-key walk re-walks itself");
+            }
+        }
+        let mut out = walk.out;
+        // A repeated key's later lanes share its first lane's outcome.
+        for lane in iter_bits(group & !leaders) {
+            let key = keys.get(lane as usize);
+            if iter_bits(out.applied & leaders).any(|l| keys.get(l as usize) == key) {
+                out.applied |= 1 << lane;
+            }
+        }
+        out
+    }
+
+    /// The walk of [`Self::insert_lanes`] for the distinct keys of
+    /// `lanes`, all homed on the chain whose base slab is `home`. Returns
+    /// the lanes a lost CAS sent back to the per-key re-walk from the home
+    /// bucket; a one-key walk walks again itself, as the per-key walk
+    /// always did: from the slab of a lost claim's slot (every slot before
+    /// it stays non-free and without the key), or re-reading the slab of a
+    /// lost replace.
+    fn walk_chain(
+        &self,
+        warp: &Warp,
+        alloc: &SlabAllocator,
+        walk: &mut GroupWalk,
+        lanes: u32,
+        home: Addr,
+    ) -> u32 {
+        let (keys, values, free) = (walk.keys, walk.values, &mut walk.free);
+        let out = &mut walk.out;
+        let one_key = lanes.count_ones() == 1;
+        let key_lanes = self.kind.key_lanes();
+        let reuse_tombstones = walk.reuse_tombstones;
         let free_word = |w: u32| w == EMPTY_KEY || (reuse_tombstones && w == TOMBSTONE_KEY);
-        let mut slab_addr = self.home(key);
-        let mut depth = 1u64;
-        // The first free slot seen: its address, contents as read, and
-        // the slab and chain depth holding it.
-        let mut free: Option<(Addr, [u32; 2], Addr, u64)> = None;
-        // Each slab step is speculative: on a lost race the step's charges
-        // are discarded and it re-runs, so the committed profile is the
-        // sequential one (losers simply probe after winners). The step
-        // that finds the free slot stays open until the claim, so a lost
-        // claim discards every charge from that slab on.
+        let (mut slab_addr, mut depth) = (home, 1u32);
+        let mut open = lanes;
+        let mut sent_back = 0u32;
+        // The free slots seen, in chain order, fill `free`; the step that
+        // sees the first one stays open until the claims (`claims_open`).
+        let mut seen = 0usize;
+        let mut claims_open = false;
         loop {
             warp.begin_attempt();
             let words = warp.read_slab(slab_addr);
-            if let Some(lane) = gpu_sim::ffs(self.match_lanes(warp, &words, key)) {
-                // A lost replace race re-reads the slab.
-                if self.replace(warp, slab_addr, &words, lane, value) {
-                    warp.commit_attempt();
-                    if free.is_some() {
-                        warp.commit_attempt();
-                    }
-                    return Ok(false);
+            let mut lost_replace = false;
+            for lane in iter_bits(open) {
+                let key_match = self.match_lanes(warp, &words, keys.get(lane as usize));
+                let Some(slot) = gpu_sim::ffs(key_match) else {
+                    continue;
+                };
+                // As for claims below: a one-key walk discards a lost
+                // replace with its step, a group walk the replace alone.
+                if !one_key {
+                    warp.begin_attempt();
                 }
+                // A replace is lost when the pair changed or the key was
+                // deleted since the read.
+                let replaced =
+                    self.replace(warp, slab_addr, &words, slot, values.get(lane as usize));
+                match (one_key, replaced) {
+                    (_, true) => out.applied |= 1 << lane,
+                    (true, false) => lost_replace = true,
+                    (false, false) => sent_back |= 1 << lane,
+                }
+                if !one_key {
+                    if replaced {
+                        warp.commit_attempt();
+                    } else {
+                        warp.abort_attempt();
+                    }
+                }
+                open &= !(1 << lane);
+            }
+            if lost_replace {
+                // A one-key walk re-reads the slab.
                 warp.abort_attempt();
+                open = lanes;
                 continue;
             }
-            let found_free = free.is_none() && {
-                let lanes = self.kind.key_lanes();
-                let free_lanes = warp.ballot(&Lanes::from_fn(|i| {
-                    lanes & (1 << i) != 0 && free_word(words.get(i))
-                }));
-                free = gpu_sim::ffs(free_lanes)
-                    .map(|l| (slab_addr + l, slot(&words, l), slab_addr, depth));
-                free.is_some()
-            };
-            let next = words.get(NEXT_LANE);
-            if next != NULL_ADDR {
-                if !found_free {
+            if open == 0 {
+                warp.commit_attempt();
+                if claims_open {
                     warp.commit_attempt();
                 }
+                return sent_back;
+            }
+            let had_free = seen > 0;
+            let needed = open.count_ones() as usize;
+            if seen < needed {
+                let free_lanes = warp.ballot(&Lanes::from_fn(|i| {
+                    key_lanes & (1 << i) != 0 && free_word(words.get(i))
+                }));
+                for l in iter_bits(free_lanes).take(needed - seen) {
+                    free[seen] = (slab_addr + l, slot(&words, l), slab_addr, depth);
+                    seen += 1;
+                }
+            }
+            // Close the step, or keep it open as the claims' attempt.
+            if !had_free && seen > 0 {
+                claims_open = true;
+            } else {
+                warp.commit_attempt();
+            }
+            let next = words.get(NEXT_LANE);
+            if next != NULL_ADDR {
                 slab_addr = next;
                 depth += 1;
                 continue;
             }
-            let Some((addr, seen, free_slab, free_depth)) = free else {
-                let step = self.advance_or_grow(warp, alloc, slab_addr, &words);
-                warp.commit_attempt();
-                slab_addr = step?;
-                depth += 1;
-                continue;
-            };
-            if !found_free {
-                // Close the tail step into the free slot's attempt.
-                warp.commit_attempt();
+            // The last slab: every open key is absent.
+            let mut claimed = 0usize;
+            let mut restart = None;
+            for lane in iter_bits(open) {
+                let Some(&(addr, was, free_slab, free_depth)) = free[..seen].get(claimed) else {
+                    break;
+                };
+                let key = keys.get(lane as usize);
+                // A one-key walk discards a lost claim with its whole
+                // claims attempt; a group walk discards the claim alone.
+                if !one_key {
+                    warp.begin_attempt();
+                }
+                if self.claim(warp, addr, was, key, values.get(lane as usize)) {
+                    if !one_key {
+                        warp.commit_attempt();
+                    }
+                    note_chain_at_insert(warp, u64::from(free_depth));
+                    out.added |= 1 << lane;
+                    out.applied |= 1 << lane;
+                    open &= !(1 << lane);
+                    claimed += 1;
+                    continue;
+                }
+                // The winner may have inserted this very key: this key and
+                // every later one walk again.
+                if !one_key {
+                    warp.abort_attempt();
+                }
+                restart = Some((free_slab, free_depth));
+                break;
             }
-            if self.claim(warp, addr, seen, key, value) {
-                warp.commit_attempt();
-                note_chain_at_insert(warp, free_depth);
-                return Ok(true);
+            match restart {
+                Some(from) if one_key => {
+                    // Discard every charge from the free slot's slab on.
+                    warp.abort_attempt();
+                    claims_open = false;
+                    seen = 0;
+                    (slab_addr, depth) = from;
+                    continue;
+                }
+                Some(_) => {
+                    sent_back |= open;
+                    open = 0;
+                }
+                None => {}
             }
-            // The winner may have inserted this very key: walk again from
-            // the slab that held the slot.
-            warp.abort_attempt();
-            free = None;
-            slab_addr = free_slab;
-            depth = free_depth;
+            if claims_open {
+                warp.commit_attempt();
+                claims_open = false;
+            }
+            seen = 0;
+            // Keys left over grow the chain; each key whose growth fails
+            // is dropped and the next one tries again.
+            while open != 0 {
+                match self.advance_or_grow(warp, alloc, slab_addr, &words) {
+                    Ok(next) => {
+                        slab_addr = next;
+                        depth += 1;
+                        break;
+                    }
+                    Err(e) => {
+                        out.error.get_or_insert(e);
+                        open &= open - 1;
+                    }
+                }
+            }
+            if open == 0 {
+                return sent_back;
+            }
         }
     }
 
@@ -2049,6 +2298,72 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A group of k new keys on a one-bucket set chain of 3 slabs whose
+    /// tail holds one key walks the chain once: 3 reads, not 3k; one key
+    /// ballot per key per slab; a free-slot ballot on each full slab and
+    /// on the tail, where the 29 free slots take every key; one claim per
+    /// key. k one-key inserts pay the whole walk k times.
+    #[test]
+    fn a_group_walks_its_chain_once() {
+        for k in 1..=29u32 {
+            let keys = Lanes::from_fn(|i| NEW_KEY + i as u32);
+            let group = gpu_sim::FULL_MASK >> (32 - k);
+            let grouped = op_charges(TableKind::Set, 3, |t, w, a, _| {
+                let done = t.insert_lanes(w, a, &keys, &keys, group, true);
+                assert_eq!((done.added, done.applied, done.error), (group, group, None));
+            });
+            let one_by_one = op_charges(TableKind::Set, 3, |t, w, a, _| {
+                for lane in iter_bits(group) {
+                    assert!(t.insert(w, a, keys.get(lane as usize), 0, true).unwrap());
+                }
+            });
+            let k = u64::from(k);
+            let charges = |c: gpu_sim::CounterSnapshot| [c.transactions, c.atomics, c.ballots];
+            assert_eq!(charges(grouped), [3, k, 3 * k + 3], "k = {k}");
+            assert_eq!(charges(one_by_one), [3 * k, k, 6 * k], "k = {k}");
+        }
+    }
+
+    /// Groups that outgrow their chain: 32 new keys on a one-bucket map
+    /// chain of 2 slabs whose tail holds one key claim its 14 free slots,
+    /// then grow the chain by a slab for the next 15 and by another for
+    /// the last 3, reading each new slab once; a group of 8 more then
+    /// fits the new tail.
+    #[test]
+    fn a_group_grows_its_chain_once_per_slab() {
+        let keys = Lanes::from_fn(|i| NEW_KEY + i as u32);
+        let (dev, alloc, t) = setup(TableKind::Map, 1);
+        on_warp(&dev, |warp| {
+            for k in 0..16 {
+                t.insert(warp, &alloc, k, k, true).unwrap();
+            }
+        });
+        let slabs = alloc.live_slabs();
+        let before = dev.counters().snapshot();
+        let done = on_warp(&dev, |warp| {
+            let low = t.insert_lanes(warp, &alloc, &keys, &keys, gpu_sim::FULL_MASK, true);
+            let more = Lanes::from_fn(|i| NEW_KEY + 32 + i as u32);
+            let high = t.insert_lanes(warp, &alloc, &more, &more, 0xFF, true);
+            (low, high)
+        });
+        let d = dev.counters().snapshot().delta(&before);
+        assert_eq!(done.0.added, gpu_sim::FULL_MASK);
+        assert_eq!(done.1.added, 0xFF);
+        assert_eq!(alloc.live_slabs() - slabs, 2, "two slabs grown");
+        // Slab reads: the first group's 2-slab walk and its two new slabs,
+        // the second group's 4-slab walk. Each allocation reads a bitmap
+        // line and EMPTY-fills the slab (2 transactions) with one
+        // `atomicOr`, and its link is one CAS; each key is one claim.
+        assert_eq!(d.transactions, (2 + 2 + 4) + 2 * 2);
+        assert_eq!(d.atomics, 40 + 2 * 2);
+        on_warp(&dev, |warp| {
+            assert_eq!(t.stats(warp).live_keys, 16 + 40);
+            for k in (0..16).chain(NEW_KEY..NEW_KEY + 40) {
+                assert!(t.find(warp, k).is_some(), "key {k}");
+            }
+        });
     }
 
     /// `compact`'s exact charges on a one-bucket table whose chain is

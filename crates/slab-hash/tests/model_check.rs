@@ -119,3 +119,110 @@ fn stats_live_keys_always_match() {
         assert!(stats.utilization() <= 1.0, "seed {seed}");
     }
 }
+
+/// Every slab of `table`'s chains, bucket by bucket, without its next
+/// pointer: the table's exact layout, comparable across devices.
+fn layout(dev: &Device, table: &TableDesc) -> Vec<Vec<u32>> {
+    let slabs = parking_lot::Mutex::new(Vec::new());
+    dev.launch_warps("model_check", 1, |warp| {
+        table.for_each_slab(warp, |view| slabs.lock().push(view.words.0[..31].to_vec()));
+    });
+    slabs.into_inner()
+}
+
+/// `insert_lanes` against one-key inserts in lane order, on twin tables
+/// that first take the same one-key op stream: the same added and
+/// applied masks, and the same slabs holding the same entries in the same
+/// slots. Groups draw keys from small ranges (so keys repeat within a
+/// group: the last lane's value wins and the key counts once) and use
+/// sparse masks (lanes outside the group, such as Algorithm 1's
+/// self-loops, are ignored); tables have 1 to 3 buckets; odd seeds keep
+/// tombstones; a 32-key group of new keys grows a chain mid-group.
+#[test]
+fn insert_lanes_equals_one_key_inserts_in_lane_order() {
+    use gpu_sim::{Lanes, FULL_MASK, WARP_SIZE};
+    for kind in [TableKind::Map, TableKind::Set] {
+        for seed in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(0x1A9E + seed);
+            let prefix = ops(&mut rng);
+            let buckets = rng.random_range(1..4u32);
+            let reuse = seed % 2 == 1;
+            let groups: Vec<(Lanes<u32>, Lanes<u32>, u32)> = (0..12)
+                .map(|g| {
+                    let range = [6, 40, 300][g % 3];
+                    let keys = Lanes::from_fn(|_| rng.random_range(0..range));
+                    let values = Lanes::from_fn(|_| rng.random_range(0..1000u32));
+                    let mask = match g % 4 {
+                        0 => FULL_MASK,
+                        1 => rng.random::<u32>(),
+                        2 => 1 << rng.random_range(0..32u32),
+                        _ => rng.random::<u32>() & rng.random::<u32>(),
+                    };
+                    (keys, values, mask)
+                })
+                .collect();
+            let twins = [0, 1].map(|_| {
+                let dev = Device::new(1 << 18);
+                let alloc = SlabAllocator::new(&dev, 1024);
+                let table = TableDesc::create(&dev, kind, buckets);
+                (dev, alloc, table)
+            });
+            let outcomes = twins.each_ref().map(|(dev, alloc, table)| {
+                let out = parking_lot::Mutex::new(Vec::new());
+                dev.launch_warps("model_check", 1, |warp| {
+                    for op in &prefix {
+                        match *op {
+                            Op::Insert(k, v) => {
+                                table.insert(warp, alloc, k, v, reuse).unwrap();
+                            }
+                            Op::Delete(k) => {
+                                table.delete(warp, k);
+                            }
+                        }
+                    }
+                    let lane_order = std::ptr::eq(table, &twins[1].2);
+                    for (keys, values, group) in &groups {
+                        let (added, applied) = if lane_order {
+                            let mut added = 0;
+                            for lane in gpu_sim::iter_bits(*group) {
+                                let (k, v) = (keys.get(lane as usize), values.get(lane as usize));
+                                if table.insert(warp, alloc, k, v, reuse).unwrap() {
+                                    added |= 1 << lane;
+                                }
+                            }
+                            (added, *group)
+                        } else {
+                            let done = table.insert_lanes(warp, alloc, keys, values, *group, reuse);
+                            assert_eq!(done.error, None);
+                            (done.added, done.applied)
+                        };
+                        out.lock().push((added, applied));
+                    }
+                    // A group of 32 new keys: more than the free slots seen.
+                    let fresh = Lanes::from_fn(|i| 5000 + i as u32);
+                    let added = if lane_order {
+                        (0..WARP_SIZE).all(|i| {
+                            table
+                                .insert(warp, alloc, 5000 + i as u32, 1, reuse)
+                                .unwrap()
+                        })
+                    } else {
+                        table
+                            .insert_lanes(warp, alloc, &fresh, &Lanes::splat(1), FULL_MASK, reuse)
+                            .added
+                            == FULL_MASK
+                    };
+                    assert!(added, "{kind:?} seed {seed}");
+                });
+                (out.into_inner(), layout(dev, table), alloc.live_slabs())
+            });
+            let [grouped, one_by_one] = outcomes;
+            assert_eq!(grouped.0, one_by_one.0, "{kind:?} seed {seed}: masks");
+            assert_eq!(grouped.1, one_by_one.1, "{kind:?} seed {seed}: slabs");
+            assert_eq!(
+                grouped.2, one_by_one.2,
+                "{kind:?} seed {seed}: chained slabs"
+            );
+        }
+    }
+}

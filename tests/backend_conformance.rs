@@ -376,7 +376,7 @@ fn read_charges_are_pinned() {
 
 /// The single-kind update kernels charge exactly these counters: a fixed
 /// insert batch (new edges, weight replacements, in-batch duplicates,
-/// whose repeats re-insert the stored weight with no CAS, and a
+/// whose copies in one warp's group share one claim or replace, and a
 /// self-loop) and a fixed delete batch (hits, misses and an untouched
 /// source) on one `SlabGraph`, each measured alone. A change to the edge
 /// kernel that moves a single-kind batch's modeled work fails here.
@@ -409,9 +409,9 @@ fn update_charges_are_pinned() {
     // [transactions, atomics, ballots, shuffles, launches, warps,
     // words_allocated] and the changed count, per batch.
     let expected: [(&str, [u64; 7], u64); 3] = [
-        ("base insert", [1129, 1064, 2587, 473, 1, 19, 1825], 552),
-        ("insert", [568, 436, 1172, 229, 1, 10, 961], 164),
-        ("delete", [530, 373, 1042, 223, 1, 9, 577], 201),
+        ("base insert", [612, 1061, 2480, 1267, 1, 19, 1825], 552),
+        ("insert", [312, 435, 1137, 607, 1, 10, 961], 164),
+        ("delete", [344, 373, 1042, 595, 1, 9, 577], 201),
     ];
     let batches: [(&str, &[Edge], bool); 3] = [
         ("base insert", &base, true),

@@ -281,6 +281,78 @@ fn bounded_budget_recovers_identically_sequential_and_threaded() {
     }
 }
 
+/// Chain growth failing in the middle of an insert group: each warp holds
+/// one source's 32 new keys for a one-bucket table with one free slot,
+/// so its group walk claims that slot and then grows the chain three
+/// times, and every second allocation fails. The keys whose growth
+/// failed are left out and the rest of the group carries on; the graph
+/// validates, the left-out edges are absent, and retrying the suffix
+/// lands on the unconstrained run's graph. Checked for both executors.
+#[test]
+fn growth_failing_mid_group_recovers_identically_sequential_and_threaded() {
+    let prefill: Vec<Edge> = (0..4u32)
+        .flat_map(|u| (0..14u32).map(move |i| Edge::weighted(u, 100 + i, i)))
+        .collect();
+    let batch: Vec<Edge> = (0..4u32)
+        .flat_map(|u| (0..32u32).map(move |i| Edge::weighted(u, 200 + i, u + i)))
+        .collect();
+    let build = || {
+        let g = DynGraph::with_uniform_buckets(GraphConfig::directed_map(256), 256, 1);
+        g.insert_edges(&prefill);
+        g
+    };
+    let reference = build();
+    assert_eq!(reference.insert_edges(&batch), batch.len() as u64);
+
+    for policy in [ExecPolicy::Sequential, ExecPolicy::Threaded(4)] {
+        let mut g = build();
+        g.device_mut().set_policy(policy);
+        g.device().set_fault_plan(FaultPlan::fail_every_nth(2));
+        let outcome = g.try_insert_edges(&batch).unwrap();
+        assert!(
+            matches!(
+                outcome.error,
+                Some(AllocError::Oom(OomError::Injected { .. }))
+            ),
+            "{policy:?}: {outcome:?}"
+        );
+        g.validate()
+            .unwrap_or_else(|e| panic!("{policy:?}: audit after the failed growth: {e}"));
+        // Source 0's group both applied and left out keys.
+        let left_out = outcome.pending.iter().filter(|e| e.src == 0).count();
+        assert!(
+            left_out > 0 && left_out < 32,
+            "{policy:?}: {left_out} of 32"
+        );
+        let pin = g.pin_read();
+        let pending: Vec<(u32, u32)> = outcome.pending.iter().map(|e| (e.src, e.dst)).collect();
+        assert!(
+            g.edges_exist(&pin, &pending).iter().all(|&hit| !hit),
+            "{policy:?}"
+        );
+        drop(pin);
+        assert_eq!(
+            outcome.changed,
+            (batch.len() - outcome.pending.len()) as u64,
+            "{policy:?}"
+        );
+
+        let changed = retry_to_completion(&g, outcome);
+        assert_eq!(changed, batch.len() as u64, "{policy:?}");
+        g.device().clear_fault_plan();
+        g.validate()
+            .unwrap_or_else(|e| panic!("{policy:?}: final audit: {e}"));
+        assert_eq!(g.num_edges(), reference.num_edges(), "{policy:?}");
+        for v in 0..4 {
+            assert_eq!(
+                sorted_neighbors(&g, v),
+                sorted_neighbors(&reference, v),
+                "{policy:?}: vertex {v} diverged from the unconstrained run"
+            );
+        }
+    }
+}
+
 /// Vertex batches recover too: a budget-bounded `insert_vertices` installs
 /// a prefix of the new vertices, reports the rest, and completes after the
 /// budget is raised — matching an unconstrained run.

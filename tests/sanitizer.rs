@@ -200,6 +200,52 @@ fn mixed_batch_on_one_chain_is_sanitizer_clean_threaded() {
     g.validate().expect("mixed batch leaves a valid chain");
 }
 
+/// Insert groups racing on one chain, on the threaded executor: every
+/// warp of each batch holds one 32-key group for vertex 0's single
+/// bucket, and neighbouring warps' groups overlap in half their keys, so
+/// group walks claim free slots of one chain concurrently and lose
+/// claims to each other. Every key stays stored once, the changed counts
+/// and the vertex count are exact, and the sanitizer reports nothing.
+#[test]
+fn overlapping_insert_groups_on_one_chain_are_clean_threaded() {
+    let dev = Device::with_config(
+        DeviceConfig::new(1 << 20)
+            .with_sanitizer(SanitizerConfig::default())
+            .with_exec_policy(ExecPolicy::Threaded(4)),
+    );
+    let g = DynGraph::on_device(std::sync::Arc::new(dev), GraphConfig::directed_map(4096));
+    let mut stored = std::collections::BTreeSet::new();
+    for round in 0..4u32 {
+        // 16 warps; warp w holds keys 16w .. 16w + 32 of this round's range.
+        let batch: Vec<Edge> = (0..16u32)
+            .flat_map(|w| {
+                (0..32u32).map(move |i| Edge::weighted(0, 1 + round * 300 + 16 * w + i, w))
+            })
+            .collect();
+        let before = stored.len();
+        stored.extend(batch.iter().map(|e| e.dst));
+        let outcome = g.try_insert_edges(&batch).expect("valid ids");
+        assert!(outcome.is_complete(), "{outcome:?}");
+        assert_eq!(
+            outcome.changed,
+            (stored.len() - before) as u64,
+            "round {round}"
+        );
+    }
+    assert_eq!(g.degree(0) as usize, stored.len());
+    let pin = g.pin_read();
+    let mut dsts = g.read_neighbors(&pin, &[0]).list(0).to_vec();
+    drop(pin);
+    dsts.sort_unstable();
+    assert_eq!(
+        dsts,
+        stored.into_iter().collect::<Vec<_>>(),
+        "each key once"
+    );
+    assert_eq!(g.device().sanitizer_findings(), vec![]);
+    g.validate().expect("racing groups leave a valid chain");
+}
+
 /// Map writes racing pinned readers on one chain, on the threaded
 /// executor: each round's batch deletes, replaces and inserts distinct
 /// keys of vertex 0's single multi-slab bucket while reader threads probe
