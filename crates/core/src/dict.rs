@@ -229,17 +229,18 @@ impl VertexDict {
         warp.atomic_and(self.desc_addr(v) + 1, !CERTIFIED);
     }
 
-    /// Warp-side certification of `tables`, tables one dictionary line
-    /// holds that a flush has just left without tombstones: their bucket
-    /// words are stored with [`CERTIFIED`] set, one scattered write,
-    /// charged one transaction. The rewrite is plain, so like the flush
-    /// it is not safe next to concurrent readers or writers.
-    pub(crate) fn certify(&self, warp: &Warp, tables: &[(u32, TableDesc)]) {
+    /// Warp-side certification of `tables`, ⟨vertex, bucket count⟩ of
+    /// tables one dictionary line holds that a flush has just left without
+    /// tombstones: their bucket words are stored with [`CERTIFIED`] set,
+    /// one scattered write, charged one transaction. The rewrite is plain,
+    /// so like the flush it is not safe next to concurrent readers or
+    /// writers.
+    pub(crate) fn certify(&self, warp: &Warp, tables: &[(u32, u32)]) {
         debug_assert!(tables.len() <= TABLES_PER_LINE as usize);
         let mask = gpu_sim::lanemask_lt(tables.len() as u32);
         let lane = |i: usize| {
-            tables.get(i).map_or((0, 0), |&(v, desc)| {
-                (self.desc_addr(v) + 1, desc.num_buckets | CERTIFIED)
+            tables.get(i).map_or((0, 0), |&(v, num_buckets)| {
+                (self.desc_addr(v) + 1, num_buckets | CERTIFIED)
             })
         };
         let addrs = Lanes::from_fn(|i| lane(i).0);
@@ -303,19 +304,22 @@ impl VertexDict {
     }
 
     /// Algorithm 1's descriptor read for the group of source `v`, with
-    /// its clean certificate: from a line `lines` keeps, with 2 charged
-    /// shuffles of its lanes 2j and 2j + 1; otherwise one transaction.
-    /// When other pending lanes' sources share `v`'s line (`shared`),
-    /// the whole line is read and kept in `lines` for the rest of the
-    /// warp; a source alone in its line reads only its pair, which costs
-    /// the line's one transaction all the same. `None` for a vertex
-    /// without a table; uncharged for an id past capacity.
+    /// its clean certificate, in a warp whose lanes hold the sources
+    /// `srcs` and still pend on `rest` once the group retires: from a
+    /// line `lines` keeps, with 2 charged shuffles of its lanes 2j and
+    /// 2j + 1; otherwise one transaction. When a lane of `rest` has a
+    /// source in `v`'s line, the whole line is read and kept in `lines`
+    /// for the rest of the warp; a source alone in its line reads only
+    /// its pair, which costs the line's one transaction all the same.
+    /// `None` for a vertex without a table; uncharged for an id past
+    /// capacity.
     pub(crate) fn desc_in_lines(
         &self,
         warp: &Warp,
         v: u32,
         lines: &mut LineRegisters,
-        shared: bool,
+        srcs: &Lanes<u32>,
+        rest: &Lanes<bool>,
     ) -> Option<(TableDesc, bool)> {
         let layout = self.layout();
         if v >= layout.1 {
@@ -326,6 +330,8 @@ impl VertexDict {
             let base = warp.shuffle(words, j);
             return decode(self.kind, base, warp.shuffle(words, j + 1));
         }
+        let shared =
+            (0..gpu_sim::WARP_SIZE).any(|i| rest.get(i) && srcs.get(i) / TABLES_PER_LINE == line);
         if !shared {
             return self.desc_certified(warp, v);
         }
@@ -399,7 +405,8 @@ impl VertexDict {
 }
 
 /// The descriptor lines one warp keeps in lane registers while it works
-/// through Algorithm 1's queue ([`VertexDict::desc_in_lines`]). A line is
+/// through Algorithm 1's queue ([`VertexDict::desc_in_lines`]), an
+/// update kernel's or an `edge_exist` chunk warp's. A line is
 /// kept only when two or more of the warp's (at most 32) groups need it,
 /// so 16 lines suffice; lanes 2j and 2j + 1 of a kept line hold pair j.
 pub(crate) struct LineRegisters {
@@ -594,7 +601,7 @@ mod tests {
         );
         let before = d.counters().snapshot();
         d.launch_warps("dict_test", 1, |warp| {
-            let line0 = [1, 3].map(|v| (v, dict.desc(warp, v).unwrap()));
+            let line0 = [1, 3].map(|v| (v, dict.desc(warp, v).unwrap().num_buckets));
             dict.certify(warp, &line0);
         });
         let charged = d.counters().snapshot().delta(&before);

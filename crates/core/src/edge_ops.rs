@@ -14,7 +14,7 @@
 //! (Algorithm 1, line 10).
 
 use crate::batch::{BatchOp, BatchOutcome, GraphError};
-use crate::dict::{LineRegisters, TABLES_PER_LINE};
+use crate::dict::LineRegisters;
 use crate::graph::{DynGraph, Edge};
 use gpu_sim::iter_bits;
 use gpu_sim::{Lanes, OomError, WARP_SIZE};
@@ -293,12 +293,9 @@ impl DynGraph {
                     // The group's descriptor, from its source's dictionary
                     // line: read once when other pending lanes' sources
                     // share the line, then shuffled out of the kept line.
-                    let line = current_src / TABLES_PER_LINE;
-                    let shared = (0..WARP_SIZE)
-                        .any(|i| rest.get(i) && srcs.get(i) / TABLES_PER_LINE == line);
-                    let entry = self
-                        .dict
-                        .desc_in_lines(warp, current_src, &mut lines, shared);
+                    let entry =
+                        self.dict
+                            .desc_in_lines(warp, current_src, &mut lines, &srcs, &rest);
                     // A delete revokes the clean certificate of the table
                     // it tombstones (an insert never adds a tombstone).
                     let (desc, certified) = match entry {

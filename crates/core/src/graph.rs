@@ -6,6 +6,7 @@ use crate::dict::VertexDict;
 use gpu_sim::{Device, DeviceConfig, ExecPolicy, KernelSpec, Warp, SLAB_WORDS};
 use slab_alloc::{AllocError, ReadGuard, SlabAllocator};
 use slab_hash::{buckets_for, TableDesc, EMPTY_KEY, MAX_KEY};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A weighted directed edge ⟨src, dst, weight⟩. For set-kind graphs the
 /// weight is ignored.
@@ -95,6 +96,8 @@ pub struct DynGraph {
     /// Ids of deleted vertices available for reuse — the faimGraph
     /// feature the paper calls "straightforward to implement" (§VI-A3).
     pub(crate) free_ids: parking_lot::Mutex<Vec<u32>>,
+    /// Set while a mutation batch runs: the batch door's one-writer flag.
+    writing: AtomicBool,
 }
 
 impl DynGraph {
@@ -126,6 +129,7 @@ impl DynGraph {
             dict,
             config,
             free_ids: parking_lot::Mutex::new(Vec::new()),
+            writing: AtomicBool::new(false),
         }
     }
 
@@ -300,8 +304,29 @@ impl DynGraph {
     /// batch quarantined, so those become reclaimable as soon as every
     /// older pin drops. The advance follows every return from `body`,
     /// error returns included.
+    ///
+    /// One writer at a time: a graph applies one batch at a time, and a
+    /// second batch on the same graph, concurrent from another thread or
+    /// nested inside `body`, panics. Chain walks rely on it: they read
+    /// each slab once and follow its next pointer as read, which is sound
+    /// only while no cut or rewrite of a chain races another batch's
+    /// walk (DESIGN §17). Readers need no such exclusion. The flag is
+    /// host bookkeeping, uncharged. Callers serialize their writers
+    /// already: one writer thread, or the router's per-shard lock.
     #[allow(clippy::disallowed_methods)] // core's one era advance
     pub(crate) fn batch<R>(&self, body: impl FnOnce(&Launcher) -> R) -> R {
+        assert!(
+            !self.writing.swap(true, Ordering::AcqRel),
+            "one batch at a time: a second batch started on this graph while one runs"
+        );
+        /// Clears the flag on every exit, unwinding included.
+        struct Writer<'g>(&'g AtomicBool);
+        impl Drop for Writer<'_> {
+            fn drop(&mut self) {
+                self.0.store(false, Ordering::Release);
+            }
+        }
+        let _writer = Writer(&self.writing);
         let out = body(&Launcher { dev: &self.dev });
         self.dev.advance_era();
         out
@@ -610,6 +635,20 @@ mod tests {
             g.stats(&pin);
         });
         step("validate", 1, &|| g.validate().unwrap());
+    }
+
+    #[test]
+    fn a_nested_batch_panics_and_leaves_the_door_open() {
+        let g = DynGraph::new(GraphConfig::directed_set(8));
+        let nested = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            g.batch(|_| g.batch(|_| ()));
+        }));
+        let msg = nested.expect_err("a nested batch must panic");
+        let msg = msg.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(msg.starts_with("one batch at a time"), "{msg}");
+        // The outer batch's unwinding cleared the flag.
+        g.insert_edges(&[Edge::new(1, 2)]);
+        assert_eq!(g.num_edges(), 1);
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! tables. A graph that never flushes certifies nothing, so its deletes
 //! never pay a revoke.
 
+use crate::dict::TABLES_PER_LINE;
 use crate::graph::DynGraph;
 use gpu_sim::SLAB_WORDS;
 use slab_hash::{buckets_for, TableDesc};
@@ -46,7 +47,9 @@ impl DynGraph {
         self.batch(|k| {
             k.launch_warps("flush_tombstones", self.dict.lines() as usize, |warp| {
                 let line = warp.warp_id();
-                let mut walked = Vec::new();
+                // ⟨vertex, bucket count⟩ of the line's walked tables.
+                let mut walked = [(0, 0); TABLES_PER_LINE as usize];
+                let mut n_walked = 0;
                 self.dict
                     .for_each_table_in_lines(warp, line..line + 1, |v, desc, certified| {
                         if certified {
@@ -56,10 +59,11 @@ impl DynGraph {
                             .compact(warp, &self.alloc)
                             .expect("flushed chains must be freeable");
                         removed.fetch_add(n, Ordering::AcqRel);
-                        walked.push((v, desc));
+                        walked[n_walked] = (v, desc.num_buckets);
+                        n_walked += 1;
                     });
-                if !walked.is_empty() {
-                    self.dict.certify(warp, &walked);
+                if n_walked > 0 {
+                    self.dict.certify(warp, &walked[..n_walked]);
                 }
             })
         });

@@ -7,14 +7,16 @@
 //! launches through the read door (`DynGraph::pinned`), whose launcher
 //! borrows the guard: queries need no phase separation from updates. The
 //! guard pins the launch era so the slab allocator cannot recycle any slab
-//! freed at or after the pin, and the slab-hash walks validate
-//! next-pointers as they hop, so a query running concurrently with an
-//! insert/delete batch observes a consistent snapshot. Batched queries use
-//! the same WCWS grouping as Algorithm 1 so lookups hitting the same source
-//! vertex are coalesced, and a run of 32 or more probes of one source
+//! freed at or after the pin. A slab-hash walk reads each slab once and
+//! follows its next pointer as read: with one writer batch at a time and
+//! chains that only grow at their tails, a query running concurrently
+//! with an insert/delete batch finishes on the chain it entered (DESIGN
+//! §17). Batched queries use the same WCWS grouping as Algorithm 1 so
+//! lookups hitting the same source vertex are coalesced and read a
+//! dictionary line once, and a run of 32 or more probes of one source
 //! shares one warp's descriptor read and chain walk (run tiles).
 
-use crate::dict::TABLES_PER_LINE;
+use crate::dict::{LineRegisters, TABLES_PER_LINE};
 use crate::graph::{DynGraph, Edge};
 use gpu_sim::{Addr, Lanes, Warp, WARP_SIZE};
 use slab_alloc::ReadGuard;
@@ -76,9 +78,12 @@ impl DynGraph {
     ///
     /// A chunk warp (these come first, found from `warp_id`) holds one
     /// pair per lane, grouped by source exactly like Algorithm 1's
-    /// insertion work queue, and answers each same-source group with one
-    /// one-chunk [`TableDesc::find_lanes`](slab_hash::TableDesc::find_lanes)
-    /// call; a one-pair batch charges exactly one `find`. A run-tile warp
+    /// insertion work queue, reads each group's descriptor as Algorithm 1
+    /// does (a dictionary line its groups share is read once, and each
+    /// later group shuffles its pair out of it), and answers each
+    /// same-source group with one one-chunk
+    /// [`TableDesc::find_lanes`](slab_hash::TableDesc::find_lanes) call; a
+    /// one-pair batch charges exactly one `find`. A run-tile warp
     /// reads its ⟨source, length, key offset⟩ header (one transaction),
     /// its key slabs and the source's descriptor once each, and answers
     /// the whole tile with one `find_lanes` call: one walk of each home
@@ -132,8 +137,8 @@ impl DynGraph {
             // One store of the tile's answer bitmap.
             let out = out_buf + (tile_answers + t * TILE_CHUNKS) as u32;
             let addrs = Lanes::from_fn(|i| out + (i % TILE_CHUNKS) as u32);
-            let vals = Lanes::from_fn(|i| found.get(i).copied().unwrap_or(0));
-            warp.write_lanes(&addrs, &vals, (1 << found.len()) - 1);
+            let vals = Lanes::from_fn(|i| found[i % TILE_CHUNKS]);
+            warp.write_lanes(&addrs, &vals, (1 << TILE_CHUNKS) - 1);
         });
 
         let mut bits = vec![0; out_words];
@@ -155,12 +160,15 @@ impl DynGraph {
     }
 
     /// A chunk warp: the `live` pairs staged at `srcs`/`dsts`, one per
-    /// lane, answered one same-source group at a time. Returns the hit
-    /// mask.
+    /// lane, answered one same-source group at a time. Each group's
+    /// descriptor is read as Algorithm 1's update kernels read it
+    /// (`VertexDict::desc_in_lines`): a dictionary line the warp's groups
+    /// share is read once. Returns the hit mask.
     fn answer_chunk(&self, warp: &Warp, srcs: Addr, dsts: Addr, live: usize) -> u32 {
         let srcs = warp.read_slab(srcs);
         let dsts = warp.read_slab(dsts);
         let mut pending = Lanes::from_fn(|i| i < live);
+        let mut lines = LineRegisters::default();
         // Each lane's answer stays in its register (one bit here) until
         // the queue drains.
         let mut found = 0u32;
@@ -172,34 +180,35 @@ impl DynGraph {
             let current_src = warp.shuffle(&srcs, current_lane);
             let same_src = pending.zip_with(&srcs, |p, s| p && s == current_src);
             let group = warp.ballot(&same_src);
-            if let Some(desc) = self.dict.desc(warp, current_src) {
-                found |= desc.find_lanes(warp, &[dsts], &[group])[0].0;
-            }
             pending = pending.zip_with(&same_src, |p, s| p && !s);
+            let entry = self
+                .dict
+                .desc_in_lines(warp, current_src, &mut lines, &srcs, &pending);
+            if let Some((desc, _)) = entry {
+                let [(hits, _)] = desc.find_lanes(warp, &[dsts], &[group]);
+                found |= hits;
+            }
         }
     }
 
     /// A run-tile warp: the ⟨source, length, key offset⟩ header at
     /// `head` (one read) and the tile's keys from that offset into
     /// `key_buf` on, one slab per chunk. Returns the hit mask of each
-    /// chunk.
-    fn answer_tile(&self, warp: &Warp, head: Addr, key_buf: Addr) -> Vec<u32> {
+    /// chunk, 0 past the tile's chunks.
+    fn answer_tile(&self, warp: &Warp, head: Addr, key_buf: Addr) -> [u32; TILE_CHUNKS] {
         let head = warp.read_lanes(&Lanes::from_fn(|i| head + (i as u32).min(2)), 0b111);
         let (src, len) = (head.get(0), head.get(1) as usize);
         let keys = key_buf + head.get(2);
-        let tile: Vec<Lanes<u32>> = (0..len.div_ceil(WARP_SIZE))
-            .map(|c| warp.read_slab(keys + (c * WARP_SIZE) as u32))
-            .collect();
-        let groups: Vec<u32> = (0..tile.len())
-            .map(|c| u32::MAX >> (WARP_SIZE - (len - c * WARP_SIZE).min(WARP_SIZE)))
-            .collect();
+        // Chunks past the tile keep an empty group, which costs nothing.
+        let mut tile = [Lanes::splat(0); TILE_CHUNKS];
+        let mut groups = [0u32; TILE_CHUNKS];
+        for c in 0..len.div_ceil(WARP_SIZE) {
+            tile[c] = warp.read_slab(keys + (c * WARP_SIZE) as u32);
+            groups[c] = u32::MAX >> (WARP_SIZE - (len - c * WARP_SIZE).min(WARP_SIZE));
+        }
         match self.dict.desc(warp, src) {
-            Some(desc) => desc
-                .find_lanes(warp, &tile, &groups)
-                .into_iter()
-                .map(|(hits, _)| hits)
-                .collect(),
-            None => vec![0; tile.len()],
+            Some(desc) => desc.find_lanes(warp, &tile, &groups).map(|(hits, _)| hits),
+            None => [0; TILE_CHUNKS],
         }
     }
 
@@ -355,14 +364,14 @@ mod tests {
     #[test]
     fn a_one_vertex_read_charges_one_line_and_its_walk() {
         // One launch, one warp, the vertex's descriptor (one transaction,
-        // none past the capacity) and its table's walk. Vertex 0's 38
-        // live edges fill three slabs of one bucket (three reads, two
-        // next-pointer re-validations); 5 and 63 hold one slab each.
+        // none past the capacity) and its table's walk, one read per slab.
+        // Vertex 0's 38 live edges fill three slabs of one bucket (three
+        // reads); 5 and 63 hold one slab each.
         let g = graph_with_star();
         g.insert_edges(&[Edge::weighted(5, 6, 7)]);
         g.delete_edges(&[Edge::new(0, 3)]);
         let pin = g.pin_read();
-        for (u, len, transactions) in [(0, 38, 6), (5, 1, 2), (63, 0, 2), (600, 0, 0)] {
+        for (u, len, transactions) in [(0, 38, 4), (5, 1, 2), (63, 0, 2), (600, 0, 0)] {
             let before = g.device().counters().snapshot();
             let adj = g.read_neighbors(&pin, &[u]);
             let delta = g.device().counters().snapshot().delta(&before);
@@ -570,12 +579,14 @@ mod tests {
     #[test]
     fn edges_exist_stores_once_per_warp() {
         // 33 probes over the distinct sources 0..33: two warps, the
-        // second holding one lane, every group a singleton. Every
-        // descriptor read is one transaction, vertex 21's included (a
-        // descriptor is a pair-aligned word pair). Probe i hits for
-        // i % 3 == 0, misses in a one-slab table for i % 3 == 1, and
-        // finds no table for i % 3 == 2 (tables are built lazily on
-        // insert).
+        // second holding one lane, every group a singleton. The first
+        // warp's 32 sources fill dictionary lines 0 and 1: each line is
+        // read once, whole (one transaction), by its first group, and
+        // its other 15 groups shuffle their descriptor pair out of it.
+        // The second warp's source 32 is alone in its line and reads
+        // only its pair, one transaction. Probe i hits for i % 3 == 0,
+        // misses in a one-slab table for i % 3 == 1, and finds no table
+        // for i % 3 == 2 (tables are built lazily on insert).
         let g = DynGraph::new(GraphConfig::directed_set(128));
         let ins: Vec<Edge> = (0..33)
             .filter(|i| i % 3 != 2)
@@ -593,21 +604,25 @@ mod tests {
         assert_eq!(res, want);
 
         let (warps, groups, hits, misses) = (2, 33, 11, 11);
+        let (lines_read, groups_shuffled) = (3, 30);
         // Per warp: the staged src and dst slabs and one result store.
-        // Per group: one descriptor read, and one base-slab read when the
-        // source has a table.
-        let transactions = warps * 2 + groups + (hits + misses) + warps;
+        // Per line read: one transaction. Per group: one base-slab read
+        // when the source has a table.
+        let transactions = warps * 2 + lines_read + (hits + misses) + warps;
         // Per group: the queue and group ballots; per warp, the ballot
         // that finds the queue empty; per walk, a match ballot, plus an
         // EMPTY ballot for a miss.
         let ballots = groups * 2 + warps + hits + misses * 2;
         let got: Vec<u64> = delta.iter().map(|(_, c)| c).collect();
+        // Per group: the shuffle naming its source; per group served
+        // from a kept line: two shuffles of its descriptor pair.
+        let shuffles = groups + 2 * groups_shuffled;
         // [transactions, atomics, ballots, shuffles, launches, warps,
         // words_allocated]: the 33-word source and key buffers padded to
         // two slabs, and the two-word answer bitmap padded to one.
         assert_eq!(
             got,
-            [transactions, 0, ballots, groups, 1, warps, 2 * 64 + 32]
+            [transactions, 0, ballots, shuffles, 1, warps, 2 * 64 + 32]
         );
     }
 
@@ -618,14 +633,14 @@ mod tests {
         // descriptor once, walks the one-bucket chain once, and stores
         // its answer bitmap once. Vertex 0's chain is L full slabs of 30
         // keys (destinations 1..=30·L), so the 256 − 30·L misses walk it
-        // to the end: L slab reads and L − 1 next-pointer re-validations.
-        // Vertex 511 has no table; vertex 600 is past capacity.
+        // to the end: L slab reads. Vertex 511 has no table; vertex 600
+        // is past capacity.
         for slabs in [1u64, 3] {
             let g = DynGraph::new(GraphConfig::directed_set(512));
             let ins: Vec<Edge> = (1..=30 * slabs as u32).map(|d| Edge::new(0, d)).collect();
             g.insert_edges(&ins);
             let pin = g.pin_read();
-            for (src, walk, hits) in [(0, 2 * slabs - 1, 30 * slabs), (511, 0, 0), (600, 0, 0)] {
+            for (src, walk, hits) in [(0, slabs, 30 * slabs), (511, 0, 0), (600, 0, 0)] {
                 let pairs: Vec<(u32, u32)> = (1..=256).map(|d| (src, d)).collect();
                 let before = g.device().counters().snapshot();
                 let res = g.edges_exist(&pin, &pairs);
@@ -671,10 +686,42 @@ mod tests {
             let want = (1..4).contains(&u) && d >= 20 && d % 2 == 0;
             assert_eq!(hit, want, "({u}, {d})");
         }
-        // Chunk warp: two staged slabs, five descriptor reads, a store.
-        // Each tile: header, two key slabs, descriptor, one slab, store.
-        assert_eq!(delta.transactions, (2 + 5 + 1) + 3 * (1 + 2 + 1 + 1 + 1));
+        // Chunk warp: two staged slabs, one read of dictionary line 0
+        // (sources 10..15 share it; the other four groups shuffle their
+        // descriptors out of it), a store. Each tile: header, two key
+        // slabs, descriptor, one slab, store.
+        assert_eq!(delta.transactions, (2 + 1 + 1) + 3 * (1 + 2 + 1 + 1 + 1));
         assert_eq!(delta.words_allocated, 64 + 224 + 32);
+    }
+
+    #[test]
+    fn a_one_key_find_charges_its_descriptor_and_one_read_per_slab() {
+        // Vertex 0's one-bucket set table holds 30·(L − 1) + 1 keys, so
+        // its chain is L slabs long and the last key sits alone in the
+        // tail. A warp reading the descriptor and then finding the last
+        // key (a hit on the tail) or an absent key (a miss at the tail)
+        // charges 1 descriptor transaction plus L slab reads.
+        for slabs in 1..=4u32 {
+            let g = DynGraph::with_uniform_buckets(GraphConfig::directed_set(8), 8, 1);
+            let n = 30 * (slabs - 1) + 1;
+            let ins: Vec<Edge> = (1..=n).map(|d| Edge::new(0, d)).collect();
+            g.insert_edges(&ins);
+            let pin = g.pin_read();
+            assert_eq!(g.stats(&pin).tables.max_chain, u64::from(slabs));
+            for (key, hit) in [(n, true), (n + 1, false)] {
+                let before = g.device().counters().snapshot();
+                g.pinned(&pin).launch_warps("one_key_find", 1, |warp| {
+                    let desc = g.dict.desc(warp, 0).expect("vertex 0 has a table");
+                    assert_eq!(desc.find(warp, key).is_some(), hit, "L = {slabs}");
+                });
+                let delta = g.device().counters().snapshot().delta(&before);
+                assert_eq!(
+                    (delta.transactions, delta.launches, delta.warps),
+                    (1 + u64::from(slabs), 1, 1),
+                    "L = {slabs}, key {key}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -683,9 +730,13 @@ mod tests {
         // `mixed_rw`) must charge exactly one key's walk: the grouped
         // membership walk saves only on groups of two or more probes.
         // Vertex 0's 39 edges fill a three-slab chain in one bucket. Every
-        // read charges its source's descriptor read, one transaction. A
+        // read charges its source's descriptor read, one transaction, and
+        // one read per slab its walk reaches: an `edge_exists` walking L
+        // slabs charges 4 + L transactions (the staged source and key
+        // slabs, the descriptor, L slab reads, the answer store). A
         // weight comes from its source's adjacency read: one launch reads
-        // the whole chain and answers every weight in it.
+        // the whole chain (1 + 3 transactions) and answers every weight
+        // in it.
         let g = graph_with_star();
         g.insert_edges(&[Edge::weighted(5, 6, 7)]);
         let pin = g.pin_read();
@@ -701,12 +752,12 @@ mod tests {
             (
                 "exist deep hit",
                 |g, p| assert!(g.edge_exists(p, 0, 39)),
-                [9, 0, 8, 1, 1, 1, 96],
+                [7, 0, 8, 1, 1, 1, 96],
             ),
             (
                 "exist miss",
                 |g, p| assert!(!g.edge_exists(p, 0, 40)),
-                [9, 0, 9, 1, 1, 1, 96],
+                [7, 0, 9, 1, 1, 1, 96],
             ),
             (
                 "exist short chain",
@@ -725,7 +776,7 @@ mod tests {
                     let weight = |v| adj.entries(0).find(|&(d, _)| d == v).map(|(_, w)| w);
                     assert_eq!((weight(39), weight(40)), (Some(139), None));
                 },
-                [6, 0, 0, 0, 1, 1, 0],
+                [4, 0, 0, 0, 1, 1, 0],
             ),
         ];
         for (name, read, want) in reads {

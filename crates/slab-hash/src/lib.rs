@@ -273,7 +273,7 @@ fn note_chain_at_insert(warp: &Warp, depth: u64) {
     }
 }
 
-/// Record one chain-walk restart caused by next-pointer skew.
+/// Record one chain-walk restart caused by a torn slab read.
 #[inline]
 fn note_walk_restart(warp: &Warp) {
     if let Some(p) = warp.device().profiler() {
@@ -281,25 +281,29 @@ fn note_walk_restart(warp: &Warp) {
     }
 }
 
-/// Bound on validation-triggered walk restarts before a walk proceeds
-/// unvalidated. A reader holding a `ReadGuard` is always safe to finish on
-/// the chain it is on (the pinned era keeps every observed slab's bytes
-/// intact); re-probing merely trades that stale-but-consistent snapshot
-/// for a fresher one, so giving up after a few rounds of skew is sound.
+/// Bound on torn-read rewinds of one walk before it takes a slab copy as
+/// read. Claims settle, so a rewound walk soon reads the slab whole.
 const MAX_WALK_RESTARTS: u32 = 8;
 
-/// Cursor over one bucket chain: the validated-hop walk shared by every
-/// reader and by `delete`. It is *snapshot-consistent* under concurrent
-/// mutation: every hop past the base slab re-reads the parent's next
-/// pointer (one extra word read per hop, none for the single-slab common
-/// case) and rewinds to the bucket on skew — e.g. a concurrent
-/// `free_dynamic_slabs` cutting the chain back to its base slab.
+/// Cursor over one bucket chain, shared by every reader and by `delete`:
+/// one coalesced read per slab, following each slab's next pointer as
+/// read, as the paper's `edgeExist` and slab iterator do (§IV-B).
+///
+/// No hop is re-validated, and none needs to be (DESIGN §17). Writers
+/// apply one batch at a time, and inside a batch a reachable chain only
+/// grows at its tail. A slab that a cut frees (`compact`,
+/// [`TableDesc::free_dynamic_slabs`]) stays intact in the allocator's
+/// quarantine while the reader's pin holds. So a walk finishes on the
+/// chain it entered and answers the state that chain held when the walk
+/// read its link.
 ///
 /// A slab load copies its word pairs one after another, so a claim can
 /// land between two of them: the copy then shows a used slot after an
 /// EMPTY one, which no chain holds (empties only exist at the tail). Such
-/// a torn read rewinds to the bucket like skew, so a walk that answers
-/// many keys from one slab answers them all from one instant of it.
+/// a torn read rewinds the cursor to the bucket, so a walk that answers
+/// many keys from one slab answers them all from one instant of it. The
+/// check is host work on the copy, uncharged: on hardware a slab is one
+/// 128 B line, read whole.
 ///
 /// The cursor only charges reads; it never opens or closes a speculative
 /// attempt, so each caller keeps its own charging protocol around it.
@@ -310,7 +314,6 @@ struct ChainWalk<'a, 'd> {
     key_lanes: u32,
     /// The slab the next [`Self::read`] loads.
     addr: Addr,
-    parent: Option<Addr>,
     /// Slabs on the chain up to and including `addr`.
     depth: u64,
     restarts: u32,
@@ -323,25 +326,20 @@ impl<'a, 'd> ChainWalk<'a, 'd> {
             bucket,
             key_lanes: kind.key_lanes(),
             addr: bucket,
-            parent: None,
             depth: 1,
             restarts: 0,
         }
     }
 
-    /// Read the current slab and validate the hop that reached it. On
-    /// skew or a torn read the cursor rewinds to the bucket and returns
-    /// `None`; the walk continues from the base slab.
+    /// Read the current slab: one transaction. On a torn read the cursor
+    /// rewinds to the bucket and returns `None`; the walk continues from
+    /// the base slab.
     fn read(&mut self) -> Option<Lanes<u32>> {
         let words = self.warp.read_slab(self.addr);
-        let skewed = self
-            .parent
-            .is_some_and(|p| self.warp.read_word(p + NEXT_LANE as u32) != self.addr);
-        if (skewed || self.torn(&words)) && self.restarts < MAX_WALK_RESTARTS {
+        if self.torn(&words) && self.restarts < MAX_WALK_RESTARTS {
             self.restarts += 1;
             note_walk_restart(self.warp);
             self.addr = self.bucket;
-            self.parent = None;
             self.depth = 1;
             return None;
         }
@@ -364,7 +362,6 @@ impl<'a, 'd> ChainWalk<'a, 'd> {
         if next == NULL_ADDR {
             return false;
         }
-        self.parent = Some(self.addr);
         self.addr = next;
         self.depth += 1;
         true
@@ -779,24 +776,28 @@ impl TableDesc {
     /// absent. The one-lane call of [`Self::find_lanes`], charging exactly
     /// one key's walk.
     pub fn find(&self, warp: &Warp, key: u32) -> Option<u32> {
-        let (found, values) = self.find_lanes(warp, &[Lanes::splat(key)], &[1])[0];
+        let [(found, values)] = self.find_lanes(warp, &[Lanes::splat(key)], &[1]);
         (found != 0).then(|| values.get(0))
     }
 
-    /// Look up a *tile* of keys: chunk *c* holds one key per lane in
-    /// `tile[c]` (one register per lane per chunk) and looks up the lanes
-    /// of `groups[c]`. Returns one `(mask, values)` per chunk: bit *i* of
-    /// the mask is set iff lane *i*'s key is present, and lane *i* of the
-    /// values holds its value (a map's stored value, 0 for a set or a
-    /// miss). Membership, `edgeExist`'s primitive, is the masks.
+    /// Look up a *tile* of `N` 32-lane chunks of keys: chunk *c* holds one
+    /// key per lane in `tile[c]` (one register per lane per chunk) and
+    /// looks up the lanes of `groups[c]`. Returns one `(mask, values)` per
+    /// chunk: bit *i* of the mask is set iff lane *i*'s key is present,
+    /// and lane *i* of the values holds its value (a map's stored value, 0
+    /// for a set or a miss). Membership, `edgeExist`'s primitive, is the
+    /// masks. A chunk with an empty group costs nothing, so a caller with
+    /// a tile of fewer chunks pads it with empty groups. Every register,
+    /// the result's included, is a fixed array: the walk allocates
+    /// nothing on the host.
     ///
     /// The tile splits by home bucket: per bucket, one ballot for each
     /// chunk with keys still pending, charged only when the table has
     /// more than one bucket and the tile more than one key. Each bucket's
-    /// chain is then walked once for all the tile's keys that hash there.
-    /// At every slab the walk matches the still-open keys one of two
-    /// ways, so the slab's match step charges the smaller of the open-key
-    /// count and 30 warp intrinsics:
+    /// chain is then walked once for all the tile's keys that hash there,
+    /// one read per slab. At every slab the walk matches the still-open
+    /// keys one of two ways, so the slab's match step charges the smaller
+    /// of the open-key count and 30 warp intrinsics:
     /// - with 30 or fewer keys open (WCWS, §IV), one match ballot per
     ///   open key and, while keys remain open, one EMPTY ballot;
     /// - with more keys open than the slab's 30 data words, 30 broadcast
@@ -811,25 +812,24 @@ impl TableDesc {
     /// their sum, however many chunks it spans. A one-chunk tile is a
     /// warp's group of lanes; a one-key call is [`Self::find`].
     ///
-    /// The walk is *snapshot-consistent* under concurrent mutation: every
-    /// hop past a slab re-validates that slab's next pointer and re-probes
-    /// the still-open keys from the bucket on skew or a torn slab read;
-    /// keys resolved before the restart stay resolved.
-    pub fn find_lanes(
+    /// Under concurrent mutation each key is answered from the chain as
+    /// the walk read it (see `ChainWalk`); a torn slab read re-probes the
+    /// still-open keys from the bucket, and keys resolved before it stay
+    /// resolved.
+    pub fn find_lanes<const N: usize>(
         &self,
         warp: &Warp,
-        tile: &[Lanes<u32>],
-        groups: &[u32],
-    ) -> Vec<(u32, Lanes<u32>)> {
-        debug_assert_eq!(tile.len(), groups.len(), "one group mask per chunk");
-        let homes: Vec<Lanes<u32>> = tile
-            .iter()
-            .map(|keys| keys.map(|k| bucket_of(k, self.num_buckets)))
-            .collect();
+        tile: &[Lanes<u32>; N],
+        groups: &[u32; N],
+    ) -> [(u32, Lanes<u32>); N] {
+        let homes: [Lanes<u32>; N] = std::array::from_fn(|c| match groups[c] {
+            0 => Lanes::splat(0),
+            _ => tile[c].map(|k| bucket_of(k, self.num_buckets)),
+        });
         let keys_in_tile: u32 = groups.iter().map(|g| g.count_ones()).sum();
         let split_charged = self.num_buckets > 1 && keys_in_tile > 1;
-        let mut out = vec![(0u32, Lanes::splat(0)); tile.len()];
-        let mut pending = groups.to_vec();
+        let mut out = [(0u32, Lanes::splat(0)); N];
+        let mut pending = *groups;
         // The lowest pending lane of the first chunk holding one names
         // the next bucket to walk.
         while let Some(bucket) = pending
@@ -837,23 +837,19 @@ impl TableDesc {
             .zip(&homes)
             .find_map(|(&p, h)| gpu_sim::ffs(p).map(|lead| h.get(lead as usize)))
         {
-            let mut open: Vec<u32> = pending
-                .iter_mut()
-                .zip(&homes)
-                .map(|(p, h)| {
-                    if *p == 0 {
-                        return 0;
-                    }
-                    let same_home = Lanes::from_fn(|i| *p & (1 << i) != 0 && h.get(i) == bucket);
-                    let open = if split_charged {
-                        warp.ballot(&same_home)
-                    } else {
-                        gpu_sim::ballot(*p, &same_home)
-                    };
-                    *p &= !open;
-                    open
-                })
-                .collect();
+            let mut open = [0u32; N];
+            for ((o, p), h) in open.iter_mut().zip(&mut pending).zip(&homes) {
+                if *p == 0 {
+                    continue;
+                }
+                let same_home = Lanes::from_fn(|i| *p & (1 << i) != 0 && h.get(i) == bucket);
+                *o = if split_charged {
+                    warp.ballot(&same_home)
+                } else {
+                    gpu_sim::ballot(*p, &same_home)
+                };
+                *p &= !*o;
+            }
             let mut walk = ChainWalk::new(warp, self.kind, self.bucket_addr(bucket));
             while open.iter().any(|&o| o != 0) {
                 let Some(words) = walk.read() else {
@@ -918,10 +914,9 @@ impl TableDesc {
         loop {
             warp.begin_attempt();
             let Some(words) = walk.read() else {
-                // A skewed hop means a concurrent chain cut: re-probe from
-                // the bucket so the tombstone lands in the live chain, not
-                // a detached one. Skew never occurs sequentially, so the
-                // aborted step's charges are discarded.
+                // A torn read re-probes from the bucket. Tearing never
+                // occurs sequentially, so the aborted step's charges are
+                // discarded.
                 warp.abort_attempt();
                 continue;
             };
@@ -947,10 +942,10 @@ impl TableDesc {
         }
     }
 
-    /// Walk each bucket chain in turn and hand `f` its slab views. A
-    /// chain's views are buffered and only handed over once the whole
-    /// chain walked without next-pointer skew, so `f` never observes a
-    /// half-old half-new chain and never sees a slab twice.
+    /// Walk each bucket chain in turn, one read per slab, and hand `f` its
+    /// slab views. A chain's views are buffered and handed over once the
+    /// walk reaches the chain's end, so a torn read's rewind never shows
+    /// `f` a slab twice.
     fn for_each_chain(&self, warp: &Warp, mut f: impl FnMut(&[SlabView])) {
         let mut views = Vec::new();
         for b in 0..self.num_buckets {
@@ -976,7 +971,7 @@ impl TableDesc {
 
     /// Walk every slab of every bucket chain, calling `f` per slab — the
     /// paper's adjacency-list iterator (§IV-B). Each step is one coalesced
-    /// slab read; snapshot-consistent per bucket.
+    /// slab read; each chain is seen as the walk read it.
     pub fn for_each_slab(&self, warp: &Warp, mut f: impl FnMut(SlabView)) {
         self.for_each_chain(warp, |chain| chain.iter().for_each(|view| f(*view)));
     }
@@ -1144,9 +1139,8 @@ impl TableDesc {
     }
 
     /// Statistics over the chains (used by the Fig. 2 experiments). Each
-    /// chain is counted from the same skew-free buffered walk
-    /// [`Self::for_each_slab`] does, so concurrent chain cuts cannot
-    /// double-count.
+    /// chain is counted from the same buffered walk [`Self::for_each_slab`]
+    /// does, so a torn read's rewind cannot double-count.
     pub fn stats(&self, warp: &Warp) -> TableStats {
         let mut s = TableStats {
             buckets: self.num_buckets as u64,
@@ -1861,15 +1855,21 @@ mod tests {
                 }
                 let stats = t.stats(warp);
                 assert!(stats.max_chain >= 2 && stats.tombstones > 0, "{stats:?}");
-                // Tiles of 1 to 8 chunks, each chunk one probe group.
+                // Tiles of 1 to 8 chunks, each chunk one probe group,
+                // padded to 8 with empty groups.
                 let probes = probe_groups();
                 for (i, chunks) in (1..=8).cycle().take(probes.len()).enumerate() {
-                    let tile: Vec<_> = (0..chunks)
-                        .map(|c| probes[(i + c) % probes.len()])
-                        .collect();
-                    let (keys, groups): (Vec<_>, Vec<_>) = tile.into_iter().unzip();
+                    let chunk = |c: usize| {
+                        if c < chunks {
+                            probes[(i + c) % probes.len()]
+                        } else {
+                            (Lanes::splat(0), 0)
+                        }
+                    };
+                    let keys: [Lanes<u32>; 8] = std::array::from_fn(|c| chunk(c).0);
+                    let groups: [u32; 8] = std::array::from_fn(|c| chunk(c).1);
                     let answers = t.find_lanes(warp, &keys, &groups);
-                    assert_eq!(answers.len(), chunks);
+                    assert!(answers[chunks..].iter().all(|&(found, _)| found == 0));
                     for (c, (found, values)) in answers.into_iter().enumerate() {
                         for lane in 0..WARP_SIZE {
                             let want = if groups[c] & (1 << lane) != 0 {
@@ -1922,7 +1922,7 @@ mod tests {
                 assert!(grouped.ballots <= ballots, "{kind:?}, k = {k}");
                 // The same keys dealt over eight chunks still walk the
                 // one chain once.
-                let dealt: Vec<u32> = (0..8).map(|c| group & (0x0101_0101 << c)).collect();
+                let dealt: [u32; 8] = std::array::from_fn(|c| group & (0x0101_0101 << c));
                 let tiled = charge(&|w| {
                     t.find_lanes(w, &[keys; 8], &dealt);
                 });
@@ -1965,7 +1965,7 @@ mod tests {
     /// absent keys, and keys repeated across chunks, under full and
     /// sparse group masks. A map stores `10k + 7` with key `k`, so some
     /// value words equal other keys.
-    fn broadcast_fixture(kind: TableKind) -> (Setup, Vec<Lanes<u32>>, Vec<u32>) {
+    fn broadcast_fixture(kind: TableKind) -> (Setup, [Lanes<u32>; 8], [u32; 8]) {
         let (dev, alloc, t) = setup(kind, 4);
         let cap = kind.slab_capacity();
         // Bucket b gets b full slabs, then three keys on slab b + 1.
@@ -1998,11 +1998,10 @@ mod tests {
         // 256 lanes step through the pool 5 keys at a time, wrapping
         // around, so nearly every pool key lands in a lane and many land
         // in several chunks.
-        let tile: Vec<Lanes<u32>> = (0..8)
-            .map(|c| Lanes::from_fn(|i| pool[(5 * (32 * c + i)) % pool.len()]))
-            .collect();
+        let tile: [Lanes<u32>; 8] =
+            std::array::from_fn(|c| Lanes::from_fn(|i| pool[(5 * (32 * c + i)) % pool.len()]));
         assert!((1..8).any(|c| tile[c].0.iter().any(|k| tile[0].0.contains(k))));
-        let groups = vec![
+        let groups = [
             gpu_sim::FULL_MASK,
             gpu_sim::FULL_MASK,
             0x5555_5555,
@@ -2065,16 +2064,16 @@ mod tests {
             let d = dev.counters().snapshot().delta(&before);
             [d.transactions, d.ballots, d.shuffles]
         };
-        let tile = |keys: &[u32]| -> (Vec<Lanes<u32>>, Vec<u32>) {
-            keys.chunks(WARP_SIZE)
-                .map(|c| {
-                    let lanes = Lanes::from_fn(|i| c.get(i).copied().unwrap_or(0));
-                    (lanes, gpu_sim::FULL_MASK >> (WARP_SIZE - c.len()))
-                })
-                .unzip()
+        // Up to 8 chunks of 32 keys, padded with empty groups.
+        let tile = |keys: &[u32]| -> ([Lanes<u32>; 8], [u32; 8]) {
+            let chunk = |c: usize| keys.get(c * WARP_SIZE..).unwrap_or(&[]);
+            (
+                std::array::from_fn(|c| Lanes::from_fn(|i| chunk(c).get(i).copied().unwrap_or(0))),
+                std::array::from_fn(|c| gpu_sim::lanemask_lt(chunk(c).len().min(WARP_SIZE) as u32)),
+            )
         };
-        // 256 misses stay open down an L-slab chain: L reads, L − 1 hop
-        // re-validations, 30 shuffles per slab and no ballot.
+        // 256 misses stay open down an L-slab chain: L slab reads, 30
+        // shuffles per slab and no ballot.
         let misses: Vec<u32> = (1000..1256).collect();
         let (keys, groups) = tile(&misses);
         for slabs in [1u32, 3] {
@@ -2082,13 +2081,13 @@ mod tests {
                 let answers = t.find_lanes(w, &keys, &groups);
                 assert!(answers.iter().all(|&(found, _)| found == 0));
             });
-            let want = [u64::from(2 * slabs - 1), 0, u64::from(30 * slabs)];
+            let want = [u64::from(slabs), 0, u64::from(30 * slabs)];
             assert_eq!(got, want, "all-miss tile, L = {slabs}");
         }
         // 64 keys on a 3-slab chain: 30 hit on slab 1 and 10 on slab 2,
-        // leaving 24 misses open at slab 3. Slabs 1 and 2 broadcast (64
-        // then 34 keys open); slab 3 charges 24 match ballots and the
-        // EMPTY ballot.
+        // leaving 24 misses open at slab 3: 3 slab reads. Slabs 1 and 2
+        // broadcast (64 then 34 keys open); slab 3 charges 24 match
+        // ballots and the EMPTY ballot.
         let mixed: Vec<u32> = (0..40).chain(1000..1024).collect();
         let (keys, groups) = tile(&mixed);
         let got = charge(90, &|t, w| {
@@ -2099,11 +2098,82 @@ mod tests {
                 .sum();
             assert_eq!(hits, 40);
         });
-        assert_eq!(got, [5, 25, 60], "tile that drops to ballots");
+        assert_eq!(got, [3, 25, 60], "tile that drops to ballots");
         // A one-key `find` never broadcasts: a miss on the 3-slab chain
-        // charges a match and an EMPTY ballot per slab.
+        // charges 3 slab reads, and a match and an EMPTY ballot per slab.
         let got = charge(90, &|t, w| assert_eq!(t.find(w, 1000), None));
-        assert_eq!(got, [5, 6, 0], "one-key find");
+        assert_eq!(got, [3, 6, 0], "one-key find");
+    }
+
+    /// A walk needs no next-pointer re-read. A `ChainWalk`, driven by hand
+    /// under an allocator pin, reads the base slab of a 3-slab chain;
+    /// another host thread then cuts the chain with `free_dynamic_slabs`;
+    /// the walk follows the link it read onto the quarantined slabs and
+    /// returns exactly the keys the chain held before the cut.
+    ///
+    /// The sanitizer finds no use-after-free and no uninitialized read:
+    /// the pin covers the quarantined slabs. Its one finding kind is the
+    /// cut's plain store resetting the base slab under the running
+    /// reader, a read-write race on the base slab's words: the in-place
+    /// rewrite class of ROADMAP item 1, allowed here by kind and address.
+    #[test]
+    fn a_walk_finishes_on_the_chain_it_entered() {
+        use gpu_sim::{DeviceConfig, FindingKind, SanitizerConfig};
+        let dev = Device::with_config(
+            DeviceConfig::new(1 << 18).with_sanitizer(SanitizerConfig::default()),
+        );
+        let alloc = SlabAllocator::new(&dev, 1024);
+        let t = TableDesc::create(&dev, TableKind::Set, 1);
+        let n = 2 * SET_SLAB_KEYS as u32 + 5;
+        on_warp(&dev, |warp| {
+            for k in 0..n {
+                t.insert(warp, &alloc, k, 0, true).unwrap();
+            }
+            assert_eq!(t.stats(warp).slabs, 3);
+        });
+        let pin = alloc.pin(&dev);
+        let (read_base, cut) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        let keys = std::thread::scope(|s| {
+            s.spawn(|| {
+                read_base.wait();
+                dev.launch_warps("chain_cut", 1, |warp| {
+                    t.free_dynamic_slabs(warp, &alloc).unwrap();
+                });
+                cut.wait();
+            });
+            on_warp(&dev, |warp| {
+                let mut walk = ChainWalk::new(warp, t.kind, t.bucket_addr(0));
+                let mut keys = Vec::new();
+                loop {
+                    let words = walk.read().expect("no claim races the walk");
+                    let view = SlabView {
+                        addr: walk.addr,
+                        words,
+                        kind: t.kind,
+                    };
+                    keys.extend(view.keys());
+                    if walk.depth == 1 {
+                        read_base.wait();
+                        cut.wait();
+                    }
+                    if !walk.advance(&words) {
+                        return (keys, walk.depth);
+                    }
+                }
+            })
+        });
+        drop(pin);
+        assert_eq!(keys, ((0..n).collect::<Vec<_>>(), 3));
+        assert_eq!(alloc.live_slabs(), 0, "the cut freed both collision slabs");
+        let base = t.bucket_addr(0)..t.bucket_addr(0) + SLAB_WORDS as u32;
+        let findings = dev.sanitizer_findings();
+        assert!(
+            findings
+                .iter()
+                .all(|f| f.kind == FindingKind::RaceReadWrite && base.contains(&f.addr)),
+            "{findings:?}"
+        );
+        assert!(!findings.is_empty(), "racecheck sees the base reset");
     }
 
     #[test]
@@ -2157,9 +2227,9 @@ mod tests {
     }
 
     /// Every op's exact modeled charges — transactions, atomics, ballots —
-    /// on a one-bucket table at chain depth 1 and 3. Writers walk without
-    /// validation (one read per slab); readers and `delete` re-read the
-    /// parent's next pointer on every hop past the base slab.
+    /// on a one-bucket table at chain depth 1 and 3. Every walk charges
+    /// one read per slab: L transactions on an L-slab chain, for writers,
+    /// readers and `delete` alike.
     #[test]
     fn op_charges_are_pinned() {
         type Op = fn(&TableDesc, &Warp, &SlabAllocator, u32);
@@ -2213,12 +2283,12 @@ mod tests {
                     [3, 1, 6],
                     [3, 1, 5],
                     [3, 0, 5],
-                    [5, 0, 5],
-                    [5, 0, 6],
-                    [5, 1, 5],
-                    [5, 0, 6],
-                    [5, 0, 0],
-                    [5, 0, 0],
+                    [3, 0, 5],
+                    [3, 0, 6],
+                    [3, 1, 5],
+                    [3, 0, 6],
+                    [3, 0, 0],
+                    [3, 0, 0],
                 ],
             ),
             (
@@ -2243,12 +2313,12 @@ mod tests {
                     [3, 1, 6],
                     [3, 0, 5],
                     [3, 0, 5],
-                    [5, 0, 5],
-                    [5, 0, 6],
-                    [5, 1, 5],
-                    [5, 0, 6],
-                    [5, 0, 0],
-                    [5, 0, 0],
+                    [3, 0, 5],
+                    [3, 0, 6],
+                    [3, 1, 5],
+                    [3, 0, 6],
+                    [3, 0, 0],
+                    [3, 0, 0],
                 ],
             ),
         ];

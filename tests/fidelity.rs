@@ -309,6 +309,109 @@ fn fig2_rate_decays_with_chain_length(t: &Table) -> Verdict {
     Ok(())
 }
 
+/// Fig. 3's average-degree series: per series, its ⟨load factor, TC
+/// modeled ms⟩ points in load-factor order.
+fn fig3_series(t: &Table) -> Vec<(String, Vec<(f64, f64)>)> {
+    let degree = t.col("avg degree");
+    let (lf, ms) = (t.nums("load factor"), t.nums("TC modeled ms"));
+    let mut names: Vec<&str> = t.rows.iter().map(|r| r[degree].as_str()).collect();
+    names.dedup();
+    names
+        .into_iter()
+        .map(|s| {
+            let mut points: Vec<(f64, f64)> = (0..t.rows.len())
+                .filter(|&i| t.rows[i][degree] == s)
+                .map(|i| (lf[i], ms[i]))
+                .collect();
+            points.sort_by(|a, b| a.0.total_cmp(&b.0));
+            (s.to_string(), points)
+        })
+        .collect()
+}
+
+/// The degree-64 row of Fig. 3 at load factor `lf`.
+fn fig3_row(t: &Table, lf: f64) -> usize {
+    let (degree, lfs) = (t.col("avg degree"), t.nums("load factor"));
+    (0..t.rows.len())
+        .find(|&i| t.rows[i][degree] == "64" && lfs[i] == lf)
+        .unwrap_or_else(|| panic!("no degree-64 row at lf {lf}"))
+}
+
+/// A series' optimum: the lowest load factor at its minimum TC time, and
+/// that time.
+fn fig3_optimum(points: &[(f64, f64)]) -> (f64, f64) {
+    let best = points.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
+    let lf = points
+        .iter()
+        .find(|p| p.1 == best)
+        .map_or(f64::NAN, |p| p.0);
+    (lf, best)
+}
+
+/// Fig. 3's left branch: in each average-degree series, TC time does
+/// not rise as the load factor grows to the series' optimum, and the
+/// lowest load factor is slower than the optimum. Grouped probing
+/// produces it: a low load factor spreads one source's probes over more
+/// buckets, so more chain walks.
+fn fig3_left_branch(t: &Table) -> Verdict {
+    let series = fig3_series(t);
+    if series.len() < 2 {
+        return Err(format!("{} series, want several", series.len()));
+    }
+    for (degree, points) in series {
+        let (lf, best) = fig3_optimum(&points);
+        let left: Vec<&(f64, f64)> = points.iter().take_while(|p| p.0 <= lf).collect();
+        if !left.windows(2).all(|w| w[1].1 <= w[0].1) {
+            return Err(format!(
+                "degree-{degree} series: time rises before the optimum: {points:?}"
+            ));
+        }
+        if points[0].1 <= best {
+            return Err(format!(
+                "degree-{degree} series: no left branch: {points:?}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Fig. 3's recorded deviation, per series: the optimum's load factor
+/// and the time at the highest load factor over the optimum's (the
+/// right branch's factor). The paper's optimum sits near lf 0.7 with
+/// slower points past it; here no series has a right branch.
+const FIG3_RIGHT_BRANCH: [(&str, f64, f64); 2] = [("32", 0.5, 1.0), ("64", 2.5, 1.0)];
+
+/// The band around each recorded factor: one 0.001 ms cell step at
+/// either series' optimum (0.008 ms, 0.013 ms) moves it by more.
+const FIG3_BAND: f64 = 0.05;
+
+/// Whether each series still shows [`FIG3_RIGHT_BRANCH`]: its optimum at
+/// the recorded load factor and its right-branch factor within
+/// [`FIG3_BAND`] of the recorded one.
+fn fig3_has_no_right_branch(t: &Table) -> Verdict {
+    let series = fig3_series(t);
+    if series.len() != FIG3_RIGHT_BRANCH.len() {
+        return Err(format!(
+            "{} series, recorded {}",
+            series.len(),
+            FIG3_RIGHT_BRANCH.len()
+        ));
+    }
+    for ((degree, points), (want_degree, want_lf, want_factor)) in
+        series.iter().zip(FIG3_RIGHT_BRANCH)
+    {
+        let (lf, best) = fig3_optimum(points);
+        let factor = points.last().map_or(f64::NAN, |p| p.1) / best;
+        if degree != want_degree || lf != want_lf || (factor - want_factor).abs() > FIG3_BAND {
+            return Err(format!(
+                "degree-{degree} series: optimum at lf {lf}, right branch {factor:.3}x; \
+                 recorded degree {want_degree}, lf {want_lf}, {want_factor}x: {points:?}"
+            ));
+        }
+    }
+    Ok(())
+}
+
 #[test]
 fn table2_ours_wins_every_batch_and_all_rates_grow() {
     table2_ours_wins_every_batch(&table("table2")).unwrap();
@@ -460,4 +563,52 @@ fn fig2_claim_rejects_a_rate_that_rises_at_the_longest_chain() {
     let top = t.nums("MEdge/s")[shortest];
     t.set(longest, "MEdge/s", top * 1.01);
     assert!(fig2_rate_decays_with_chain_length(&t).is_err());
+}
+
+#[test]
+fn fig3_tc_time_falls_from_the_lowest_load_factor_to_the_optimum() {
+    fig3_left_branch(&table("fig3")).unwrap();
+}
+
+#[test]
+fn fig3_claim_rejects_a_left_branch_that_rises_or_vanishes() {
+    let t = table("fig3");
+    let (_, points) = fig3_series(&t).swap_remove(1);
+    let (_, best) = fig3_optimum(&points);
+    let mut flat = t.clone();
+    flat.set(fig3_row(&t, 0.2), "TC modeled ms", best);
+    assert!(fig3_left_branch(&flat).is_err(), "no left branch");
+    let mut bump = t.clone();
+    bump.set(fig3_row(&t, 0.5), "TC modeled ms", points[0].1 * 1.01);
+    assert!(
+        fig3_left_branch(&bump).is_err(),
+        "a rise before the optimum"
+    );
+}
+
+/// A known deviation, pinned: Fig. 3 has no right branch. The model
+/// prices a chain hop as one independent transaction, and a walk reads
+/// each slab once, so the longer chains of a high load factor cost a
+/// tile only its extra slab reads, which fewer bucket walks outweigh.
+/// ROADMAP item 12 adds dependent latency, which prices a hop as a
+/// round trip.
+#[test]
+fn fig3_has_no_right_branch_known_deviation() {
+    fig3_has_no_right_branch(&table("fig3")).unwrap();
+}
+
+#[test]
+fn fig3_deviation_rejects_a_right_branch_or_a_moved_optimum() {
+    let t = table("fig3");
+    let (_, points) = fig3_series(&t).swap_remove(1);
+    let (_, best) = fig3_optimum(&points);
+    let mut rises = t.clone();
+    rises.set(fig3_row(&t, 4.0), "TC modeled ms", best * 1.08);
+    assert!(fig3_has_no_right_branch(&rises).is_err(), "a right branch");
+    let mut moved = t.clone();
+    moved.set(fig3_row(&t, 1.0), "TC modeled ms", best * 0.9);
+    assert!(
+        fig3_has_no_right_branch(&moved).is_err(),
+        "the optimum moved"
+    );
 }
